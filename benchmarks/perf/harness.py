@@ -25,6 +25,7 @@ Every adaptive series appends its controller's transition records to
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
 import json
@@ -53,6 +54,7 @@ from repro.core.data_model import (
     encode_dump_payload,
     encode_wal_payload,
 )
+from repro.harness import running_pools
 from repro.storage.memory import MemoryFileSystem
 
 SCHEMA = "ginja-perf-v1"
@@ -221,22 +223,25 @@ def bench_pipeline(*, optimized: bool, updates: int, page_size: int,
             cloud = SimulatedCloud(
                 backend=InMemoryObjectStore(), time_scale=0.0
             )
-        pipe = CommitPipeline(
-            config, build_transport(cloud, config), codec, CloudView()
-        )
-        pipe.start()
-        try:
-            start = time.perf_counter()
-            for offset, data in writes:
-                pipe.submit("seg", offset, data)
-            if not pipe.drain(timeout=600.0):
-                raise RuntimeError("pipeline failed to drain")
-            elapsed = time.perf_counter() - start
-        finally:
-            pipe.stop(drain_timeout=30.0)
-            _log_transitions(tag, pipe)
-            if cloud_factory is not None and hasattr(cloud, "close"):
-                cloud.close()
+        # The stand-alone shape: what a Ginja builds for itself.
+        with running_pools(encoders, inflight=uploaders) as pools:
+            pipe = CommitPipeline(
+                config, build_transport(cloud, config), codec, CloudView(),
+                *pools,
+            )
+            pipe.start()
+            try:
+                start = time.perf_counter()
+                for offset, data in writes:
+                    pipe.submit("seg", offset, data)
+                if not pipe.drain(timeout=600.0):
+                    raise RuntimeError("pipeline failed to drain")
+                elapsed = time.perf_counter() - start
+            finally:
+                pipe.stop(drain_timeout=30.0)
+                _log_transitions(tag, pipe)
+                if cloud_factory is not None and hasattr(cloud, "close"):
+                    cloud.close()
         rates.append(updates / elapsed)
     return _best(rates)
 
@@ -547,64 +552,57 @@ def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
     total = sum(len(stream) for stream in streams)
     rates = []
     for _ in range(repeats):
-        shared = None
-        reactor = None
         pipes = []
-        if optimized:
-            from repro.cloud.reactor import UploadReactor
-            from repro.core.encode_stage import EncodeStage
-
-            shared = EncodeStage(tenants, name="bench-fleet-encoder")
-            shared.start()
-            reactor = UploadReactor(
-                inflight_window=2 * tenants, name="bench-fleet-reactor"
-            )
-            reactor.start()
-        try:
-            for i in range(tenants):
-                config = GinjaConfig(
-                    batch=batch, safety=len(streams[i]) + batch,
-                    batch_timeout=0.005, safety_timeout=120.0,
-                    uploaders=2, encoders=1, encode_dispatch=dispatch,
-                    compress=True, encrypt=True, password=PASSWORD,
+        with contextlib.ExitStack() as owned:
+            if optimized:
+                shared = owned.enter_context(
+                    running_pools(tenants, inflight=2 * tenants)
                 )
-                cloud = SimulatedCloud(
-                    backend=InMemoryObjectStore(), time_scale=0.0
-                )
-                codec = ObjectCodec(
-                    compress=True, encrypt=True, password=PASSWORD
-                )
-                pipe = CommitPipeline(
-                    config, build_transport(cloud, config), codec,
-                    CloudView(), encode_stage=shared, lane=f"tenant-{i}",
-                    reactor=reactor,
-                )
-                pipe.start()
-                pipes.append(pipe)
-            start = time.perf_counter()
-            # Round-robin submission interleaves tenants the way a fleet
-            # of concurrent databases would.
-            cursors = [0] * tenants
-            remaining = total
-            while remaining:
-                for i, stream in enumerate(streams):
-                    if cursors[i] < len(stream):
-                        offset, data = stream[cursors[i]]
-                        pipes[i].submit("seg", offset, data)
-                        cursors[i] += 1
-                        remaining -= 1
-            for pipe in pipes:
-                if not pipe.drain(timeout=600.0):
-                    raise RuntimeError("fleet pipeline failed to drain")
-            elapsed = time.perf_counter() - start
-        finally:
-            for pipe in pipes:
-                pipe.stop(drain_timeout=30.0)
-                _log_transitions(tag, pipe)
-            if shared is not None:
-                shared.stop()
-            if reactor is not None and reactor.alive:
-                reactor.stop()
+            try:
+                for i in range(tenants):
+                    config = GinjaConfig(
+                        batch=batch, safety=len(streams[i]) + batch,
+                        batch_timeout=0.005, safety_timeout=120.0,
+                        uploaders=2, encoders=1, encode_dispatch=dispatch,
+                        compress=True, encrypt=True, password=PASSWORD,
+                    )
+                    cloud = SimulatedCloud(
+                        backend=InMemoryObjectStore(), time_scale=0.0
+                    )
+                    codec = ObjectCodec(
+                        compress=True, encrypt=True, password=PASSWORD
+                    )
+                    # Private series: the pre-fleet layout, every tenant
+                    # with a one-worker stage and a reactor of its own.
+                    pools = shared if optimized else owned.enter_context(
+                        running_pools(1, inflight=2)
+                    )
+                    pipe = CommitPipeline(
+                        config, build_transport(cloud, config), codec,
+                        CloudView(), *pools, lane=f"tenant-{i}",
+                    )
+                    pipe.start()
+                    pipes.append(pipe)
+                start = time.perf_counter()
+                # Round-robin submission interleaves tenants the way a
+                # fleet of concurrent databases would.
+                cursors = [0] * tenants
+                remaining = total
+                while remaining:
+                    for i, stream in enumerate(streams):
+                        if cursors[i] < len(stream):
+                            offset, data = stream[cursors[i]]
+                            pipes[i].submit("seg", offset, data)
+                            cursors[i] += 1
+                            remaining -= 1
+                for pipe in pipes:
+                    if not pipe.drain(timeout=600.0):
+                        raise RuntimeError("fleet pipeline failed to drain")
+                elapsed = time.perf_counter() - start
+            finally:
+                for pipe in pipes:
+                    pipe.stop(drain_timeout=30.0)
+                    _log_transitions(tag, pipe)
         rates.append(total / elapsed)
     return _best(rates)
 

@@ -27,9 +27,9 @@ RUN = 2.0
 
 
 def run_variant(coalesce: bool) -> dict:
-    config = ginja_stack_config("postgres", 100, 1000)
-    config.ginja.coalesce_writes = coalesce
-    stack = build_stack(config)
+    stack = build_stack(
+        ginja_stack_config("postgres", 100, 1000, coalesce_writes=coalesce)
+    )
     report = run_tpcc(
         stack, duration=RUN, warmup=WARMUP_SECONDS, terminals=TERMINALS,
         tpcc_config=BENCH_TPCC,

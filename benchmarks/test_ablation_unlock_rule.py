@@ -21,6 +21,7 @@ from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import CommitPipeline
 from repro.core.config import GinjaConfig
+from repro.harness import running_pools
 from repro.metrics import TextTable
 
 SAFETY = 8
@@ -73,29 +74,32 @@ def run_variant(pipeline_cls) -> dict:
     view = CloudView()
     bus = EventBus()
     transport = build_transport(cloud, config, bus=bus)
-    pipeline = pipeline_cls(config, transport, ObjectCodec(), view, bus)
-    pipeline.start()
-    submitted = 0
-    deadline = time.monotonic() + 6.0
-    try:
-        while submitted < UPDATES and time.monotonic() < deadline:
-            blocked = threading.Event()
+    with running_pools() as pools:
+        pipeline = pipeline_cls(
+            config, transport, ObjectCodec(), view, *pools, bus
+        )
+        pipeline.start()
+        submitted = 0
+        deadline = time.monotonic() + 6.0
+        try:
+            while submitted < UPDATES and time.monotonic() < deadline:
+                blocked = threading.Event()
 
-            def one_write(n=submitted):
-                pipeline.submit("seg", n * 512, b"update")
-                blocked.set()
+                def one_write(n=submitted):
+                    pipeline.submit("seg", n * 512, b"update")
+                    blocked.set()
 
-            writer = threading.Thread(target=one_write, daemon=True)
-            writer.start()
-            if not blocked.wait(timeout=0.5):
-                break  # the pipeline correctly back-pressured us
-            submitted += 1
-        # Disaster strikes now: what is actually usable in the cloud?
-        usable = view.confirmed_ts() + 1  # objects recovery can apply
-        lost = submitted - min(submitted, _updates_covered(view, usable))
-    finally:
-        backend.release.set()
-        pipeline.stop(drain_timeout=5.0)
+                writer = threading.Thread(target=one_write, daemon=True)
+                writer.start()
+                if not blocked.wait(timeout=0.5):
+                    break  # the pipeline correctly back-pressured us
+                submitted += 1
+            # Disaster strikes now: what is actually usable in the cloud?
+            usable = view.confirmed_ts() + 1  # objects recovery can apply
+            lost = submitted - min(submitted, _updates_covered(view, usable))
+        finally:
+            backend.release.set()
+            pipeline.stop(drain_timeout=5.0)
     return dict(submitted=submitted, usable_objects=usable, lost=lost)
 
 

@@ -19,6 +19,7 @@ from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import CommitPipeline
 from repro.core.config import GinjaConfig
+from repro.harness import running_pools
 from repro.metrics import TextTable
 
 UPLOADERS = (1, 2, 5, 8)
@@ -37,16 +38,19 @@ def run_pool(uploaders: int) -> dict:
     view = CloudView()
     bus = EventBus()
     transport = build_transport(cloud, config, bus=bus)
-    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, bus)
-    pipeline.start()
-    started = time.monotonic()
-    try:
-        for n in range(BURST):
-            pipeline.submit("seg", n * 8192, b"p" * 512)
-        assert pipeline.drain(timeout=120.0)
-    finally:
-        pipeline.stop(drain_timeout=5.0)
-    wall = time.monotonic() - started
+    with running_pools() as pools:
+        pipeline = CommitPipeline(
+            config, transport, ObjectCodec(), view, *pools, bus
+        )
+        pipeline.start()
+        started = time.monotonic()
+        try:
+            for n in range(BURST):
+                pipeline.submit("seg", n * 8192, b"p" * 512)
+            assert pipeline.drain(timeout=120.0)
+        finally:
+            pipeline.stop(drain_timeout=5.0)
+        wall = time.monotonic() - started
     return dict(
         wall_seconds=wall,
         modeled_put_seconds=cloud.meter.puts.latency_total,

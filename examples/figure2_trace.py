@@ -22,6 +22,7 @@ from repro.core import GinjaConfig
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import CommitPipeline
+from repro.harness import running_pools
 
 B, S = 2, 20
 
@@ -46,13 +47,20 @@ class HeldCloud(InMemoryObjectStore):
 
 
 def main() -> None:
+    # A bare pipeline borrows its encoder pool and upload reactor (a
+    # Ginja instance or a fleet owns them in production).
+    with running_pools() as pools:
+        trace(pools)
+
+
+def trace(pools) -> None:
     cloud = HeldCloud()
     config = GinjaConfig(batch=B, safety=S, batch_timeout=0.05,
                          safety_timeout=60.0, uploaders=5)
     view = CloudView()
     bus = EventBus()
     transport = build_transport(cloud, config, bus=bus)
-    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, bus)
+    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, *pools, bus)
     pipeline.start()
     print(f"Figure 2 trace: B={B}, S={S}\n")
 

@@ -3,36 +3,29 @@
 
 Cloud-wide outages happen [Gunawi et al., SoCC'16]; the paper's §6 notes
 Ginja "supports the replication of objects in multiple clouds, for
-tolerating provider-scale failures".  This example protects a MySQL-
-profile database across two providers, kills one provider mid-run,
-keeps operating on the surviving quorum, repairs the failed provider
-when it returns, and finally recovers from the replica that never saw
-part of the traffic.
+tolerating provider-scale failures" — here the ``mirror-2/q1``
+placement policy.  This example protects a MySQL-profile database
+across two providers, kills one provider mid-run, keeps operating on
+the surviving quorum, repairs the failed provider when it returns, and
+finally recovers from the replica that never saw part of the traffic.
 
 Run:  python examples/multi_cloud_dr.py
 """
 
-from repro.cloud import (
-    FaultPolicy,
-    InMemoryObjectStore,
-    MultiCloudStore,
-    SimulatedCloud,
-)
 from repro.core import Ginja, GinjaConfig
 from repro.db import EngineConfig, MiniDB, MYSQL_PROFILE
+from repro.placement import build_placement
 from repro.storage import MemoryFileSystem
 
 ENGINE = EngineConfig(wal_segment_size=512 * 1024)
 
 
 def main() -> None:
-    # Two independent providers; provider A will suffer an outage.
-    backend_a, backend_b = InMemoryObjectStore(), InMemoryObjectStore()
-    faults_a = FaultPolicy()
-    provider_a = SimulatedCloud(backend=backend_a, faults=faults_a,
-                                time_scale=0.0)
-    provider_b = SimulatedCloud(backend=backend_b, time_scale=0.0)
-    multi = MultiCloudStore([provider_a, provider_b], write_quorum=1)
+    # Two independent providers, every object mirrored on both, a PUT
+    # durable once one confirms; provider A will suffer an outage.
+    multi = build_placement(2, "mirror-2/q1", time_scale=0.0)
+    provider_a, provider_b = multi.providers
+    backend_a, backend_b = provider_a.backend, provider_b.backend
 
     disk = MemoryFileSystem()
     MiniDB.create(disk, MYSQL_PROFILE, ENGINE).close()
@@ -50,7 +43,7 @@ def main() -> None:
           f"provider B: {len(backend_b.list())} objects")
 
     print("phase 2: provider A goes down; writes continue on the quorum...")
-    faults_a.fail_next(10_000)
+    provider_a.kill()
     for i in range(30, 60):
         db.put("inventory", f"sku-{i}", b"qty=100")
     ginja.drain(timeout=30.0)
@@ -58,17 +51,17 @@ def main() -> None:
           f"A={len(backend_a.list())} objects, B={len(backend_b.list())}")
 
     print("phase 3: provider A returns; anti-entropy repair...")
-    faults_a = FaultPolicy()  # outage over
-    provider_a._faults = faults_a
-    copies = multi.repair()
-    print(f"  re-replicated {copies} object copies to provider A")
+    provider_a.revive()
+    repaired = multi.repair()
+    print(f"  re-replicated {repaired.copies_restored} object copies "
+          "to provider A")
 
     ginja.stop()
     multi.close()
 
     print("phase 4: disaster at the primary — recover from provider B alone...")
     target = MemoryFileSystem()
-    ginja2, report = Ginja.recover(provider_b, target, MYSQL_PROFILE, config)
+    ginja2, report = Ginja.recover(backend_b, target, MYSQL_PROFILE, config)
     recovered = MiniDB.open(ginja2.fs, MYSQL_PROFILE, ENGINE)
     present = sum(
         1 for i in range(60)

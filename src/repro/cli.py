@@ -134,8 +134,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     trace: TraceRecorder | None = None
     if args.trace:
         # Subscribe before start so the boot uploads are in the trace.
-        trace = TraceRecorder(capacity=config.trace_capacity)
-        trace.attach(ginja.bus)
+        trace = TraceRecorder().attach(ginja.bus)
     ginja.start(mode="boot")
     db = MiniDB.open(ginja.fs, profile, engine_config)
     print(f"committing {args.rows} rows through Ginja "

@@ -10,9 +10,10 @@ PUT, GET, LIST, DELETE (§5 of the paper).  This package provides:
   paper's experiments run offline with realistic timing and exact billing;
 * :mod:`~repro.cloud.pricing` — the May-2017 price books (S3, Azure, GCS)
   the paper's cost analysis uses;
-* :class:`~repro.cloud.multi.MultiCloudStore` — replicates objects across
-  several stores to tolerate provider-scale outages (§6);
 * :class:`~repro.cloud.s3.BotoS3Store` — a thin adapter for real S3.
+
+Replication across several providers (§6) is a placement policy, not a
+store of its own: see :mod:`repro.placement` (``mirror-N/qM``).
 """
 
 from repro.cloud.directory import DirectoryObjectStore
@@ -26,7 +27,6 @@ from repro.cloud.latency import (
 )
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.metering import RequestMeter, TenantMeterBank
-from repro.cloud.multi import MultiCloudStore
 from repro.cloud.prefix import PrefixedObjectStore, tenant_of_key, tenant_prefix
 from repro.cloud.retry import RetryLayer, RetryPolicy
 from repro.cloud.transport import (
@@ -60,7 +60,6 @@ __all__ = [
     "Outage",
     "RequestMeter",
     "TenantMeterBank",
-    "MultiCloudStore",
     "PrefixedObjectStore",
     "tenant_prefix",
     "tenant_of_key",

@@ -32,13 +32,12 @@ callback, so attached pipelines poison rather than hang.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.cloud import aio
-from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
 
 
@@ -149,8 +148,6 @@ class UploadReactor:
             have no native ``aput`` (and exotic ``Clock.sleep_async``
             fallbacks).  This bounds the *total* thread cost of the
             upload path regardless of tenant count.
-        clock: unused by the reactor itself but plumbed for symmetry;
-            retry/latency layers bring their own clocks.
         name: thread-name prefix (``<name>`` for the loop thread,
             ``<name>-io-*`` for the bridge pool) — the CI thread
             census groups by these prefixes.
@@ -161,7 +158,6 @@ class UploadReactor:
         *,
         inflight_window: int = 64,
         io_threads: int = 4,
-        clock: Clock = SYSTEM_CLOCK,
         name: str = "ginja-reactor",
     ):
         if inflight_window < 1:
@@ -170,7 +166,6 @@ class UploadReactor:
             raise ValueError("io_threads must be >= 1")
         self._window = inflight_window
         self._io_threads = io_threads
-        self._clock = clock
         self._name = name
         self._lock = threading.Lock()
         self._lanes: dict[str, _Lane] = {}
@@ -363,9 +358,9 @@ class UploadReactor:
                on_done=None) -> UploadHandle:
         """Queue one PUT; returns immediately with its handle.
 
-        ``on_done(handle)`` runs on the loop thread after resolution —
-        it must be fast and must not block (it feeds ack queues, not
-        the other way around).
+        ``on_done(handle)`` runs on the loop thread after resolution,
+        one callback at a time — it must be fast and must not block
+        (the commit pipeline's consecutive-timestamp unlock runs here).
         """
         sub = _Submission(store, key, data, tenant, on_done)
         with self._lock:
@@ -431,22 +426,6 @@ class UploadReactor:
         except RuntimeError:  # loop already closed; _die handled cleanup
             pass
 
-    def wait_idle(self, tenant: str, timeout: float = 10.0) -> bool:
-        """Block (real time) until ``tenant`` has nothing queued or in
-        flight.  Shutdown machinery: a pipeline stops its unlocker only
-        after its last upload resolved, so late acks are never lost."""
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if self._fatal is not None or self._crash_exc is not None:
-                    return False
-                lane = self._lanes.get(tenant)
-                if lane is None or (not lane.queue and not lane.active):
-                    return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.002)
-
     def _wake(self) -> None:
         loop = self._loop
         if loop is None:
@@ -487,7 +466,10 @@ class UploadReactor:
             task = self._loop.create_task(self._run_one(lane, sub))
             sub.task = task
             self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            # Settled from a done-callback, not from the coroutine's
+            # tail: a task cancelled before its first step never runs
+            # a line of its body, and its handle must resolve anyway.
+            task.add_done_callback(functools.partial(self._finish, lane, sub))
 
     def _next_locked(self):
         order = self._order
@@ -499,22 +481,26 @@ class UploadReactor:
                 return lane, lane.queue.popleft()
         return None
 
-    async def _run_one(self, lane: _Lane, sub: _Submission) -> None:
+    async def _run_one(
+        self, lane: _Lane, sub: _Submission
+    ) -> BaseException | None:
+        """One PUT; returns the error it ultimately failed with."""
         # Each task runs in its own copied context, so this set is
         # private to this upload — the retry layer finds the note via
         # CURRENT_UPLOAD without ever importing the reactor.
         aio.CURRENT_UPLOAD.set(_LaneBackoffNote(self, lane))
-        error: BaseException | None = None
-        cancelled = False
         try:
             await aio.aput(sub.store, sub.key, sub.data)
         except asyncio.CancelledError:
-            cancelled = True
+            raise
         except BaseException as exc:
-            error = exc
-        self._finish(lane, sub, error, cancelled)
+            return exc
+        return None
 
-    def _finish(self, lane: _Lane, sub: _Submission, error, cancelled) -> None:
+    def _finish(self, lane: _Lane, sub: _Submission, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        cancelled = task.cancelled()
+        error = None if cancelled else task.result()
         with self._lock:
             lane.active.discard(sub)
             lane.inflight -= 1

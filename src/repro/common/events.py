@@ -41,7 +41,7 @@ COMMIT_UNBLOCKED = "commit_unblocked"
 WAL_BATCH = "wal_batch"
 #: One WAL object confirmed in the cloud.
 WAL_OBJECT = "wal_object"
-#: The unlocker removed one acked batch from the queue head.
+#: The unlock rule removed one acked batch from the queue head.
 BATCH_UNLOCKED = "batch_unlocked"
 #: A poisoned pipeline dropped an encoded WAL object instead of
 #: uploading it; ``count`` is the batch id, ``nbytes`` the encoded
@@ -51,7 +51,7 @@ UPLOAD_DROPPED = "upload_dropped"
 #: One update entered the queue; ``count`` is the unconfirmed depth
 #: (chaos drills trigger on this instead of polling pipeline internals).
 QUEUE_DEPTH = "queue_depth"
-#: The unlocker woke blocked submitters; ``count`` is the depth left.
+#: The unlock rule woke blocked submitters; ``count`` is the depth left.
 WAITER_UNLOCK = "waiter_unlock"
 #: Bytes fed through the codec (compress/encrypt/MAC input).
 CODEC = "codec"
@@ -140,7 +140,7 @@ class EventBus:
     """Thread-safe publish/subscribe fan-out for :class:`Event`.
 
     Subscribers run synchronously on the publisher's thread (the commit
-    pipeline emits from its uploader threads), so they must be fast and
+    pipeline emits from the upload reactor's loop), so they must be fast and
     must never raise; a raising subscriber is counted, not propagated,
     because an observability bug must not poison the data path.
 

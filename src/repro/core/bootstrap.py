@@ -24,6 +24,7 @@ from repro.core.data_model import (
     encode_dump_payload,
     encode_wal_payload,
     parse_any,
+    split_dump_files,
 )
 from repro.core.recovery import (  # noqa: F401  (RecoveryReport re-exported)
     RecoveryEngine,
@@ -85,7 +86,7 @@ def boot(
     db_files = [
         (path, fs.read_all(path)) for path in fs.files() if profile.is_db_file(path)
     ]
-    parts = _pack_dump_parts(db_files, config.max_object_bytes)
+    parts = split_dump_files(db_files, config.max_object_bytes)
     blobs = [codec.encode(encode_dump_payload(group)) for group in parts]
     for part, blob in enumerate(blobs):
         meta = DBObjectMeta(
@@ -95,23 +96,6 @@ def boot(
         view.add_db(meta)
         bus.emit(events.DB_OBJECT, key=meta.key, nbytes=len(blob))
     bus.emit(events.DUMP_COMPLETE, count=len(blobs))
-
-
-def _pack_dump_parts(
-    files: list[tuple[str, bytes]], max_bytes: int
-) -> list[list[tuple[str, bytes]]]:
-    groups: list[list[tuple[str, bytes]]] = []
-    current: list[tuple[str, bytes]] = []
-    size = 0
-    for path, content in files:
-        if current and size + len(content) > max_bytes:
-            groups.append(current)
-            current, size = [], 0
-        current.append((path, content))
-        size += len(content)
-    if current:
-        groups.append(current)
-    return groups or [[]]
 
 
 def reboot(cloud: ObjectStore, view: CloudView, retention=None) -> int:

@@ -45,6 +45,7 @@ from repro.core.data_model import (
     DUMP,
     encode_checkpoint_payload,
     encode_dump_payload,
+    split_dump_files,
 )
 from repro.core.encode_stage import EncodeStage
 from repro.core.tuner import BatchTuner
@@ -236,11 +237,9 @@ class CheckpointCollector:
         finally:
             self._set_frozen(False)
         parts = self._encode_groups(
-            _split_files(files, self._config.max_object_bytes),
+            split_dump_files(files, self._config.max_object_bytes),
             encode_dump_payload,
         )
-        if not parts:
-            parts.append(self._codec.encode(encode_dump_payload([])))
         return _PendingObject(ts=self._ts, type=DUMP, payloads=parts)
 
 
@@ -250,7 +249,9 @@ class CheckpointUploader:
     ``cloud`` should be a retry-wrapped transport stack: PUT errors
     surfacing here are treated as budget exhaustion and kill the thread,
     and GC DELETE exhaustion is expected to be absorbed by the transport
-    (the skippable-verb policy).
+    (the skippable-verb policy).  ``reactor`` is the running
+    :class:`UploadReactor` the owning Ginja (or fleet) also hands the
+    commit pipeline; it is borrowed, never started or stopped here.
     """
 
     def __init__(
@@ -258,9 +259,9 @@ class CheckpointUploader:
         config: GinjaConfig,
         cloud: ObjectStore,
         view: CloudView,
+        reactor: UploadReactor,
         bus: EventBus | None = None,
         clock: Clock = SYSTEM_CLOCK,
-        reactor: UploadReactor | None = None,
         lane: str = "",
         tuner: BatchTuner | None = None,
     ):
@@ -272,12 +273,10 @@ class CheckpointUploader:
         self._tuner = tuner
         self._bus = bus or NULL_BUS
         self._clock = clock
-        #: Shared upload reactor: DB-object PUTs ride the same loop as
-        #: the commit pipeline's WAL PUTs (same tenant lane, refcounted
-        #: attachment), and a multi-part checkpoint uploads its parts
-        #: concurrently within the lane window.  ``None`` keeps the
-        #: direct synchronous path (tests constructing the uploader
-        #: standalone).
+        #: DB-object PUTs ride the same loop as the commit pipeline's
+        #: WAL PUTs (same tenant lane, refcounted attachment), and a
+        #: multi-part checkpoint uploads its parts concurrently within
+        #: the lane window.
         self._reactor = reactor
         self._lane = lane
         self.queue: "queue.Queue" = queue.Queue()
@@ -301,14 +300,12 @@ class CheckpointUploader:
     def start(self) -> None:
         if self._thread is not None:
             raise GinjaError("checkpoint uploader already started")
-        if self._reactor is not None:
-            # Reactor death must kill this uploader, not hang its
-            # drain(); the lane attachment is refcounted with the
-            # commit pipeline's (same tenant).
-            self._reactor.attach(
-                self._lane, window=self._config.uploaders,
-                on_fatal=self._poison,
-            )
+        # Reactor death must kill this uploader, not hang its drain();
+        # the lane attachment is refcounted with the commit pipeline's
+        # (same tenant).
+        self._reactor.attach(
+            self._lane, window=self._config.uploaders, on_fatal=self._poison,
+        )
         self._thread = threading.Thread(
             target=self._loop, name="ginja-checkpointer", daemon=True
         )
@@ -316,35 +313,40 @@ class CheckpointUploader:
 
     def stop(self, drain_timeout: float = 30.0) -> None:
         self.drain(timeout=drain_timeout)
-        self.queue.put(_STOP)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self._reactor is not None:
-            self._reactor.detach(self._lane, self._poison)
+        self._halt(join_timeout=10.0)
 
     def abort(self) -> None:
         """Abrupt primary loss: discard queued objects without draining.
 
         Enqueued-but-not-uploaded checkpoints are dropped, exactly as a
-        power failure would drop them.  The uploader is unusable
-        afterwards (see :meth:`CommitPipeline.abort`).
+        power failure would drop them, and an upload in progress is
+        abandoned at its next step — no further part is submitted, no
+        GC DELETE issued: a dead primary must not keep editing the
+        bucket.  The uploader is unusable afterwards (see
+        :meth:`CommitPipeline.abort`).
         """
         self._aborting = True
         if self._fatal is None:
             self._fatal = GinjaError("primary crashed")
         with self._idle:
             self._idle.notify_all()
-        if self._reactor is not None:
-            # The worker may be blocked in handle.wait() on an
-            # in-flight part; cancelling the lane resolves it.
-            self._reactor.cancel(self._lane)
+        # Resolves the parts the worker has in flight, so its
+        # handle.wait() returns; parts it submits after this cancel it
+        # cancels itself (it re-reads the flag once they are queued).
+        self._reactor.cancel(self._lane)
+        self._halt(join_timeout=5.0)
+
+    def _halt(self, join_timeout: float) -> None:
         self.queue.put(_STOP)
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        if self._reactor is not None:
-            self._reactor.detach(self._lane, self._poison)
+            self._thread.join(timeout=join_timeout)
+            if self._thread.is_alive():
+                # Keep the handle: a worker that outlives its stop is a
+                # failure to report, not a leak to forget.
+                self._poison(GinjaError("ginja-checkpointer failed to stop"))
+            else:
+                self._thread = None
+        self._reactor.detach(self._lane, self._poison)
 
     def _poison(self, exc: BaseException) -> None:
         """Record a fatal error from outside the worker loop (reactor
@@ -395,9 +397,7 @@ class CheckpointUploader:
                 # budget; any other fault (codec, view bookkeeping) is
                 # equally fatal.  Either way the thread must record it —
                 # dying silently would leave drain() waiting forever.
-                self._fatal = (
-                    exc if isinstance(exc, Exception) else GinjaError(repr(exc))
-                )
+                self._poison(exc)
                 return
             finally:
                 self.queue.task_done()
@@ -422,40 +422,35 @@ class CheckpointUploader:
             )
             for part, blob in enumerate(pending.payloads)
         ]
-        if self._reactor is not None:
-            # All parts in flight at once (bounded by the lane window),
-            # confirmed in part order below.  A CloudError resolved
-            # into a handle means the transport's PUT budget is
-            # exhausted; it propagates and kills the checkpointer.
-            handles = [
-                self._reactor.submit(
-                    self._cloud, meta.key, blob, tenant=self._lane,
-                )
-                for meta, blob in zip(metas, pending.payloads)
-            ]
-            for meta, handle in zip(metas, handles):
-                handle.wait()
-                if handle.error is not None:
-                    raise handle.error
-                if handle.cancelled:
-                    raise GinjaError(f"checkpoint upload cancelled: {meta.key}")
-                if self._tuner is not None:
-                    self._tuner.observe_put()
-                self._bus.emit(
-                    events.DB_OBJECT, key=meta.key, nbytes=handle.nbytes,
-                    detail=pending.type,
-                )
-        else:
-            for meta, blob in zip(metas, pending.payloads):
-                # A CloudError here means the transport's PUT budget is
-                # exhausted; it propagates and kills the checkpointer.
-                self._cloud.put(meta.key, blob)
-                if self._tuner is not None:
-                    self._tuner.observe_put()
-                self._bus.emit(
-                    events.DB_OBJECT, key=meta.key, nbytes=len(blob),
-                    detail=pending.type,
-                )
+        # All parts in flight at once (bounded by the lane window),
+        # confirmed in part order below.  A CloudError resolved into a
+        # handle means the transport's PUT budget is exhausted; it
+        # propagates and kills the checkpointer.
+        self._check_not_aborting()
+        handles = [
+            self._reactor.submit(
+                self._cloud, meta.key, blob, tenant=self._lane,
+            )
+            for meta, blob in zip(metas, pending.payloads)
+        ]
+        if self._aborting:
+            # abort() raised the flag between the check and the
+            # submissions: its lane cancel may have run too early to
+            # catch them, and nothing else bounds the waits below.
+            self._reactor.cancel(self._lane)
+        for meta, handle in zip(metas, handles):
+            handle.wait()
+            if handle.error is not None:
+                raise handle.error
+            if handle.cancelled:
+                raise GinjaError(f"checkpoint upload cancelled: {meta.key}")
+            self._check_not_aborting()
+            if self._tuner is not None:
+                self._tuner.observe_put()
+            self._bus.emit(
+                events.DB_OBJECT, key=meta.key, nbytes=handle.nbytes,
+                detail=pending.type,
+            )
         for meta in metas:
             self._view.add_db(meta)
         if pending.type == DUMP:
@@ -464,7 +459,7 @@ class CheckpointUploader:
         # view entry is removed even when the delete was skipped by the
         # transport — the orphan is invisible to recovery either way.
         for wal_meta in self._view.wal_objects_upto(pending.ts):
-            self._cloud.delete(wal_meta.key)
+            self._gc_delete(wal_meta.key)
             self._view.remove_wal(wal_meta.ts)
         if pending.type == DUMP:
             self._gc_after_dump((pending.ts, seq))
@@ -480,10 +475,18 @@ class CheckpointUploader:
             self.snapshots.append(superseded)
             while len(self.snapshots) > self._config.retention.generations:
                 for meta in self.snapshots.pop(0):
-                    self._cloud.delete(meta.key)
+                    self._gc_delete(meta.key)
         else:
             for meta in superseded:
-                self._cloud.delete(meta.key)
+                self._gc_delete(meta.key)
+
+    def _check_not_aborting(self) -> None:
+        if self._aborting:
+            raise GinjaError("checkpoint abandoned: primary crashed")
+
+    def _gc_delete(self, key: str) -> None:
+        self._check_not_aborting()
+        self._cloud.delete(key)
 
 
 def _split_writes(
@@ -500,27 +503,6 @@ def _split_writes(
             current, size = [], 0
         current.append((path, offset, data))
         size += len(data)
-    if current:
-        groups.append(current)
-    return groups
-
-
-def _split_files(
-    files: list[tuple[str, bytes]], max_bytes: int
-) -> list[list[tuple[str, bytes]]]:
-    """Group dump files into <= max_bytes parts, slicing oversized files
-    into (path, offset-tagged) pieces is not needed: dump parts carry
-    whole files, and a file bigger than the cap becomes its own part
-    (clouds accept it; the cap is a latency optimization, not a limit)."""
-    groups: list[list[tuple[str, bytes]]] = []
-    current: list[tuple[str, bytes]] = []
-    size = 0
-    for path, content in files:
-        if current and size + len(content) > max_bytes:
-            groups.append(current)
-            current, size = [], 0
-        current.append((path, content))
-        size += len(content)
     if current:
         groups.append(current)
     return groups

@@ -1,6 +1,7 @@
 """Algorithm 2: the commit replication pipeline.
 
-Thread anatomy (the paper's Figure 3, grown into three stages):
+Thread anatomy (the paper's Figure 3, grown into three stages; the
+pipeline itself owns exactly one thread, the Aggregator):
 
 * DBMS threads call :meth:`CommitPipeline.submit` from the interposer's
   ``after_write`` hook.  The write is already durable locally; submit
@@ -23,20 +24,21 @@ Thread anatomy (the paper's Figure 3, grown into three stages):
   dominates the batch interval and spare workers exist, demoting when
   the pool stops beating the inline unlock baseline (one core, a
   contended fleet, tiny pages).  ``"inline"``/``"pool"`` pin the mode
-  for ablation; the legacy ``encode_inline=True`` flag folds into
-  ``"inline"``.
+  for ablation.
 * Encoded objects are submitted to the shared **upload reactor**
   (:class:`~repro.cloud.reactor.UploadReactor`): one event-loop thread
   drives every PUT through the cloud transport's async path, with the
   tenant's ``uploaders`` knob now a per-lane in-flight *window* rather
   than a thread count.  The RetryLayer still absorbs transient
   failures; its backoffs are loop timers that hold no threads.
-  Completions feed the ack queue from the reactor's completion
-  callback.
-* The **Unlocker** thread receives batch-completion acks and removes
-  entries from the queue head strictly in batch order — the
+* The **unlock rule** runs in the reactor's completion callback, which
+  the loop already serialises: the last object of a batch acks it, and
+  acked batches leave the queue head strictly in batch order — the
   "consecutive timestamps" rule that makes S a true bound on loss even
   when parallel uploads (or encodes) complete out of order (§5.3).
+  Figure 3 draws an Unlocker thread; it only ever serialised the
+  uploader threads the reactor replaced, so the rule kept its code and
+  lost its thread.
 
 A PUT that exhausts its retries poisons the pipeline: subsequent
 submits raise, because silently dropping a WAL object would leave a
@@ -66,7 +68,6 @@ does not spin, and a T_B/T_S expiry fires on time.
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -103,14 +104,11 @@ class _EncodeTask:
 
     ``chunks`` holds bytes-like runs (often ``memoryview`` slices over
     the submitted pages — safe because queue entries outlive their
-    batch: the unlocker pops them only after the batch is acked)."""
+    batch: the unlock rule pops them only after the batch is acked)."""
 
     batch_id: int
     meta: WALObjectMeta
     chunks: list
-
-
-_STOP = object()
 
 
 class CommitPipeline:
@@ -124,19 +122,17 @@ class CommitPipeline:
             store works too; it just fails on the first error.
         codec: compress/encrypt/MAC encoder.
         view: the shared picture of what the cloud contains.
+        encode_stage: the running :class:`EncodeStage` pooled batches
+            are encoded on — the Ginja facade's (shared with its
+            checkpoint collector) or a fleet's.  Borrowed: the pipeline
+            never starts or stops it.
+        reactor: the running :class:`UploadReactor` every PUT rides —
+            the Ginja facade's (shared with its checkpointer) or a
+            fleet's.  Borrowed likewise; the pipeline only attaches and
+            detaches its ``lane``.
         bus: event bus for observability (default: events are dropped).
         clock: time source for T_B/T_S accounting.
-        encode_stage: a shared :class:`EncodeStage` (the Ginja facade
-            passes one pool serving both this pipeline and the
-            checkpoint collector).  ``None`` makes the pipeline build
-            and own a private stage sized by ``config.encoders``
-            (unless the resolved dispatch policy is pinned ``"inline"``,
-            which never needs one).
-        reactor: a shared :class:`UploadReactor` (a fleet passes one
-            loop serving every tenant; the Ginja facade passes one
-            shared with the checkpointer).  ``None`` makes the pipeline
-            build and own a private reactor whose global window equals
-            ``config.uploaders``.
+        lane: fair-share lane in both pools; a fleet passes the tenant id.
     """
 
     def __init__(
@@ -145,11 +141,11 @@ class CommitPipeline:
         cloud: ObjectStore,
         codec: ObjectCodec,
         view: CloudView,
+        encode_stage: EncodeStage,
+        reactor: UploadReactor,
         bus: EventBus | None = None,
         clock: Clock = SYSTEM_CLOCK,
-        encode_stage: EncodeStage | None = None,
         lane: str = "",
-        reactor: UploadReactor | None = None,
     ):
         self._config = config
         self._cloud = cloud
@@ -157,37 +153,15 @@ class CommitPipeline:
         self._view = view
         self._bus = bus or NULL_BUS
         self._clock = clock
-        #: Fair-share lane in the (shared) encode stage; a fleet passes
-        #: the tenant id, a private stage sees one lane and stays FIFO.
         self._lane = lane
-        policy = config.resolve_encode_dispatch()
-        if policy == DISPATCH_INLINE:
-            # Pinned inline never touches a pool — don't spin one up.
-            self._stage = None
-            self._owns_stage = False
-        elif encode_stage is not None:
-            self._stage = encode_stage
-            self._owns_stage = False
-        else:
-            self._stage = EncodeStage(config.encoders, on_error=self._poison)
-            self._owns_stage = True
-        if reactor is not None:
-            self._reactor = reactor
-            self._owns_reactor = False
-        else:
-            self._reactor = UploadReactor(
-                inflight_window=config.uploaders,
-                io_threads=config.reactor_io_threads,
-            )
-            self._owns_reactor = True
+        self._stage = encode_stage
+        self._reactor = reactor
         #: Per-batch inline/pool decisions from measured EWMAs; public
         #: so operators and the perf harness can read mode/transitions.
         self.dispatch = DispatchController(
-            policy=policy,
-            stage=self._stage,
+            policy=config.encode_dispatch,
+            stage=encode_stage,
             lane=lane,
-            window=config.dispatch_window,
-            hysteresis=config.dispatch_hysteresis,
             clock=clock,
             bus=self._bus,
         )
@@ -205,8 +179,8 @@ class CommitPipeline:
         self._entries: deque[_Entry] = deque()
         self._claimed = 0                      # head entries inside claimed batches
         self._batch_sizes: dict[int, int] = {}
-        #: Claim time per batch, so the unlocker can report claim→unlock
-        #: latency to the dispatch controller.
+        #: Claim time per batch, so the unlock rule can report
+        #: claim→unlock latency to the controllers.
         self._claim_at: dict[int, float] = {}
         self._inflight_objects: dict[int, int] = {}
         self._acked: set[int] = set()
@@ -222,71 +196,37 @@ class CommitPipeline:
         self._fatal: Exception | None = None
         self._stop = False
 
-        self._ack_q: queue.Queue = queue.Queue()
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
 
     # -- lifecycle ------------------------------------------------------------------
 
     def start(self) -> None:
-        if self._threads:
+        if self._thread is not None:
             raise GinjaError("pipeline already started")
-        if self._owns_stage and not self._stage.running:
-            self._stage.start()
-        if self._owns_reactor and not self._reactor.alive:
-            self._reactor.start()
         # Reactor death must poison this pipeline, not hang it: the
         # lane's on_fatal is our own poison hook.
         self._reactor.attach(
             self._lane, window=self._config.uploaders, on_fatal=self._poison,
         )
-        self._threads.append(
-            threading.Thread(target=self._aggregator_loop, name="ginja-aggregator",
-                             daemon=True)
+        self._thread = threading.Thread(
+            target=self._aggregator_loop, name="ginja-aggregator", daemon=True
         )
-        self._threads.append(
-            threading.Thread(target=self._unlocker_loop, name="ginja-unlocker",
-                             daemon=True)
-        )
-        for thread in self._threads:
-            thread.start()
+        self._thread.start()
 
     def stop(self, drain_timeout: float = 30.0) -> None:
-        """Flush pending updates (best effort), then stop all threads.
+        """Flush pending updates (best effort), then stop the Aggregator.
 
         Raises the recorded fatal error if the pipeline was poisoned —
         a pipeline that dropped WAL objects must not report a clean
         shutdown (callers that expect the failure catch ``GinjaError``).
         """
         self.drain(timeout=drain_timeout)
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        if self._owns_stage:
-            # Encoders first: anything they finish is still submitted
-            # to the reactor before we wait the lane idle.  A wedged
-            # stage raises; record it but keep tearing down the
-            # unlocker — one stuck codec thread must not leak the whole
-            # thread complement.
-            try:
-                self._stage.stop()
-            except GinjaError as exc:
-                self._poison(exc)
-        # Let this lane's in-flight uploads resolve before the unlocker
-        # sees its sentinel, so their acks are never dropped (shared
-        # reactor: other tenants' traffic is untouched).
-        self._reactor.wait_idle(self._lane, timeout=10.0)
-        self._ack_q.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-        self._threads.clear()
-        self._reactor.detach(self._lane, self._poison)
-        if self._owns_reactor:
-            self._reactor.stop()
+        self._halt(join_timeout=10.0)
         if self._fatal is not None:
             raise GinjaError("commit pipeline failed during shutdown") from self._fatal
 
     def abort(self, reason: Exception | None = None) -> None:
-        """Abrupt primary loss: stop all threads *without* draining.
+        """Abrupt primary loss: stop *without* draining.
 
         Unlike :meth:`stop`, queued updates are dropped exactly as a
         power failure would drop them, and any submitter blocked on the
@@ -297,26 +237,27 @@ class CommitPipeline:
         with self._cond:
             if self._fatal is None:
                 self._fatal = reason or GinjaError("primary crashed")
-            self._stop = True
-            self._cond.notify_all()
-        if self._owns_stage:
-            try:
-                self._stage.stop(discard=True)
-            except GinjaError:
-                # abort() already records a fatal and never reports a
-                # clean shutdown; finish releasing the other threads.
-                pass
         # Queued submissions are dropped and in-flight PUTs interrupted
         # mid-backoff — without draining their retry budgets — exactly
         # as a power failure would abandon them.  Only this lane.
         self._reactor.cancel(self._lane)
-        self._ack_q.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads.clear()
+        self._halt(join_timeout=5.0)
+
+    def _halt(self, join_timeout: float) -> None:
+        with self._cond:
+            self._stop = True
+            self._cond.notify_all()
+        if self._thread is not None:
+            self._thread.join(timeout=join_timeout)
+            if self._thread.is_alive():
+                # Wedged (a codec call that never returns): keep the
+                # handle so the leak stays visible, and say so.
+                self._poison(GinjaError("ginja-aggregator failed to stop"))
+            else:
+                self._thread = None
+        # An upload resolving after this point still runs its unlock in
+        # the reactor callback; there is no consumer thread to outlive.
         self._reactor.detach(self._lane, self._poison)
-        if self._owns_reactor:
-            self._reactor.stop()
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Block until every queued update is confirmed (or timeout).
@@ -325,7 +266,7 @@ class CommitPipeline:
         """
         deadline = self._clock.now() + timeout
         with self._cond:
-            # Woken by the unlocker each time a batch completes; no poll.
+            # Woken by the unlock rule each time a batch completes; no poll.
             while self._entries and self._fatal is None:
                 remaining = deadline - self._clock.now()
                 if remaining <= 0:
@@ -433,8 +374,7 @@ class CommitPipeline:
             # Poisoned: queued uploads can never ack, so drop them
             # (their on_done emits ``upload_dropped``) instead of
             # burning full retry budgets against a cloud that may be
-            # gone.  PUTs already on the wire run to their own verdict,
-            # exactly like the in-flight uploader threads used to.
+            # gone.  PUTs already on the wire run to their own verdict.
             self._reactor.cancel(self._lane, queued_only=True)
 
     # -- Aggregator ---------------------------------------------------------------------
@@ -491,14 +431,14 @@ class CommitPipeline:
             )
             if not tasks:
                 # Cannot happen for count > 0, but never leave a batch
-                # that the unlocker would wait on forever.
+                # that the unlock rule would wait on forever.
                 with self._cond:
                     self._acked.add(batch_id)
                     self._remove_completed_prefix_locked()
                 continue
             with self._cond:
                 self._inflight_objects[batch_id] = len(tasks)
-            if self._stage is None or mode == DISPATCH_INLINE:
+            if mode == DISPATCH_INLINE:
                 # Inline on the Aggregator thread; the measured batch
                 # total feeds the controller's promotion signal.
                 encode_started = self._clock.now()
@@ -600,8 +540,8 @@ class CommitPipeline:
         if bus.wants(events.ENCODE_DONE):
             bus.emit(
                 events.ENCODE_DONE, key=task.meta.key, nbytes=len(blob),
-                count=self._stage.lane_depth(self._lane) if self._stage else 0,
-                total=self._stage.queue_depth() if self._stage else 0,
+                count=self._stage.lane_depth(self._lane),
+                total=self._stage.queue_depth(),
                 at=self._clock.now(),
             )
 
@@ -638,10 +578,13 @@ class CommitPipeline:
                      handle: UploadHandle) -> None:
         """Completion callback, on the reactor's loop thread.
 
-        The success path mirrors the old uploader thread's tail: view
-        bookkeeping, the ``wal_object`` event, then the ack.  A PUT
-        whose retries are exhausted poisons the pipeline (the batch can
-        never ack); a cancelled submission is accounted as dropped.
+        The success path is view bookkeeping, the ``wal_object`` event,
+        then the ack — which unlocks right here: the loop runs one
+        callback at a time, so acks are already serialised, and the
+        only lock taken is the pipeline condition, which a DBMS thread
+        parked on S has released by waiting on it.  A PUT whose retries
+        are exhausted poisons the pipeline (the batch can never ack); a
+        cancelled submission is accounted as dropped.
         """
         if handle.ok:
             try:
@@ -650,12 +593,11 @@ class CommitPipeline:
                     events.WAL_OBJECT, key=meta.key, nbytes=handle.nbytes,
                     at=self._clock.now(),
                 )
+                if self.tuner is not None:
+                    self.tuner.observe_put()
+                self._ack(batch_id)
             except BaseException as exc:  # noqa: BLE001 - callback boundary
                 self._poison(exc)
-                return
-            if self.tuner is not None:
-                self.tuner.observe_put()
-            self._ack_q.put(batch_id)
             return
         if handle.cancelled:
             self._drop_upload(batch_id, meta, handle.nbytes, "cancelled")
@@ -672,31 +614,21 @@ class CommitPipeline:
             nbytes=nbytes, detail=why, at=self._clock.now(),
         )
 
-    # -- Unlocker -------------------------------------------------------------------------
+    # -- Unlock rule ----------------------------------------------------------------------
 
-    def _unlocker_loop(self) -> None:
-        try:
-            self._unlock_forever()
-        except BaseException as exc:  # noqa: BLE001 - worker loop boundary
-            self._poison(exc)
-
-    def _unlock_forever(self) -> None:
-        while True:
-            item = self._ack_q.get()
-            if item is _STOP:
+    def _ack(self, batch_id: int) -> None:
+        """One object of ``batch_id`` is durable; its last one acks the
+        batch and releases whatever prefix that completes."""
+        with self._cond:
+            remaining = self._inflight_objects.get(batch_id)
+            if remaining is None:
                 return
-            batch_id = item
-            with self._cond:
-                remaining = self._inflight_objects.get(batch_id)
-                if remaining is None:
-                    continue
-                remaining -= 1
-                if remaining > 0:
-                    self._inflight_objects[batch_id] = remaining
-                    continue
-                del self._inflight_objects[batch_id]
-                self._acked.add(batch_id)
-                self._remove_completed_prefix_locked()
+            if remaining > 1:
+                self._inflight_objects[batch_id] = remaining - 1
+                return
+            del self._inflight_objects[batch_id]
+            self._acked.add(batch_id)
+            self._remove_completed_prefix_locked()
 
     def _remove_completed_prefix_locked(self) -> None:
         """Pop acked batches from the queue head strictly in order — the

@@ -3,55 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.common.errors import ConfigError
-from repro.common.units import MiB
 from repro.core.pitr import RetentionPolicy
 from repro.core.schedule import SyncSchedule
-
-
-def _validate_tuner(
-    target: float | None,
-    budget: float | None,
-    window: int,
-    hysteresis: float,
-    safety_timeout: float,
-) -> None:
-    """Cross-field validation of the adaptive-tuner knobs (shared by
-    :class:`TenantPolicy` and the flat :class:`GinjaConfig`)."""
-    if window < 1:
-        raise ConfigError("tuner_window must be >= 1")
-    if hysteresis < 1.0:
-        raise ConfigError("tuner_hysteresis must be >= 1.0")
-    if target is not None:
-        if target <= 0:
-            raise ConfigError("target_commit_latency must be positive")
-        if target >= safety_timeout:
-            # A commit that takes longer than T_S already blocks the
-            # DBMS; a target beyond it could never be observed as met.
-            raise ConfigError(
-                "target_commit_latency must be below safety_timeout"
-            )
-    if budget is not None:
-        if budget <= 0:
-            raise ConfigError("budget_dollars must be positive")
-        if target is None:
-            # The budget is a ceiling *on* the latency controller; alone
-            # it has no error signal to act against.
-            raise ConfigError(
-                "budget_dollars requires target_commit_latency"
-            )
-
-
-def _validate_placement(providers: int, placement: str) -> None:
-    """Shared validation of the two placement knobs: the provider count
-    must be sane and the spec must parse against it (the parser raises
-    :class:`ConfigError` with the offending token)."""
-    if providers < 1:
-        raise ConfigError("need at least one provider")
-    from repro.placement.policy import parse_placement
-
-    parse_placement(placement, providers)
 
 
 @dataclass(frozen=True)
@@ -60,83 +17,89 @@ class SharedPoolConfig:
 
     Everything here describes infrastructure that exists once per
     protection process, no matter how many tenant databases it serves:
-    the encoder pool, the recovery download pool, and the transport
-    stack's retry/trace layers.  A
+    the encoder pool, the recovery download pool, the upload reactor
+    and the transport stack's retry layers.  A
     :class:`~repro.fleet.manager.FleetManager` builds those from one
     ``SharedPoolConfig`` and injects them into every tenant's
-    :class:`~repro.core.ginja.Ginja`; a single-tenant ``Ginja`` gets the
-    same values folded into its flat :class:`GinjaConfig`.
+    :class:`~repro.core.ginja.Ginja`; a single-tenant ``Ginja`` reads
+    the same values through its flat :class:`GinjaConfig` view.
 
-    The attribute names deliberately match :class:`GinjaConfig` so
-    anything reading retry knobs off a config
-    (:meth:`~repro.cloud.retry.RetryPolicy.from_config`,
+    These fields (and :class:`TenantPolicy`'s) are the only place a
+    knob is declared or validated; :class:`GinjaConfig` exposes every
+    one of them under the same name, so anything reading retry knobs
+    off a config (:meth:`~repro.cloud.retry.RetryPolicy.from_config`,
     :func:`~repro.cloud.transport.build_transport`) accepts either.
     """
 
-    #: Parallel encoder threads shared by every tenant's commit pipeline
-    #: and checkpoint collector.
+    #: Parallel encoder threads (the middle stage of the three-stage
+    #: pipeline), shared by every tenant's commit pipeline and
+    #: checkpoint collector.  zlib/AES/HMAC release the GIL, so with
+    #: compression or encryption on this is real CPU parallelism.
     encoders: int = 4
-    #: Parallel recovery download threads shared by every tenant restore.
+    #: Parallel Downloader threads for disaster recovery, shared by
+    #: every tenant restore: GETs and decodes are prefetched while
+    #: payloads are applied strictly in plan order.  ``1`` restores
+    #: sequentially on the calling thread.
     downloaders: int = 4
-    #: Plan positions recovery may prefetch ahead of the apply cursor.
+    #: Plan positions recovery may prefetch ahead of the apply cursor —
+    #: bounds decoded-but-unapplied memory.
     prefetch_window: int = 16
-    #: The retry policy of the shared transport stack.
+    #: Retry budget per request before the caller sees the failure (a
+    #: PUT that exhausts it poisons the pipeline).
     max_retries: int = 5
+    #: Base backoff between retries, in seconds (doubles per attempt).
     retry_backoff: float = 0.1
+    #: Upper bound on any single backoff sleep.
     retry_backoff_cap: float = 2.0
+    #: Fraction of each backoff randomized symmetrically (0 = none),
+    #: to de-synchronize uploads retrying into an outage.
     retry_jitter: float = 0.0
-    retry_budgets: dict[str, int] = field(default_factory=dict)
-    #: Seed of the RNG shared by the transport layers.
+    #: Per-verb overrides of ``max_retries`` (keys: PUT/GET/LIST/DELETE).
+    retry_budgets: Mapping[str, int] = field(default_factory=dict)
+    #: Seed of the single RNG shared by the Fault/Latency/Retry transport
+    #: layers (jitter, fault sampling).  One stream, one knob: a drill
+    #: that sets ``seed`` replays the same failure schedule every run.
     seed: int = 0
-    #: Ring-buffer capacity for trace recorders on the fleet bus.
-    trace_capacity: int = 2048
-    #: Batches the adaptive dispatch controller observes between
-    #: decisions (the EWMA decision window; also the minimum dwell in a
-    #: mode before the next transition is considered).
-    dispatch_window: int = 16
-    #: How decisively the pool must beat the inline unlock-latency
-    #: baseline to *stay* promoted: demote when the pool's
-    #: submit→unlock EWMA exceeds ``inline_baseline / hysteresis``.
-    #: Higher values keep dispatch inline unless pooling clearly wins.
-    dispatch_hysteresis: float = 1.15
     #: Simulated cloud providers the placement layer spreads objects
-    #: over (shared: the provider stacks exist once per process).
+    #: over.  ``1`` keeps the classic single-cloud layout (and the
+    #: zero-copy fast path).
     providers: int = 1
-    #: Placement spec — ``mirror-N``, ``stripe-K-N``, or a per-class
-    #: map like ``wal=mirror-2,db=stripe-2-3``
+    #: Placement spec — ``mirror-N`` (full copies, write-quorum),
+    #: ``stripe-K-N`` (XOR erasure fragments, K-of-N reads), or a
+    #: per-class map like ``wal=mirror-2,db=stripe-2-3``
     #: (:func:`repro.placement.policy.parse_placement`).
     placement: str = "mirror-1"
-    #: Global in-flight window of the shared upload reactor — the cap
-    #: on concurrently running PUTs fleet-wide (the reactor replaces
-    #: thread-per-upload, so this, not thread count, bounds upload
+    #: Global in-flight window of the upload reactor — the cap on
+    #: concurrently running PUTs process-wide (the reactor replaced
+    #: thread-per-upload, so this, not a thread count, bounds upload
     #: concurrency).
     reactor_inflight: int = 64
-    #: Executor threads the reactor keeps for bridging stores without
-    #: a native async PUT; the total thread cost of the upload path.
-    reactor_io_threads: int = 4
 
     def __post_init__(self) -> None:
         if self.encoders < 1:
-            raise ConfigError("need at least one shared encoder thread")
+            raise ConfigError("need at least one encoder thread")
         if self.downloaders < 1:
-            raise ConfigError("need at least one shared downloader thread")
+            raise ConfigError("need at least one downloader thread")
         if self.prefetch_window < 1:
             raise ConfigError("prefetch_window must be >= 1")
         if self.retry_backoff < 0 or self.retry_backoff_cap <= 0:
             raise ConfigError("retry backoff values must be positive")
         if not 0.0 <= self.retry_jitter <= 1.0:
             raise ConfigError("retry_jitter must be within [0, 1]")
-        if self.trace_capacity < 1:
-            raise ConfigError("trace_capacity must be >= 1")
-        if self.dispatch_window < 1:
-            raise ConfigError("dispatch_window must be >= 1")
-        if self.dispatch_hysteresis < 1.0:
-            raise ConfigError("dispatch_hysteresis must be >= 1.0")
         if self.reactor_inflight < 1:
             raise ConfigError("reactor_inflight must be >= 1")
-        if self.reactor_io_threads < 1:
-            raise ConfigError("reactor_io_threads must be >= 1")
-        _validate_placement(self.providers, self.placement)
+        if self.providers < 1:
+            raise ConfigError("need at least one provider")
+        from repro.placement.policy import parse_placement
+
+        # The spec must parse against the provider count (the parser
+        # raises ConfigError with the offending token).
+        parse_placement(self.placement, self.providers)
+        # One shared half backs every tenant's view: freeze the one
+        # mutable value so no view can edit its co-tenants' budgets.
+        object.__setattr__(
+            self, "retry_budgets", MappingProxyType(dict(self.retry_budgets))
+        )
 
 
 @dataclass(frozen=True)
@@ -145,90 +108,8 @@ class TenantPolicy:
 
     Everything a tenant chooses for itself — the B/S/T_B/T_S
     cost-vs-loss model, codec keys, checkpoint/dump policy, retention —
-    without any say over the shared pools.  ``compose`` with a
-    :class:`SharedPoolConfig` yields the flat :class:`GinjaConfig` the
-    core pipelines consume (and validate).
-    """
-
-    batch: int = 100
-    safety: int = 1000
-    batch_timeout: float = 1.0
-    safety_timeout: float = 10.0
-    #: Uploader threads are per-tenant: each commit pipeline owns its
-    #: queue and its PUT concurrency (fleets typically size this small).
-    uploaders: int = 5
-    #: Run codec work inline on the tenant's Aggregator thread instead
-    #: of submitting to the (shared) encode stage.
-    encode_inline: bool = False
-    #: How this tenant's pipeline chooses between inline and pooled
-    #: encoding: ``"adaptive"`` (measured per-lane promotion/demotion),
-    #: ``"inline"`` or ``"pool"`` (both static).
-    encode_dispatch: str = "adaptive"
-    max_object_bytes: int = 20 * 1000 * 1000
-    coalesce_writes: bool = True
-    compress: bool = False
-    encrypt: bool = False
-    password: str | None = None
-    mac_default_key: str = "ginja-default-mac-key"
-    dump_threshold: float = 1.5
-    retention: RetentionPolicy = field(default_factory=RetentionPolicy.none)
-    sync_schedule: SyncSchedule | None = None
-    #: Commit-latency target (seconds) the adaptive batch tuner holds
-    #: for this tenant;
-    #: ``None`` disables the tuner and pins the static B/S/T_B above.
-    target_commit_latency: float | None = None
-    #: Monthly dollar ceiling on projected PUT spend; the tuner refuses
-    #: to shrink batches past it.  Requires ``target_commit_latency``.
-    budget_dollars: float | None = None
-    #: Batch claims the tuner observes between retune decisions.
-    tuner_window: int = 8
-    #: Deadband ratio around the latency target: no retune while the
-    #: commit-latency EWMA stays within ``[target/h, target*h]``.
-    tuner_hysteresis: float = 1.25
-
-    def __post_init__(self) -> None:
-        # Eager validation, mirroring SharedPoolConfig: a bad policy
-        # used to survive construction and only blow up at ``compose``
-        # time (inside ``FleetManager.add_tenant``), which made the
-        # two halves asymmetric — SharedPoolConfig rejected a zero
-        # window at the constructor, TenantPolicy accepted anything.
-        if self.batch < 1:
-            raise ConfigError("batch (B) must be >= 1")
-        if self.safety < 1:
-            raise ConfigError("safety (S) must be >= 1")
-        if self.batch > self.safety:
-            raise ConfigError("batch (B) must not exceed safety (S)")
-        if self.batch_timeout <= 0 or self.safety_timeout <= 0:
-            raise ConfigError("timeouts must be positive")
-        if self.uploaders < 1:
-            raise ConfigError("need at least one upload slot (uploaders >= 1)")
-        if self.encode_dispatch not in ("adaptive", "inline", "pool"):
-            raise ConfigError(
-                f"unknown encode_dispatch {self.encode_dispatch!r} "
-                "(expected 'adaptive', 'inline' or 'pool')"
-            )
-        if self.encode_inline and self.encode_dispatch == "pool":
-            raise ConfigError(
-                "encode_inline=True contradicts encode_dispatch='pool'"
-            )
-        if self.max_object_bytes < 64 * 1024:
-            raise ConfigError("max_object_bytes unreasonably small")
-        if self.encrypt and not self.password:
-            raise ConfigError("encryption requires a password")
-        if self.dump_threshold < 1.0:
-            raise ConfigError("dump_threshold below 1.0 would dump constantly")
-        _validate_tuner(
-            self.target_commit_latency, self.budget_dollars,
-            self.tuner_window, self.tuner_hysteresis, self.safety_timeout,
-        )
-
-
-@dataclass
-class GinjaConfig:
-    """All tunables of the middleware.
-
-    The two headline parameters trade cost vs. performance vs. data loss
-    (§5.1):
+    without any say over the shared pools.  The two headline parameters
+    trade cost vs. performance vs. data loss (§5.1):
 
     * ``batch`` (B) — how many database updates each cloud
       synchronization carries at most;
@@ -248,89 +129,29 @@ class GinjaConfig:
     safety_timeout: float = 10.0
 
     # -- §6: pipeline shape ---------------------------------------------------
-    #: Per-tenant upload concurrency (the paper's evaluation uses five).
-    #: Since the reactor refactor this is an in-flight *window* on the
-    #: shared event loop, not a thread count — the name is kept for
-    #: config compatibility.
+    #: This tenant's in-flight window on the upload reactor: how many
+    #: of its PUTs may run concurrently (the paper's evaluation uses
+    #: five Uploader threads; the reactor holds no thread per upload,
+    #: the name is kept because the frozen benchmark sets it).
     uploaders: int = 5
-    #: Parallel encoder threads (the middle stage of the three-stage
-    #: pipeline).  zlib/AES/HMAC release the GIL, so with compression or
-    #: encryption on this is real CPU parallelism; the stage is shared
-    #: with the checkpoint collector so DB-object encoding overlaps WAL
-    #: traffic.
-    encoders: int = 4
-    #: Run codec work inline on the Aggregator thread instead of the
-    #: encode stage — the pre-three-stage behaviour, kept for the
-    #: perf-ablation benchmark (equivalent to
-    #: ``encode_dispatch="inline"``, which it forces).
-    encode_inline: bool = False
-    #: Encode dispatch policy: ``"adaptive"`` (the default) starts every
-    #: pipeline inline and promotes to the encode stage only when
-    #: measured encode time dominates the batch interval and spare
-    #: workers exist, demoting back when the pool stops winning;
-    #: ``"inline"`` and ``"pool"`` pin the pre-adaptive static choices.
+    #: How this tenant's pipeline chooses between inline and pooled
+    #: encoding: ``"adaptive"`` (the default) starts inline and promotes
+    #: to the encode stage only when measured encode time dominates the
+    #: batch interval and spare workers exist, demoting back when the
+    #: pool stops winning; ``"inline"`` and ``"pool"`` pin the mode.
     encode_dispatch: str = "adaptive"
-    #: Decision window of the adaptive controller, in batches.
-    dispatch_window: int = 16
-    #: The pool must hold its submit→unlock EWMA below
-    #: ``inline_baseline / dispatch_hysteresis`` to stay promoted.
-    dispatch_hysteresis: float = 1.15
-    #: Parallel Downloader threads for disaster recovery (the read-side
-    #: twin of ``uploaders``): the recovery engine prefetches GETs and
-    #: decodes ahead while payloads are applied strictly in plan order.
-    #: ``1`` restores sequentially on the calling thread.
-    downloaders: int = 4
-    #: How many plan positions the recovery downloaders may run ahead of
-    #: the apply cursor — bounds decoded-but-unapplied memory.
-    prefetch_window: int = 16
     #: Objects are split at this size to optimize upload latency
     #: (footnote 3: 20 MB default).
     max_object_bytes: int = 20 * 1000 * 1000
-    #: PUT retry budget before the pipeline declares itself failed.
-    max_retries: int = 5
     #: Coalesce repeated writes to the same WAL page before upload
     #: (§5.3's aggregation).  Disable only for the ablation benchmark.
     coalesce_writes: bool = True
-    #: Base backoff between retries, in seconds (doubles per attempt).
-    retry_backoff: float = 0.1
-    #: Upper bound on any single backoff sleep (was a hardcoded 2 s).
-    retry_backoff_cap: float = 2.0
-    #: Fraction of each backoff randomized symmetrically (0 = none),
-    #: to de-synchronize uploader threads retrying into an outage.
-    retry_jitter: float = 0.0
-    #: Per-verb overrides of ``max_retries`` (keys: PUT/GET/LIST/DELETE).
-    retry_budgets: dict[str, int] = field(default_factory=dict)
-    #: Seed of the single RNG shared by the Fault/Latency/Retry transport
-    #: layers (jitter, fault sampling).  One stream, one knob: a drill
-    #: that sets ``seed`` replays the same failure schedule every run.
-    seed: int = 0
-
-    # -- §6: multi-provider placement ------------------------------------------
-    #: Simulated cloud providers objects are placed across.  ``1`` keeps
-    #: the classic single-cloud layout (and the zero-copy fast path).
-    providers: int = 1
-    #: Placement spec: ``mirror-N`` (full copies, write-quorum),
-    #: ``stripe-K-N`` (XOR erasure fragments, K-of-N reads), or a
-    #: per-class map such as ``wal=mirror-2,db=stripe-2-3``.
-    placement: str = "mirror-1"
-    #: Global in-flight window of the upload reactor (shared: one
-    #: reactor exists per process, like the encode pool).
-    reactor_inflight: int = 64
-    #: Executor threads the reactor bridges non-async stores through.
-    reactor_io_threads: int = 4
-
-    # -- observability ---------------------------------------------------------
-    #: Events kept verbatim by a TraceRecorder attached to the run
-    #: (aggregates are exact regardless; this bounds the ring buffer).
-    trace_capacity: int = 2048
 
     # -- §5.4: compression / encryption / integrity ---------------------------
     compress: bool = False
     encrypt: bool = False
     #: Password for the AES/MAC keys when ``encrypt`` is on (§5.4).
     password: str | None = None
-    #: MAC key seed used when encryption is off ("a default string").
-    mac_default_key: str = "ginja-default-mac-key"
 
     # -- §5.3: checkpoints -----------------------------------------------------
     #: A new dump replaces incremental checkpoints once cloud DB objects
@@ -346,33 +167,18 @@ class GinjaConfig:
     sync_schedule: SyncSchedule | None = None
 
     # -- adaptive batch/safety tuner -------------------------------------------
-    #: Commit-latency target (seconds) for :class:`repro.core.tuner
-    #: .BatchTuner`; ``None`` keeps the static B/S/T_B knobs frozen.
+    #: Commit-latency target (seconds) the adaptive
+    #: :class:`~repro.core.tuner.BatchTuner` holds for this tenant;
+    #: ``None`` disables the tuner and pins the static B/S/T_B above.
     target_commit_latency: float | None = None
-    #: Monthly dollar ceiling on the tuner's projected PUT spend.
+    #: Monthly dollar ceiling on projected PUT spend; the tuner refuses
+    #: to shrink batches past it.  Requires ``target_commit_latency``.
     budget_dollars: float | None = None
-    #: Batch claims per tuner decision window.
+    #: Batch claims the tuner observes between retune decisions.
     tuner_window: int = 8
-    #: Deadband ratio around the latency target (no retune inside it).
+    #: Deadband ratio around the latency target: no retune while the
+    #: commit-latency EWMA stays within ``[target/h, target*h]``.
     tuner_hysteresis: float = 1.25
-
-    def effective_batch_timeout(self, now: float | None = None) -> float:
-        """T_B at session-clock time ``now`` (the schedule wins when
-        configured).  Callers with a clock pass their reading so the
-        hour of day derives from the session clock, not the host's —
-        omitting it falls back to the schedule's ``hour_fn``."""
-        if self.sync_schedule is not None:
-            return self.sync_schedule.current_timeout(now)
-        return self.batch_timeout
-
-    def resolve_encode_dispatch(self) -> str:
-        """The dispatch policy the pipeline actually runs with.
-
-        ``encode_inline=True`` (the legacy ablation knob) forces
-        ``"inline"``; combining it with an explicit ``"pool"`` is a
-        validation error, so the fold here is unambiguous.
-        """
-        return "inline" if self.encode_inline else self.encode_dispatch
 
     def __post_init__(self) -> None:
         if self.batch < 1:
@@ -387,50 +193,90 @@ class GinjaConfig:
         if self.batch_timeout <= 0 or self.safety_timeout <= 0:
             raise ConfigError("timeouts must be positive")
         if self.uploaders < 1:
-            raise ConfigError("need at least one uploader thread")
-        if self.encoders < 1:
-            raise ConfigError(
-                "need at least one encoder thread (set encode_inline=True "
-                "to bypass the encode stage instead)"
-            )
+            raise ConfigError("need at least one upload slot (uploaders >= 1)")
         if self.encode_dispatch not in ("adaptive", "inline", "pool"):
             raise ConfigError(
                 f"unknown encode_dispatch {self.encode_dispatch!r} "
                 "(expected 'adaptive', 'inline' or 'pool')"
             )
-        if self.encode_inline and self.encode_dispatch == "pool":
-            raise ConfigError(
-                "encode_inline=True contradicts encode_dispatch='pool'"
-            )
-        if self.dispatch_window < 1:
-            raise ConfigError("dispatch_window must be >= 1")
-        if self.dispatch_hysteresis < 1.0:
-            raise ConfigError("dispatch_hysteresis must be >= 1.0")
-        if self.downloaders < 1:
-            raise ConfigError("need at least one downloader thread")
-        if self.prefetch_window < 1:
-            raise ConfigError("prefetch_window must be >= 1")
         if self.max_object_bytes < 64 * 1024:
             raise ConfigError("max_object_bytes unreasonably small")
         if self.encrypt and not self.password:
             raise ConfigError("encryption requires a password")
         if self.dump_threshold < 1.0:
             raise ConfigError("dump_threshold below 1.0 would dump constantly")
-        if self.retry_backoff < 0 or self.retry_backoff_cap <= 0:
-            raise ConfigError("retry backoff values must be positive")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ConfigError("retry_jitter must be within [0, 1]")
-        if self.trace_capacity < 1:
-            raise ConfigError("trace_capacity must be >= 1")
-        if self.reactor_inflight < 1:
-            raise ConfigError("reactor_inflight must be >= 1")
-        if self.reactor_io_threads < 1:
-            raise ConfigError("reactor_io_threads must be >= 1")
-        _validate_tuner(
-            self.target_commit_latency, self.budget_dollars,
-            self.tuner_window, self.tuner_hysteresis, self.safety_timeout,
+        if self.tuner_window < 1:
+            raise ConfigError("tuner_window must be >= 1")
+        if self.tuner_hysteresis < 1.0:
+            raise ConfigError("tuner_hysteresis must be >= 1.0")
+        if self.target_commit_latency is not None:
+            if self.target_commit_latency <= 0:
+                raise ConfigError("target_commit_latency must be positive")
+            if self.target_commit_latency >= self.safety_timeout:
+                # A commit that takes longer than T_S already blocks the
+                # DBMS; a target beyond it could never be observed as met.
+                raise ConfigError(
+                    "target_commit_latency must be below safety_timeout"
+                )
+        if self.budget_dollars is not None:
+            if self.budget_dollars <= 0:
+                raise ConfigError("budget_dollars must be positive")
+            if self.target_commit_latency is None:
+                # The budget is a ceiling *on* the latency controller;
+                # alone it has no error signal to act against.
+                raise ConfigError(
+                    "budget_dollars requires target_commit_latency"
+                )
+
+
+class GinjaConfig:
+    """All tunables of the middleware, as one flat read-only view.
+
+    Declares and validates nothing itself: every knob is a field of
+    exactly one of :class:`SharedPoolConfig` / :class:`TenantPolicy`.
+    The keyword constructor sorts its arguments into the two halves
+    (whose constructors validate them); :meth:`compose` wraps a pair
+    that already exists.  Either way the halves' values are bound into
+    the instance ``__dict__``, so ``config.batch`` on the commit hot
+    path is a plain attribute load, not a delegation.
+    """
+
+    def __init__(self, **knobs) -> None:
+        shared = {
+            name: knobs.pop(name)
+            for name in SharedPoolConfig.__dataclass_fields__.keys() & knobs.keys()
+        }
+        # Whatever is left must be per-tenant: TenantPolicy's own
+        # constructor rejects an unknown name with a TypeError.
+        self._bind(SharedPoolConfig(**shared), TenantPolicy(**knobs))
+
+    def _bind(self, shared: SharedPoolConfig, policy: TenantPolicy) -> None:
+        vars(self).update(
+            vars(shared), **vars(policy), _shared=shared, _policy=policy
         )
-        _validate_placement(self.providers, self.placement)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"GinjaConfig is read-only (tried to set {name!r}); "
+            "build the config you want instead"
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GinjaConfig):
+            return NotImplemented
+        return (self._shared, self._policy) == (other._shared, other._policy)
+
+    def __repr__(self) -> str:
+        return f"GinjaConfig({self._shared!r}, {self._policy!r})"
+
+    def effective_batch_timeout(self, now: float | None = None) -> float:
+        """T_B at session-clock time ``now`` (the schedule wins when
+        configured).  Callers with a clock pass their reading so the
+        hour of day derives from the session clock, not the host's —
+        omitting it falls back to the schedule's ``hour_fn``."""
+        if self.sync_schedule is not None:
+            return self.sync_schedule.current_timeout(now)
+        return self.batch_timeout
 
     @classmethod
     def no_loss(cls, **overrides) -> "GinjaConfig":
@@ -442,50 +288,22 @@ class GinjaConfig:
 
     # -- the shared/per-tenant split ------------------------------------------
 
-    #: GinjaConfig fields owned by the shared half of the split.
-    _SHARED_FIELDS = (
-        "encoders", "downloaders", "prefetch_window", "max_retries",
-        "retry_backoff", "retry_backoff_cap", "retry_jitter",
-        "retry_budgets", "seed", "trace_capacity", "providers",
-        "placement", "dispatch_window", "dispatch_hysteresis",
-        "reactor_inflight", "reactor_io_threads",
-    )
-    #: GinjaConfig fields owned by the per-tenant half.
-    _POLICY_FIELDS = (
-        "batch", "safety", "batch_timeout", "safety_timeout", "uploaders",
-        "encode_inline", "encode_dispatch", "max_object_bytes",
-        "coalesce_writes", "compress", "encrypt", "password",
-        "mac_default_key", "dump_threshold", "retention", "sync_schedule",
-        "target_commit_latency", "budget_dollars", "tuner_window",
-        "tuner_hysteresis",
-    )
-
     def shared(self) -> SharedPoolConfig:
-        """Extract the process-wide half of this configuration."""
-        return SharedPoolConfig(
-            **{name: getattr(self, name) for name in self._SHARED_FIELDS}
-        )
+        """The process-wide half of this configuration."""
+        return self._shared
 
     def policy(self) -> TenantPolicy:
-        """Extract the per-tenant half of this configuration."""
-        return TenantPolicy(
-            **{name: getattr(self, name) for name in self._POLICY_FIELDS}
-        )
+        """The per-tenant half of this configuration."""
+        return self._policy
 
     @classmethod
     def compose(
         cls, shared: SharedPoolConfig, policy: TenantPolicy | None = None,
     ) -> "GinjaConfig":
-        """Fold a shared/per-tenant pair back into one flat config.
-
-        The flat form is what the core pipelines consume; composing runs
-        the full cross-field validation (B <= S and friends), so a fleet
-        admitting a tenant rejects a bad policy at ``add_tenant`` time.
-        """
-        policy = policy or TenantPolicy()
-        fields_ = {name: getattr(shared, name) for name in cls._SHARED_FIELDS}
-        fields_.update(
-            {name: getattr(policy, name) for name in cls._POLICY_FIELDS}
-        )
-        fields_["retry_budgets"] = dict(shared.retry_budgets)
-        return cls(**fields_)
+        """The flat view over an existing shared/per-tenant pair — what
+        a fleet hands each tenant's pipelines.  Both halves validated
+        themselves when they were constructed, so a bad policy never
+        gets as far as ``add_tenant``."""
+        config = cls.__new__(cls)
+        config._bind(shared, policy or TenantPolicy())
+        return config

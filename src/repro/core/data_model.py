@@ -230,6 +230,28 @@ def encode_dump_payload(files: list[tuple[str, bytes]]) -> bytes:
     return b"".join(out)
 
 
+def split_dump_files(
+    files: list[tuple[str, bytes]], max_bytes: int
+) -> list[list[tuple[str, bytes]]]:
+    """Pack a dump's (path, content) files greedily into parts of at
+    most ``max_bytes``, in order.  Files are never sliced: one bigger
+    than the cap becomes its own part (clouds accept it; the cap is a
+    latency optimization, not a limit).  Always at least one part, so
+    an empty database still uploads a (complete, empty) dump."""
+    groups: list[list[tuple[str, bytes]]] = []
+    current: list[tuple[str, bytes]] = []
+    size = 0
+    for path, content in files:
+        if current and size + len(content) > max_bytes:
+            groups.append(current)
+            current, size = [], 0
+        current.append((path, content))
+        size += len(content)
+    if current:
+        groups.append(current)
+    return groups or [[]]
+
+
 def decode_dump_payload(payload: bytes) -> list[tuple[str, bytes]]:
     count, pos = take_u32(payload, 0)
     files: list[tuple[str, bytes]] = []

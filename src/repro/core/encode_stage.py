@@ -11,8 +11,8 @@ three-stage pipeline::
 
 Everything ordering-sensitive (batch claim, coalescing, timestamp
 assignment) stays on the Aggregator; the encode stage only runs pure
-CPU transforms whose outputs are ordered downstream by the unlocker's
-consecutive-timestamp rule.  zlib, ``cryptography``'s AES and ``hmac``
+CPU transforms whose outputs are ordered downstream by the
+consecutive-timestamp unlock rule.  zlib, ``cryptography``'s AES and ``hmac``
 all release the GIL, so the workers achieve real parallelism in CPython.
 
 The stage is deliberately generic — jobs are plain callables — so the
@@ -360,7 +360,7 @@ class DispatchController:
     at every batch claim and dispatches that batch in the returned mode;
     the encode paths report measured durations back via
     :meth:`observe_encode` (per-batch inline, per-object pooled) and the
-    unlocker reports claim→unlock latency via :meth:`observe_unlock`.
+    unlock rule reports claim→unlock latency via :meth:`observe_unlock`.
 
     Under the ``"adaptive"`` policy the lane starts **inline** and
     promotes to the pool only when

@@ -67,8 +67,9 @@ class Ginja:
         download_pool: EncodeStage | None = None,
         reactor: UploadReactor | None = None,
     ):
-        """Stand-alone construction builds everything privately; a fleet
-        injects the shared halves instead:
+        """Stand-alone construction builds (and owns) everything
+        privately; a fleet injects the shared halves instead, and each
+        injected piece stays the fleet's to start and stop:
 
         * ``transport`` — an already retry-wrapped store (typically a
           :class:`~repro.cloud.prefix.PrefixedObjectStore` over the
@@ -76,12 +77,9 @@ class Ginja:
           transport stack is built and ``cloud`` is treated as raw-store
           access *through the same namespace* (fsck, stale-key deletes).
         * ``encode_stage`` / ``download_pool`` — shared worker pools;
-          this instance submits into its ``tenant`` lane and never
-          starts or stops them.
+          this instance submits into its ``tenant`` lane.
         * ``reactor`` — the shared upload reactor; this instance
-          attaches its ``tenant`` lane and never starts or stops it.
-          ``None`` builds a private reactor serving both the commit
-          pipeline and the checkpointer.
+          attaches its ``tenant`` lane.
         * ``bus`` — a tenant-scoped :class:`EventBus` so every event this
           instance emits carries the tenant stamp.
         """
@@ -110,7 +108,6 @@ class Ginja:
             compress=self.config.compress,
             encrypt=self.config.encrypt,
             password=self.config.password,
-            mac_default_key=self.config.mac_default_key,
         )
         #: The file system to hand the DBMS.  Interception activates at
         #: :meth:`start` — Algorithm 1 mounts only after initialization.
@@ -123,44 +120,31 @@ class Ginja:
         )
         #: One encoder pool shared by the commit pipeline and the
         #: checkpoint collector, so DB-object codec work overlaps WAL
-        #: traffic on the same ``config.encoders`` threads.  ``None``
-        #: only when the resolved dispatch policy is pinned ``"inline"``
-        #: (the ``"adaptive"`` policy needs the pool available to
-        #: promote into).  A fleet injects its process-wide stage here;
-        #: lifecycle then belongs to the fleet, not this instance.
-        if encode_stage is not None:
-            self.encode_stage = encode_stage
-            self._owns_encode_stage = False
-        else:
-            self.encode_stage = (
-                None
-                if self.config.resolve_encode_dispatch() == "inline"
-                else EncodeStage(self.config.encoders)
-            )
-            self._owns_encode_stage = self.encode_stage is not None
+        #: traffic on the same ``config.encoders`` threads.
+        self.encode_stage = encode_stage or EncodeStage(self.config.encoders)
         #: Shared pool for recovery GETs (a fleet reuses one pool across
-        #: every tenant restore); ``None`` spawns private downloaders.
+        #: every tenant restore); ``None`` makes each restore start its
+        #: own ``config.downloaders`` threads.
         self.download_pool = download_pool
         #: One upload reactor drives both WAL and checkpoint PUTs (the
         #: tenant's lane on a fleet-shared loop, or a private loop for
         #: a stand-alone instance) — O(1) upload threads either way.
-        if reactor is not None:
-            self.reactor = reactor
-            self._owns_reactor = False
-        else:
-            self.reactor = UploadReactor(
-                inflight_window=self.config.uploaders,
-                io_threads=self.config.reactor_io_threads,
-            )
-            self._owns_reactor = True
+        self.reactor = reactor or UploadReactor(
+            inflight_window=self.config.uploaders
+        )
+        #: What this instance built it also starts and stops; an
+        #: injected pool belongs to the fleet.  The pipelines below
+        #: only ever borrow.
+        self._own_stage = encode_stage is None
+        self._own_reactor = reactor is None
         self.pipeline = CommitPipeline(
-            self.config, self.transport, self.codec, self.view, self.bus,
-            clock=clock, encode_stage=self.encode_stage, lane=tenant,
-            reactor=self.reactor,
+            self.config, self.transport, self.codec, self.view,
+            self.encode_stage, self.reactor, self.bus, clock=clock,
+            lane=tenant,
         )
         self.checkpointer = CheckpointUploader(
-            self.config, self.transport, self.view, self.bus, clock=clock,
-            reactor=self.reactor, lane=tenant, tuner=self.pipeline.tuner,
+            self.config, self.transport, self.view, self.reactor, self.bus,
+            clock=clock, lane=tenant, tuner=self.pipeline.tuner,
         )
         self.collector = CheckpointCollector(
             self.config,
@@ -205,15 +189,15 @@ class Ginja:
             pass  # view already initialized (the recover() path)
         else:
             raise GinjaError(f"unknown start mode: {mode!r}")
-        if self.encode_stage is not None and not self.encode_stage.running:
-            if not self._owns_encode_stage:
+        if not self.encode_stage.running:
+            if not self._own_stage:
                 raise GinjaError(
                     "shared encode stage is not running; start the fleet's "
                     "pools before starting tenants"
                 )
             self.encode_stage.start()
         if not self.reactor.alive:
-            if not self._owns_reactor:
+            if not self._own_reactor:
                 raise GinjaError(
                     "shared upload reactor is not running; start the "
                     "fleet's pools before starting tenants"
@@ -247,14 +231,14 @@ class Ginja:
             remaining = max(0.0, deadline - self.clock.now())
             try:
                 self.checkpointer.stop(drain_timeout=remaining)
-                if self._owns_encode_stage:
+                if self._own_stage:
                     # May raise on a wedged worker; the instance is
                     # still marked stopped either way.
                     self.encode_stage.stop()
             finally:
                 # Last, after both clients detached: a shared reactor
                 # belongs to the fleet and is left untouched.
-                if self._owns_reactor:
+                if self._own_reactor:
                     self.reactor.stop()
                 self._running = False
 
@@ -279,7 +263,7 @@ class Ginja:
             self.pipeline.abort()
             self.checkpointer.abort()
         try:
-            if self._owns_encode_stage:
+            if self._own_stage:
                 # A shared stage belongs to the fleet: one tenant's
                 # disaster must not tear down its co-tenants' pool.
                 self.encode_stage.stop(discard=True)
@@ -287,7 +271,7 @@ class Ginja:
             # Same fleet discipline for the reactor: abort() already
             # cancelled this tenant's lane; only a private loop dies
             # with its instance.
-            if self._owns_reactor:
+            if self._own_reactor:
                 self.reactor.stop()
             self._running = False
 

@@ -11,19 +11,20 @@ concurrent reads.  This module splits recovery into three stages:
   in ``(ts, seq)`` order → the consecutive WAL chain) plus the set of
   provably stale keys.  Planning is pure: no I/O beyond the LIST the
   caller already did.
-* **prefetch** — :class:`RecoveryEngine` runs ``downloaders`` worker
-  threads that claim plan positions inside a sliding ``prefetch_window``
-  ahead of the apply cursor, GET the object and run
-  ``ObjectCodec.decode`` off the apply thread (zlib/AES/HMAC release
-  the GIL, and on a latency-modeled or real store the GETs overlap).
+* **prefetch** — :class:`RecoveryEngine` keeps a sliding
+  ``prefetch_window`` of plan positions submitted to a worker pool (a
+  fleet's shared downloader stage, or ``downloaders`` threads private
+  to the run); each job GETs one object and runs ``ObjectCodec.decode``
+  on the same worker, off the apply thread (zlib/AES/HMAC release the
+  GIL, and on a latency-modeled or real store the GETs overlap).
 * **apply** — the calling thread writes decoded payloads to the target
   file system *strictly in plan order*, so the restored image is
   byte-identical to a sequential replay no matter how downloads race.
 
 Failure discipline mirrors the :class:`~repro.core.encode_stage
-.EncodeStage` poison rule: a worker that lets a ``BaseException``
-escape records it as the engine's fatal error and wakes everyone — the
-apply thread re-raises it and joins the pool, so a dead downloader
+.EncodeStage` poison rule: a fetch job that lets a ``BaseException``
+escape records it as the run's fatal error and wakes the apply thread,
+which re-raises it (and stops a private pool), so a dead downloader
 fails :func:`~repro.core.bootstrap.recover_files` instead of hanging
 it.  Progress is narrated as ``recovery_planned`` /
 ``object_restored`` / ``recovery_done`` events on the bus.
@@ -48,6 +49,7 @@ from repro.common.errors import RecoveryError
 from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
 from repro.core.codec import ObjectCodec
+from repro.core.encode_stage import EncodeStage
 from repro.core.data_model import (
     CHECKPOINT,
     DBObjectMeta,
@@ -246,18 +248,18 @@ def plan_recovery(
 class RecoveryEngine:
     """Bounded-concurrency download→decode→apply executor for one plan.
 
-    ``downloaders`` worker threads prefetch and decode up to
-    ``prefetch_window`` plan positions ahead of the apply cursor; the
-    calling thread applies results strictly in plan order.  With
-    ``downloaders=1`` the engine degenerates to the sequential loop the
-    old ``recover_files`` ran (same events, same report).
-
-    A fleet passes ``pool`` — a running shared
-    :class:`~repro.core.encode_stage.EncodeStage` — instead of sizing a
-    private thread pool: fetch jobs are then submitted into the pool's
-    ``lane`` (the tenant id), window-bounded exactly as the private
-    workers are, so concurrent tenant restores share one set of
-    downloader threads with fair-share scheduling between them.
+    Fetch jobs (GET + decode of one object) run on a worker pool, at
+    most ``prefetch_window`` plan positions ahead of the apply cursor;
+    the calling thread applies results strictly in plan order.  A fleet
+    passes ``pool`` — its running shared downloader
+    :class:`~repro.core.encode_stage.EncodeStage` — and jobs go into
+    the pool's ``lane`` (the tenant id), so concurrent tenant restores
+    share one set of threads with fair-share scheduling between them.
+    Without one the run starts ``downloaders`` private
+    ``ginja-downloader`` threads and stops them before returning.
+    ``downloaders=1`` (and a one-object plan) restores sequentially on
+    the calling thread — the reference the parallel path is tested
+    byte-for-byte against.
     """
 
     def __init__(
@@ -302,17 +304,24 @@ class RecoveryEngine:
             count=plan.object_count,
             detail=plan.describe(),
         )
-        if plan.steps:
-            if (
-                self._pool is not None
-                and self._pool.running
-                and len(plan.steps) > 1
-            ):
-                self._run_pooled(plan, report)
-            elif self._downloaders == 1 or len(plan.steps) == 1:
-                self._run_sequential(plan, report)
-            else:
-                self._run_parallel(plan, report)
+        pool = self._pool
+        if pool is not None and not pool.running:
+            pool = None
+        if len(plan.steps) <= 1 or (pool is None and self._downloaders == 1):
+            self._run_sequential(plan, report)
+        elif pool is not None:
+            self._run_pooled(pool, plan, report)
+        else:
+            pool = EncodeStage(
+                min(self._downloaders, len(plan.steps)), name="ginja-downloader"
+            )
+            pool.start()
+            try:
+                self._run_pooled(pool, plan, report)
+            finally:
+                # Queued fetch jobs are already no-ops (shut_down); a
+                # recovery never leaks its downloader threads.
+                pool.stop(discard=True)
         self._bus.emit(
             events.RECOVERY_DONE,
             count=plan.object_count,
@@ -373,61 +382,35 @@ class RecoveryEngine:
             nbytes, decoded = self._fetch(step)
             self._apply(step, nbytes, decoded, report)
 
-    # -- parallel path --------------------------------------------------------
+    # -- pooled path ----------------------------------------------------------
 
-    def _run_parallel(self, plan: RecoveryPlan, report: RecoveryReport) -> None:
-        state = _PrefetchState(self, plan.steps)
-        threads = [
-            threading.Thread(
-                target=state.worker_loop,
-                name=f"ginja-downloader-{index}",
-                daemon=True,
-            )
-            for index in range(min(self._downloaders, len(plan.steps)))
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            for index, step in enumerate(plan.steps):
-                nbytes, decoded = state.take(index)
-                self._apply(step, nbytes, decoded, report)
-        finally:
-            # Normal completion, a worker failure re-raised by take(),
-            # or an apply-side error: always release and join the pool
-            # so recovery can never leak downloader threads.
-            state.shut_down()
-            for thread in threads:
-                thread.join()
-
-    # -- pooled path (shared downloader pool) ---------------------------------
-
-    def _run_pooled(self, plan: RecoveryPlan, report: RecoveryReport) -> None:
-        """Prefetch through a shared worker pool instead of private threads.
-
-        Identical window discipline to :meth:`_run_parallel`: at most
-        ``window`` plan positions are in the pool at once — the next one
-        is submitted only after a position is applied.  On failure the
-        already-submitted jobs drain harmlessly into the state dict (the
-        pool is persistent and shared, nothing to join here).
+    def _run_pooled(
+        self, pool: EncodeStage, plan: RecoveryPlan, report: RecoveryReport
+    ) -> None:
+        """Prefetch through ``pool``: at most ``window`` plan positions
+        are in it at once — the next one is submitted only after a
+        position is applied.  On failure the already-submitted jobs
+        drain harmlessly into the state dict (a shared pool is
+        persistent, nothing to join here).
         """
         state = _PooledFetchState(self, plan.steps)
         window = min(self._window, len(plan.steps))
         try:
             for index in range(window):
-                state.submit(self._pool, self._lane, index)
+                state.submit(pool, self._lane, index)
             for index, step in enumerate(plan.steps):
                 nbytes, decoded = state.take(index)
                 self._apply(step, nbytes, decoded, report)
                 follow = index + window
                 if follow < len(plan.steps):
-                    state.submit(self._pool, self._lane, follow)
+                    state.submit(pool, self._lane, follow)
         finally:
             # Turn any still-queued fetch jobs into no-ops.
             state.shut_down()
 
 
 class _PooledFetchState:
-    """Prefetch bookkeeping when fetches run on a shared pool."""
+    """Prefetch bookkeeping between the apply thread and the pool."""
 
     def __init__(self, engine: RecoveryEngine, steps: tuple[RecoveryStep, ...]):
         self._engine = engine
@@ -466,71 +449,6 @@ class _PooledFetchState:
             if self._fatal is not None:
                 raise self._fatal
             return self._results.pop(index)
-
-    def shut_down(self) -> None:
-        with self._cond:
-            self._stopping = True
-            self._cond.notify_all()
-
-
-class _PrefetchState:
-    """Shared sliding-window state between apply thread and workers."""
-
-    def __init__(self, engine: RecoveryEngine, steps: tuple[RecoveryStep, ...]):
-        self._engine = engine
-        self._steps = steps
-        self._window = engine._window
-        self._cond = threading.Condition()
-        self._results: dict[int, tuple[int, object]] = {}
-        self._next_claim = 0
-        self._applied = 0
-        self._fatal: BaseException | None = None
-        self._stopping = False
-
-    def worker_loop(self) -> None:
-        while True:
-            with self._cond:
-                while (
-                    not self._stopping
-                    and self._fatal is None
-                    and self._next_claim < len(self._steps)
-                    and self._next_claim >= self._applied + self._window
-                ):
-                    self._cond.wait()
-                if (
-                    self._stopping
-                    or self._fatal is not None
-                    or self._next_claim >= len(self._steps)
-                ):
-                    return
-                index = self._next_claim
-                self._next_claim += 1
-            try:
-                result = self._engine._fetch(self._steps[index])
-            except BaseException as exc:  # noqa: BLE001 - poison discipline
-                # Same rule as the encode stage: record the failure and
-                # wake everyone; the apply thread re-raises it.  A dead
-                # downloader must fail recovery, never hang it.
-                with self._cond:
-                    if self._fatal is None:
-                        self._fatal = exc
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                self._results[index] = result
-                self._cond.notify_all()
-
-    def take(self, index: int) -> tuple[int, object]:
-        """Block until plan position ``index`` is decoded (or poisoned)."""
-        with self._cond:
-            while index not in self._results and self._fatal is None:
-                self._cond.wait()
-            if self._fatal is not None:
-                raise self._fatal
-            result = self._results.pop(index)
-            self._applied = index + 1
-            self._cond.notify_all()
-            return result
 
     def shut_down(self) -> None:
         with self._cond:

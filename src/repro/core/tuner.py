@@ -11,11 +11,10 @@ module does that per tenant, under the Figure-1 economics:
   (:meth:`BatchTuner.observe_depth`); both upload paths report every
   confirmed PUT (:meth:`BatchTuner.observe_put`), which feeds a
   projected-monthly-spend estimate through the
-  :class:`~repro.cloud.pricing.PriceBook`; a metered transport's
-  ``meter`` events add modeled per-request PUT latency
-  (:meth:`BatchTuner.attach`).  All EWMAs fold samples measured by the
-  *caller's* clock, so a :class:`~repro.common.clock.ManualClock`
-  drives the controller deterministically — the same discipline as the
+  :class:`~repro.cloud.pricing.PriceBook`.  All EWMAs fold samples
+  measured by the *caller's* clock, so a
+  :class:`~repro.common.clock.ManualClock` drives the controller
+  deterministically — the same discipline as the
   :class:`~repro.core.encode_stage.DispatchController`.
 
 * **Control law.**  One degree of freedom: the effective batch B.  The
@@ -57,7 +56,7 @@ import threading
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
 from repro.common import events
-from repro.common.events import Event, EventBus, NULL_BUS
+from repro.common.events import EventBus, NULL_BUS
 from repro.cloud.pricing import PriceBook, S3_STANDARD_2017, SECONDS_PER_MONTH
 from repro.core.config import GinjaConfig
 
@@ -119,7 +118,6 @@ class BatchTuner:
         #: ``None`` until the first sample arrives.
         self.latency_ewma: float | None = None
         self.interval_ewma: float | None = None
-        self.put_ewma: float | None = None
         self.depth_ewma: float | None = None
         self._epoch = clock.now()
         self._puts = 0
@@ -172,7 +170,7 @@ class BatchTuner:
             setattr(self, name, old + self._alpha * (sample - old))
 
     def observe_commit(self, latency: float) -> None:
-        """Report one batch's claim→unlock latency (the unlocker)."""
+        """Report one batch's claim→unlock latency (the unlock rule)."""
         with self._lock:
             self._fold("latency_ewma", latency)
 
@@ -181,25 +179,12 @@ class BatchTuner:
         with self._lock:
             self._fold("depth_ewma", float(depth))
 
-    def observe_put(self, latency: float | None = None) -> None:
+    def observe_put(self) -> None:
         """Count one confirmed PUT (WAL or DB object) toward the spend
         projection; both upload paths call this directly so a tenant
         without a metered transport still projects correctly."""
         with self._lock:
             self._puts += 1
-            if latency is not None:
-                self._fold("put_ewma", latency)
-
-    def attach(self, bus: EventBus) -> "BatchTuner":
-        """Subscribe to a metered transport's bus for modeled per-PUT
-        latency (telemetry; the control law acts on commit latency)."""
-        bus.subscribe(self.handle_event, kinds={events.METER})
-        return self
-
-    def handle_event(self, event: Event) -> None:
-        if event.kind == events.METER and event.verb == "PUT":
-            with self._lock:
-                self._fold("put_ewma", event.latency)
 
     # -- spend projection ---------------------------------------------------------
 
@@ -331,7 +316,6 @@ class BatchTuner:
             "reason": reason,
             "latency_ewma": self.latency_ewma,
             "interval_ewma": self.interval_ewma,
-            "put_ewma": self.put_ewma,
             "depth_ewma": self.depth_ewma,
             "claims_in_state": self._in_state,
         }
@@ -407,7 +391,6 @@ class BatchTuner:
                 "budget_dollars": self._budget,
                 "latency_ewma": self.latency_ewma,
                 "interval_ewma": self.interval_ewma,
-                "put_ewma": self.put_ewma,
                 "depth_ewma": self.depth_ewma,
                 "projected_monthly_dollars":
                     self._projected_monthly_dollars_locked(self._clock.now()),

@@ -75,7 +75,6 @@ def verify_backup(
         compress=config.compress,
         encrypt=config.encrypt,
         password=config.password,
-        mac_default_key=config.mac_default_key,
     )
     report = VerificationReport()
     scratch = MemoryFileSystem()

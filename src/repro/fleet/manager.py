@@ -156,10 +156,7 @@ class FleetManager:
         #: (fleet-owned exactly like the encode pool: tenants attach
         #: fair-share lanes, the event loop owns the in-flight window).
         self.reactor = UploadReactor(
-            inflight_window=self.shared.reactor_inflight,
-            io_threads=self.shared.reactor_io_threads,
-            clock=clock,
-            name="ginja-reactor",
+            inflight_window=self.shared.reactor_inflight
         )
         #: Store-time zero of the fleet's metering window (billing
         #: ``at`` stamps and :meth:`elapsed` are relative to this).
@@ -234,10 +231,10 @@ class FleetManager:
     ) -> Ginja:
         """Admit one database under ``tenants/<tenant_id>/`` and start it.
 
-        The tenant's flat :class:`GinjaConfig` is composed from the
-        fleet's shared settings and ``policy`` — composition re-runs the
-        cross-field validation, so a bad policy (B > S, encryption
-        without a password) is rejected here, before anything starts.
+        The tenant's flat :class:`GinjaConfig` is a view over the
+        fleet's shared settings and ``policy``; a bad policy (B > S,
+        encryption without a password) cannot get this far — its own
+        constructor already rejected it.
         """
         self._check_id(tenant_id)
         if not self._started:

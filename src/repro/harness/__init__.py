@@ -6,7 +6,7 @@ cloud — runs TPC-C on it, crashes it, recovers it, and collects every
 metric the paper's tables and figures report.
 """
 
-from repro.harness.stack import Stack, StackConfig, build_stack
+from repro.harness.stack import Stack, StackConfig, build_stack, running_pools
 from repro.harness.runner import (
     RecoveryTimeReport,
     TpccRunReport,
@@ -18,6 +18,7 @@ __all__ = [
     "Stack",
     "StackConfig",
     "build_stack",
+    "running_pools",
     "run_tpcc",
     "TpccRunReport",
     "measure_recovery",

@@ -96,7 +96,7 @@ def run_tpcc(
         report.cloud_put_bytes = meter.puts.bytes
         report.cloud_mean_object_bytes = meter.puts.mean_bytes
         report.cloud_mean_put_latency = meter.puts.mean_latency
-    stack.shutdown()
+    stack.stop()
     return report
 
 

@@ -16,6 +16,7 @@ time units (see :mod:`repro.cloud.latency`).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
@@ -23,8 +24,10 @@ from repro.common.units import MiB
 from repro.core.events import TraceRecorder
 from repro.cloud.latency import LatencyModel, WAN_LATENCY
 from repro.cloud.memory import InMemoryObjectStore
+from repro.cloud.reactor import UploadReactor
 from repro.cloud.simulated import SimulatedCloud
 from repro.core.config import GinjaConfig
+from repro.core.encode_stage import EncodeStage
 from repro.core.ginja import Ginja
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import DBMSProfile, MYSQL_PROFILE, POSTGRES_PROFILE
@@ -86,9 +89,9 @@ class Stack:
     #: ``trace.render()`` is what ``repro.cli --trace`` prints.
     trace: TraceRecorder | None = None
     #: Stores this stack built and therefore owns: anything here with a
-    #: ``close()`` (PlacementStore, MultiCloudStore) is shut down by
-    #: *every* teardown path — ``stop()``/``shutdown()`` and ``crash()``
-    #: alike — so fan-out thread pools never outlive the stack.
+    #: ``close()`` (a PlacementStore) is shut down by *every* teardown
+    #: path — ``stop()`` and ``crash()`` alike — so fan-out thread
+    #: pools never outlive the stack.
     owned_stores: list = field(default_factory=list)
 
     def create_db(self) -> MiniDB:
@@ -106,15 +109,10 @@ class Stack:
         return MiniDB.open(self.fs, self.config.profile,
                            self.config.engine_config())
 
-    def shutdown(self, drain_timeout: float = 30.0) -> None:
+    def stop(self, drain_timeout: float = 30.0) -> None:
         if self.ginja is not None:
             self.ginja.stop(drain_timeout=drain_timeout)
         self._close_owned()
-
-    #: ``stop`` is the verb the rest of the codebase uses for clean
-    #: teardown; keep it as an alias of ``shutdown``.
-    def stop(self, drain_timeout: float = 30.0) -> None:
-        self.shutdown(drain_timeout=drain_timeout)
 
     def crash(self) -> None:
         """Abrupt primary loss: drop in-flight interposer/pipeline state
@@ -134,6 +132,29 @@ class Stack:
     def _close_owned(self) -> None:
         for store in self.owned_stores:
             store.close()
+
+
+@contextmanager
+def running_pools(encoders: int = 4, inflight: int = 64):
+    """A started ``(EncodeStage, UploadReactor)`` pair, stopped on exit.
+
+    For driving a bare :class:`~repro.core.commit_pipeline
+    .CommitPipeline` or :class:`~repro.core.checkpointer
+    .CheckpointUploader` — which only ever borrow their pools — from a
+    test, microbenchmark or example, where no :class:`Ginja` or fleet
+    exists to own them.
+    """
+    stage = EncodeStage(encoders)
+    reactor = UploadReactor(inflight_window=inflight)
+    stage.start()
+    reactor.start()
+    try:
+        yield stage, reactor
+    finally:
+        try:
+            stage.stop()
+        finally:
+            reactor.stop()
 
 
 def build_stack(config: StackConfig | None = None, **overrides) -> Stack:
@@ -183,8 +204,7 @@ def build_stack(config: StackConfig | None = None, **overrides) -> Stack:
             fuse_overhead=config.fuse_overhead,
             time_scale=1.0,
         )
-        trace = TraceRecorder(capacity=ginja_config.trace_capacity)
-        trace.attach(ginja.bus)
+        trace = TraceRecorder().attach(ginja.bus)
         return Stack(config=config, inner_fs=inner, fs=ginja.fs, cloud=cloud,
                      ginja=ginja, trace=trace, owned_stores=owned)
     raise ConfigError(f"unknown fs_mode {config.fs_mode!r}")

@@ -61,7 +61,7 @@ class TestThrottle:
 
 
 class TestPipelineUnderThrottle:
-    def test_uploads_survive_throttling_via_retries(self):
+    def test_uploads_survive_throttling_via_retries(self, pools):
         """Ginja's retry/backoff absorbs SlowDown without losing data."""
         from repro.common.events import EventBus
         from repro.cloud.memory import InMemoryObjectStore
@@ -82,7 +82,7 @@ class TestPipelineUnderThrottle:
         stats = GinjaStats().attach(bus)
         transport = build_transport(cloud, config, bus=bus)
         pipeline = CommitPipeline(config, transport, ObjectCodec(),
-                                  CloudView(), bus)
+                                  CloudView(), *pools, bus)
         pipeline.start()
         try:
             for i in range(40):

@@ -254,7 +254,7 @@ class TestPipelineModeTransitions:
         return {name: bytes(img) for name, img in images.items()}
 
     @pytest.mark.parametrize("seed", [5, 23])
-    def test_replay_equivalence_across_forced_transitions(self, seed):
+    def test_replay_equivalence_across_forced_transitions(self, seed, pools):
         """inline→promoted→demoted mid-stream: the replayed images must
         match naively applying the stream in commit order — the unlock
         rule survives the controller switching under load."""
@@ -262,7 +262,7 @@ class TestPipelineModeTransitions:
                              safety_timeout=30.0, uploaders=3, encoders=4,
                              encode_dispatch="adaptive", compress=True)
         codec = ObjectCodec(compress=True)
-        pipe, backend, view = make_pipeline(config, codec=codec)
+        pipe, backend, view = make_pipeline(pools, config, codec=codec)
         writes = self._stream(seed)
         thirds = len(writes) // 3
         pipe.start()
@@ -280,7 +280,7 @@ class TestPipelineModeTransitions:
         assert len(pipe.dispatch.transitions) >= 2
         assert replay_backend(backend, codec=codec) == self._naive(writes)
 
-    def test_lane_fairness_preserved_after_demotion(self):
+    def test_lane_fairness_preserved_after_demotion(self, pools):
         """Two lanes share one stage; one demotes to inline.  The still-
         pooled lane must keep draining (no slot starvation from the
         demoted lane's past jobs) and both streams must replay intact."""
@@ -299,8 +299,8 @@ class TestPipelineModeTransitions:
                 view = CloudView()
                 transport = build_transport(cloud, config)
                 pipe = CommitPipeline(
-                    config, transport, ObjectCodec(), view,
-                    encode_stage=stage, lane=lane,
+                    config, transport, ObjectCodec(), view, stage,
+                    pools[1], lane=lane,
                 )
                 pipe.start()
                 pipe.dispatch.set_mode(DISPATCH_POOL, reason="test")
@@ -327,7 +327,7 @@ class TestPipelineModeTransitions:
             assert replay_backend(backends[lane]) == \
                 self._naive(streams[lane])
 
-    def test_poison_discipline_mid_transition(self):
+    def test_poison_discipline_mid_transition(self, pools):
         """A codec fault racing a forced demotion must still poison the
         pipeline (fail submitters, re-raise on stop) no matter which
         side of the seam the dying job ran on."""
@@ -340,7 +340,7 @@ class TestPipelineModeTransitions:
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=2, encoders=3,
                              encode_dispatch="adaptive")
-        pipe, _backend, _view = make_pipeline(config, codec=FaultyCodec())
+        pipe, _backend, _view = make_pipeline(pools, config, codec=FaultyCodec())
         pipe.start()
         try:
             pipe.submit("seg", 0, b"fine")
@@ -357,11 +357,11 @@ class TestPipelineModeTransitions:
             with pytest.raises(GinjaError):
                 pipe.stop(drain_timeout=0.1)
 
-    def test_health_reports_encode_mode(self):
+    def test_health_reports_encode_mode(self, pools):
         config = GinjaConfig(batch=2, safety=20, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=1, encoders=2,
                              encode_dispatch="adaptive")
-        pipe, _backend, _view = make_pipeline(config)
+        pipe, _backend, _view = make_pipeline(pools, config)
         assert pipe.encode_mode == DISPATCH_INLINE
         snapshot = pipe.dispatch.snapshot()
         assert snapshot["policy"] == "adaptive"

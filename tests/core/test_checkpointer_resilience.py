@@ -41,7 +41,7 @@ class DeleteFailsOnce(InMemoryObjectStore):
         super().delete(key)
 
 
-def run_checkpoint(store, config=None):
+def run_checkpoint(pools, store, config=None):
     config = config or GinjaConfig(max_retries=2, retry_backoff=0.001)
     fs = MemoryFileSystem()
     fs.write("base/t", 0, b"\x00" * 100)
@@ -51,7 +51,9 @@ def run_checkpoint(store, config=None):
     # The transport's RetryLayer owns the fatal-vs-skippable policy the
     # uploader used to hand-roll.
     transport = build_transport(store, config, bus=bus)
-    uploader = CheckpointUploader(config, transport, view, bus)
+    _stage, reactor = pools
+    uploader = CheckpointUploader(config, transport, view, reactor, bus)
+    reactor.attach("", window=config.uploaders)  # what start() would do
     collector = CheckpointCollector(
         config, ObjectCodec(), view, fs, POSTGRES_PROFILE,
         uploader.queue, bus,
@@ -75,8 +77,8 @@ def run_checkpoint(store, config=None):
 
 
 class TestDeleteResilience:
-    def test_permanent_delete_failure_is_skipped(self):
-        store, view, stats, uploader = run_checkpoint(DeleteAlwaysFails())
+    def test_permanent_delete_failure_is_skipped(self, pools):
+        store, view, stats, uploader = run_checkpoint(pools, DeleteAlwaysFails())
         # The checkpoint itself was uploaded...
         assert store.list("DB/")
         # ...the doomed delete was abandoned, not fatal.
@@ -85,14 +87,14 @@ class TestDeleteResilience:
         # The view no longer tracks the orphan (recovery ignores it).
         assert view.wal_object_count() == 0
 
-    def test_transient_delete_failure_retried_to_success(self):
-        store, _view, stats, uploader = run_checkpoint(DeleteFailsOnce())
+    def test_transient_delete_failure_retried_to_success(self, pools):
+        store, _view, stats, uploader = run_checkpoint(pools, DeleteFailsOnce())
         assert stats.gc_delete_failures == 0
         assert stats.gc_deletes == 1
         assert store.list("WAL/") == []  # eventually deleted
         assert uploader.failed is None
 
-    def test_put_failure_remains_fatal(self):
+    def test_put_failure_remains_fatal(self, pools):
         class PutFails(InMemoryObjectStore):
             def put(self, key, data):
                 if key.startswith("DB/"):
@@ -100,4 +102,4 @@ class TestDeleteResilience:
                 super().put(key, data)
 
         with pytest.raises(CloudError):
-            run_checkpoint(PutFails())
+            run_checkpoint(pools, PutFails())

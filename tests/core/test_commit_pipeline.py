@@ -25,7 +25,7 @@ from repro.core.data_model import WALObjectMeta, decode_wal_payload
 from repro.core.stats import GinjaStats
 
 
-def make_pipeline(config=None, faults=None, backend=None):
+def make_pipeline(pools, config=None, faults=None, backend=None):
     if backend is None:  # `or` would drop an empty store: len() == 0 is falsy
         backend = InMemoryObjectStore()
     cloud = SimulatedCloud(
@@ -39,13 +39,13 @@ def make_pipeline(config=None, faults=None, backend=None):
     bus = EventBus()
     stats = GinjaStats().attach(bus)
     transport = build_transport(cloud, config, bus=bus)
-    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, bus)
+    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, *pools, bus)
     return pipeline, backend, view, stats
 
 
 @pytest.fixture
-def pipeline():
-    pipe, backend, view, stats = make_pipeline()
+def pipeline(pools):
+    pipe, backend, view, stats = make_pipeline(pools)
     pipe.start()
     yield pipe, backend, view, stats
     pipe.stop(drain_timeout=5.0)
@@ -74,12 +74,12 @@ class TestBasicFlow:
         assert view.confirmed_ts() >= 0
         assert stats.wal_objects >= 1
 
-    def test_figure2_trace(self):
+    def test_figure2_trace(self, pools):
         """The paper's Figure 2: B=2 means each cloud backup carries two
         updates; with S=20 nothing blocks for a 20-update burst."""
         config = GinjaConfig(batch=2, safety=20, batch_timeout=5.0,
                              safety_timeout=30.0, uploaders=1)
-        pipe, backend, view, stats = make_pipeline(config)
+        pipe, backend, view, stats = make_pipeline(pools, config)
         pipe.start()
         try:
             for i in range(20):
@@ -93,10 +93,10 @@ class TestBasicFlow:
         finally:
             pipe.stop(drain_timeout=5.0)
 
-    def test_batch_timeout_pushes_partial_batch(self):
+    def test_batch_timeout_pushes_partial_batch(self, pools):
         config = GinjaConfig(batch=1000, safety=2000, batch_timeout=0.05,
                              safety_timeout=5.0, uploaders=1)
-        pipe, backend, _view, _stats = make_pipeline(config)
+        pipe, backend, _view, _stats = make_pipeline(pools, config)
         pipe.start()
         try:
             pipe.submit("seg", 0, b"lonely")
@@ -105,10 +105,10 @@ class TestBasicFlow:
         finally:
             pipe.stop(drain_timeout=5.0)
 
-    def test_pending_updates_counts_queue(self):
+    def test_pending_updates_counts_queue(self, pools):
         config = GinjaConfig(batch=100, safety=200, batch_timeout=60.0,
                              safety_timeout=60.0, uploaders=1)
-        pipe, _backend, _view, _stats = make_pipeline(config)
+        pipe, _backend, _view, _stats = make_pipeline(pools, config)
         pipe.start()
         try:
             pipe.submit("seg", 0, b"x")
@@ -138,10 +138,10 @@ class TestCoalescing:
         (_meta, chunks), = decode_backend(backend).values()
         assert chunks == [(0, b"A" * 512 + b"B" * 512)]
 
-    def test_writes_to_different_segments_become_separate_objects(self):
+    def test_writes_to_different_segments_become_separate_objects(self, pools):
         config = GinjaConfig(batch=2, safety=20, batch_timeout=0.05,
                              safety_timeout=5.0, uploaders=2)
-        pipe, backend, _view, _stats = make_pipeline(config)
+        pipe, backend, _view, _stats = make_pipeline(pools, config)
         pipe.start()
         try:
             pipe.submit("seg-a", 0, b"x")
@@ -186,7 +186,7 @@ class TestCoalescing:
     def test_split_chunks_empty(self):
         assert _split_chunks([], max_bytes=100) == []
 
-    def test_single_write_over_object_cap_splits_into_wal_objects(self):
+    def test_single_write_over_object_cap_splits_into_wal_objects(self, pools):
         """One submit larger than max_object_bytes becomes several WAL
         objects whose chunks reassemble the original write exactly."""
         cap = 64 * 1024  # the smallest max_object_bytes config allows
@@ -194,7 +194,7 @@ class TestCoalescing:
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=2,
                              max_object_bytes=cap)
-        pipe, backend, view, _stats = make_pipeline(config)
+        pipe, backend, view, _stats = make_pipeline(pools, config)
         pipe.start()
         try:
             pipe.submit("seg", 0, b"z" * total)
@@ -216,7 +216,7 @@ class TestCoalescing:
 
 
 class TestSafetyBlocking:
-    def test_writer_blocks_beyond_safety(self):
+    def test_writer_blocks_beyond_safety(self, pools):
         """With uploads stalled, the S+1-th update must block the caller
         (Figure 2's U21)."""
         backend = InMemoryObjectStore()
@@ -224,7 +224,7 @@ class TestSafetyBlocking:
         config = GinjaConfig(batch=2, safety=4, batch_timeout=0.02,
                              safety_timeout=30.0, uploaders=1,
                              max_retries=1000, retry_backoff=0.2)
-        pipe, backend, _view, stats = make_pipeline(config, faults, backend)
+        pipe, backend, _view, stats = make_pipeline(pools, config, faults, backend)
         faults.fail_next(4)  # stall the cloud for ~1s of backoff
         pipe.start()
         try:
@@ -250,7 +250,7 @@ class TestSafetyBlocking:
         finally:
             pipe.stop(drain_timeout=10.0)
 
-    def test_consecutive_ts_unlock_rule(self):
+    def test_consecutive_ts_unlock_rule(self, pools):
         """A later batch acked before an earlier one must NOT free queue
         slots (Alg. 2 lines 20-22): loss stays bounded by S even with
         out-of-order uploads."""
@@ -283,7 +283,7 @@ class TestSafetyBlocking:
         backend = ReorderingStore()
         config = GinjaConfig(batch=1, safety=3, batch_timeout=0.01,
                              safety_timeout=30.0, uploaders=2)
-        pipe, _b, view, _stats = make_pipeline(config, backend=backend)
+        pipe, _b, view, _stats = make_pipeline(pools, config, backend=backend)
         pipe.start()
         try:
             pipe.submit("seg", 0, b"first")    # object ts=0, stalled
@@ -306,12 +306,12 @@ class TestSafetyBlocking:
 
 
 class TestFailureHandling:
-    def test_transient_errors_are_retried(self):
+    def test_transient_errors_are_retried(self, pools):
         faults = FaultPolicy()
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=1,
                              max_retries=5, retry_backoff=0.001)
-        pipe, backend, _view, stats = make_pipeline(config, faults)
+        pipe, backend, _view, stats = make_pipeline(pools, config, faults)
         faults.fail_next(2)
         pipe.start()
         try:
@@ -322,12 +322,12 @@ class TestFailureHandling:
         finally:
             pipe.stop(drain_timeout=5.0)
 
-    def test_retry_exhaustion_poisons_pipeline(self):
+    def test_retry_exhaustion_poisons_pipeline(self, pools):
         faults = FaultPolicy()
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=1,
                              max_retries=1, retry_backoff=0.001)
-        pipe, _backend, _view, _stats = make_pipeline(config, faults)
+        pipe, _backend, _view, _stats = make_pipeline(pools, config, faults)
         faults.fail_next(50)
         pipe.start()
         try:
@@ -344,7 +344,7 @@ class TestFailureHandling:
             with pytest.raises(GinjaError):
                 pipe.stop(drain_timeout=0.1)
 
-    def test_codec_fault_poisons_pipeline(self):
+    def test_codec_fault_poisons_pipeline(self, pools):
         """A non-CloudError fault in the aggregator (codec encode) must
         poison the pipeline: without the catch-all worker guards the
         thread dies silently, ``failed`` stays None and Safety-blocked
@@ -358,7 +358,8 @@ class TestFailureHandling:
                              safety_timeout=5.0, uploaders=1)
         cloud = SimulatedCloud(backend=InMemoryObjectStore(), time_scale=0.0)
         pipe = CommitPipeline(
-            config, build_transport(cloud, config), ExplodingCodec(), CloudView()
+            config, build_transport(cloud, config), ExplodingCodec(),
+            CloudView(), *pools,
         )
         pipe.start()
         try:
@@ -373,7 +374,7 @@ class TestFailureHandling:
             with pytest.raises(GinjaError):
                 pipe.stop(drain_timeout=0.1)
 
-    def test_uploader_non_cloud_error_poisons_pipeline(self):
+    def test_uploader_non_cloud_error_poisons_pipeline(self, pools):
         """The uploader loop must treat *any* exception as fatal, not
         just the CloudError the retry layer re-raises."""
 
@@ -383,7 +384,7 @@ class TestFailureHandling:
 
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=1)
-        pipe, _backend, _view, _stats = make_pipeline(config, backend=BrokenStore())
+        pipe, _backend, _view, _stats = make_pipeline(pools, config, backend=BrokenStore())
         pipe.start()
         try:
             pipe.submit("seg", 0, b"x")
@@ -398,7 +399,7 @@ class TestFailureHandling:
             with pytest.raises(GinjaError):
                 pipe.stop(drain_timeout=0.1)
 
-    def test_poisoned_drop_path_counts_upload_dropped(self):
+    def test_poisoned_drop_path_counts_upload_dropped(self, pools):
         """Every blob the poisoned uploader abandons must be accounted:
         the drop path emits ``upload_dropped`` with the byte count, and
         GinjaStats tallies both the events and the bytes.  Before this
@@ -413,6 +414,7 @@ class TestFailureHandling:
                              safety_timeout=5.0, uploaders=1,
                              max_retries=1, retry_backoff=0.001)
         pipe, _backend, _view, stats = make_pipeline(
+            pools,
             config, backend=DeadStore()
         )
         pipe.start()
@@ -442,10 +444,10 @@ class TestFailureHandling:
 
 
 class TestConcurrency:
-    def test_many_writers(self):
+    def test_many_writers(self, pools):
         config = GinjaConfig(batch=5, safety=50, batch_timeout=0.02,
                              safety_timeout=10.0, uploaders=3)
-        pipe, backend, view, _stats = make_pipeline(config)
+        pipe, backend, view, _stats = make_pipeline(pools, config)
         pipe.start()
         try:
             def writer(wid):
@@ -470,8 +472,66 @@ class TestConcurrency:
             pipe.stop(drain_timeout=5.0)
 
 
+class TestUnlockOnTheReactorLoop:
+    def test_a_lane_parked_on_safety_never_blocks_the_others(self, pools):
+        """The unlock rule runs in the reactor's completion callback,
+        so it must never wait on a lane's DBMS thread.  Three lanes
+        share the loop; lane a's PUTs stall and its writer parks on S
+        (inside ``cond.wait`` — the condition is released).  Lanes b
+        and c must keep unlocking batches through the same loop."""
+        import asyncio
+
+        stalled = threading.Event()
+
+        class StalledStore(InMemoryObjectStore):
+            async def aput(self, key, data):
+                while not stalled.is_set():
+                    await asyncio.sleep(0.001)
+                self.put(key, data)
+
+        config = GinjaConfig(batch=1, safety=2, batch_timeout=0.01,
+                             safety_timeout=60.0, uploaders=2)
+        stage, reactor = pools
+        backends = {"a": StalledStore(), "b": InMemoryObjectStore(),
+                    "c": InMemoryObjectStore()}
+        pipes = {
+            lane: CommitPipeline(config, backend, ObjectCodec(), CloudView(),
+                                 stage, reactor, lane=lane)
+            for lane, backend in backends.items()
+        }
+        for pipe in pipes.values():
+            pipe.start()
+        parked = threading.Thread(
+            target=lambda: [pipes["a"].submit("seg", i * 512, b"a")
+                            for i in range(3)],  # S + 1: the third blocks
+        )
+        parked.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while pipes["a"].pending_updates() < 3:
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            parked.join(timeout=0.1)
+            assert parked.is_alive()  # lane a's DBMS thread is on S
+            for round_ in range(10):
+                for lane in ("b", "c"):
+                    pipes[lane].submit("seg", round_ * 512, lane.encode())
+            for lane in ("b", "c"):
+                assert pipes[lane].drain(timeout=5.0)
+                assert len(backends[lane].list("WAL/")) == 10
+            assert parked.is_alive() and pipes["a"].pending_updates() == 3
+            stalled.set()
+            parked.join(timeout=5.0)
+            assert not parked.is_alive()
+            assert pipes["a"].drain(timeout=5.0)
+        finally:
+            stalled.set()
+            for pipe in pipes.values():
+                pipe.stop(drain_timeout=5.0)
+
+
 class TestAbort:
-    def test_abort_releases_blocked_writer_and_skips_drain(self):
+    def test_abort_releases_blocked_writer_and_skips_drain(self, pools):
         """Abrupt primary loss: a writer parked on the Safety limit must
         be released with an error, and nothing further is uploaded.
 
@@ -481,7 +541,7 @@ class TestAbort:
         """
         config = GinjaConfig(batch=2, safety=2, batch_timeout=30.0,
                              safety_timeout=30.0, uploaders=1)
-        pipe, backend, _view, _stats = make_pipeline(config)
+        pipe, backend, _view, _stats = make_pipeline(pools, config)
         for i in range(2):
             pipe.submit("seg", i * 512, b"u")
         blocked = threading.Event()
@@ -507,13 +567,13 @@ class TestAbort:
         with pytest.raises(GinjaError):
             pipe.submit("seg", 9999, b"u")
 
-    def test_abort_is_idempotent(self):
-        pipe, _backend, _view, _stats = make_pipeline()
+    def test_abort_is_idempotent(self, pools):
+        pipe, _backend, _view, _stats = make_pipeline(pools)
         pipe.start()
         pipe.abort()
         pipe.abort()  # must not raise or hang
 
-    def test_abort_drops_queued_uploads_instead_of_retrying_them(self):
+    def test_abort_drops_queued_uploads_instead_of_retrying_them(self, pools):
         """Abort with a backlogged upload queue against a dead cloud:
         the poisoned uploader must drop queued blobs, not burn a full
         retry budget per item (inline dispatch pre-encodes every claimed
@@ -532,7 +592,7 @@ class TestAbort:
                 raise CloudUnavailable("permanently down")
 
         backend = DeadStore()
-        pipe, _backend, _view, _stats = make_pipeline(backend=backend)
+        pipe, _backend, _view, _stats = make_pipeline(pools, backend=backend)
         pipe.start()
         try:
             for i in range(40):
@@ -552,5 +612,7 @@ class TestAbort:
         # Only the puts attempted before the poison ran their retries;
         # everything queued behind the failure was dropped cold.
         assert backend.puts <= 3 * (2 + 1)  # uploaders x (budget + first try)
+        # The pipeline's one thread is gone (the borrowed pools are the
+        # fixture's to stop; the suite-wide census checks those).
         for thread in threading.enumerate():
-            assert not thread.name.startswith("ginja-"), thread.name
+            assert thread.name != "ginja-aggregator"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -83,13 +85,34 @@ class TestSharedPolicySplit:
     """The fleet refactor's config split: shared() / policy() / compose()."""
 
     def test_split_covers_every_field_exactly_once(self):
-        from dataclasses import fields
+        """Every knob is a dataclass field of exactly one half, and the
+        flat view declares none of its own: it exposes exactly their
+        union and rejects any other name."""
+        shared = {f.name for f in fields(SharedPoolConfig)}
+        policy = {f.name for f in fields(TenantPolicy)}
+        assert shared.isdisjoint(policy)
+        assert len(shared | policy) == 30
+        config = GinjaConfig()
+        exposed = {name for name in vars(config) if not name.startswith("_")}
+        assert exposed == shared | policy
+        for name in shared:
+            assert getattr(config, name) == getattr(config.shared(), name)
+        for name in policy:
+            assert getattr(config, name) == getattr(config.policy(), name)
+        with pytest.raises(TypeError, match="bogus"):
+            GinjaConfig(bogus=1)
+        for gone in ("encode_inline", "dispatch_window", "dispatch_hysteresis",
+                     "trace_capacity", "reactor_io_threads", "mac_default_key"):
+            with pytest.raises(TypeError, match=gone):
+                GinjaConfig(**{gone: 1})
 
-        split = set(GinjaConfig._SHARED_FIELDS) | set(GinjaConfig._POLICY_FIELDS)
-        assert set(GinjaConfig._SHARED_FIELDS).isdisjoint(
-            GinjaConfig._POLICY_FIELDS
-        )
-        assert split == {f.name for f in fields(GinjaConfig)}
+    def test_view_is_read_only(self):
+        """The halves are frozen, so the view over them is too — a
+        mutated view would silently disagree with shared()/policy()."""
+        config = GinjaConfig()
+        with pytest.raises(AttributeError, match="read-only"):
+            config.coalesce_writes = False
+        assert config.coalesce_writes is True
 
     def test_compose_round_trips(self):
         config = GinjaConfig(
@@ -117,8 +140,11 @@ class TestSharedPolicySplit:
         shared = SharedPoolConfig(retry_budgets={"PUT": 2})
         config = GinjaConfig.compose(shared)
         assert config.retry_budgets == {"PUT": 2}
-        config.retry_budgets["PUT"] = 99  # flat config is mutable...
-        assert shared.retry_budgets == {"PUT": 2}  # ...shared half is not
+        # One shared half backs every tenant's view, so the one
+        # mutable value in it is frozen at construction.
+        with pytest.raises(TypeError):
+            config.retry_budgets["PUT"] = 99
+        assert shared.retry_budgets == {"PUT": 2}
 
     def test_shared_pool_config_validation(self):
         with pytest.raises(ConfigError):
@@ -138,15 +164,9 @@ class TestWindowValidationSymmetry:
         with pytest.raises(ConfigError, match="reactor_inflight"):
             SharedPoolConfig(reactor_inflight=0)
 
-    def test_shared_reactor_io_threads_positive(self):
-        with pytest.raises(ConfigError, match="reactor_io_threads"):
-            SharedPoolConfig(reactor_io_threads=0)
-
     def test_ginja_reactor_window_positive(self):
         with pytest.raises(ConfigError, match="reactor_inflight"):
             GinjaConfig(reactor_inflight=0)
-        with pytest.raises(ConfigError, match="reactor_io_threads"):
-            GinjaConfig(reactor_io_threads=0)
 
     def test_policy_uploaders_positive(self):
         with pytest.raises(ConfigError, match="uploaders"):
@@ -182,9 +202,92 @@ class TestWindowValidationSymmetry:
 
     def test_valid_policy_still_composes(self):
         config = GinjaConfig.compose(
-            SharedPoolConfig(reactor_inflight=16, reactor_io_threads=2),
+            SharedPoolConfig(reactor_inflight=16),
             TenantPolicy(batch=5, safety=50, uploaders=3),
         )
         assert config.reactor_inflight == 16
-        assert config.reactor_io_threads == 2
         assert config.uploaders == 3
+
+
+#: One row per validation rule: (owning half, bad kwargs, message).
+RULES = [
+    (SharedPoolConfig, dict(encoders=0), "need at least one encoder thread"),
+    (SharedPoolConfig, dict(downloaders=0),
+     "need at least one downloader thread"),
+    (SharedPoolConfig, dict(prefetch_window=0), "prefetch_window must be >= 1"),
+    (SharedPoolConfig, dict(retry_backoff=-1.0),
+     "retry backoff values must be positive"),
+    (SharedPoolConfig, dict(retry_backoff_cap=0.0),
+     "retry backoff values must be positive"),
+    (SharedPoolConfig, dict(retry_jitter=2.0),
+     "retry_jitter must be within [0, 1]"),
+    (SharedPoolConfig, dict(reactor_inflight=0),
+     "reactor_inflight must be >= 1"),
+    (SharedPoolConfig, dict(providers=0), "need at least one provider"),
+    (SharedPoolConfig, dict(providers=2, placement="mirror-3"), "mirror-3"),
+    (TenantPolicy, dict(batch=0), "batch (B) must be >= 1"),
+    (TenantPolicy, dict(batch=1, safety=0), "safety (S) must be >= 1"),
+    (TenantPolicy, dict(batch=100, safety=50),
+     "batch (B) must not exceed safety (S)"),
+    (TenantPolicy, dict(batch_timeout=0), "timeouts must be positive"),
+    (TenantPolicy, dict(safety_timeout=-1), "timeouts must be positive"),
+    (TenantPolicy, dict(uploaders=0), "need at least one upload slot"),
+    (TenantPolicy, dict(encode_dispatch="telepathy"),
+     "unknown encode_dispatch 'telepathy'"),
+    (TenantPolicy, dict(max_object_bytes=1024),
+     "max_object_bytes unreasonably small"),
+    (TenantPolicy, dict(encrypt=True), "encryption requires a password"),
+    (TenantPolicy, dict(dump_threshold=0.9),
+     "dump_threshold below 1.0 would dump constantly"),
+    (TenantPolicy, dict(tuner_window=0), "tuner_window must be >= 1"),
+    (TenantPolicy, dict(tuner_hysteresis=0.5),
+     "tuner_hysteresis must be >= 1.0"),
+    (TenantPolicy, dict(target_commit_latency=0.0),
+     "target_commit_latency must be positive"),
+    (TenantPolicy, dict(target_commit_latency=20.0, safety_timeout=10.0),
+     "target_commit_latency must be below safety_timeout"),
+    (TenantPolicy, dict(target_commit_latency=0.1, budget_dollars=0.0),
+     "budget_dollars must be positive"),
+    (TenantPolicy, dict(budget_dollars=1.0),
+     "budget_dollars requires target_commit_latency"),
+]
+
+
+class TestOneValidatorPerRule:
+    """Each rule lives in one half's ``__post_init__`` and nowhere else,
+    so the half's constructor, the flat keyword constructor and
+    ``compose`` all fail with the very same ``ConfigError``."""
+
+    @staticmethod
+    def _message(build) -> str:
+        with pytest.raises(ConfigError) as excinfo:
+            build()
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "half, bad, message", RULES,
+        ids=[f"{half.__name__}-{'-'.join(bad)}" for half, bad, _ in RULES],
+    )
+    def test_same_error_from_half_flat_and_compose(self, half, bad, message):
+        def compose():
+            if half is SharedPoolConfig:
+                return GinjaConfig.compose(SharedPoolConfig(**bad))
+            return GinjaConfig.compose(SharedPoolConfig(), TenantPolicy(**bad))
+
+        from_half = self._message(lambda: half(**bad))
+        assert message in from_half
+        assert self._message(lambda: GinjaConfig(**bad)) == from_half
+        assert self._message(compose) == from_half
+
+    def test_each_message_is_written_once(self):
+        """The acceptance check 'declared once', as a test: no message
+        string of the table occurs twice in the config module."""
+        import inspect
+
+        import repro.core.config as module
+
+        source = inspect.getsource(module)
+        for _half, _bad, message in RULES:
+            if message in ("mirror-3", "unknown encode_dispatch 'telepathy'"):
+                continue  # formatted at raise time, not literals
+            assert source.count(message) == 1, message

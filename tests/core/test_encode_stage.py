@@ -28,13 +28,13 @@ from repro.core.data_model import WALObjectMeta, decode_wal_payload
 from repro.core.encode_stage import EncodeStage
 
 
-def make_pipeline(config, codec=None, backend=None, bus=None):
+def make_pipeline(pools, config, codec=None, backend=None, bus=None):
     backend = backend if backend is not None else InMemoryObjectStore()
     cloud = SimulatedCloud(backend=backend, time_scale=0.0)
     view = CloudView()
     transport = build_transport(cloud, config, bus=bus)
     pipe = CommitPipeline(
-        config, transport, codec or ObjectCodec(), view, bus
+        config, transport, codec or ObjectCodec(), view, *pools, bus
     )
     return pipe, backend, view
 
@@ -214,7 +214,7 @@ class TestEncodeStageUnit:
 
 
 class TestUnlockOrderUnderParallelEncode:
-    def test_stalled_first_encode_holds_the_unlock_frontier(self):
+    def test_stalled_first_encode_holds_the_unlock_frontier(self, pools):
         """Objects ts=1 and ts=2 finish encoding and uploading while
         ts=0 is stuck in the encode stage: no batch may unlock and no
         queue slot may free until ts=0 lands (Alg. 2 lines 20-22)."""
@@ -229,7 +229,7 @@ class TestUnlockOrderUnderParallelEncode:
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
                              safety_timeout=30.0, uploaders=2, encoders=3,
                              encode_dispatch="pool")
-        pipe, backend, view = make_pipeline(config, codec=GateCodec())
+        pipe, backend, view = make_pipeline(pools, config, codec=GateCodec())
         pipe.start()
         try:
             pipe.submit("seg", 0, b"first-" + b"a" * 64)
@@ -239,7 +239,7 @@ class TestUnlockOrderUnderParallelEncode:
             while len(backend.list("WAL/")) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert len(backend.list("WAL/")) == 2  # ts=1, ts=2 uploaded
-            time.sleep(0.1)  # let their acks propagate to the unlocker
+            time.sleep(0.1)  # let their acks run the unlock rule
             assert view.confirmed_ts() == -1
             assert pipe.pending_updates() == 3
             gate.set()
@@ -249,7 +249,7 @@ class TestUnlockOrderUnderParallelEncode:
         finally:
             pipe.stop(drain_timeout=5.0)
 
-    def test_scrambled_encode_latency_drains_completely(self):
+    def test_scrambled_encode_latency_drains_completely(self, pools):
         """Randomized per-object encode delays (seeded) across several
         workers: every write still lands and the frontier closes."""
         rng = random.Random(7)
@@ -264,7 +264,7 @@ class TestUnlockOrderUnderParallelEncode:
         config = GinjaConfig(batch=4, safety=100, batch_timeout=0.01,
                              safety_timeout=30.0, uploaders=3, encoders=4,
                              encode_dispatch="pool")
-        pipe, backend, view = make_pipeline(config, codec=JitterCodec())
+        pipe, backend, view = make_pipeline(pools, config, codec=JitterCodec())
         pipe.start()
         try:
             for i in range(60):
@@ -284,7 +284,7 @@ class TestUnlockOrderUnderParallelEncode:
 
 class TestEncodePoisonDiscipline:
     @staticmethod
-    def _poisoned_pipeline():
+    def _poisoned_pipeline(pools):
         class FaultyCodec(ObjectCodec):
             def encode(self, payload):
                 if b"poison" in bytes(payload):
@@ -294,10 +294,10 @@ class TestEncodePoisonDiscipline:
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=2, encoders=3,
                              encode_dispatch="pool")
-        return make_pipeline(config, codec=FaultyCodec())
+        return make_pipeline(pools, config, codec=FaultyCodec())
 
-    def test_encode_worker_fault_fails_submitters(self):
-        pipe, _backend, _view = self._poisoned_pipeline()
+    def test_encode_worker_fault_fails_submitters(self, pools):
+        pipe, _backend, _view = self._poisoned_pipeline(pools)
         pipe.start()
         try:
             pipe.submit("seg", 0, b"fine")
@@ -312,11 +312,11 @@ class TestEncodePoisonDiscipline:
             with pytest.raises(GinjaError):
                 pipe.stop(drain_timeout=0.1)
 
-    def test_stop_reraises_recorded_failure_and_stops_encoders(self):
-        """The regression this PR fixes: stop() used to leave encode
-        workers running and report a clean shutdown on a poisoned
-        pipeline.  It must tear everything down AND re-raise."""
-        pipe, _backend, _view = self._poisoned_pipeline()
+    def test_stop_reraises_recorded_failure_and_stops_encoders(self, pools):
+        """stop() used to report a clean shutdown on a poisoned
+        pipeline.  It must tear its own thread down AND re-raise; the
+        encoders it borrowed stay up for their owner to stop."""
+        pipe, _backend, _view = self._poisoned_pipeline(pools)
         pipe.start()
         pipe.submit("seg", 0, b"poison")
         deadline = time.monotonic() + 5
@@ -326,13 +326,13 @@ class TestEncodePoisonDiscipline:
         with pytest.raises(GinjaError) as excinfo:
             pipe.stop(drain_timeout=0.1)
         assert excinfo.value.__cause__ is pipe.failed
-        assert not pipe._stage.running  # owned stage joined
-        assert not any(t.is_alive() for t in pipe._threads)
+        assert pipe._thread is None  # the Aggregator joined
+        assert pools[0].running  # borrowed, not ours to stop
 
 
 class TestParallelInlineEquivalence:
     @staticmethod
-    def _run(seed: int, dispatch: str):
+    def _run(pools, seed: int, dispatch: str):
         """Push one seeded page-write stream through a pipeline and
         return the replayed per-file images."""
         config = GinjaConfig(batch=5, safety=200, batch_timeout=0.005,
@@ -340,7 +340,7 @@ class TestParallelInlineEquivalence:
                              encoders=4, encode_dispatch=dispatch,
                              compress=True)
         codec = ObjectCodec(compress=True)
-        pipe, backend, view = make_pipeline(config, codec=codec)
+        pipe, backend, view = make_pipeline(pools, config, codec=codec)
         rng = random.Random(seed)
         pipe.start()
         try:
@@ -369,14 +369,14 @@ class TestParallelInlineEquivalence:
         return {name: bytes(img) for name, img in images.items()}
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
-    def test_recovered_bytes_identical_across_dispatch_modes(self, seed):
+    def test_recovered_bytes_identical_across_dispatch_modes(self, seed, pools):
         """Batch boundaries are timing-dependent, so bucket *objects*
         may differ between runs — but the replayed file images must be
         byte-identical under all three dispatch policies, and equal to
         naively applying the stream in commit order."""
-        pooled = self._run(seed, dispatch="pool")
-        inline = self._run(seed, dispatch="inline")
-        adaptive = self._run(seed, dispatch="adaptive")
+        pooled = self._run(pools, seed, dispatch="pool")
+        inline = self._run(pools, seed, dispatch="inline")
+        adaptive = self._run(pools, seed, dispatch="adaptive")
         assert pooled == inline == adaptive == self._naive(seed)
 
 
@@ -428,7 +428,7 @@ class TestWedgedStop:
 
 
 class TestEncodeEvents:
-    def test_encode_events_emitted_when_subscribed(self):
+    def test_encode_events_emitted_when_subscribed(self, pools):
         from repro.core import events as core_events
 
         bus = EventBus()
@@ -438,7 +438,7 @@ class TestEncodeEvents:
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=1, encoders=2,
                              encode_dispatch="pool")
-        pipe, _backend, _view = make_pipeline(config, bus=bus)
+        pipe, _backend, _view = make_pipeline(pools, config, bus=bus)
         pipe.start()
         try:
             pipe.submit("seg", 0, b"x" * 64)

@@ -485,13 +485,12 @@ class TestVerification:
 
 class TestMultiCloud:
     def test_recovery_from_surviving_provider(self, profile):
-        """§6: objects replicated to several clouds tolerate a
-        provider-scale outage."""
-        from repro.cloud.multi import MultiCloudStore
+        """§6: objects replicated to several clouds (``mirror-2/q1``
+        placement) tolerate a provider-scale outage."""
+        from repro.placement import build_placement
 
-        provider_a = InMemoryObjectStore()
-        provider_b = InMemoryObjectStore()
-        multi = MultiCloudStore([provider_a, provider_b])
+        multi = build_placement(2, "mirror-2/q1", time_scale=0.0)
+        provider_a, provider_b = (p.backend for p in multi.providers)
         ginja, db = fresh_protected_db(profile, multi)
         try:
             for i in range(15):

@@ -104,7 +104,7 @@ class TestConfigIntegration:
         config_night = GinjaConfig(sync_schedule=at_hour(2))
         assert config_night.effective_batch_timeout() == 60.0
 
-    def test_pipeline_flushes_on_scheduled_timeout(self):
+    def test_pipeline_flushes_on_scheduled_timeout(self, pools):
         """End to end: a business-hours schedule drives T_B batching."""
         from repro.common.events import EventBus
         from repro.cloud.simulated import SimulatedCloud
@@ -122,7 +122,7 @@ class TestConfigIntegration:
         bus = EventBus()
         transport = build_transport(cloud, config, bus=bus)
         pipeline = CommitPipeline(config, transport, ObjectCodec(),
-                                  CloudView(), bus)
+                                  CloudView(), *pools, bus)
         pipeline.start()
         try:
             pipeline.submit("seg", 0, b"x")

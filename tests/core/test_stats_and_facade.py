@@ -135,7 +135,7 @@ class TestStopDeadline:
         MiniDB.create(fs, POSTGRES_PROFILE,
                       EngineConfig(wal_segment_size=64 * KiB)).close()
         ginja = Ginja(fs, SimulatedCloud(time_scale=0.0), POSTGRES_PROFILE,
-                      GinjaConfig(encode_inline=True), clock=clock)
+                      GinjaConfig(), clock=clock)
         ginja.pipeline = _DrainRecorder(clock, pipeline_consumes)
         ginja.checkpointer = _DrainRecorder(clock, 0.0)
         ginja._running = True  # stop() without spinning real threads

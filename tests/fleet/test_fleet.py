@@ -368,10 +368,10 @@ class TestReactorOwnership:
         reactorish = named("ginja-reactor")
         assert reactorish.count("ginja-reactor") == 1
         assert named("ginja-uploader") == []
-        # The executor bridge is bounded by config, not by tenant count
+        # The executor bridge is a fixed-size pool, not one per tenant
         # (and idle with a native-async store: workers spawn lazily).
         io = [n for n in reactorish if n.startswith("ginja-reactor-io")]
-        assert len(io) <= fleet.shared.reactor_io_threads
+        assert len(io) <= fleet.reactor.health()["io_threads"]
 
         for _, db in tenants:
             db.close()

@@ -59,7 +59,7 @@ class TestBuildStack:
         db.put("t", "k", b"v")
         assert stack.ginja.drain(timeout=10.0)
         assert len(stack.cloud.list()) > 0
-        stack.shutdown()
+        stack.stop()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):

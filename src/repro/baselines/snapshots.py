@@ -61,8 +61,7 @@ class SnapshotBackup:
 
     def _rotate(self) -> None:
         keys = sorted(info.key for info in self._cloud.list("SNAP/"))
-        for key in keys[:-self._keep]:
-            self._cloud.delete(key)
+        self._cloud.delete_many(keys[:-self._keep])
 
 
 def restore_latest_snapshot(

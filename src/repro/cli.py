@@ -447,7 +447,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     drill fails if the peak ever exceeds the budget.  This is the CI
     guard for the upload reactor's O(1)-upload-threads claim — before
     the reactor, 50 tenants meant 50+ parked uploader threads; now all
-    PUT traffic multiplexes onto one event loop plus a small executor.
+    PUT and GC DELETE traffic multiplexes onto one event loop plus a
+    small executor, and a tenant costs one thread (its aggregator).
     ``--census-out`` writes the peak and a name-prefix breakdown as
     JSON for the CI artifact.
     """

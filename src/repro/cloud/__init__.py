@@ -1,7 +1,10 @@
 """Cloud object-storage substrate.
 
 Ginja only needs the four REST verbs every storage cloud exposes —
-PUT, GET, LIST, DELETE (§5 of the paper).  This package provides:
+PUT, GET, LIST, DELETE (§5 of the paper) — plus the batch form of the
+last one (S3 Multi-Object Delete), which garbage collection rides and
+which falls back to a DELETE loop on a store that lacks it.  This
+package provides:
 
 * :class:`~repro.cloud.interface.ObjectStore` — the verb interface;
 * in-memory and on-disk backends;
@@ -18,7 +21,7 @@ store of its own: see :mod:`repro.placement` (``mirror-N/qM``).
 
 from repro.cloud.directory import DirectoryObjectStore
 from repro.cloud.faults import FaultPolicy, Outage
-from repro.cloud.interface import ObjectInfo, ObjectStore
+from repro.cloud.interface import MAX_DELETE_KEYS, ObjectInfo, ObjectStore
 from repro.cloud.latency import (
     LatencyModel,
     LOCAL_LATENCY,
@@ -49,6 +52,7 @@ from repro.cloud.simulated import SimulatedCloud
 __all__ = [
     "ObjectStore",
     "ObjectInfo",
+    "MAX_DELETE_KEYS",
     "InMemoryObjectStore",
     "DirectoryObjectStore",
     "SimulatedCloud",

@@ -1,15 +1,17 @@
 """Async adapter over the synchronous :class:`ObjectStore` protocol.
 
 The upload reactor (:mod:`repro.cloud.reactor`) drives every WAL and
-checkpoint PUT from one asyncio event loop.  Stores and transport
-layers that know how to cooperate expose an optional ``aput``
-coroutine; everything else is bridged through the loop's default
-executor — a small bounded pool the reactor owns — so an arbitrary
-:class:`ObjectStore` still works without holding a thread per upload.
+checkpoint PUT and every GC batch DELETE from one asyncio event loop.
+Stores and transport layers that know how to cooperate expose optional
+``aput`` / ``_adelete_request`` coroutines; everything else is bridged
+through the loop's default executor — a small bounded pool the reactor
+owns — so an arbitrary :class:`ObjectStore` still works without
+holding a thread per request.
 
 This module sits *below* the transport layers in the import graph
 (transport/retry/prefix/simulated/reactor all import it; it imports
-none of them), so adding ``aput`` to a layer never creates a cycle.
+none of them), so adding an async twin to a layer never creates a
+cycle.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import asyncio
 import contextvars
 from typing import Protocol, runtime_checkable
+
+from repro.cloud.interface import delete_slices
 
 
 @runtime_checkable
@@ -44,6 +48,20 @@ async def aput(store, key: str, data: bytes) -> None:
         return
     loop = asyncio.get_running_loop()
     await loop.run_in_executor(None, store.put, key, data)
+
+
+async def adelete_many(store, keys) -> None:
+    """Batch DELETE, one request per ``MAX_DELETE_KEYS`` slice, via the
+    store's native ``_adelete_request`` when present — else the whole
+    synchronous ``delete_many`` is bridged through the executor, under
+    exactly the chain-splitting rule :func:`aput` documents."""
+    native = getattr(store, "_adelete_request", None)
+    if native is None:
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, store.delete_many, keys)
+        return
+    for request in delete_slices(keys):
+        await native(request)
 
 
 class BackoffNote:

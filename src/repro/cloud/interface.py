@@ -3,6 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+#: Keys one Multi-Object Delete request may carry (the S3 limit).
+MAX_DELETE_KEYS = 1000
+
+
+def delete_slices(keys: Iterable[str]) -> list[list[str]]:
+    """Cut ``keys`` into request-sized runs of at most
+    :data:`MAX_DELETE_KEYS`, in order; no keys, no slices."""
+    keys = list(keys)
+    return [
+        keys[start:start + MAX_DELETE_KEYS]
+        for start in range(0, len(keys), MAX_DELETE_KEYS)
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -18,7 +32,7 @@ class ObjectInfo:
 
 
 class ObjectStore:
-    """A cloud storage bucket: PUT / GET / LIST / DELETE.
+    """A cloud storage bucket: PUT / GET / LIST / DELETE / batch DELETE.
 
     The interface is intentionally the lowest common denominator of
     Amazon S3, Azure Blob Storage and Google Storage, which is all Ginja
@@ -51,6 +65,26 @@ class ObjectStore:
         """Remove an object.  Deleting a missing key is a no-op, matching
         S3's idempotent DELETE semantics."""
         raise NotImplementedError
+
+    def delete_many(self, keys: Iterable[str]) -> None:
+        """Remove every key in ``keys`` — S3 Multi-Object Delete.
+
+        Any length is accepted: the keys go out as requests of at most
+        :data:`MAX_DELETE_KEYS`, in order, and no keys means no request.
+        Missing keys are a no-op, as for :meth:`delete`.  A request
+        succeeds or fails as a unit, so the first failing request
+        raises and the ones behind it are not issued.
+        """
+        for request in delete_slices(keys):
+            self._delete_request(request)
+
+    def _delete_request(self, keys: list[str]) -> None:
+        """One batch-DELETE request (``1..MAX_DELETE_KEYS`` keys) — the
+        method a backend or layer overrides to go native.  This
+        fallback loops :meth:`delete`, which keeps any store that knows
+        only the four single-object verbs correct."""
+        for key in keys:
+            self.delete(key)
 
     # Convenience helpers shared by all backends ---------------------------
 

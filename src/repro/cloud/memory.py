@@ -59,6 +59,28 @@ class InMemoryObjectStore(ObjectStore):
         with self._lock:
             self._objects.pop(key, None)
 
+    def _delete_request(self, keys: list[str]) -> None:
+        # Atomic under the one lock — unless a subclass overrode
+        # ``delete`` (test doubles inject DELETE faults there): then
+        # the per-key loop honours it, the rule ``aput`` applies to
+        # ``put``.
+        if type(self).delete is not InMemoryObjectStore.delete:
+            super()._delete_request(keys)
+            return
+        with self._lock:
+            for key in keys:
+                self._objects.pop(key, None)
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        # Inline on the loop only for the pristine dict pops; an
+        # overridden (possibly blocking) ``delete`` bridges off it.
+        if type(self).delete is not InMemoryObjectStore.delete:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._delete_request, keys
+            )
+            return
+        self._delete_request(keys)
+
     def exists(self, key: str) -> bool:
         # O(1) dict lookup instead of the base class's prefix listing.
         with self._lock:

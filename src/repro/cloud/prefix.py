@@ -97,6 +97,14 @@ class PrefixedObjectStore(ObjectStore):
     def delete(self, key: str) -> None:
         self._inner.delete(self._qualify(key))
 
+    def _delete_request(self, keys: list[str]) -> None:
+        self._inner.delete_many([self._qualify(key) for key in keys])
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        await aio.adelete_many(
+            self._inner, [self._qualify(key) for key in keys]
+        )
+
     def exists(self, key: str) -> bool:
         return self._inner.exists(self._qualify(key))
 

@@ -1,4 +1,4 @@
-"""The shared upload reactor: every PUT in the fleet on one thread.
+"""The shared upload reactor: every cloud write in the fleet on one thread.
 
 Before this module, each tenant's :class:`CommitPipeline` held
 ``uploaders`` blocking PUT threads and its :class:`CheckpointUploader`
@@ -6,8 +6,10 @@ one more — 50 tenants ≈ 300 parked threads, most of them asleep in a
 latency model or a retry backoff.  The :class:`UploadReactor` replaces
 all of them with **one** asyncio event-loop thread:
 
-* WAL and checkpoint PUTs are submitted from any thread via
-  :meth:`UploadReactor.submit` and return an :class:`UploadHandle`;
+* WAL and checkpoint PUTs (:meth:`UploadReactor.submit`) and GC batch
+  DELETEs (:meth:`UploadReactor.submit_delete`) are submitted from any
+  thread and return an :class:`UploadHandle`; both verbs share one
+  lane queue, window, cancel and settlement path;
 * a bounded global in-flight window caps concurrency fleet-wide, and
   per-tenant *lanes* with round-robin admission keep one hot tenant
   from starving the rest (mirroring the encode stage's lane
@@ -15,7 +17,7 @@ all of them with **one** asyncio event-loop thread:
 * retry backoff happens inside :meth:`RetryLayer.aput
   <repro.cloud.retry.RetryLayer.aput>` as an ``await`` on a loop
   timer, so a backing-off PUT holds zero threads;
-* stores without a native ``aput`` are bridged through a small
+* stores without native async twins are bridged through a small
   reactor-owned executor pool (``io_threads``), keeping the thread
   count O(1) in the number of tenants either way.
 
@@ -42,7 +44,8 @@ from repro.common.errors import GinjaError
 
 
 class UploadHandle:
-    """The future of one submitted PUT.
+    """The future of one submitted request (a PUT, or a batch DELETE
+    under its first key with ``nbytes`` 0).
 
     Resolved exactly once, from the reactor's loop thread; waiters on
     any other thread use :meth:`wait`.  Never call :meth:`wait` *from*
@@ -85,15 +88,15 @@ class UploadHandle:
 
 
 class _Submission:
-    __slots__ = ("store", "key", "data", "tenant", "on_done", "handle", "task")
+    __slots__ = ("request", "tenant", "on_done", "handle", "task")
 
-    def __init__(self, store, key, data, tenant, on_done):
-        self.store = store
-        self.key = key
-        self.data = data
+    def __init__(self, request, key, nbytes, tenant, on_done):
+        #: Zero-argument callable returning the coroutine to await —
+        #: the only thing that differs between a PUT and a DELETE.
+        self.request = request
         self.tenant = tenant
         self.on_done = on_done
-        self.handle = UploadHandle(key=key, nbytes=len(data), tenant=tenant)
+        self.handle = UploadHandle(key=key, nbytes=nbytes, tenant=tenant)
         self.task: asyncio.Task | None = None
 
 
@@ -140,14 +143,15 @@ class _LaneBackoffNote(aio.BackoffNote):
 
 
 class UploadReactor:
-    """One event-loop thread driving all WAL and checkpoint PUTs.
+    """One event-loop thread driving all WAL and checkpoint PUTs and
+    GC DELETEs.
 
     Args:
-        inflight_window: global cap on concurrently running PUTs.
+        inflight_window: global cap on concurrently running requests.
         io_threads: size of the executor pool bridging stores that
-            have no native ``aput`` (and exotic ``Clock.sleep_async``
-            fallbacks).  This bounds the *total* thread cost of the
-            upload path regardless of tenant count.
+            have no native async twins (and exotic
+            ``Clock.sleep_async`` fallbacks).  This bounds the *total*
+            thread cost of the upload path regardless of tenant count.
         name: thread-name prefix (``<name>`` for the loop thread,
             ``<name>-io-*`` for the bridge pool) — the CI thread
             census groups by these prefixes.
@@ -331,12 +335,21 @@ class UploadReactor:
             if lane is None:
                 lane = self._lanes[tenant] = _Lane(window=window)
                 self._order.append(tenant)
+            elif lane.attachments <= 0:
+                # Detached but not yet reaped (its last request is
+                # still settling): a successor starts from its own
+                # window, not the predecessor's.
+                lane.window = window
             lane.attachments += 1
             lane.window = max(lane.window, window)
             if on_fatal is not None:
                 lane.on_fatals.append(on_fatal)
 
     def detach(self, tenant: str, on_fatal=None) -> None:
+        """Drop one attachment.  The lane goes with its last one — now
+        if it is idle, else when its last queued or running request
+        settles (a crash cancels and detaches back to back, with the
+        cancel still pending on the loop)."""
         with self._lock:
             lane = self._lanes.get(tenant)
             if lane is None:
@@ -344,13 +357,18 @@ class UploadReactor:
             lane.attachments -= 1
             if on_fatal is not None and on_fatal in lane.on_fatals:
                 lane.on_fatals.remove(on_fatal)
-            if lane.attachments <= 0 and not lane.queue and not lane.active:
-                del self._lanes[tenant]
-                self._order.remove(tenant)
-                if self._order:
-                    self._rr %= len(self._order)
-                else:
-                    self._rr = 0
+            self._reap_locked(tenant, lane)
+
+    def _reap_locked(self, tenant: str, lane: _Lane) -> None:
+        """Forget ``lane`` once nothing is attached to it and nothing
+        of it is queued or running."""
+        if lane.attachments > 0 or lane.queue or lane.active:
+            return
+        if self._lanes.get(tenant) is not lane:
+            return
+        del self._lanes[tenant]
+        self._order.remove(tenant)
+        self._rr = self._rr % len(self._order) if self._order else 0
 
     # -- submission ----------------------------------------------------------
 
@@ -362,7 +380,24 @@ class UploadReactor:
         one callback at a time — it must be fast and must not block
         (the commit pipeline's consecutive-timestamp unlock runs here).
         """
-        sub = _Submission(store, key, data, tenant, on_done)
+        return self._enqueue(_Submission(
+            lambda: aio.aput(store, key, data), key, len(data), tenant,
+            on_done,
+        ))
+
+    def submit_delete(self, store, keys, *, tenant: str,
+                      on_done=None) -> UploadHandle:
+        """Queue one batch DELETE of ``keys`` (``store.delete_many``,
+        async where the store can); same lane, window, handle and
+        ``on_done`` contract as :meth:`submit`."""
+        keys = list(keys)
+        return self._enqueue(_Submission(
+            lambda: aio.adelete_many(store, keys), keys[0] if keys else "",
+            0, tenant, on_done,
+        ))
+
+    def _enqueue(self, sub: _Submission) -> UploadHandle:
+        tenant = sub.tenant
         with self._lock:
             if self._fatal is not None:
                 raise GinjaError("upload reactor is dead") from self._fatal
@@ -388,8 +423,8 @@ class UploadReactor:
 
     def cancel(self, tenant: str, *, queued_only: bool = False) -> None:
         """Drop ``tenant``'s queued submissions and (unless
-        ``queued_only``) interrupt its in-flight PUTs — cancelling a
-        backoff await mid-timer — without touching any other tenant's
+        ``queued_only``) interrupt its in-flight requests — cancelling
+        a backoff await mid-timer — without touching any other tenant's
         work or retry budgets.  Dropped handles resolve ``cancelled``
         and still see their ``on_done``, so drop accounting
         (``upload_dropped``) fires.  ``queued_only=True`` is the poison
@@ -404,6 +439,7 @@ class UploadReactor:
                 lane.queue.clear()
                 self._queued -= len(dropped)
                 active = [] if queued_only else list(lane.active)
+                self._reap_locked(tenant, lane)
             for sub in dropped:
                 sub.handle._resolve(None, cancelled=True)
                 if sub.on_done is not None:
@@ -484,13 +520,13 @@ class UploadReactor:
     async def _run_one(
         self, lane: _Lane, sub: _Submission
     ) -> BaseException | None:
-        """One PUT; returns the error it ultimately failed with."""
+        """One request; returns the error it ultimately failed with."""
         # Each task runs in its own copied context, so this set is
-        # private to this upload — the retry layer finds the note via
+        # private to this request — the retry layer finds the note via
         # CURRENT_UPLOAD without ever importing the reactor.
         aio.CURRENT_UPLOAD.set(_LaneBackoffNote(self, lane))
         try:
-            await aio.aput(sub.store, sub.key, sub.data)
+            await sub.request()
         except asyncio.CancelledError:
             raise
         except BaseException as exc:
@@ -509,6 +545,7 @@ class UploadReactor:
                 # Interrupted by reactor death, not by a tenant cancel:
                 # the handle carries the crash, so waiters see *why*.
                 error, cancelled = self._crash_exc, False
+            self._reap_locked(sub.tenant, lane)
         sub.handle._resolve(error, cancelled)
         if sub.on_done is not None:
             try:

@@ -111,10 +111,13 @@ class RetryPolicy:
 class RetryLayer(ObjectStore):
     """Transport layer applying one :class:`RetryPolicy` to every verb.
 
-    This is the only retry loop in the codebase.  DELETE doubles as the
-    GC verb (nothing else in Ginja deletes through the transport), so
-    the layer also emits the ``gc_delete`` success/failure events the
-    stats counters are built from.
+    This is the only retry loop in the codebase.  DELETE is mostly the
+    GC verb — checkpoint GC, plus the stale-key, purge and fsck deletes
+    that share its skippable semantics — so the layer also emits the
+    ``gc_delete`` success/failure events the stats counters are built
+    from: **one per key**, also for a batch DELETE, which is retried,
+    exhausted and skipped as the single request it is (every key of the
+    slice reports the request's verdict).
     """
 
     def __init__(
@@ -143,7 +146,10 @@ class RetryLayer(ObjectStore):
     # -- verbs ---------------------------------------------------------------
 
     def put(self, key: str, data: bytes) -> None:
-        self._put_with_retries(key, data)
+        self._run("PUT", key, lambda: self._inner.put(key, data))
+
+    async def aput(self, key: str, data: bytes) -> None:
+        await self._arun("PUT", key, lambda: aio.aput(self._inner, key, data))
 
     def get(self, key: str) -> bytes:
         return self._run("GET", key, lambda: self._inner.get(key))
@@ -152,7 +158,19 @@ class RetryLayer(ObjectStore):
         return self._run("LIST", prefix, lambda: self._inner.list(prefix))
 
     def delete(self, key: str) -> None:
-        self._run("DELETE", key, lambda: self._inner.delete(key))
+        self._run("DELETE", key, lambda: self._inner.delete(key), gc_keys=[key])
+
+    def _delete_request(self, keys: list[str]) -> None:
+        self._run(
+            "DELETE", keys[0], lambda: self._inner.delete_many(keys),
+            gc_keys=keys,
+        )
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        await self._arun(
+            "DELETE", keys[0], lambda: aio.adelete_many(self._inner, keys),
+            gc_keys=keys,
+        )
 
     # The interface helpers are listing-class reads, and they used to
     # bypass _run entirely — one transient fault in an exists() probe
@@ -169,34 +187,39 @@ class RetryLayer(ObjectStore):
         return self._run("LIST", key, lambda: self._inner.stat(key))
 
     # -- the one retry loop --------------------------------------------------
+    #
+    # Written twice only because Python colours functions: ``_run``
+    # sleeps its backoff on the calling thread, ``_arun`` awaits it as
+    # a loop timer (a backing-off request holds zero threads, and a
+    # tenant abort cancels it mid-timer without draining any other
+    # request's budget).  Schedule, budget, exhaustion verdict and
+    # events live once, in ``_failed`` and ``_emit_gc``.
 
-    def _put_with_retries(self, key: str, data: bytes) -> None:
-        self._run("PUT", key, lambda: self._inner.put(key, data))
-
-    async def aput(self, key: str, data: bytes) -> None:
-        """Async twin of the PUT retry loop.
-
-        Identical schedule and budget to :meth:`_run` — this module
-        stays the single retry implementation — but the backoff is an
-        ``await`` on a loop timer, so a backing-off upload holds zero
-        threads.  Cancelling the task (tenant abort) interrupts the
-        await mid-backoff without draining the retry budget of any
-        other in-flight request.
-        """
+    def _run(self, verb: str, key: str, request, gc_keys=()):
         attempts = 0
-        budget = self._policy.budget("PUT")
         while True:
             try:
-                await aio.aput(self._inner, key, data)
+                result = request()
             except CloudError as exc:
                 attempts += 1
-                if attempts > budget:
-                    raise
-                self._bus.emit(
-                    events.RETRY, verb="PUT", key=key, attempt=attempts,
-                    detail=repr(exc),
-                )
-                delay = self._policy.backoff(attempts, self._rng)
+                delay = self._failed(verb, key, attempts, exc, gc_keys)
+                if delay is None:
+                    return None
+                self._clock.sleep(delay)
+                continue
+            self._emit_gc(gc_keys, ok=True, attempt=attempts + 1)
+            return result
+
+    async def _arun(self, verb: str, key: str, request, gc_keys=()):
+        attempts = 0
+        while True:
+            try:
+                result = await request()
+            except CloudError as exc:
+                attempts += 1
+                delay = self._failed(verb, key, attempts, exc, gc_keys)
+                if delay is None:
+                    return None
                 note = aio.current_upload()
                 note.backoff_started(delay)
                 try:
@@ -204,35 +227,28 @@ class RetryLayer(ObjectStore):
                 finally:
                     note.backoff_ended()
                 continue
-            return None
-
-    def _run(self, verb: str, key: str, request):
-        attempts = 0
-        budget = self._policy.budget(verb)
-        while True:
-            try:
-                result = request()
-            except CloudError as exc:
-                attempts += 1
-                if attempts > budget:
-                    if self._policy.is_skippable(verb):
-                        if verb == "DELETE":
-                            self._bus.emit(
-                                events.GC_DELETE, verb=verb, key=key,
-                                ok=False, attempt=attempts,
-                                detail=repr(exc),
-                            )
-                        return None
-                    raise
-                self._bus.emit(
-                    events.RETRY, verb=verb, key=key, attempt=attempts,
-                    detail=repr(exc),
-                )
-                self._clock.sleep(self._policy.backoff(attempts, self._rng))
-                continue
-            if verb == "DELETE":
-                self._bus.emit(
-                    events.GC_DELETE, verb=verb, key=key, ok=True,
-                    attempt=attempts + 1,
-                )
+            self._emit_gc(gc_keys, ok=True, attempt=attempts + 1)
             return result
+
+    def _failed(self, verb: str, key: str, attempts: int, exc: CloudError,
+                gc_keys) -> float | None:
+        """Attempt number ``attempts`` failed: the backoff to take
+        before the next one, or ``None`` when a skippable verb has
+        spent its budget and the request is absorbed.  A fatal verb's
+        exhaustion re-raises."""
+        if attempts > self._policy.budget(verb):
+            if not self._policy.is_skippable(verb):
+                raise exc
+            self._emit_gc(gc_keys, ok=False, attempt=attempts, detail=repr(exc))
+            return None
+        self._bus.emit(
+            events.RETRY, verb=verb, key=key, attempt=attempts,
+            detail=repr(exc),
+        )
+        return self._policy.backoff(attempts, self._rng)
+
+    def _emit_gc(self, keys, **verdict) -> None:
+        if not self._bus.wants(events.GC_DELETE):
+            return  # a thousand-key request narrated to nobody
+        for key in keys:
+            self._bus.emit(events.GC_DELETE, verb="DELETE", key=key, **verdict)

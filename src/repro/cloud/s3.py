@@ -23,7 +23,8 @@ class BotoS3Store(ObjectStore):
         bucket: bucket name.
         client: a ``boto3`` S3 client, or any object with the same
             ``put_object`` / ``get_object`` / ``delete_object`` /
-            ``get_paginator`` surface (tests pass a stub).
+            ``delete_objects`` / ``get_paginator`` surface (tests pass
+            a stub).
         prefix: key prefix inside the bucket, e.g. ``"ginja/mydb/"``.
     """
 
@@ -76,6 +77,26 @@ class BotoS3Store(ObjectStore):
             self._client.delete_object(Bucket=self._bucket, Key=self._full(key))
         except Exception as exc:
             raise CloudError(f"DELETE {key!r}: {exc}") from exc
+
+    def _delete_request(self, keys: list[str]) -> None:
+        # Multi-Object Delete; an overridden ``delete`` is honoured by
+        # the per-key loop (see InMemoryObjectStore).
+        if type(self).delete is not BotoS3Store.delete:
+            super()._delete_request(keys)
+            return
+        objects = [{"Key": self._full(key)} for key in keys]
+        try:
+            response = self._client.delete_objects(
+                Bucket=self._bucket, Delete={"Objects": objects, "Quiet": True}
+            )
+        except Exception as exc:
+            raise CloudError(f"DELETE {len(keys)} keys: {exc}") from exc
+        errors = (response or {}).get("Errors")
+        if errors:
+            raise CloudError(
+                f"DELETE {len(keys)} keys: {len(errors)} refused, "
+                f"first {errors[0].get('Key')!r}: {errors[0].get('Code')}"
+            )
 
 
 def _is_missing_key_error(exc: Exception) -> bool:

@@ -113,3 +113,9 @@ class SimulatedCloud(ObjectStore):
 
     def delete(self, key: str) -> None:
         self._stack.delete(key)
+
+    def _delete_request(self, keys: list[str]) -> None:
+        self._stack.delete_many(keys)
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        await aio.adelete_many(self._stack, keys)

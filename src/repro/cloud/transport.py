@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from repro.cloud import aio
 from repro.common import events
 from repro.common.clock import Clock, SYSTEM_CLOCK
-from repro.common.errors import CloudError, CloudUnavailable
+from repro.common.errors import CloudUnavailable
 from repro.common.events import EventBus, NULL_BUS
 from repro.cloud.faults import FaultPolicy
 from repro.cloud.interface import ObjectInfo, ObjectStore
@@ -75,6 +75,9 @@ class TransportLayer(ObjectStore):
 
     def delete(self, key: str) -> None:
         self._inner.delete(key)
+
+    def _delete_request(self, keys: list[str]) -> None:
+        self._inner.delete_many(keys)
 
     def exists(self, key: str) -> bool:
         return self._inner.exists(key)
@@ -203,6 +206,23 @@ class LatencyLayer(TransportLayer):
         self._inner.delete(key)
         _set_modeled(latency, removed)
 
+    # A batch DELETE is one request: one latency draw however many keys
+    # it carries, and the exact bytes it removes for the meter above.
+
+    def _delete_request(self, keys: list[str]) -> None:
+        removed = sum(self._existing_size(key) for key in keys)
+        latency = self._pay(self._model.delete_latency(self._rng))
+        self._inner.delete_many(keys)
+        _set_modeled(latency, removed)
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        removed = sum(self._existing_size(key) for key in keys)
+        modeled = self._model.delete_latency(self._rng)
+        if modeled > 0 and self._time_scale > 0:
+            await self._clock.sleep_async(modeled * self._time_scale)
+        await aio.adelete_many(self._inner, keys)
+        _set_modeled(modeled, removed)
+
 
 class FaultLayer(TransportLayer):
     """Injects failures per a :class:`~repro.cloud.faults.FaultPolicy`.
@@ -268,6 +288,14 @@ class FaultLayer(TransportLayer):
         self._check("DELETE", key)
         self._inner.delete(key)
 
+    def _delete_request(self, keys: list[str]) -> None:
+        self._check("DELETE", keys[0])
+        self._inner.delete_many(keys)
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        self._check("DELETE", keys[0])
+        await aio.adelete_many(self._inner, keys)
+
     # Listing-class helpers fail under the same conditions a LIST would
     # (they read the same index), so the RetryLayer's LIST budget above
     # has something real to retry.
@@ -293,7 +321,8 @@ class MeterLayer(TransportLayer):
     to the bus reproduces the exact pre-refactor accounting.
 
     Event vocabulary: ``nbytes`` is the payload size (bytes removed, for
-    DELETE), ``latency`` the modeled request latency, ``at`` the
+    DELETE — all of them, for a batch DELETE, whose ``key`` is its
+    first key), ``latency`` the modeled request latency, ``at`` the
     store-clock time of completion, and ``count`` the bytes a PUT
     replaced (for the storage integral).
     """
@@ -357,6 +386,22 @@ class MeterLayer(TransportLayer):
     def delete(self, key: str) -> None:
         _set_modeled(0.0)
         self._inner.delete(key)
+        self._deleted(key)
+
+    def _delete_request(self, keys: list[str]) -> None:
+        _set_modeled(0.0)
+        self._inner.delete_many(keys)
+        self._deleted(keys[0])
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        _set_modeled(0.0)
+        await aio.adelete_many(self._inner, keys)
+        self._deleted(keys[0])
+
+    def _deleted(self, key: str) -> None:
+        """One DELETE-class request completed — single or batch, it is
+        metered as one: ``key`` (a batch's first key) attributes it to
+        its tenant, ``nbytes`` is every byte it removed."""
         latency, removed = _take_modeled()
         self._bus.emit(
             events.METER, verb="DELETE", key=key, nbytes=removed,
@@ -377,9 +422,12 @@ class TracingLayer(TransportLayer):
     """Emits start/end events with wall-clock timing for every verb.
 
     Outermost layer: its latencies include retries and backoff, i.e.
-    what the commit pipeline actually experienced.  A failed request
-    (after the RetryLayer gave up) produces an end event with
-    ``ok=False`` before the error propagates.
+    what the commit pipeline actually experienced.  Every start gets
+    its end: a request that leaves any other way than by succeeding —
+    the RetryLayer gave up, a striped read failed its integrity check,
+    a tenant abort cancelled the task mid-await — produces an end event
+    with ``ok=False`` before the exception propagates.  A batch DELETE
+    is one start/end pair under its first key.
     """
 
     def __init__(
@@ -393,43 +441,46 @@ class TracingLayer(TransportLayer):
         self._bus = bus or NULL_BUS
         self._clock = clock
 
-    def _traced(self, verb: str, key: str, nbytes: int, request):
-        start_kind, end_kind = _TRACE_EVENTS[verb]
+    def _start(self, verb: str, key: str, nbytes: int) -> float:
         t0 = self._clock.now()
-        self._bus.emit(start_kind, verb=verb, key=key, nbytes=nbytes, at=t0)
+        self._bus.emit(
+            _TRACE_EVENTS[verb][0], verb=verb, key=key, nbytes=nbytes, at=t0
+        )
+        return t0
+
+    def _end(self, verb: str, key: str, nbytes: int, t0: float,
+             ok: bool = True) -> None:
+        now = self._clock.now()
+        self._bus.emit(
+            _TRACE_EVENTS[verb][1], verb=verb, key=key, nbytes=nbytes,
+            ok=ok, latency=now - t0, at=now,
+        )
+
+    def _traced(self, verb: str, key: str, nbytes: int, request):
+        t0 = self._start(verb, key, nbytes)
         try:
             result = request()
-        except CloudError:
-            self._bus.emit(
-                end_kind, verb=verb, key=key, nbytes=nbytes, ok=False,
-                latency=self._clock.now() - t0, at=self._clock.now(),
-            )
+        except BaseException:
+            self._end(verb, key, nbytes, t0, ok=False)
             raise
-        out_bytes = len(result) if verb == "GET" else nbytes
-        self._bus.emit(
-            end_kind, verb=verb, key=key, nbytes=out_bytes,
-            latency=self._clock.now() - t0, at=self._clock.now(),
-        )
+        self._end(verb, key, len(result) if verb == "GET" else nbytes, t0)
         return result
+
+    async def _atraced(self, verb: str, key: str, nbytes: int, request):
+        t0 = self._start(verb, key, nbytes)
+        try:
+            await request()
+        except BaseException:
+            self._end(verb, key, nbytes, t0, ok=False)
+            raise
+        self._end(verb, key, nbytes, t0)
 
     def put(self, key: str, data: bytes) -> None:
         self._traced("PUT", key, len(data), lambda: self._inner.put(key, data))
 
     async def aput(self, key: str, data: bytes) -> None:
-        start_kind, end_kind = _TRACE_EVENTS["PUT"]
-        t0 = self._clock.now()
-        self._bus.emit(start_kind, verb="PUT", key=key, nbytes=len(data), at=t0)
-        try:
-            await aio.aput(self._inner, key, data)
-        except CloudError:
-            self._bus.emit(
-                end_kind, verb="PUT", key=key, nbytes=len(data), ok=False,
-                latency=self._clock.now() - t0, at=self._clock.now(),
-            )
-            raise
-        self._bus.emit(
-            end_kind, verb="PUT", key=key, nbytes=len(data),
-            latency=self._clock.now() - t0, at=self._clock.now(),
+        await self._atraced(
+            "PUT", key, len(data), lambda: aio.aput(self._inner, key, data)
         )
 
     def get(self, key: str) -> bytes:
@@ -440,6 +491,16 @@ class TracingLayer(TransportLayer):
 
     def delete(self, key: str) -> None:
         self._traced("DELETE", key, 0, lambda: self._inner.delete(key))
+
+    def _delete_request(self, keys: list[str]) -> None:
+        self._traced(
+            "DELETE", keys[0], 0, lambda: self._inner.delete_many(keys)
+        )
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        await self._atraced(
+            "DELETE", keys[0], 0, lambda: aio.adelete_many(self._inner, keys)
+        )
 
 
 # -- assembly ----------------------------------------------------------------

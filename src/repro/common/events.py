@@ -29,9 +29,13 @@ RETRY = "retry"
 #: A request failed inside a scheduled provider-outage window.
 OUTAGE = "outage"
 #: One metered request (simulation layers); carries modeled latency and
-#: store time so a RequestMeter subscriber reproduces exact billing.
+#: store time so a RequestMeter subscriber reproduces exact billing.  A
+#: batch DELETE is one request: ``key`` is its first key, ``nbytes``
+#: every byte it removed.
 METER = "meter"
 #: A GC DELETE completed (ok=True) or exhausted its budget (ok=False).
+#: One event per *key*: every key of a batch DELETE reports the verdict
+#: of the one request that carried it.
 GC_DELETE = "gc_delete"
 #
 # Pipeline events (emitted by repro.core.commit_pipeline):

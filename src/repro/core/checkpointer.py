@@ -1,36 +1,41 @@
 """Algorithm 3: checkpoint capture, upload and garbage collection.
 
-Two halves, decoupled by a queue exactly as §5.3 prescribes ("we
-decouple as much as possible the (local) DBMS checkpoints from the
-writing of checkpoints to the cloud"):
+Two halves, decoupled exactly as §5.3 prescribes ("we decouple as much
+as possible the (local) DBMS checkpoints from the writing of
+checkpoints to the cloud"):
 
 * :class:`CheckpointCollector` runs *on the DBMS's checkpointing
   thread*, inside the interposer hooks.  It snapshots the WAL frontier
   at the begin event, accumulates the checkpoint's page writes
   (coalescing overwrites), and at the end event decides dump vs.
   incremental — a dump whenever the cloud-side DB objects reach
-  ``dump_threshold`` (150%) of the local database size — then enqueues
-  the finished object.
-* :class:`CheckpointUploader` is the Checkpointer thread: it uploads DB
-  objects (split at 20 MB), registers them in the cloud view, deletes
-  WAL objects up to the object's timestamp and, after a dump,
-  superseded DB objects (subject to the PITR retention policy).
+  ``dump_threshold`` (150%) of the local database size — then hands
+  the finished object to the uploader.
+* :class:`CheckpointUploader` is the paper's Checkpointer without its
+  thread — a state machine stepped by the upload reactor's completion
+  callbacks: it uploads DB objects (split at 20 MB), registers them in
+  the cloud view, deletes WAL objects up to the object's timestamp
+  and, after a dump, superseded DB objects (subject to the PITR
+  retention policy) — one batch DELETE per ``MAX_DELETE_KEYS`` keys
+  where Alg. 3 loops one DELETE per object.
 
 All cloud I/O goes through the transport stack, whose RetryLayer
 implements the fatal-vs-skippable policy this module used to hand-roll:
-a PUT that exhausts its budget raises (and kills the checkpointer — a
-missing DB object would corrupt recovery), while a GC DELETE that
-exhausts its budget is silently skipped (an orphaned object wastes a
-few bytes and is ignored by recovery).  Progress is narrated on the
-event bus (``checkpoint_begin``/``checkpoint_end``, ``db_object``,
-``dump``, ``codec``); the ``gc_delete`` events come from the transport.
+a PUT that exhausts its budget fails its handle (and poisons the
+uploader — a missing DB object would corrupt recovery), while a GC
+DELETE request that exhausts its budget is silently skipped (an
+orphaned object wastes a few bytes and is ignored by recovery).
+Progress is narrated on the event bus (``checkpoint_begin``/
+``checkpoint_end``, ``db_object``, ``dump``, ``codec``); the per-key
+``gc_delete`` events come from the transport.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
@@ -49,8 +54,8 @@ from repro.core.data_model import (
 )
 from repro.core.encode_stage import EncodeStage
 from repro.core.tuner import BatchTuner
-from repro.cloud.interface import ObjectStore
-from repro.cloud.reactor import UploadReactor
+from repro.cloud.interface import ObjectStore, delete_slices
+from repro.cloud.reactor import UploadHandle, UploadReactor
 from repro.db.profiles import DBMSProfile
 from repro.storage.interface import FileSystem
 
@@ -64,7 +69,13 @@ class _PendingObject:
     payloads: list[bytes]     # encoded parts, each <= max_object_bytes
 
 
-_STOP = object()
+@dataclass
+class _Upload:
+    """The object in flight: its part metas and how many PUTs are out."""
+
+    pending: _PendingObject
+    metas: list[DBObjectMeta]
+    parts_left: int
 
 
 class CheckpointCollector:
@@ -77,7 +88,7 @@ class CheckpointCollector:
         view: CloudView,
         fs: FileSystem,
         profile: DBMSProfile,
-        out_queue: "queue.Queue",
+        enqueue: Callable[[_PendingObject], None],
         bus: EventBus | None = None,
         encode_stage: EncodeStage | None = None,
         lane: str = "",
@@ -94,7 +105,8 @@ class CheckpointCollector:
         self._view = view
         self._fs = fs
         self._profile = profile
-        self._queue = out_queue
+        #: Where a finished object goes: :meth:`CheckpointUploader.enqueue`.
+        self._enqueue = enqueue
         self._bus = bus or NULL_BUS
         #: Shared encoder pool (the Ginja facade passes the same stage the
         #: commit pipeline uses, so DB-object codec work overlaps WAL
@@ -137,7 +149,7 @@ class CheckpointCollector:
         self._writes[key] = bytes(data)
 
     def end(self) -> None:
-        """Checkpoint-end event: build and enqueue the DB object."""
+        """Checkpoint-end event: build the DB object, hand it on."""
         self._active = False
         local_db_size = self._local_db_bytes()
         cloud_db_size = self._view.total_db_bytes()
@@ -154,7 +166,7 @@ class CheckpointCollector:
         )
         self._writes.clear()
         self._order.clear()
-        self._queue.put(pending)
+        self._enqueue(pending)
 
     # -- freeze protocol ---------------------------------------------------------------
 
@@ -244,12 +256,24 @@ class CheckpointCollector:
 
 
 class CheckpointUploader:
-    """The Checkpointer thread (Alg. 3, lines 17-29) plus PITR retention.
+    """Alg. 3, lines 17-29, plus PITR retention — as a thread-free state
+    machine on the tenant's reactor lane::
 
-    ``cloud`` should be a retry-wrapped transport stack: PUT errors
-    surfacing here are treated as budget exhaustion and kill the thread,
-    and GC DELETE exhaustion is expected to be absorbed by the transport
-    (the skippable-verb policy).  ``reactor`` is the running
+        enqueue -> parts (PUTs, all in flight within the lane window)
+                -> register the whole group in the view
+                -> GC request(s): retired WAL + what a dump supersedes
+                -> next queued object, or idle (drain() returns)
+
+    :meth:`enqueue` runs on the DBMS checkpoint thread; every later
+    step runs in a reactor completion callback, on the loop thread, one
+    at a time.  Nothing ever waits on a handle.  One object is in
+    flight at a time, so objects reach the bucket in ``seq`` order and
+    GC strictly follows the durability of every part it relies on.
+
+    ``cloud`` should be a retry-wrapped transport stack: a PUT error in
+    a handle is budget exhaustion and poisons the uploader, and GC
+    DELETE exhaustion is expected to be absorbed by the transport (the
+    skippable-verb policy).  ``reactor`` is the running
     :class:`UploadReactor` the owning Ginja (or fleet) also hands the
     commit pipeline; it is borrowed, never started or stopped here.
     """
@@ -273,19 +297,21 @@ class CheckpointUploader:
         self._tuner = tuner
         self._bus = bus or NULL_BUS
         self._clock = clock
-        #: DB-object PUTs ride the same loop as the commit pipeline's
-        #: WAL PUTs (same tenant lane, refcounted attachment), and a
-        #: multi-part checkpoint uploads its parts concurrently within
-        #: the lane window.
+        #: DB-object PUTs and GC DELETEs ride the same loop and lane as
+        #: the commit pipeline's WAL PUTs (refcounted attachment), so a
+        #: tenant's whole cloud traffic shares one window.
         self._reactor = reactor
         self._lane = lane
-        self.queue: "queue.Queue" = queue.Queue()
-        self._thread: threading.Thread | None = None
+        # Guards the fields below; notified on every change drain()
+        # waits for (object finished, poisoned, aborted).
+        self._idle = threading.Condition()
+        self._queued: deque[_PendingObject] = deque()
+        #: True from the moment an object's parts are submitted until
+        #: its last GC request resolved.
+        self._busy = False
+        self._attached = False
         self._fatal: Exception | None = None
         self._aborting = False
-        # Signalled by the worker after every task_done (and on death),
-        # so drain() can wait instead of polling the queue counter.
-        self._idle = threading.Condition()
         #: Monotonic checkpoint sequence; disambiguates DB objects whose
         #: WAL frontier ts coincides.  Continue from the cloud's max after
         #: reboot/recovery via :meth:`seed_sequence`.
@@ -298,120 +324,113 @@ class CheckpointUploader:
     # -- lifecycle -------------------------------------------------------------------
 
     def start(self) -> None:
-        if self._thread is not None:
+        if self._attached:
             raise GinjaError("checkpoint uploader already started")
-        # Reactor death must kill this uploader, not hang its drain();
+        # Reactor death must poison this uploader, not hang its drain();
         # the lane attachment is refcounted with the commit pipeline's
         # (same tenant).
         self._reactor.attach(
             self._lane, window=self._config.uploaders, on_fatal=self._poison,
         )
-        self._thread = threading.Thread(
-            target=self._loop, name="ginja-checkpointer", daemon=True
-        )
-        self._thread.start()
+        self._attached = True
 
     def stop(self, drain_timeout: float = 30.0) -> None:
-        self.drain(timeout=drain_timeout)
-        self._halt(join_timeout=10.0)
+        if not self.drain(timeout=drain_timeout):
+            # Whatever is still in flight runs to its own verdict, but
+            # nothing queued behind it starts after a stop.
+            self._poison(GinjaError("checkpoint uploader stopped undrained"))
+        self._detach()
 
     def abort(self) -> None:
         """Abrupt primary loss: discard queued objects without draining.
 
         Enqueued-but-not-uploaded checkpoints are dropped, exactly as a
         power failure would drop them, and an upload in progress is
-        abandoned at its next step — no further part is submitted, no
-        GC DELETE issued: a dead primary must not keep editing the
-        bucket.  The uploader is unusable afterwards (see
-        :meth:`CommitPipeline.abort`).
+        abandoned at its next step — its in-flight requests are
+        cancelled, no further part or GC request is submitted: a dead
+        primary must not keep editing the bucket.  The uploader is
+        unusable afterwards (see :meth:`CommitPipeline.abort`).
         """
         self._aborting = True
-        if self._fatal is None:
-            self._fatal = GinjaError("primary crashed")
-        with self._idle:
-            self._idle.notify_all()
-        # Resolves the parts the worker has in flight, so its
-        # handle.wait() returns; parts it submits after this cancel it
-        # cancels itself (it re-reads the flag once they are queued).
+        self._poison(GinjaError("primary crashed"))
         self._reactor.cancel(self._lane)
-        self._halt(join_timeout=5.0)
+        self._detach()
 
-    def _halt(self, join_timeout: float) -> None:
-        self.queue.put(_STOP)
-        if self._thread is not None:
-            self._thread.join(timeout=join_timeout)
-            if self._thread.is_alive():
-                # Keep the handle: a worker that outlives its stop is a
-                # failure to report, not a leak to forget.
-                self._poison(GinjaError("ginja-checkpointer failed to stop"))
-            else:
-                self._thread = None
-        self._reactor.detach(self._lane, self._poison)
+    def _detach(self) -> None:
+        if self._attached:
+            self._attached = False
+            self._reactor.detach(self._lane, self._poison)
 
     def _poison(self, exc: BaseException) -> None:
-        """Record a fatal error from outside the worker loop (reactor
-        death), waking anything blocked in :meth:`drain`."""
-        if self._fatal is None:
-            self._fatal = (
-                exc if isinstance(exc, Exception) else GinjaError(repr(exc))
-            )
+        """Record the first fatal error, drop what is queued and wake
+        anything blocked in :meth:`drain`.  The object in flight is
+        abandoned: its remaining callbacks see ``_fatal`` and stop."""
         with self._idle:
+            if self._fatal is None:
+                self._fatal = (
+                    exc if isinstance(exc, Exception) else GinjaError(repr(exc))
+                )
+            self._queued.clear()
             self._idle.notify_all()
 
     def drain(self, timeout: float = 30.0) -> bool:
-        """Wait until the queue is empty AND no upload is in progress.
-
-        ``unfinished_tasks`` only drops when the worker calls
-        ``task_done`` *after* finishing an upload, so there is no window
-        where a dequeued-but-in-flight object looks drained.
+        """Wait until nothing is queued AND nothing is in flight — the
+        last object's last GC request included, so a meter read right
+        after a successful drain has seen every request.  A poisoned
+        uploader never drained successfully.
         """
         deadline = self._clock.now() + timeout
         with self._idle:
-            # Woken by the worker's task_done path; no 10 ms poll loop
-            # (which also *advanced* a ManualClock, silently shrinking
-            # virtual-time deadlines in drills).
-            while self.queue.unfinished_tasks > 0 and self._fatal is None:
+            # Woken by the state machine; no poll loop (which would
+            # *advance* a ManualClock, silently shrinking virtual-time
+            # deadlines in drills).
+            while (self._busy or self._queued) and self._fatal is None:
                 remaining = deadline - self._clock.now()
                 if remaining <= 0:
                     return False
                 self._idle.wait(timeout=remaining)
-            # A poisoned uploader never drained successfully, even if the
-            # failing task was consumed from the queue.
-            return self._fatal is None and self.queue.unfinished_tasks == 0
+            return self._fatal is None
 
     @property
     def failed(self) -> Exception | None:
         return self._fatal
 
-    # -- worker ---------------------------------------------------------------------------
-
-    def _loop(self) -> None:
-        while True:
-            item = self.queue.get()
-            try:
-                if item is _STOP or self._aborting:
-                    return
-                self._upload(item)
-            except BaseException as exc:  # noqa: BLE001 - worker loop boundary
-                # A CloudError here has exhausted the transport's PUT
-                # budget; any other fault (codec, view bookkeeping) is
-                # equally fatal.  Either way the thread must record it —
-                # dying silently would leave drain() waiting forever.
-                self._poison(exc)
-                return
-            finally:
-                self.queue.task_done()
-                with self._idle:
-                    self._idle.notify_all()
-
     def seed_sequence(self, next_seq: int) -> None:
         self._next_seq = next_seq
 
-    def _upload(self, pending: _PendingObject) -> None:
+    # -- the state machine ------------------------------------------------------------------
+    #
+    # Every step below runs with no lock held across a reactor call,
+    # and is wrapped like CommitPipeline._upload_done: an exception
+    # poisons *this* uploader, never the loop or the lane's pipeline.
+
+    def enqueue(self, pending: _PendingObject) -> None:
+        """Accept one finished checkpoint (Alg. 3 line 16): start it now
+        if the machine is idle, else queue it behind the one in flight."""
+        with self._idle:
+            if self._fatal is not None:
+                return  # a dead uploader drops it, as a dead thread did
+            if self._busy:
+                self._queued.append(pending)
+                return
+            self._busy = True
+        self._step(self._submit_parts, pending)
+
+    def _step(self, body, *args) -> None:
+        """Run one transition unless the machine is dead; whatever it
+        raises kills the machine, and only the machine."""
+        if self._fatal is not None:
+            return
+        try:
+            body(*args)
+        except BaseException as exc:  # noqa: BLE001 - callback boundary
+            self._poison(exc)
+
+    def _submit_parts(self, pending: _PendingObject) -> None:
         nparts = len(pending.payloads)
         seq = self._next_seq
         self._next_seq += 1
-        metas: list[DBObjectMeta] = [
+        metas = [
             DBObjectMeta(
                 ts=pending.ts,
                 type=pending.type,
@@ -422,71 +441,103 @@ class CheckpointUploader:
             )
             for part, blob in enumerate(pending.payloads)
         ]
-        # All parts in flight at once (bounded by the lane window),
-        # confirmed in part order below.  A CloudError resolved into a
-        # handle means the transport's PUT budget is exhausted; it
-        # propagates and kills the checkpointer.
-        self._check_not_aborting()
-        handles = [
+        # All parts in flight at once (bounded by the lane window); the
+        # last completion, whichever part it is, moves the object on.
+        upload = _Upload(pending, metas, parts_left=nparts)
+        for meta, blob in zip(metas, pending.payloads):
             self._reactor.submit(
                 self._cloud, meta.key, blob, tenant=self._lane,
+                on_done=lambda handle: self._step(
+                    self._part_done, upload, handle
+                ),
             )
-            for meta, blob in zip(metas, pending.payloads)
-        ]
         if self._aborting:
-            # abort() raised the flag between the check and the
-            # submissions: its lane cancel may have run too early to
-            # catch them, and nothing else bounds the waits below.
+            # abort() raised the flag while the parts were going in:
+            # its lane cancel may have run too early to catch them.
             self._reactor.cancel(self._lane)
-        for meta, handle in zip(metas, handles):
-            handle.wait()
-            if handle.error is not None:
-                raise handle.error
-            if handle.cancelled:
-                raise GinjaError(f"checkpoint upload cancelled: {meta.key}")
-            self._check_not_aborting()
-            if self._tuner is not None:
-                self._tuner.observe_put()
-            self._bus.emit(
-                events.DB_OBJECT, key=meta.key, nbytes=handle.nbytes,
-                detail=pending.type,
+
+    def _part_done(self, upload: _Upload, handle: UploadHandle) -> None:
+        pending, metas = upload.pending, upload.metas
+        if not handle.ok:
+            # Budget exhausted, or cancelled under us: the group stays
+            # incomplete (recovery ignores it) and nothing is GC'd.
+            raise handle.error or GinjaError(
+                f"checkpoint upload cancelled: {handle.key}"
             )
+        if self._tuner is not None:
+            self._tuner.observe_put()
+        self._bus.emit(
+            events.DB_OBJECT, key=handle.key, nbytes=handle.nbytes,
+            detail=pending.type,
+        )
+        upload.parts_left -= 1
+        if upload.parts_left:
+            return
+        # Every part is durable: only now does the view (and so the
+        # next checkpoint's 150% rule, and GC) learn of the group.
         for meta in metas:
             self._view.add_db(meta)
         if pending.type == DUMP:
-            self._bus.emit(events.DUMP_COMPLETE, count=nparts)
-        # GC: WAL objects at or below the object's ts are redundant.  The
-        # view entry is removed even when the delete was skipped by the
-        # transport — the orphan is invisible to recovery either way.
-        for wal_meta in self._view.wal_objects_upto(pending.ts):
-            self._gc_delete(wal_meta.key)
-            self._view.remove_wal(wal_meta.ts)
+            self._bus.emit(events.DUMP_COMPLETE, count=len(metas))
+        # GC: WAL objects at or below the object's ts are redundant.
+        # Their view entries go first and for good — even when the
+        # transport ends up skipping the request, the orphans are
+        # invisible to recovery either way.
+        doomed = [meta.key for meta in self._view.pop_wal_upto(pending.ts)]
         if pending.type == DUMP:
-            self._gc_after_dump((pending.ts, seq))
+            doomed += self._superseded_by((pending.ts, metas[0].seq))
+        self._gc(delete_slices(doomed))
 
-    def _gc_after_dump(self, dump_order: tuple[int, int]) -> None:
-        """Alg. 3 lines 26-29, with §5.4's PITR modification."""
+    def _superseded_by(self, dump_order: tuple[int, int]) -> list[str]:
+        """Alg. 3 lines 26-29, with §5.4's PITR modification: the keys
+        a completed dump lets GC delete."""
         superseded = self._view.db_objects_before(dump_order)
         for meta in superseded:
             self._view.remove_db(meta)
         if not superseded:
-            return
-        if self._config.retention.enabled:
-            self.snapshots.append(superseded)
-            while len(self.snapshots) > self._config.retention.generations:
-                for meta in self.snapshots.pop(0):
-                    self._gc_delete(meta.key)
-        else:
-            for meta in superseded:
-                self._gc_delete(meta.key)
+            return []
+        if not self._config.retention.enabled:
+            return [meta.key for meta in superseded]
+        self.snapshots.append(superseded)
+        expired: list[str] = []
+        while len(self.snapshots) > self._config.retention.generations:
+            expired += [meta.key for meta in self.snapshots.pop(0)]
+        return expired
 
-    def _check_not_aborting(self) -> None:
+    def _gc(self, requests: list[list[str]]) -> None:
+        """Issue the remaining GC requests one after another — the flag
+        is re-read before each, so an abort between two of them keeps
+        the second from ever reaching the bucket — then move on."""
+        if not requests:
+            self._next()
+            return
         if self._aborting:
             raise GinjaError("checkpoint abandoned: primary crashed")
+        self._reactor.submit_delete(
+            self._cloud, requests[0], tenant=self._lane,
+            on_done=lambda handle: self._step(
+                self._gc_done, requests[1:], handle
+            ),
+        )
 
-    def _gc_delete(self, key: str) -> None:
-        self._check_not_aborting()
-        self._cloud.delete(key)
+    def _gc_done(self, rest: list[list[str]], handle: UploadHandle) -> None:
+        if not handle.ok:
+            # Exhaustion never gets here (the transport skips it): this
+            # is a cancelled lane, or a store failing outside the
+            # skippable policy.
+            raise handle.error or GinjaError("checkpoint GC cancelled")
+        self._gc(rest)
+
+    def _next(self) -> None:
+        """The object in flight is finished: start the next one, or go
+        idle and let drain() return."""
+        with self._idle:
+            if not self._queued:
+                self._busy = False
+                self._idle.notify_all()
+                return
+            pending = self._queued.popleft()
+        self._step(self._submit_parts, pending)
 
 
 def _split_writes(

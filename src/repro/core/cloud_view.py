@@ -115,9 +115,12 @@ class CloudView:
         else:
             self.add_db(meta)
 
-    def remove_wal(self, ts: int) -> WALObjectMeta | None:
+    def pop_wal_upto(self, ts: int) -> list[WALObjectMeta]:
+        """Forget, and return in timestamp order, the WAL objects GC
+        removes once a DB object at ``ts`` is uploaded (Alg. 3, lines
+        23-25) — under one lock hold, so no reader sees half of them."""
         with self._lock:
-            return self._wal.pop(ts, None)
+            return [self._wal.pop(t) for t in sorted(self._wal) if t <= ts]
 
     def remove_db(self, meta: DBObjectMeta) -> None:
         with self._lock:
@@ -134,12 +137,6 @@ class CloudView:
     def wal_objects(self) -> list[WALObjectMeta]:
         with self._lock:
             return [self._wal[ts] for ts in sorted(self._wal)]
-
-    def wal_objects_upto(self, ts: int) -> list[WALObjectMeta]:
-        """WAL objects GC removes once a DB object at ``ts`` is uploaded
-        (Alg. 3, lines 23-25)."""
-        with self._lock:
-            return [self._wal[t] for t in sorted(self._wal) if t <= ts]
 
     def db_objects(self) -> list[DBObjectMeta]:
         with self._lock:

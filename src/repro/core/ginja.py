@@ -126,9 +126,10 @@ class Ginja:
         #: every tenant restore); ``None`` makes each restore start its
         #: own ``config.downloaders`` threads.
         self.download_pool = download_pool
-        #: One upload reactor drives both WAL and checkpoint PUTs (the
-        #: tenant's lane on a fleet-shared loop, or a private loop for
-        #: a stand-alone instance) — O(1) upload threads either way.
+        #: One upload reactor drives WAL PUTs, checkpoint PUTs and GC
+        #: DELETEs (the tenant's lane on a fleet-shared loop, or a
+        #: private loop for a stand-alone instance) — O(1) upload
+        #: threads either way, and none of them the tenant's.
         self.reactor = reactor or UploadReactor(
             inflight_window=self.config.uploaders
         )
@@ -152,7 +153,7 @@ class Ginja:
             self.view,
             inner_fs,
             profile,
-            self.checkpointer.queue,
+            self.checkpointer.enqueue,
             self.bus,
             encode_stage=self.encode_stage,
             lane=tenant,
@@ -376,8 +377,7 @@ class Ginja:
             pool=ginja.download_pool,
             lane=tenant,
         )
-        for key in report.stale_keys:
-            ginja.transport.delete(key)
+        ginja.transport.delete_many(report.stale_keys)
         reboot(ginja.transport, ginja.view, ginja.config.retention)
         ginja.view.force_frontier(report.last_applied_wal_ts)
         ginja.checkpointer.seed_sequence(ginja.view.max_db_seq() + 1)

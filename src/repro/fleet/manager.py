@@ -289,8 +289,7 @@ class FleetManager:
         finally:
             if purge:
                 store = self._tenant_store(tenant_id)
-                for info in store.list():
-                    store.delete(info.key)
+                store.delete_many([info.key for info in store.list()])
 
     def crash_tenant(self, tenant_id: str) -> Ginja:
         """Simulate one tenant's disaster (§5.3) without touching its

@@ -8,9 +8,11 @@ Two modes, both driven by a fresh audit:
   clamped), WAL at or below the DB frontier (skipped GC deletes),
   incomplete multi-part DB groups (crashed mid-upload; recovery ignores
   them) and, when the retention policy is known, complete groups below
-  the retention floor.  Deletes go through the store as-is, so a retry
-  transport's skippable-DELETE policy applies: an exhausted DELETE is
-  recorded as skipped, never fatal.
+  the retention floor.  The doomed keys go to the store as one batch
+  DELETE, so a retry transport's skippable-DELETE policy applies: an
+  exhausted request is never fatal — and since such a transport
+  absorbs the failure without a word, what was deleted and what was
+  skipped is read back from the bucket, not inferred from exceptions.
 * ``resync`` — everything ``conservative`` does, plus rebuild the given
   :class:`~repro.core.cloud_view.CloudView` from the repaired LIST and
   clamp ``_next_wal_ts`` to the first gap.  This closes the reboot bug
@@ -41,9 +43,10 @@ class RepairReport:
     mode: str = "conservative"
     #: The audit that drove the repair (pre-repair state).
     audit: AuditReport = field(default_factory=AuditReport)
-    #: Keys successfully deleted.
+    #: Doomed keys gone from the bucket after the repair's DELETE.
     deleted: list[str] = field(default_factory=list)
-    #: Keys whose DELETE failed and was skipped (retry-exhausted).
+    #: Doomed keys still in the bucket: their DELETE failed or was
+    #: skipped (retry-exhausted).
     skipped: list[str] = field(default_factory=list)
     #: Ginja objects present after the repair.
     objects: int = 0
@@ -95,16 +98,20 @@ def repair(
     report = RepairReport(mode=mode)
     report.audit = audit_index(index, view, retention=retention)
 
-    for key in _stale_keys(report.audit):
+    doomed = _stale_keys(report.audit)
+    if doomed:
         try:
-            store.delete(key)
+            store.delete_many(doomed)
         except CloudError:
             # Mirror the GC policy: a DELETE that cannot go through is
             # skipped, never fatal — the orphan wastes bytes but a later
             # fsck run will retry it.
-            report.skipped.append(key)
-            continue
-        report.deleted.append(key)
+            pass
+        # Only a clean audit spares the second LIST (a restore with no
+        # stale keys pays for one LIST, as before).
+        left = {info.key for info in store.list()}
+        report.skipped = [key for key in doomed if key in left]
+        report.deleted = [key for key in doomed if key not in left]
 
     # Drop doomed keys from the index so the resync below (and the
     # reported object count) reflect the repaired bucket.  Skipped

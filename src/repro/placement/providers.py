@@ -158,8 +158,7 @@ class Provider:
         provider's data."""
         self.faults.outages.clear()
         if wipe:
-            for info in self.backend.list():
-                self.store.delete(info.key)
+            self.store.delete_many([info.key for info in self.backend.list()])
 
     # -- read-source ranking ---------------------------------------------------
 

@@ -28,6 +28,7 @@ benchmarks pins this).
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -254,10 +255,11 @@ class PlacementStore(ObjectStore):
             prefix = fragment_prefix(key)
             for provider in targets:
                 try:
-                    for info in provider.store.list(prefix):
-                        frag = parse_fragment_key(info.key)
-                        if frag is not None and frag.generation < generation:
-                            provider.store.delete(info.key)
+                    provider.store.delete_many([
+                        info.key for info in provider.store.list(prefix)
+                        if (frag := parse_fragment_key(info.key)) is not None
+                        and frag.generation < generation
+                    ])
                 except CloudError:
                     continue
 
@@ -440,53 +442,71 @@ class PlacementStore(ObjectStore):
     # -- DELETE ----------------------------------------------------------------
 
     def delete(self, key: str) -> None:
-        policy = self.policy_of(key)
+        self._delete_request([key])
+
+    def _delete_request(self, keys: list[str]) -> None:
+        """One logical batch DELETE is one provider request per replica
+        for the mirrored keys and one per fragment provider for the
+        striped ones (behind one fragment LIST on that provider), all
+        providers in parallel.
+
+        A copy left on a dead provider is stale-on-revival; fsck's
+        repair removes it.  Only a total failure propagates: when every
+        provider some key lives on failed, that key still exists
+        everywhere and the caller must not assume it gone.
+        """
         if self._single:
-            self.providers[0].store.delete(key)
+            self.providers[0].store.delete_many(keys)
             return
-        if policy.striped:
-            self._delete_striped(key, policy)
-        else:
-            self._delete_mirrored(key, policy)
+        # Keys that share a placement share their targets and their
+        # verdict: (striped, providers used) -> keys.
+        groups: dict[tuple[bool, int], list[str]] = {}
+        for key in keys:
+            policy = self.policy_of(key)
+            groups.setdefault(
+                (policy.striped, policy.providers_used), []
+            ).append(key)
+        width = max(used for _, used in groups)
+        targets = self.providers[:width]
 
-    def _delete_mirrored(self, key: str, policy: PlacementPolicy) -> None:
-        targets = self.providers[:policy.replicas]
+        def wipe(index: int, provider: Provider) -> None:
+            doomed: list[str] = []
+            striped_here: set[str] = set()
+            for (striped, used), members in groups.items():
+                if index >= used:
+                    continue
+                if striped:
+                    striped_here.update(members)
+                else:
+                    doomed.extend(members)
+            if striped_here:
+                # One LIST, narrowed to what the fragment prefixes have
+                # in common (one key: exactly its own fragments).
+                prefix = os.path.commonprefix(
+                    [fragment_prefix(key) for key in striped_here]
+                )
+                doomed.extend(
+                    info.key for info in provider.store.list(prefix)
+                    if (frag := parse_fragment_key(info.key)) is not None
+                    and frag.logical in striped_here
+                )
+            provider.store.delete_many(doomed)
+
         results = self._fanout(
-            [lambda p=p: p.store.delete(key) for p in targets]
+            [lambda i=i, p=p: wipe(i, p) for i, p in enumerate(targets)]
         )
-        errors = [
-            (provider, error)
-            for provider, (_, error) in zip(targets, results)
-            if error is not None
-        ]
-        for provider, _ in errors:
-            self._count_error(provider)
-        # A copy left on a dead provider is stale-on-revival; fsck's
-        # repair removes it.  Only a total failure propagates (the key
-        # still exists everywhere, so the caller must not assume gone).
-        if len(errors) == len(targets):
-            raise errors[-1][1]
-
-    def _delete_striped(self, key: str, policy: PlacementPolicy) -> None:
-        prefix = fragment_prefix(key)
-        targets = self.providers[:policy.n]
-
-        def wipe(provider: Provider) -> None:
-            for info in provider.store.list(prefix):
-                provider.store.delete(info.key)
-
-        results = self._fanout([lambda p=p: wipe(p) for p in targets])
-        errors = [
-            (provider, error)
-            for provider, (_, error) in zip(targets, results)
-            if error is not None
-        ]
-        for provider, _ in errors:
-            self._count_error(provider)
+        errors = [error for _, error in results]
+        for provider, error in zip(targets, errors):
+            if error is not None:
+                self._count_error(provider)
         with self._lock:
-            self._gens.pop(key, None)
-        if len(errors) == len(targets):
-            raise errors[-1][1]
+            for (striped, _), members in groups.items():
+                if striped:
+                    for key in members:
+                        self._gens.pop(key, None)
+        for _, used in groups:
+            if all(error is not None for error in errors[:used]):
+                raise errors[used - 1]
 
     # -- health / quorum -------------------------------------------------------
 
@@ -527,21 +547,23 @@ class PlacementStore(ObjectStore):
                 continue
             holdings: dict[str, int] = {}
             frags: list[FragmentId] = []
+            malformed: list[str] = []
             for info in infos:
                 if is_fragment_key(info.key):
                     frag = parse_fragment_key(info.key)
                     if frag is None:
                         # Malformed key under frag/: an orphan by
                         # definition, nothing can reassemble it.
-                        try:
-                            provider.store.delete(info.key)
-                            report.orphans_deleted += 1
-                        except CloudError:
-                            pass
+                        malformed.append(info.key)
                         continue
                     frags.append(frag)
                 else:
                     holdings[info.key] = info.size
+            try:
+                provider.store.delete_many(malformed)
+                report.orphans_deleted += len(malformed)
+            except CloudError:
+                pass
             inventory[provider.name] = holdings
             fragments[provider.name] = frags
         by_name = {p.name: p for p in self.providers}
@@ -614,25 +636,29 @@ class PlacementStore(ObjectStore):
             # Delete every fragment outside the best generation, and —
             # for keys whose policy is not striped at all — every
             # fragment (the policy changed under the data; the mirrored
-            # object is authoritative).
+            # object is authoritative).  One request per provider;
+            # ``doomed`` maps provider -> [(fragment key, is stale)].
+            doomed: dict[str, list[tuple[str, bool]]] = {}
             for gen, idxs in sorted(gens.items()):
-                doomed = not policy.striped or gen != best
+                outdated = not policy.striped or gen != best
                 for index, (name, frag) in sorted(idxs.items()):
                     misplaced = (
-                        policy.striped and not doomed
+                        policy.striped and not outdated
                         and index < len(self.providers)
                         and self.providers[index].name != name
                     )
-                    if not doomed and not misplaced:
-                        continue
-                    try:
-                        by_name[name].store.delete(frag.key)
-                        if gen != best and policy.striped:
-                            report.stale_deleted += 1
-                        else:
-                            report.orphans_deleted += 1
-                    except CloudError:
-                        pass
+                    if outdated or misplaced:
+                        doomed.setdefault(name, []).append(
+                            (frag.key, gen != best and policy.striped)
+                        )
+            for name, frags in doomed.items():
+                try:
+                    by_name[name].store.delete_many([key for key, _ in frags])
+                except CloudError:
+                    continue
+                stale = sum(1 for _, is_stale in frags if is_stale)
+                report.stale_deleted += stale
+                report.orphans_deleted += len(frags) - stale
             if not policy.striped:
                 continue
             idxs = gens[best]

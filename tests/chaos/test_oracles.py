@@ -78,6 +78,83 @@ class TestGCOracle:
         assert verdict.ok
 
 
+class TestGCOracleOnBatchedGC:
+    """GC is one batch DELETE per checkpoint, but it is narrated — and
+    judged — per key.  A mutant request that also carries one WAL key
+    above the DB frontier must be caught from those events; one event
+    per *request* (under its first key) would wave it through."""
+
+    def _checkpoint(self, pools, mutate):
+        from repro.cloud.memory import InMemoryObjectStore
+        from repro.cloud.transport import TransportLayer, build_transport
+        from repro.chaos.crashpoints import EventLog
+        from repro.common.events import EventBus
+        from repro.core.checkpointer import (
+            CheckpointCollector,
+            CheckpointUploader,
+        )
+        from repro.core.cloud_view import CloudView
+        from repro.core.codec import ObjectCodec
+        from repro.core.config import GinjaConfig
+        from repro.storage.memory import MemoryFileSystem
+
+        bus = EventBus()
+        log = EventLog().attach(bus)
+        backend = InMemoryObjectStore()
+        config = GinjaConfig(max_retries=0)
+        view = CloudView()
+        wals = []
+
+        def confirm_wal():
+            ts = view.next_wal_ts()
+            meta = WALObjectMeta(ts=ts, filename="seg", offset=ts * 512)
+            backend.put(meta.key, b"w")
+            view.add_wal(meta)
+            wals.append(meta)
+
+        class GreedyGC(TransportLayer):
+            """Sits where the uploader's requests enter the transport:
+            no async twin, so the reactor bridges to this method."""
+
+            def delete_many(self, keys):
+                keys = list(keys)
+                if mutate:
+                    keys.append(wals[-1].key)  # one past the frontier
+                super().delete_many(keys)
+
+        transport = GreedyGC(build_transport(backend, config, bus=bus))
+        uploader = CheckpointUploader(config, transport, view, pools[1], bus)
+        fs = MemoryFileSystem()
+        fs.write("base/t", 0, b"\x00" * 64)
+        collector = CheckpointCollector(
+            config, ObjectCodec(), view, fs, POSTGRES_PROFILE,
+            uploader.enqueue, bus,
+        )
+        uploader.start()
+        for _ in range(3):
+            confirm_wal()
+        collector.begin()       # frontier: ts 2
+        confirm_wal()           # ts 3 lands during the checkpoint
+        collector.add_write("base/t", 0, b"x")
+        collector.end()
+        assert uploader.drain(timeout=10.0)
+        uploader.stop()
+        return _disaster(backend.snapshot(), log.upto()), wals
+
+    def test_honest_batch_passes(self, pools):
+        disaster, wals = self._checkpoint(pools, mutate=False)
+        assert wals[3].key in disaster.snapshot
+        verdict = _gc_oracle(disaster)
+        assert verdict.ok and "3 GC delete(s)" in verdict.detail
+
+    def test_mutant_batch_is_flagged_from_the_per_key_events(self, pools):
+        disaster, wals = self._checkpoint(pools, mutate=True)
+        assert wals[3].key not in disaster.snapshot  # the damage is real
+        verdict = _gc_oracle(disaster)
+        assert not verdict.ok
+        assert wals[3].key in verdict.detail
+
+
 class TestBillingOracle:
     def test_missing_meter_fails(self):
         assert not _billing_oracle(_disaster({}, [])).ok

@@ -1,12 +1,13 @@
 """Unit tests for the shared upload reactor (repro.cloud.reactor).
 
 The reactor is the one event-loop thread driving every tenant's WAL and
-checkpoint PUTs, so these tests pin exactly the properties the pipeline
-and fleet rely on: the bounded global window, per-lane fair-share
-admission, backoff bookkeeping without parked threads, the two cancel
-flavours (poison drops queued work only; abort interrupts in-flight
-PUTs), crash poisoning every attached lane, and a stop() that leaves no
-``ginja-`` threads behind.
+checkpoint PUTs and GC batch DELETEs, so these tests pin exactly the
+properties the pipeline and fleet rely on: the bounded global window,
+per-lane fair-share admission, backoff bookkeeping without parked
+threads, the two cancel flavours (poison drops queued work only; abort
+interrupts in-flight PUTs), crash poisoning every attached lane, a lane
+that goes when its last attachment and its last request have, and a
+stop() that leaves no ``ginja-`` threads behind.
 """
 
 from __future__ import annotations
@@ -44,6 +45,15 @@ class GatedStore(InMemoryObjectStore):
         finally:
             self.concurrent -= 1
         self.put(key, data)
+
+    async def _adelete_request(self, keys):
+        self.concurrent += 1
+        try:
+            while not self.release.is_set():
+                await asyncio.sleep(0.001)
+        finally:
+            self.concurrent -= 1
+        self._delete_request(keys)
 
 
 def wait_for(predicate, timeout=5.0):
@@ -114,6 +124,194 @@ class TestWindows:
     def test_submit_requires_attached_lane(self, reactor):
         with pytest.raises(GinjaError, match="not attached"):
             reactor.submit(InMemoryObjectStore(), "k", b"x", tenant="ghost")
+
+
+class TestLaneReaping:
+    """detach() used to delete a lane only if it was idle *at that
+    instant*.  Every crash runs cancel (deferred to the loop) straight
+    into detach, so the lane still had work in flight, was skipped, and
+    nothing ever reaped it: it stayed in health(), in the round-robin
+    order, and handed its window to any successor of the same name."""
+
+    def test_crashed_lane_is_reaped_when_its_last_request_settles(self, reactor):
+        store = GatedStore()
+        reactor.attach("t1", window=8)
+        inflight = reactor.submit(store, "k0", b"x", tenant="t1")
+        assert wait_for(lambda: store.concurrent == 1)
+        reactor.cancel("t1")
+        reactor.detach("t1")
+        assert inflight.wait(5.0) and inflight.cancelled
+        assert wait_for(lambda: "t1" not in reactor.health()["tenants"])
+        assert "t1" not in reactor._order
+        # A successor of the same name starts from its own window.
+        reactor.attach("t1", window=2)
+        assert reactor.health()["tenants"]["t1"]["window"] == 2
+
+    def test_lane_outlives_detach_until_its_work_is_done(self, reactor):
+        """No cancel: the detached lane's queued and running requests
+        still complete (a stop() that timed out its drain), and only
+        then does the lane go."""
+        store = GatedStore()
+        reactor.attach("t", window=1)
+        handles = [
+            reactor.submit(store, f"k{i}", b"x", tenant="t") for i in range(3)
+        ]
+        assert wait_for(lambda: store.concurrent == 1)
+        reactor.detach("t")
+        assert "t" in reactor.health()["tenants"]
+        store.release.set()
+        for handle in handles:
+            assert handle.wait(5.0) and handle.ok
+        assert wait_for(lambda: "t" not in reactor.health()["tenants"])
+
+    def test_reattach_before_the_reap_does_not_inherit_the_window(self, reactor):
+        store = GatedStore()
+        reactor.attach("t", window=8)
+        straggler = reactor.submit(store, "k", b"x", tenant="t")
+        assert wait_for(lambda: store.concurrent == 1)
+        reactor.detach("t")
+        reactor.attach("t", window=2)  # the recovered tenant, same name
+        assert reactor.health()["tenants"]["t"]["window"] == 2
+        store.release.set()
+        assert straggler.wait(5.0) and straggler.ok
+        assert "t" in reactor.health()["tenants"]  # attached: not reaped
+
+    def test_poisoned_lane_goes_when_its_wire_request_settles(self, reactor):
+        """The poison path (queued-only cancel) lets the PUT on the wire
+        run to its own verdict; the detached lane goes with it."""
+        store = GatedStore()
+        reactor.attach("t", window=1)
+        wire = reactor.submit(store, "k0", b"x", tenant="t")
+        queued = reactor.submit(store, "k1", b"x", tenant="t")
+        assert wait_for(lambda: store.concurrent == 1)
+        reactor.cancel("t", queued_only=True)
+        reactor.detach("t")
+        assert queued.wait(5.0) and queued.cancelled
+        assert "t" in reactor.health()["tenants"]  # k0 still in flight
+        store.release.set()
+        assert wire.wait(5.0) and wire.ok
+        assert wait_for(lambda: "t" not in reactor.health()["tenants"])
+
+
+class TestSubmitDelete:
+    """The second verb rides the first one's machinery: same lane queue
+    and window, same handle, cancel and on_done settlement."""
+
+    def test_batch_delete_resolves_like_a_put(self, reactor):
+        store = InMemoryObjectStore()
+        for i in range(5):
+            store.put(f"WAL/{i}", b"x")
+        reactor.attach("t", window=2)
+        seen = []
+        handle = reactor.submit_delete(
+            store, (f"WAL/{i}" for i in range(4)), tenant="t",
+            on_done=seen.append,
+        )
+        assert handle.wait(5.0) and handle.ok
+        assert (handle.key, handle.nbytes, handle.tenant) == ("WAL/0", 0, "t")
+        assert wait_for(lambda: seen == [handle])
+        assert [info.key for info in store.list()] == ["WAL/4"]
+
+    def test_no_keys_still_settles(self, reactor):
+        reactor.attach("t", window=1)
+        handle = reactor.submit_delete(InMemoryObjectStore(), [], tenant="t")
+        assert handle.wait(5.0) and handle.ok
+
+    def test_deletes_share_the_lane_window_with_puts(self, reactor):
+        store = GatedStore()
+        store.put("old", b"x")
+        reactor.attach("t", window=2)
+        first = reactor.submit(store, "k0", b"x", tenant="t")
+        gc = reactor.submit_delete(store, ["old"], tenant="t")
+        behind = reactor.submit(store, "k1", b"x", tenant="t")
+        assert wait_for(lambda: store.concurrent == 2)
+        lane = reactor.health()["tenants"]["t"]
+        assert (lane["inflight"], lane["queued"]) == (2, 1)
+        store.release.set()
+        for handle in (first, gc, behind):
+            assert handle.wait(5.0) and handle.ok
+        assert sorted(store.snapshot()) == ["k0", "k1"]
+
+    def test_cancel_interrupts_a_delete_on_the_wire(self, reactor):
+        store = GatedStore()
+        store.put("old", b"x")
+        reactor.attach("t", window=1)
+        handle = reactor.submit_delete(store, ["old"], tenant="t")
+        assert wait_for(lambda: store.concurrent == 1)
+        reactor.cancel("t")
+        assert handle.wait(5.0) and handle.cancelled
+        assert store.exists("old")
+
+    def test_sync_only_store_is_bridged(self):
+        class SyncOnly:
+            def __init__(self):
+                self.inner = InMemoryObjectStore()
+                self.threads = []
+
+            def delete_many(self, keys):
+                self.threads.append(threading.current_thread().name)
+                self.inner.delete_many(keys)
+
+        reactor = UploadReactor(inflight_window=2, io_threads=2)
+        reactor.start()
+        try:
+            reactor.attach("t", window=2)
+            store = SyncOnly()
+            store.inner.put("a", b"x")
+            handle = reactor.submit_delete(store, ["a"], tenant="t")
+            assert handle.wait(5.0) and handle.ok
+            assert len(store.inner) == 0
+            assert store.threads[0].startswith("ginja-reactor-io")
+        finally:
+            reactor.stop()
+
+    def test_native_stack_spawns_no_io_thread(self):
+        """The benchmark stacks are in-memory end to end: a GC request
+        must stay on the loop, or every stack grows an executor thread."""
+        from repro.cloud.simulated import SimulatedCloud
+        from repro.cloud.transport import build_transport
+
+        reactor = UploadReactor(inflight_window=2, io_threads=2)
+        reactor.start()
+        try:
+            cloud = SimulatedCloud(time_scale=0.0)
+            stack = build_transport(cloud, policy=RetryPolicy())
+            stack.put("WAL/0", b"x")
+            reactor.attach("t", window=2)
+            handle = reactor.submit_delete(stack, ["WAL/0"], tenant="t")
+            assert handle.wait(5.0) and handle.ok
+            assert cloud.meter.deletes.count == 1
+            assert not [t.name for t in threading.enumerate()
+                        if t.name.startswith("ginja-reactor-io")]
+        finally:
+            reactor.stop()
+
+    def test_skippable_delete_backs_off_on_a_loop_timer(self, reactor):
+        class Flaky(InMemoryObjectStore):
+            failures = 2
+
+            def delete(self, key):
+                if self.failures:
+                    self.failures -= 1
+                    raise CloudUnavailable("injected")
+                super().delete(key)
+
+        store = Flaky()
+        store.put("a", b"x")
+        bus = EventBus()
+        gc = []
+        bus.subscribe(gc.append, kinds={"gc_delete"})
+        layer = RetryLayer(
+            store, RetryPolicy(max_retries=5, base_backoff=1.0, jitter=0.0),
+            clock=ManualClock(), bus=bus,
+        )
+        reactor.attach("t", window=1)
+        handle = reactor.submit_delete(layer, ["a"], tenant="t")
+        assert handle.wait(5.0) and handle.ok
+        lane = reactor.health()["tenants"]["t"]
+        assert (lane["retries"], lane["backoffs"]) == (2, 0)
+        assert [(e.key, e.ok, e.attempt) for e in gc] == [("a", True, 3)]
+        assert len(store) == 0
 
 
 class TestCancel:

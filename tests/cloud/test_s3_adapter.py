@@ -7,6 +7,7 @@ import io
 import pytest
 
 from repro.common.errors import CloudError, CloudObjectNotFound
+from repro.cloud.interface import MAX_DELETE_KEYS
 from repro.cloud.s3 import BotoS3Store
 
 
@@ -38,6 +39,9 @@ class _StubClient:
     def __init__(self):
         self.objects: dict[str, bytes] = {}
         self.fail = False
+        #: Multi-Object Delete requests seen, and keys they must refuse.
+        self.batches: list[list[str]] = []
+        self.refuse: set[str] = set()
 
     def put_object(self, Bucket, Key, Body):
         if self.fail:
@@ -51,6 +55,20 @@ class _StubClient:
 
     def delete_object(self, Bucket, Key):
         self.objects.pop(Key, None)
+
+    def delete_objects(self, Bucket, Delete):
+        keys = [entry["Key"] for entry in Delete["Objects"]]
+        assert 1 <= len(keys) <= MAX_DELETE_KEYS and Delete["Quiet"] is True
+        if self.fail:
+            raise RuntimeError("simulated AWS error")
+        self.batches.append(keys)
+        errors = []
+        for key in keys:
+            if key in self.refuse:
+                errors.append({"Key": key, "Code": "AccessDenied"})
+            else:
+                self.objects.pop(key, None)
+        return {"Errors": errors} if errors else {}
 
     def get_paginator(self, name):
         assert name == "list_objects_v2"
@@ -104,3 +122,32 @@ class TestAdapter:
         client.fail = True
         with pytest.raises(CloudError):
             store.put("k", b"x")
+
+
+class TestMultiObjectDelete:
+    def test_one_delete_objects_call_per_slice_with_the_prefix(self):
+        client = _StubClient()
+        store = BotoS3Store("bucket", client=client, prefix="ginja/")
+        keys = [f"WAL/{i:05d}" for i in range(MAX_DELETE_KEYS + 2)]
+        for key in keys:
+            store.put(key, b"x")
+        store.delete_many(keys)
+        assert [len(batch) for batch in client.batches] == [MAX_DELETE_KEYS, 2]
+        assert client.batches[1] == ["ginja/WAL/01000", "ginja/WAL/01001"]
+        assert client.objects == {}
+
+    def test_provider_exception_is_wrapped(self):
+        client = _StubClient()
+        store = BotoS3Store("bucket", client=client)
+        client.fail = True
+        with pytest.raises(CloudError, match="DELETE 2 keys"):
+            store.delete_many(["a", "b"])
+
+    def test_per_key_errors_in_the_response_fail_the_request(self):
+        client = _StubClient()
+        store = BotoS3Store("bucket", client=client)
+        store.put("a", b"x")
+        store.put("b", b"y")
+        client.refuse = {"b"}
+        with pytest.raises(CloudError, match="1 refused.*'b'.*AccessDenied"):
+            store.delete_many(["a", "b"])

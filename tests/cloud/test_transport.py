@@ -380,6 +380,51 @@ class TestFaultAndTracing:
         (end,) = rec.of(events.PUT_END)
         assert end.ok is False
 
+    def test_every_start_gets_its_end_whatever_the_exit(self):
+        """Only a CloudError used to close the pair: an IntegrityError
+        out of a striped read, or an upload task cancelled by a tenant
+        abort, left a ``*_start`` that every start/end pairing then
+        carried open forever."""
+        import asyncio
+
+        from repro.common.errors import IntegrityError
+
+        class Corrupt(InMemoryObjectStore):
+            def get(self, key):
+                raise IntegrityError("fragment failed its checksum")
+
+            async def aput(self, key, data):
+                await asyncio.sleep(30)
+
+        bus = EventBus()
+        rec = Recorder(bus)
+        stack = build_transport(Corrupt(), bus=bus)
+        with pytest.raises(IntegrityError):
+            stack.get("k")
+        assert rec.kinds() == [events.GET_START, events.GET_END]
+        assert rec.of(events.GET_END)[0].ok is False
+
+        async def cancelled_upload():
+            task = asyncio.ensure_future(stack.aput("k", b"abc"))
+            await asyncio.sleep(0.01)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(cancelled_upload())
+        (end,) = rec.of(events.PUT_END)
+        assert (end.ok, end.key, end.nbytes) == (False, "k", 3)
+        assert len(rec.of(events.PUT_START)) == 1
+
+    def test_batch_delete_is_one_pair_under_its_first_key(self):
+        bus = EventBus()
+        rec = Recorder(bus)
+        stack = build_transport(InMemoryObjectStore(), bus=bus)
+        stack.delete_many(["WAL/3", "WAL/4", "WAL/5"])
+        assert rec.kinds() == [events.DELETE_START, events.DELETE_END]
+        assert [e.key for e in rec.events] == ["WAL/3", "WAL/3"]
+        assert rec.events[1].ok
+
 
 class TestSeedPlumbing:
     """GinjaConfig.seed feeds one shared RNG to every stochastic layer."""

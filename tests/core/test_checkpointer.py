@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import queue
+import asyncio
+import random
 import threading
 import time
 
@@ -30,6 +31,8 @@ from repro.core.stats import GinjaStats
 from repro.db.profiles import POSTGRES_PROFILE
 from repro.storage.memory import MemoryFileSystem
 
+from tests.cloud.test_reactor import wait_for
+
 
 def make_stack(pools, config=None, fs=None):
     config = config or GinjaConfig()
@@ -43,24 +46,20 @@ def make_stack(pools, config=None, fs=None):
     transport = build_transport(cloud, config, bus=bus)
     _stage, reactor = pools
     uploader = CheckpointUploader(config, transport, view, reactor, bus)
-    # The lane start() would attach, so run_uploader_once can drive
-    # _upload from the test thread.
-    reactor.attach("", window=config.uploaders)
+    uploader.start()  # attaches the lane; the pools fixture stops the loop
     collector = CheckpointCollector(
-        config, codec, view, fs, POSTGRES_PROFILE, uploader.queue, bus
+        config, codec, view, fs, POSTGRES_PROFILE, uploader.enqueue, bus
     )
     return config, fs, backend, view, stats, codec, uploader, collector
 
 
 def run_uploader_once(uploader):
-    """Process everything queued, synchronously: the PUTs ride the
-    reactor, but no checkpointer thread — failures raise right here."""
-    while True:
-        try:
-            item = uploader.queue.get_nowait()
-        except queue.Empty:
-            return
-        uploader._upload(item)
+    """Let everything enqueued run to completion on the reactor — parts,
+    registration and GC — and surface a failure right here."""
+    drained = uploader.drain(timeout=10.0)
+    if uploader.failed is not None:
+        raise uploader.failed
+    assert drained
 
 
 class TestCollector:
@@ -233,20 +232,22 @@ class TestRetention:
 
 class TestUploaderThread:
     def test_threaded_upload_and_drain(self, pools):
+        """The uploader has no thread of its own: the object uploads on
+        the reactor's, and stop() is a drain plus a lane detach."""
         _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(pools)
         fs.write("base/t", 0, b"\x00" * 10)
-        uploader.start()
-        try:
-            collector.begin()
-            collector.add_write("base/t", 0, b"x")
-            collector.end()
-            assert uploader.drain(timeout=5.0)
-            deadline = time.monotonic() + 5
-            while not backend.list("DB/") and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert backend.list("DB/")
-        finally:
-            uploader.stop(drain_timeout=5.0)
+        before = {t.name for t in threading.enumerate()}
+        collector.begin()
+        collector.add_write("base/t", 0, b"x")
+        collector.end()
+        assert uploader.drain(timeout=5.0)
+        assert backend.list("DB/")
+        assert {t.name for t in threading.enumerate()} == before
+        with pytest.raises(GinjaError, match="already started"):
+            uploader.start()
+        uploader.stop(drain_timeout=5.0)
+        assert uploader.failed is None
+        assert "" not in pools[1].health()["tenants"]
 
 
 class TestFreeze:
@@ -295,9 +296,9 @@ class TestFreeze:
 
 
 class TestWorkerFaults:
-    """Any exception escaping the worker must poison the uploader, and
-    drain() must wait on the worker's condition instead of polling —
-    before these guards a non-CloudError killed the thread silently and
+    """Any exception escaping a step must poison the uploader, and
+    drain() must wait on the machine's condition instead of polling —
+    before these guards a non-CloudError killed the worker silently and
     drain spun on ``clock.sleep(0.01)``, eating virtual-time deadlines."""
 
     def _stack(self, pools, store, clock=None):
@@ -311,7 +312,7 @@ class TestWorkerFaults:
         kwargs = {"clock": clock} if clock is not None else {}
         uploader = CheckpointUploader(config, transport, view, pools[1], **kwargs)
         collector = CheckpointCollector(
-            config, ObjectCodec(), view, fs, POSTGRES_PROFILE, uploader.queue
+            config, ObjectCodec(), view, fs, POSTGRES_PROFILE, uploader.enqueue
         )
         return uploader, collector
 
@@ -331,7 +332,9 @@ class TestWorkerFaults:
             self._enqueue_one(collector)
             # Pre-fix the thread died without setting _fatal and this
             # drain polled its whole 5 s timeout away before failing.
+            started = time.monotonic()
             assert uploader.drain(timeout=5.0) is False
+            assert time.monotonic() - started < 2.0
             assert isinstance(uploader.failed, ValueError)
         finally:
             uploader.stop(drain_timeout=0.1)
@@ -400,136 +403,284 @@ class TestWorkerFaults:
             uploader.stop(drain_timeout=1.0)
 
 
-class _ParkedSubmitReactor:
-    """The real reactor, except ``submit`` parks until released — holds
-    the checkpointer exactly between its dequeue and its submissions."""
+class GateStore(InMemoryObjectStore):
+    """An async store that parks chosen requests (as loop timers) until
+    released, and logs the order requests start and finish in."""
 
-    def __init__(self, reactor):
-        self._reactor = reactor
-        self.entered = threading.Event()
+    def __init__(self, hold=lambda op, key: False):
+        super().__init__()
+        self._hold = hold
         self.release = threading.Event()
+        self.log: list[tuple[str, str, str]] = []  # (op, key, edge)
 
-    def submit(self, *args, **kwargs):
-        self.entered.set()
-        assert self.release.wait(10.0)
-        return self._reactor.submit(*args, **kwargs)
+    async def _gated(self, op, key):
+        self.log.append((op, key, "start"))
+        while self._hold(op, key) and not self.release.is_set():
+            await asyncio.sleep(0.001)
 
-    def __getattr__(self, name):
-        return getattr(self._reactor, name)
+    async def aput(self, key, data):
+        await self._gated("put", key)
+        self.put(key, data)
+        self.log.append(("put", key, "end"))
+
+    async def _adelete_request(self, keys):
+        await self._gated("delete", keys[0])
+        self._delete_request(keys)
+        self.log.append(("delete", keys[0], "end"))
+
+    def started(self, op):
+        return [key for o, key, edge in self.log if o == op and edge == "start"]
+
+
+def holds_part(part):
+    """Gate predicate: park the PUT of DB-object part number ``part``."""
+    return lambda op, key: op == "put" and DBObjectMeta.parse(key).part == part
+
+
+def gated_stack(reactor, store, config=None, wal_objects=1):
+    """An uploader over ``store`` with ``wal_objects`` confirmed WAL
+    objects its next checkpoint's GC retires; nothing enqueued yet."""
+    config = config or GinjaConfig(max_retries=0, retry_backoff=0.001)
+    fs = MemoryFileSystem()
+    fs.write("base/t", 0, b"\x00" * (1 << 20))  # big enough: no dump
+    view = CloudView()
+    uploader = CheckpointUploader(
+        config, build_transport(store, config), view, reactor
+    )
+    collector = CheckpointCollector(
+        config, ObjectCodec(), view, fs, POSTGRES_PROFILE, uploader.enqueue
+    )
+    wals = []
+    for ts in range(wal_objects):
+        view.next_wal_ts()
+        wal = WALObjectMeta(ts=ts, filename="seg", offset=ts * 512)
+        store.put(wal.key, b"w")
+        view.add_wal(wal)
+        wals.append(wal)
+    uploader.start()
+    return uploader, collector, view, wals
+
+
+def checkpoint(collector, pages=1):
+    collector.begin()
+    for page in range(pages):
+        collector.add_write("base/t", page * 8192, b"p" * 8192)
+    collector.end()
+
+
+class TestOrdering:
+    """One object in flight at a time: objects reach the bucket in
+    ``seq`` order and GC follows durability, with no thread to order
+    them — only the completion callbacks."""
+
+    def test_second_object_waits_for_the_firsts_gc(self, pools):
+        store = GateStore(hold=lambda op, key: op == "delete")
+        uploader, collector, view, wals = gated_stack(pools[1], store)
+        checkpoint(collector)
+        # A WAL object confirmed after the first checkpoint began: the
+        # second checkpoint's GC retires it.
+        view.next_wal_ts()
+        later = WALObjectMeta(ts=1, filename="seg", offset=512)
+        store.put(later.key, b"w")
+        view.add_wal(later)
+        checkpoint(collector)
+        assert wait_for(lambda: store.started("delete"))
+        # Object 1's GC request is parked: object 2 has not submitted a
+        # part, and a drain cannot succeed.
+        time.sleep(0.05)
+        assert len(store.started("put")) == 1
+        assert uploader.drain(timeout=0.05) is False
+        assert uploader.failed is None
+        store.release.set()
+        assert uploader.drain(timeout=5.0)
+        first, second = (DBObjectMeta.parse(key) for key in store.started("put"))
+        assert (first.seq, second.seq) == (1, 2)
+        assert store.log.index(("delete", wals[0].key, "end")) < store.log.index(
+            ("put", second.key, "start")
+        )
+        assert store.list("WAL/") == []
+        assert len(view.db_objects()) == 2
+
+    def test_group_registers_only_after_every_part(self, pools):
+        config = GinjaConfig(
+            max_retries=0, retry_backoff=0.001, max_object_bytes=64 * 1024
+        )
+        store = GateStore(hold=holds_part(1))
+        uploader, collector, view, _wals = gated_stack(pools[1], store, config)
+        checkpoint(collector, pages=24)  # 192 KiB -> 3 parts
+        assert wait_for(lambda: len(store.started("put")) == 3)
+        time.sleep(0.05)
+        # Two parts are durable, one is parked: the view knows nothing
+        # of the group and no GC request went out.
+        assert view.total_db_bytes() == 0
+        assert view.wal_object_count() == 1
+        assert store.started("delete") == []
+        store.release.set()
+        assert uploader.drain(timeout=5.0)
+        assert len(view.db_objects()) == 3
+        assert store.started("delete") != []
 
 
 class TestAbortStopsTheWork:
-    """A crashed primary must stop editing the bucket.  ``_aborting``
-    used to be read only at dequeue, so a worker that had just dequeued
-    kept going: submitted its parts after abort()'s lane cancel, waited
-    on them unbounded, registered the object and ran the whole serial
-    GC DELETE loop — while abort() timed out its join and forgot the
-    thread (the intermittent fleet thread leak)."""
+    """A crashed primary must stop editing the bucket.  The machine
+    re-reads ``_aborting`` at every step, and nothing waits on a handle,
+    so an abort can neither be outrun (parts going in behind its lane
+    cancel, a GC request issued after it) nor leave anything behind to
+    join."""
 
-    def _stack(self, reactor, store):
-        config = GinjaConfig(max_retries=0, retry_backoff=0.001)
-        fs = MemoryFileSystem()
-        fs.write("base/t", 0, b"\x00" * 64)
-        view = CloudView()
-        uploader = CheckpointUploader(
-            config, build_transport(store, config), view, reactor
+    def test_abort_between_parts_deletes_nothing(self, pools):
+        config = GinjaConfig(
+            max_retries=0, retry_backoff=0.001, max_object_bytes=64 * 1024
         )
-        collector = CheckpointCollector(
-            config, ObjectCodec(), view, fs, POSTGRES_PROFILE, uploader.queue
-        )
-        # One confirmed WAL object the checkpoint's GC would delete.
-        view.next_wal_ts()
-        wal = WALObjectMeta(ts=0, filename="seg", offset=0)
-        store.put(wal.key, b"w")
-        view.add_wal(wal)
-        collector.begin()
-        collector.add_write("base/t", 0, b"x")
-        collector.end()
-        return uploader, view, wal
-
-    def test_abort_between_dequeue_and_submit_deletes_nothing(self, pools):
-        parked = _ParkedSubmitReactor(pools[1])
-        store = InMemoryObjectStore()
-        uploader, view, wal = self._stack(parked, store)
-        uploader.start()
-        worker = uploader._thread
-        assert parked.entered.wait(5.0)  # dequeued, about to submit
-        aborter = threading.Thread(target=uploader.abort)
-        aborter.start()
-        deadline = time.monotonic() + 5.0
-        while uploader.failed is None and time.monotonic() < deadline:
-            time.sleep(0.002)  # abort() has raised the flag...
-        time.sleep(0.05)       # ...and cancelled the (still empty) lane
-        parked.release.set()
-        aborter.join(timeout=10.0)
-        worker.join(timeout=10.0)
-        assert not aborter.is_alive() and not worker.is_alive()
+        store = GateStore(hold=holds_part(1))
+        uploader, collector, view, wals = gated_stack(pools[1], store, config)
+        checkpoint(collector, pages=24)  # 3 parts; part 1 parks
+        assert wait_for(lambda: len(store.list("DB/")) == 2)
+        uploader.abort()
+        store.release.set()
+        assert wait_for(lambda: "" not in pools[1].health()["tenants"])
         # Nothing was registered and — the point — nothing was deleted:
         # the WAL object a dead primary no longer owns is still there.
         assert view.total_db_bytes() == 0
         assert view.wal_object_count() == 1
-        assert store.exists(wal.key)
+        assert store.exists(wals[0].key)
+        assert store.started("delete") == []
+        assert len(store.list("DB/")) == 2  # the parked part never landed
+        assert isinstance(uploader.failed, GinjaError)
+        assert uploader.drain(timeout=0.05) is False
+
+    def test_abort_mid_gc_stops_before_the_next_delete(self, pools, monkeypatch):
+        # Two keys per request, so three retired WAL objects make two.
+        monkeypatch.setattr("repro.cloud.interface.MAX_DELETE_KEYS", 2)
+        store = GateStore(hold=lambda op, key: op == "delete")
+        uploader, collector, view, wals = gated_stack(
+            pools[1], store, wal_objects=3
+        )
+        checkpoint(collector)
+        assert wait_for(lambda: store.started("delete"))
+        uploader.abort()
+        store.release.set()
+        assert wait_for(lambda: "" not in pools[1].health()["tenants"])
+        # The first request was cancelled on the wire, the second never
+        # issued: all three objects are still in the bucket.
+        assert store.started("delete") == [wals[0].key]
+        assert [info.key for info in store.list("WAL/")] == [w.key for w in wals]
         assert isinstance(uploader.failed, GinjaError)
 
-    def test_abort_mid_gc_stops_before_the_next_delete(self, pools):
-        first_delete = threading.Event()
-        release = threading.Event()
+    def test_second_gc_slice_is_not_issued_after_an_abort(self, pools, monkeypatch):
+        """The flag is re-read between slices even when the first one
+        completed: abort lands while slice 1 is resolving."""
+        monkeypatch.setattr("repro.cloud.interface.MAX_DELETE_KEYS", 2)
+        store = GateStore()
+        uploader, collector, view, wals = gated_stack(
+            pools[1], store, wal_objects=3
+        )
+        real = store._delete_request
 
-        class ParkedDelete(InMemoryObjectStore):
-            deletes = 0
+        def abort_after_first(keys):
+            real(keys)
+            uploader._aborting = True  # what abort() raises first
 
-            def delete(self, key):
-                self.deletes += 1
-                first_delete.set()
-                assert release.wait(10.0)
-                super().delete(key)
+        store._delete_request = abort_after_first
+        checkpoint(collector)
+        assert wait_for(lambda: uploader.failed is not None)
+        assert store.started("delete") == [wals[0].key]
+        assert [info.key for info in store.list("WAL/")] == [wals[2].key]
+        assert "abandoned" in str(uploader.failed)
 
-        store = ParkedDelete()
-        uploader, view, _wal = self._stack(pools[1], store)
-        # A second GC candidate: the loop must not reach it.
-        view.next_wal_ts()
-        second = WALObjectMeta(ts=1, filename="seg", offset=512)
-        store.put(second.key, b"w")
-        view.add_wal(second)
-        uploader.queue.queue[0].ts = 1  # the checkpoint covers both
+    def test_reactor_crash_mid_checkpoint_fails_drain_promptly(self):
+        from repro.harness import running_pools
+
+        store = GateStore(hold=lambda op, key: op == "put")
+        with running_pools() as (_stage, reactor):
+            uploader, collector, view, _wals = gated_stack(reactor, store)
+            checkpoint(collector)
+            assert wait_for(lambda: store.started("put"))
+            outcome = []
+            drainer = threading.Thread(
+                target=lambda: outcome.append(uploader.drain(timeout=30.0))
+            )
+            drainer.start()
+            started = time.monotonic()
+            reactor.crash(RuntimeError("loop died"))
+            drainer.join(timeout=5.0)
+            assert not drainer.is_alive()
+            assert outcome == [False]
+            assert time.monotonic() - started < 5.0
+            assert "loop died" in str(uploader.failed)
+            assert view.total_db_bytes() == 0
+
+
+class PerKeyStore(InMemoryObjectStore):
+    """Overrides ``delete``, so every batch falls back to the per-key
+    loop — Alg. 3's one-by-one GC, kept as the reference."""
+
+    def __init__(self):
+        super().__init__()
+        self.singles = 0
+
+    def delete(self, key):
+        self.singles += 1
+        super().delete(key)
+
+
+class TestBatchedGCEquivalence:
+    """The counter the benchmark reads changed meaning per request, not
+    per key; this is the proof that the same keys still leave the
+    bucket."""
+
+    def _run_script(self, pools, store, seed):
+        rng = random.Random(seed)
+        config = GinjaConfig(
+            max_retries=0, retry_backoff=0.001, dump_threshold=1.5,
+            retention=RetentionPolicy.keep(1) if seed % 2 else RetentionPolicy.none(),
+        )
+        fs = MemoryFileSystem()
+        fs.write("base/t", 0, b"\x00" * (32 * 1024))
+        view = CloudView()
+        uploader = CheckpointUploader(
+            config, build_transport(store, config), view, pools[1]
+        )
+        collector = CheckpointCollector(
+            config, ObjectCodec(), view, fs, POSTGRES_PROFILE, uploader.enqueue
+        )
         uploader.start()
-        worker = uploader._thread
-        assert first_delete.wait(5.0)
-        aborter = threading.Thread(target=uploader.abort)
-        aborter.start()
-        deadline = time.monotonic() + 5.0
-        while uploader.failed is None and time.monotonic() < deadline:
-            time.sleep(0.002)
-        release.set()
-        aborter.join(timeout=10.0)
-        worker.join(timeout=10.0)
-        assert not aborter.is_alive() and not worker.is_alive()
-        assert store.deletes == 1
-        assert store.exists(second.key)
+        ts = 0
+        for _ in range(12):
+            collector.begin()
+            for _ in range(rng.randrange(0, 9)):  # WAL confirmed meanwhile
+                view.next_wal_ts()
+                wal = WALObjectMeta(ts=ts, filename="seg", offset=ts * 512)
+                store.put(wal.key, bytes([ts % 251]) * rng.randrange(1, 64))
+                view.add_wal(wal)
+                ts += 1
+            for _ in range(rng.randrange(1, 4)):
+                collector.add_write(
+                    "base/t", rng.randrange(4) * 8192, bytes([rng.randrange(256)]) * 8192
+                )
+            collector.end()
+            # One at a time: dump-or-increment reads the view, so an
+            # object still in flight would make the script's next
+            # decision a race instead of a function of the seed.
+            run_uploader_once(uploader)
+        uploader.stop(drain_timeout=5.0)
+        return store.snapshot(), view
 
-    def test_timed_out_join_keeps_the_thread_and_records_it(self, pools):
-        """stop()/abort() used to null ``_thread`` after a timed-out
-        join — the leak pattern EncodeStage.stop() was cured of."""
-        release = threading.Event()
-
-        class ParkedDelete(InMemoryObjectStore):
-            def delete(self, key):
-                assert release.wait(10.0)
-                super().delete(key)
-
-        store = ParkedDelete()
-        uploader, _view, wal = self._stack(pools[1], store)
-        uploader.start()
-        worker = uploader._thread
-        try:
-            deadline = time.monotonic() + 5.0
-            while not store.list("DB/") and time.monotonic() < deadline:
-                time.sleep(0.002)  # the part landed; GC is parked next
-            uploader._halt(join_timeout=0.1)
-            assert uploader._thread is worker and worker.is_alive()
-            assert "failed to stop" in str(uploader.failed)
-        finally:
-            release.set()
-            worker.join(timeout=10.0)
-        assert not worker.is_alive()
-        assert not store.exists(wal.key)  # it was a live stop: GC finished
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_same_script_leaves_the_same_bucket(self, pools, monkeypatch, seed):
+        # Small requests, so multi-slice GC is exercised too.
+        monkeypatch.setattr("repro.cloud.interface.MAX_DELETE_KEYS", 4)
+        batched, view_a = self._run_script(pools, InMemoryObjectStore(), seed)
+        reference = PerKeyStore()
+        per_key, view_b = self._run_script(pools, reference, seed)
+        assert reference.singles > 0
+        assert sorted(batched) == sorted(per_key)
+        assert batched == per_key  # bodies too
+        assert view_a.wal_objects() == view_b.wal_objects()
+        assert view_a.db_objects() == view_b.db_objects()
+        # And GC did happen: what a checkpoint covers is gone.
+        frontier = max(meta.ts for meta in view_a.db_objects())
+        assert all(
+            WALObjectMeta.parse(key).ts > frontier
+            for key in batched if key.startswith("WAL/")
+        )

@@ -4,7 +4,8 @@ Regression test for a bug found during integration: a single transient
 DELETE error killed the Checkpointer thread permanently, stalling all
 future checkpoint replication while commits kept flowing — silent
 divergence.  Deletes now retry and, on exhaustion, skip (an orphaned
-object is storage waste, not a correctness problem)."""
+object is storage waste, not a correctness problem) — as a unit: GC is
+one batch DELETE request, retried and skipped whole, narrated per key."""
 
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ class DeleteFailsOnce(InMemoryObjectStore):
         super().delete(key)
 
 
-def run_checkpoint(pools, store, config=None):
+def run_checkpoint(pools, store, config=None, wal_objects=1):
     config = config or GinjaConfig(max_retries=2, retry_backoff=0.001)
     fs = MemoryFileSystem()
     fs.write("base/t", 0, b"\x00" * 100)
@@ -53,44 +54,57 @@ def run_checkpoint(pools, store, config=None):
     transport = build_transport(store, config, bus=bus)
     _stage, reactor = pools
     uploader = CheckpointUploader(config, transport, view, reactor, bus)
-    reactor.attach("", window=config.uploaders)  # what start() would do
+    uploader.start()  # attaches the lane; the pools fixture stops the loop
     collector = CheckpointCollector(
         config, ObjectCodec(), view, fs, POSTGRES_PROFILE,
-        uploader.queue, bus,
+        uploader.enqueue, bus,
     )
-    # One confirmed WAL object that GC will try to delete.
-    view.next_wal_ts()
-    wal = WALObjectMeta(ts=0, filename="seg", offset=0)
-    store.put(wal.key, b"w")
-    view.add_wal(wal)
+    # Confirmed WAL objects that GC will try to delete.
+    for ts in range(wal_objects):
+        view.next_wal_ts()
+        wal = WALObjectMeta(ts=ts, filename="seg", offset=ts * 512)
+        store.put(wal.key, b"w")
+        view.add_wal(wal)
+    checkpoint(collector)
+    drained = uploader.drain(timeout=10.0)
+    if uploader.failed is not None:
+        raise uploader.failed
+    assert drained
+    return store, view, stats, uploader, collector
+
+
+def checkpoint(collector):
     collector.begin()
     collector.add_write("base/t", 0, b"x")
     collector.end()
-    import queue
-    while True:
-        try:
-            item = uploader.queue.get_nowait()
-        except queue.Empty:
-            break
-        uploader._upload(item)
-    return store, view, stats, uploader
 
 
 class TestDeleteResilience:
     def test_permanent_delete_failure_is_skipped(self, pools):
-        store, view, stats, uploader = run_checkpoint(pools, DeleteAlwaysFails())
+        store, view, stats, uploader, collector = run_checkpoint(
+            pools, DeleteAlwaysFails(), wal_objects=3
+        )
         # The checkpoint itself was uploaded...
-        assert store.list("DB/")
-        # ...the doomed delete was abandoned, not fatal.
-        assert stats.gc_delete_failures == 1
+        assert len(store.list("DB/")) == 1
+        # ...the doomed request was abandoned, not fatal — skipped as a
+        # unit, one gc_delete ok=False per key it carried.
+        assert stats.gc_delete_failures == 3
+        assert stats.gc_deletes == 0
         assert uploader.failed is None
-        # The view no longer tracks the orphan (recovery ignores it).
+        # The view no longer tracks the orphans (recovery ignores them).
         assert view.wal_object_count() == 0
+        assert len(store.list("WAL/")) == 3
+        # And the uploader lives on: the next checkpoint still uploads.
+        checkpoint(collector)
+        assert uploader.drain(timeout=10.0)
+        assert len(store.list("DB/")) == 2
 
     def test_transient_delete_failure_retried_to_success(self, pools):
-        store, _view, stats, uploader = run_checkpoint(pools, DeleteFailsOnce())
+        store, _view, stats, uploader, _collector = run_checkpoint(
+            pools, DeleteFailsOnce(), wal_objects=3
+        )
         assert stats.gc_delete_failures == 0
-        assert stats.gc_deletes == 1
+        assert stats.gc_deletes == 3
         assert store.list("WAL/") == []  # eventually deleted
         assert uploader.failed is None
 

@@ -84,17 +84,19 @@ class TestGCQueries:
         for ts in range(5):
             view.next_wal_ts()
             view.add_wal(wal(ts))
-        upto = view.wal_objects_upto(2)
+        upto = view.pop_wal_upto(2)
         assert [m.ts for m in upto] == [0, 1, 2]
+        assert [m.ts for m in view.wal_objects()] == [3, 4]
 
     def test_remove_wal(self):
         view = CloudView()
         view.next_wal_ts()
         view.add_wal(wal(0))
-        removed = view.remove_wal(0)
-        assert removed is not None and removed.ts == 0
+        (removed,) = view.pop_wal_upto(0)
+        assert removed.ts == 0
         assert view.wal_object_count() == 0
-        assert view.remove_wal(0) is None
+        assert view.pop_wal_upto(0) == []
+        assert view.confirmed_ts() == 0  # the frontier does not move back
 
 
 class TestListIngestion:

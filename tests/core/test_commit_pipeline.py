@@ -530,6 +530,76 @@ class TestUnlockOnTheReactorLoop:
                 pipe.stop(drain_timeout=5.0)
 
 
+    def test_a_lane_parked_on_a_slow_gc_request_never_delays_the_others(self, pools):
+        """Checkpoint GC rides the same loop as every lane's WAL acks.
+        A GC request that takes its time parks as a loop timer on its
+        own lane; lanes b and c must keep unlocking batches meanwhile,
+        and lane a's own WAL PUTs keep flowing beside it."""
+        import asyncio
+
+        from repro.core.checkpointer import CheckpointCollector, CheckpointUploader
+        from repro.db.profiles import POSTGRES_PROFILE
+        from repro.storage.memory import MemoryFileSystem
+
+        released = threading.Event()
+        gc_started = threading.Event()
+
+        class SlowGC(InMemoryObjectStore):
+            async def _adelete_request(self, keys):
+                gc_started.set()
+                while not released.is_set():
+                    await asyncio.sleep(0.001)
+                self._delete_request(keys)
+
+        config = GinjaConfig(batch=1, safety=2, batch_timeout=0.01,
+                             safety_timeout=60.0, uploaders=2)
+        stage, reactor = pools
+        backends = {"a": SlowGC(), "b": InMemoryObjectStore(),
+                    "c": InMemoryObjectStore()}
+        views = {lane: CloudView() for lane in backends}
+        pipes = {
+            lane: CommitPipeline(config, backend, ObjectCodec(), views[lane],
+                                 stage, reactor, lane=lane)
+            for lane, backend in backends.items()
+        }
+        uploader = CheckpointUploader(
+            config, backends["a"], views["a"], reactor, lane="a"
+        )
+        fs = MemoryFileSystem()
+        fs.write("base/t", 0, b"\x00" * 64)
+        collector = CheckpointCollector(
+            config, ObjectCodec(), views["a"], fs, POSTGRES_PROFILE,
+            uploader.enqueue,
+        )
+        for pipe in pipes.values():
+            pipe.start()
+        uploader.start()
+        try:
+            pipes["a"].submit("seg", 0, b"a")  # something for GC to retire
+            assert pipes["a"].drain(timeout=5.0)
+            collector.begin()
+            collector.add_write("base/t", 0, b"x")
+            collector.end()
+            assert gc_started.wait(5.0)  # lane a's GC request is parked
+            for round_ in range(10):
+                for lane in ("a", "b", "c"):
+                    pipes[lane].submit("seg", (round_ + 1) * 512, lane.encode())
+            for lane in ("a", "b", "c"):
+                assert pipes[lane].drain(timeout=5.0)
+            assert len(backends["b"].list("WAL/")) == 10
+            assert len(backends["c"].list("WAL/")) == 10
+            assert len(backends["a"].list("WAL/")) == 11  # GC still parked
+            assert uploader.drain(timeout=0.05) is False
+            released.set()
+            assert uploader.drain(timeout=5.0)
+            assert len(backends["a"].list("WAL/")) == 10
+        finally:
+            released.set()
+            uploader.stop(drain_timeout=5.0)
+            for pipe in pipes.values():
+                pipe.stop(drain_timeout=5.0)
+
+
 class TestAbort:
     def test_abort_releases_blocked_writer_and_skips_drain(self, pools):
         """Abrupt primary loss: a writer parked on the Safety limit must

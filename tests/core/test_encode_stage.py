@@ -443,6 +443,12 @@ class TestEncodeEvents:
         try:
             pipe.submit("seg", 0, b"x" * 64)
             assert pipe.drain(timeout=5.0)
+            # The encoder worker emits encode_done *after* handing the
+            # blob to the reactor, so the upload can ack — and drain()
+            # return — a beat before the event is out.
+            deadline = time.monotonic() + 5.0
+            while len(seen) < 2 and time.monotonic() < deadline:
+                time.sleep(0.002)
         finally:
             pipe.stop(drain_timeout=5.0)
         kinds = {e.kind for e in seen}

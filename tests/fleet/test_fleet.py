@@ -8,6 +8,7 @@ shared-pool threads.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -110,7 +111,11 @@ class TestFleetLifecycle:
         assert ginja.drain(timeout=30.0)
         assert fleet.tenant("keep").drain(timeout=30.0)
         db.close()
+        assert ginja.drain(timeout=30.0)  # the closing checkpoint and its GC
+        deletes = fleet.meters.total.deletes.count
         fleet.remove_tenant("gone", purge=True)
+        # The whole keyspace goes in one batch DELETE, billed to its owner.
+        assert fleet.meters.total.deletes.count == deletes + 1
         keys = [info.key for info in fleet.transport.list()]
         assert keys  # keep's objects survive
         assert not any(key.startswith("tenants/gone/") for key in keys)
@@ -368,6 +373,10 @@ class TestReactorOwnership:
         reactorish = named("ginja-reactor")
         assert reactorish.count("ginja-reactor") == 1
         assert named("ginja-uploader") == []
+        # And a tenant costs exactly one thread — its aggregator: the
+        # checkpoint path is a state machine on the tenant's lane.
+        assert len(named("ginja-aggregator")) == 6
+        assert named("ginja-checkpointer") == []
         # The executor bridge is a fixed-size pool, not one per tenant
         # (and idle with a native-async store: workers spawn lazily).
         io = [n for n in reactorish if n.startswith("ginja-reactor-io")]
@@ -375,3 +384,55 @@ class TestReactorOwnership:
 
         for _, db in tenants:
             db.close()
+
+    def test_crash_then_remove_leaves_no_lane_behind(self):
+        """crash_tenant cancels the lane (deferred to the loop) and
+        detaches it straight after, with PUTs still on the wire; the
+        lane used to be skipped by that detach and never reaped."""
+
+        class SlowToUnwind(InMemoryObjectStore):
+            """A PUT that takes its time, also to give up when cancelled
+            (a connection being torn down)."""
+
+            slow = False
+
+            async def aput(self, key, data):
+                if self.slow and "/victim/" in key:
+                    try:
+                        await asyncio.sleep(0.3)
+                    except asyncio.CancelledError:
+                        await asyncio.sleep(0.3)
+                        raise
+                self.put(key, data)
+
+        backend = SlowToUnwind()
+        manager = FleetManager(backend, SharedPoolConfig(encoders=2))
+        manager.start()
+        try:
+            _ginja, db = admit(manager, "victim")
+            _other, db_other = admit(manager, "bystander")
+            backend.slow = True
+            commit_rows(db, "victim", 6)  # two batches of slow PUTs
+
+            def busy():
+                lane = manager.reactor.health()["tenants"]["victim"]
+                return lane["inflight"] + lane["queued"] > 0
+
+            deadline = time.monotonic() + 5.0
+            while not busy() and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert busy()
+            manager.crash_tenant("victim")
+            manager.remove_tenant("victim")
+            deadline = time.monotonic() + 5.0
+            while ("victim" in manager.reactor.health()["tenants"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            lanes = manager.reactor.health()["tenants"]
+            assert "victim" not in lanes and "bystander" in lanes
+            # The bystander's lane is untouched and still uploads.
+            commit_rows(db_other, "bystander", 3)
+            assert manager.tenant("bystander").drain(timeout=30.0)
+            db_other.close()
+        finally:
+            manager.stop_all()

@@ -175,6 +175,52 @@ class TestRepair:
         assert view.last_assigned_ts() == 2
         assert all(meta.ts != 4 for meta in view.wal_objects())
 
+    def test_skipped_delete_behind_a_retry_transport_is_reported_skipped(self):
+        """reboot and failover hand repair the retry-wrapped transport,
+        whose RetryLayer absorbs an exhausted DELETE and returns None —
+        so every doomed key used to land in ``deleted`` while still
+        sitting in the bucket.  The verdict is read from the bucket."""
+        from repro.cloud.faults import FaultPolicy
+        from repro.cloud.metering import RequestMeter
+        from repro.cloud.retry import RetryPolicy
+        from repro.cloud.transport import build_transport
+        from repro.common.errors import CloudUnavailable
+        from repro.common.events import EventBus
+
+        class DeleteAlwaysFails(FaultPolicy):
+            def check(self, op, now, rng):
+                if op == "DELETE":
+                    raise CloudUnavailable("DELETE: refused")
+
+        backend = healthy_bucket()
+        backend.delete(wal_key(3))  # gap: 4, 5 and 6 become orphans
+        bus = EventBus()
+        meter = RequestMeter().attach(bus)
+        transport = build_transport(
+            backend, policy=RetryPolicy(max_retries=0),
+            faults=DeleteAlwaysFails(), metered=True, bus=bus,
+        )
+        view = CloudView()
+        report = repair(transport, view=view, mode="resync")
+        orphans = [wal_key(ts) for ts in (4, 5, 6)]
+        assert report.deleted == []
+        assert report.skipped == orphans
+        assert all(backend.exists(key) for key in orphans)
+        assert view.last_assigned_ts() == 2  # still resynced below them
+        # Through a transport that works, the same keys are deleted —
+        # and a clean bucket costs one LIST, not two.
+        healthy = build_transport(
+            backend, policy=RetryPolicy(max_retries=0), metered=True, bus=bus,
+        )
+        lists = meter.lists.count
+        again = repair(healthy, view=view, mode="resync")
+        assert again.deleted == orphans and again.skipped == []
+        assert meter.lists.count == lists + 2
+        assert meter.deletes.count == 1  # one batch request
+        clean = repair(healthy, view=view, mode="resync")
+        assert clean.deleted == [] and clean.skipped == []
+        assert meter.lists.count == lists + 3
+
     def test_mode_validation(self):
         store = InMemoryObjectStore()
         with pytest.raises(GinjaError):

@@ -3,6 +3,8 @@
 
     python3 scripts/bench_compare.py HEAD~1
     python3 scripts/bench_compare.py <rev> --pairs 10 --workload tpcc_tight
+    python3 scripts/bench_compare.py <rev> --pairs 3 --workload tpcc_relaxed \
+        --layers storage.interposer.cross_us_per_op,db.self_us_per_op
 
 Reads ``BENCHMARK.json`` (command, run length, workloads, end-to-end
 metrics with their direction and bound), exports ``<rev>`` into a
@@ -19,6 +21,12 @@ change failed a larger share of operations, or when a change median is
 worse than the parent's by more than the bound; a spread wider than the
 bound is reported as unresolved, not as unchanged.  ``--markdown`` adds
 the table CHANGES.md entries quote.
+
+``--layers NAME[,NAME…]`` runs the same alternating pairs with the
+benchmark's ``--trace 1`` and tabulates the named per-layer metrics the
+same way.  Per-layer metrics have no bound, so nothing there is gated:
+the table says where a saving or a cost sits, and only a run that was
+not ``correct`` fails the comparison.
 
 The parent comes from ``git archive`` piped into ``tar``, not from
 ``git worktree add``: an interrupted comparison then leaves nothing
@@ -57,11 +65,11 @@ def export(rev: str, target: Path) -> None:
 
 
 def run_once(command: list[str], cwd: Path, workload: str, seed: int,
-             seconds: float) -> dict:
+             seconds: float, trace: int) -> dict:
     """One benchmark run; the last line of its stdout is the result."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=cwd, capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
@@ -80,7 +88,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def judge(metric: dict, parent: list[float], change: list[float]) -> dict:
-    """One workload × metric row: medians, quartiles, pairs, verdict."""
+    """One workload × metric row: medians, quartiles, pairs, verdict
+    (no verdict for a per-layer metric, which declares no bound)."""
     lower = metric["better"] == "lower"
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
@@ -90,9 +99,12 @@ def judge(metric: dict, parent: list[float], change: list[float]) -> dict:
     gap = ((c_med - p_med) if lower else (p_med - c_med)) / p_med if p_med else 0.0
     spread = max(p_q3 - p_q1, c_q3 - c_q1) / abs(p_med) if p_med else 0.0
     separated = (max(change) < min(parent)) if lower else (min(change) > max(parent))
-    if gap > metric["bound"]:
+    bound = metric.get("bound")
+    if bound is None:
+        verdict = ""
+    elif gap > bound:
         verdict = "REGRESSION"
-    elif spread > metric["bound"] and not separated:
+    elif spread > bound and not separated:
         verdict = "unresolved"
     elif (len(parent) >= MIN_PAIRS_FOR_A_GAIN and won >= 0.9 * (won + lost)
           and won > 0 and abs(c_med - p_med) > (p_q3 - p_q1)):
@@ -110,18 +122,23 @@ def fmt(triple: tuple[float, float, float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def bound_of(metric: dict) -> str:
+    return f"{metric['bound']:.0%}" if "bound" in metric else "none"
+
+
 def report(workload: str, rows: dict[str, dict], metrics: list[dict],
            pairs: int) -> None:
+    width = max(22, *(len(m["name"]) for m in metrics))
     print(f"\n== {workload}: {pairs} pair(s), median [q1, q3]; "
           f"gap > 0 means the change is worse ==")
-    print(f"{'metric':22} {'parent':>28} {'change':>28} "
+    print(f"{'metric':{width}} {'parent':>28} {'change':>28} "
           f"{'won/lost':>9} {'gap':>8} {'bound':>6}  verdict")
     for metric in metrics:
         row = rows[metric["name"]]
-        print(f"{metric['name']:22} {fmt(row['parent']):>28} "
+        print(f"{metric['name']:{width}} {fmt(row['parent']):>28} "
               f"{fmt(row['change']):>28} "
               f"{row['won']:>4}/{row['lost']:<4} {row['gap']:>+8.1%} "
-              f"{metric['bound']:>6.0%}  {row['verdict']}")
+              f"{bound_of(metric):>6}  {row['verdict']}")
 
 
 def markdown(table: dict[str, dict[str, dict]], metrics: list[dict]) -> str:
@@ -136,7 +153,7 @@ def markdown(table: dict[str, dict[str, dict]], metrics: list[dict]) -> str:
             label = f"`{workload}`" if side == "parent" else ""
             lines.append(f"| {label} | {side} | {cells} |")
         cells = " | ".join(
-            f"{rows[m['name']]['gap']:+.1%} / {m['bound']:.0%}, "
+            f"{rows[m['name']]['gap']:+.1%} / {bound_of(m)}, "
             f"{rows[m['name']]['won']}–{rows[m['name']]['lost']}"
             for m in metrics
         )
@@ -154,6 +171,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="repeatable; default: every workload")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair; pair i uses seed + i")
+    parser.add_argument("--layers", metavar="NAME[,NAME…]",
+                        help="traced runs: tabulate these per-layer metrics "
+                             "instead of the end-to-end ones (no gate)")
     parser.add_argument("--markdown", action="store_true",
                         help="also print the table as markdown")
     parser.add_argument("--json-out", type=Path,
@@ -163,6 +183,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1")
     workloads = args.workload or known
     metrics = spec["end_to_end"]
+    if args.layers:
+        declared = {m["name"]: m for m in spec["per_layer"]}
+        names = args.layers.split(",")
+        unknown = [n for n in names if n not in declared]
+        if unknown:
+            parser.error(f"not per-layer metrics of BENCHMARK.json: {unknown}")
+        metrics = [declared[n] for n in names]
     seconds = spec["run_seconds"]
 
     started = time.monotonic()
@@ -177,7 +204,8 @@ def main(argv: list[str] | None = None) -> int:
             for workload in workloads:
                 for side in order:
                     result = run_once(spec["command"], where[side], workload,
-                                      args.seed + pair, seconds)
+                                      args.seed + pair, seconds,
+                                      trace=1 if args.layers else 0)
                     runs[workload][side].append(result)
                 print(f"pair {pair + 1}/{args.pairs} {workload:14} "
                       f"{order[0]} first, {time.monotonic() - started:6.0f} s",

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from repro.cloud import aio
 from repro.common import events
-from repro.common.clock import Clock, SYSTEM_CLOCK
+from repro.common.clock import Clock, SYSTEM_CLOCK, SleepAccount
 from repro.common.errors import CloudUnavailable
 from repro.common.events import EventBus, NULL_BUS
 from repro.cloud.faults import FaultPolicy
@@ -122,7 +122,10 @@ def _take_modeled() -> tuple[float, int]:
 
 
 class LatencyLayer(TransportLayer):
-    """Models request latency: sleeps ``modeled * time_scale`` seconds.
+    """Models request latency: a synchronous verb paces its thread by
+    ``modeled * time_scale`` seconds (:meth:`Clock.pace`, so the mean
+    cost is the model's, not the host's sleep granularity); the async
+    twins are loop timers.
 
     Also measures the bytes a PUT replaces / a DELETE removes (it is the
     layer closest to the backend, so its listing reflects the state the
@@ -146,6 +149,7 @@ class LatencyLayer(TransportLayer):
         self._model = model
         self._clock = clock
         self._time_scale = time_scale
+        self._account = SleepAccount()
         self._rng = rng or random.Random(0)
         self._epoch = clock.now() if epoch is None else epoch
 
@@ -154,8 +158,7 @@ class LatencyLayer(TransportLayer):
         return self._model
 
     def _pay(self, modeled_latency: float) -> float:
-        if modeled_latency > 0 and self._time_scale > 0:
-            self._clock.sleep(modeled_latency * self._time_scale)
+        self._clock.pace(self._account, modeled_latency * self._time_scale)
         return modeled_latency
 
     def _existing_size(self, key: str) -> int:

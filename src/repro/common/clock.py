@@ -10,16 +10,32 @@ Two implementations are provided:
   without sleeping through it.
 
 The Ginja pipeline itself runs on real threads; simulated components
-(cloud latency, disk latency) sleep for ``modeled_latency * time_scale``
-but *meter* the full modeled latency, so experiments can report the
-paper's time units while executing quickly.
+(FUSE crossing, disk latency, cloud latency) *pace* the calling thread
+by ``modeled_latency * time_scale`` through :meth:`Clock.pace` but
+*meter* the full modeled latency, so experiments can report the paper's
+time units while executing quickly.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
+
+
+class SleepAccount(threading.local):
+    """What one modelled-latency site owes the host's sleep, per thread.
+
+    A site (the interposer, the disk model, the latency layer) owns one
+    and hands it to :meth:`Clock.pace` with every request.  ``owed`` is
+    negative while the calling thread still holds credit from an earlier
+    sleep that ran long.  Thread-local, so a thread never coasts on
+    another's oversleep; per site, so each layer's measured cost stays
+    its own model's.
+    """
+
+    owed = 0.0
 
 
 class Clock:
@@ -32,6 +48,16 @@ class Clock:
     def sleep(self, seconds: float) -> None:
         """Block the calling thread for ``seconds``."""
         raise NotImplementedError
+
+    def pace(self, account: SleepAccount, seconds: float) -> None:
+        """Charge the calling thread a *modelled* latency of ``seconds``.
+
+        Where :meth:`sleep` promises at least ``seconds``, this promises
+        ``seconds`` in the mean over the requests ``account`` sees.  A
+        clock whose sleep is exact — this default — just sleeps.
+        """
+        if seconds > 0:
+            self.sleep(seconds)
 
     async def sleep_async(self, seconds: float) -> None:
         """Pause the calling *task* for ``seconds`` without holding a
@@ -52,6 +78,40 @@ class MonotonicClock(Clock):
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds)
+
+    def pace(self, account: SleepAccount, seconds: float) -> None:
+        """Sleep only what ``account`` owes, and carry the oversleep.
+
+        ``time.sleep(100 µs)`` takes 200 µs and more on a stock kernel,
+        so a model paid one raw sleep per request runs 2x slow.  The
+        request is added to the thread's debt; the thread sleeps only
+        while it owes, measures what the sleep really took, and keeps
+        the overshoot as credit the next requests spend before sleeping
+        again — elapsed time never falls below modelled time, and their
+        means agree.  Every sleep is measured, so nothing about the
+        host's timer granularity is assumed.  No spinning to the
+        deadline: on a small box that holds the GIL against the threads
+        the model exists to measure.
+
+        Credit is capped at the interpreter's switch interval, the
+        longest a woken thread waits to be handed the GIL back: timer
+        slack, wake-up and that hand-back are what a sleep costs here;
+        anything longer is a stall of the host, and a stall must not
+        buy a burst of free requests.
+
+        The sleeping itself is :meth:`sleep`, so a subclass that
+        switches its sleeps off keeps its meaning: a sleep that returns
+        early counts as paid in full and earns nothing.
+        """
+        if seconds <= 0:
+            return
+        owed = account.owed + seconds
+        if owed > 0:
+            started = self.now()
+            self.sleep(owed)
+            over = self.now() - started - owed
+            owed = -min(max(over, 0.0), sys.getswitchinterval())
+        account.owed = owed
 
     async def sleep_async(self, seconds: float) -> None:
         # A loop timer: a backing-off upload holds zero threads.

@@ -63,7 +63,12 @@ and the trace recorder subscribe there instead of being threaded
 through the constructor.  Per-write emits are guarded with
 :meth:`EventBus.wants` so an audience of zero costs nothing.  All
 waiting is condition-based with computed deadlines — an idle pipeline
-does not spin, and a T_B/T_S expiry fires on time.
+does not spin, and a T_B/T_S expiry fires on time.  There are two
+conditions over the one lock, one per kind of waiter: the unlock rule
+notifies *space* (S-blocked submitters, ``drain``), and a submit
+notifies *work* (the Aggregator) only when the first unclaimed update
+arms T_B, when a batch is full, or when T_B has already run out — so
+at B = 100 the other 98 writes of a batch switch no thread.
 """
 
 from __future__ import annotations
@@ -175,7 +180,15 @@ class CommitPipeline:
             self.tuner = BatchTuner(config, clock=clock, bus=self._bus,
                                     lane=lane)
 
-        self._cond = threading.Condition()
+        # Two conditions over one lock, one per kind of waiter.
+        # ``_cond`` is *space*: the unlock rule (and a poisoning)
+        # notifies it, S-blocked submitters and drain() wait on it.
+        # ``_work`` is the Aggregator's: a submit notifies it only on
+        # the transitions the Aggregator waits for, so a write into a
+        # batch that is 1/B-th fuller wakes nobody.
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)
+        self._work = threading.Condition(lock)
         self._entries: deque[_Entry] = deque()
         self._claimed = 0                      # head entries inside claimed batches
         self._batch_sizes: dict[int, int] = {}
@@ -246,6 +259,7 @@ class CommitPipeline:
     def _halt(self, join_timeout: float) -> None:
         with self._cond:
             self._stop = True
+            self._work.notify_all()
             self._cond.notify_all()
         if self._thread is not None:
             self._thread.join(timeout=join_timeout)
@@ -300,11 +314,13 @@ class CommitPipeline:
             self._config.safety if self.tuner is None else self.tuner.safety()
         )
 
-    def _batch_timeout(self) -> float:
-        timeout = self._config.effective_batch_timeout(self._clock.now())
+    def _batch_deadline(self, now: float) -> float:
+        """When T_B expires for the unclaimed updates, read at ``now``
+        (a schedule resolves T_B from the hour of the session clock)."""
+        timeout = self._config.effective_batch_timeout(now)
         if self.tuner is not None:
             timeout *= self.tuner.timeout_scale()
-        return timeout
+        return self._tb_anchor + timeout
 
     # -- DBMS-side entry point ---------------------------------------------------------
 
@@ -327,7 +343,14 @@ class CommitPipeline:
                 bus.emit(
                     events.QUEUE_DEPTH, key=path, count=len(self._entries), at=now,
                 )
-            self._cond.notify_all()
+            # Wake the Aggregator only for what it waits for: the first
+            # unclaimed update arms T_B, a full batch claims, and so does
+            # an expired T_B — which its own timed wait sees on a real
+            # clock, but on a virtual one only a submit can tell it.
+            available = len(self._entries) - self._claimed
+            if (available == 1 or available >= self._batch_limit()
+                    or now >= self._batch_deadline(now)):
+                self._work.notify()
             while True:
                 if self._fatal is not None:
                     raise GinjaError("commit pipeline failed") from self._fatal
@@ -399,16 +422,17 @@ class CommitPipeline:
                         # Partial batch: sleep exactly until T_B expires
                         # (recomputed on every wake, so a schedule change,
                         # a retune, or a completed sync moving the anchor
-                        # is seen).
-                        deadline = self._tb_anchor + self._batch_timeout()
-                        remaining = deadline - self._clock.now()
+                        # is seen — at this deadline at the latest, and
+                        # the nominal T_B is the ceiling of them all).
+                        now = self._clock.now()
+                        remaining = self._batch_deadline(now) - now
                         if remaining <= 0:
                             break
-                        self._cond.wait(timeout=remaining)
+                        self._work.wait(timeout=remaining)
                     else:
                         # Idle: nothing can happen until a submit arrives
-                        # (which notifies) — no polling.
-                        self._cond.wait()
+                        # (whose first update notifies) — no polling.
+                        self._work.wait()
                 if self._stop:
                     return
                 available = len(self._entries) - self._claimed

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
 from repro.common.units import MiB
-from repro.core.events import TraceRecorder
 from repro.cloud.latency import LatencyModel, WAN_LATENCY
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.reactor import UploadReactor
@@ -36,8 +35,12 @@ from repro.storage.disk import DiskModel, HDD_15K
 from repro.storage.interposer import InterposedFS
 from repro.storage.memory import MemoryFileSystem
 
-#: Per-FS-call overhead of a FUSE mount.  Calibrated so the FUSE bar of
-#: Figure 5 lands ~7-12% below native on this harness's commit path.
+#: Per-FS-call overhead of a FUSE mount.  Paced, not slept (see
+#: ``Clock.pace``), so it costs what it says; the benchmark's FUSE-only
+#: series (``storage.interposer.fuse_vs_native`` on ``tpcc_relaxed``)
+#: measures Figure 5's FUSE bar 11% below native with it — the paper's
+#: 7-12% — about twice 3.6 calls x 100 us per transaction, because the
+#: crossings sit inside the commit lock the second terminal queues on.
 DEFAULT_FUSE_OVERHEAD = 100e-6
 
 
@@ -85,9 +88,6 @@ class Stack:
     fs: object                      # what the DBMS writes to
     cloud: object | None            # SimulatedCloud or PlacementStore
     ginja: Ginja | None
-    #: Bounded event trace subscribed to the Ginja bus (ginja mode only);
-    #: ``trace.render()`` is what ``repro.cli --trace`` prints.
-    trace: TraceRecorder | None = None
     #: Stores this stack built and therefore owns: anything here with a
     #: ``close()`` (a PlacementStore) is shut down by *every* teardown
     #: path — ``stop()`` and ``crash()`` alike — so fan-out thread
@@ -204,7 +204,6 @@ def build_stack(config: StackConfig | None = None, **overrides) -> Stack:
             fuse_overhead=config.fuse_overhead,
             time_scale=1.0,
         )
-        trace = TraceRecorder().attach(ginja.bus)
         return Stack(config=config, inner_fs=inner, fs=ginja.fs, cloud=cloud,
-                     ginja=ginja, trace=trace, owned_stores=owned)
+                     ginja=ginja, owned_stores=owned)
     raise ConfigError(f"unknown fs_mode {config.fs_mode!r}")

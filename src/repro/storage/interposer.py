@@ -20,7 +20,7 @@ paper's plain-FUSE baseline (the first two bars of Figure 5).
 
 from __future__ import annotations
 
-from repro.common.clock import Clock, SYSTEM_CLOCK
+from repro.common.clock import Clock, SYSTEM_CLOCK, SleepAccount
 from repro.storage.interface import FileSystem
 
 
@@ -59,7 +59,7 @@ class InterposedFS(FileSystem):
         per_call_overhead: modeled seconds added to every operation
             (FUSE context-switch cost; the paper measures the resulting
             throughput dip at 7%/12% for PG/MySQL).
-        time_scale: fraction of the overhead actually slept.
+        time_scale: fraction of the overhead actually paid in time.
         clock: time source.
     """
 
@@ -74,9 +74,9 @@ class InterposedFS(FileSystem):
     ):
         self._inner = inner
         self._interceptor = interceptor
-        self._overhead = per_call_overhead
-        self._time_scale = time_scale
+        self._crossing = per_call_overhead * time_scale
         self._clock = clock
+        self._account = SleepAccount()
         self.calls = 0  # total intercepted operations, for diagnostics
 
     @property
@@ -92,8 +92,7 @@ class InterposedFS(FileSystem):
 
     def _cross(self) -> None:
         self.calls += 1
-        if self._overhead > 0 and self._time_scale > 0:
-            self._clock.sleep(self._overhead * self._time_scale)
+        self._clock.pace(self._account, self._crossing)
 
     # -- data plane ---------------------------------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.common.clock import Clock, SYSTEM_CLOCK
+from repro.common.clock import Clock, SYSTEM_CLOCK, SleepAccount
 from repro.common.errors import FileSystemError
 from repro.storage.disk import DiskModel, NO_DISK_LATENCY
 from repro.storage.interface import FileSystem
@@ -15,7 +15,7 @@ class MemoryFileSystem(FileSystem):
 
     Args:
         disk: latency model applied to every call.
-        time_scale: fraction of modeled latency actually slept.
+        time_scale: fraction of modeled latency actually paid in time.
         clock: time source for sleeping.
     """
 
@@ -31,6 +31,7 @@ class MemoryFileSystem(FileSystem):
         self._disk = disk
         self._time_scale = time_scale
         self._clock = clock
+        self._account = SleepAccount()
         #: Total modeled seconds spent in disk latency (for accounting).
         self.modeled_io_seconds = 0.0
         self._torn_write_bytes: int | None = None
@@ -40,8 +41,7 @@ class MemoryFileSystem(FileSystem):
             return
         with self._lock:
             self.modeled_io_seconds += latency
-        if self._time_scale > 0:
-            self._clock.sleep(latency * self._time_scale)
+        self._clock.pace(self._account, latency * self._time_scale)
 
     def _file(self, path: str) -> bytearray:
         try:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.common.clock import ManualClock, MonotonicClock
+from repro.common.clock import ManualClock, MonotonicClock, SleepAccount
 
 
 class TestMonotonicClock:
@@ -56,3 +57,138 @@ class TestManualClock:
     def test_wait_until_times_out(self):
         clock = ManualClock()
         assert clock.wait_until(1.0, timeout=0.05) is False
+
+
+class OversleepingClock(MonotonicClock):
+    """Fake real time: ``now`` reads a counter, ``sleep`` moves it by the
+    request plus a fixed oversleep — a host whose timer granule is
+    ``oversleep`` — unless switched off, as the benchmark's clock is
+    while tenants boot."""
+
+    GRANULE = 120e-6
+
+    def __init__(self):
+        self.t = 0.0
+        self.oversleep = self.GRANULE
+        self.paced = True
+        self.slept: list[float] = []
+
+    def now(self):
+        return self.t
+
+    def sleep(self, seconds):
+        if self.paced:
+            self.slept.append(seconds)
+            self.t += seconds + self.oversleep
+
+
+class TestPace:
+    @pytest.mark.parametrize("count, modelled", [
+        (4000, 5e-6), (2000, 100e-6), (500, 2e-3),
+    ])
+    def test_a_modelled_latency_costs_what_it_models(self, count, modelled):
+        clock, account = OversleepingClock(), SleepAccount()
+        for done in range(1, count + 1):
+            clock.pace(account, modelled)
+            # Never ahead of the model, never more than a granule behind
+            # it — where one raw sleep per request ends count granules
+            # behind.
+            behind = clock.t - done * modelled
+            assert -1e-9 <= behind <= clock.GRANULE + 1e-9
+
+    def test_credit_is_spent_before_sleeping_again(self):
+        clock, account = OversleepingClock(), SleepAccount()
+        clock.pace(account, 5e-6)
+        assert clock.slept == [5e-6]
+        for _ in range(24):                     # 24 x 5 us = the 120 us credit
+            clock.pace(account, 5e-6)
+        assert clock.slept == [5e-6]
+        clock.pace(account, 5e-6)
+        assert len(clock.slept) == 2
+        assert clock.slept[1] == pytest.approx(5e-6)
+
+    def test_one_stall_buys_at_most_the_cap(self):
+        clock, account = OversleepingClock(), SleepAccount()
+        cap = sys.getswitchinterval()
+        assert cap < 0.050
+        clock.oversleep = 0.050                 # a 50 ms scheduler hiccup
+        clock.pace(account, 100e-6)
+        assert account.owed == -cap
+        clock.oversleep = clock.GRANULE
+        requests = 0
+        while len(clock.slept) == 1:
+            clock.pace(account, 100e-6)
+            requests += 1
+        # All but the last rode on the stall; 50 ms would have bought 500.
+        assert (requests - 1) * 100e-6 <= cap + 1e-9
+
+    def test_a_switched_off_sleep_accrues_nothing(self):
+        clock, account = OversleepingClock(), SleepAccount()
+        clock.paced = False
+        for _ in range(1000):
+            clock.pace(account, 2e-3)
+        assert clock.t == 0.0 and account.owed == 0.0
+        clock.paced = True
+        clock.pace(account, 2e-3)
+        assert clock.slept == [2e-3]            # itself, not the 1000 before
+
+    def test_threads_do_not_share_an_account(self):
+        clock, account = OversleepingClock(), SleepAccount()
+
+        def one_request():
+            clock.pace(account, 100e-6)
+
+        for _ in range(2):
+            thread = threading.Thread(target=one_request)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        # The second thread slept its own request: the first one's
+        # 120 us of credit was not its to spend.
+        assert clock.slept == [100e-6, 100e-6]
+        assert account.owed == 0.0              # and neither was this thread's
+
+    def test_sites_do_not_share_an_account(self):
+        clock = OversleepingClock()
+        fuse, disk = SleepAccount(), SleepAccount()
+        clock.pace(fuse, 100e-6)
+        clock.pace(disk, 65e-6)
+        assert clock.slept == [100e-6, 65e-6]
+
+    def test_zero_and_negative_requests_are_free(self):
+        clock, account = OversleepingClock(), SleepAccount()
+        clock.pace(account, 0)
+        clock.pace(account, -1)
+        assert clock.slept == [] and account.owed == 0.0
+        manual = ManualClock()
+        manual.pace(account, 0)
+        manual.pace(account, -1)                # sleep(-1) would raise
+        assert manual.now() == 0.0
+
+    def test_manual_clock_advances_exactly_as_sleep_does(self):
+        paced, slept, account = ManualClock(), ManualClock(), SleepAccount()
+        for request in (100e-6, 2e-3, 5e-6, 0.35, 100e-6):
+            paced.pace(account, request)
+            slept.sleep(request)
+            assert paced.now() == slept.now()
+        assert account.owed == 0.0
+
+    def test_paced_short_sleeps_against_a_naive_loop_on_this_host(self):
+        """The one real-time check, stated against a raw ``time.sleep``
+        loop timed right here so a slow host moves both sides."""
+        count, modelled = 2000, 100e-6
+
+        def per_request(step) -> float:
+            started = time.perf_counter()
+            for _ in range(count):
+                step()
+            return (time.perf_counter() - started) / count / modelled
+
+        naive = per_request(lambda: time.sleep(modelled))
+        if naive < 1.8:
+            pytest.skip(f"a raw sleep already costs {naive:.2f}x here")
+        clock, account = MonotonicClock(), SleepAccount()
+        paced = per_request(lambda: clock.pace(account, modelled))
+        # 1.35x modelled where the naive loop sits at 2x.
+        assert paced >= 1.0
+        assert paced - 1.0 <= 0.35 * (naive - 1.0), (paced, naive)

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.common.clock import ManualClock, MonotonicClock, SYSTEM_CLOCK
 from repro.common.errors import CloudUnavailable, GinjaError
 from repro.common.events import EventBus
 from repro.cloud.faults import FaultPolicy
@@ -24,8 +25,11 @@ from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta, decode_wal_payload
 from repro.core.stats import GinjaStats
 
+from tests.cloud.test_reactor import wait_for
 
-def make_pipeline(pools, config=None, faults=None, backend=None):
+
+def make_pipeline(pools, config=None, faults=None, backend=None,
+                  clock=SYSTEM_CLOCK):
     if backend is None:  # `or` would drop an empty store: len() == 0 is falsy
         backend = InMemoryObjectStore()
     cloud = SimulatedCloud(
@@ -38,8 +42,9 @@ def make_pipeline(pools, config=None, faults=None, backend=None):
     view = CloudView()
     bus = EventBus()
     stats = GinjaStats().attach(bus)
-    transport = build_transport(cloud, config, bus=bus)
-    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, *pools, bus)
+    transport = build_transport(cloud, config, bus=bus, clock=clock)
+    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, *pools,
+                              bus, clock=clock)
     return pipeline, backend, view, stats
 
 
@@ -469,6 +474,144 @@ class TestConcurrency:
             assert len(chunks) == 120
             assert view.confirmed_ts() == view.last_assigned_ts()
         finally:
+            pipe.stop(drain_timeout=5.0)
+
+
+class AggregatorWatch(MonotonicClock):
+    """Counts the Aggregator's clock reads: it takes exactly one each
+    time it wakes to a partial batch and recomputes its T_B deadline."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def now(self):
+        if threading.current_thread().name == "ginja-aggregator":
+            self.reads += 1
+        return super().now()
+
+
+class TestAggregatorWakeUps:
+    """A submit wakes the Aggregator only on the transitions it waits
+    for; everything it used to learn from the other wake-ups it still
+    learns, at its own deadline at the latest."""
+
+    def test_a_filling_batch_wakes_the_aggregator_once(self, pools):
+        clock = AggregatorWatch()
+        config = GinjaConfig(batch=100, safety=1000, batch_timeout=60.0,
+                             safety_timeout=120.0, uploaders=1)
+        pipe, backend, _view, stats = make_pipeline(pools, config, clock=clock)
+        pipe.start()
+        try:
+            for i in range(99):
+                pipe.submit("seg", i * 512, b"u")
+                time.sleep(0.001)           # room to wake up, were it woken
+            assert wait_for(lambda: clock.reads >= 1)
+            time.sleep(0.05)
+            # The first update armed T_B; 98 more changed nothing the
+            # Aggregator waits for.
+            assert clock.reads == 1
+            assert stats.wal_batches == 0
+            pipe.submit("seg", 99 * 512, b"u")      # B reached: claims now,
+            assert pipe.drain(timeout=5.0)          # T_B is a minute away
+            assert stats.wal_batches == 1
+            assert len(backend.list("WAL/")) == 1
+        finally:
+            pipe.stop(drain_timeout=5.0)
+
+    def test_a_lone_update_still_flushes_at_tb_on_a_manual_clock(self, pools):
+        clock = ManualClock()
+        config = GinjaConfig(batch=100, safety=200, batch_timeout=0.05,
+                             safety_timeout=60.0, uploaders=1)
+        pipe, backend, _view, _stats = make_pipeline(pools, config, clock=clock)
+        pipe.start()
+        try:
+            pipe.submit("seg", 0, b"lonely")
+            time.sleep(0.1)                 # real time alone flushes nothing
+            assert pipe.pending_updates() == 1
+            clock.advance(0.05)
+            assert wait_for(lambda: pipe.pending_updates() == 0)
+            assert len(backend.list("WAL/")) == 1
+        finally:
+            pipe.abort()
+
+    def test_a_submit_reports_a_tb_that_expired_in_virtual_time(self, pools):
+        """The Aggregator's timed wait runs in real seconds, so when a
+        drill moves a virtual clock past T_B only the next submit can
+        tell it — every ManualClock drill flushes its tail this way."""
+        clock = ManualClock()
+        config = GinjaConfig(batch=100, safety=200, batch_timeout=30.0,
+                             safety_timeout=600.0, uploaders=1)
+        pipe, backend, _view, stats = make_pipeline(pools, config, clock=clock)
+        pipe.start()
+        try:
+            pipe.submit("seg", 0, b"first")
+            clock.advance(31.0)
+            pipe.submit("seg", 512, b"second")
+            assert wait_for(lambda: pipe.pending_updates() == 0)
+            assert stats.wal_batches == 1
+        finally:
+            pipe.abort()
+
+    def test_a_retune_below_available_claims_no_later_than_tb(self, pools):
+        batch_timeout = 0.4
+        config = GinjaConfig(batch=100, safety=200, batch_timeout=batch_timeout,
+                             safety_timeout=60.0, uploaders=1,
+                             target_commit_latency=5.0)
+        pipe, _backend, _view, stats = make_pipeline(pools, config)
+        pipe.start()
+        try:
+            started = time.monotonic()
+            for i in range(10):
+                pipe.submit("seg", i * 512, b"u")
+            pipe.tuner.set_override(5)      # B < available; nobody is told
+            assert pipe.drain(timeout=5.0)
+            assert time.monotonic() - started < batch_timeout + 1.0
+            assert stats.wal_batches == 2   # claimed at the effective B
+        finally:
+            pipe.stop(drain_timeout=5.0)
+
+    def test_the_unlock_rule_alone_releases_submitter_and_drain(self, pools):
+        class GatedStore(InMemoryObjectStore):
+            def __init__(self):
+                super().__init__()
+                self.gate = threading.Event()
+
+            def put(self, key, data):
+                self.gate.wait(timeout=60)
+                super().put(key, data)
+
+        backend = GatedStore()
+        config = GinjaConfig(batch=2, safety=4, batch_timeout=0.02,
+                             safety_timeout=60.0, uploaders=2)
+        pipe, _b, _view, stats = make_pipeline(pools, config, backend=backend)
+        pipe.start()
+        try:
+            for i in range(4):
+                pipe.submit("seg", i * 512, b"u")   # two batches, both held
+            submitted, drained = threading.Event(), []
+
+            def fifth_writer():
+                pipe.submit("seg", 4 * 512, b"u")   # S + 1: parks on space
+                submitted.set()
+
+            waiters = [
+                threading.Thread(target=fifth_writer),
+                threading.Thread(
+                    target=lambda: drained.append(pipe.drain(timeout=30.0))
+                ),
+            ]
+            for thread in waiters:
+                thread.start()
+            assert wait_for(lambda: stats.blocks >= 1)
+            time.sleep(0.1)
+            assert not submitted.is_set() and not drained
+            backend.gate.set()              # no submit from here on
+            for thread in waiters:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            assert submitted.is_set() and drained == [True]
+        finally:
+            backend.gate.set()
             pipe.stop(drain_timeout=5.0)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common import events
 from repro.common.errors import ConfigError
 from repro.common.units import MiB
 from repro.cloud.latency import LOCAL_LATENCY, SAME_REGION_LATENCY, WAN_LATENCY
@@ -60,6 +61,14 @@ class TestBuildStack:
         assert stack.ginja.drain(timeout=10.0)
         assert len(stack.cloud.list()) > 0
         stack.stop()
+
+    def test_a_harness_stack_has_no_per_write_audience(self):
+        """``submit`` guards its per-write events with ``bus.wants``; a
+        stack that subscribed an all-kinds recorder made every guard
+        true on every benchmark cell."""
+        stack = build_stack(fast_config(fs_mode="ginja"))
+        assert not stack.ginja.bus.wants(events.QUEUE_DEPTH)
+        assert not stack.ginja.bus.wants(events.ENCODE_DONE)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):

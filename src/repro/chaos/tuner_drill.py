@@ -179,15 +179,21 @@ def run_tuner_drill(
     target: float = 4.0,
     hysteresis: float = 1.6,
     budget: float = 100.0,
-    shift_factor: float = 10.0,
+    shift_factor: float = 14.0,
     row_pad: int = 6000,
 ) -> TunerDrillResult:
     """Run the latency-shift drill end to end.
 
-    The defaults are chosen so the post-shift per-B commit latencies
-    (``put_base + B x row / throughput``: ~10.3s at B=16, ~5.4s at B=8,
-    ~2.9s at B=4) straddle the hysteresis band (~2.5s .. ~6.4s): the
-    nominal B is clearly outside it, B=8 sits mid-band, and the
+    B counts page writes, not rows: a padded row's record spans most of
+    an 8 KiB WAL page, each commit rewrites the page it ends in, and
+    the pipeline ships what changed — measured, a full batch ships
+    ~58.4 kB at B=16 and ~30.0 kB at B=8 (of 131 kB / 66 kB submitted).
+    The defaults put the post-shift per-B commit latencies (``put_base
+    + batch bytes / throughput``, throughput 100 kB/s / 14) at ~8.7s
+    for B=16 and ~4.7s for B=8 against a hysteresis band of 2.5s ..
+    6.4s: the nominal B sits 35% above the band, B=8 36% under its top
+    and 88% over its bottom, so neither a few percent of shipped bytes
+    nor the pump's noise decides whether the tuner moves.  The
     workload's row rate (one per 0.8 virtual seconds) stays below the
     *post-shift* drain capacity at every B the controller can visit —
     an oversubscribed pipeline measures its own backlog, not the knob
@@ -204,7 +210,8 @@ def run_tuner_drill(
         latency=latency, time_scale=1.0, clock=clock, seed=seed,
     )
     # T_B must exceed the time the workload takes to produce a full
-    # batch (16 rows x 0.8s = 12.8s), or every claim is a T_B-expiry
+    # batch (measured: ~13 virtual seconds for 16 page writes, the
+    # tuner's ``interval_ewma``), or every claim is a T_B-expiry
     # partial of one or two rows and B stops being the knob that sets
     # commit latency (the reactor queue does instead).  The tail partial
     # batch at drain time is flushed by a sentinel row, not by waiting

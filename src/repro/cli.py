@@ -851,8 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 64)")
     tuner.add_argument("--rows-after", type=int, default=192,
                        help="rows committed after the shift (default 192)")
-    tuner.add_argument("--shift-factor", type=float, default=10.0,
-                       help="mid-run PUT throughput divisor (default 10)")
+    tuner.add_argument("--shift-factor", type=float, default=14.0,
+                       help="mid-run PUT throughput divisor (default 14)")
     tuner.add_argument("--json", action="store_true",
                        help="print the canonical JSON report to stdout")
     tuner.add_argument("--out", default="",

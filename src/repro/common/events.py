@@ -41,7 +41,11 @@ GC_DELETE = "gc_delete"
 # Pipeline events (emitted by repro.core.commit_pipeline):
 COMMIT_BLOCKED = "commit_blocked"
 COMMIT_UNBLOCKED = "commit_unblocked"
-#: The aggregator claimed a batch and produced WAL objects.
+#: The aggregator claimed a batch and planned its WAL objects; ``count``
+#: is the updates claimed, ``total`` the bytes those writes submitted
+#: and ``nbytes`` the bytes planned to ship for them (pre-codec) — less
+#: by what coalescing and changed-range shipping saved, zero when the
+#: batch rewrote nothing new.
 WAL_BATCH = "wal_batch"
 #: One WAL object confirmed in the cloud.
 WAL_OBJECT = "wal_object"

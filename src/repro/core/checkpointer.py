@@ -135,9 +135,11 @@ class CheckpointCollector:
         the last assigned one: every WAL object at or below it exists in
         the cloud and its content is guaranteed to be reflected in the
         pages this checkpoint will flush, so GC at this ts is safe.
+        Reading it also opens the view's next shipping epoch, which is
+        what keeps changed-range WAL shipping clear of that GC.
         """
         self._active = True
-        self._ts = self._view.confirmed_ts()
+        self._ts = self._view.begin_checkpoint()
         self._writes.clear()
         self._order.clear()
         self._bus.emit(events.CHECKPOINT_BEGIN, count=self._ts)

@@ -27,6 +27,10 @@ class CloudView:
         #: confirmed uploaded with no gaps — the recovery frontier.
         self._confirmed_ts = -1
         self._pending: set[int] = set()  # assigned but unconfirmed ts
+        #: Checkpoint-begin events seen so far.  The commit pipeline
+        #: ships a rewrite as a diff only against a write of the same
+        #: epoch, so no diff leans on an object a checkpoint's GC takes.
+        self._epoch = 0
 
     # -- ts management ------------------------------------------------------------
 
@@ -48,6 +52,23 @@ class CloudView:
         updates with ts beyond this (-1 if nothing confirmed)."""
         with self._lock:
             return self._confirmed_ts
+
+    def begin_checkpoint(self) -> int:
+        """Checkpoint-begin (Alg. 3, line 5): the confirmed frontier this
+        checkpoint's GC will delete up to, read as the epoch advances.
+
+        One lock hold does both, so a write stamped with the new epoch
+        was submitted after the frontier was read: its WAL object's ts
+        lies beyond that frontier and survives this checkpoint's GC.
+        """
+        with self._lock:
+            self._epoch += 1
+            return self._confirmed_ts
+
+    def epoch(self) -> int:
+        """The current shipping epoch (see :meth:`begin_checkpoint`)."""
+        with self._lock:
+            return self._epoch
 
     # -- registration ----------------------------------------------------------------
 

@@ -8,11 +8,12 @@ pipeline itself owns exactly one thread, the Aggregator):
   enqueues it and blocks the caller while more than S updates are
   unconfirmed or the oldest unconfirmed update is older than T_S.
 * The **Aggregator** thread claims batches of up to B queued updates
-  (without removing them), coalesces overwritten pages, splits the
-  result into WAL objects of at most ``max_object_bytes`` and assigns
-  timestamps — everything ordering-sensitive, so the
-  consecutive-timestamps unlock rule is untouched.  It hands
-  *unencoded* tasks to the encode stage.
+  (without removing them), coalesces overwritten pages, cuts each
+  rewritten page down to the bytes that changed since it last shipped
+  (:func:`plan_writes`), splits the result into WAL objects of at most
+  ``max_object_bytes`` and assigns timestamps — everything
+  ordering-sensitive, so the consecutive-timestamps unlock rule is
+  untouched.  It hands *unencoded* tasks to the encode stage.
 * **Encoder** workers (:class:`~repro.core.encode_stage.EncodeStage`)
   run the codec (compress/encrypt/MAC) in parallel — zlib, AES and
   HMAC release the GIL — and push encoded blobs to the upload queue.
@@ -74,8 +75,10 @@ at B = 100 the other 98 writes of a batch switch no thread.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
@@ -101,6 +104,9 @@ class _Entry:
     offset: int
     data: bytes
     enqueued_at: float
+    #: The view's shipping epoch when the entry joined the queue (set
+    #: under the pipeline lock, so stamps never decrease along it).
+    epoch: int = 0
 
 
 @dataclass(slots=True)
@@ -208,6 +214,10 @@ class CommitPipeline:
         self._tb_anchor = self._last_sync_end
         self._fatal: Exception | None = None
         self._stop = False
+        #: What this pipeline last planned at each recent (path, offset)
+        #: — see :func:`plan_writes`.  Aggregator thread only; a new
+        #: pipeline (boot, reboot, recover) knows nothing and ships whole.
+        self._shadow: Shadow = {}
 
         self._thread: threading.Thread | None = None
 
@@ -336,6 +346,7 @@ class CommitPipeline:
         with self._cond:
             if self._fatal is not None:
                 raise GinjaError("commit pipeline failed") from self._fatal
+            entry.epoch = self._view.epoch()
             self._entries.append(entry)
             if self.tuner is not None:
                 self.tuner.observe_depth(len(self._entries))
@@ -450,12 +461,19 @@ class CommitPipeline:
                 self.tuner.on_claim()
             tasks = self._plan(batch_id, batch)
             self._bus.emit(
-                events.WAL_BATCH, count=count, nbytes=len(tasks),
+                events.WAL_BATCH, count=count,
+                nbytes=sum(
+                    len(data) for task in tasks for _offset, data in task.chunks
+                ),
+                total=sum(len(entry.data) for entry in batch),
                 at=self._clock.now(),
             )
             if not tasks:
-                # Cannot happen for count > 0, but never leave a batch
-                # that the unlock rule would wait on forever.
+                # Every write repeated what was last shipped in its
+                # place: there is nothing to upload, and the unlock rule
+                # would wait forever on a batch with no object.  It
+                # still leaves the queue in batch order, behind the
+                # batches whose objects those bytes ride in.
                 with self._cond:
                     self._acked.add(batch_id)
                     self._remove_completed_prefix_locked()
@@ -490,52 +508,31 @@ class CommitPipeline:
                         )
 
     def _plan(self, batch_id: int, batch: list[_Entry]) -> list[_EncodeTask]:
-        """Coalesce page overwrites and plan WAL objects (Alg. 2 line 12).
+        """Plan the batch's WAL objects (Alg. 2 line 12).
 
-        Repeated writes to the same (file, offset) — the partially-filled
-        WAL page being rewritten as it fills — collapse to the latest
-        content, which is the main source of Ginja's PUT savings.
-
-        This is the ordering-sensitive half of the old aggregate step:
-        timestamps are assigned here, on the single Aggregator thread,
-        in batch order — the encode stage behind it may finish objects
-        in any order without weakening the S bound.
+        The transform itself is :func:`plan_writes`; this is the
+        ordering-sensitive rest of the old aggregate step: timestamps
+        are assigned here, on the single Aggregator thread, in batch
+        order — the encode stage behind it may finish objects in any
+        order without weakening the S bound.
         """
-        by_file: dict[str, list[tuple[int, bytes]]] = {}
-        if self._config.coalesce_writes:
-            latest: dict[tuple[str, int], bytes] = {}
-            order: list[tuple[str, int]] = []
-            for entry in batch:
-                key = (entry.path, entry.offset)
-                if key not in latest:
-                    order.append(key)
-                latest[key] = entry.data
-            for path, offset in order:
-                by_file.setdefault(path, []).append((offset, latest[(path, offset)]))
-        else:
-            # Ablation mode: ship every write verbatim.  Recovery applies
-            # chunks in order, so last-write-wins still holds — only the
-            # upload volume inflates.
-            for entry in batch:
-                by_file.setdefault(entry.path, []).append((entry.offset, entry.data))
-        tasks: list[_EncodeTask] = []
-        for path in sorted(by_file):
-            if self._config.coalesce_writes:
-                chunks = _merge_chunks(sorted(by_file[path]))
-            else:
-                chunks = by_file[path]
-            for group in _split_chunks(chunks, self._config.max_object_bytes):
-                if not group:
-                    continue
-                meta = WALObjectMeta(
-                    ts=self._view.next_wal_ts(),
-                    filename=path,
+        groups = plan_writes(
+            ((e.path, e.offset, e.data, e.epoch) for e in batch),
+            self._shadow,
+            coalesce=self._config.coalesce_writes,
+            max_object_bytes=self._config.max_object_bytes,
+        )
+        return [
+            _EncodeTask(
+                batch_id=batch_id,
+                meta=WALObjectMeta(
+                    ts=self._view.next_wal_ts(), filename=path,
                     offset=group[0][0],
-                )
-                tasks.append(
-                    _EncodeTask(batch_id=batch_id, meta=meta, chunks=group)
-                )
-        return tasks
+                ),
+                chunks=group,
+            )
+            for path, group in groups
+        ]
 
     # -- Encode stage -------------------------------------------------------------------
 
@@ -688,6 +685,142 @@ class CommitPipeline:
                 at=self._clock.now(),
             )
         self._cond.notify_all()
+
+
+#: (path, offset) -> (epoch, data): what was last planned there.
+Shadow = dict[tuple[str, int], tuple[int, bytes]]
+
+#: Shadow entries kept beyond the current batch's own writes, so the
+#: tail page outlives a batch that only touched other pages (a ring
+#: log's header slot, the lone first write of the next page).
+_SHADOW_SPARE = 8
+
+
+def plan_writes(
+    writes, shadow: Shadow, *, coalesce: bool, max_object_bytes: int,
+) -> list[tuple[str, list[tuple[int, bytes]]]]:
+    """The Aggregator's transform: one claimed batch in, the runs of its
+    WAL objects out, as ``(path, [(offset, data), ...])`` in ts order.
+
+    ``writes`` are ``(path, offset, data, epoch)`` in submission order.
+    Repeated writes to the same (file, offset) — the partially-filled
+    WAL page being rewritten as it fills — collapse to the latest
+    content (a shorter rewrite keeping the tail it did not cover).
+    Each survivor is then cut down to the byte range by which it
+    differs from ``shadow`` — what this pipeline last planned at that
+    place, which is what the bucket's image holds there; a survivor that
+    changes nothing plans nothing.  ``shadow`` is updated in place and
+    kept to this batch's writes plus ``_SHADOW_SPARE``.
+
+    ``coalesce=False`` (the aggregation ablation) ships every write
+    verbatim and leaves the shadow alone.  Recovery applies chunks in
+    order, so last-write-wins still holds — only the volume inflates.
+    """
+    by_file: dict[str, list] = {}
+    if not coalesce:
+        for path, offset, data, _epoch in writes:
+            by_file.setdefault(path, []).append((offset, data))
+        return [
+            (path, group) for path in sorted(by_file)
+            for group in _split_chunks(by_file[path], max_object_bytes)
+        ]
+    latest: dict[tuple[str, int], tuple[bytes, int]] = {}
+    for path, offset, data, epoch in writes:
+        held = latest.get((path, offset))
+        if held is not None and len(held[0]) > len(data):
+            data = data + held[0][len(data):]
+        # A run carries its latest entry's epoch: it holds that entry's
+        # bytes, so it can be no older than the entry is.
+        latest[path, offset] = (data, epoch)
+    for (path, offset), (data, epoch) in latest.items():
+        by_file.setdefault(path, []).append((offset, data, epoch))
+    planned = []
+    for path in sorted(by_file):
+        # Offsets are unique per file here, so the sort never compares
+        # data — and it runs before the trim, while they still are.
+        chunks = _merge_chunks(_changed_ranges(path, sorted(by_file[path]), shadow))
+        planned += [
+            (path, group) for group in _split_chunks(chunks, max_object_bytes)
+        ]
+    while len(shadow) > len(latest) + _SHADOW_SPARE:
+        del shadow[next(iter(shadow))]  # oldest planned first
+    return planned
+
+
+def _changed_ranges(
+    path: str, runs: list[tuple[int, bytes, int]], shadow: Shadow,
+) -> list[tuple[int, bytes]]:
+    """Cut one file's offset-sorted coalesced writes down to what changed.
+
+    A write is trimmed only against a shadow entry of the same length
+    **and the same epoch**: GC deletes every WAL object up to a
+    checkpoint's frontier, and only a base stamped after that frontier
+    was read is certain to outlive it (:meth:`CloudView.begin_checkpoint`).
+    Anything else — first sight of the place, a new epoch, a rewrite of
+    another length — ships whole, as every write once did.
+
+    The shadow must equal the image over each range it holds, so a write
+    overlapping other places evicts them, and one that overlaps another
+    write of its own batch is neither trimmed nor remembered: where its
+    bytes end up then depends on the merge order of the whole runs.
+    """
+    starts = [offset for offset, _data, _epoch in runs]
+    # reach[i]: the furthest end among runs[0..i].
+    reach = list(accumulate(
+        (offset + len(data) for offset, data, _epoch in runs), max,
+    ))
+    bases = {offset: shadow.pop((path, offset), None) for offset in starts}
+    for key, (_epoch, held) in list(shadow.items()):
+        if key[0] != path:
+            continue
+        # Overlapped iff some run starting below the entry's end
+        # reaches past its start.
+        below = bisect_left(starts, key[1] + len(held))
+        if below and reach[below - 1] > key[1]:
+            del shadow[key]
+    chunks: list[tuple[int, bytes]] = []
+    for index, (offset, data, epoch) in enumerate(runs):
+        alone = (index == 0 or reach[index - 1] <= offset) and (
+            index + 1 == len(runs) or starts[index + 1] >= offset + len(data)
+        )
+        if alone:
+            shadow[path, offset] = (epoch, data)
+            base = bases[offset]
+            if (base is not None and base[0] == epoch
+                    and len(base[1]) == len(data)):
+                start, stop = _changed_range(base[1], data)
+                if start == stop:
+                    continue
+                offset, data = offset + start, memoryview(data)[start:stop]
+        chunks.append((offset, data))
+    return chunks
+
+
+def _changed_range(old: bytes, new: bytes) -> tuple[int, int]:
+    """``(start, stop)`` of the smallest slice of ``new`` outside which
+    it equals the equally long ``old``; empty when they are identical.
+
+    Common prefix, then common suffix, each by bisection over C-speed
+    slice comparisons (≈ 10 µs for an 8 KiB page; a Python byte loop
+    would cost a millisecond).
+    """
+    size = len(new)
+    low, high = 0, size
+    while low < high:
+        mid = (low + high + 1) // 2
+        if old[low:mid] == new[low:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    start = low
+    low, high = 0, size - start
+    while low < high:
+        mid = (low + high + 1) // 2
+        if old[size - mid:size - low] == new[size - mid:size - low]:
+            low = mid
+        else:
+            high = mid - 1
+    return start, size - low
 
 
 def _merge_chunks(chunks: list[tuple[int, bytes]]) -> list[tuple[int, bytes]]:

@@ -300,6 +300,12 @@ class Ginja:
             "confirmed_ts": self.view.confirmed_ts(),
             "wal_objects": self.view.wal_object_count(),
             "db_bytes_in_cloud": self.view.total_db_bytes(),
+            #: Bytes planned to ship per byte of WAL the DBMS wrote
+            #: (pre-codec; ``None`` before the first batch).
+            "wal_shipped_ratio": (
+                self.stats.wal_planned_bytes / self.stats.wal_submitted_bytes
+                if self.stats.wal_submitted_bytes else None
+            ),
             "encode_mode": self.pipeline.encode_mode,
             "batch": tuner_state["batch"] if tuner_state else self.config.batch,
             "safety": (

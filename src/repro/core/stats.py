@@ -18,12 +18,17 @@ from repro.common.events import Event, EventBus
 
 @dataclass
 class GinjaStats:
-    """Thread-safe counters; all byte counts are post-codec (what
-    actually crossed the wire)."""
+    """Thread-safe counters; byte counts are post-codec (what actually
+    crossed the wire) unless their comment says otherwise."""
 
     wal_objects: int = 0
     wal_bytes: int = 0
     wal_batches: int = 0
+    #: Pre-codec bytes the DBMS's WAL writes submitted, and the bytes
+    #: the Aggregator planned to ship for them (``wal_batch`` events);
+    #: their ratio is what coalescing and changed-range shipping save.
+    wal_submitted_bytes: int = 0
+    wal_planned_bytes: int = 0
     db_objects: int = 0
     db_bytes: int = 0
     dumps: int = 0
@@ -106,7 +111,11 @@ class GinjaStats:
         if kind == events.WAL_OBJECT:
             return {"wal_objects": 1, "wal_bytes": event.nbytes}
         if kind == events.WAL_BATCH:
-            return {"wal_batches": 1}
+            return {
+                "wal_batches": 1,
+                "wal_submitted_bytes": event.total,
+                "wal_planned_bytes": event.nbytes,
+            }
         if kind == events.DB_OBJECT:
             return {"db_objects": 1, "db_bytes": event.nbytes}
         if kind == events.DUMP_COMPLETE:

@@ -178,13 +178,15 @@ class TestStatsBridge:
     def test_wal_and_db_traffic_events(self):
         bus, stats = self.bridge()
         bus.emit(events.WAL_OBJECT, key="WAL/0", nbytes=100)
-        bus.emit(events.WAL_BATCH, count=2)
+        bus.emit(events.WAL_BATCH, count=2, nbytes=300, total=16384)
         bus.emit(events.DB_OBJECT, key="DB/0", nbytes=50)
         bus.emit(events.DUMP_COMPLETE, count=1)
         snap = stats.snapshot()
         assert snap["wal_objects"] == 1
         assert snap["wal_bytes"] == 100
         assert snap["wal_batches"] == 1
+        assert snap["wal_planned_bytes"] == 300
+        assert snap["wal_submitted_bytes"] == 16384
         assert snap["db_objects"] == 1
         assert snap["db_bytes"] == 50
         assert snap["dumps"] == 1

@@ -1,18 +1,23 @@
 """Replay equivalence: the coalescing upload path loses no bytes.
 
-Property under test: pushing a commit stream through the pipeline's
-transform chain — coalesce to latest-per-offset, sort, ``_merge_chunks``,
-``_split_chunks``, codec round-trip — then replaying the resulting WAL
-objects in timestamp order produces a segment byte-identical to naively
-applying every write in commit order.
+Property under test: pushing a commit stream through the Aggregator's
+transform — :func:`~repro.core.commit_pipeline.plan_writes`, the very
+function ``CommitPipeline._plan`` calls: coalesce to latest-per-offset,
+cut down to the changed range against the shadow, sort,
+``_merge_chunks``, ``_split_chunks`` — and a codec round-trip, then
+replaying the resulting WAL objects in timestamp order produces a
+segment byte-identical to naively applying every write in commit order.
+The stream goes through as one batch, or cut into batches that share
+one shadow the way a running pipeline's batches do.
 
 The streams follow the WAL write pattern the coalescer is designed for
 (and that real engines produce):
 
 * adjacent appends — a new run starts where the previous one ended;
-* growing same-offset tail rewrites — the partially-filled tail page is
-  re-written in place, never shrinking (this is what coalescing
-  collapses);
+* same-offset tail rewrites — the partially-filled tail page is
+  re-written in place, usually longer (this is what coalescing
+  collapses), sometimes *shorter*, which replaces only the head of the
+  run and keeps its tail;
 * interior patches at increasing offsets strictly inside the closed
   region below the tail run (the tail-run rewrite itself may extend
   past everything previously written).
@@ -31,7 +36,7 @@ import random
 import pytest
 
 from repro.core.codec import ObjectCodec
-from repro.core.commit_pipeline import _merge_chunks, _split_chunks
+from repro.core.commit_pipeline import plan_writes
 from repro.core.data_model import decode_wal_payload, encode_wal_payload
 
 CODEC = ObjectCodec()
@@ -45,16 +50,29 @@ def naive_replay(writes: list[tuple[int, bytes]], size: int) -> bytes:
     return bytes(image)
 
 
-def pipeline_replay(writes: list[tuple[int, bytes]], size: int) -> bytes:
-    """The aggregator's transform chain plus recovery's apply loop."""
-    latest: dict[int, bytes] = {}
-    for offset, data in writes:
-        latest[offset] = data
-    chunks = _merge_chunks(sorted(latest.items()))
+def planned_objects(writes, cuts=(), epochs=None, shadow=None):
+    """The (offset, data) groups ``plan_writes`` ships for the stream,
+    one batch per slice between ``cuts``, all sharing one shadow."""
+    shadow = {} if shadow is None else shadow
+    epochs = epochs or [0] * len(writes)
+    edges = [0, *cuts, len(writes)]
+    groups = []
+    for start, stop in zip(edges, edges[1:]):
+        batch = [
+            ("seg", offset, data, epochs[index])
+            for index, (offset, data) in enumerate(writes[start:stop], start)
+        ]
+        groups += [group for _path, group in plan_writes(
+            batch, shadow, coalesce=True, max_object_bytes=SPLIT_CAP,
+        )]
+    return groups
+
+
+def pipeline_replay(writes: list[tuple[int, bytes]], size: int,
+                    cuts=(), epochs=None) -> bytes:
+    """The aggregator's transform as shipped, plus recovery's apply loop."""
     image = bytearray(size)
-    for group in _split_chunks(chunks, SPLIT_CAP):
-        if not group:
-            continue
+    for group in planned_objects(writes, cuts, epochs):
         payload = CODEC.decode(CODEC.encode(encode_wal_payload(group)))
         for offset, data in decode_wal_payload(payload):
             image[offset:offset + len(data)] = data
@@ -65,9 +83,23 @@ def stream_size(writes: list[tuple[int, bytes]]) -> int:
     return max(offset + len(data) for offset, data in writes)
 
 
-def assert_equivalent(writes: list[tuple[int, bytes]]) -> None:
+def assert_equivalent(writes: list[tuple[int, bytes]], cuts=(),
+                      epochs=None) -> None:
     size = stream_size(writes)
-    assert pipeline_replay(writes, size) == naive_replay(writes, size)
+    assert (pipeline_replay(writes, size, cuts, epochs)
+            == naive_replay(writes, size))
+
+
+def random_batching(seed: int, count: int) -> tuple[list[int], list[int]]:
+    """Seeded batch boundaries and a non-decreasing epoch per write (a
+    checkpoint begins before roughly one write in twelve)."""
+    rng = random.Random(~seed)
+    cuts = sorted(rng.sample(range(1, count), rng.randint(1, count // 2)))
+    epochs, epoch = [], 0
+    for _ in range(count):
+        epoch += rng.random() < 0.08
+        epochs.append(epoch)
+    return cuts, epochs
 
 
 def generate_stream(seed: int) -> list[tuple[int, bytes]]:
@@ -83,7 +115,21 @@ def generate_stream(seed: int) -> list[tuple[int, bytes]]:
     patch_floor: dict[int, int] = {}  # run start -> next allowed patch start
     for _ in range(rng.randint(20, 60)):
         roll = rng.random()
-        if roll < 0.45:
+        if roll < 0.08 and tail_len > 1:
+            # Rewrite only the head of the tail run: the run keeps its
+            # length, and the bytes past the rewrite keep their content.
+            writes.append((tail_start, body(rng.randint(1, tail_len - 1))))
+        elif roll < 0.25 and writes[-1][0] == tail_start \
+                and len(writes[-1][1]) == tail_len > 2:
+            # Rewrite the tail run at its own length with only a middle
+            # stretch changed — a fixed-size page gaining a record.
+            page = writes[-1][1]
+            start = rng.randint(1, tail_len - 1)
+            fresh = body(rng.randint(1, tail_len - start))
+            writes.append(
+                (tail_start, page[:start] + fresh + page[start + len(fresh):])
+            )
+        elif roll < 0.45:
             # Rewrite the tail run in place, longer than before.
             tail_len += rng.randint(1, 40)
             writes.append((tail_start, body(tail_len)))
@@ -95,9 +141,8 @@ def generate_stream(seed: int) -> list[tuple[int, bytes]]:
             writes.append((tail_start, body(tail_len)))
         else:
             # Patch strictly inside ONE closed run — never at the run's
-            # own start (that would be a shrinking same-offset rewrite,
-            # which the WAL pattern does not produce) and never across a
-            # run boundary (the next run's splice would outrank a patch
+            # own start (a closed run is not rewritten) and never across
+            # a run boundary (the next run's splice would outrank a patch
             # written after it).  Patches within a run move rightward so
             # they stay disjoint.
             rooms = [
@@ -129,9 +174,9 @@ class TestDeterministicShapes:
     def test_growing_tail_rewrites_coalesce(self):
         writes = [(0, b"x" * n) for n in (8, 24, 64, 120)]
         assert_equivalent(writes)
-        latest = dict(writes)
-        merged = _merge_chunks(sorted(latest.items()))
-        assert merged == [(0, b"x" * 120)]  # coalesced to one run
+        runs = [run for group in planned_objects(writes) for run in group]
+        assert b"".join(data for _offset, data in runs) == b"x" * 120
+        assert [offset for offset, _data in runs] == [0, SPLIT_CAP]
 
     def test_cap_straddling_run_splits_losslessly(self):
         run = bytes(i % 251 for i in range(3 * SPLIT_CAP + 11))
@@ -140,6 +185,69 @@ class TestDeterministicShapes:
     def test_patch_extending_past_the_tail(self):
         assert_equivalent([(0, b"a" * 50), (40, b"b" * 30)])
 
+    def test_shrinking_rewrite_keeps_the_tail_it_did_not_cover(self):
+        """The bug: latest-per-offset kept only the shorter write, and
+        the longer one's tail came back as zeros."""
+        writes = [(0, b"A" * 16), (0, b"B" * 8)]
+        assert_equivalent(writes)            # coalesced in one batch
+        assert_equivalent(writes, cuts=[1])  # one batch each
+
+    def test_a_tail_rewrite_in_a_later_batch_ships_only_what_changed(self):
+        page = b"r1r1r1" + bytes(26)
+        fuller = b"r1r1r1" + b"r2r2" + bytes(22)
+        writes = [(64, page), (64, fuller)]
+        assert_equivalent(writes, cuts=[1])
+        first, second = planned_objects(writes, cuts=[1])
+        assert first == [(64, page)]
+        assert second == [(70, b"r2r2")]
+
+    def test_an_identical_rewrite_plans_nothing(self):
+        writes = [(0, b"same" * 8), (0, b"same" * 8)]
+        assert_equivalent(writes, cuts=[1])
+        assert len(planned_objects(writes, cuts=[1])) == 1
+
+    def test_a_rewrite_in_a_new_epoch_ships_whole(self):
+        page, fuller = b"ab" + bytes(6), b"abcd" + bytes(4)
+        writes = [(0, page), (0, fuller)]
+        assert planned_objects(writes, cuts=[1], epochs=[0, 1]) == [
+            [(0, page)], [(0, fuller)],
+        ]
+
+    def test_a_rewrite_of_another_length_ships_whole(self):
+        writes = [(0, b"abcd"), (0, b"abcdef")]
+        assert planned_objects(writes, cuts=[1]) == [
+            [(0, b"abcd")], [(0, b"abcdef")],
+        ]
+
+    @pytest.mark.parametrize("patch", [(12, b"bbbb"), (23, b"bb"), (7, b"bb")])
+    def test_a_patch_from_another_batch_invalidates_the_page_it_hit(self, patch):
+        """The shadow must mirror the image: once a patch has landed on
+        the page — inside it, or on its last or first byte — the image
+        there is no longer the page last planned, so writing that page
+        again is *not* an identical rewrite."""
+        page = b"a" * 16
+        writes = [(8, page), patch, (8, page)]
+        assert_equivalent(writes, cuts=[1, 2])
+        assert planned_objects(writes, cuts=[1, 2])[-1] == [(8, page)]
+
+    @pytest.mark.parametrize("neighbour", [(24, b"bb"), (6, b"bb")])
+    def test_a_write_that_only_touches_the_page_leaves_it_remembered(
+            self, neighbour):
+        page = b"a" * 16
+        writes = [(8, page), neighbour, (8, page)]
+        assert_equivalent(writes, cuts=[1, 2])
+        assert len(planned_objects(writes, cuts=[1, 2])) == 2
+
+    def test_overlapping_writes_of_one_batch_are_never_trimmed(self):
+        """A trimmed page would sort *after* the patch it used to sort
+        before, and win bytes the later patch wrote."""
+        old, new = b"a" * 16, b"a" * 12 + b"cccc"
+        writes = [(0, old), (0, new), (8, b"bbbbbbbb")]
+        assert_equivalent(writes, cuts=[1])
+        # ... and the page it overlapped is forgotten, not remembered
+        # with content the image does not hold.
+        assert_equivalent(writes + [(0, new)], cuts=[1, 3])
+
 
 class TestSeededStreams:
     @pytest.mark.parametrize("seed", range(20))
@@ -147,6 +255,37 @@ class TestSeededStreams:
         writes = generate_stream(seed)
         assert len(writes) >= 10
         assert_equivalent(writes)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batched_image_matches_naive_replay(self, seed):
+        """The same streams as a running pipeline sees them: in batches
+        that share a shadow, within one epoch (every same-length rewrite
+        is a diff) and across seeded checkpoint begins."""
+        writes = generate_stream(seed)
+        cuts, epochs = random_batching(seed, len(writes))
+        assert_equivalent(writes, cuts)
+        assert_equivalent(writes, cuts, epochs)
+
+    def test_the_streams_exercise_trimming_and_shrinking(self):
+        shrinking = trimmed = 0
+        for seed in range(20):
+            writes = generate_stream(seed)
+            extent: dict[int, int] = {}
+            for offset, data in writes:
+                shrinking += len(data) < extent.get(offset, 0)
+                extent[offset] = max(extent.get(offset, 0), len(data))
+            cuts, _epochs = random_batching(seed, len(writes))
+
+            def shipped(epochs):
+                return sum(
+                    len(data)
+                    for group in planned_objects(writes, cuts, epochs)
+                    for _offset, data in group
+                )
+
+            # An epoch per write: no shadow entry ever matches.
+            trimmed += shipped(None) < shipped(list(range(len(writes))))
+        assert shrinking >= 10 and trimmed >= 10
 
     @pytest.mark.parametrize("seed", range(20))
     def test_every_byte_written_once_survives(self, seed):

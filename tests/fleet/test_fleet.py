@@ -342,6 +342,11 @@ class TestFleetMetering:
         assert health["started"]
         assert "h1" in health["tenants"]
         assert health["tenants"]["h1"]["running"]
+        commit_rows(db, "h1", 10)
+        assert fleet.tenant("h1").drain(timeout=30.0)
+        # Each tenant's own planned ÷ submitted WAL bytes: ten commits
+        # rewrote one tail page, and only what changed was planned.
+        assert 0 < fleet.health()["tenants"]["h1"]["wal_shipped_ratio"] < 0.5
         assert "encode_queue_depth" in health
         assert "puts_observed" in health["uploads"]
         reactor = health["reactor"]

@@ -1,26 +1,20 @@
 """Microbenchmarks: pipeline throughput, codec bandwidth, merge/replay.
 
 Every benchmark runs twice — a **baseline** series that reproduces the
-pre-optimization implementation (serial inline encode on the Aggregator
-thread, the legacy copy-chain codec and list-join payload framing) and
-an **optimized** series on the shipped code (parallel encode stage,
-zero-copy assembly).  Committing both series makes the report
+pre-optimization implementation (the legacy copy-chain codec and
+list-join payload framing) and an **optimized** series on the shipped
+code (zero-copy assembly).  Committing both series makes the report
 self-describing: the regression signal is the per-benchmark ratio, which
 is far more stable across machines than absolute MB/s.
 
 Notes on machines: the parallel-encode win only exists with >1 CPU
 (zlib/AES/HMAC release the GIL, but one core can still only run one of
-them at a time).  Adaptive dispatch turns the single-core case from an
-excuse into a guarantee: the controller measures that the pool is not
-winning and keeps (or puts) encoding inline, so the submit→unlock
-benchmarks carry a ``floor_1cpu`` of 1.0 — on a 1-CPU runner the
-shipped pipeline must never lose to the serial baseline, no
-parallel-flag exemption.  The report records the CPU count so readers
-(and the CI band check) can interpret the multi-core ratios.
-
-Every adaptive series appends its controller's transition records to
-:data:`MODE_TRANSITIONS` (keyed by benchmark tag); ``run.py
---mode-log`` persists it as the CI artifact.
+them at a time).  The worker that plans a batch encodes it, so there is
+no hand-off to lose on one core: the submit→unlock benchmarks carry a
+``floor_1cpu`` of 1.0 — on a 1-CPU runner the shipped pipeline must
+never lose to the baseline, no parallel-flag exemption.  The report
+records the CPU count so readers (and the CI band check) can interpret
+the multi-core ratios.
 """
 
 from __future__ import annotations
@@ -59,21 +53,6 @@ from repro.storage.memory import MemoryFileSystem
 
 SCHEMA = "ginja-perf-v1"
 PASSWORD = "bench-password"
-
-#: Dispatch-controller transition logs collected during the last suite
-#: run, keyed by benchmark tag — the perf-smoke job uploads this so a
-#: surprising ratio can be read against what the controller actually
-#: did (did it promote? demote? flap?).
-MODE_TRANSITIONS: dict[str, list[dict]] = {}
-
-
-def _log_transitions(tag: str | None, pipe: CommitPipeline) -> None:
-    if tag is not None and pipe.dispatch.transitions:
-        MODE_TRANSITIONS.setdefault(tag, []).extend(
-            dict(record, lane=record["lane"] or "default")
-            for record in pipe.dispatch.transitions
-        )
-
 
 # ---------------------------------------------------------------------------
 # Baseline replicas (the pre-optimization implementations, kept verbatim
@@ -187,30 +166,20 @@ def _best(passes) -> float:
 def bench_pipeline(*, optimized: bool, updates: int, page_size: int,
                    uploaders: int = 5, encoders: int = 4,
                    batch: int = 50, seed: int = 1234,
-                   repeats: int = 3, cloud_factory=None,
-                   dispatch: str | None = None,
-                   tag: str | None = None) -> float:
+                   repeats: int = 3, cloud_factory=None) -> float:
     """Submit→unlock throughput with compress+encrypt on a zero-latency
     cloud — the CPU-bound shape where the encode stage matters.
 
-    ``optimized=False`` replays the pre-PR pipeline: inline serial
-    encode on the Aggregator with the legacy copy-chain codec.
-    ``dispatch`` overrides the encode dispatch policy (default: the
-    shipped ``"adaptive"`` for the optimized series, pinned
-    ``"inline"`` for the baseline, matching what each series models).
-    ``tag`` collects the controller's transition log under that key in
-    :data:`MODE_TRANSITIONS`.  ``cloud_factory`` swaps the store the
+    ``optimized=False`` runs the same pipeline with the legacy
+    copy-chain codec.  ``cloud_factory`` swaps the store the
     pipeline uploads into (the mirror-1 passthrough gate uses a
     single-provider PlacementStore); the factory's product is closed
     after each pass when it can be.
     """
-    if dispatch is None:
-        dispatch = "adaptive" if optimized else "inline"
     config = GinjaConfig(
         batch=batch, safety=updates + batch, batch_timeout=0.005,
         safety_timeout=120.0, uploaders=uploaders, encoders=encoders,
-        encode_dispatch=dispatch, compress=True, encrypt=True,
-        password=PASSWORD,
+        compress=True, encrypt=True, password=PASSWORD,
     )
     codec_cls = ObjectCodec if optimized else LegacyCodec
     codec = codec_cls(compress=True, encrypt=True, password=PASSWORD)
@@ -239,7 +208,6 @@ def bench_pipeline(*, optimized: bool, updates: int, page_size: int,
                 elapsed = time.perf_counter() - start
             finally:
                 pipe.stop(drain_timeout=30.0)
-                _log_transitions(tag, pipe)
                 if cloud_factory is not None and hasattr(cloud, "close"):
                     cloud.close()
         rates.append(updates / elapsed)
@@ -512,9 +480,7 @@ def bench_recovery(*, optimized: bool, objects: int, object_bytes: int,
 
 def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
                 page_size: int = 4096, hot_factor: int = 4,
-                batch: int = 20, seed: int = 31, repeats: int = 3,
-                dispatch: str | None = None,
-                tag: str | None = None) -> float:
+                batch: int = 20, seed: int = 31, repeats: int = 3) -> float:
     """Fleet submit→unlock throughput: N tenant pipelines under a skewed
     load, shared encode pool vs N private pools.
 
@@ -529,19 +495,11 @@ def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
     makespan, which is exactly the idle capacity a shared pool
     reclaims.
 
-    ``dispatch`` defaults to the shipped ``"adaptive"`` for the shared
-    series (on one core every lane self-demotes to inline, which is the
-    single-core fix under test) and to pinned ``"pool"`` for the
-    private-pool baseline, preserving the pre-controller behaviour that
-    series models.
-
     The upload reactor follows the same split as the encode pool: the
     shared series runs one fleet-wide reactor (one loop thread, exactly
     what ``FleetManager`` deploys), the private series gives every
     pipeline its own — ``tenants`` loop threads, the stand-alone shape.
     """
-    if dispatch is None:
-        dispatch = "adaptive" if optimized else "pool"
     weights = [
         hot_factor if i < max(1, tenants // 3) else 1 for i in range(tenants)
     ]
@@ -563,8 +521,7 @@ def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
                     config = GinjaConfig(
                         batch=batch, safety=len(streams[i]) + batch,
                         batch_timeout=0.005, safety_timeout=120.0,
-                        uploaders=2, encoders=1, encode_dispatch=dispatch,
-                        compress=True, encrypt=True, password=PASSWORD,
+                        uploaders=2, encoders=1, compress=True, encrypt=True, password=PASSWORD,
                     )
                     cloud = SimulatedCloud(
                         backend=InMemoryObjectStore(), time_scale=0.0
@@ -602,7 +559,6 @@ def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
             finally:
                 for pipe in pipes:
                     pipe.stop(drain_timeout=30.0)
-                    _log_transitions(tag, pipe)
         rates.append(total / elapsed)
     return _best(rates)
 
@@ -716,28 +672,23 @@ def run_suite(scale: float = 1.0) -> dict:
     def n(value: int, floor: int = 1) -> int:
         return max(floor, int(value * scale))
 
-    MODE_TRANSITIONS.clear()
     results = {}
 
     pipeline = {
         series: bench_pipeline(
             optimized=(series == "optimized"),
             updates=n(2000, 20), page_size=8192,
-            tag="pipeline_submit_unlock"
-            if series == "optimized" else None,
         )
         for series in ("baseline", "optimized")
     }
     results["pipeline_submit_unlock"] = {
         "unit": "updates/s",
         "config": "compress+encrypt, uploaders=5, encoders=4, B=50, "
-                  "8 KiB pages, adaptive dispatch vs serial inline legacy",
-        # The ratio scales with core count (the baseline is serial inline
-        # encode); the band check only compares it against a report from
-        # a machine with the same CPU count.  On one CPU the adaptive
-        # controller must keep encoding inline, so the shipped pipeline
-        # can only win (zero-copy codec) — a hard floor, no parallel
-        # exemption.
+                  "8 KiB pages, zero-copy codec vs legacy copy-chain codec",
+        # The band check only compares the ratio against a report from
+        # a machine with the same CPU count.  On one CPU the shipped
+        # pipeline can only win (zero-copy codec) — a hard floor, no
+        # parallel exemption.
         "parallel": True,
         "floor_1cpu": 1.0,
         **pipeline,
@@ -784,7 +735,6 @@ def run_suite(scale: float = 1.0) -> dict:
         s: bench_fleet(
             optimized=(s == "optimized"),
             tenants=6, updates_per_tenant=n(250, 8),
-            tag="fleet_submit_unlock" if s == "optimized" else None,
             # Best-of-5 for the same reason as the codec pair: the two
             # series sit within a few percent on one core, so the gated
             # floor needs the peak, not a noisy 3-sample draw.
@@ -794,42 +744,16 @@ def run_suite(scale: float = 1.0) -> dict:
     }
     results["fleet_submit_unlock"] = {
         "unit": "updates/s",
-        "config": "6 tenants (hot third at 4x), shared pool + adaptive "
-                  "dispatch vs 6 private 1-worker pools, compress+encrypt, "
-                  "4 KiB pages",
+        "config": "6 tenants (hot third at 4x), shared pool vs 6 private "
+                  "1-worker pools, compress+encrypt, 4 KiB pages",
         # Equal thread counts in both series, but the work-stealing win
         # depends on genuinely overlapping encoder work — floor-only
-        # across machines with different core counts.  On one CPU every
-        # lane self-demotes to inline, which must beat the private-pool
-        # hand-off overhead: a hard floor, no parallel exemption (this
-        # was the 0.96x regression this controller exists to fix).
+        # across machines with different core counts.  On one CPU the
+        # shared pool must not lose to the private ones: a hard floor,
+        # no parallel exemption.
         "parallel": True,
         "floor_1cpu": 1.0,
         **fleet,
-    }
-
-    adaptive = {
-        # Both series run the shipped pipeline and codec; the only
-        # difference is the dispatch policy — pinned pool vs adaptive.
-        # Wherever the pool genuinely wins the controller promotes into
-        # it, so adaptive must never lose to pinned pool by more than
-        # measurement noise, and on one CPU it must win outright.
-        "baseline": bench_pipeline(
-            optimized=True, updates=n(2000, 20), page_size=8192,
-            dispatch="pool",
-        ),
-        "optimized": bench_pipeline(
-            optimized=True, updates=n(2000, 20), page_size=8192,
-            dispatch="adaptive", tag="adaptive_submit_unlock",
-        ),
-    }
-    results["adaptive_submit_unlock"] = {
-        "unit": "updates/s",
-        "config": "shipped pipeline, pinned pool dispatch vs adaptive "
-                  "self-tuning; compress+encrypt, 8 KiB pages",
-        "parallel": True,
-        "floor_1cpu": 1.0,
-        **adaptive,
     }
 
     reactor = {
@@ -957,15 +881,6 @@ REMEASURE = {
         ),
         "optimized": bench_fleet(
             optimized=True, tenants=6, updates_per_tenant=250, repeats=5,
-        ),
-    },
-    "adaptive_submit_unlock": lambda: {
-        "baseline": bench_pipeline(
-            optimized=True, updates=2000, page_size=8192, dispatch="pool",
-        ),
-        "optimized": bench_pipeline(
-            optimized=True, updates=2000, page_size=8192,
-            dispatch="adaptive",
         ),
     },
     "reactor_inflight": lambda: {

@@ -21,12 +21,9 @@ Benchmarks that declare ``floor_1cpu`` additionally gate the fresh
 ratio as a hard floor whenever the fresh run's machine has exactly one
 CPU and the run is at canonical scale — no band, no parallel-flag
 exemption (scaled-down smoke runs are all startup overhead and are not
-floor-gated).  The adaptive dispatch
-controller exists to make submit→unlock a win (or a tie) everywhere, so
-on one core the shipped pipeline losing to its baseline is a bug, not a
-machine artifact.  ``--mode-log PATH`` writes the controllers'
-mode-transition records (what promoted/demoted, when, and why) so a
-surprising ratio can be debugged from the CI artifact alone.
+floor-gated).  The worker that plans a batch also encodes it, so there
+is no hand-off for one core to lose: the shipped pipeline losing to its
+baseline there is a bug, not a machine artifact.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ import json
 import sys
 
 from benchmarks.perf.harness import (
-    MODE_TRANSITIONS,
     SCHEMA,
     dump,
     remeasure,
@@ -68,13 +64,11 @@ def check(report: dict, committed: dict, band: float) -> list[str]:
         want, got = entry["speedup"], fresh["speedup"]
         floor = entry.get("floor_1cpu")
         if single_core and floor is not None and got < floor:
-            # The adaptive-dispatch guarantee: on one CPU the shipped
-            # series must not lose, full stop — the parallel flag's
-            # cross-machine leniency does not apply.
+            # On one CPU the shipped series must not lose, full stop —
+            # the parallel flag's cross-machine leniency does not apply.
             failures.append(
                 f"{name}: speedup {got:.2f}x below the {floor:.2f}x "
-                "single-core floor (adaptive dispatch must keep this a "
-                "win on 1 CPU)"
+                "single-core floor"
             )
         if entry.get("parallel") and not same_cpus:
             # The parallel-pipeline ratio scales with core count; against
@@ -144,9 +138,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload scale (1.0 = canonical sizes)")
     parser.add_argument("--band", type=float, default=0.4,
                         help="allowed relative deviation of each speedup ratio")
-    parser.add_argument("--mode-log",
-                        help="write the dispatch controllers' mode-transition "
-                             "log here (the perf-smoke CI artifact)")
     args = parser.parse_args(argv)
     if not args.out and not args.check:
         parser.error("need --out and/or --check")
@@ -157,20 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         dump(report, args.out)
         print(f"wrote {args.out}")
-
-    if args.mode_log:
-        with open(args.mode_log, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "machine": report["machine"],
-                    "scale": report["scale"],
-                    "transitions": MODE_TRANSITIONS,
-                },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        switches = sum(len(v) for v in MODE_TRANSITIONS.values())
-        print(f"wrote {args.mode_log} ({switches} mode transitions)")
 
     if args.check:
         with open(args.check, encoding="utf-8") as fh:

@@ -123,8 +123,9 @@ class _ClockPump:
     On a manual clock the only things that advance virtual time are the
     workload's explicit ``advance()`` calls and the latency layer's
     sleeps.  Once the workload stops, a partially-filled batch waiting
-    for T_B would wait on a frozen clock forever — drains and shutdown
-    deadlines need time to keep flowing.  The pump makes virtual
+    for T_B would wait on a frozen clock forever (T_B is a timer on
+    this clock, and ``drain`` waits for it rather than forcing a flush)
+    — drains and shutdown deadlines need time to keep flowing.  The pump makes virtual
     timestamps real-time dependent, which is why ``canonical()`` exposes
     only configuration and booleans, never timestamps or dollars.
     """

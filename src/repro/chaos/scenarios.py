@@ -98,9 +98,6 @@ class Scenario:
             model with hostile numbers); advances the drill's virtual
             clock, never real time.
         dbms: "postgres" or "mysql".
-        encode_dispatch: the commit pipeline's dispatch policy
-            (``"adaptive"``/``"inline"``/``"pool"``) — the RPO oracle
-            must hold under all three, and across mode transitions.
         unbounded_safety: the RPO-oracle **mutation knob**: run the
             pipeline with the Safety back-pressure effectively disabled
             while the oracle still budgets against the *nominal* S — a
@@ -128,7 +125,6 @@ class Scenario:
     throttle: Throttle | None = None
     latency: LatencyModel | None = None
     dbms: str = "postgres"
-    encode_dispatch: str = "adaptive"
     unbounded_safety: bool = False
     budget_dollars: float = 0.05
     crash_points: tuple[str, ...] | None = None
@@ -168,7 +164,6 @@ class Scenario:
             batch_timeout=self.batch_timeout,
             safety_timeout=timeout,
             uploaders=self.uploaders,
-            encode_dispatch=self.encode_dispatch,
             max_retries=self.max_retries,
             retry_backoff=self.retry_backoff,
             seed=seed,

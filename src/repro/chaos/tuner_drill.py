@@ -214,8 +214,7 @@ def run_tuner_drill(
     # tuner's ``interval_ewma``), or every claim is a T_B-expiry
     # partial of one or two rows and B stops being the knob that sets
     # commit latency (the reactor queue does instead).  The tail partial
-    # batch at drain time is flushed by a sentinel row, not by waiting
-    # this timeout out in real time.
+    # batch at drain time is flushed by advancing the clock past T_B.
     config = GinjaConfig(
         batch=batch, safety=safety, seed=seed,
         batch_timeout=20.0, safety_timeout=60.0,
@@ -302,12 +301,11 @@ def _run_phases(result, cloud, latency, config, engine, profile, clock,
             f"projected ${projected}/month over ${result.budget}",
         )
 
-        # Flush the tail: expire T_B in virtual time, then submit one
-        # sentinel row — its submit notifies the aggregator, which sees
-        # the expired timeout and claims the partial batch immediately.
-        # Without it, the aggregator would sleep the T_B remainder out
-        # in *real* seconds before drain could finish (nothing notifies
-        # its condition when only the pump moves the clock).
+        # Flush the tail: advancing the clock past T_B fires the timer,
+        # which claims the partial batch.  The sentinel row dates from
+        # when only a submit could report that virtual time had passed;
+        # it stays because the canonical report counts it in
+        # ``committed``.
         clock.advance(config.batch_timeout + 1.0)
         sentinel = row_value(result.rows_before + result.rows_after,
                              result.seed)

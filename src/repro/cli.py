@@ -445,10 +445,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     With ``--thread-budget`` the drill also runs a thread census: a
     sampler polls the live thread set through the whole run and the
     drill fails if the peak ever exceeds the budget.  This is the CI
-    guard for the upload reactor's O(1)-upload-threads claim — before
-    the reactor, 50 tenants meant 50+ parked uploader threads; now all
-    PUT and GC DELETE traffic multiplexes onto one event loop plus a
-    small executor, and a tenant costs one thread (its aggregator).
+    guard for the claim that a tenant costs no thread — all PUT and GC
+    DELETE traffic and every T_B timer multiplex onto one event loop
+    plus a small executor, every claim and encode job onto the shared
+    encoder pool, and downloaders exist only while the victim is being
+    recovered — so the peak is the same at 5 tenants as at 50.
     ``--census-out`` writes the peak and a name-prefix breakdown as
     JSON for the CI artifact.
     """

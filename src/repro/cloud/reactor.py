@@ -10,6 +10,9 @@ all of them with **one** asyncio event-loop thread:
   DELETEs (:meth:`UploadReactor.submit_delete`) are submitted from any
   thread and return an :class:`UploadHandle`; both verbs share one
   lane queue, window, cancel and settlement path;
+* deadline timers (:meth:`UploadReactor.call_at`) wait on the *caller's*
+  clock as loop tasks — a commit pipeline's T_B is one of these, so an
+  idle tenant costs a parked task, not a parked thread;
 * a bounded global in-flight window caps concurrency fleet-wide, and
   per-tenant *lanes* with round-robin admission keep one hot tenant
   from starving the rest (mirroring the encode stage's lane
@@ -98,6 +101,29 @@ class _Submission:
         self.on_done = on_done
         self.handle = UploadHandle(key=key, nbytes=nbytes, tenant=tenant)
         self.task: asyncio.Task | None = None
+
+
+class Timer:
+    """A pending :meth:`UploadReactor.call_at` callback; :meth:`cancel`
+    is safe from any thread, before or after it fired."""
+
+    __slots__ = ("_loop", "_task", "_cancelled")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self._loop = loop
+        self._task: asyncio.Task | None = None
+        self._cancelled = False
+
+    def cancel(self) -> None:
+        self._cancelled = True
+        try:
+            self._loop.call_soon_threadsafe(self._cancel_task)
+        except RuntimeError:  # loop already closed: nothing can fire
+            pass
+
+    def _cancel_task(self) -> None:
+        if self._task is not None:
+            self._task.cancel()
 
 
 class _Lane:
@@ -396,16 +422,20 @@ class UploadReactor:
             0, tenant, on_done,
         ))
 
+    def _live_lane_locked(self, tenant: str) -> _Lane:
+        """``tenant``'s lane, if the reactor can still take its work."""
+        if self._fatal is not None:
+            raise GinjaError("upload reactor is dead") from self._fatal
+        if self._stopping or self._thread is None:
+            raise GinjaError("upload reactor is not running")
+        lane = self._lanes.get(tenant)
+        if lane is None:
+            raise GinjaError(f"tenant {tenant!r} is not attached to the reactor")
+        return lane
+
     def _enqueue(self, sub: _Submission) -> UploadHandle:
-        tenant = sub.tenant
         with self._lock:
-            if self._fatal is not None:
-                raise GinjaError("upload reactor is dead") from self._fatal
-            if self._stopping or self._thread is None:
-                raise GinjaError("upload reactor is not running")
-            lane = self._lanes.get(tenant)
-            if lane is None:
-                raise GinjaError(f"tenant {tenant!r} is not attached to the reactor")
+            lane = self._live_lane_locked(sub.tenant)
             lane.queue.append(sub)
             self._queued += 1
             # Coalesced wakeup: waking the loop is a self-pipe write
@@ -420,6 +450,53 @@ class UploadReactor:
         if need_wake:
             self._wake()
         return sub.handle
+
+    def call_at(self, clock, deadline: float, fn, *, tenant: str) -> Timer:
+        """Run ``fn()`` on the loop thread once ``clock`` reaches
+        ``deadline`` (:meth:`Clock.wait_until_async
+        <repro.common.clock.Clock.wait_until_async>` — the caller's
+        clock, so virtual time fires it exactly when it is advanced
+        past the deadline).  ``fn`` must be fast and must not block,
+        like ``on_done``; an exception escaping it (or the clock)
+        fires ``tenant``'s ``on_fatal`` hooks and nobody else's.
+        """
+        with self._lock:
+            lane = self._live_lane_locked(tenant)
+            loop = self._loop
+        timer = Timer(loop)
+
+        def arm() -> None:
+            if timer._cancelled or self._stopping:
+                return
+            task = loop.create_task(self._run_timer(clock, deadline, fn, lane))
+            timer._task = task
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+
+        try:
+            loop.call_soon_threadsafe(arm)
+        except RuntimeError as exc:  # loop closed between check and call
+            raise GinjaError("upload reactor is not running") from exc
+        return timer
+
+    async def _run_timer(self, clock, deadline: float, fn, lane: _Lane) -> None:
+        try:
+            await clock.wait_until_async(deadline)
+            fn()
+        except asyncio.CancelledError:
+            raise
+        except BaseException as exc:
+            self._fire_fatals(lane, exc)
+
+    def _fire_fatals(self, lane: _Lane, exc: BaseException) -> None:
+        """A broken hook poisons its own lane, never the loop."""
+        with self._lock:
+            callbacks = list(lane.on_fatals)
+        for cb in callbacks:
+            try:
+                cb(exc)
+            except Exception:
+                pass
 
     def cancel(self, tenant: str, *, queued_only: bool = False) -> None:
         """Drop ``tenant``'s queued submissions and (unless
@@ -551,15 +628,7 @@ class UploadReactor:
             try:
                 sub.on_done(sub.handle)
             except BaseException as exc:
-                # A broken completion hook poisons its own lane, never
-                # the loop: fire the tenant's on_fatal and move on.
-                with self._lock:
-                    callbacks = list(lane.on_fatals)
-                for cb in callbacks:
-                    try:
-                        cb(exc)
-                    except Exception:
-                        pass
+                self._fire_fatals(lane, exc)
         self._pump()
 
     # -- observability -------------------------------------------------------

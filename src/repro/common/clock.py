@@ -7,7 +7,9 @@ Two implementations are provided:
 * :class:`ManualClock` — a hand-advanced clock for deterministic unit
   tests of timeout logic, and for the analytic parts of the benchmark
   harness where *modeled* time (unscaled cloud latencies) is accounted
-  without sleeping through it.
+  without sleeping through it.  Nothing in the pipeline waits for a
+  modelled deadline in real seconds (:meth:`Clock.wait_until_async`),
+  so advancing this clock is what schedules.
 
 The Ginja pipeline itself runs on real threads; simulated components
 (FUSE crossing, disk latency, cloud latency) *pace* the calling thread
@@ -19,9 +21,11 @@ time units while executing quickly.
 from __future__ import annotations
 
 import asyncio
+import heapq
 import sys
 import threading
 import time
+from itertools import count
 
 
 class SleepAccount(threading.local):
@@ -67,6 +71,15 @@ class Clock:
         """
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.sleep, seconds)
+
+    async def wait_until_async(self, deadline: float) -> None:
+        """Pause the calling *task* until :meth:`now` reaches ``deadline``
+        — the one deadline primitive (the reactor's timers are built on
+        it).  Unlike the sleeps it must never *move* the clock: on a
+        virtual clock it waits for whoever advances it.
+        """
+        while (remaining := deadline - self.now()) > 0:
+            await self.sleep_async(remaining)
 
 
 class MonotonicClock(Clock):
@@ -118,6 +131,13 @@ class MonotonicClock(Clock):
         if seconds > 0:
             await asyncio.sleep(seconds)
 
+    async def wait_until_async(self, deadline: float) -> None:
+        # Straight onto the loop's timer, not through sleep_async: a
+        # subclass that switches its modelled sleeps off must not turn
+        # a deadline into a spin.
+        while (remaining := deadline - self.now()) > 0:
+            await asyncio.sleep(remaining)
+
 
 class ManualClock(Clock):
     """A clock that only moves when told to.
@@ -130,6 +150,10 @@ class ManualClock(Clock):
     def __init__(self, start: float = 0.0):
         self._now = start
         self._cond = threading.Condition()
+        #: Tasks parked in :meth:`wait_until_async`, soonest first:
+        #: ``(deadline, tie-break, loop, future)``.
+        self._deadlines: list[tuple] = []
+        self._tie = count()
 
     def now(self) -> float:
         with self._cond:
@@ -138,17 +162,47 @@ class ManualClock(Clock):
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("cannot sleep a negative duration")
+        due = []
         with self._cond:
             self._now += seconds
             self._cond.notify_all()
+            while self._deadlines and self._deadlines[0][0] <= self._now:
+                due.append(heapq.heappop(self._deadlines))
+        # Released outside the lock: waking a loop is a self-pipe write,
+        # and the woken task's first act may be to read this clock.
+        for _deadline, _tie, loop, future in due:
+            try:
+                loop.call_soon_threadsafe(_release, future)
+            except RuntimeError:  # that loop is closed; nobody is waiting
+                pass
 
     async def sleep_async(self, seconds: float) -> None:
         # Virtual time: advance instantly, exactly like :meth:`sleep`,
         # so reactor-driven retries stay deterministic under drills.
         self.sleep(seconds)
 
+    async def wait_until_async(self, deadline: float) -> None:
+        # Advancing the clock *is* the scheduler: the task parks on the
+        # deadline heap until a sleep/advance from any thread passes it.
+        loop = asyncio.get_running_loop()
+        entry = None
+        with self._cond:
+            if self._now < deadline:
+                entry = (deadline, next(self._tie), loop, loop.create_future())
+                heapq.heappush(self._deadlines, entry)
+        if entry is None:
+            return
+        try:
+            await entry[3]
+        finally:
+            with self._cond:
+                if entry in self._deadlines:  # cancelled before its time
+                    self._deadlines.remove(entry)
+                    heapq.heapify(self._deadlines)
+
     def advance(self, seconds: float) -> None:
-        """Move time forward, waking any :meth:`wait_until` callers."""
+        """Move time forward, waking any :meth:`wait_until` callers and
+        releasing every :meth:`wait_until_async` deadline now passed."""
         self.sleep(seconds)
 
     def wait_until(self, deadline: float, timeout: float = 5.0) -> bool:
@@ -165,6 +219,11 @@ class ManualClock(Clock):
                     return False
                 self._cond.wait(remaining)
             return True
+
+
+def _release(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
 
 
 #: Process-wide default clock.

@@ -41,7 +41,12 @@ GC_DELETE = "gc_delete"
 # Pipeline events (emitted by repro.core.commit_pipeline):
 COMMIT_BLOCKED = "commit_blocked"
 COMMIT_UNBLOCKED = "commit_unblocked"
-#: The aggregator claimed a batch and planned its WAL objects; ``count``
+#: A claim job was scheduled on the pipeline's encode lane (a full batch
+#: or an expired T_B); ``count`` is the lane's queue depth with the job
+#: on it, ``total`` the stage-wide depth.  With ``wal_batch``'s ``at``
+#: it makes scheduled→claimed wait observable.
+CLAIM_QUEUED = "claim_queued"
+#: A claim job claimed a batch and planned its WAL objects; ``count``
 #: is the updates claimed, ``total`` the bytes those writes submitted
 #: and ``nbytes`` the bytes planned to ship for them (pre-codec) — less
 #: by what coalescing and changed-range shipping saved, zero when the
@@ -63,17 +68,17 @@ QUEUE_DEPTH = "queue_depth"
 WAITER_UNLOCK = "waiter_unlock"
 #: Bytes fed through the codec (compress/encrypt/MAC input).
 CODEC = "codec"
-#: One WAL object handed to the encode stage; ``count`` is the
-#: submitting lane's queue depth after the handoff (what a per-tenant
+#: One WAL object handed to *another* encode worker (objects 2…n of a
+#: batch; the worker that planned encodes the first itself); ``count``
+#: is the submitting lane's queue depth after the handoff (what a per-tenant
 #: dashboard should chart) and ``total`` the stage-wide depth across
 #: every lane.
 ENCODE_QUEUED = "encode_queued"
 #: One WAL object finished encoding; ``nbytes`` is the encoded size,
 #: ``count`` the lane's queue depth left, ``total`` the stage-wide one.
 ENCODE_DONE = "encode_done"
-#: The adaptive dispatch controller switched one lane between inline
-#: and pooled encoding; ``detail`` is ``"<from>-><to>: <reason>"`` and
-#: ``key`` the lane (tenant) name.
+#: Retired with the dispatch controller — nothing emits it; the
+#: constant stays because the frozen benchmark counts the kind.
 ENCODE_MODE = "encode_mode"
 #: The adaptive batch tuner retuned one tenant's effective B/S/T_B;
 #: ``key`` is the lane (tenant) name, ``count`` the new effective B,

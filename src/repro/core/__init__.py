@@ -8,8 +8,9 @@ it to a cloud object store under a tunable Batch/Safety model:
   scheme of §5.2;
 * :class:`~repro.core.cloud_view.CloudView` — the client-side picture of
   what is in the cloud;
-* :mod:`~repro.core.commit_pipeline` — Algorithm 2 (CommitQueue,
-  Aggregator, encode stage, reactor lane, the unlock rule);
+* :mod:`~repro.core.commit_pipeline` — Algorithm 2 (CommitQueue, claim
+  jobs on the encode stage, T_B timer and reactor lane, the unlock
+  rule);
 * :mod:`~repro.core.checkpointer` — Algorithm 3 (checkpoint capture,
   dump-vs-incremental decision, garbage collection, point-in-time
   retention);

@@ -1,35 +1,40 @@
 """Algorithm 2: the commit replication pipeline.
 
-Thread anatomy (the paper's Figure 3, grown into three stages; the
-pipeline itself owns exactly one thread, the Aggregator):
+Anatomy (the paper's Figure 3 with its per-database threads taken out:
+the pipeline owns **no thread** — it is a queue, a timer and jobs on
+pools it borrows):
 
 * DBMS threads call :meth:`CommitPipeline.submit` from the interposer's
   ``after_write`` hook.  The write is already durable locally; submit
   enqueues it and blocks the caller while more than S updates are
-  unconfirmed or the oldest unconfirmed update is older than T_S.
-* The **Aggregator** thread claims batches of up to B queued updates
-  (without removing them), coalesces overwritten pages, cuts each
-  rewritten page down to the bytes that changed since it last shipped
-  (:func:`plan_writes`), splits the result into WAL objects of at most
-  ``max_object_bytes`` and assigns timestamps — everything
-  ordering-sensitive, so the consecutive-timestamps unlock rule is
-  untouched.  It hands *unencoded* tasks to the encode stage.
-* **Encoder** workers (:class:`~repro.core.encode_stage.EncodeStage`)
-  run the codec (compress/encrypt/MAC) in parallel — zlib, AES and
-  HMAC release the GIL — and push encoded blobs to the upload queue.
-  Whether a batch goes to the pool or is encoded serially on the
-  Aggregator thread is decided per batch by a
-  :class:`~repro.core.encode_stage.DispatchController`
-  (``config.encode_dispatch``): the ``"adaptive"`` policy starts
-  inline and promotes to the pool only when measured encode time
-  dominates the batch interval and spare workers exist, demoting when
-  the pool stops beating the inline unlock baseline (one core, a
-  contended fleet, tiny pages).  ``"inline"``/``"pool"`` pin the mode
-  for ablation.
+  unconfirmed or the oldest unconfirmed update is older than T_S.  It
+  never claims: it only notices the moments there is work — the first
+  unclaimed update arms the T_B timer, a full batch schedules a claim.
+* **T_B is a timer on the upload reactor's loop**, waiting on the
+  caller's clock (:meth:`UploadReactor.call_at
+  <repro.cloud.reactor.UploadReactor.call_at>`).  When it fires it
+  re-reads the deadline — the anchor moves at every claim and every
+  unlock, and a schedule or a retune may have changed T_B — and either
+  re-arms or schedules a claim; it never plans or encodes on the loop.
+  On a :class:`~repro.common.clock.ManualClock`, advancing the clock
+  past the deadline *is* what fires it.
+* The **claim job** runs on an encoder worker
+  (:class:`~repro.core.encode_stage.EncodeStage`), on the pipeline's
+  fair-share lane, at most one at a time per pipeline: it claims up to
+  B queued updates (without removing them), coalesces overwritten
+  pages, cuts each rewritten page down to the bytes that changed since
+  it last shipped (:func:`plan_writes`), splits the result into WAL
+  objects of at most ``max_object_bytes`` and assigns timestamps —
+  everything ordering-sensitive, on one thread at a time, so the
+  consecutive-timestamps unlock rule is untouched.  The worker that
+  planned keeps going: it encodes the batch's first object itself and
+  hands objects 2…n (rare) back to its lane for any idle worker.  When
+  it finishes it re-checks under the lock and reschedules itself,
+  re-arms the timer for a leftover partial batch, or goes idle.
 * Encoded objects are submitted to the shared **upload reactor**
   (:class:`~repro.cloud.reactor.UploadReactor`): one event-loop thread
   drives every PUT through the cloud transport's async path, with the
-  tenant's ``uploaders`` knob now a per-lane in-flight *window* rather
+  tenant's ``uploaders`` knob a per-lane in-flight *window* rather
   than a thread count.  The RetryLayer still absorbs transient
   failures; its backoffs are loop timers that hold no threads.
 * The **unlock rule** runs in the reactor's completion callback, which
@@ -37,19 +42,21 @@ pipeline itself owns exactly one thread, the Aggregator):
   acked batches leave the queue head strictly in batch order — the
   "consecutive timestamps" rule that makes S a true bound on loss even
   when parallel uploads (or encodes) complete out of order (§5.3).
-  Figure 3 draws an Unlocker thread; it only ever serialised the
-  uploader threads the reactor replaced, so the rule kept its code and
-  lost its thread.
+
+Figure 3 draws Aggregator, Uploader and Unlocker threads per database;
+each only ever serialised work that a queue already orders, so each
+kept its code and lost its thread.
 
 A PUT that exhausts its retries poisons the pipeline: subsequent
 submits raise, because silently dropping a WAL object would leave a
 permanent timestamp gap that recovery stops at.  The same discipline
-applies to *any* exception escaping a worker loop (codec faults in the
-encode stage, view bookkeeping errors): the loop records it in
-``_fatal`` and notifies the condition, so Safety-blocked submitters
-fail fast instead of waiting on a thread that silently died; and
-:meth:`stop` re-raises the recorded failure, so a poisoned pipeline can
-never report a clean shutdown.
+applies to *any* exception escaping a claim job, an encode job, the
+timer callback or a completion callback (codec faults, view
+bookkeeping errors): it is recorded in ``_fatal`` and the condition
+notified, so Safety-blocked submitters fail fast instead of waiting on
+work that silently died — and it poisons this pipeline only, whoever's
+worker it ran on; :meth:`stop` re-raises the recorded failure, so a
+poisoned pipeline can never report a clean shutdown.
 
 The wire path is copy-free: coalesced runs stay views over the
 submitted pages (``_split_chunks`` slices ``memoryview``s), the WAL
@@ -58,18 +65,16 @@ writes ``flags|iv|body|mac`` into one preallocated ``bytearray`` with a
 streaming MAC.
 
 The pipeline narrates itself on the event bus (``commit_blocked``,
-``wal_batch``, ``encode_queued``/``encode_done``, ``encode_mode``,
+``claim_queued``, ``wal_batch``, ``encode_queued``/``encode_done``,
 ``wal_object``, ``batch_unlocked``, ``codec``); :class:`~repro.core.stats.GinjaStats`
 and the trace recorder subscribe there instead of being threaded
 through the constructor.  Per-write emits are guarded with
-:meth:`EventBus.wants` so an audience of zero costs nothing.  All
-waiting is condition-based with computed deadlines — an idle pipeline
-does not spin, and a T_B/T_S expiry fires on time.  There are two
-conditions over the one lock, one per kind of waiter: the unlock rule
-notifies *space* (S-blocked submitters, ``drain``), and a submit
-notifies *work* (the Aggregator) only when the first unclaimed update
-arms T_B, when a batch is full, or when T_B has already run out — so
-at B = 100 the other 98 writes of a batch switch no thread.
+:meth:`EventBus.wants` so an audience of zero costs nothing.  The one
+condition is *space*: the unlock rule (and a poisoning) notifies it,
+S-blocked submitters and ``drain`` wait on it.  Nothing waits for
+*work* — a write into a batch that is 1/B-th fuller schedules nothing
+and touches no other thread, so at B = 100 the other 98 writes of a
+batch cost an append.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ import threading
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
@@ -88,14 +94,14 @@ from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta, encode_wal_payload
-from repro.core.encode_stage import (
-    DISPATCH_INLINE,
-    DispatchController,
-    EncodeStage,
-)
+from repro.core.encode_stage import EncodeStage
 from repro.core.tuner import BatchTuner
 from repro.cloud.interface import ObjectStore
-from repro.cloud.reactor import UploadHandle, UploadReactor
+from repro.cloud.reactor import Timer, UploadHandle, UploadReactor
+
+#: Where the pipeline's one claim job is: not scheduled, waiting on the
+#: encode lane, or on a worker.
+_IDLE, _QUEUED, _RUNNING = range(3)
 
 
 @dataclass(slots=True)
@@ -111,7 +117,7 @@ class _Entry:
 
 @dataclass(slots=True)
 class _EncodeTask:
-    """One WAL object planned by the Aggregator, not yet encoded.
+    """One WAL object planned by a claim job, not yet encoded.
 
     ``chunks`` holds bytes-like runs (often ``memoryview`` slices over
     the submitted pages — safe because queue entries outlive their
@@ -133,14 +139,14 @@ class CommitPipeline:
             store works too; it just fails on the first error.
         codec: compress/encrypt/MAC encoder.
         view: the shared picture of what the cloud contains.
-        encode_stage: the running :class:`EncodeStage` pooled batches
-            are encoded on — the Ginja facade's (shared with its
-            checkpoint collector) or a fleet's.  Borrowed: the pipeline
-            never starts or stops it.
-        reactor: the running :class:`UploadReactor` every PUT rides —
-            the Ginja facade's (shared with its checkpointer) or a
-            fleet's.  Borrowed likewise; the pipeline only attaches and
-            detaches its ``lane``.
+        encode_stage: the running :class:`EncodeStage` the claim jobs
+            run on — the Ginja facade's (shared with its checkpoint
+            collector) or a fleet's.  Borrowed: the pipeline never
+            starts or stops it.
+        reactor: the running :class:`UploadReactor` every PUT rides and
+            the T_B timer waits on — the Ginja facade's (shared with
+            its checkpointer) or a fleet's.  Borrowed likewise; the
+            pipeline only attaches and detaches its ``lane``.
         bus: event bus for observability (default: events are dropped).
         clock: time source for T_B/T_S accounting.
         lane: fair-share lane in both pools; a fleet passes the tenant id.
@@ -167,15 +173,6 @@ class CommitPipeline:
         self._lane = lane
         self._stage = encode_stage
         self._reactor = reactor
-        #: Per-batch inline/pool decisions from measured EWMAs; public
-        #: so operators and the perf harness can read mode/transitions.
-        self.dispatch = DispatchController(
-            policy=config.encode_dispatch,
-            stage=encode_stage,
-            lane=lane,
-            clock=clock,
-            bus=self._bus,
-        )
         #: Adaptive B/S/T_B controller; ``None`` unless the config sets
         #: a commit-latency target, in which case the wait/claim limits
         #: below consult it instead of the frozen policy values.  The
@@ -186,20 +183,15 @@ class CommitPipeline:
             self.tuner = BatchTuner(config, clock=clock, bus=self._bus,
                                     lane=lane)
 
-        # Two conditions over one lock, one per kind of waiter.
-        # ``_cond`` is *space*: the unlock rule (and a poisoning)
-        # notifies it, S-blocked submitters and drain() wait on it.
-        # ``_work`` is the Aggregator's: a submit notifies it only on
-        # the transitions the Aggregator waits for, so a write into a
-        # batch that is 1/B-th fuller wakes nobody.
-        lock = threading.RLock()
-        self._cond = threading.Condition(lock)
-        self._work = threading.Condition(lock)
+        # One condition, and it means *space*: the unlock rule (and a
+        # poisoning) notifies it; S-blocked submitters, drain() and a
+        # stop waiting out a running claim wait on it.
+        self._cond = threading.Condition(threading.RLock())
         self._entries: deque[_Entry] = deque()
         self._claimed = 0                      # head entries inside claimed batches
         self._batch_sizes: dict[int, int] = {}
         #: Claim time per batch, so the unlock rule can report
-        #: claim→unlock latency to the controllers.
+        #: claim→unlock latency to the tuner.
         self._claim_at: dict[int, float] = {}
         self._inflight_objects: dict[int, int] = {}
         self._acked: set[int] = set()
@@ -209,35 +201,42 @@ class CommitPipeline:
         # T_B anchor: advanced both when a batch is *claimed* (Alg. 2
         # resets TaskTB right after triggering an upload) and when one
         # completes.  Without the claim-time reset, a single timeout
-        # would let the aggregator spin out partial batches continuously
-        # while the first upload is still in flight.
+        # would spin out partial batches continuously while the first
+        # upload is still in flight.
         self._tb_anchor = self._last_sync_end
         self._fatal: Exception | None = None
+        self._started = False
         self._stop = False
+        #: The one claim job: ``_IDLE``, ``_QUEUED`` or ``_RUNNING``.
+        self._claim = _IDLE
+        #: The armed T_B timer and its deadline.  One that has become
+        #: too early (the anchor moved on) is left to fire and re-read
+        #: the deadline; only one that is too *late* (T_B shrank) is
+        #: replaced.
+        self._timer: Timer | None = None
+        self._timer_deadline = 0.0
         #: What this pipeline last planned at each recent (path, offset)
-        #: — see :func:`plan_writes`.  Aggregator thread only; a new
-        #: pipeline (boot, reboot, recover) knows nothing and ships whole.
+        #: — see :func:`plan_writes`.  Claim jobs only (one at a time);
+        #: a new pipeline (boot, reboot, recover) knows nothing and
+        #: ships whole.
         self._shadow: Shadow = {}
-
-        self._thread: threading.Thread | None = None
 
     # -- lifecycle ------------------------------------------------------------------
 
     def start(self) -> None:
-        if self._thread is not None:
+        if self._started:
             raise GinjaError("pipeline already started")
         # Reactor death must poison this pipeline, not hang it: the
         # lane's on_fatal is our own poison hook.
         self._reactor.attach(
             self._lane, window=self._config.uploaders, on_fatal=self._poison,
         )
-        self._thread = threading.Thread(
-            target=self._aggregator_loop, name="ginja-aggregator", daemon=True
-        )
-        self._thread.start()
+        with self._cond:
+            self._started = True
+            self._schedule_locked()
 
     def stop(self, drain_timeout: float = 30.0) -> None:
-        """Flush pending updates (best effort), then stop the Aggregator.
+        """Flush pending updates (best effort), then stop claiming.
 
         Raises the recorded fatal error if the pipeline was poisoned —
         a pipeline that dropped WAL objects must not report a clean
@@ -267,18 +266,23 @@ class CommitPipeline:
         self._halt(join_timeout=5.0)
 
     def _halt(self, join_timeout: float) -> None:
+        """No claim of this pipeline runs once this returns: the timer
+        is cancelled, a claim still *queued* on the (possibly shared)
+        stage will read ``_stop`` and do nothing, and one on a worker
+        right now is waited out — for ``join_timeout`` real seconds."""
         with self._cond:
             self._stop = True
-            self._work.notify_all()
+            timer, self._timer = self._timer, None
             self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout=join_timeout)
-            if self._thread.is_alive():
-                # Wedged (a codec call that never returns): keep the
-                # handle so the leak stays visible, and say so.
-                self._poison(GinjaError("ginja-aggregator failed to stop"))
-            else:
-                self._thread = None
+            left = self._cond.wait_for(
+                lambda: self._claim != _RUNNING, timeout=join_timeout
+            )
+        if timer is not None:
+            timer.cancel()
+        if not left:
+            # Wedged (a codec call that never returns): the worker it
+            # holds stays on the stage's roster, and we say so.
+            self._poison(GinjaError("claim job failed to stop"))
         # An upload resolving after this point still runs its unlock in
         # the reactor callback; there is no consumer thread to outlive.
         self._reactor.detach(self._lane, self._poison)
@@ -302,19 +306,13 @@ class CommitPipeline:
     def failed(self) -> Exception | None:
         return self._fatal
 
-    @property
-    def encode_mode(self) -> str:
-        """The lane's current dispatch mode (``"inline"``/``"pool"``)."""
-        return self.dispatch.mode
-
     def pending_updates(self) -> int:
         with self._cond:
             return len(self._entries)
 
     # Effective knobs: the tuner's view when one is attached, the frozen
     # policy otherwise.  Callers hold the pipeline condition; the tuner
-    # lock nests inside it (pipeline cond → tuner lock, the same order
-    # as the dispatch controller's).
+    # lock nests inside it (pipeline cond → tuner lock).
 
     def _batch_limit(self) -> int:
         return self._config.batch if self.tuner is None else self.tuner.batch()
@@ -354,14 +352,15 @@ class CommitPipeline:
                 bus.emit(
                     events.QUEUE_DEPTH, key=path, count=len(self._entries), at=now,
                 )
-            # Wake the Aggregator only for what it waits for: the first
-            # unclaimed update arms T_B, a full batch claims, and so does
-            # an expired T_B — which its own timed wait sees on a real
-            # clock, but on a virtual one only a submit can tell it.
-            available = len(self._entries) - self._claimed
-            if (available == 1 or available >= self._batch_limit()
-                    or now >= self._batch_deadline(now)):
-                self._work.notify()
+            # Only two writes of a batch have anything to schedule: the
+            # first unclaimed one (arms T_B — or claims at once, after
+            # an idle gap longer than T_B) and the one that fills it.
+            # Expiry in between is the timer's business, and a claim
+            # already on its way re-checks when it finishes.
+            if self._claim == _IDLE:
+                available = len(self._entries) - self._claimed
+                if available == 1 or available >= self._batch_limit():
+                    self._schedule_locked()
             while True:
                 if self._fatal is not None:
                     raise GinjaError("commit pipeline failed") from self._fatal
@@ -393,9 +392,9 @@ class CommitPipeline:
     def _poison(self, exc: BaseException) -> None:
         """Record the first fatal error and release every blocked waiter.
 
-        Called from every worker loop: a thread that dies without setting
-        ``_fatal`` leaves Safety-blocked submitters waiting on a condition
-        nobody will ever notify again.
+        Called from every job and callback boundary: work that dies
+        without setting ``_fatal`` leaves Safety-blocked submitters
+        waiting on a condition nobody will ever notify again.
         """
         with self._cond:
             first = self._fatal is None
@@ -411,110 +410,148 @@ class CommitPipeline:
             # gone.  PUTs already on the wire run to their own verdict.
             self._reactor.cancel(self._lane, queued_only=True)
 
-    # -- Aggregator ---------------------------------------------------------------------
+    # -- Scheduling: the T_B timer and the claim job -------------------------------------
 
-    def _aggregator_loop(self) -> None:
-        # Everything the body touches outside the lock — codec encode,
-        # timestamp assignment, payload framing — must poison on failure,
-        # not just the uploaders' CloudError path.
+    def _schedule_locked(self) -> None:
+        """Give the unclaimed updates what they are waiting for: a claim
+        job if a batch is full or T_B has run out, else the T_B timer.
+        Called (lock held) at the only moments that can change the
+        answer — a submit that starts or fills a batch, the timer
+        firing, a claim job finishing, start."""
+        if (self._claim != _IDLE or self._stop or not self._started
+                or self._fatal is not None):
+            return
+        available = len(self._entries) - self._claimed
+        if available == 0:
+            return
         try:
-            self._aggregate_forever()
-        except BaseException as exc:  # noqa: BLE001 - worker loop boundary
-            self._poison(exc)
-
-    def _aggregate_forever(self) -> None:
-        while True:
-            with self._cond:
-                while not self._stop:
-                    available = len(self._entries) - self._claimed
-                    if available >= self._batch_limit():
-                        break
-                    if available > 0:
-                        # Partial batch: sleep exactly until T_B expires
-                        # (recomputed on every wake, so a schedule change,
-                        # a retune, or a completed sync moving the anchor
-                        # is seen — at this deadline at the latest, and
-                        # the nominal T_B is the ceiling of them all).
-                        now = self._clock.now()
-                        remaining = self._batch_deadline(now) - now
-                        if remaining <= 0:
-                            break
-                        self._work.wait(timeout=remaining)
-                    else:
-                        # Idle: nothing can happen until a submit arrives
-                        # (whose first update notifies) — no polling.
-                        self._work.wait()
-                if self._stop:
-                    return
-                available = len(self._entries) - self._claimed
-                count = min(self._batch_limit(), available)
-                self._tb_anchor = self._clock.now()
-                start = self._claimed
-                batch = [self._entries[start + i] for i in range(count)]
-                batch_id = self._next_batch_id
-                self._next_batch_id += 1
-                self._claimed += count
-                self._batch_sizes[batch_id] = count
-                self._claim_at[batch_id] = self._tb_anchor
-            mode = self.dispatch.on_batch()
-            if self.tuner is not None:
-                self.tuner.on_claim()
-            tasks = self._plan(batch_id, batch)
-            self._bus.emit(
-                events.WAL_BATCH, count=count,
-                nbytes=sum(
-                    len(data) for task in tasks for _offset, data in task.chunks
-                ),
-                total=sum(len(entry.data) for entry in batch),
-                at=self._clock.now(),
-            )
-            if not tasks:
-                # Every write repeated what was last shipped in its
-                # place: there is nothing to upload, and the unlock rule
-                # would wait forever on a batch with no object.  It
-                # still leaves the queue in batch order, behind the
-                # batches whose objects those bytes ride in.
-                with self._cond:
-                    self._acked.add(batch_id)
-                    self._remove_completed_prefix_locked()
-                continue
-            with self._cond:
-                self._inflight_objects[batch_id] = len(tasks)
-            if mode == DISPATCH_INLINE:
-                # Inline on the Aggregator thread; the measured batch
-                # total feeds the controller's promotion signal.
-                encode_started = self._clock.now()
-                for task in tasks:
-                    self._encode_and_enqueue(task)
-                self.dispatch.observe_encode(
-                    self._clock.now() - encode_started
-                )
-            else:
-                emit_queued = self._bus.wants(events.ENCODE_QUEUED)
-                for task in tasks:
-                    self._stage.submit(
-                        lambda task=task: self._encode_job(task),
-                        lane=self._lane,
-                    )
-                    if emit_queued:
-                        # The submitting lane's own depth is the one a
-                        # per-tenant dashboard charts; the stage-wide
-                        # depth rides along as ``total``.
-                        self._bus.emit(
-                            events.ENCODE_QUEUED, key=task.meta.key,
-                            count=self._stage.lane_depth(self._lane),
-                            total=self._stage.queue_depth(),
-                            at=self._clock.now(),
+            if available < self._batch_limit():
+                now = self._clock.now()
+                deadline = self._batch_deadline(now)
+                if now < deadline:
+                    if self._timer is None or deadline < self._timer_deadline:
+                        if self._timer is not None:
+                            self._timer.cancel()
+                        self._timer = self._reactor.call_at(
+                            self._clock, deadline, self._timer_fired,
+                            tenant=self._lane,
                         )
+                        self._timer_deadline = deadline
+                    return
+            self._claim = _QUEUED
+            self._stage.submit(self._claim_job, lane=self._lane)
+        except GinjaError as exc:
+            # The borrowed pool stopped or died under us.
+            self._claim = _IDLE
+            self._poison(exc)
+            return
+        if self._bus.wants(events.CLAIM_QUEUED):
+            self._bus.emit(
+                events.CLAIM_QUEUED, key=self._lane,
+                count=self._stage.lane_depth(self._lane),
+                total=self._stage.queue_depth(), at=self._clock.now(),
+            )
+
+    def _timer_fired(self) -> None:
+        """T_B's deadline, as armed, has passed (reactor loop thread; an
+        escaping exception comes back through the lane's ``on_fatal``).
+        The deadline is re-read, not trusted: the anchor moved if a
+        batch was claimed or unlocked meanwhile."""
+        with self._cond:
+            self._timer = None
+            self._schedule_locked()
+
+    def _claim_job(self) -> None:
+        """One scheduled claim, on an encoder worker: claim → plan →
+        timestamp → encode → upload, then decide what comes next."""
+        try:
+            with self._cond:
+                claimed = self._claim_locked()
+            if claimed is not None:
+                self._ship(*claimed)
+        except BaseException as exc:  # noqa: BLE001 - worker job boundary
+            # Everything the job touches outside the lock — codec
+            # encode, timestamp assignment, payload framing — must
+            # poison on failure, not just the CloudError path.
+            self._poison(exc)
+        finally:
+            with self._cond:
+                self._claim = _IDLE
+                if self._stop:
+                    self._cond.notify_all()  # _halt may be waiting us out
+                else:
+                    self._schedule_locked()
+
+    def _claim_locked(self) -> tuple[int, list[_Entry]] | None:
+        """Claim the next batch — or nothing: a stopped or poisoned
+        pipeline's queued claim is a no-op (its co-tenants on a shared
+        stage never notice)."""
+        if self._stop or self._fatal is not None:
+            return None
+        self._claim = _RUNNING
+        count = min(self._batch_limit(), len(self._entries) - self._claimed)
+        if count == 0:
+            return None
+        now = self._tb_anchor = self._clock.now()
+        start = self._claimed
+        batch = [self._entries[start + i] for i in range(count)]
+        batch_id = self._next_batch_id
+        self._next_batch_id += 1
+        self._claimed += count
+        self._batch_sizes[batch_id] = count
+        self._claim_at[batch_id] = now
+        return batch_id, batch
+
+    def _ship(self, batch_id: int, batch: list[_Entry]) -> None:
+        if self.tuner is not None:
+            self.tuner.on_claim()
+        tasks = self._plan(batch_id, batch)
+        self._bus.emit(
+            events.WAL_BATCH, count=len(batch),
+            nbytes=sum(
+                len(data) for task in tasks for _offset, data in task.chunks
+            ),
+            total=sum(len(entry.data) for entry in batch),
+            at=self._clock.now(),
+        )
+        if not tasks:
+            # Every write repeated what was last shipped in its place:
+            # there is nothing to upload, and the unlock rule would
+            # wait forever on a batch with no object.  It still leaves
+            # the queue in batch order, behind the batches whose
+            # objects those bytes ride in.
+            with self._cond:
+                self._acked.add(batch_id)
+                self._remove_completed_prefix_locked()
+            return
+        with self._cond:
+            self._inflight_objects[batch_id] = len(tasks)
+        # The worker that planned keeps going with the first object;
+        # the others (a batch over ``max_object_bytes``) go back to the
+        # lane first, so an idle worker encodes them meanwhile.
+        emit_queued = self._bus.wants(events.ENCODE_QUEUED)
+        for task in tasks[1:]:
+            self._stage.submit(partial(self._encode_job, task), lane=self._lane)
+            if emit_queued:
+                # The submitting lane's own depth is the one a
+                # per-tenant dashboard charts; the stage-wide depth
+                # rides along as ``total``.
+                self._bus.emit(
+                    events.ENCODE_QUEUED, key=task.meta.key,
+                    count=self._stage.lane_depth(self._lane),
+                    total=self._stage.queue_depth(),
+                    at=self._clock.now(),
+                )
+        self._encode_and_enqueue(tasks[0])
 
     def _plan(self, batch_id: int, batch: list[_Entry]) -> list[_EncodeTask]:
         """Plan the batch's WAL objects (Alg. 2 line 12).
 
         The transform itself is :func:`plan_writes`; this is the
-        ordering-sensitive rest of the old aggregate step: timestamps
-        are assigned here, on the single Aggregator thread, in batch
-        order — the encode stage behind it may finish objects in any
-        order without weakening the S bound.
+        ordering-sensitive rest of the aggregate step: timestamps are
+        assigned here, by the pipeline's one claim job, in batch order
+        — the encode jobs behind it may finish objects in any order
+        without weakening the S bound.
         """
         groups = plan_writes(
             ((e.path, e.offset, e.data, e.epoch) for e in batch),
@@ -534,22 +571,16 @@ class CommitPipeline:
             for path, group in groups
         ]
 
-    # -- Encode stage -------------------------------------------------------------------
+    # -- Encode ---------------------------------------------------------------------------
 
     def _encode_job(self, task: _EncodeTask) -> None:
-        """One encode-stage unit: codec the planned object, hand it to the
-        uploaders.  Runs on an encoder worker; any failure — codec fault,
-        payload framing — poisons the pipeline exactly like a dead
-        uploader would, because the batch could otherwise never ack.
-        Each job times itself so the controller compares pooled encode
-        cost against the inline measurements on equal terms."""
-        started = self._clock.now()
+        """One object handed to another worker.  Any failure — codec
+        fault, payload framing — poisons the pipeline exactly like a
+        failed PUT would, because the batch could otherwise never ack."""
         try:
             self._encode_and_enqueue(task)
         except BaseException as exc:  # noqa: BLE001 - worker job boundary
             self._poison(exc)
-        else:
-            self.dispatch.observe_encode(self._clock.now() - started)
 
     def _encode_and_enqueue(self, task: _EncodeTask) -> None:
         payload = encode_wal_payload(task.chunks)
@@ -571,16 +602,16 @@ class CommitPipeline:
     def _submit_upload(self, batch_id: int, meta: WALObjectMeta, blob: bytes) -> None:
         """Hand one encoded WAL object to the upload reactor.
 
-        Runs on the Aggregator thread (inline dispatch) or an encoder
-        worker; either way it returns immediately — PUT concurrency is
-        the reactor lane's in-flight window, not a thread count.
+        Runs on an encoder worker and returns immediately — PUT
+        concurrency is the reactor lane's in-flight window, not a
+        thread count.
         """
         if self._fatal is not None:
             # Poisoned (or aborted): the batch can never ack, so drop
             # the blob instead of burning a full retry budget against a
-            # cloud that may be gone.  Inline dispatch made this path
-            # hot — every claimed batch is already encoded at crash
-            # time, and abort() must not wait out the retry storms.
+            # cloud that may be gone — every claimed batch is already
+            # encoded at crash time, and abort() must not wait out the
+            # retry storms.
             self._drop_upload(batch_id, meta, len(blob), "pipeline poisoned")
             return
         try:
@@ -667,10 +698,9 @@ class CommitPipeline:
             self._tb_anchor = self._last_sync_end
             claimed_at = self._claim_at.pop(batch_id, None)
             if claimed_at is not None:
-                # Claim→unlock latency is the end-to-end signal both
-                # controllers tune against (lock order is always
-                # pipeline cond → controller lock).
-                self.dispatch.observe_unlock(self._last_sync_end - claimed_at)
+                # Claim→unlock latency is the end-to-end signal the
+                # tuner steers against (lock order is always pipeline
+                # cond → tuner lock).
                 if self.tuner is not None:
                     self.tuner.observe_commit(
                         self._last_sync_end - claimed_at
@@ -699,7 +729,7 @@ _SHADOW_SPARE = 8
 def plan_writes(
     writes, shadow: Shadow, *, coalesce: bool, max_object_bytes: int,
 ) -> list[tuple[str, list[tuple[int, bytes]]]]:
-    """The Aggregator's transform: one claimed batch in, the runs of its
+    """The claim job's transform: one claimed batch in, the runs of its
     WAL objects out, as ``(path, [(offset, data), ...])`` in ts order.
 
     ``writes`` are ``(path, offset, data, epoch)`` in submission order.

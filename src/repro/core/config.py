@@ -134,12 +134,6 @@ class TenantPolicy:
     #: five Uploader threads; the reactor holds no thread per upload,
     #: the name is kept because the frozen benchmark sets it).
     uploaders: int = 5
-    #: How this tenant's pipeline chooses between inline and pooled
-    #: encoding: ``"adaptive"`` (the default) starts inline and promotes
-    #: to the encode stage only when measured encode time dominates the
-    #: batch interval and spare workers exist, demoting back when the
-    #: pool stops winning; ``"inline"`` and ``"pool"`` pin the mode.
-    encode_dispatch: str = "adaptive"
     #: Objects are split at this size to optimize upload latency
     #: (footnote 3: 20 MB default).
     max_object_bytes: int = 20 * 1000 * 1000
@@ -194,11 +188,6 @@ class TenantPolicy:
             raise ConfigError("timeouts must be positive")
         if self.uploaders < 1:
             raise ConfigError("need at least one upload slot (uploaders >= 1)")
-        if self.encode_dispatch not in ("adaptive", "inline", "pool"):
-            raise ConfigError(
-                f"unknown encode_dispatch {self.encode_dispatch!r} "
-                "(expected 'adaptive', 'inline' or 'pool')"
-            )
         if self.max_object_bytes < 64 * 1024:
             raise ConfigError("max_object_bytes unreasonably small")
         if self.encrypt and not self.password:

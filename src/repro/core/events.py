@@ -31,6 +31,7 @@ from repro.common.events import (  # noqa: F401  (re-exported taxonomy)
     BATCH_UNLOCKED,
     CHECKPOINT_BEGIN,
     CHECKPOINT_END,
+    CLAIM_QUEUED,
     CODEC,
     COMMIT_BLOCKED,
     COMMIT_UNBLOCKED,

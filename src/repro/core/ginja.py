@@ -64,7 +64,6 @@ class Ginja:
         bus: EventBus | None = None,
         transport: ObjectStore | None = None,
         encode_stage: EncodeStage | None = None,
-        download_pool: EncodeStage | None = None,
         reactor: UploadReactor | None = None,
     ):
         """Stand-alone construction builds (and owns) everything
@@ -76,8 +75,8 @@ class Ginja:
           fleet's shared transport stack).  When given, no private
           transport stack is built and ``cloud`` is treated as raw-store
           access *through the same namespace* (fsck, stale-key deletes).
-        * ``encode_stage`` / ``download_pool`` — shared worker pools;
-          this instance submits into its ``tenant`` lane.
+        * ``encode_stage`` — the shared worker pool; this instance
+          submits into its ``tenant`` lane.
         * ``reactor`` — the shared upload reactor; this instance
           attaches its ``tenant`` lane.
         * ``bus`` — a tenant-scoped :class:`EventBus` so every event this
@@ -122,10 +121,6 @@ class Ginja:
         #: checkpoint collector, so DB-object codec work overlaps WAL
         #: traffic on the same ``config.encoders`` threads.
         self.encode_stage = encode_stage or EncodeStage(self.config.encoders)
-        #: Shared pool for recovery GETs (a fleet reuses one pool across
-        #: every tenant restore); ``None`` makes each restore start its
-        #: own ``config.downloaders`` threads.
-        self.download_pool = download_pool
         #: One upload reactor drives WAL PUTs, checkpoint PUTs and GC
         #: DELETEs (the tenant's lane on a fleet-shared loop, or a
         #: private loop for a stand-alone instance) — O(1) upload
@@ -306,7 +301,6 @@ class Ginja:
                 self.stats.wal_planned_bytes / self.stats.wal_submitted_bytes
                 if self.stats.wal_submitted_bytes else None
             ),
-            "encode_mode": self.pipeline.encode_mode,
             "batch": tuner_state["batch"] if tuner_state else self.config.batch,
             "safety": (
                 tuner_state["safety"] if tuner_state else self.config.safety
@@ -344,10 +338,13 @@ class Ginja:
         All restore I/O runs through the instance's transport stack, so
         recovery GETs get the same retry policy, metering and tracing as
         uploads, and the downloads run ``config.downloaders`` wide (the
-        recovery engine).  ``on_event`` subscribes to the recovery
-        progress events (``recovery_planned``/``object_restored``/
-        ``recovery_done``) before the first GET — the CLI's progress
-        narration hangs off this.
+        recovery engine) — on ``download_pool`` under the ``tenant``
+        lane when a fleet lends its shared one for the restore, else
+        on threads the restore starts and stops itself.  ``on_event``
+        subscribes to the recovery progress events
+        (``recovery_planned``/``object_restored``/``recovery_done``)
+        before the first GET — the CLI's progress narration hangs off
+        this.
 
         Stale objects (timestamp gaps from in-flight uploads at disaster
         time, superseded WAL below the newest checkpoint frontier,
@@ -367,7 +364,6 @@ class Ginja:
             bus=bus,
             transport=transport,
             encode_stage=encode_stage,
-            download_pool=download_pool,
             reactor=reactor,
         )
         if on_event is not None:
@@ -380,7 +376,7 @@ class Ginja:
             config=ginja.config,
             bus=ginja.bus,
             clock=clock,
-            pool=ginja.download_pool,
+            pool=download_pool,
             lane=tenant,
         )
         ginja.transport.delete_many(report.stale_keys)

@@ -25,7 +25,7 @@ class GinjaStats:
     wal_bytes: int = 0
     wal_batches: int = 0
     #: Pre-codec bytes the DBMS's WAL writes submitted, and the bytes
-    #: the Aggregator planned to ship for them (``wal_batch`` events);
+    #: the claim job planned to ship for them (``wal_batch`` events);
     #: their ratio is what coalescing and changed-range shipping save.
     wal_submitted_bytes: int = 0
     wal_planned_bytes: int = 0
@@ -53,13 +53,8 @@ class GinjaStats:
     recoveries: int = 0
     objects_restored: int = 0
     restored_bytes: int = 0
-    #: Inline↔pool transitions by the adaptive dispatch controller; a
-    #: climbing count on a steady workload means the hysteresis knobs
-    #: are mis-tuned (the controller is flapping).
-    encode_mode_switches: int = 0
-    #: B/S/T_B retunes by the adaptive batch tuner.  Same flap
-    #: diagnostic as ``encode_mode_switches``: steady workloads should
-    #: converge and stop.
+    #: B/S/T_B retunes by the adaptive batch tuner.  A flap
+    #: diagnostic: steady workloads should converge and stop.
     retunes: int = 0
 
     def __post_init__(self) -> None:
@@ -89,7 +84,7 @@ class GinjaStats:
         events.RETRY, events.GC_DELETE, events.WAL_OBJECT, events.WAL_BATCH,
         events.DB_OBJECT, events.DUMP_COMPLETE, events.CHECKPOINT_END,
         events.COMMIT_BLOCKED, events.COMMIT_UNBLOCKED, events.CODEC,
-        events.OBJECT_RESTORED, events.RECOVERY_DONE, events.ENCODE_MODE,
+        events.OBJECT_RESTORED, events.RECOVERY_DONE,
         events.UPLOAD_DROPPED, events.TUNER_RETUNE,
     })
 
@@ -132,8 +127,6 @@ class GinjaStats:
             return {"objects_restored": 1, "restored_bytes": event.nbytes}
         if kind == events.RECOVERY_DONE:
             return {"recoveries": 1}
-        if kind == events.ENCODE_MODE:
-            return {"encode_mode_switches": 1}
         if kind == events.TUNER_RETUNE:
             return {"retunes": 1}
         if kind == events.UPLOAD_DROPPED:

@@ -14,8 +14,7 @@ module does that per tenant, under the Figure-1 economics:
   :class:`~repro.cloud.pricing.PriceBook`.  All EWMAs fold samples
   measured by the *caller's* clock, so a
   :class:`~repro.common.clock.ManualClock` drives the controller
-  deterministically — the same discipline as the
-  :class:`~repro.core.encode_stage.DispatchController`.
+  deterministically.
 
 * **Control law.**  One degree of freedom: the effective batch B.  The
   effective safety S shrinks proportionally (never below B, never above
@@ -206,9 +205,8 @@ class BatchTuner:
     def on_claim(self) -> tuple[int, float]:
         """Account one batch claim; returns ``(effective B, T_B scale)``.
 
-        The Aggregator calls this at every claim — the tuner's only
-        decision point, so retune cadence is measured in batches exactly
-        like the dispatch controller's.
+        The claim job calls this at every claim — the tuner's only
+        decision point, so retune cadence is measured in batches.
         """
         now = self._clock.now()
         transition = None

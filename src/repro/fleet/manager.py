@@ -3,14 +3,17 @@
 Ownership is split exactly along :class:`~repro.core.config
 .SharedPoolConfig` / :class:`~repro.core.config.TenantPolicy` lines:
 
-* **Fleet-owned (one per process):** the encoder pool, the recovery
-  download pool, the upload reactor (one event-loop thread driving
-  every tenant's WAL and checkpoint PUTs), the transport stack
+* **Fleet-owned (one per process):** the encoder pool (every tenant's
+  claim and encode jobs, one fair-share lane each), the recovery
+  download pool (its threads exist only while a restore runs), the
+  upload reactor (one event-loop thread driving every tenant's WAL and
+  checkpoint PUTs, GC DELETEs and T_B timers), the transport stack
   (tracing → retry → meter over the shared backend), the fleet event
   bus, the per-tenant meter bank and stats rollup.
 * **Tenant-owned (one per database):** the commit pipeline, the
   checkpointer, the codec (per-tenant keys), the cloud view, and a
-  tenant-scoped event bus.
+  tenant-scoped event bus — queues, state machines and a timer; no
+  thread.  The fleet's thread count does not depend on its tenant count.
 
 Each tenant sees the shared bucket through a
 :class:`~repro.cloud.prefix.PrefixedObjectStore` under
@@ -29,6 +32,7 @@ hot path to build its per-write events even when nobody listens.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common import events
@@ -149,9 +153,13 @@ class FleetManager:
         self.uploads = UploadOverlapTracker().attach(self.bus)
         #: Shared worker pools (the whole point of co-hosting).
         self.encode_pool = EncodeStage(self.shared.encoders, name="fleet-encoder")
+        #: Started by the first concurrent :meth:`recover_tenant` and
+        #: stopped with the last: restores share one lane-fair pool,
+        #: and a fleet that is not restoring pays no thread for it.
         self.download_pool = EncodeStage(
             self.shared.downloaders, name="fleet-downloader"
         )
+        self._restores = 0
         #: One upload reactor for every tenant's WAL and checkpoint PUTs
         #: (fleet-owned exactly like the encode pool: tenants attach
         #: fair-share lanes, the event loop owns the in-flight window).
@@ -176,7 +184,6 @@ class FleetManager:
         if self._started:
             raise GinjaError("fleet already started")
         self.encode_pool.start()
-        self.download_pool.start()
         self.reactor.start()
         self._started = True
 
@@ -195,7 +202,6 @@ class FleetManager:
                 if first_failure is None:
                     first_failure = exc
         self.encode_pool.stop()
-        self.download_pool.stop()
         if self.reactor.alive:
             self.reactor.stop()
         self._started = False
@@ -254,7 +260,6 @@ class FleetManager:
                 bus=self._tenant_bus(tenant_id),
                 transport=store,
                 encode_stage=self.encode_pool,
-                download_pool=self.download_pool,
                 reactor=self.reactor,
             )
             self._tenants[tenant_id] = ginja
@@ -312,9 +317,10 @@ class FleetManager:
 
         Downloads run through the shared download pool under the
         tenant's fair-share lane, so a restore never starves co-tenant
-        restores (or commits) of worker threads.  Returns the new
-        ``(ginja, report)`` pair and installs the instance on the
-        roster, replacing any crashed predecessor.
+        restores (or commits) of worker threads; the pool's threads
+        live from the first concurrent restore to the last.  Returns
+        the new ``(ginja, report)`` pair and installs the instance on
+        the roster, replacing any crashed predecessor.
         """
         self._check_id(tenant_id)
         if not self._started:
@@ -328,23 +334,39 @@ class FleetManager:
                 )
         config = GinjaConfig.compose(self.shared, policy)
         store = self._tenant_store(tenant_id)
-        ginja, report = Ginja.recover(
-            store,
-            fresh_fs,
-            profile,
-            config,
-            upto_ts=upto_ts,
-            clock=self.clock,
-            tenant=tenant_id,
-            bus=self._tenant_bus(tenant_id),
-            transport=store,
-            encode_stage=self.encode_pool,
-            download_pool=self.download_pool,
-            reactor=self.reactor,
-        )
+        with self._downloaders():
+            ginja, report = Ginja.recover(
+                store,
+                fresh_fs,
+                profile,
+                config,
+                upto_ts=upto_ts,
+                clock=self.clock,
+                tenant=tenant_id,
+                bus=self._tenant_bus(tenant_id),
+                transport=store,
+                encode_stage=self.encode_pool,
+                download_pool=self.download_pool,
+                reactor=self.reactor,
+            )
         with self._lock:
             self._tenants[tenant_id] = ginja
         return ginja, report
+
+    @contextmanager
+    def _downloaders(self):
+        """Hold the shared download pool running for one restore."""
+        with self._lock:
+            self._restores += 1
+            if self._restores == 1:
+                self.download_pool.start()
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._restores -= 1
+                if self._restores == 0:
+                    self.download_pool.stop()
 
     # -- introspection -----------------------------------------------------------
 
@@ -367,9 +389,8 @@ class FleetManager:
             "started": self._started,
             "tenants": {tid: g.health() for tid, g in sorted(tenants.items())},
             "encode_queue_depth": self.encode_pool.queue_depth(),
-            #: Each tenant's own share of that depth — the lane the
-            #: adaptive controller watches (tenant modes are inside the
-            #: per-tenant health dicts as ``encode_mode``).
+            #: Each tenant's own share of that depth: its queued claim
+            #: job and any encode jobs behind it.
             "encode_lanes": {
                 tid: self.encode_pool.lane_depth(tid)
                 for tid in sorted(tenants)

@@ -193,21 +193,6 @@ class TestDrillOracles:
         result = run_drill(SCENARIOS["baseline"], "post-ack", seed=1)
         assert result.ok, result.summary()
 
-    @pytest.mark.parametrize("dispatch", ["adaptive", "inline", "pool"])
-    def test_rpo_holds_under_every_dispatch_policy(self, dispatch):
-        """The S+B+1 loss bound must survive the dispatch controller:
-        inline, pooled, and the adaptive policy that may switch between
-        them mid-run (the consecutive-timestamp unlock rule is the
-        invariant the controller never weakens)."""
-        scenario = replace(
-            SCENARIOS["baseline"],
-            name=f"baseline-{dispatch}",
-            encode_dispatch=dispatch,
-        )
-        for point in ("mid-batch", "post-ack"):
-            result = run_drill(scenario, point, seed=3)
-            assert result.ok, result.summary()
-
 
 class TestMutationCheck:
     """Acceptance: disabling the Safety back-pressure (unbounded S under

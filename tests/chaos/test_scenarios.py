@@ -47,11 +47,6 @@ class TestCompilation:
         assert scenario.loss_bound() == 26
         assert config.batch == scenario.batch
 
-    def test_encode_dispatch_flows_into_ginja_config(self):
-        assert Scenario(name="x").ginja_config(0).encode_dispatch == "adaptive"
-        pinned = Scenario(name="x", encode_dispatch="pool")
-        assert pinned.ginja_config(0).encode_dispatch == "pool"
-
     def test_profiles(self):
         assert Scenario(name="x").profile is POSTGRES_PROFILE
         assert Scenario(name="x", dbms="mysql").profile is MYSQL_PROFILE

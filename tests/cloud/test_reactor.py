@@ -565,6 +565,93 @@ class TestRetryBudgetsUnderConcurrency:
         assert after.wait(5.0) and after.ok
 
 
+class TestTimers:
+    """``call_at``: deadline timers on the caller's clock, hosted on the
+    loop — a commit pipeline's T_B is one."""
+
+    def test_fires_on_the_loop_thread_when_the_clock_gets_there(self, reactor):
+        clock = ManualClock()
+        fired = []
+        reactor.attach("t", window=1)
+        reactor.call_at(
+            clock, 30.0,
+            lambda: fired.append((threading.current_thread().name, clock.now())),
+            tenant="t",
+        )
+        time.sleep(0.05)
+        assert fired == []                   # real time is not the clock
+        clock.advance(31.0)
+        assert wait_for(lambda: fired)
+        assert fired == [("ginja-reactor", 31.0)]
+
+    def test_a_real_clock_timer_is_a_loop_timer(self, reactor):
+        from repro.common.clock import SYSTEM_CLOCK
+
+        fired = threading.Event()
+        reactor.attach("t", window=1)
+        started = time.monotonic()
+        reactor.call_at(SYSTEM_CLOCK, SYSTEM_CLOCK.now() + 0.05, fired.set,
+                        tenant="t")
+        assert fired.wait(5.0)
+        assert time.monotonic() - started >= 0.045
+
+    def test_cancel_before_and_after_firing(self, reactor):
+        clock = ManualClock()
+        fired = []
+        reactor.attach("t", window=1)
+        doomed = reactor.call_at(clock, 5.0, lambda: fired.append("doomed"),
+                                 tenant="t")
+        kept = reactor.call_at(clock, 5.0, lambda: fired.append("kept"),
+                               tenant="t")
+        doomed.cancel()
+        clock.advance(5.0)
+        assert wait_for(lambda: fired)
+        time.sleep(0.02)
+        assert fired == ["kept"]
+        kept.cancel()                        # after the fact: a no-op
+        assert wait_for(lambda: not reactor._tasks)
+        assert clock._deadlines == []
+
+    def test_a_raising_callback_poisons_its_own_lane_only(self, reactor):
+        clock = ManualClock()
+        fatals = {"a": [], "b": []}
+        reactor.attach("a", window=1, on_fatal=fatals["a"].append)
+        reactor.attach("b", window=1, on_fatal=fatals["b"].append)
+
+        def boom():
+            raise RuntimeError("timer callback fault")
+
+        reactor.call_at(clock, 1.0, boom, tenant="a")
+        clock.advance(1.0)
+        assert wait_for(lambda: fatals["a"])
+        assert isinstance(fatals["a"][0], RuntimeError)
+        assert fatals["b"] == [] and reactor.alive
+        handle = reactor.submit(InMemoryObjectStore(), "k", b"v", tenant="b")
+        assert handle.wait(5.0) and handle.ok
+
+    def test_timers_need_an_attached_lane_and_a_live_reactor(self, reactor):
+        clock = ManualClock()
+        with pytest.raises(GinjaError, match="not attached"):
+            reactor.call_at(clock, 1.0, lambda: None, tenant="nobody")
+        reactor.attach("t", window=1)
+        reactor.call_at(clock, 1.0, lambda: None, tenant="t")
+        reactor.crash()
+        with pytest.raises(GinjaError):
+            reactor.call_at(clock, 1.0, lambda: None, tenant="t")
+
+    def test_stop_cancels_armed_timers(self):
+        clock = ManualClock()
+        fired = []
+        r = UploadReactor(inflight_window=2, io_threads=1)
+        r.start()
+        r.attach("t", window=1)
+        r.call_at(clock, 10.0, lambda: fired.append(1), tenant="t")
+        assert wait_for(lambda: clock._deadlines)
+        r.stop()
+        clock.advance(10.0)
+        assert fired == [] and clock._deadlines == []
+
+
 class TestHealth:
     def test_health_shape(self, reactor):
         reactor.attach("t", window=3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import sys
 import threading
 import time
@@ -57,6 +58,97 @@ class TestManualClock:
     def test_wait_until_times_out(self):
         clock = ManualClock()
         assert clock.wait_until(1.0, timeout=0.05) is False
+
+
+class SwitchedOffSleeps(MonotonicClock):
+    """What the fleet benchmark hands its latency layer while booting."""
+
+    def sleep(self, seconds):
+        pass
+
+    async def sleep_async(self, seconds):
+        pass
+
+
+class TestDeadlines:
+    """``wait_until_async`` — the one deadline primitive the reactor's
+    timers are built on: it waits for the clock, it never moves it."""
+
+    def test_manual_deadline_waits_for_whoever_advances_the_clock(self):
+        clock = ManualClock()
+
+        async def main():
+            waiter = asyncio.ensure_future(clock.wait_until_async(30.0))
+            await asyncio.sleep(0.05)        # real time passes, virtual none
+            assert not waiter.done() and clock.now() == 0.0
+            clock.advance(29.0)
+            await asyncio.sleep(0.02)
+            assert not waiter.done()
+            # Released from another thread, as a drill's workload would.
+            other = threading.Thread(target=clock.advance, args=(1.0,))
+            other.start()
+            await asyncio.wait_for(waiter, timeout=5.0)
+            other.join()
+            assert clock.now() == 30.0       # the waiter moved nothing
+
+        asyncio.run(main())
+
+    def test_manual_deadline_already_passed_returns_at_once(self):
+        clock = ManualClock(start=10.0)
+        asyncio.run(asyncio.wait_for(clock.wait_until_async(5.0), timeout=1.0))
+        assert clock.now() == 10.0 and clock._deadlines == []
+
+    def test_sleep_async_releases_deadlines_it_passes(self):
+        """The retry layer's backoffs advance a ManualClock from the
+        loop thread itself; a T_B waiting on the same loop fires."""
+        clock = ManualClock()
+
+        async def main():
+            waiter = asyncio.ensure_future(clock.wait_until_async(2.0))
+            await asyncio.sleep(0)
+            await clock.sleep_async(3.0)
+            await asyncio.wait_for(waiter, timeout=5.0)
+
+        asyncio.run(main())
+        assert clock.now() == 3.0
+
+    def test_a_cancelled_deadline_leaves_the_heap(self):
+        clock = ManualClock()
+
+        async def main():
+            early = asyncio.ensure_future(clock.wait_until_async(1.0))
+            late = asyncio.ensure_future(clock.wait_until_async(9.0))
+            await asyncio.sleep(0)
+            assert len(clock._deadlines) == 2
+            early.cancel()
+            await asyncio.gather(early, return_exceptions=True)
+            assert [entry[0] for entry in clock._deadlines] == [9.0]
+            clock.advance(9.0)
+            await asyncio.wait_for(late, timeout=5.0)
+
+        asyncio.run(main())
+        assert clock._deadlines == []
+
+    def test_advancing_after_the_loop_closed_is_harmless(self):
+        clock = ManualClock()
+
+        async def main():
+            task = asyncio.ensure_future(clock.wait_until_async(5.0))
+            await asyncio.sleep(0)
+            return task
+
+        loop = asyncio.new_event_loop()
+        task = loop.run_until_complete(main())
+        task.cancel()
+        loop.run_until_complete(asyncio.gather(task, return_exceptions=True))
+        loop.close()
+        clock.advance(10.0)                  # nobody is waiting; no error
+
+    def test_monotonic_deadline_is_a_real_wait_even_with_sleeps_off(self):
+        for clock in (MonotonicClock(), SwitchedOffSleeps()):
+            started = time.monotonic()
+            asyncio.run(clock.wait_until_async(clock.now() + 0.05))
+            assert time.monotonic() - started >= 0.045
 
 
 class OversleepingClock(MonotonicClock):

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.common.clock import ManualClock, MonotonicClock, SYSTEM_CLOCK
+from repro.common.clock import ManualClock, SYSTEM_CLOCK
 from repro.common.errors import CloudUnavailable, GinjaError
 from repro.common.events import EventBus
 from repro.cloud.faults import FaultPolicy
@@ -477,46 +477,78 @@ class TestConcurrency:
             pipe.stop(drain_timeout=5.0)
 
 
-class AggregatorWatch(MonotonicClock):
-    """Counts the Aggregator's clock reads: it takes exactly one each
-    time it wakes to a partial batch and recomputes its T_B deadline."""
+class CountingStage:
+    """The encode stage as the pipeline sees it, counting what it is
+    handed (every job a pipeline submits is a thread it touches)."""
 
-    def __init__(self):
-        self.reads = 0
+    def __init__(self, stage):
+        self._stage = stage
+        self.jobs = 0
 
-    def now(self):
-        if threading.current_thread().name == "ginja-aggregator":
-            self.reads += 1
-        return super().now()
+    def submit(self, job, lane=""):
+        self.jobs += 1
+        self._stage.submit(job, lane=lane)
+
+    def __getattr__(self, name):
+        return getattr(self._stage, name)
 
 
 class TestAggregatorWakeUps:
-    """A submit wakes the Aggregator only on the transitions it waits
-    for; everything it used to learn from the other wake-ups it still
-    learns, at its own deadline at the latest."""
+    """What used to wake the Aggregator thread now *schedules*: a submit
+    arms the T_B timer for the first unclaimed update, schedules one
+    claim job when a batch fills, and otherwise touches nothing; what
+    the thread used to learn from its other wake-ups the timer learns
+    when it fires."""
 
-    def test_a_filling_batch_wakes_the_aggregator_once(self, pools):
-        clock = AggregatorWatch()
+    def test_a_filling_batch_schedules_one_claim(self, pools):
+        stage, reactor = pools
+        counting = CountingStage(stage)
         config = GinjaConfig(batch=100, safety=1000, batch_timeout=60.0,
                              safety_timeout=120.0, uploaders=1)
-        pipe, backend, _view, stats = make_pipeline(pools, config, clock=clock)
+        pipe, backend, _view, stats = make_pipeline(
+            (counting, reactor), config,
+        )
+        bus_events = []
+        pipe._bus.subscribe(bus_events.append, kinds={"claim_queued"})
         pipe.start()
         try:
             for i in range(99):
                 pipe.submit("seg", i * 512, b"u")
-                time.sleep(0.001)           # room to wake up, were it woken
-            assert wait_for(lambda: clock.reads >= 1)
             time.sleep(0.05)
-            # The first update armed T_B; 98 more changed nothing the
-            # Aggregator waits for.
-            assert clock.reads == 1
+            # The first update armed T_B; 98 more scheduled nothing and
+            # touched no other thread.
+            assert counting.jobs == 0 and bus_events == []
             assert stats.wal_batches == 0
             pipe.submit("seg", 99 * 512, b"u")      # B reached: claims now,
             assert pipe.drain(timeout=5.0)          # T_B is a minute away
+            assert counting.jobs == 1 and len(bus_events) == 1
             assert stats.wal_batches == 1
             assert len(backend.list("WAL/")) == 1
         finally:
             pipe.stop(drain_timeout=5.0)
+
+    def test_tb_fires_when_a_manual_clock_passes_it(self, pools):
+        """Advancing a ManualClock *is* the scheduler: no second submit
+        and no real-time wait stands between an expired T_B and its
+        flush (the Aggregator thread slept T_B out in real seconds)."""
+        clock = ManualClock()
+        config = GinjaConfig(batch=100, safety=200, batch_timeout=30.0,
+                             safety_timeout=600.0, uploaders=1)
+        pipe, backend, _view, stats = make_pipeline(pools, config, clock=clock)
+        pipe.start()
+        try:
+            pipe.submit("seg", 0, b"only")
+            time.sleep(0.05)                # real time alone flushes nothing
+            assert pipe.pending_updates() == 1
+            started = time.monotonic()
+            clock.advance(31.0)
+            assert wait_for(lambda: pipe.pending_updates() == 0, timeout=2.0)
+            assert time.monotonic() - started < 2.0
+            assert stats.wal_batches == 1
+            assert len(backend.list("WAL/")) == 1
+            assert clock.now() == 31.0      # the timer moved no virtual time
+        finally:
+            pipe.abort()
 
     def test_a_lone_update_still_flushes_at_tb_on_a_manual_clock(self, pools):
         clock = ManualClock()
@@ -534,21 +566,41 @@ class TestAggregatorWakeUps:
         finally:
             pipe.abort()
 
-    def test_a_submit_reports_a_tb_that_expired_in_virtual_time(self, pools):
-        """The Aggregator's timed wait runs in real seconds, so when a
-        drill moves a virtual clock past T_B only the next submit can
-        tell it — every ManualClock drill flushes its tail this way."""
+    def test_first_update_after_an_idle_gap_flushes_at_once(self, pools):
         clock = ManualClock()
         config = GinjaConfig(batch=100, safety=200, batch_timeout=30.0,
                              safety_timeout=600.0, uploaders=1)
-        pipe, backend, _view, stats = make_pipeline(pools, config, clock=clock)
+        pipe, _backend, _view, stats = make_pipeline(pools, config, clock=clock)
         pipe.start()
         try:
+            clock.advance(31.0)             # idle for longer than T_B
             pipe.submit("seg", 0, b"first")
-            clock.advance(31.0)
-            pipe.submit("seg", 512, b"second")
             assert wait_for(lambda: pipe.pending_updates() == 0)
             assert stats.wal_batches == 1
+        finally:
+            pipe.abort()
+
+    def test_an_unlock_moves_the_deadline_the_timer_re_reads(self, pools):
+        """The anchor resets at each unlock: a partial batch whose timer
+        was armed before an unlock flushes T_B after *that*, not after
+        the older anchor the timer was armed from."""
+        clock = ManualClock()
+        config = GinjaConfig(batch=2, safety=200, batch_timeout=10.0,
+                             safety_timeout=600.0, uploaders=1)
+        pipe, _backend, _view, stats = make_pipeline(pools, config, clock=clock)
+        pipe.start()
+        try:
+            pipe.submit("seg", 0, b"a")     # arms T_B for t = 10
+            clock.advance(6.0)
+            pipe.submit("seg", 512, b"b")   # fills: claimed at 6, unlocks at 6
+            assert wait_for(lambda: pipe.pending_updates() == 0)
+            pipe.submit("seg", 1024, b"c")  # partial; deadline is 6 + 10
+            clock.advance(5.0)              # t = 11: the stale timer fires
+            time.sleep(0.05)
+            assert pipe.pending_updates() == 1 and stats.wal_batches == 1
+            clock.advance(5.0)              # t = 16
+            assert wait_for(lambda: pipe.pending_updates() == 0)
+            assert stats.wal_batches == 2
         finally:
             pipe.abort()
 
@@ -825,7 +877,12 @@ class TestAbort:
         # Only the puts attempted before the poison ran their retries;
         # everything queued behind the failure was dropped cold.
         assert backend.puts <= 3 * (2 + 1)  # uploaders x (budget + first try)
-        # The pipeline's one thread is gone (the borrowed pools are the
-        # fixture's to stop; the suite-wide census checks those).
-        for thread in threading.enumerate():
-            assert thread.name != "ginja-aggregator"
+        # No claim job outlives abort: nothing is scheduled, nothing is
+        # on a worker, and the lane's queue on the borrowed stage is
+        # empty (the pools are the fixture's to stop).
+        assert pipe._timer is None
+        assert wait_for(lambda: pipe._claim == 0)   # a queued one no-ops
+        assert pools[0].lane_depth("") == 0
+        batches = _stats.wal_batches
+        time.sleep(0.05)
+        assert _stats.wal_batches == batches

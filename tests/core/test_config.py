@@ -91,7 +91,7 @@ class TestSharedPolicySplit:
         shared = {f.name for f in fields(SharedPoolConfig)}
         policy = {f.name for f in fields(TenantPolicy)}
         assert shared.isdisjoint(policy)
-        assert len(shared | policy) == 30
+        assert len(shared | policy) == 29
         config = GinjaConfig()
         exposed = {name for name in vars(config) if not name.startswith("_")}
         assert exposed == shared | policy
@@ -187,8 +187,8 @@ class TestWindowValidationSymmetry:
             TenantPolicy(safety_timeout=-1)
 
     def test_policy_dispatch_and_object_cap(self):
-        with pytest.raises(ConfigError):
-            TenantPolicy(encode_dispatch="telepathy")
+        with pytest.raises(TypeError):  # went with the controller: no alias
+            TenantPolicy(encode_dispatch="inline")
         with pytest.raises(ConfigError):
             TenantPolicy(max_object_bytes=1024)
 
@@ -232,8 +232,6 @@ RULES = [
     (TenantPolicy, dict(batch_timeout=0), "timeouts must be positive"),
     (TenantPolicy, dict(safety_timeout=-1), "timeouts must be positive"),
     (TenantPolicy, dict(uploaders=0), "need at least one upload slot"),
-    (TenantPolicy, dict(encode_dispatch="telepathy"),
-     "unknown encode_dispatch 'telepathy'"),
     (TenantPolicy, dict(max_object_bytes=1024),
      "max_object_bytes unreasonably small"),
     (TenantPolicy, dict(encrypt=True), "encryption requires a password"),
@@ -288,6 +286,6 @@ class TestOneValidatorPerRule:
 
         source = inspect.getsource(module)
         for _half, _bad, message in RULES:
-            if message in ("mirror-3", "unknown encode_dispatch 'telepathy'"):
-                continue  # formatted at raise time, not literals
+            if message == "mirror-3":
+                continue  # formatted at raise time, not a literal
             assert source.count(message) == 1, message

@@ -217,7 +217,9 @@ class TestUnlockOrderUnderParallelEncode:
     def test_stalled_first_encode_holds_the_unlock_frontier(self, pools):
         """Objects ts=1 and ts=2 finish encoding and uploading while
         ts=0 is stuck in the encode stage: no batch may unlock and no
-        queue slot may free until ts=0 lands (Alg. 2 lines 20-22)."""
+        queue slot may free until ts=0 lands (Alg. 2 lines 20-22).
+        One batch over three files is three objects: the worker that
+        planned them keeps the first, two idle workers take the rest."""
         gate = threading.Event()
 
         class GateCodec(ObjectCodec):
@@ -226,15 +228,14 @@ class TestUnlockOrderUnderParallelEncode:
                     assert gate.wait(timeout=60)
                 return super().encode(payload)
 
-        config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
-                             safety_timeout=30.0, uploaders=2, encoders=3,
-                             encode_dispatch="pool")
+        config = GinjaConfig(batch=3, safety=10, batch_timeout=0.01,
+                             safety_timeout=30.0, uploaders=2, encoders=3)
         pipe, backend, view = make_pipeline(pools, config, codec=GateCodec())
         pipe.start()
         try:
-            pipe.submit("seg", 0, b"first-" + b"a" * 64)
-            pipe.submit("seg", 512, b"second-" + b"b" * 64)
-            pipe.submit("seg", 1024, b"third-" + b"c" * 64)
+            pipe.submit("seg-a", 0, b"first-" + b"a" * 64)
+            pipe.submit("seg-b", 0, b"second-" + b"b" * 64)
+            pipe.submit("seg-c", 0, b"third-" + b"c" * 64)
             deadline = time.monotonic() + 10
             while len(backend.list("WAL/")) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -262,8 +263,7 @@ class TestUnlockOrderUnderParallelEncode:
                 return super().encode(payload)
 
         config = GinjaConfig(batch=4, safety=100, batch_timeout=0.01,
-                             safety_timeout=30.0, uploaders=3, encoders=4,
-                             encode_dispatch="pool")
+                             safety_timeout=30.0, uploaders=3, encoders=4)
         pipe, backend, view = make_pipeline(pools, config, codec=JitterCodec())
         pipe.start()
         try:
@@ -292,8 +292,7 @@ class TestEncodePoisonDiscipline:
                 return super().encode(payload)
 
         config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
-                             safety_timeout=5.0, uploaders=2, encoders=3,
-                             encode_dispatch="pool")
+                             safety_timeout=5.0, uploaders=2, encoders=3)
         return make_pipeline(pools, config, codec=FaultyCodec())
 
     def test_encode_worker_fault_fails_submitters(self, pools):
@@ -314,7 +313,7 @@ class TestEncodePoisonDiscipline:
 
     def test_stop_reraises_recorded_failure_and_stops_encoders(self, pools):
         """stop() used to report a clean shutdown on a poisoned
-        pipeline.  It must tear its own thread down AND re-raise; the
+        pipeline.  It must leave no claim behind AND re-raise; the
         encoders it borrowed stay up for their owner to stop."""
         pipe, _backend, _view = self._poisoned_pipeline(pools)
         pipe.start()
@@ -326,19 +325,18 @@ class TestEncodePoisonDiscipline:
         with pytest.raises(GinjaError) as excinfo:
             pipe.stop(drain_timeout=0.1)
         assert excinfo.value.__cause__ is pipe.failed
-        assert pipe._thread is None  # the Aggregator joined
+        assert pipe._claim == 0  # no claim job scheduled or running
         assert pools[0].running  # borrowed, not ours to stop
 
 
 class TestParallelInlineEquivalence:
     @staticmethod
-    def _run(pools, seed: int, dispatch: str):
+    def _run(pools, seed: int, files: int):
         """Push one seeded page-write stream through a pipeline and
         return the replayed per-file images."""
         config = GinjaConfig(batch=5, safety=200, batch_timeout=0.005,
                              safety_timeout=30.0, uploaders=3,
-                             encoders=4, encode_dispatch=dispatch,
-                             compress=True)
+                             encoders=4, compress=True)
         codec = ObjectCodec(compress=True)
         pipe, backend, view = make_pipeline(pools, config, codec=codec)
         rng = random.Random(seed)
@@ -347,7 +345,7 @@ class TestParallelInlineEquivalence:
             for _ in range(120):
                 page = rng.randrange(16)
                 data = bytes(rng.randrange(256) for _ in range(64))
-                pipe.submit(f"seg{page % 2}", page * 512, data)
+                pipe.submit(f"seg{page % files}", page * 512, data)
             assert pipe.drain(timeout=20.0)
             assert view.confirmed_ts() == view.last_assigned_ts()
         finally:
@@ -355,13 +353,13 @@ class TestParallelInlineEquivalence:
         return replay_backend(backend, codec=codec)
 
     @staticmethod
-    def _naive(seed: int):
+    def _naive(seed: int, files: int):
         rng = random.Random(seed)
         images: dict[str, bytearray] = {}
         for _ in range(120):
             page = rng.randrange(16)
             data = bytes(rng.randrange(256) for _ in range(64))
-            image = images.setdefault(f"seg{page % 2}", bytearray())
+            image = images.setdefault(f"seg{page % files}", bytearray())
             end = page * 512 + 64
             if len(image) < end:
                 image.extend(b"\x00" * (end - len(image)))
@@ -371,13 +369,13 @@ class TestParallelInlineEquivalence:
     @pytest.mark.parametrize("seed", [3, 11, 42])
     def test_recovered_bytes_identical_across_dispatch_modes(self, seed, pools):
         """Batch boundaries are timing-dependent, so bucket *objects*
-        may differ between runs — but the replayed file images must be
-        byte-identical under all three dispatch policies, and equal to
-        naively applying the stream in commit order."""
-        pooled = self._run(pools, seed, dispatch="pool")
-        inline = self._run(pools, seed, dispatch="inline")
-        adaptive = self._run(pools, seed, dispatch="adaptive")
-        assert pooled == inline == adaptive == self._naive(seed)
+        may differ between runs — but the replayed file images must
+        equal naively applying the stream in commit order both when
+        every batch is one object (one file: the planning worker
+        encodes everything) and when batches split into objects that
+        other workers encode beside it (four files)."""
+        assert self._run(pools, seed, files=1) == self._naive(seed, files=1)
+        assert self._run(pools, seed, files=4) == self._naive(seed, files=4)
 
 
 class TestWedgedStop:
@@ -435,24 +433,27 @@ class TestEncodeEvents:
         seen = []
         bus.subscribe(seen.append,
                       kinds={core_events.ENCODE_QUEUED, core_events.ENCODE_DONE})
-        config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
-                             safety_timeout=5.0, uploaders=1, encoders=2,
-                             encode_dispatch="pool")
+        config = GinjaConfig(batch=2, safety=10, batch_timeout=0.01,
+                             safety_timeout=5.0, uploaders=1, encoders=2)
         pipe, _backend, _view = make_pipeline(pools, config, bus=bus)
         pipe.start()
         try:
-            pipe.submit("seg", 0, b"x" * 64)
+            pipe.submit("seg-a", 0, b"x" * 64)   # two files: two objects,
+            pipe.submit("seg-b", 0, b"y" * 64)   # the second one handed off
             assert pipe.drain(timeout=5.0)
             # The encoder worker emits encode_done *after* handing the
             # blob to the reactor, so the upload can ack — and drain()
             # return — a beat before the event is out.
             deadline = time.monotonic() + 5.0
-            while len(seen) < 2 and time.monotonic() < deadline:
+            while len(seen) < 3 and time.monotonic() < deadline:
                 time.sleep(0.002)
         finally:
             pipe.stop(drain_timeout=5.0)
-        kinds = {e.kind for e in seen}
-        assert kinds == {core_events.ENCODE_QUEUED, core_events.ENCODE_DONE}
+        # encode_queued means "handed to another worker": only the
+        # batch's second object was; both report encode_done.
+        kinds = sorted(e.kind for e in seen)
+        assert kinds == [core_events.ENCODE_DONE, core_events.ENCODE_DONE,
+                         core_events.ENCODE_QUEUED]
 
     def test_no_encode_events_without_audience(self):
         """Counter-style subscribers declare their kinds, so the bus

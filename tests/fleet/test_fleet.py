@@ -158,7 +158,6 @@ class TestSharedPoolIsolation:
 
         # The shared pools are untouched and the co-tenant still commits.
         assert fleet.encode_pool.running
-        assert fleet.download_pool.running
         commit_rows(db_ok, "healthy", 10)
         assert ginja_ok.drain(timeout=30.0)
         assert ginja_ok.pipeline.failed is None
@@ -189,9 +188,8 @@ class TestSharedPoolIsolation:
 
         # Shared pools survive the crash...
         assert fleet.encode_pool.running
-        assert fleet.download_pool.running
         shared = [n for n in alive_names() if n.startswith("fleet-")]
-        assert len(shared) == 3 + 2  # encoders + downloaders, unchanged
+        assert len(shared) == 3  # the encoders, unchanged
 
         # ...and every tenant-owned thread dies: the roster entry is the
         # only trace left.  Poll — uploader threads exit asynchronously.
@@ -243,10 +241,19 @@ class TestFleetRecovery:
         db.close()
         fleet.crash_tenant("phoenix")
 
-        assert fleet.download_pool.running  # restore must use this pool
+        # The restore must run through the shared download pool — whose
+        # threads exist only while it does.
+        fetched_on = set()
+        fleet.bus.subscribe(
+            lambda event: fetched_on.add(threading.current_thread().name),
+            kinds={"get_end"},
+        )
+        assert not fleet.download_pool.running
         ginja2, report = fleet.recover_tenant(
             "phoenix", MemoryFileSystem(), POSTGRES_PROFILE, POLICY
         )
+        assert any(n.startswith("fleet-downloader-") for n in fetched_on)
+        assert not fleet.download_pool.running
         assert ginja2.running
         assert report.files_restored > 0
         db2 = MiniDB.open(ginja2.fs, POSTGRES_PROFILE, ENGINE)
@@ -367,9 +374,25 @@ class TestReactorOwnership:
                 if t.is_alive() and t.name.startswith(prefix)
             ]
 
-        tenants = [admit(fleet, f"s{i}") for i in range(6)]
+        def census():
+            # Executor-bridge workers spawn lazily; they are bounded
+            # below, not part of what must stay identical.
+            return sorted(
+                n for n in named("ginja-") + named("fleet-")
+                if not n.startswith("ginja-reactor-io")
+            )
+
+        tenants = [admit(fleet, f"s{i}") for i in range(2)]
         for i, (_, db) in enumerate(tenants):
             commit_rows(db, f"s{i}", 8)
+        at_two = census()
+        tenants += [admit(fleet, f"s{i}") for i in range(2, 6)]
+        for i, (_, db) in enumerate(tenants):
+            commit_rows(db, f"s{i}", 8)
+        # A tenant costs no thread: its claim jobs ride the shared
+        # encoders, its T_B timer, its PUTs, its unlock rule and its
+        # checkpoint state machine the one reactor loop.
+        assert census() == at_two
         for ginja, _ in tenants:
             assert ginja.drain(timeout=30.0)
 
@@ -378,16 +401,30 @@ class TestReactorOwnership:
         reactorish = named("ginja-reactor")
         assert reactorish.count("ginja-reactor") == 1
         assert named("ginja-uploader") == []
-        # And a tenant costs exactly one thread — its aggregator: the
-        # checkpoint path is a state machine on the tenant's lane.
-        assert len(named("ginja-aggregator")) == 6
+        assert named("ginja-aggregator") == []
         assert named("ginja-checkpointer") == []
         # The executor bridge is a fixed-size pool, not one per tenant
         # (and idle with a native-async store: workers spawn lazily).
         io = [n for n in reactorish if n.startswith("ginja-reactor-io")]
         assert len(io) <= fleet.reactor.health()["io_threads"]
 
-        for _, db in tenants:
+        # Downloaders exist only inside a recover.
+        assert named("fleet-downloader") == []
+        during = []
+        fleet.bus.subscribe(
+            lambda event: during.append(len(named("fleet-downloader"))),
+            kinds={"get_end"},
+        )
+        ginja, db = tenants[0]
+        db.close()
+        fleet.crash_tenant("s0")
+        fleet.recover_tenant(
+            "s0", MemoryFileSystem(), POSTGRES_PROFILE, POLICY
+        )
+        assert during and min(during) == 2     # SharedPoolConfig.downloaders
+        assert named("fleet-downloader") == []
+
+        for _, db in tenants[1:]:
             db.close()
 
     def test_crash_then_remove_leaves_no_lane_behind(self):

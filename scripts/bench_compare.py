@@ -22,6 +22,11 @@ worse than the parent's by more than the bound; a spread wider than the
 bound is reported as unresolved, not as unchanged.  ``--markdown`` adds
 the table CHANGES.md entries quote.
 
+``--claim WORKLOAD/METRIC`` judges a gain the way the pipeline that
+accepts a change does: on top of the exits above, exit 1 unless that
+row's verdict is ``better`` — at least ten pairs, nine in ten of the
+decided ones won, medians further apart than the parent's quartiles.
+
 ``--layers NAME[,NAME…]`` runs the same alternating pairs with the
 benchmark's ``--trace 1`` and tabulates the named per-layer metrics the
 same way.  Per-layer metrics have no bound, so nothing there is gated:
@@ -174,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--layers", metavar="NAME[,NAME…]",
                         help="traced runs: tabulate these per-layer metrics "
                              "instead of the end-to-end ones (no gate)")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="also exit 1 unless this end-to-end row's "
+                             "verdict is 'better'")
     parser.add_argument("--markdown", action="store_true",
                         help="also print the table as markdown")
     parser.add_argument("--json-out", type=Path,
@@ -190,6 +198,13 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"not per-layer metrics of BENCHMARK.json: {unknown}")
         metrics = [declared[n] for n in names]
+    if args.claim:
+        claimed = tuple(args.claim.split("/"))
+        rows = {(w, m["name"]) for w in workloads for m in metrics
+                if "bound" in m}
+        if claimed not in rows:
+            parser.error(f"--claim {args.claim}: not a workload/metric this "
+                         f"comparison gates")
     seconds = spec["run_seconds"]
 
     started = time.monotonic()
@@ -239,6 +254,12 @@ def main(argv: list[str] | None = None) -> int:
               f"{'NOT CORRECT on ' + ', '.join(wrong) if wrong else 'every run correct'}")
         failed = failed or bool(wrong) or share["change"] > share["parent"]
         failed = failed or any(r["verdict"] == "REGRESSION" for r in rows.values())
+    if args.claim:
+        verdict = table[claimed[0]][claimed[1]]["verdict"]
+        print(f"\nclaim {args.claim}: "
+              f"{'met' if verdict == 'better' else 'NOT MET'} "
+              f"(verdict {verdict!r}, {args.pairs} pair(s))")
+        failed = failed or verdict != "better"
     if args.markdown:
         print("\n" + markdown(table, metrics))
     print(f"\n{'FAIL' if failed else 'PASS'} in {time.monotonic() - started:.0f} s",

@@ -186,18 +186,18 @@ def run_tuner_drill(
 
     B counts page writes, not rows: a padded row's record spans most of
     an 8 KiB WAL page, each commit rewrites the page it ends in, and
-    the pipeline ships what changed — measured, a full batch ships
-    ~58.4 kB at B=16 and ~30.0 kB at B=8 (of 131 kB / 66 kB submitted).
-    The defaults put the post-shift per-B commit latencies (``put_base
-    + batch bytes / throughput``, throughput 100 kB/s / 14) at ~8.7s
-    for B=16 and ~4.7s for B=8 against a hysteresis band of 2.5s ..
-    6.4s: the nominal B sits 35% above the band, B=8 36% under its top
-    and 88% over its bottom, so neither a few percent of shipped bytes
-    nor the pump's noise decides whether the tuner moves.  The
-    workload's row rate (one per 0.8 virtual seconds) stays below the
-    *post-shift* drain capacity at every B the controller can visit —
-    an oversubscribed pipeline measures its own backlog, not the knob
-    the tuner controls.
+    the pipeline ships what changed, less the page's zero padding —
+    measured, a full batch ships ~56.0 kB at B=16 and ~27.9 kB at B=8
+    (of 131 kB / 66 kB submitted).  The defaults put the post-shift
+    per-B commit latencies (``put_base + batch bytes / throughput``,
+    throughput 100 kB/s / 14) at ~8.3s for B=16 and ~4.4s for B=8
+    against a hysteresis band of 2.5s .. 6.4s: the nominal B sits 30%
+    above the band, B=8 31% under its top and 76% over its bottom, so
+    neither a few percent of shipped bytes nor the pump's noise decides
+    whether the tuner moves.  The workload's row rate (one per 0.8
+    virtual seconds) stays below the *post-shift* drain capacity at
+    every B the controller can visit — an oversubscribed pipeline
+    measures its own backlog, not the knob the tuner controls.
     """
     result = TunerDrillResult(
         seed=seed, rows_before=rows_before, rows_after=rows_after,

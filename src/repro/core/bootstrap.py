@@ -16,6 +16,7 @@ from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
+from repro.core.commit_pipeline import UNBOUNDED, _split_chunks, elide_known_zeros
 from repro.core.config import GinjaConfig
 from repro.core.data_model import (
     DBObjectMeta,
@@ -36,16 +37,6 @@ from repro.db.profiles import DBMSProfile
 from repro.storage.interface import FileSystem
 
 
-def _split_content(content: bytes, max_bytes: int) -> list[tuple[int, bytes]]:
-    """Slice a file's content into (offset, piece) runs of <= max_bytes."""
-    if not content:
-        return [(0, b"")]
-    return [
-        (pos, content[pos:pos + max_bytes])
-        for pos in range(0, len(content), max_bytes)
-    ]
-
-
 def boot(
     fs: FileSystem,
     cloud: ObjectStore,
@@ -54,13 +45,18 @@ def boot(
     profile: DBMSProfile,
     config: GinjaConfig,
     bus: EventBus | None = None,
-) -> None:
+) -> dict[str, int]:
     """Upload an existing local database to an empty bucket (Alg. 1, Boot).
 
     One WAL object per local segment (split at the object cap), then a
     full dump.  Must complete before the DBMS starts on the mounted FS.
     Progress is narrated as ``wal_object``/``db_object``/``dump`` events
     on ``bus``, which is how the stats counters see it.
+
+    Into an empty bucket every zero tail is known-zero, so a segment
+    ships as its content up to the last non-zero byte plus a length pin
+    — not as 16 MiB of preallocation.  Returns where that byte ends in
+    each segment: the marks the commit pipeline starts from.
     """
     bus = bus or NULL_BUS
     existing = cloud.list()
@@ -73,11 +69,16 @@ def boot(
         (p for p in fs.files() if profile.is_wal_path(p)),
         key=lambda p: profile.wal_index(p),
     )
+    marks = {}
     for path in wal_paths:
         content = fs.read_all(path)
-        for offset, piece in _split_content(content, config.max_object_bytes):
-            blob = codec.encode(encode_wal_payload([(offset, piece)]))
-            meta = WALObjectMeta(ts=ts, filename=path, offset=offset)
+        marks[path] = len(content.rstrip(b"\0"))
+        chunks = elide_known_zeros(0, content, marks[path])
+        # An empty segment still ships one (empty) object: recovery
+        # creates the file.
+        for group in _split_chunks(chunks, config.max_object_bytes) or [chunks]:
+            blob = codec.encode(encode_wal_payload(group))
+            meta = WALObjectMeta(ts=ts, filename=path, offset=group[0][0])
             cloud.put(meta.key, blob)
             view.add_wal(meta)
             bus.emit(events.WAL_OBJECT, key=meta.key, nbytes=len(blob))
@@ -96,6 +97,21 @@ def boot(
         view.add_db(meta)
         bus.emit(events.DB_OBJECT, key=meta.key, nbytes=len(blob))
     bus.emit(events.DUMP_COMPLETE, count=len(blobs))
+    return marks
+
+
+def unbounded_marks(
+    fs: FileSystem, view: CloudView, profile: DBMSProfile,
+) -> dict[str, int]:
+    """The marks a pipeline starts from after Reboot or Recovery: the
+    bucket may hold extents of every WAL file the view lists or the
+    local directory holds that this process never saw, and reading
+    segments back to find out would be paid on the restore's clock.
+    Those files ship whole; elision resumes with the next new segment.
+    """
+    paths = {meta.filename for meta in view.wal_objects()}
+    paths.update(path for path in fs.files() if profile.is_wal_path(path))
+    return dict.fromkeys(paths, UNBOUNDED)
 
 
 def reboot(cloud: ObjectStore, view: CloudView, retention=None) -> int:

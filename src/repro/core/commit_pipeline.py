@@ -23,9 +23,10 @@ pools it borrows):
   fair-share lane, at most one at a time per pipeline: it claims up to
   B queued updates (without removing them), coalesces overwritten
   pages, cuts each rewritten page down to the bytes that changed since
-  it last shipped (:func:`plan_writes`), splits the result into WAL
-  objects of at most ``max_object_bytes`` and assigns timestamps —
-  everything ordering-sensitive, on one thread at a time, so the
+  it last shipped and leaves out the zero padding the bucket already
+  holds (:func:`plan_writes`), splits the result into WAL objects of
+  at most ``max_object_bytes`` and assigns timestamps — everything
+  ordering-sensitive, on one thread at a time, so the
   consecutive-timestamps unlock rule is untouched.  The worker that
   planned keeps going: it encodes the batch's first object itself and
   hands objects 2…n (rare) back to its lane for any idle worker.  When
@@ -79,6 +80,7 @@ batch cost an append.
 
 from __future__ import annotations
 
+import sys
 import threading
 from bisect import bisect_left
 from collections import deque
@@ -215,13 +217,20 @@ class CommitPipeline:
         #: replaced.
         self._timer: Timer | None = None
         self._timer_deadline = 0.0
-        #: What this pipeline last planned at each recent (path, offset)
-        #: — see :func:`plan_writes`.  Claim jobs only (one at a time);
-        #: a new pipeline (boot, reboot, recover) knows nothing and
-        #: ships whole.
-        self._shadow: Shadow = {}
+        #: What this pipeline knows the bucket's image to hold — see
+        #: :func:`plan_writes`.  Claim jobs only (one at a time); a new
+        #: pipeline (boot, reboot, recover) remembers no page and ships
+        #: whole, and is told its marks by :meth:`seed_marks`.
+        self._shadow = Shadow()
 
     # -- lifecycle ------------------------------------------------------------------
+
+    def seed_marks(self, marks: dict[str, int]) -> None:
+        """Before :meth:`start`: per WAL file, the end of the last
+        non-zero byte the bucket may already hold (:class:`Shadow`) —
+        exact after boot, :data:`UNBOUNDED` for every file an earlier
+        pipeline may have shipped."""
+        self._shadow.marks.update(marks)
 
     def start(self) -> None:
         if self._started:
@@ -717,13 +726,71 @@ class CommitPipeline:
         self._cond.notify_all()
 
 
-#: (path, offset) -> (epoch, data): what was last planned there.
-Shadow = dict[tuple[str, int], tuple[int, bytes]]
+class Shadow:
+    """What the bucket's image holds, as far as one pipeline knows.
 
-#: Shadow entries kept beyond the current batch's own writes, so the
+    ``pages`` maps ``(path, offset)`` to the ``(epoch, data)`` last
+    planned there, for the few places a rewrite may diff against.
+
+    ``marks`` maps a WAL file to its **high-water mark**: the end of
+    the last non-zero byte any object the bucket may still hold can
+    carry in that file.  It covers every run this pipeline planned plus
+    a seed for what was shipped before it existed, and it only grows —
+    the bucket's image sees no unlink, rename or truncate, and GC only
+    removes objects, which only adds zeros.  So bytes at or beyond the
+    mark are zero in every image any recovery can build, whatever the
+    epoch; a file never shipped has mark 0.  One ``int`` per file name.
+    """
+
+    __slots__ = ("pages", "marks")
+
+    def __init__(self) -> None:
+        self.pages: dict[tuple[str, int], tuple[int, bytes]] = {}
+        self.marks: dict[str, int] = {}
+
+    def cover(self, path: str, offset: int, data: bytes) -> int:
+        """Raise ``path``'s mark over the last non-zero byte of a run
+        being planned — every run, shipped or not — and return it.  A
+        run that ends at or below the mark is not scanned, so the
+        steady-state cost is one ``rstrip`` per *new* page."""
+        mark = self.marks.get(path, 0)
+        if offset + len(data) > mark:
+            solid = offset + len(data.rstrip(b"\0"))
+            if solid > mark:
+                mark = self.marks[path] = solid
+        return mark
+
+
+#: The mark of a file an earlier pipeline may have shipped anything to.
+UNBOUNDED = sys.maxsize
+
+#: Shadow pages kept beyond the current batch's own writes, so the
 #: tail page outlives a batch that only touched other pages (a ring
 #: log's header slot, the lone first write of the next page).
 _SHADOW_SPARE = 8
+
+#: What a length pin adds to a WAL payload: a chunk header and a byte.
+_PIN_BYTES = len(encode_wal_payload([(0, b"\0")])) - len(encode_wal_payload([]))
+
+
+def elide_known_zeros(
+    offset: int, data: bytes, mark: int,
+) -> list[tuple[int, bytes]]:
+    """The chunks that rebuild ``data`` at ``offset`` over an image in
+    which everything from ``mark`` on is zero — as it is in ``data``.
+
+    The known-zero tail is replaced by a one-byte **length pin** at the
+    run's last byte: applying it zero-fills the hole, so recovery
+    rebuilds the same bytes and the same file length.  A tail no longer
+    than the pin's own framing ships as it is.
+    """
+    end = offset + len(data)
+    if end - max(mark, offset) <= _PIN_BYTES:
+        return [(offset, data)]
+    pin = (end - 1, b"\0")
+    if mark <= offset:
+        return [pin]
+    return [(offset, memoryview(data)[:mark - offset]), pin]
 
 
 def plan_writes(
@@ -737,10 +804,13 @@ def plan_writes(
     WAL page being rewritten as it fills — collapse to the latest
     content (a shorter rewrite keeping the tail it did not cover).
     Each survivor is then cut down to the byte range by which it
-    differs from ``shadow`` — what this pipeline last planned at that
-    place, which is what the bucket's image holds there; a survivor that
-    changes nothing plans nothing.  ``shadow`` is updated in place and
-    kept to this batch's writes plus ``_SHADOW_SPARE``.
+    differs from ``shadow.pages`` — what this pipeline last planned at
+    that place, which is what the bucket's image holds there; a
+    survivor that changes nothing plans nothing.  What still ships
+    drops the zeros it carries beyond ``shadow.marks`` — the page's
+    padding — for a length pin (:func:`elide_known_zeros`).  ``shadow``
+    is updated in place, its pages kept to this batch's writes plus
+    ``_SHADOW_SPARE``.
 
     ``coalesce=False`` (the aggregation ablation) ships every write
     verbatim and leaves the shadow alone.  Recovery applies chunks in
@@ -772,8 +842,9 @@ def plan_writes(
         planned += [
             (path, group) for group in _split_chunks(chunks, max_object_bytes)
         ]
-    while len(shadow) > len(latest) + _SHADOW_SPARE:
-        del shadow[next(iter(shadow))]  # oldest planned first
+    pages = shadow.pages
+    while len(pages) > len(latest) + _SHADOW_SPARE:
+        del pages[next(iter(pages))]  # oldest planned first
     return planned
 
 
@@ -793,36 +864,45 @@ def _changed_ranges(
     overlapping other places evicts them, and one that overlaps another
     write of its own batch is neither trimmed nor remembered: where its
     bytes end up then depends on the merge order of the whole runs.
+
+    Every run raises its file's mark (:meth:`Shadow.cover`); one that
+    overlaps no other then leaves the zeros it holds beyond the mark
+    out.  A trimmed range never holds any: where it ends in a zero, the
+    base it was cut against held a non-zero byte, under the mark.
     """
+    pages = shadow.pages
     starts = [offset for offset, _data, _epoch in runs]
     # reach[i]: the furthest end among runs[0..i].
     reach = list(accumulate(
         (offset + len(data) for offset, data, _epoch in runs), max,
     ))
-    bases = {offset: shadow.pop((path, offset), None) for offset in starts}
-    for key, (_epoch, held) in list(shadow.items()):
+    bases = {offset: pages.pop((path, offset), None) for offset in starts}
+    for key, (_epoch, held) in list(pages.items()):
         if key[0] != path:
             continue
         # Overlapped iff some run starting below the entry's end
         # reaches past its start.
         below = bisect_left(starts, key[1] + len(held))
         if below and reach[below - 1] > key[1]:
-            del shadow[key]
+            del pages[key]
     chunks: list[tuple[int, bytes]] = []
     for index, (offset, data, epoch) in enumerate(runs):
+        mark = shadow.cover(path, offset, data)
         alone = (index == 0 or reach[index - 1] <= offset) and (
             index + 1 == len(runs) or starts[index + 1] >= offset + len(data)
         )
-        if alone:
-            shadow[path, offset] = (epoch, data)
-            base = bases[offset]
-            if (base is not None and base[0] == epoch
-                    and len(base[1]) == len(data)):
-                start, stop = _changed_range(base[1], data)
-                if start == stop:
-                    continue
-                offset, data = offset + start, memoryview(data)[start:stop]
-        chunks.append((offset, data))
+        if not alone:
+            chunks.append((offset, data))
+            continue
+        pages[path, offset] = (epoch, data)
+        base = bases[offset]
+        if (base is not None and base[0] == epoch
+                and len(base[1]) == len(data)):
+            start, stop = _changed_range(base[1], data)
+            if start != stop:
+                chunks.append((offset + start, memoryview(data)[start:stop]))
+        else:
+            chunks += elide_known_zeros(offset, data, mark)
     return chunks
 
 

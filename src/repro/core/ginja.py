@@ -25,7 +25,9 @@ from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
 from repro.common import events
 from repro.common.events import EventBus, Subscriber
-from repro.core.bootstrap import RecoveryReport, boot, reboot, recover_files
+from repro.core.bootstrap import (
+    RecoveryReport, boot, reboot, recover_files, unbounded_marks,
+)
 from repro.core.checkpointer import CheckpointCollector, CheckpointUploader
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
@@ -168,7 +170,7 @@ class Ginja:
         if self._running:
             raise GinjaError("Ginja already started")
         if mode == "boot":
-            boot(
+            marks = boot(
                 self.fs.inner,
                 self.transport,
                 self.codec,
@@ -185,6 +187,10 @@ class Ginja:
             pass  # view already initialized (the recover() path)
         else:
             raise GinjaError(f"unknown start mode: {mode!r}")
+        if mode != "boot":
+            # An earlier pipeline shipped into this bucket.
+            marks = unbounded_marks(self.fs.inner, self.view, self.profile)
+        self.pipeline.seed_marks(marks)
         if not self.encode_stage.running:
             if not self._own_stage:
                 raise GinjaError(

@@ -33,7 +33,7 @@ from repro.cloud.simulated import SimulatedCloud
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import (
-    CommitPipeline, _SHADOW_SPARE, _changed_range, plan_writes,
+    CommitPipeline, Shadow, _SHADOW_SPARE, _changed_range, plan_writes,
 )
 from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta
@@ -108,14 +108,19 @@ def script(seed: int, checkpoints: int = 4) -> list[tuple]:
     return steps
 
 
-def protect(coalesce: bool, *, batch: int = 1, **wiring):
-    """A booted Ginja over a scratch directory, and its raw bucket."""
+def protect(coalesce: bool, *, batch: int = 1, wal: bytes = b"",
+            max_object_bytes: int = 20_000_000, **wiring):
+    """A booted Ginja over a scratch directory (whose first segment
+    holds ``wal`` before boot), and its raw bucket."""
     disk = MemoryFileSystem()
     disk.write(PROFILE.table_path("t"), 0, bytes(4 * PAGE))
+    if wal:
+        disk.write(SEG, 0, wal)
     backend = InMemoryObjectStore()
     config = GinjaConfig(
         batch=batch, safety=10 * batch, batch_timeout=30.0,
         safety_timeout=60.0, coalesce_writes=coalesce,
+        max_object_bytes=max_object_bytes,
     )
     ginja = Ginja(
         disk, SimulatedCloud(backend=backend, time_scale=0.0), PROFILE,
@@ -149,14 +154,14 @@ def play(steps, ginja, backend) -> list[dict]:
     return snapshots
 
 
-def recovered_files(snapshot: dict) -> dict[str, bytes]:
+def recovered_files(snapshot: dict, profile=PROFILE) -> dict[str, bytes]:
     """What ``Ginja.recover`` rebuilds from a crashed bucket."""
     backend = InMemoryObjectStore()
     for key, blob in snapshot.items():
         backend.put(key, blob)
     fresh = MemoryFileSystem()
     standby, _report = Ginja.recover(
-        SimulatedCloud(backend=backend, time_scale=0.0), fresh, PROFILE,
+        SimulatedCloud(backend=backend, time_scale=0.0), fresh, profile,
     )
     standby.stop()
     return {path: fresh.read_all(path) for path in fresh.files()}
@@ -309,11 +314,12 @@ class TestPipeline:
         pipeline, backend, _view, stats, _bus = pipe
         submit_drained(pipeline, 8192, b"rec-1" + bytes(27))
         submit_drained(pipeline, 8192, b"rec-1" + b"rec-2" + bytes(22))
-        (first, whole), (second, diff) = wal_objects(backend)
-        assert (first.offset, whole) == (8192, [(8192, b"rec-1" + bytes(27))])
+        (first, padded), (second, diff) = wal_objects(backend)
+        # The first sight of the page: its record and a length pin.
+        assert (first.offset, padded) == (8192, [(8192, b"rec-1"), (8223, b"\0")])
         assert (second.offset, diff) == (8197, [(8197, b"rec-2")])
         assert stats.wal_submitted_bytes == 64
-        assert stats.wal_planned_bytes == 32 + 5
+        assert stats.wal_planned_bytes == 5 + 1 + 5
 
     def test_an_identical_rewrite_ships_nothing_and_still_unlocks(self, pipe):
         pipeline, backend, view, stats, bus = pipe
@@ -407,7 +413,7 @@ class TestPipeline:
 class TestTheShadow:
     def test_it_stays_bounded_over_ten_thousand_pages(self):
         rng = random.Random(3)
-        shadow: dict = {}
+        shadow = Shadow()
         page_no = 0
         while page_no < 10_000:
             count = rng.choice((1, 1, 7, 100))
@@ -416,17 +422,18 @@ class TestTheShadow:
             # The tail page of the previous batch is rewritten first.
             batch.insert(0, ("seg", max(page_no - 1, 0) * PAGE, b"\xff" * PAGE, 0))
             plan_writes(batch, shadow, coalesce=True, max_object_bytes=1 << 20)
-            assert len(shadow) <= len(batch) + _SHADOW_SPARE
+            assert len(shadow.pages) <= len(batch) + _SHADOW_SPARE
             page_no += count
-        assert ("seg", (page_no - 1) * PAGE) in shadow   # the tail is what it keeps
+        assert ("seg", (page_no - 1) * PAGE) in shadow.pages   # the tail is what it keeps
+        assert shadow.marks == {"seg": page_no * PAGE}         # one int per file
 
     def test_the_ablation_leaves_it_alone(self):
-        shadow: dict = {}
+        shadow = Shadow()
         writes = [("seg", 0, b"page", 0), ("seg", 0, b"page", 0)]
         planned = plan_writes(writes, shadow, coalesce=False,
                               max_object_bytes=1 << 20)
         assert planned == [("seg", [(0, b"page"), (0, b"page")])]
-        assert not shadow
+        assert not shadow.pages and not shadow.marks
 
     @pytest.mark.parametrize("seed", range(5))
     def test_changed_range_agrees_with_a_byte_loop(self, seed):
@@ -496,6 +503,7 @@ class TestHealth:
             assert ginja.drain(timeout=10.0)
             ginja.fs.write(SEG, 0, b"abcd" + bytes(PAGE - 4))
             assert ginja.drain(timeout=10.0)
-            assert ginja.health()["wal_shipped_ratio"] == (PAGE + 2) / (2 * PAGE)
+            # The record and a length pin, then the two bytes that changed.
+            assert ginja.health()["wal_shipped_ratio"] == (2 + 1 + 2) / (2 * PAGE)
         finally:
             ginja.stop()

@@ -8,7 +8,8 @@ cut down to the changed range against the shadow, sort,
 replaying the resulting WAL objects in timestamp order produces a
 segment byte-identical to naively applying every write in commit order.
 The stream goes through as one batch, or cut into batches that share
-one shadow the way a running pipeline's batches do.
+one shadow — its pages and its high-water marks — the way a running
+pipeline's batches do.
 
 The streams follow the WAL write pattern the coalescer is designed for
 (and that real engines produce):
@@ -27,6 +28,11 @@ temporal order wherever writes overlap, which is exactly the assumption
 ``_merge_chunks`` encodes.  The contained-write case is the regression:
 the old merge truncated the enclosing run at the patch's end, dropping
 its suffix from the WAL object.
+
+A second family of streams is page-granular and zero-heavy — the shape
+known-zero-tail elision works on: zero-padded pages, zeros written over
+older non-zero bytes, laps wider than the shadow.  Those are replayed
+into a growing file, so the image's *length* is compared too.
 """
 
 from __future__ import annotations
@@ -34,9 +40,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.codec import ObjectCodec
-from repro.core.commit_pipeline import plan_writes
+from repro.core.commit_pipeline import UNBOUNDED, Shadow, plan_writes
 from repro.core.data_model import decode_wal_payload, encode_wal_payload
 
 CODEC = ObjectCodec()
@@ -53,7 +60,7 @@ def naive_replay(writes: list[tuple[int, bytes]], size: int) -> bytes:
 def planned_objects(writes, cuts=(), epochs=None, shadow=None):
     """The (offset, data) groups ``plan_writes`` ships for the stream,
     one batch per slice between ``cuts``, all sharing one shadow."""
-    shadow = {} if shadow is None else shadow
+    shadow = Shadow() if shadow is None else shadow
     epochs = epochs or [0] * len(writes)
     edges = [0, *cuts, len(writes)]
     groups = []
@@ -198,7 +205,7 @@ class TestDeterministicShapes:
         writes = [(64, page), (64, fuller)]
         assert_equivalent(writes, cuts=[1])
         first, second = planned_objects(writes, cuts=[1])
-        assert first == [(64, page)]
+        assert first == [(64, b"r1r1r1"), (95, b"\0")]   # records, length pin
         assert second == [(70, b"r2r2")]
 
     def test_an_identical_rewrite_plans_nothing(self):
@@ -302,3 +309,177 @@ class TestSeededStreams:
         for position in range(size):
             if covered[position]:
                 assert image[position] == naive[position]
+
+
+# -- page-granular, zero-heavy streams: bytes *and* length ----------------------
+
+PAGE = 32
+
+
+def apply_write(image: bytearray, offset: int, data: bytes) -> None:
+    """What ``fs.write`` does on recovery: zero-fill the hole, then write."""
+    end = offset + len(data)
+    if len(image) < end:
+        image.extend(bytes(end - len(image)))
+    image[offset:end] = data
+
+
+def planned_batches(writes, cuts, epochs, shadow):
+    """``(path, offset, data)`` writes through ``plan_writes``, one
+    batch per slice between ``cuts``, all sharing ``shadow``."""
+    edges = [0, *cuts, len(writes)]
+    for start, stop in zip(edges, edges[1:]):
+        batch = [(*write, epochs[index])
+                 for index, write in enumerate(writes[start:stop], start)]
+        yield from plan_writes(batch, shadow, coalesce=True,
+                               max_object_bytes=SPLIT_CAP)
+
+
+def files_by_plan(writes, cuts, epochs, seeded=None, marks=None) -> dict:
+    """The planned chunks replayed over the ``seeded`` files, by a
+    pipeline told ``marks``."""
+    shadow = Shadow()
+    shadow.marks.update(marks or {})
+    files = {path: bytearray(held) for path, held in (seeded or {}).items()}
+    for path, group in planned_batches(writes, cuts, epochs, shadow):
+        for offset, data in decode_wal_payload(encode_wal_payload(group)):
+            apply_write(files.setdefault(path, bytearray()), offset, data)
+    return files
+
+
+def files_by_whole_writes(writes, seeded=None) -> dict:
+    files = {path: bytearray(held) for path, held in (seeded or {}).items()}
+    for path, offset, data in writes:
+        apply_write(files.setdefault(path, bytearray()), offset, data)
+    return files
+
+
+def padded_page(record: bytes) -> bytes:
+    return record + bytes(PAGE - len(record))
+
+
+def generate_page_stream(seed: int) -> list[tuple[str, int, bytes]]:
+    """A ring of sixteen pages — more than the shadow holds — filled the
+    way a DBMS fills one: the tail page rewritten whole as records land
+    (zero-padded), now and then an identical rewrite or a record ending
+    in zeros, and lap after lap over what earlier laps left."""
+    rng = random.Random(seed)
+    writes = []
+    place, fill, page = 0, 0, bytearray(PAGE)
+    for _ in range(rng.randint(60, 120)):
+        roll = rng.random()
+        if roll < 0.1 and writes:
+            writes.append(writes[-1])
+            continue
+        if fill == PAGE or roll < 0.3:
+            place, fill, page = (place + 1) % 16, 0, bytearray(PAGE)
+        length = rng.randint(1, min(12, PAGE - fill))
+        page[fill:fill + length] = bytes(
+            rng.choice((0, 0, rng.randrange(1, 256))) for _ in range(length)
+        )
+        fill += length
+        writes.append(("seg", place * PAGE, bytes(page)))
+    return writes
+
+
+class TestKnownZeroShapes:
+    def test_a_zero_padded_page_ships_its_records_and_a_pin(self):
+        writes = [("seg", 64, padded_page(b"rec"))]
+        planned = plan_writes([(*writes[0], 0)], Shadow(), coalesce=True,
+                              max_object_bytes=SPLIT_CAP)
+        assert planned == [("seg", [(64, b"rec"), (64 + PAGE - 1, b"\0")])]
+        assert files_by_plan(writes, [], [0]) == files_by_whole_writes(writes)
+
+    def test_a_tail_no_longer_than_a_pin_ships_as_it_is(self):
+        page = b"r" * (PAGE - 13) + bytes(13)
+        planned = plan_writes([("seg", 0, page, 0)], Shadow(), coalesce=True,
+                              max_object_bytes=SPLIT_CAP)
+        assert planned == [("seg", [(0, page)])]
+
+    def test_zeros_over_older_non_zero_bytes_are_shipped(self):
+        """A new epoch, so the rewrite misses the shadow and ships
+        whole: its zeros are what clears the older page."""
+        writes = [("seg", 0, b"a" * PAGE), ("seg", 0, padded_page(b"bbb"))]
+        got = files_by_plan(writes, [1], [0, 1])
+        assert got == files_by_whole_writes(writes)
+        assert got["seg"] == padded_page(b"bbb")
+
+    def test_a_lap_wider_than_the_shadow(self):
+        writes = [("seg", n * PAGE, bytes([n + 1]) * PAGE) for n in range(16)]
+        writes += [("seg", n * PAGE, padded_page(b"lap")) for n in range(16)]
+        cuts = list(range(1, len(writes)))
+        assert (files_by_plan(writes, cuts, [0] * len(writes))
+                == files_by_whole_writes(writes))
+
+    def test_an_unbounded_mark_ships_whole_and_a_new_file_is_cut(self):
+        shadow = Shadow()
+        shadow.marks["old"] = UNBOUNDED
+        planned = plan_writes(
+            [("old", 0, padded_page(b"rec"), 0), ("new", 0, padded_page(b"rec"), 0)],
+            shadow, coalesce=True, max_object_bytes=SPLIT_CAP,
+        )
+        assert planned == [
+            ("new", [(0, b"rec"), (PAGE - 1, b"\0")]),
+            ("old", [(0, padded_page(b"rec"))]),
+        ]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_page_streams_replay_to_the_same_files(self, seed):
+        writes = generate_page_stream(seed)
+        cuts, epochs = random_batching(seed, len(writes))
+        want = files_by_whole_writes(writes)
+        assert files_by_plan(writes, cuts, epochs) == want
+        assert files_by_plan(writes, cuts, [0] * len(writes)) == want
+        assert files_by_plan(writes, [], epochs) == want
+
+    def test_the_page_streams_lap_and_pad(self):
+        cut = whole_over_older = 0
+        for seed in range(20):
+            writes = generate_page_stream(seed)
+            cuts, epochs = random_batching(seed, len(writes))
+            shadow, high = Shadow(), 0
+            for _path, group in planned_batches(writes, cuts, epochs, shadow):
+                for offset, data in group:
+                    padded = len(data) > 13 and not any(data[-13:])
+                    cut += len(data) == 1 and data == b"\0"
+                    whole_over_older += padded and offset + len(data) <= high
+                high = max(high, shadow.marks["seg"])
+        assert cut >= 100 and whole_over_older >= 20
+
+
+zero_heavy = st.builds(
+    lambda solid, size: solid[:size] + bytes(size - len(solid[:size])),
+    st.binary(max_size=PAGE), st.sampled_from((PAGE // 2, PAGE)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    writes=st.lists(
+        st.tuples(st.sampled_from(("a", "b")),
+                  st.integers(0, 11).map(lambda place: place * PAGE),
+                  zero_heavy),
+        min_size=1, max_size=40,
+    ),
+    seeded=st.dictionaries(
+        st.sampled_from(("a", "b")),
+        st.tuples(st.lists(zero_heavy, max_size=4).map(b"".join),
+                  st.one_of(st.integers(0, 3 * PAGE), st.just(UNBOUNDED))),
+    ),
+    data=st.data(),
+)
+def test_any_zero_heavy_stream_replays_to_the_same_bytes_and_length(
+        writes, seeded, data):
+    """Any page-aligned zero-heavy stream, any batch cut, any epochs and
+    any seed marks at or above what the seeded image holds: the planned
+    chunks replayed over that image equal the writes replayed whole."""
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(writes) - 1)))
+                  if len(writes) > 1 else ())
+    steps = data.draw(st.lists(st.booleans(), min_size=len(writes),
+                               max_size=len(writes)))
+    epochs = [sum(steps[:index + 1]) for index in range(len(steps))]
+    images = {path: held for path, (held, _slack) in seeded.items()}
+    marks = {path: len(held.rstrip(b"\0")) + slack
+             for path, (held, slack) in seeded.items()}
+    assert (files_by_plan(writes, cuts, epochs, images, marks)
+            == files_by_whole_writes(writes, images))

@@ -64,3 +64,47 @@ class TestLayersOption:
                                 "storage.interposer.cross_us_per_op,nope"])
         assert refused.value.code == 2
         assert "nope" in capsys.readouterr().err
+
+
+class TestClaimOption:
+    """``--claim`` through ``main``, with the minutes-long runs replaced
+    by canned results: the parent ships ~7.2 kB an op, the change what
+    the case says, every other metric the same on both sides."""
+
+    @pytest.fixture
+    def compare(self, bench_compare, monkeypatch):
+        def run(change_bytes: float) -> int:
+            def run_once(command, cwd, workload, seed, seconds, trace):
+                shipped = 7200.0 if cwd != bench_compare.ROOT else change_bytes
+                metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+                metrics["shipped_bytes_per_op"] = {"value": shipped + 7 * seed}
+                return {"correct": True, "attempted": 100, "failed": 0,
+                        "metrics": metrics}
+
+            spec = bench_compare.json.loads(
+                (bench_compare.ROOT / "BENCHMARK.json").read_text())
+            monkeypatch.setattr(bench_compare, "export", lambda rev, target: None)
+            monkeypatch.setattr(bench_compare, "run_once", run_once)
+            return bench_compare.main(
+                ["HEAD", "--workload", "tpcc_tight", "--pairs", "10",
+                 "--claim", "tpcc_tight/shipped_bytes_per_op"])
+        return run
+
+    def test_a_claim_the_runs_bear_out_passes(self, compare, capsys):
+        assert compare(5300.0) == 0
+        assert "claim tpcc_tight/shipped_bytes_per_op: met" in capsys.readouterr().out
+
+    def test_a_claimed_row_that_is_merely_flat_fails(self, compare, capsys):
+        """No regression anywhere — and still exit 1: the claim is the
+        gate."""
+        assert compare(7200.0) == 1
+        out = capsys.readouterr().out
+        assert "NOT MET (verdict 'ok'" in out and "REGRESSION" not in out
+
+    def test_a_claim_on_a_row_the_comparison_does_not_gate_is_refused(
+            self, bench_compare, capsys):
+        with pytest.raises(SystemExit) as refused:
+            bench_compare.main(["HEAD", "--workload", "restore",
+                                "--claim", "tpcc_tight/shipped_bytes_per_op"])
+        assert refused.value.code == 2
+        assert "tpcc_tight/shipped_bytes_per_op" in capsys.readouterr().err

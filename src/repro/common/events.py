@@ -88,6 +88,10 @@ TUNER_RETUNE = "tuner_retune"
 #
 # Checkpointer events (emitted by repro.core.checkpointer):
 CHECKPOINT_BEGIN = "checkpoint_begin"
+#: A checkpoint's DB object was built and handed to the uploader;
+#: ``count`` is its WAL frontier ts, ``detail`` its type, ``total`` the
+#: bytes the DBMS wrote in the checkpoint and ``nbytes`` the bytes
+#: planned to ship for them, both pre-codec.
 CHECKPOINT_END = "checkpoint_end"
 #: One DB object (checkpoint/dump part) confirmed in the cloud.
 DB_OBJECT = "db_object"

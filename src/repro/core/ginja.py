@@ -307,6 +307,14 @@ class Ginja:
                 self.stats.wal_planned_bytes / self.stats.wal_submitted_bytes
                 if self.stats.wal_submitted_bytes else None
             ),
+            #: The same for checkpoints: bytes planned to ship per byte
+            #: the DBMS wrote in them (``None`` before the first one),
+            #: and what the last-shipped page shadow behind it holds.
+            "db_shipped_ratio": (
+                self.stats.db_planned_bytes / self.stats.db_submitted_bytes
+                if self.stats.db_submitted_bytes else None
+            ),
+            "db_shadow_bytes": self.collector.shadow_bytes,
             "batch": tuner_state["batch"] if tuner_state else self.config.batch,
             "safety": (
                 tuner_state["safety"] if tuner_state else self.config.safety

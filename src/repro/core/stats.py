@@ -31,6 +31,11 @@ class GinjaStats:
     wal_planned_bytes: int = 0
     db_objects: int = 0
     db_bytes: int = 0
+    #: The same pair for the DB side (``checkpoint_end`` events): the
+    #: pre-codec bytes the DBMS wrote inside checkpoints, and the bytes
+    #: planned to ship for them — changed runs, or a dump's files.
+    db_submitted_bytes: int = 0
+    db_planned_bytes: int = 0
     dumps: int = 0
     checkpoints_seen: int = 0
     gc_deletes: int = 0
@@ -116,7 +121,11 @@ class GinjaStats:
         if kind == events.DUMP_COMPLETE:
             return {"dumps": 1}
         if kind == events.CHECKPOINT_END:
-            return {"checkpoints_seen": 1}
+            return {
+                "checkpoints_seen": 1,
+                "db_submitted_bytes": event.total,
+                "db_planned_bytes": event.nbytes,
+            }
         if kind == events.COMMIT_BLOCKED:
             return {"blocks": 1}
         if kind == events.COMMIT_UNBLOCKED:

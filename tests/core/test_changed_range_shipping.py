@@ -154,7 +154,8 @@ def play(steps, ginja, backend) -> list[dict]:
     return snapshots
 
 
-def recovered_files(snapshot: dict, profile=PROFILE) -> dict[str, bytes]:
+def recovered_files(snapshot: dict, profile=PROFILE, *, config=None,
+                    upto_ts=None) -> dict[str, bytes]:
     """What ``Ginja.recover`` rebuilds from a crashed bucket."""
     backend = InMemoryObjectStore()
     for key, blob in snapshot.items():
@@ -162,6 +163,7 @@ def recovered_files(snapshot: dict, profile=PROFILE) -> dict[str, bytes]:
     fresh = MemoryFileSystem()
     standby, _report = Ginja.recover(
         SimulatedCloud(backend=backend, time_scale=0.0), fresh, profile,
+        config, upto_ts=upto_ts,
     )
     standby.stop()
     return {path: fresh.read_all(path) for path in fresh.files()}
@@ -496,14 +498,34 @@ class TestANewPipelineKnowsNothing:
 
 class TestHealth:
     def test_the_facade_reports_what_shipping_saves(self):
+        """Both ratios — planned ÷ written, pre-codec — and what the
+        page shadow behind the second one holds."""
         ginja, _backend = protect(True)
         try:
-            assert ginja.health()["wal_shipped_ratio"] is None
+            health = ginja.health()
+            assert health["wal_shipped_ratio"] is None
+            assert health["db_shipped_ratio"] is None
+            assert health["db_shadow_bytes"] == 0
             ginja.fs.write(SEG, 0, b"ab" + bytes(PAGE - 2))
             assert ginja.drain(timeout=10.0)
             ginja.fs.write(SEG, 0, b"abcd" + bytes(PAGE - 4))
             assert ginja.drain(timeout=10.0)
             # The record and a length pin, then the two bytes that changed.
             assert ginja.health()["wal_shipped_ratio"] == (2 + 1 + 2) / (2 * PAGE)
+            # Two checkpoints of a clog byte, a page and a control
+            # record (over a directory large enough that the 150 % rule
+            # stays quiet): all of it, then the four bytes by which the
+            # page and the four by which the record differ.
+            ginja.fs.inner.write(PROFILE.table_path("ballast"), 0, bytes(8192))
+            for page in (b"\x07" * PAGE, b"\x07" * (PAGE - 4) + b"rows"):
+                ginja.fs.write(PROFILE.clog_path, 0, b"\x01")
+                ginja.fs.write(PROFILE.table_path("t"), PAGE, page)
+                ginja.fs.write(PROFILE.control_path, 0, page[-8:])
+                assert ginja.drain(timeout=10.0)
+            health = ginja.health()
+            assert health["db_shipped_ratio"] == (
+                (1 + PAGE + 8) + (0 + 4 + 4)) / (2 * (1 + PAGE + 8))
+            assert health["db_shadow_bytes"] == 1 + PAGE + 8
+            assert ginja.stats.dumps == 1    # the boot dump
         finally:
             ginja.stop()

@@ -113,6 +113,94 @@ class TestCollector:
         new_metas = [DBObjectMeta.parse(i.key) for i in backend.list("DB/")]
         assert any(m.type == CHECKPOINT for m in new_metas)
 
+    @staticmethod
+    def replayed(backend, codec, size: int = 16) -> bytes:
+        """``base/t`` as recovery's apply loop rebuilds it from the
+        checkpoint objects, over the ``D``s a dump left there."""
+        image = bytearray(b"D" * size)
+        metas = sorted((DBObjectMeta.parse(info.key) for info in backend.list("DB/")),
+                       key=lambda meta: (meta.order, meta.part))
+        for meta in metas:
+            payload = codec.decode(backend.get(meta.key))
+            for path, offset, data in decode_checkpoint_payload(payload):
+                assert path == "base/t"
+                image[offset:offset + len(data)] = data
+        return bytes(image)
+
+    def test_a_shorter_rewrite_keeps_the_tail_of_the_write_it_replaced(self, pools):
+        """The coalescing bug: latest-per-(path, offset) shipped ``ZZ``
+        alone, and recovery left the dump's bytes under the other 14."""
+        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(pools)
+        fs.write("base/t", 0, b"D" * 16)
+        fs.write("base/big", 0, bytes(10_000))  # keeps the 150% rule quiet
+        collector.begin()
+        collector.add_write("base/t", 0, b"A" * 16)
+        collector.add_write("base/t", 0, b"ZZ")
+        collector.end()
+        run_uploader_once(uploader)
+        assert self.replayed(backend, codec) == b"ZZ" + b"A" * 14
+        # Neither shape is remembered: the same page again ships whole.
+        collector.begin()
+        collector.add_write("base/t", 0, b"ZZ")
+        collector.end()
+        run_uploader_once(uploader)
+        newest = max(backend.list("DB/"), key=lambda i: DBObjectMeta.parse(i.key).order)
+        assert decode_checkpoint_payload(codec.decode(backend.get(newest.key))) == [
+            ("base/t", 0, b"ZZ"),
+        ]
+
+    def test_overlapping_writes_replay_in_write_order(self, pools):
+        """The other half: first-seen order replayed the rewrite of an
+        earlier place *before* the later write it had overwritten."""
+        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(pools)
+        fs.write("base/t", 0, b"D" * 16)
+        fs.write("base/big", 0, bytes(10_000))  # keeps the 150% rule quiet
+        collector.begin()
+        collector.add_write("base/t", 0, b"A" * 16)
+        collector.add_write("base/t", 8, b"B" * 8)
+        collector.add_write("base/t", 0, b"C" * 16)
+        collector.end()
+        run_uploader_once(uploader)
+        assert self.replayed(backend, codec) == b"C" * 16
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_any_overlapping_script_replays_to_the_local_image(self, pools, seed):
+        rng = random.Random(seed)
+        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(pools)
+        local = bytearray(b"D" * 48)
+        fs.write("base/t", 0, bytes(local))
+        fs.write("base/big", 0, bytes(10_000))
+        for _ in range(4):
+            collector.begin()
+            for _ in range(rng.randint(1, 8)):
+                offset = rng.choice((0, 0, 8, 16, 20, 32))
+                data = bytes([rng.randrange(1, 256)]) * rng.choice((2, 8, 16))
+                local[offset:offset + len(data)] = data
+                collector.add_write("base/t", offset, data)
+            collector.end()
+            run_uploader_once(uploader)
+            assert self.replayed(backend, codec, 48) == bytes(local)
+
+    def test_a_page_rewritten_in_place_ships_the_runs_that_changed(self, pools):
+        _cfg, fs, backend, _view, stats, codec, uploader, collector = make_stack(pools)
+        fs.write("base/t", 0, bytes(4096))
+        page = bytearray(b"\x07" * 1024)
+        collector.begin()
+        collector.add_write("base/t", 1024, bytes(page))
+        collector.end()
+        page[2:4] = b"hd"           # a header count ...
+        page[1000:1010] = b"r" * 10  # ... and a row at the tail
+        collector.begin()
+        collector.add_write("base/t", 1024, bytes(page))
+        collector.end()
+        run_uploader_once(uploader)
+        newest = max(backend.list("DB/"), key=lambda i: DBObjectMeta.parse(i.key).order)
+        assert decode_checkpoint_payload(codec.decode(backend.get(newest.key))) == [
+            ("base/t", 1026, b"hd"), ("base/t", 2024, b"r" * 10),
+        ]
+        assert (stats.db_submitted_bytes, stats.db_planned_bytes) == (2048, 1036)
+        assert collector.shadow_bytes == 1024
+
     def test_large_checkpoint_splits_into_parts(self, pools):
         config = GinjaConfig(max_object_bytes=64 * 1024)
         _cfg, fs, backend, _view, _stats, _codec, uploader, collector = make_stack(

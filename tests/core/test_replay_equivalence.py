@@ -40,11 +40,15 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.checkpointer import PageShadow, _split_writes
 from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import UNBOUNDED, Shadow, plan_writes
-from repro.core.data_model import decode_wal_payload, encode_wal_payload
+from repro.core.data_model import (
+    decode_checkpoint_payload, decode_wal_payload, encode_checkpoint_payload,
+    encode_wal_payload,
+)
 
 CODEC = ObjectCodec()
 SPLIT_CAP = 97  # prime and tiny, so groups straddle run boundaries often
@@ -483,3 +487,86 @@ def test_any_zero_heavy_stream_replays_to_the_same_bytes_and_length(
              for path, (held, slack) in seeded.items()}
     assert (files_by_plan(writes, cuts, epochs, images, marks)
             == files_by_whole_writes(writes, images))
+
+
+# -- checkpoint pages: the collector's changed-run transform ----------------------
+
+HALF = PAGE // 2
+
+# Few variants of few sizes at few places, half a page apart: the same
+# bytes come back, neighbours overlap, and a place changes length.
+changing_page = st.builds(
+    lambda head, fill, rows, size:
+        head + fill * (size - len(head) - len(rows)) + rows,
+    st.sampled_from((b"", b"h", b"H")), st.sampled_from((b".", b"\0")),
+    st.sampled_from((b"", b"r", b"rows")), st.sampled_from((HALF, PAGE)),
+)
+
+
+def replay_page_stream(stream, cuts, dumps) -> None:
+    """``stream`` is ``(path, offset, page, stray)`` writes; a checkpoint
+    ends after each index in ``cuts`` (and at the end), as a dump where
+    the index is in ``dumps``.  A stray write lands outside any
+    checkpoint: local only, until a dump reads the local files.  After
+    every checkpoint the collector's run objects, replayed in order,
+    must have rebuilt the files its whole writes rebuild."""
+    cuts = sorted({cut for cut in cuts if cut < len(stream)} | {len(stream)})
+    shadow = PageShadow()
+    local: dict[str, bytearray] = {}
+    ours: dict[str, bytearray] = {}
+    whole: dict[str, bytearray] = {}
+    planned = written = 0
+    for start, stop in zip([0, *cuts], cuts):
+        writes = []
+        for path, offset, page, stray in stream[start:stop]:
+            apply_write(local.setdefault(path, bytearray()), offset, page)
+            if not stray:
+                writes.append((path, offset, page))
+        if stop in dumps:
+            shadow.clear()
+            ours = {path: bytearray(held) for path, held in local.items()}
+            whole = {path: bytearray(held) for path, held in local.items()}
+            continue
+        runs, learned = shadow.plan(writes)
+        shadow.learn(learned)
+        for group in _split_writes(runs, SPLIT_CAP):
+            payload = CODEC.decode(CODEC.encode(encode_checkpoint_payload(group)))
+            for path, offset, run in decode_checkpoint_payload(payload):
+                apply_write(ours.setdefault(path, bytearray()), offset, run)
+        for path, offset, page in writes:
+            apply_write(whole.setdefault(path, bytearray()), offset, page)
+        planned += sum(len(run) for _path, _offset, run in runs)
+        written += sum(len(page) for _path, _offset, page in writes)
+        assert ours == whole
+    assert planned <= written
+
+
+X, Y = b"h" + b"." * (PAGE - 1), b"H" + b"." * (PAGE - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    stream=st.lists(
+        st.tuples(st.sampled_from(("a", "b")),
+                  st.integers(0, 3).map(lambda place: place * HALF),
+                  changing_page,
+                  st.sampled_from((False, False, False, True))),
+        min_size=1, max_size=30,
+    ),
+    cuts=st.sets(st.integers(1, 29)),
+    dumps=st.sets(st.integers(1, 30)),
+)
+# A stray write, a dump that reads it, then the page as the shadow knew it.
+@example(stream=[("a", 0, X, False), ("a", 0, Y, True), ("a", 0, X, False)],
+         cuts={1, 2}, dumps={2})
+# A longer rewrite whose zeros must clear what a wider write left there.
+@example(stream=[("a", 0, X, False), ("a", 0, X[:HALF], False),
+                 ("a", 0, X[:HALF] + bytes(HALF), False)],
+         cuts={1, 2}, dumps=set())
+# A wide write over two places, the right one then put back as it was.
+@example(stream=[("a", 0, X[:HALF], False), ("a", HALF, Y[:HALF], False),
+                 ("a", 0, Y, False), ("a", HALF, Y[:HALF], False)],
+         cuts={2}, dumps=set())
+def test_any_page_stream_replays_to_the_same_files_across_cuts_and_dumps(
+        stream, cuts, dumps):
+    replay_page_stream(stream, cuts, dumps)

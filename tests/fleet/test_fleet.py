@@ -354,6 +354,13 @@ class TestFleetMetering:
         # Each tenant's own planned ÷ submitted WAL bytes: ten commits
         # rewrote one tail page, and only what changed was planned.
         assert 0 < fleet.health()["tenants"]["h1"]["wal_shipped_ratio"] < 0.5
+        # ... and, per tenant too, the checkpoint side of the same ledger.
+        assert fleet.health()["tenants"]["h1"]["db_shipped_ratio"] is None
+        db.checkpoint()
+        assert fleet.tenant("h1").drain(timeout=30.0)
+        tenant = fleet.health()["tenants"]["h1"]
+        assert 0 < tenant["db_shipped_ratio"] <= 1
+        assert tenant["db_shadow_bytes"] > 0
         assert "encode_queue_depth" in health
         assert "puts_observed" in health["uploads"]
         reactor = health["reactor"]

@@ -1,4 +1,4 @@
-"""Microbenchmarks: pipeline throughput, codec bandwidth, merge/replay.
+"""Microbenchmarks: pipeline throughput, codec bandwidth, replay.
 
 Every benchmark runs twice — a **baseline** series that reproduces the
 pre-optimization implementation (the legacy copy-chain codec and
@@ -38,7 +38,7 @@ from repro.common.serialize import pack_bytes, pack_u32, pack_u64
 from repro.core.bootstrap import recover_files
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec, _MAC_BYTES
-from repro.core.commit_pipeline import CommitPipeline, _merge_chunks
+from repro.core.commit_pipeline import CommitPipeline
 from repro.core.config import GinjaConfig
 from repro.core.data_model import (
     DBObjectMeta,
@@ -116,26 +116,6 @@ def legacy_encode_wal_payload(chunks) -> bytes:
         out.append(pack_u64(offset))
         out.append(pack_bytes(bytes(data)))
     return b"".join(out)
-
-
-def legacy_merge_chunks(chunks):
-    """The old merge: every run widened into a bytearray up front."""
-    merged = []
-    for offset, data in chunks:
-        if merged:
-            last_offset, last_data = merged[-1]
-            last_end = last_offset + len(last_data)
-            if offset <= last_end:
-                start = offset - last_offset
-                end = start + len(data)
-                if end >= len(last_data):
-                    del last_data[start:]
-                    last_data.extend(data)
-                else:
-                    last_data[start:end] = data
-                continue
-        merged.append((offset, bytearray(data)))
-    return [(offset, bytes(data)) for offset, data in merged]
 
 
 # ---------------------------------------------------------------------------
@@ -363,30 +343,6 @@ def bench_codec_pair(*, payload_bytes: int, rounds: int, seed: int = 99,
         "baseline": baseline,
         "optimized": baseline * statistics.median(ratios),
     }
-
-
-def bench_merge(*, optimized: bool, runs: int, run_bytes: int,
-                rounds: int, seed: int = 7) -> float:
-    """Aggregator merge throughput in ops (merge calls) per second over
-    mostly non-overlapping run lists — the shape the zero-copy pass-through
-    targets."""
-    rng = random.Random(seed)
-    chunks = []
-    position = 0
-    for _ in range(runs):
-        data = bytes([rng.randrange(256)]) * run_bytes
-        chunks.append((position, data))
-        position += run_bytes + (0 if rng.random() < 0.1 else 64)
-    merge = _merge_chunks if optimized else legacy_merge_chunks
-    merge(chunks)  # warm-up
-    rates = []
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(rounds):
-            merge(chunks)
-        elapsed = time.perf_counter() - start
-        rates.append(rounds / elapsed)
-    return _best(rates)
 
 
 def bench_replay(*, optimized: bool, objects: int, object_bytes: int,
@@ -705,19 +661,6 @@ def run_suite(scale: float = 1.0) -> dict:
             ),
         }
 
-    merge = {
-        s: bench_merge(
-            optimized=(s == "optimized"),
-            runs=n(400, 16), run_bytes=4096, rounds=n(200, 5),
-        )
-        for s in ("baseline", "optimized")
-    }
-    results["merge_chunks"] = {
-        "unit": "ops/s",
-        "config": "400 runs x 4 KiB, ~90% non-overlapping",
-        **merge,
-    }
-
     replay = {
         s: bench_replay(
             optimized=(s == "optimized"),
@@ -897,13 +840,6 @@ REMEASURE = {
     "codec_decode": lambda: bench_codec_pair(
         payload_bytes=4 * 1024 * 1024, rounds=8, decode=True, repeats=5,
     ),
-    "merge_chunks": lambda: {
-        s: bench_merge(
-            optimized=(s == "optimized"),
-            runs=400, run_bytes=4096, rounds=200,
-        )
-        for s in ("baseline", "optimized")
-    },
     "recovery_replay": lambda: {
         s: bench_replay(
             optimized=(s == "optimized"), objects=200, object_bytes=16384,

@@ -10,18 +10,15 @@ from benchmarks.perf.harness import (
     SCHEMA,
     bench_codec,
     bench_fleet,
-    bench_merge,
     bench_pipeline,
     bench_placement_read,
     bench_recovery,
     bench_replay,
     legacy_encode_wal_payload,
-    legacy_merge_chunks,
     run_suite,
 )
 from benchmarks.perf.run import check
 from repro.core.codec import ObjectCodec
-from repro.core.commit_pipeline import _merge_chunks
 from repro.core.data_model import decode_wal_payload, encode_wal_payload
 
 PASSWORD = "bench-password"
@@ -44,11 +41,6 @@ class TestLegacyReplicasMatchShippedCode:
             legacy_encode_wal_payload(chunks)
         assert decode_wal_payload(legacy_encode_wal_payload(chunks)) == chunks
 
-    def test_merges_agree(self):
-        chunks = [(0, b"a" * 64), (64, b"b" * 64), (200, b"c" * 8),
-                  (204, b"D" * 2)]
-        assert _merge_chunks(chunks) == legacy_merge_chunks(chunks)
-
 
 class TestBenchmarksRun:
     @pytest.mark.parametrize("optimized", [False, True])
@@ -63,10 +55,6 @@ class TestBenchmarksRun:
             rate = bench_codec(optimized=optimized, payload_bytes=32 * 1024,
                                rounds=2, decode=decode)
             assert rate > 0
-
-    def test_merge_bench_completes(self):
-        assert bench_merge(optimized=True, runs=20, run_bytes=256,
-                           rounds=3) > 0
 
     def test_replay_bench_verifies_the_image(self):
         # bench_replay raises if the replayed image mismatches; a clean

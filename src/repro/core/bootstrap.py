@@ -16,7 +16,7 @@ from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
-from repro.core.commit_pipeline import UNBOUNDED, _split_chunks, elide_known_zeros
+from repro.core.commit_pipeline import UNBOUNDED, elide_known_zeros
 from repro.core.config import GinjaConfig
 from repro.core.data_model import (
     DBObjectMeta,
@@ -32,6 +32,7 @@ from repro.core.recovery import (  # noqa: F401  (RecoveryReport re-exported)
     RecoveryReport,
     plan_recovery,
 )
+from repro.core.shadow import split_runs
 from repro.cloud.interface import ObjectStore
 from repro.db.profiles import DBMSProfile
 from repro.storage.interface import FileSystem
@@ -76,7 +77,7 @@ def boot(
         chunks = elide_known_zeros(0, content, marks[path])
         # An empty segment still ships one (empty) object: recovery
         # creates the file.
-        for group in _split_chunks(chunks, config.max_object_bytes) or [chunks]:
+        for group in split_runs(chunks, config.max_object_bytes):
             blob = codec.encode(encode_wal_payload(group))
             meta = WALObjectMeta(ts=ts, filename=path, offset=group[0][0])
             cloud.put(meta.key, blob)

@@ -6,14 +6,14 @@ checkpoints to the cloud"):
 
 * :class:`CheckpointCollector` runs *on the DBMS's checkpointing
   thread*, inside the interposer hooks.  It snapshots the WAL frontier
-  at the begin event, accumulates the checkpoint's page writes
-  (dropping the ones a later write covers), and at the end event
-  decides dump vs. incremental — a dump whenever the cloud-side DB
-  objects reach ``dump_threshold`` (150%) of the local database size —
-  then hands the finished object to the uploader.  An incremental
-  object carries, for a page rewritten in place, only the byte runs by
-  which it differs from the image last handed to the uploader there
-  (:class:`PageShadow`).
+  at the begin event, accumulates the checkpoint's page writes in
+  write order, and at the end event decides dump vs. incremental — a
+  dump whenever the cloud-side DB objects reach ``dump_threshold``
+  (150%) of the local database size — then hands the finished object
+  to the uploader.  An incremental object carries, for a page
+  rewritten in place, only the byte runs by which it differs from the
+  image last handed to the uploader there (the shared
+  :class:`~repro.core.shadow.Shadow`, its epoch the dump generation).
 * :class:`CheckpointUploader` is the paper's Checkpointer without its
   thread — a state machine stepped by the upload reactor's completion
   callbacks: it uploads DB objects (split at 20 MB), registers them in
@@ -35,13 +35,10 @@ Progress is narrated on the event bus (``checkpoint_begin``/
 
 from __future__ import annotations
 
-import re
 import threading
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
@@ -61,6 +58,7 @@ from repro.core.data_model import (
     split_dump_files,
 )
 from repro.core.encode_stage import EncodeStage
+from repro.core.shadow import Shadow, split_runs
 from repro.core.tuner import BatchTuner
 from repro.cloud.interface import ObjectStore, delete_slices
 from repro.cloud.reactor import UploadHandle, UploadReactor
@@ -87,113 +85,8 @@ class _Upload:
     parts_left: int
 
 
-#: Most bytes of page images a :class:`PageShadow` keeps.  A place
-#: evicted ships whole the next time it is written — bytes, never
-#: correctness.
-_SHADOW_CAP_BYTES = 16 * MiB
-
-
-class PageShadow:
-    """The page image last handed to the uploader at each
-    ``(path, offset)`` of the current dump generation.
-
-    That is what the bucket's replay of the generation holds there: the
-    uploader puts one object at a time, in the order they were handed
-    to it, and dies on the first failure, and DB objects are deleted
-    only when a dump supersedes their whole generation.  So every
-    object in the bucket has all its predecessors of this process and
-    generation beside it, and a run cut against the shadow lands on the
-    bytes it was cut against.  The collector clears it at every dump; a
-    new process starts with none.
-    """
-
-    __slots__ = ("_pages", "nbytes")
-
-    def __init__(self) -> None:
-        self._pages: dict[tuple[str, int], bytes] = {}
-        self.nbytes = 0
-
-    def clear(self) -> None:
-        self._pages.clear()
-        self.nbytes = 0
-
-    def plan(
-        self, writes: list[tuple[str, int, bytes]],
-    ) -> tuple[list[tuple[str, int, bytes]], dict]:
-        """Cut one checkpoint's writes (in write order) down to what
-        changed: the ``(path, offset, data)`` runs to ship, in replay
-        order, and what :meth:`learn` is to be told once they are
-        handed on.  The shadow itself is left as it is.
-
-        Only a write that overlaps no other write of its checkpoint is
-        cut, against an image of its own length, and only such a write
-        is remembered: where the bytes of overlapping writes end up
-        depends on their order, which whole writes in write order keep
-        and cut runs would not.  Every place a write overlaps without
-        replacing it is forgotten.
-        """
-        pages = self._pages
-        extents: dict[str, list[tuple[int, int]]] = {}
-        for path, offset, data in writes:
-            extents.setdefault(path, []).append((offset, offset + len(data)))
-        alone: set[tuple[str, int]] = set()
-        reaches: dict[str, tuple[list[int], list[int]]] = {}
-        for path, spans in extents.items():
-            spans.sort()
-            # reach[i]: the furthest end among spans[0..i].
-            reach = list(accumulate((end for _start, end in spans), max))
-            reaches[path] = [start for start, _end in spans], reach
-            alone.update((path, start) for start in _alone(spans, reach))
-        learned: dict[tuple[str, int], bytes | None] = {}
-        for key, held in pages.items():
-            if key[0] not in reaches or key in alone:
-                continue
-            # Overlapped iff some write starting below the entry's end
-            # reaches past its start.
-            starts, reach = reaches[key[0]]
-            below = bisect_left(starts, key[1] + len(held))
-            if below and reach[below - 1] > key[1]:
-                learned[key] = None
-        runs: list[tuple[str, int, bytes]] = []
-        for write in writes:
-            path, offset, data = write
-            if (path, offset) not in alone:
-                runs.append(write)
-                continue
-            learned[path, offset] = data
-            runs += [
-                (path, offset + start, data[start:stop])
-                for start, stop in _changed_runs(
-                    pages.get((path, offset)), data, _run_framing(path),
-                )
-            ]
-        return runs, learned
-
-    def learn(self, learned: dict) -> None:
-        """Take in what :meth:`plan` returned — ``None`` forgets a
-        place — newest last, and evict the oldest beyond the cap."""
-        pages = self._pages
-        for key, data in learned.items():
-            held = pages.pop(key, None)
-            if held is not None:
-                self.nbytes -= len(held)
-            if data is not None:
-                pages[key] = data
-                self.nbytes += len(data)
-        while self.nbytes > _SHADOW_CAP_BYTES:
-            self.nbytes -= len(pages.pop(next(iter(pages))))
-
-
-def _alone(spans: list[tuple[int, int]], reach: list[int]) -> list[int]:
-    """The starts of those of one file's sorted ``(start, end)`` spans
-    that overlap no other (``reach[i]``: the furthest end among the
-    first ``i + 1``)."""
-    last = len(spans) - 1
-    return [
-        start for index, (start, end) in enumerate(spans)
-        if (index == 0 or reach[index - 1] <= start)
-        and (index == last or spans[index + 1][0] >= end)
-    ]
+#: Most bytes of page images the collector's shadow keeps.
+_SHADOW_BYTES = 16 * MiB
 
 
 @lru_cache(maxsize=None)
@@ -201,43 +94,6 @@ def _run_framing(path: str) -> int:
     """What one more run of ``path`` adds to a checkpoint payload."""
     return (len(encode_checkpoint_payload([(path, 0, b"")]))
             - len(encode_checkpoint_payload([])))
-
-
-@lru_cache(maxsize=None)
-def _long_gap(gap: int) -> re.Pattern:
-    return re.compile(rb"\0{%d,}" % (gap + 1))
-
-
-def _changed_runs(
-    old: bytes | None, new: bytes, gap: int,
-) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` slices of ``new`` to ship over an image
-    that holds ``old`` there: all of it when there is no ``old`` of its
-    length to cut against, else the runs in which the two differ,
-    neighbours joined wherever no more than ``gap`` equal bytes part
-    them — shipping those costs no more than the framing of another
-    run — and none when they are identical.
-
-    One XOR of the two as integers, then the stretches of zeros longer
-    than ``gap`` found by a compiled pattern: C speed throughout
-    (≈ 30 µs for an 8 KiB page changed at its header and its tail).
-    """
-    size = len(new)
-    if old is None or len(old) != size:
-        return [(0, size)]
-    if old == new:
-        return []
-    diff = (
-        int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
-    ).to_bytes(size, "little")
-    start = size - len(diff.lstrip(b"\0"))
-    stop = len(diff.rstrip(b"\0"))
-    runs = []
-    for match in _long_gap(gap).finditer(diff, start, stop):
-        runs.append((start, match.start()))
-        start = match.end()
-    runs.append((start, stop))
-    return runs
 
 
 class CheckpointCollector:
@@ -278,14 +134,18 @@ class CheckpointCollector:
         self._active = False
         self._ts = -1
         #: The checkpoint's writes in write order — which is the order
-        #: recovery replays them in; ``None`` where a later write
-        #: covered one whole.  ``_latest`` finds the newest write at a
-        #: (path, offset).
-        self._writes: list[tuple[str, int, bytes] | None] = []
-        self._latest: dict[tuple[str, int], int] = {}
-        #: Bytes the DBMS wrote in this checkpoint, rewrites included.
-        self._written = 0
-        self._shadow = PageShadow()
+        #: recovery replays them in.
+        self._writes: list[tuple[str, int, bytes]] = []
+        #: The page image last handed to the uploader at each place.
+        #: Its epoch is the dump generation, which :meth:`_build_dump`
+        #: bumps: DB objects are deleted only when a dump supersedes a
+        #: whole generation, and the uploader puts one object at a time
+        #: in hand-off order and dies on the first failure, so every
+        #: object in the bucket has all its predecessors of this
+        #: process and generation beside it — a run lands on the bytes
+        #: it was cut against.  A new process starts with none.
+        self._shadow = Shadow(_SHADOW_BYTES, _run_framing)
+        self._generation = 0
         # Dump freeze: while a dump is being assembled, concurrent DB-file
         # writes must block so the dump is internally consistent (§5.3).
         self._freeze = threading.Condition()
@@ -309,38 +169,19 @@ class CheckpointCollector:
         """
         self._active = True
         self._ts = self._view.begin_checkpoint()
-        self._forget_writes()
+        self._writes = []
         self._bus.emit(events.CHECKPOINT_BEGIN, count=self._ts)
 
     def add_write(self, path: str, offset: int, data: bytes) -> None:
-        """One DB-file write, kept in write order.
-
-        A rewrite of a place drops the write it replaces only when it
-        covers every byte of it; a shorter one leaves it where it was,
-        so the tail it did not cover still replays — before whatever
-        was written over it since.  ``coalesce_writes=False`` drops
-        nothing.  A write outside any checkpoint belongs to no object.
-        """
-        if not self._active:
-            return
-        data = bytes(data)
-        self._written += len(data)
-        if self._config.coalesce_writes:
-            key = (path, offset)
-            index = self._latest.get(key)
-            if index is not None and len(self._writes[index][2]) <= len(data):
-                self._writes[index] = None
-            self._latest[key] = len(self._writes)
-        self._writes.append((path, offset, data))
-
-    def _forget_writes(self) -> None:
-        self._writes.clear()
-        self._latest.clear()
-        self._written = 0
+        """One DB-file write, kept in write order; a write outside any
+        checkpoint belongs to no object."""
+        if self._active:
+            self._writes.append((path, offset, bytes(data)))
 
     def end(self) -> None:
         """Checkpoint-end event: build the DB object, hand it on."""
         self._active = False
+        writes, self._writes = self._writes, []
         local_db_size = self._local_db_bytes()
         cloud_db_size = self._view.total_db_bytes()
         threshold = self._config.dump_threshold
@@ -350,12 +191,12 @@ class CheckpointCollector:
         if cloud_db_size >= threshold * local_db_size:
             pending = self._build_dump()
         else:
-            pending, learned = self._build_incremental()
+            pending, learned = self._build_incremental(writes)
         self._bus.emit(
             events.CHECKPOINT_END, count=self._ts, detail=pending.type,
-            nbytes=pending.planned, total=self._written,
+            nbytes=pending.planned,
+            total=sum(len(data) for _path, _offset, data in writes),
         )
-        self._forget_writes()
         # The hand-off: the shadow learns a page only once the object
         # carrying it is built and on its way to the uploader.
         self._shadow.learn(learned)
@@ -415,15 +256,17 @@ class CheckpointCollector:
             return self._stage.map(jobs, lane=self._lane)
         return [job() for job in jobs]
 
-    def _build_incremental(self) -> tuple[_PendingObject, dict]:
+    def _build_incremental(self, writes) -> tuple[_PendingObject, dict]:
         """The checkpoint object, and what the shadow learns from it
-        once it is handed to the uploader."""
-        runs = [write for write in self._writes if write is not None]
-        learned: dict = {}
+        once it is handed to the uploader.  ``coalesce_writes=False``
+        ships every write verbatim, in write order."""
+        runs, learned = writes, {}
         if self._config.coalesce_writes:
-            runs, learned = self._shadow.plan(runs)
+            runs, learned = self._shadow.plan(
+                [(*write, self._generation) for write in writes]
+            )
         parts = self._encode_groups(
-            _split_writes(runs, self._config.max_object_bytes),
+            split_runs(runs, self._config.max_object_bytes),
             encode_checkpoint_payload,
         )
         if not parts:
@@ -442,7 +285,7 @@ class CheckpointCollector:
         deleted (or retained as a PITR generation of its own) once it
         is durable, so nothing after it may be cut against them.
         """
-        self._shadow.clear()
+        self._generation += 1
         self._set_frozen(True)
         try:
             files: list[tuple[str, bytes]] = []
@@ -752,21 +595,3 @@ class CheckpointUploader:
             pending = self._queued.popleft()
         self._step(self._submit_parts, pending)
 
-
-def _split_writes(
-    writes: list[tuple[str, int, bytes]], max_bytes: int
-) -> list[list[tuple[str, int, bytes]]]:
-    """Group checkpoint writes into <= max_bytes parts (whole writes;
-    individual pages are far below the 20 MB cap)."""
-    groups: list[list[tuple[str, int, bytes]]] = []
-    current: list[tuple[str, int, bytes]] = []
-    size = 0
-    for path, offset, data in writes:
-        if current and size + len(data) > max_bytes:
-            groups.append(current)
-            current, size = [], 0
-        current.append((path, offset, data))
-        size += len(data)
-    if current:
-        groups.append(current)
-    return groups

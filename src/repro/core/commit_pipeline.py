@@ -23,9 +23,10 @@ pools it borrows):
   fair-share lane, at most one at a time per pipeline: it claims up to
   B queued updates (without removing them), coalesces overwritten
   pages, cuts each rewritten page down to the bytes that changed since
-  it last shipped and leaves out the zero padding the bucket already
-  holds (:func:`plan_writes`), splits the result into WAL objects of
-  at most ``max_object_bytes`` and assigns timestamps — everything
+  it last shipped (the shared :class:`~repro.core.shadow.Shadow`) and
+  leaves out the zero padding the bucket already holds
+  (:func:`plan_writes`), splits the result into WAL objects of at most
+  ``max_object_bytes`` and assigns timestamps — everything
   ordering-sensitive, on one thread at a time, so the
   consecutive-timestamps unlock rule is untouched.  The worker that
   planned keeps going: it encodes the batch's first object itself and
@@ -59,8 +60,8 @@ work that silently died — and it poisons this pipeline only, whoever's
 worker it ran on; :meth:`stop` re-raises the recorded failure, so a
 poisoned pipeline can never report a clean shutdown.
 
-The wire path is copy-free: coalesced runs stay views over the
-submitted pages (``_split_chunks`` slices ``memoryview``s), the WAL
+The wire path is copy-free: planned runs stay views over the
+submitted pages (the cut and the splitter slice ``memoryview``s), the WAL
 payload is assembled once into an exactly-sized buffer, and the codec
 writes ``flags|iv|body|mac`` into one preallocated ``bytearray`` with a
 streaming MAC.
@@ -82,21 +83,21 @@ from __future__ import annotations
 
 import sys
 import threading
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
 from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
+from repro.common.units import KiB
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta, encode_wal_payload
 from repro.core.encode_stage import EncodeStage
+from repro.core.shadow import Shadow, split_runs
 from repro.core.tuner import BatchTuner
 from repro.cloud.interface import ObjectStore
 from repro.cloud.reactor import Timer, UploadHandle, UploadReactor
@@ -221,16 +222,17 @@ class CommitPipeline:
         #: :func:`plan_writes`.  Claim jobs only (one at a time); a new
         #: pipeline (boot, reboot, recover) remembers no page and ships
         #: whole, and is told its marks by :meth:`seed_marks`.
-        self._shadow = Shadow()
+        self._shadow = Shadow(_SHADOW_BYTES, lambda _path: _CHUNK_FRAMING)
+        self._marks = Marks()
 
     # -- lifecycle ------------------------------------------------------------------
 
     def seed_marks(self, marks: dict[str, int]) -> None:
         """Before :meth:`start`: per WAL file, the end of the last
-        non-zero byte the bucket may already hold (:class:`Shadow`) —
+        non-zero byte the bucket may already hold (:class:`Marks`) —
         exact after boot, :data:`UNBOUNDED` for every file an earlier
         pipeline may have shipped."""
-        self._shadow.marks.update(marks)
+        self._marks.update(marks)
 
     def start(self) -> None:
         if self._started:
@@ -318,6 +320,11 @@ class CommitPipeline:
     def pending_updates(self) -> int:
         with self._cond:
             return len(self._entries)
+
+    @property
+    def shadow_bytes(self) -> int:
+        """Bytes of log pages the shadow holds."""
+        return self._shadow.nbytes
 
     # Effective knobs: the tuner's view when one is attached, the frozen
     # policy otherwise.  Callers hold the pipeline condition; the tuner
@@ -564,7 +571,7 @@ class CommitPipeline:
         """
         groups = plan_writes(
             ((e.path, e.offset, e.data, e.epoch) for e in batch),
-            self._shadow,
+            self._shadow, self._marks,
             coalesce=self._config.coalesce_writes,
             max_object_bytes=self._config.max_object_bytes,
         )
@@ -726,51 +733,49 @@ class CommitPipeline:
         self._cond.notify_all()
 
 
-class Shadow:
-    """What the bucket's image holds, as far as one pipeline knows.
+class Marks(dict):
+    """Each WAL file's **high-water mark**: the end of the last non-zero
+    byte any object the bucket may still hold can carry in that file.
 
-    ``pages`` maps ``(path, offset)`` to the ``(epoch, data)`` last
-    planned there, for the few places a rewrite may diff against.
-
-    ``marks`` maps a WAL file to its **high-water mark**: the end of
-    the last non-zero byte any object the bucket may still hold can
-    carry in that file.  It covers every run this pipeline planned plus
-    a seed for what was shipped before it existed, and it only grows —
-    the bucket's image sees no unlink, rename or truncate, and GC only
-    removes objects, which only adds zeros.  So bytes at or beyond the
-    mark are zero in every image any recovery can build, whatever the
-    epoch; a file never shipped has mark 0.  One ``int`` per file name.
+    It covers every run this pipeline planned plus a seed for what was
+    shipped before it existed, and it only grows — the bucket's image
+    sees no unlink, rename or truncate, and GC only removes objects,
+    which only adds zeros.  So bytes at or beyond the mark are zero in
+    every image any recovery can build, whatever the epoch; a file
+    never shipped has mark 0.  One ``int`` per file name.
     """
 
-    __slots__ = ("pages", "marks")
-
-    def __init__(self) -> None:
-        self.pages: dict[tuple[str, int], tuple[int, bytes]] = {}
-        self.marks: dict[str, int] = {}
+    __slots__ = ()
 
     def cover(self, path: str, offset: int, data: bytes) -> int:
         """Raise ``path``'s mark over the last non-zero byte of a run
-        being planned — every run, shipped or not — and return it.  A
-        run that ends at or below the mark is not scanned, so the
-        steady-state cost is one ``rstrip`` per *new* page."""
-        mark = self.marks.get(path, 0)
-        if offset + len(data) > mark:
-            solid = offset + len(data.rstrip(b"\0"))
-            if solid > mark:
-                mark = self.marks[path] = solid
+        being planned, and return it.  Only a run that ends beyond the
+        mark in a zero is scanned, so the steady-state cost is one
+        ``rstrip`` per *new* padded page."""
+        mark = self.get(path, 0)
+        end = offset + len(data)
+        if end > mark:
+            if data[-1:] == b"\0":
+                end = offset + len(bytes(data).rstrip(b"\0"))
+            if end > mark:
+                mark = self[path] = end
         return mark
 
 
 #: The mark of a file an earlier pipeline may have shipped anything to.
 UNBOUNDED = sys.maxsize
 
-#: Shadow pages kept beyond the current batch's own writes, so the
-#: tail page outlives a batch that only touched other pages (a ring
-#: log's header slot, the lone first write of the next page).
-_SHADOW_SPARE = 8
+#: Most bytes of log pages the WAL shadow keeps: eight 8 KiB pages.  A
+#: batch rewrites the tail page the one before it left, and that page
+#: must survive a batch that only touched other places (a ring log's
+#: next blocks, the lone first write of the next page).
+_SHADOW_BYTES = 64 * KiB
+
+#: What one more chunk adds to a WAL payload: its offset and length.
+_CHUNK_FRAMING = len(encode_wal_payload([(0, b"")])) - len(encode_wal_payload([]))
 
 #: What a length pin adds to a WAL payload: a chunk header and a byte.
-_PIN_BYTES = len(encode_wal_payload([(0, b"\0")])) - len(encode_wal_payload([]))
+_PIN_BYTES = _CHUNK_FRAMING + 1
 
 
 def elide_known_zeros(
@@ -794,213 +799,38 @@ def elide_known_zeros(
 
 
 def plan_writes(
-    writes, shadow: Shadow, *, coalesce: bool, max_object_bytes: int,
+    writes, shadow: Shadow, marks: Marks, *, coalesce: bool,
+    max_object_bytes: int,
 ) -> list[tuple[str, list[tuple[int, bytes]]]]:
-    """The claim job's transform: one claimed batch in, the runs of its
-    WAL objects out, as ``(path, [(offset, data), ...])`` in ts order.
+    """The claim job's transform: one claimed batch in, the chunks of
+    its WAL objects out, as ``(path, [(offset, data), ...])`` in ts
+    order (one object per file, split at ``max_object_bytes``).
 
     ``writes`` are ``(path, offset, data, epoch)`` in submission order.
-    Repeated writes to the same (file, offset) — the partially-filled
-    WAL page being rewritten as it fills — collapse to the latest
-    content (a shorter rewrite keeping the tail it did not cover).
-    Each survivor is then cut down to the byte range by which it
-    differs from ``shadow.pages`` — what this pipeline last planned at
-    that place, which is what the bucket's image holds there; a
-    survivor that changes nothing plans nothing.  What still ships
-    drops the zeros it carries beyond ``shadow.marks`` — the page's
-    padding — for a length pin (:func:`elide_known_zeros`).  ``shadow``
-    is updated in place, its pages kept to this batch's writes plus
-    ``_SHADOW_SPARE``.
+    :meth:`Shadow.plan` coalesces them in write order and cuts each
+    rewrite down to what changed since this pipeline last planned its
+    place in the same epoch; the shadow learns the batch at once — the
+    next claim plans against it.  Every planned run, in replay order,
+    then raises its file's mark and leaves out the zeros it carries
+    beyond it for a length pin (:func:`elide_known_zeros`).
 
     ``coalesce=False`` (the aggregation ablation) ships every write
-    verbatim and leaves the shadow alone.  Recovery applies chunks in
-    order, so last-write-wins still holds — only the volume inflates.
+    verbatim and touches neither shadow nor marks.  Recovery applies
+    chunks in order, so last-write-wins still holds — only the volume
+    inflates.
     """
-    by_file: dict[str, list] = {}
-    if not coalesce:
+    by_file: dict[str, list[tuple[int, bytes]]] = {}
+    if coalesce:
+        runs, learned = shadow.plan(writes)
+        shadow.learn(learned)
+        for path, offset, data in runs:
+            by_file.setdefault(path, []).extend(elide_known_zeros(
+                offset, data, marks.cover(path, offset, data),
+            ))
+    else:
         for path, offset, data, _epoch in writes:
             by_file.setdefault(path, []).append((offset, data))
-        return [
-            (path, group) for path in sorted(by_file)
-            for group in _split_chunks(by_file[path], max_object_bytes)
-        ]
-    latest: dict[tuple[str, int], tuple[bytes, int]] = {}
-    for path, offset, data, epoch in writes:
-        held = latest.get((path, offset))
-        if held is not None and len(held[0]) > len(data):
-            data = data + held[0][len(data):]
-        # A run carries its latest entry's epoch: it holds that entry's
-        # bytes, so it can be no older than the entry is.
-        latest[path, offset] = (data, epoch)
-    for (path, offset), (data, epoch) in latest.items():
-        by_file.setdefault(path, []).append((offset, data, epoch))
-    planned = []
-    for path in sorted(by_file):
-        # Offsets are unique per file here, so the sort never compares
-        # data — and it runs before the trim, while they still are.
-        chunks = _merge_chunks(_changed_ranges(path, sorted(by_file[path]), shadow))
-        planned += [
-            (path, group) for group in _split_chunks(chunks, max_object_bytes)
-        ]
-    pages = shadow.pages
-    while len(pages) > len(latest) + _SHADOW_SPARE:
-        del pages[next(iter(pages))]  # oldest planned first
-    return planned
-
-
-def _changed_ranges(
-    path: str, runs: list[tuple[int, bytes, int]], shadow: Shadow,
-) -> list[tuple[int, bytes]]:
-    """Cut one file's offset-sorted coalesced writes down to what changed.
-
-    A write is trimmed only against a shadow entry of the same length
-    **and the same epoch**: GC deletes every WAL object up to a
-    checkpoint's frontier, and only a base stamped after that frontier
-    was read is certain to outlive it (:meth:`CloudView.begin_checkpoint`).
-    Anything else — first sight of the place, a new epoch, a rewrite of
-    another length — ships whole, as every write once did.
-
-    The shadow must equal the image over each range it holds, so a write
-    overlapping other places evicts them, and one that overlaps another
-    write of its own batch is neither trimmed nor remembered: where its
-    bytes end up then depends on the merge order of the whole runs.
-
-    Every run raises its file's mark (:meth:`Shadow.cover`); one that
-    overlaps no other then leaves the zeros it holds beyond the mark
-    out.  A trimmed range never holds any: where it ends in a zero, the
-    base it was cut against held a non-zero byte, under the mark.
-    """
-    pages = shadow.pages
-    starts = [offset for offset, _data, _epoch in runs]
-    # reach[i]: the furthest end among runs[0..i].
-    reach = list(accumulate(
-        (offset + len(data) for offset, data, _epoch in runs), max,
-    ))
-    bases = {offset: pages.pop((path, offset), None) for offset in starts}
-    for key, (_epoch, held) in list(pages.items()):
-        if key[0] != path:
-            continue
-        # Overlapped iff some run starting below the entry's end
-        # reaches past its start.
-        below = bisect_left(starts, key[1] + len(held))
-        if below and reach[below - 1] > key[1]:
-            del pages[key]
-    chunks: list[tuple[int, bytes]] = []
-    for index, (offset, data, epoch) in enumerate(runs):
-        mark = shadow.cover(path, offset, data)
-        alone = (index == 0 or reach[index - 1] <= offset) and (
-            index + 1 == len(runs) or starts[index + 1] >= offset + len(data)
-        )
-        if not alone:
-            chunks.append((offset, data))
-            continue
-        pages[path, offset] = (epoch, data)
-        base = bases[offset]
-        if (base is not None and base[0] == epoch
-                and len(base[1]) == len(data)):
-            start, stop = _changed_range(base[1], data)
-            if start != stop:
-                chunks.append((offset + start, memoryview(data)[start:stop]))
-        else:
-            chunks += elide_known_zeros(offset, data, mark)
-    return chunks
-
-
-def _changed_range(old: bytes, new: bytes) -> tuple[int, int]:
-    """``(start, stop)`` of the smallest slice of ``new`` outside which
-    it equals the equally long ``old``; empty when they are identical.
-
-    Common prefix, then common suffix, each by bisection over C-speed
-    slice comparisons (≈ 10 µs for an 8 KiB page; a Python byte loop
-    would cost a millisecond).
-    """
-    size = len(new)
-    low, high = 0, size
-    while low < high:
-        mid = (low + high + 1) // 2
-        if old[low:mid] == new[low:mid]:
-            low = mid
-        else:
-            high = mid - 1
-    start = low
-    low, high = 0, size - start
-    while low < high:
-        mid = (low + high + 1) // 2
-        if old[size - mid:size - low] == new[size - mid:size - low]:
-            low = mid
-        else:
-            high = mid - 1
-    return start, size - low
-
-
-def _merge_chunks(chunks: list[tuple[int, bytes]]) -> list[tuple[int, bytes]]:
-    """Join adjacent/overlapping (offset, data) runs, later data winning
-    over exactly the bytes it covers.
-
-    A write fully contained inside an earlier run must be spliced *into*
-    it: truncating the run at the write's end would drop the run's
-    suffix from the WAL object, and recovery would then restore stale
-    bytes the DBMS had already durably overwritten.
-
-    Non-adjacent runs — the overwhelmingly common case after coalescing
-    — pass through without copying; a run is widened into a
-    ``bytearray`` only when a later run actually touches it.
-    """
-    merged: list[list] = []  # [offset, bytes | bytearray]
-    for offset, data in chunks:
-        if merged:
-            last = merged[-1]
-            last_offset, last_data = last
-            last_end = last_offset + len(last_data)
-            if offset <= last_end:
-                if not isinstance(last_data, bytearray):
-                    last_data = bytearray(last_data)
-                    last[1] = last_data
-                start = offset - last_offset
-                end = start + len(data)
-                if end >= len(last_data):
-                    del last_data[start:]
-                    last_data.extend(data)
-                else:
-                    last_data[start:end] = data
-                continue
-        merged.append([offset, data])
-    return [(offset, data) for offset, data in merged]
-
-
-def _split_chunks(
-    chunks: list[tuple[int, bytes]], max_bytes: int
-) -> list[list[tuple[int, bytes]]]:
-    """Partition runs into groups whose payload stays under ``max_bytes``.
-
-    A single run larger than the cap is sliced across groups as
-    ``memoryview`` slices — no copy until :func:`encode_wal_payload`
-    writes the group into its output buffer.  Runs that fit whole are
-    passed through untouched.
-    """
-    groups: list[list[tuple[int, bytes]]] = []
-    current: list[tuple[int, bytes]] = []
-    current_bytes = 0
-    for offset, data in chunks:
-        position = 0
-        size = len(data)
-        view = None
-        while position < size:
-            room = max_bytes - current_bytes
-            if room <= 0:
-                groups.append(current)
-                current, current_bytes = [], 0
-                room = max_bytes
-            take = min(room, size - position)
-            if position == 0 and take == size:
-                piece = data
-            else:
-                if view is None:
-                    view = memoryview(data)
-                piece = view[position:position + take]
-            current.append((offset + position, piece))
-            current_bytes += take
-            position += take
-    if current:
-        groups.append(current)
-    return groups
+    return [
+        (path, group) for path in sorted(by_file)
+        for group in split_runs(by_file[path], max_object_bytes)
+    ]

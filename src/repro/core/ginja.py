@@ -302,14 +302,15 @@ class Ginja:
             "wal_objects": self.view.wal_object_count(),
             "db_bytes_in_cloud": self.view.total_db_bytes(),
             #: Bytes planned to ship per byte of WAL the DBMS wrote
-            #: (pre-codec; ``None`` before the first batch).
+            #: (pre-codec; ``None`` before the first batch), and what
+            #: the last-shipped page shadow behind it holds.
             "wal_shipped_ratio": (
                 self.stats.wal_planned_bytes / self.stats.wal_submitted_bytes
                 if self.stats.wal_submitted_bytes else None
             ),
+            "wal_shadow_bytes": self.pipeline.shadow_bytes,
             #: The same for checkpoints: bytes planned to ship per byte
-            #: the DBMS wrote in them (``None`` before the first one),
-            #: and what the last-shipped page shadow behind it holds.
+            #: the DBMS wrote in them (``None`` before the first one).
             "db_shipped_ratio": (
                 self.stats.db_planned_bytes / self.stats.db_submitted_bytes
                 if self.stats.db_submitted_bytes else None

@@ -3,7 +3,7 @@
 A checkpoint object carries, for a page rewritten in place, only the
 byte runs by which it differs from the image last *handed to the
 uploader* at that ``(path, offset)`` within the current dump generation
-(``PageShadow``).  The contract: **recovery from the bucket as any
+(the shared ``Shadow``, its epoch the collector's dump generation).  The contract: **recovery from the bucket as any
 crash leaves it rebuilds every DB file, byte for byte and length for
 length, exactly as whole-write shipping rebuilds it.**
 
@@ -24,8 +24,8 @@ import pytest
 
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.simulated import SimulatedCloud
-from repro.core import checkpointer
-from repro.core.checkpointer import CheckpointCollector, PageShadow, _run_framing
+from repro.core import checkpointer, shadow
+from repro.core.checkpointer import CheckpointCollector, _run_framing
 from repro.core.codec import ObjectCodec
 from repro.core.config import GinjaConfig
 from repro.core.data_model import DBObjectMeta, decode_checkpoint_payload
@@ -416,15 +416,16 @@ class TestWhatShipsWhole:
             *ckpt(3, (T, PAGE // 2, right)),
         ]
         ours, _reference = assert_contract(PG, steps)
+        # Whole, in write order — joined, the later bytes winning.
         assert self.newest_table_writes(ours[0][1]) == [
-            (T, 0, wide), (T, PAGE // 2, right),
+            (T, 0, wide[:PAGE // 2] + right),
         ]
         assert self.newest_table_writes(ours[0][2]) == [
             (T, PAGE // 2, right),
         ]
 
     def test_an_evicted_place_ships_whole(self, monkeypatch):
-        monkeypatch.setattr(checkpointer, "_SHADOW_CAP_BYTES", 3 * PAGE)
+        monkeypatch.setattr(checkpointer, "_SHADOW_BYTES", 3 * PAGE)
         rng = random.Random(8)
         pages = [noise(rng, PAGE) for _ in range(6)]
         first = [(T, n * PAGE, page) for n, page in enumerate(pages)]
@@ -432,10 +433,13 @@ class TestWhatShipsWhole:
                  for n, page in enumerate(pages)]
         steps = [*ckpt(1, *first), *ckpt(2, *again)]
         ours, _reference = assert_contract(PG, steps)
-        # Control and clog included, the cap held the last pages only.
+        # Control and clog included, the bound held the last pages only:
+        # the first four ship whole (one run: they touch), the rest cut.
         shipped = self.newest_table_writes(ours[0][-1])
-        assert shipped[:3] == again[:3]
-        assert shipped[-1] == (T, 6 * PAGE - 2, b"zz")
+        assert shipped == [
+            (T, 0, b"".join(data for _path, _offset, data in again[:4])),
+            (T, 5 * PAGE - 2, b"zz"), (T, 6 * PAGE - 2, b"zz"),
+        ]
 
     def test_a_checkpoint_split_into_parts(self):
         """40 pages of 4 KiB, half of each rewritten: 80 KiB of runs
@@ -452,8 +456,18 @@ class TestWhatShipsWhole:
         newest = [(meta, writes) for meta, writes in checkpoint_objects(ours[0][-1])
                   if meta.seq == 2]
         assert [meta.nparts for meta, _writes in newest] == [2, 2]
-        assert all(big // 2 - 8 < len(data) <= big // 2 for _meta, writes in newest
-                   for path, _offset, data in writes if path == T)
+        # A run that straddles the parts is sliced across them.
+        runs: list[tuple[int, bytes]] = []
+        for _meta, writes in newest:
+            for path, offset, data in writes:
+                if path != T:
+                    continue
+                if runs and runs[-1][0] + len(runs[-1][1]) == offset:
+                    runs[-1] = (runs[-1][0], runs[-1][1] + data)
+                else:
+                    runs.append((offset, data))
+        assert len(runs) == 40
+        assert all(big // 2 - 8 < len(data) <= big // 2 for _offset, data in runs)
 
 
 class TestANewProcessKnowsNothing:
@@ -561,11 +575,19 @@ class TestMutants:
             *ckpt(3, *filler[:1]),                 # ... and this one dumps
             *ckpt(4, (T, 0, page[:-4] + b"last")),
         ]
-        config = dict(dump_threshold=1.05)
+        config = dict(dump_threshold=1.04)
         ours, _reference = assert_contract(PG, steps, **config)
         assert ours[2].dumps == 2
         assert sum("_dump_" in key for key in ours[0][2]) == 1 == len(ours[0][2])
-        monkeypatch.setattr(PageShadow, "clear", lambda self: None)
+        honest = CheckpointCollector._build_dump
+
+        def same_generation(self):
+            generation = self._generation
+            pending = honest(self)
+            self._generation = generation
+            return pending
+
+        monkeypatch.setattr(CheckpointCollector, "_build_dump", same_generation)
         self.assert_fails(PG, steps, **config)
 
     def test_the_shadow_updated_at_add_write(self, monkeypatch):
@@ -575,7 +597,7 @@ class TestMutants:
 
         def eager(self, path, offset, data):
             honest(self, path, offset, data)
-            self._shadow.learn({(path, offset): bytes(data)})
+            self._shadow.learn({(path, offset): (self._generation, bytes(data))})
 
         monkeypatch.setattr(CheckpointCollector, "add_write", eager)
         self.assert_fails(PG, steps)
@@ -583,14 +605,14 @@ class TestMutants:
     def test_lengths_ignored(self, monkeypatch):
         steps = self.another_length_script()
         assert_contract(PG, steps)
-        honest = checkpointer._changed_runs
+        honest = shadow._cut
 
-        def any_length(old, new, gap):
-            if old is not None:
-                old = old[:len(new)].ljust(len(new), b"\0")
-            return honest(old, new, gap)
+        def any_length(base, epoch, offset, data, gap):
+            if base is not None:
+                base = (base[0], base[1][:len(data)].ljust(len(data), b"\0"))
+            return honest(base, epoch, offset, data, gap)
 
-        monkeypatch.setattr(checkpointer, "_changed_runs", any_length)
+        monkeypatch.setattr(shadow, "_cut", any_length)
         self.assert_fails(PG, steps)
 
     def another_length_script(self) -> list[tuple]:
@@ -610,7 +632,7 @@ class TestMutants:
         ]
         assert_contract(PG, steps)
         monkeypatch.setattr(
-            checkpointer, "_alone",
-            lambda spans, reach: [start for start, _end in spans],
+            shadow, "_overlaps",
+            lambda writes, pages: (set(range(len(writes))), []),
         )
         self.assert_fails(PG, steps)

@@ -1,8 +1,9 @@
 """Changed-range WAL shipping: the contract, through real GC and recovery.
 
-The Aggregator ships the byte range by which a rewritten page differs
+The Aggregator ships the byte runs by which a rewritten page differs
 from what it last planned there, and only against a write of the same
-checkpoint epoch (``plan_writes`` / ``CloudView.begin_checkpoint``).
+checkpoint epoch (``plan_writes`` over the shared ``Shadow`` /
+``CloudView.begin_checkpoint``).
 The contract: **recovery from any retained prefix reproduces, byte for
 byte and length for length, every file range written since the
 recovered checkpoint's begin event — exactly what whole-write shipping
@@ -32,12 +33,14 @@ from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.simulated import SimulatedCloud
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
+from repro.core import commit_pipeline
 from repro.core.commit_pipeline import (
-    CommitPipeline, Shadow, _SHADOW_SPARE, _changed_range, plan_writes,
+    CommitPipeline, Marks, _CHUNK_FRAMING, plan_writes,
 )
 from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta
 from repro.core.ginja import Ginja
+from repro.core.shadow import Shadow, _cut
 from repro.core.stats import GinjaStats
 from repro.db.profiles import POSTGRES_PROFILE
 from repro.storage.memory import MemoryFileSystem
@@ -54,6 +57,14 @@ def wal_objects(backend) -> list[tuple[WALObjectMeta, list]]:
     """Every WAL object in the bucket, decoded, in timestamp order."""
     objects = decode_backend(backend)
     return [objects[ts] for ts in sorted(objects)]
+
+
+def wal_planner(bound: int | None = None) -> tuple[Shadow, Marks]:
+    """What a new pipeline plans against: an empty shadow, its bound
+    and framing the pipeline's own, and no marks."""
+    if bound is None:
+        bound = commit_pipeline._SHADOW_BYTES
+    return Shadow(bound, lambda _path: _CHUNK_FRAMING), Marks()
 
 
 # -- the script: a page-granular WAL writer with checkpoints --------------------
@@ -412,10 +423,65 @@ class TestPipeline:
         assert bytes(image) == b"B" * 8 + b"A" * 8
 
 
+def replayed(groups) -> bytes:
+    """One file rebuilt from planned ``(path, chunks)`` objects, as
+    recovery's ``fs.write`` does: holes zero-filled, in order."""
+    image = bytearray()
+    for _path, chunks in groups:
+        for offset, data in chunks:
+            end = offset + len(data)
+            image.extend(bytes(max(0, end - len(image))))
+            image[offset:end] = data
+    return bytes(image)
+
+
+class TestWriteOrder:
+    """Overlapping writes of one batch replay in write order.  The
+    offset-sorted merge recovered ``A×16@0, B×8@8, C×16@0`` as
+    ``CCCCCCCCBBBBBBBB``: C's run sorted before B's and B won bytes C
+    had durably overwritten."""
+
+    @staticmethod
+    def script(size: int) -> list[tuple[int, bytes]]:
+        return [(0, b"A" * size), (size // 2, b"B" * (size // 2)),
+                (0, b"C" * size)]
+
+    @pytest.mark.parametrize("cap", [1 << 20, 8], ids=["one-object", "split"])
+    def test_the_planner_recovers_the_last_write(self, cap):
+        writes = [("seg", offset, data, 0) for offset, data in self.script(16)]
+        planned = plan_writes(writes, *wal_planner(), coalesce=True,
+                              max_object_bytes=cap)
+        whole = plan_writes(writes, *wal_planner(), coalesce=False,
+                            max_object_bytes=cap)
+        assert replayed(planned) == replayed(whole) == b"C" * 16
+        assert len(planned) == (1 if cap > 16 else 3)
+
+    @pytest.mark.parametrize("size", [16, 64 * 1024], ids=["one-object", "split"])
+    def test_a_real_ginja_recovers_what_whole_writes_recover(self, size):
+        """At 64 KiB the batch is B's half page and C's page, split
+        across two objects by the smallest ``max_object_bytes``."""
+
+        def run(coalesce: bool):
+            ginja, backend = protect(coalesce, batch=3,
+                                     max_object_bytes=64 * 1024)
+            try:
+                for offset, data in self.script(size):
+                    ginja.fs.write(SEG, offset, data)
+                assert ginja.drain(timeout=10.0)
+                return wal_objects(backend), recovered_files(backend.snapshot())
+            finally:
+                ginja.stop()
+
+        objects, got = run(True)
+        _objects, want = run(False)
+        assert got[SEG] == want[SEG] == b"C" * size
+        assert len(objects) == (1 if size == 16 else 2)
+
+
 class TestTheShadow:
     def test_it_stays_bounded_over_ten_thousand_pages(self):
         rng = random.Random(3)
-        shadow = Shadow()
+        shadow, marks = wal_planner()
         page_no = 0
         while page_no < 10_000:
             count = rng.choice((1, 1, 7, 100))
@@ -423,33 +489,45 @@ class TestTheShadow:
                      for i in range(count)]
             # The tail page of the previous batch is rewritten first.
             batch.insert(0, ("seg", max(page_no - 1, 0) * PAGE, b"\xff" * PAGE, 0))
-            plan_writes(batch, shadow, coalesce=True, max_object_bytes=1 << 20)
-            assert len(shadow.pages) <= len(batch) + _SHADOW_SPARE
+            plan_writes(batch, shadow, marks, coalesce=True,
+                        max_object_bytes=1 << 20)
+            assert 0 < shadow.nbytes <= commit_pipeline._SHADOW_BYTES
             page_no += count
-        assert ("seg", (page_no - 1) * PAGE) in shadow.pages   # the tail is what it keeps
-        assert shadow.marks == {"seg": page_no * PAGE}         # one int per file
+        # The tail is what it keeps: rewritten in the same epoch, only
+        # the byte that changed ships.
+        path, offset, data, epoch = batch[-1]
+        runs, _learned = shadow.plan([(path, offset, data[:-1] + b"\0", epoch)])
+        assert runs == [(path, offset + PAGE - 1, b"\0")]
+        assert marks == {"seg": page_no * PAGE}         # one int per file
 
     def test_the_ablation_leaves_it_alone(self):
-        shadow = Shadow()
+        shadow, marks = wal_planner()
         writes = [("seg", 0, b"page", 0), ("seg", 0, b"page", 0)]
-        planned = plan_writes(writes, shadow, coalesce=False,
+        planned = plan_writes(writes, shadow, marks, coalesce=False,
                               max_object_bytes=1 << 20)
         assert planned == [("seg", [(0, b"page"), (0, b"page")])]
-        assert not shadow.pages and not shadow.marks
+        assert shadow.nbytes == 0 and not marks
 
     @pytest.mark.parametrize("seed", range(5))
     def test_changed_range_agrees_with_a_byte_loop(self, seed):
+        """The runs that differ, joined across at most ``gap`` equal
+        bytes — and all of it against another epoch or length."""
         rng = random.Random(seed)
         for _ in range(200):
-            size = rng.randint(0, 70)
+            size, gap = rng.randint(0, 70), rng.randint(0, 6)
             old = bytes(rng.choice(b"\x00\x01") for _ in range(size))
             new = bytes(rng.choice(b"\x00\x01") for _ in range(size))
-            differ = [i for i in range(size) if old[i] != new[i]]
-            start, stop = _changed_range(old, new)
-            if differ:
-                assert (start, stop) == (differ[0], differ[-1] + 1)
-            else:
-                assert start == stop
+            want: list[list[int]] = []
+            for i in (i for i in range(size) if old[i] != new[i]):
+                if want and i - want[-1][1] <= gap:
+                    want[-1][1] = i + 1
+                else:
+                    want.append([i, i + 1])
+            got = _cut((7, old), 7, 100, new, gap)
+            assert [[o - 100, o - 100 + len(d)] for o, d in got] == want
+            assert all(new[o - 100:o - 100 + len(d)] == d for o, d in got)
+            assert _cut((6, old), 7, 100, new, gap) == [(100, new)]
+            assert _cut((7, old + b"x"), 7, 100, new, gap) == [(100, new)]
 
 
 class TestANewPipelineKnowsNothing:
@@ -499,19 +577,26 @@ class TestANewPipelineKnowsNothing:
 class TestHealth:
     def test_the_facade_reports_what_shipping_saves(self):
         """Both ratios — planned ÷ written, pre-codec — and what the
-        page shadow behind the second one holds."""
+        shadow behind each holds."""
         ginja, _backend = protect(True)
         try:
             health = ginja.health()
             assert health["wal_shipped_ratio"] is None
             assert health["db_shipped_ratio"] is None
-            assert health["db_shadow_bytes"] == 0
+            assert health["wal_shadow_bytes"] == health["db_shadow_bytes"] == 0
             ginja.fs.write(SEG, 0, b"ab" + bytes(PAGE - 2))
             assert ginja.drain(timeout=10.0)
             ginja.fs.write(SEG, 0, b"abcd" + bytes(PAGE - 4))
             assert ginja.drain(timeout=10.0)
             # The record and a length pin, then the two bytes that changed.
             assert ginja.health()["wal_shipped_ratio"] == (2 + 1 + 2) / (2 * PAGE)
+            assert ginja.health()["wal_shadow_bytes"] == PAGE
+            # Another page per write: the WAL figure holds at its bound.
+            bound = commit_pipeline._SHADOW_BYTES
+            for page_no in range(1, bound // PAGE + 8):
+                ginja.fs.write(SEG, page_no * PAGE, b"ab" + bytes(PAGE - 2))
+            assert ginja.drain(timeout=10.0)
+            assert ginja.health()["wal_shadow_bytes"] == bound
             # Two checkpoints of a clog byte, a page and a control
             # record (over a directory large enough that the 150 % rule
             # stays quiet): all of it, then the four bytes by which the

@@ -20,9 +20,12 @@ from repro.cloud.simulated import SimulatedCloud
 from repro.cloud.transport import build_transport
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
-from repro.core.commit_pipeline import CommitPipeline, _merge_chunks, _split_chunks
+from repro.core.commit_pipeline import (
+    CommitPipeline, Marks, _CHUNK_FRAMING, _SHADOW_BYTES, plan_writes,
+)
 from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta, decode_wal_payload
+from repro.core.shadow import Shadow, split_runs
 from repro.core.stats import GinjaStats
 
 from tests.cloud.test_reactor import wait_for
@@ -54,6 +57,26 @@ def pipeline(pools):
     pipe.start()
     yield pipe, backend, view, stats
     pipe.stop(drain_timeout=5.0)
+
+
+def planned_chunks(writes):
+    """One batch of ``(offset, data)`` writes to one file through the
+    claim job's transform, by a new pipeline: its object's chunks, and
+    the file they rebuild — which must be the writes replayed whole."""
+    batch = [("seg", offset, bytes(data), 0) for offset, data in writes]
+    groups = plan_writes(
+        batch, Shadow(_SHADOW_BYTES, lambda _path: _CHUNK_FRAMING), Marks(),
+        coalesce=True, max_object_bytes=1 << 20,
+    )
+    chunks = [chunk for _path, group in groups for chunk in group]
+    image, whole = bytearray(), bytearray()
+    for replay, stream in ((image, chunks), (whole, writes)):
+        for offset, data in stream:
+            end = offset + len(data)
+            replay.extend(bytes(max(0, end - len(replay))))
+            replay[offset:end] = data
+    assert image == whole
+    return chunks
 
 
 def decode_backend(backend, codec=None):
@@ -157,39 +180,42 @@ class TestCoalescing:
         finally:
             pipe.stop(drain_timeout=5.0)
 
+    # The chunks of one batch, planned and replayed: overlapping
+    # writes of a batch ship whole, in write order, and a run that
+    # touches the one before it merges into it.
+
     def test_merge_chunks_overlap(self):
-        merged = _merge_chunks([(0, b"aaaa"), (2, b"bb"), (10, b"cc")])
-        assert merged == [(0, b"aabb"), (10, b"cc")]
+        chunks = planned_chunks([(0, b"aaaa"), (2, b"bb"), (10, b"cc")])
+        assert chunks == [(0, b"aabb"), (10, b"cc")]
 
     def test_merge_chunks_contained_write_preserves_the_suffix(self):
         """A later write contained inside an earlier run replaces exactly
         the bytes it covers — truncating the run would drop durable bytes
         from the WAL object and recovery would restore stale data."""
-        merged = _merge_chunks([(0, b"aaaaaa"), (2, b"B")])
-        assert merged == [(0, b"aaBaaa")]
+        assert planned_chunks([(0, b"aaaaaa"), (2, b"B")]) == [(0, b"aaBaaa")]
 
     def test_merge_chunks_interior_rewrite_at_run_start(self):
-        merged = _merge_chunks([(4, b"old-old"), (4, b"new")])
-        assert merged == [(4, b"new-old")]
+        chunks = planned_chunks([(4, b"old-old"), (4, b"new")])
+        assert chunks == [(4, b"new-old")]
 
     def test_merge_chunks_contained_write_regression(self):
         """The ISSUE 3 case: old run covers [0, 100), a new write covers
         [10, 15); the merged run must still carry the old [15, 100)."""
         old = bytes(range(100))
         patch = b"\xff" * 5
-        merged = _merge_chunks([(0, old), (10, patch)])
-        assert merged == [(0, old[:10] + patch + old[15:])]
+        chunks = planned_chunks([(0, old), (10, patch)])
+        assert chunks == [(0, old[:10] + patch + old[15:])]
 
     def test_merge_chunks_empty_batch(self):
-        assert _merge_chunks([]) == []
+        assert planned_chunks([]) == []
 
     def test_split_chunks_respects_cap(self):
-        groups = _split_chunks([(0, b"x" * 250)], max_bytes=100)
+        groups = split_runs([(0, b"x" * 250)], max_bytes=100)
         assert [len(g[0][1]) for g in groups] == [100, 100, 50]
         assert [g[0][0] for g in groups] == [0, 100, 200]
 
     def test_split_chunks_empty(self):
-        assert _split_chunks([], max_bytes=100) == []
+        assert split_runs([], max_bytes=100) == []
 
     def test_single_write_over_object_cap_splits_into_wal_objects(self, pools):
         """One submit larger than max_object_bytes becomes several WAL

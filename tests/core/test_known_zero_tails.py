@@ -2,7 +2,7 @@
 holds, through real GC and recovery.
 
 A run about to ship drops the zero bytes it carries beyond its file's
-high-water mark (``Shadow.marks``) for a one-byte length pin.  The
+high-water mark (``Marks``) for a one-byte length pin.  The
 contract is the one changed-range shipping keeps, here on the **whole**
 file: recovery from the bucket a crash after any step leaves rebuilds,
 byte for byte and length for length, what whole-write shipping
@@ -18,7 +18,7 @@ import pytest
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.simulated import SimulatedCloud
 from repro.core import commit_pipeline
-from repro.core.commit_pipeline import Shadow, _PIN_BYTES
+from repro.core.commit_pipeline import Marks, _PIN_BYTES
 from repro.core.config import GinjaConfig
 from repro.core.ginja import Ginja
 from repro.db.engine import EngineConfig, MiniDB
@@ -74,8 +74,8 @@ def full(pages: int, fill: int) -> list[tuple]:
 
 
 #: Twelve full pages, then the same places rewritten short inside one
-#: epoch.  The shadow holds nine pages at B = 1, so every rewrite misses
-#: it and meets the older, longer bytes still in the bucket.
+#: epoch.  Under :func:`narrow_shadow` every rewrite misses the shadow
+#: and meets the older, longer bytes still in the bucket.
 ONE_EPOCH_LAP = full(12, 0x10) + lap(12, 0x80)
 
 #: The same laps with checkpoints beginning and ending inside them.
@@ -86,24 +86,32 @@ STRADDLING_LAPS = (
 )
 
 
-REAL_COVER = Shadow.cover
+@pytest.fixture
+def narrow_shadow(monkeypatch):
+    """The shadow bounded to nine of these pages — narrower than a
+    lap of twelve, or of the ring's twelve blocks — so a lap's
+    rewrites miss it and ship whole over what the bucket holds."""
+    monkeypatch.setattr(commit_pipeline, "_SHADOW_BYTES", 9 * PAGE)
+
+
+REAL_COVER = Marks.cover
 REAL_ELIDE = commit_pipeline.elide_known_zeros
 
 
 def always_strip(self, path, offset, data):
     """Mutant: the mark pinned to 0 — every zero tail is left out."""
-    return offset + len(data.rstrip(b"\0"))
+    return offset + len(bytes(data).rstrip(b"\0"))
 
 
 def only_cut_runs_count(self, path, offset, data):
     """Mutant: a run that ships whole leaves the mark where it was."""
-    before = self.marks.get(path)
+    before = self.get(path)
     mark = REAL_COVER(self, path, offset, data)
     if offset + len(data) - mark <= _PIN_BYTES:
         if before is None:
-            self.marks.pop(path, None)
+            self.pop(path, None)
         else:
-            self.marks[path] = before
+            self[path] = before
     return mark
 
 
@@ -121,18 +129,20 @@ class TestKnownZeroTails:
         shipped, reference = run_both(steps)
         assert_same_files(shipped, reference)
 
+    @pytest.mark.usefixtures("narrow_shadow")
     @pytest.mark.parametrize("steps", [ONE_EPOCH_LAP, STRADDLING_LAPS],
                              ids=["one-epoch", "straddling"])
     def test_a_lap_wider_than_the_shadow(self, steps):
         shipped, reference = run_both(steps)
         assert_same_files(shipped, reference)
 
+    @pytest.mark.usefixtures("narrow_shadow")
     @pytest.mark.parametrize("mutant", [always_strip, only_cut_runs_count])
     def test_a_mutant_with_too_low_a_mark_recovers_stale_bytes(
             self, monkeypatch, mutant):
         """A shadow miss over older non-zero bytes must ship its zeros."""
         _shipped, reference = run_both(ONE_EPOCH_LAP)
-        monkeypatch.setattr(Shadow, "cover", mutant)
+        monkeypatch.setattr(Marks, "cover", mutant)
         shipped, _reference = run_both(ONE_EPOCH_LAP)
         with pytest.raises(AssertionError, match="step 12"):
             assert_same_files(shipped, reference)
@@ -149,10 +159,14 @@ class TestKnownZeroTails:
             assert_same_files(shipped, reference)
         assert len(recovered_files(shipped[0])[SEG]) < PAGE
 
-    def test_two_overlapping_writes_of_one_batch_are_not_cut(self):
+    def test_overlapping_writes_ship_as_one_pinned_run(self):
+        """Never cut against the shadow, they join in write order into
+        one run; replayed in that order, its tail beyond the mark is
+        known-zero like any other run's."""
         writes = [(SEG, 0, padded(b"aa")), (SEG, PAGE // 2, padded(b"bb"))]
         ((_meta, chunks),), got = one_batch(True, writes)
-        assert chunks == [(0, padded(b"aa", PAGE // 2) + padded(b"bb"))]
+        assert chunks == [(0, padded(b"aa", PAGE // 2) + b"bb"),
+                          (PAGE // 2 + PAGE - 1, PIN)]
         assert got == one_batch(False, writes)[1]
 
     def test_a_pin_in_a_later_object_than_its_head(self):
@@ -332,7 +346,7 @@ class TestTheObjectLevelBound:
 
 BLOCK = MYSQL_PROFILE.wal_page_size
 HEADER = MYSQL_PROFILE.wal_header_size
-BLOCKS_PER_FILE = 6     # twelve places a lap: more than the shadow holds
+BLOCKS_PER_FILE = 6     # twelve places a lap: more than a narrow shadow holds
 
 
 def ring_steps() -> list[tuple]:
@@ -392,6 +406,7 @@ def play_ring(steps, coalesce: bool) -> list[dict]:
     return snapshots
 
 
+@pytest.mark.usefixtures("narrow_shadow")
 class TestTheRingProfile:
     def test_two_laps_of_the_mysql_ring_recover_equal(self):
         steps = ring_steps()
@@ -402,7 +417,7 @@ class TestTheRingProfile:
             self, monkeypatch):
         steps = ring_steps()
         reference = play_ring(steps, False)
-        monkeypatch.setattr(Shadow, "cover", always_strip)
+        monkeypatch.setattr(Marks, "cover", always_strip)
         with pytest.raises(AssertionError, match=r"step \d+"):
             assert_same_files(play_ring(steps, True), reference, MYSQL_PROFILE)
 

@@ -1,33 +1,26 @@
-"""Replay equivalence: the coalescing upload path loses no bytes.
+"""Replay equivalence: the planner loses no bytes, for either caller.
 
-Property under test: pushing a commit stream through the Aggregator's
-transform — :func:`~repro.core.commit_pipeline.plan_writes`, the very
-function ``CommitPipeline._plan`` calls: coalesce to latest-per-offset,
-cut down to the changed range against the shadow, sort,
-``_merge_chunks``, ``_split_chunks`` — and a codec round-trip, then
-replaying the resulting WAL objects in timestamp order produces a
-segment byte-identical to naively applying every write in commit order.
+Property under test: pushing a write stream through the shared planner
+(:class:`~repro.core.shadow.Shadow`: coalesce in write order, cut each
+write that overlaps no other against the last-shipped image, join,
+:func:`~repro.core.shadow.split_runs`) — as the WAL side does it, via
+:func:`~repro.core.commit_pipeline.plan_writes`, the very function
+``CommitPipeline._plan`` calls (known-zero tails included), and as the
+checkpoint collector does it, with a dump generation for its epoch —
+plus a codec round-trip, then replaying the resulting objects in order
+produces the files naively applying every write in write order does.
 The stream goes through as one batch, or cut into batches that share
-one shadow — its pages and its high-water marks — the way a running
-pipeline's batches do.
+one shadow (and, on the WAL side, its high-water marks) the way a
+running pipeline's batches and a collector's checkpoints do.
 
-The streams follow the WAL write pattern the coalescer is designed for
-(and that real engines produce):
-
-* adjacent appends — a new run starts where the previous one ended;
-* same-offset tail rewrites — the partially-filled tail page is
-  re-written in place, usually longer (this is what coalescing
-  collapses), sometimes *shorter*, which replaces only the head of the
-  run and keeps its tail;
-* interior patches at increasing offsets strictly inside the closed
-  region below the tail run (the tail-run rewrite itself may extend
-  past everything previously written).
-
-Under this model, offset order of the coalesced survivors matches
-temporal order wherever writes overlap, which is exactly the assumption
-``_merge_chunks`` encodes.  The contained-write case is the regression:
-the old merge truncated the enclosing run at the patch's end, dropping
-its suffix from the WAL object.
+Nothing is assumed about the order of the writes: appends, same-offset
+rewrites (longer, *shorter* — which replaces only the head of what was
+there — or identical) and patches anywhere, across run boundaries and
+at a run's start, overlapping in any order.  Write order is replay
+order.  The contained-write case is the oldest regression here: a merge
+once truncated the enclosing run at the patch's end, dropping its
+suffix from the WAL object; an offset-sorted merge once replayed a
+rewrite of an earlier place before a later write that overlapped it.
 
 A second family of streams is page-granular and zero-heavy — the shape
 known-zero-tail elision works on: zero-padded pages, zeros written over
@@ -42,13 +35,16 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.checkpointer import PageShadow, _split_writes
+from repro.core.checkpointer import _run_framing
 from repro.core.codec import ObjectCodec
-from repro.core.commit_pipeline import UNBOUNDED, Shadow, plan_writes
+from repro.core.commit_pipeline import UNBOUNDED, plan_writes
 from repro.core.data_model import (
     decode_checkpoint_payload, decode_wal_payload, encode_checkpoint_payload,
     encode_wal_payload,
 )
+from repro.core.shadow import Shadow, split_runs
+
+from tests.core.test_changed_range_shipping import wal_planner
 
 CODEC = ObjectCodec()
 SPLIT_CAP = 97  # prime and tiny, so groups straddle run boundaries often
@@ -61,10 +57,10 @@ def naive_replay(writes: list[tuple[int, bytes]], size: int) -> bytes:
     return bytes(image)
 
 
-def planned_objects(writes, cuts=(), epochs=None, shadow=None):
+def planned_objects(writes, cuts=(), epochs=None):
     """The (offset, data) groups ``plan_writes`` ships for the stream,
     one batch per slice between ``cuts``, all sharing one shadow."""
-    shadow = Shadow() if shadow is None else shadow
+    shadow, marks = wal_planner()
     epochs = epochs or [0] * len(writes)
     edges = [0, *cuts, len(writes)]
     groups = []
@@ -74,7 +70,7 @@ def planned_objects(writes, cuts=(), epochs=None, shadow=None):
             for index, (offset, data) in enumerate(writes[start:stop], start)
         ]
         groups += [group for _path, group in plan_writes(
-            batch, shadow, coalesce=True, max_object_bytes=SPLIT_CAP,
+            batch, shadow, marks, coalesce=True, max_object_bytes=SPLIT_CAP,
         )]
     return groups
 
@@ -122,8 +118,6 @@ def generate_stream(seed: int) -> list[tuple[int, bytes]]:
     writes: list[tuple[int, bytes]] = []
     tail_start, tail_len = 0, rng.randint(1, 40)
     writes.append((tail_start, body(tail_len)))
-    closed: list[tuple[int, int]] = []  # (start, end) of closed runs
-    patch_floor: dict[int, int] = {}  # run start -> next allowed patch start
     for _ in range(rng.randint(20, 60)):
         roll = rng.random()
         if roll < 0.08 and tail_len > 1:
@@ -146,28 +140,17 @@ def generate_stream(seed: int) -> list[tuple[int, bytes]]:
             writes.append((tail_start, body(tail_len)))
         elif roll < 0.80:
             # Close the tail; append the next run right after it.
-            closed.append((tail_start, tail_start + tail_len))
             tail_start += tail_len
             tail_len = rng.randint(1, 40)
             writes.append((tail_start, body(tail_len)))
+        elif roll < 0.88:
+            # Write an earlier write again, as it was.
+            writes.append(writes[rng.randrange(len(writes))])
         else:
-            # Patch strictly inside ONE closed run — never at the run's
-            # own start (a closed run is not rewritten) and never across
-            # a run boundary (the next run's splice would outrank a patch
-            # written after it).  Patches within a run move rightward so
-            # they stay disjoint.
-            rooms = [
-                (start, end) for start, end in closed
-                if patch_floor.get(start, start + 1) < end
-            ]
-            if not rooms:
-                continue
-            run_start, run_end = rng.choice(rooms)
-            start = rng.randint(patch_floor.get(run_start, run_start + 1),
-                                run_end - 1)
-            length = rng.randint(1, run_end - start)
-            writes.append((start, body(length)))
-            patch_floor[run_start] = start + length
+            # Patch anywhere in what was written: inside a run, at its
+            # start, across run boundaries, past the tail.
+            start = rng.randrange(tail_start + tail_len)
+            writes.append((start, body(rng.randint(1, 40))))
     return writes
 
 
@@ -249,6 +232,15 @@ class TestDeterministicShapes:
         assert_equivalent(writes, cuts=[1, 2])
         assert len(planned_objects(writes, cuts=[1, 2])) == 2
 
+    @pytest.mark.parametrize("cuts", [[], [1], [2]])
+    def test_a_rewrite_replays_after_the_write_it_overlaps(self, cuts):
+        """Offset order put ``C×100@0`` before ``B×50@50``, and B won
+        bytes C had overwritten; over 97-byte objects the batch also
+        straddles an object boundary."""
+        writes = [(0, b"A" * 100), (50, b"B" * 50), (0, b"C" * 100)]
+        assert_equivalent(writes, cuts)
+        assert pipeline_replay(writes, 100, cuts) == b"C" * 100
+
     def test_overlapping_writes_of_one_batch_are_never_trimmed(self):
         """A trimmed page would sort *after* the patch it used to sort
         before, and win bytes the later patch wrote."""
@@ -318,6 +310,9 @@ class TestSeededStreams:
 # -- page-granular, zero-heavy streams: bytes *and* length ----------------------
 
 PAGE = 32
+#: Nine pages: narrower than the sixteen-page ring below, so a lap
+#: misses the shadow.
+NARROW = 9 * PAGE
 
 
 def apply_write(image: bytearray, offset: int, data: bytes) -> None:
@@ -328,25 +323,29 @@ def apply_write(image: bytearray, offset: int, data: bytes) -> None:
     image[offset:end] = data
 
 
-def planned_batches(writes, cuts, epochs, shadow):
+def planned_batches(writes, cuts, epochs, shadow, marks):
     """``(path, offset, data)`` writes through ``plan_writes``, one
-    batch per slice between ``cuts``, all sharing ``shadow``."""
+    batch per slice between ``cuts``, all sharing ``shadow`` and
+    ``marks``."""
     edges = [0, *cuts, len(writes)]
     for start, stop in zip(edges, edges[1:]):
         batch = [(*write, epochs[index])
                  for index, write in enumerate(writes[start:stop], start)]
-        yield from plan_writes(batch, shadow, coalesce=True,
+        yield from plan_writes(batch, shadow, marks, coalesce=True,
                                max_object_bytes=SPLIT_CAP)
 
 
-def files_by_plan(writes, cuts, epochs, seeded=None, marks=None) -> dict:
+def files_by_plan(writes, cuts, epochs, seeded=None, marks=None,
+                  bound=NARROW) -> dict:
     """The planned chunks replayed over the ``seeded`` files, by a
     pipeline told ``marks``."""
-    shadow = Shadow()
-    shadow.marks.update(marks or {})
+    shadow, planner_marks = wal_planner(bound)
+    planner_marks.update(marks or {})
     files = {path: bytearray(held) for path, held in (seeded or {}).items()}
-    for path, group in planned_batches(writes, cuts, epochs, shadow):
-        for offset, data in decode_wal_payload(encode_wal_payload(group)):
+    for path, group in planned_batches(writes, cuts, epochs, shadow,
+                                       planner_marks):
+        payload = CODEC.decode(CODEC.encode(encode_wal_payload(group)))
+        for offset, data in decode_wal_payload(payload):
             apply_write(files.setdefault(path, bytearray()), offset, data)
     return files
 
@@ -363,10 +362,10 @@ def padded_page(record: bytes) -> bytes:
 
 
 def generate_page_stream(seed: int) -> list[tuple[str, int, bytes]]:
-    """A ring of sixteen pages — more than the shadow holds — filled the
-    way a DBMS fills one: the tail page rewritten whole as records land
-    (zero-padded), now and then an identical rewrite or a record ending
-    in zeros, and lap after lap over what earlier laps left."""
+    """A ring of sixteen pages — more than a narrow shadow holds — filled
+    the way a DBMS fills one: the tail page rewritten whole as records
+    land (zero-padded), now and then an identical rewrite or a record
+    ending in zeros, and lap after lap over what earlier laps left."""
     rng = random.Random(seed)
     writes = []
     place, fill, page = 0, 0, bytearray(PAGE)
@@ -386,19 +385,22 @@ def generate_page_stream(seed: int) -> list[tuple[str, int, bytes]]:
     return writes
 
 
+def one_batch(*writes):
+    return plan_writes([(*write, 0) for write in writes], *wal_planner(),
+                       coalesce=True, max_object_bytes=SPLIT_CAP)
+
+
 class TestKnownZeroShapes:
     def test_a_zero_padded_page_ships_its_records_and_a_pin(self):
         writes = [("seg", 64, padded_page(b"rec"))]
-        planned = plan_writes([(*writes[0], 0)], Shadow(), coalesce=True,
-                              max_object_bytes=SPLIT_CAP)
-        assert planned == [("seg", [(64, b"rec"), (64 + PAGE - 1, b"\0")])]
+        assert one_batch(*writes) == [
+            ("seg", [(64, b"rec"), (64 + PAGE - 1, b"\0")]),
+        ]
         assert files_by_plan(writes, [], [0]) == files_by_whole_writes(writes)
 
     def test_a_tail_no_longer_than_a_pin_ships_as_it_is(self):
         page = b"r" * (PAGE - 13) + bytes(13)
-        planned = plan_writes([("seg", 0, page, 0)], Shadow(), coalesce=True,
-                              max_object_bytes=SPLIT_CAP)
-        assert planned == [("seg", [(0, page)])]
+        assert one_batch(("seg", 0, page)) == [("seg", [(0, page)])]
 
     def test_zeros_over_older_non_zero_bytes_are_shipped(self):
         """A new epoch, so the rewrite misses the shadow and ships
@@ -416,11 +418,11 @@ class TestKnownZeroShapes:
                 == files_by_whole_writes(writes))
 
     def test_an_unbounded_mark_ships_whole_and_a_new_file_is_cut(self):
-        shadow = Shadow()
-        shadow.marks["old"] = UNBOUNDED
+        shadow, marks = wal_planner()
+        marks["old"] = UNBOUNDED
         planned = plan_writes(
             [("old", 0, padded_page(b"rec"), 0), ("new", 0, padded_page(b"rec"), 0)],
-            shadow, coalesce=True, max_object_bytes=SPLIT_CAP,
+            shadow, marks, coalesce=True, max_object_bytes=SPLIT_CAP,
         )
         assert planned == [
             ("new", [(0, b"rec"), (PAGE - 1, b"\0")]),
@@ -441,13 +443,15 @@ class TestKnownZeroShapes:
         for seed in range(20):
             writes = generate_page_stream(seed)
             cuts, epochs = random_batching(seed, len(writes))
-            shadow, high = Shadow(), 0
-            for _path, group in planned_batches(writes, cuts, epochs, shadow):
+            shadow, marks = wal_planner(NARROW)
+            high = 0
+            for _path, group in planned_batches(writes, cuts, epochs, shadow,
+                                                marks):
                 for offset, data in group:
                     padded = len(data) > 13 and not any(data[-13:])
                     cut += len(data) == 1 and data == b"\0"
                     whole_over_older += padded and offset + len(data) <= high
-                high = max(high, shadow.marks["seg"])
+                high = max(high, marks["seg"])
         assert cut >= 100 and whole_over_older >= 20
 
 
@@ -489,84 +493,117 @@ def test_any_zero_heavy_stream_replays_to_the_same_bytes_and_length(
             == files_by_whole_writes(writes, images))
 
 
-# -- checkpoint pages: the collector's changed-run transform ----------------------
+# -- one property, both callers ------------------------------------------------------
 
 HALF = PAGE // 2
 
-# Few variants of few sizes at few places, half a page apart: the same
-# bytes come back, neighbours overlap, and a place changes length.
-changing_page = st.builds(
-    lambda head, fill, rows, size:
-        head + fill * (size - len(head) - len(rows)) + rows,
-    st.sampled_from((b"", b"h", b"H")), st.sampled_from((b".", b"\0")),
-    st.sampled_from((b"", b"r", b"rows")), st.sampled_from((HALF, PAGE)),
-)
 
-
-def replay_page_stream(stream, cuts, dumps) -> None:
-    """``stream`` is ``(path, offset, page, stray)`` writes; a checkpoint
-    ends after each index in ``cuts`` (and at the end), as a dump where
-    the index is in ``dumps``.  A stray write lands outside any
-    checkpoint: local only, until a dump reads the local files.  After
-    every checkpoint the collector's run objects, replayed in order,
-    must have rebuilt the files its whole writes rebuild."""
+def replay_as_collector(stream, cuts, dumps, seeded, bound) -> None:
+    """``stream`` is ``(path, offset, data, stray)`` writes over the
+    ``seeded`` files (a boot dump's); a checkpoint ends after each index
+    in ``cuts`` (and at the end), as a dump where the index is in
+    ``dumps``.  A stray write lands outside any checkpoint: local only,
+    until a dump reads the local files.  After every checkpoint the
+    collector's run objects, replayed in order, must have rebuilt the
+    files its whole writes rebuild."""
     cuts = sorted({cut for cut in cuts if cut < len(stream)} | {len(stream)})
-    shadow = PageShadow()
-    local: dict[str, bytearray] = {}
-    ours: dict[str, bytearray] = {}
-    whole: dict[str, bytearray] = {}
+    shadow = Shadow(bound, _run_framing)
+    generation = 0
+    local = files_by_whole_writes([], seeded)
+    ours, whole = files_by_whole_writes([], seeded), files_by_whole_writes([], seeded)
     planned = written = 0
     for start, stop in zip([0, *cuts], cuts):
         writes = []
-        for path, offset, page, stray in stream[start:stop]:
-            apply_write(local.setdefault(path, bytearray()), offset, page)
+        for path, offset, data, stray in stream[start:stop]:
+            apply_write(local.setdefault(path, bytearray()), offset, data)
             if not stray:
-                writes.append((path, offset, page))
+                writes.append((path, offset, data))
         if stop in dumps:
-            shadow.clear()
+            generation += 1
             ours = {path: bytearray(held) for path, held in local.items()}
             whole = {path: bytearray(held) for path, held in local.items()}
             continue
-        runs, learned = shadow.plan(writes)
+        runs, learned = shadow.plan([(*write, generation) for write in writes])
         shadow.learn(learned)
-        for group in _split_writes(runs, SPLIT_CAP):
+        assert shadow.nbytes <= bound
+        for group in split_runs(runs, SPLIT_CAP):
             payload = CODEC.decode(CODEC.encode(encode_checkpoint_payload(group)))
             for path, offset, run in decode_checkpoint_payload(payload):
                 apply_write(ours.setdefault(path, bytearray()), offset, run)
-        for path, offset, page in writes:
-            apply_write(whole.setdefault(path, bytearray()), offset, page)
+        for path, offset, data in writes:
+            apply_write(whole.setdefault(path, bytearray()), offset, data)
         planned += sum(len(run) for _path, _offset, run in runs)
-        written += sum(len(page) for _path, _offset, page in writes)
+        written += sum(len(data) for _path, _offset, data in writes)
         assert ours == whole
     assert planned <= written
 
 
+def replay_as_wal(stream, cuts, dumps, seeded, marks, bound) -> None:
+    """The same stream as WAL writes: every write ships, in batches cut
+    at ``cuts``, each stamped with the epoch a checkpoint begin at every
+    index in ``dumps`` opened — over the ``seeded`` files, with marks at
+    or above what they hold."""
+    writes = [write[:3] for write in stream]
+    epochs = [sum(dump <= index for dump in dumps) for index in range(len(writes))]
+    cuts = sorted(cut for cut in cuts if cut < len(writes))
+    assert (files_by_plan(writes, cuts, epochs, seeded, marks, bound)
+            == files_by_whole_writes(writes, seeded))
+
+
+# Few variants of few sizes at few places, some half a page apart, some
+# not aligned at all: the same bytes come back, neighbours overlap in
+# every way, a place shrinks and grows, zeros land over older bytes.
+changing_page = st.builds(
+    lambda head, fill, rows, size:
+        head + fill * (size - len(head) - len(rows)) + rows,
+    st.sampled_from((b"", b"h", b"H")), st.sampled_from((b".", b"\0")),
+    st.sampled_from((b"", b"r", b"rows")), st.sampled_from((0, 5, HALF, PAGE)),
+)
+
 X, Y = b"h" + b"." * (PAGE - 1), b"H" + b"." * (PAGE - 1)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     stream=st.lists(
         st.tuples(st.sampled_from(("a", "b")),
-                  st.integers(0, 3).map(lambda place: place * HALF),
+                  st.sampled_from((0, 3, HALF, HALF + 5, PAGE, 2 * PAGE)),
                   changing_page,
                   st.sampled_from((False, False, False, True))),
         min_size=1, max_size=30,
     ),
     cuts=st.sets(st.integers(1, 29)),
     dumps=st.sets(st.integers(1, 30)),
+    seeded=st.dictionaries(
+        st.sampled_from(("a", "b")),
+        st.tuples(st.lists(changing_page, max_size=4).map(b"".join),
+                  st.one_of(st.integers(0, 3 * PAGE), st.just(UNBOUNDED))),
+    ),
+    bound=st.sampled_from((2 * PAGE, 1 << 20)),
 )
 # A stray write, a dump that reads it, then the page as the shadow knew it.
 @example(stream=[("a", 0, X, False), ("a", 0, Y, True), ("a", 0, X, False)],
-         cuts={1, 2}, dumps={2})
+         cuts={1, 2}, dumps={2}, seeded={}, bound=1 << 20)
 # A longer rewrite whose zeros must clear what a wider write left there.
 @example(stream=[("a", 0, X, False), ("a", 0, X[:HALF], False),
                  ("a", 0, X[:HALF] + bytes(HALF), False)],
-         cuts={1, 2}, dumps=set())
+         cuts={1, 2}, dumps=set(), seeded={}, bound=1 << 20)
 # A wide write over two places, the right one then put back as it was.
 @example(stream=[("a", 0, X[:HALF], False), ("a", HALF, Y[:HALF], False),
                  ("a", 0, Y, False), ("a", HALF, Y[:HALF], False)],
-         cuts={2}, dumps=set())
+         cuts={2}, dumps=set(), seeded={}, bound=1 << 20)
+# A rewrite of an earlier place after a later write overlapping it.
+@example(stream=[("a", 0, X, False), ("a", HALF, Y[:HALF], False),
+                 ("a", 0, Y, False)],
+         cuts=set(), dumps=set(), seeded={}, bound=1 << 20)
 def test_any_page_stream_replays_to_the_same_files_across_cuts_and_dumps(
-        stream, cuts, dumps):
-    replay_page_stream(stream, cuts, dumps)
+        stream, cuts, dumps, seeded, bound):
+    """Any stream, any batch cut, any epochs, any seed marks at or above
+    what the seeded image holds, a wide or a tiny shadow: through the
+    planner as the WAL side ships it and as the collector ships it,
+    replay rebuilds the files whole writes rebuild, bytes and length."""
+    images = {path: held for path, (held, _slack) in seeded.items()}
+    marks = {path: len(held.rstrip(b"\0")) + slack
+             for path, (held, slack) in seeded.items()}
+    replay_as_wal(stream, cuts, dumps, images, marks, bound)
+    replay_as_collector(stream, cuts, dumps, images, bound)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.common.errors import ConfigError, GinjaError
 from repro.core.codec import ObjectCodec
+from repro.core.commit_pipeline import _SHADOW_BYTES
 from repro.core.config import SharedPoolConfig, TenantPolicy
 from repro.cloud.memory import InMemoryObjectStore
 from repro.db.engine import EngineConfig, MiniDB
@@ -352,8 +353,10 @@ class TestFleetMetering:
         commit_rows(db, "h1", 10)
         assert fleet.tenant("h1").drain(timeout=30.0)
         # Each tenant's own planned ÷ submitted WAL bytes: ten commits
-        # rewrote one tail page, and only what changed was planned.
+        # rewrote one tail page, and only what changed was planned —
+        # against a shadow that holds that page, within its bound.
         assert 0 < fleet.health()["tenants"]["h1"]["wal_shipped_ratio"] < 0.5
+        assert 0 < fleet.health()["tenants"]["h1"]["wal_shadow_bytes"] <= _SHADOW_BYTES
         # ... and, per tenant too, the checkpoint side of the same ledger.
         assert fleet.health()["tenants"]["h1"]["db_shipped_ratio"] is None
         db.checkpoint()

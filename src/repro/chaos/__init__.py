@@ -13,7 +13,10 @@ repo into a self-verifying test bench for exactly that claim:
   that kills the primary at every distinct pipeline stage;
 * :mod:`~repro.chaos.oracles` — post-drill invariant checkers (RPO,
   recovery, GC, billing);
-* :mod:`~repro.chaos.drill` — one scenario × crash point × seed drill;
+* :mod:`~repro.chaos.drill` — one scenario × crash point × seed drill,
+  and the result type, standby check and clock pump the phased drills
+  (:mod:`~repro.chaos.placement_drill`, :mod:`~repro.chaos.tuner_drill`,
+  :mod:`~repro.chaos.fleet_drill`) share;
 * :mod:`~repro.chaos.campaign` — the seed-sweep grid runner with
   failure shrinking and a deterministic :class:`CampaignReport`.
 
@@ -32,10 +35,10 @@ from repro.chaos.crashpoints import (
     CrashPointInjector,
     EventLog,
 )
-from repro.chaos.drill import DrillResult, run_drill
+from repro.chaos.drill import DrillResult, PhasedDrillResult, run_drill
 from repro.chaos.oracles import OracleVerdict, run_oracles
 from repro.chaos.scenarios import SCENARIOS, ErrorBurst, Scenario
-from repro.chaos.tuner_drill import TunerDrillResult, run_tuner_drill
+from repro.chaos.tuner_drill import run_tuner_drill
 
 __all__ = [
     "CampaignReport",
@@ -47,6 +50,7 @@ __all__ = [
     "ErrorBurst",
     "EventLog",
     "OracleVerdict",
+    "PhasedDrillResult",
     "run_campaign",
     "run_drill",
     "run_oracles",
@@ -54,5 +58,4 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "shrink_failure",
-    "TunerDrillResult",
 ]

@@ -1,6 +1,14 @@
-"""One disaster drill: scenario × crash point × seed.
+"""Disaster drills, in their two shapes.
 
-A drill boots a full Ginja stack on a :class:`ManualClock`, runs a
+A **grid drill** (:func:`run_drill`) is one independent campaign cell,
+scenario × crash point × seed, judged by the four oracles.  A **phased
+drill** (placement, tuner, fleet) runs ordered, dependent phases and
+judges each with a named check; all three report through
+:class:`PhasedDrillResult`, read their standby through
+:func:`~repro.chaos.oracles.standby_rows` and pace a
+:class:`ManualClock` with :class:`ClockPump`.
+
+A grid drill boots a full Ginja stack on a :class:`ManualClock`, runs a
 deterministic row workload against it while the scenario's fault
 schedule plays out, kills the primary at the requested crash point, and
 judges the resulting disaster image with the oracles.
@@ -40,9 +48,11 @@ from repro.chaos.oracles import (
     OracleVerdict,
     row_value,
     run_oracles,
+    standby_rows,
 )
 from repro.chaos.scenarios import Scenario
-from repro.db.engine import MiniDB
+from repro.db.engine import EngineConfig, MiniDB
+from repro.db.profiles import DBMSProfile
 from repro.storage.memory import MemoryFileSystem
 
 
@@ -90,6 +100,103 @@ class DrillResult:
             f"{self.scenario} x {self.crash_point} seed={self.seed} "
             f"[{fired}, {self.committed} acked] {marks}"
         )
+
+
+@dataclass
+class PhasedDrillResult:
+    """Outcome of one phased drill: one :class:`OracleVerdict` per check.
+
+    ``canonical()`` is ``config`` (the run-stable echo of the drill's
+    inputs), ``committed`` and each check's boolean — what the CI jobs
+    byte-compare.  ``extras`` holds diagnostics that shift with thread
+    interleaving (bills, controller snapshots, the thread census) and is
+    never canonical.
+    """
+
+    kind: str
+    config: dict
+    committed: int = 0
+    checks: list[OracleVerdict] = field(default_factory=list)
+    extras: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def ok(self) -> bool:
+        return all(check.ok for check in self.checks)
+
+    @property
+    def failures(self) -> list[OracleVerdict]:
+        return [check for check in self.checks if not check.ok]
+
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
+        self.checks.append(OracleVerdict(name, bool(ok), detail))
+
+    def check_standby(
+        self,
+        name: str,
+        recover,
+        acked: dict[str, bytes],
+        profile: DBMSProfile,
+        engine: EngineConfig,
+    ) -> None:
+        """Check that a standby ``recover`` builds holds every acked row."""
+        rows, error = standby_rows(recover, acked, profile, engine)
+        lost = [key for key, value in acked.items() if rows.get(key) != value]
+        self.check(
+            name, error is None and not lost,
+            error or f"{len(acked) - len(lost)}/{len(acked)} acked rows "
+                     f"recovered" + (f", lost {lost[:5]}" if lost else ""),
+        )
+
+    def canonical(self) -> dict:
+        return {
+            **self.config,
+            "committed": self.committed,
+            "status": "pass" if self.ok else "fail",
+            "checks": {check.name: check.ok for check in self.checks},
+        }
+
+    def summary(self) -> str:
+        knobs = " ".join(f"{k}={v}" for k, v in self.config.items())
+        marks = " ".join(
+            f"{check.name}={'ok' if check.ok else 'FAIL'}"
+            for check in self.checks
+        )
+        return f"{self.kind} {knobs} [{self.committed} committed] {marks}"
+
+
+class ClockPump:
+    """Keeps a :class:`ManualClock` creeping forward in real time.
+
+    On a manual clock the only things that advance virtual time are the
+    workload's explicit ``advance()`` calls and the latency layer's
+    sleeps.  Once the workload stops, a partially-filled batch waiting
+    for T_B would wait on a frozen clock forever (T_B is a timer on this
+    clock, and ``drain`` waits for it rather than forcing a flush) —
+    drains and shutdown deadlines need time to keep flowing.  The pump
+    adds ``step`` virtual seconds every 2 ms of real time, which makes
+    virtual timestamps real-time dependent: that is why a phased
+    drill's canonical report holds only configuration and booleans.
+    """
+
+    def __init__(self, clock: ManualClock, step: float):
+        self._clock = clock
+        self._step = step
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name="drill-clock-pump", daemon=True,
+        )
+
+    def _run(self) -> None:
+        while not self._stop.wait(0.002):
+            self._clock.advance(self._step)
+
+    def __enter__(self) -> "ClockPump":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5.0)
 
 
 def resolve_crash_point(point: str | CrashPoint) -> CrashPoint:

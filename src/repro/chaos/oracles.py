@@ -23,6 +23,7 @@ oracle checks one guarantee the paper makes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from repro.common import events
 from repro.common.errors import ReproError
@@ -35,7 +36,8 @@ from repro.core.ginja import Ginja
 from repro.fsck.invariants import BucketIndex
 from repro.core.verification import verify_backup
 from repro.chaos.scenarios import Scenario
-from repro.db.engine import MiniDB
+from repro.db.engine import EngineConfig, MiniDB
+from repro.db.profiles import DBMSProfile
 from repro.storage.memory import MemoryFileSystem
 
 
@@ -71,7 +73,8 @@ class OracleVerdict:
 
 
 # ---------------------------------------------------------------------------
-# recovery plumbing shared by the rpo/recovery oracles
+# recovery plumbing: the rpo/recovery oracles and every phased drill's
+# standby check read a recovered database through ``standby_rows``
 
 
 def _restore(snapshot: dict[str, bytes]) -> InMemoryObjectStore:
@@ -81,34 +84,41 @@ def _restore(snapshot: dict[str, bytes]) -> InMemoryObjectStore:
     return bucket
 
 
-def _recover_rows(
-    disaster: Disaster,
+def standby_rows(
+    recover: Callable[[MemoryFileSystem], tuple[Ginja, object]],
+    keys: Iterable[str],
+    profile: DBMSProfile,
+    engine: EngineConfig,
+    *,
+    drain_timeout: float = 120.0,
 ) -> tuple[dict[str, bytes], str | None]:
-    """Recover the disaster image; return (rows present, error)."""
-    scenario = disaster.scenario
-    bucket = _restore(disaster.snapshot)
-    target = MemoryFileSystem()
+    """Recover a standby and read back the rows it holds.
+
+    ``recover`` rebuilds the database into the fresh file system it is
+    handed and returns the mounted ``(ginja, report)`` pair —
+    :meth:`Ginja.recover` over a bucket, or a fleet's
+    ``recover_tenant``.  Returns the values present among ``keys`` of
+    table ``"t"`` and ``None``, or ``({}, error)`` if the recovery or
+    the reopen failed.  The standby is stopped once read, or crashed
+    if reading it failed, so it never outlives the check.
+    """
     try:
-        ginja, _report = Ginja.recover(
-            bucket, target, scenario.profile,
-            scenario.ginja_config(disaster.seed),
-        )
+        standby, _report = recover(MemoryFileSystem())
     except ReproError as exc:
         return {}, f"{type(exc).__name__}: {exc}"
     try:
-        db = MiniDB.open(
-            ginja.fs, scenario.profile, scenario.engine_config()
-        )
-        rows: dict[str, bytes] = {}
-        for index in range(scenario.rows):
-            key = f"k{index}"
-            value = db.get("t", key)
-            if value is not None:
-                rows[key] = value
+        db = MiniDB.open(standby.fs, profile, engine)
+        rows = {
+            key: value for key in keys
+            if (value := db.get("t", key)) is not None
+        }
+        standby.stop(drain_timeout=drain_timeout)
     except ReproError as exc:
+        standby.crash()
         return {}, f"{type(exc).__name__}: {exc}"
-    finally:
-        ginja.stop(drain_timeout=5.0)
+    except BaseException:
+        standby.crash()
+        raise
     return rows, None
 
 
@@ -249,7 +259,16 @@ ORACLE_NAMES: tuple[str, ...] = ("rpo", "recovery", "gc", "billing")
 
 def run_oracles(disaster: Disaster) -> list[OracleVerdict]:
     """Judge one disaster; returns verdicts in :data:`ORACLE_NAMES` order."""
-    recovered, error = _recover_rows(disaster)
+    scenario = disaster.scenario
+    recovered, error = standby_rows(
+        lambda fs: Ginja.recover(
+            _restore(disaster.snapshot), fs, scenario.profile,
+            scenario.ginja_config(disaster.seed),
+        ),
+        (f"k{index}" for index in range(scenario.rows)),
+        scenario.profile, scenario.engine_config(),
+        drain_timeout=5.0,
+    )
     return [
         _rpo_oracle(disaster, recovered, error),
         _recovery_oracle(disaster, recovered, error),

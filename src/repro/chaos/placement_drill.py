@@ -24,17 +24,14 @@ run-stable fields and is what the CI job byte-compares.
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass, field
-
 from repro.common.clock import ManualClock
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.cloud.latency import LatencyModel
 from repro.core.config import GinjaConfig
 from repro.core.ginja import Ginja
+from repro.chaos.drill import ClockPump, PhasedDrillResult
 from repro.chaos.oracles import row_value
-from repro.costmodel.attribution import FleetBill, attribute_placement_costs
+from repro.costmodel.attribution import attribute_placement_costs
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import POSTGRES_PROFILE
 from repro.failover.coordinator import FailoverCoordinator
@@ -42,7 +39,6 @@ from repro.fsck.placement import audit_placement, repair_placement
 from repro.placement.factory import build_placement
 from repro.placement.providers import default_provider_specs
 from repro.storage.memory import MemoryFileSystem
-
 #: Deterministic same-region-class latencies (no jitter: the drill must
 #: replay byte-identically; jitter would still be seeded, but zero keeps
 #: virtual timestamps independent of thread interleaving).
@@ -61,96 +57,6 @@ DRILL_LATENCY = LatencyModel(
 DEFAULT_PLACEMENT = "wal=mirror-2/q1,db=stripe-2-3,default=mirror-2/q1"
 
 
-@dataclass
-class PlacementDrillResult:
-    """Outcome of one provider-outage drill."""
-
-    providers: int
-    placement: str
-    seed: int
-    rows: int
-    kill_row: int
-    killed: str
-    committed: int
-    #: name -> pass/fail of each phase, in execution order.
-    checks: dict[str, bool] = field(default_factory=dict)
-    #: Free-text details per failed check (not in the canonical form).
-    details: dict[str, str] = field(default_factory=dict)
-    bill: FleetBill | None = field(default=None, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-    def canonical(self) -> dict:
-        """Run-stable fields only: configuration and booleans.  Dollar
-        amounts, byte counts and latencies shift with thread
-        interleaving; whether the guarantees held does not."""
-        return {
-            "providers": self.providers,
-            "placement": self.placement,
-            "seed": self.seed,
-            "rows": self.rows,
-            "kill_row": self.kill_row,
-            "killed": self.killed,
-            "committed": self.committed,
-            "status": "pass" if self.ok else "fail",
-            "checks": dict(self.checks),
-        }
-
-    def summary(self) -> str:
-        marks = " ".join(
-            f"{name}={'ok' if ok else 'FAIL'}"
-            for name, ok in self.checks.items()
-        )
-        return (
-            f"placement {self.placement} x{self.providers} seed={self.seed} "
-            f"[killed {self.killed} @ row {self.kill_row}, "
-            f"{self.committed} committed] {marks}"
-        )
-
-
-def _check(result: PlacementDrillResult, name: str, ok: bool,
-           detail: str = "") -> None:
-    result.checks[name] = bool(ok)
-    if not ok and detail:
-        result.details[name] = detail
-
-
-class _ClockPump:
-    """Keeps a :class:`ManualClock` creeping forward in real time.
-
-    On a manual clock the only things that advance virtual time are the
-    workload's explicit ``advance()`` calls and the latency layer's
-    sleeps.  Once the workload stops, a partially-filled batch waiting
-    for T_B would wait on a frozen clock forever (T_B is a timer on
-    this clock, and ``drain`` waits for it rather than forcing a flush)
-    — drains and shutdown deadlines need time to keep flowing.  The pump makes virtual
-    timestamps real-time dependent, which is why ``canonical()`` exposes
-    only configuration and booleans, never timestamps or dollars.
-    """
-
-    def __init__(self, clock: ManualClock, step: float = 0.05):
-        self._clock = clock
-        self._step = step
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="drill-clock-pump", daemon=True,
-        )
-
-    def _run(self) -> None:
-        while not self._stop.wait(0.002):
-            self._clock.advance(self._step)
-
-    def __enter__(self) -> "_ClockPump":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-
 def run_placement_drill(
     *,
     providers: int = 3,
@@ -160,9 +66,17 @@ def run_placement_drill(
     kill_row: int | None = None,
     batch: int = 5,
     safety: int = 1000,
-) -> PlacementDrillResult:
-    """Run the whole-provider-outage drill end to end."""
+) -> PhasedDrillResult:
+    """Run the whole-provider-outage drill end to end.
+
+    Raises :class:`ConfigError` unless the kill lands inside the commit
+    stream (``0 <= kill_row < rows``).
+    """
     kill_row = rows // 2 if kill_row is None else kill_row
+    if not 0 <= kill_row < rows:
+        raise ConfigError(
+            f"kill row {kill_row} is outside the {rows}-row commit stream"
+        )
     clock = ManualClock()
     specs = default_provider_specs(
         providers, seed=seed, latency=DRILL_LATENCY, time_scale=1.0,
@@ -178,23 +92,19 @@ def run_placement_drill(
         batch=batch, safety=safety, seed=seed, batch_timeout=0.02,
         providers=providers, placement=placement,
     )
-    engine = EngineConfig()
-    profile = POSTGRES_PROFILE
     victim = store.providers[0]
-    result = PlacementDrillResult(
-        providers=providers, placement=placement, seed=seed, rows=rows,
-        kill_row=kill_row, killed=victim.name, committed=0,
-    )
-    with _ClockPump(clock):
-        _run_phases(
-            result, store, config, engine, profile, victim, clock, rows,
-            kill_row,
-        )
+    result = PhasedDrillResult("placement", {
+        "providers": providers, "placement": placement, "seed": seed,
+        "rows": rows, "kill_row": kill_row, "killed": victim.name,
+    })
+    with ClockPump(clock, step=0.05):
+        _run_phases(result, store, config, EngineConfig(), POSTGRES_PROFILE,
+                    victim, clock, seed, rows, kill_row)
     return result
 
 
 def _run_phases(result, store, config, engine, profile, victim, clock,
-                rows, kill_row) -> None:
+                seed, rows, kill_row) -> None:
     # -- phase 1: commit stream with a mid-stream provider kill ---------------
     disk = MemoryFileSystem()
     MiniDB.create(disk, profile, engine).close()
@@ -202,57 +112,37 @@ def _run_phases(result, store, config, engine, profile, victim, clock,
     ginja.start(mode="boot")
     db = MiniDB.open(ginja.fs, profile, engine)
     acked: dict[str, bytes] = {}
-    survived = True
+    error = ""
     try:
         for index in range(rows):
             if index == kill_row:
                 victim.kill()
             key = f"k{index}"
-            value = row_value(index, result.seed)
+            value = row_value(index, seed)
             db.put("t", key, value)
             acked[key] = value
             clock.advance(0.05)
         db.close()
         ginja.stop(drain_timeout=120.0)  # drain: RPO 0 is now well-defined
     except ReproError as exc:
-        survived = False
-        result.details["survived_kill"] = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
         ginja.crash()
     finally:
         store.close()  # the primary's pools die with the primary
     result.committed = len(acked)
-    _check(result, "survived_kill", survived,
-           result.details.get("survived_kill", ""))
+    result.check("survived_kill", not error, error)
 
     # -- phase 2: standby recovery at RPO 0 from the survivors ----------------
     standby_store = store.clone()
-    rpo_ok, detail = False, ""
-    try:
-        standby_fs = MemoryFileSystem()
-        standby, report = Ginja.recover(
-            standby_store, standby_fs, profile, config, clock=clock,
-        )
-        try:
-            sdb = MiniDB.open(standby.fs, profile, engine)
-            missing = [
-                key for key, value in acked.items()
-                if sdb.get("t", key) != value
-            ]
-            rpo_ok = not missing
-            if missing:
-                detail = f"{len(missing)} acked rows lost: {missing[:5]}"
-            sdb.close()
-            standby.stop(drain_timeout=120.0)
-        except BaseException:
-            standby.crash()
-            raise
-    except ReproError as exc:
-        detail = f"{type(exc).__name__}: {exc}"
-    _check(result, "rpo_zero", rpo_ok, detail)
-
+    result.check_standby(
+        "rpo_zero",
+        lambda fs: Ginja.recover(standby_store, fs, profile, config,
+                                 clock=clock),
+        acked, profile, engine,
+    )
     # -- phase 3: cross-provider fsck must be clean on the survivors ----------
     audit = audit_placement(standby_store, retention=config.retention)
-    _check(result, "fsck_survivors_clean", audit.ok, audit.summary())
+    result.check("fsck_survivors_clean", audit.ok, audit.summary())
 
     # -- phase 4: the failover quorum gate ------------------------------------
     class _AlwaysDead:
@@ -270,8 +160,10 @@ def _run_phases(result, store, config, engine, profile, victim, clock,
         detector=_AlwaysDead(), clock=clock,
     ).run(max_polls=1)
     gate_ok = (not refused.failed_over) and (not refused.quorum_ok)
-    _check(result, "quorum_gate_refuses", gate_ok,
-           f"failed_over={refused.failed_over} quorum={refused.quorum_ok}")
+    result.check(
+        "quorum_gate_refuses", gate_ok,
+        f"failed_over={refused.failed_over} quorum={refused.quorum_ok}",
+    )
     gate_store.close()
     second.revive()
 
@@ -299,7 +191,7 @@ def _run_phases(result, store, config, engine, profile, victim, clock,
         promoted.db.close()
         promoted.ginja.stop(drain_timeout=120.0)
     promote_store.close()
-    _check(result, "failover_promotes", promote_ok, detail)
+    result.check("failover_promotes", promote_ok, detail)
 
     # -- phase 5: replacement provider, repair convergence, billing -----------
     victim.revive(wipe=True)
@@ -312,18 +204,18 @@ def _run_phases(result, store, config, engine, profile, victim, clock,
         and repair_report.actions > 0
         and sum(repair_report.egress_bytes.values()) > 0
     )
-    _check(result, "repair_converges", repaired,
-           f"{repair_report.summary()}; post: {post.summary()}")
+    result.check("repair_converges", repaired,
+                 f"{repair_report.summary()}; post: {post.summary()}")
 
     elapsed = clock.now() - repair_store.providers[0].epoch
     bill = attribute_placement_costs(repair_store, elapsed)
-    result.bill = bill
+    result.extras["bill"] = bill
     billed = (
         bill.repair_egress_dollars > 0.0
         and sum(b.repair_egress_bytes for b in bill.providers) > 0
         and bill.total_dollars > 0.0
     )
-    _check(result, "repair_egress_billed", billed,
-           f"repair egress ${bill.repair_egress_dollars:.9f}")
+    result.check("repair_egress_billed", billed,
+                 f"repair egress ${bill.repair_egress_dollars:.9f}")
     repair_store.close()
     standby_store.close()

@@ -30,7 +30,6 @@ byte-identically — ``canonical()`` exposes only run-stable fields
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.common.clock import ManualClock
 from repro.common.errors import ReproError
@@ -38,8 +37,8 @@ from repro.cloud.latency import LatencyModel
 from repro.cloud.simulated import SimulatedCloud
 from repro.core.config import GinjaConfig
 from repro.core.ginja import Ginja
+from repro.chaos.drill import ClockPump, PhasedDrillResult
 from repro.chaos.oracles import row_value
-from repro.chaos.placement_drill import _ClockPump
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import POSTGRES_PROFILE
 from repro.storage.memory import MemoryFileSystem
@@ -101,74 +100,6 @@ def shifted(model: LatencyModel, factor: float) -> LatencyModel:
     )
 
 
-@dataclass
-class TunerDrillResult:
-    """Outcome of one latency-shift drill."""
-
-    seed: int
-    rows_before: int
-    rows_after: int
-    batch: int
-    safety: int
-    target: float
-    hysteresis: float
-    budget: float
-    shift_factor: float
-    committed: int
-    #: name -> pass/fail of each phase, in execution order.
-    checks: dict[str, bool] = field(default_factory=dict)
-    #: Free-text details per failed check (not in the canonical form).
-    details: dict[str, str] = field(default_factory=dict)
-    #: The tuner's final snapshot and transition log (diagnostics only:
-    #: EWMAs and timestamps are pump-dependent, never canonical).
-    tuner: dict | None = field(default=None, repr=False)
-    transitions: list = field(default_factory=list, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-    def canonical(self) -> dict:
-        """Run-stable fields only: configuration and booleans.  EWMAs,
-        retune counts and dollar projections shift with thread
-        interleaving; whether the controller held its contract does
-        not."""
-        return {
-            "seed": self.seed,
-            "rows_before": self.rows_before,
-            "rows_after": self.rows_after,
-            "batch": self.batch,
-            "safety": self.safety,
-            "target": self.target,
-            "hysteresis": self.hysteresis,
-            "budget": self.budget,
-            "shift_factor": self.shift_factor,
-            "committed": self.committed,
-            "status": "pass" if self.ok else "fail",
-            "checks": dict(self.checks),
-        }
-
-    def summary(self) -> str:
-        marks = " ".join(
-            f"{name}={'ok' if ok else 'FAIL'}"
-            for name, ok in self.checks.items()
-        )
-        final_b = self.tuner["batch"] if self.tuner else "?"
-        return (
-            f"tuner B={self.batch} S={self.safety} "
-            f"target={self.target * 1e3:.0f}ms x{self.shift_factor:.0f} "
-            f"seed={self.seed} [{self.committed} committed, "
-            f"final B={final_b}] {marks}"
-        )
-
-
-def _check(result: TunerDrillResult, name: str, ok: bool,
-           detail: str = "") -> None:
-    result.checks[name] = bool(ok)
-    if not ok and detail:
-        result.details[name] = detail
-
-
 def run_tuner_drill(
     *,
     seed: int = 0,
@@ -181,7 +112,7 @@ def run_tuner_drill(
     budget: float = 100.0,
     shift_factor: float = 14.0,
     row_pad: int = 6000,
-) -> TunerDrillResult:
+) -> PhasedDrillResult:
     """Run the latency-shift drill end to end.
 
     B counts page writes, not rows: a padded row's record spans most of
@@ -199,11 +130,12 @@ def run_tuner_drill(
     every B the controller can visit — an oversubscribed pipeline
     measures its own backlog, not the knob the tuner controls.
     """
-    result = TunerDrillResult(
-        seed=seed, rows_before=rows_before, rows_after=rows_after,
-        batch=batch, safety=safety, target=target, hysteresis=hysteresis,
-        budget=budget, shift_factor=shift_factor, committed=0,
-    )
+    result = PhasedDrillResult("tuner", {
+        "seed": seed, "rows_before": rows_before, "rows_after": rows_after,
+        "batch": batch, "safety": safety, "target": target,
+        "hysteresis": hysteresis, "budget": budget,
+        "shift_factor": shift_factor,
+    })
     clock = ManualClock()
     latency = ShiftableLatency(PRE_SHIFT_LATENCY)
     cloud = SimulatedCloud(
@@ -230,7 +162,7 @@ def run_tuner_drill(
     # are the measured control signal, and every pump tick that lands
     # between a claim and its unlock inflates it.  0.02 per 2 ms keeps
     # the noise floor well under the smallest per-batch PUT latency.
-    with _ClockPump(clock, step=0.02):
+    with ClockPump(clock, step=0.02):
         _run_phases(result, cloud, latency, config, engine, profile, clock,
                     row_pad)
     return result
@@ -238,6 +170,10 @@ def run_tuner_drill(
 
 def _run_phases(result, cloud, latency, config, engine, profile, clock,
                 row_pad) -> None:
+    knobs = result.config
+    seed, rows_before, rows_after = (
+        knobs["seed"], knobs["rows_before"], knobs["rows_after"]
+    )
     disk = MemoryFileSystem()
     MiniDB.create(disk, profile, engine).close()
     ginja = Ginja(disk, cloud, profile, config, clock=clock)
@@ -245,11 +181,11 @@ def _run_phases(result, cloud, latency, config, engine, profile, clock,
     tuner = ginja.pipeline.tuner
     db = MiniDB.open(ginja.fs, profile, engine)
     acked: dict[str, bytes] = {}
-    band_top = result.target * result.hysteresis
+    band_top = config.target_commit_latency * config.tuner_hysteresis
     # Incompressible padding (seeded, so recovery can be compared):
     # printable padding deflates to almost nothing and the PUT transfer
     # term — the whole signal the drill steers on — would vanish.
-    rng = random.Random(result.seed)
+    rng = random.Random(seed)
 
     def put_rows(start: int, count: int) -> None:
         # The workload *waits for* virtual time instead of advancing it:
@@ -260,45 +196,45 @@ def _run_phases(result, cloud, latency, config, engine, profile, clock,
         # driven by the pump and the latency-layer sleeps only.
         for index in range(start, start + count):
             key = f"k{index}"
-            value = row_value(index, result.seed) + rng.randbytes(row_pad)
+            value = row_value(index, seed) + rng.randbytes(row_pad)
             db.put("t", key, value)
             acked[key] = value
             clock.wait_until(clock.now() + 0.8, timeout=30.0)
 
-    survived = True
+    error = ""
     try:
         # -- phase 1: healthy cloud, nominal B meets the target -----------
-        put_rows(0, result.rows_before)
+        put_rows(0, rows_before)
         before = tuner.snapshot()
-        _check(
-            result, "converged",
-            before["batch"] == result.batch
+        result.check(
+            "converged",
+            before["batch"] == config.batch
             and before["latency_ewma"] is not None
             and before["latency_ewma"] <= band_top,
             f"pre-shift snapshot: {before}",
         )
 
         # -- phase 2: throughput collapse, keep committing ----------------
-        latency.shift(shifted(PRE_SHIFT_LATENCY, result.shift_factor))
-        put_rows(result.rows_before, result.rows_after)
+        latency.shift(shifted(PRE_SHIFT_LATENCY, knobs["shift_factor"]))
+        put_rows(rows_before, rows_after)
         after = tuner.snapshot()
-        _check(
-            result, "batch_shrank",
-            after["batch"] < result.batch and after["retunes"] > 0,
+        result.check(
+            "batch_shrank",
+            after["batch"] < config.batch and after["retunes"] > 0,
             f"post-shift snapshot: {after}",
         )
-        _check(
-            result, "reconverged",
+        result.check(
+            "reconverged",
             after["latency_ewma"] is not None
             and after["latency_ewma"] <= band_top,
             f"latency EWMA {after['latency_ewma']} above "
             f"{band_top} at B={after['batch']}",
         )
         projected = after["projected_monthly_dollars"]
-        _check(
-            result, "budget_respected",
-            projected is not None and projected <= result.budget,
-            f"projected ${projected}/month over ${result.budget}",
+        result.check(
+            "budget_respected",
+            projected is not None and projected <= config.budget_dollars,
+            f"projected ${projected}/month over ${config.budget_dollars}",
         )
 
         # Flush the tail: advancing the clock past T_B fires the timer,
@@ -307,55 +243,34 @@ def _run_phases(result, cloud, latency, config, engine, profile, clock,
         # it stays because the canonical report counts it in
         # ``committed``.
         clock.advance(config.batch_timeout + 1.0)
-        sentinel = row_value(result.rows_before + result.rows_after,
-                             result.seed)
+        sentinel = row_value(rows_before + rows_after, seed)
         db.put("t", "sentinel", sentinel)
         acked["sentinel"] = sentinel
         db.close()
         ginja.stop(drain_timeout=600.0)  # drain: RPO 0 is now well-defined
     except ReproError as exc:
-        survived = False
-        result.details["survived_shift"] = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
         ginja.crash()
     result.committed = len(acked)
-    _check(result, "survived_shift", survived,
-           result.details.get("survived_shift", ""))
+    result.check("survived_shift", not error, error)
 
     # -- phase 3: the nominal knobs stayed the ceiling throughout ---------
-    result.tuner = tuner.snapshot()
-    result.transitions = tuner.transition_log()
+    final = result.extras["tuner"] = tuner.snapshot()
+    transitions = result.extras["transitions"] = tuner.transition_log()
     bound_ok = all(
-        1 <= t["to_batch"] <= result.batch
-        and t["to_batch"] <= t["to_safety"] <= result.safety
-        for t in result.transitions
+        1 <= t["to_batch"] <= config.batch
+        and t["to_batch"] <= t["to_safety"] <= config.safety
+        for t in transitions
     ) and (
-        1 <= result.tuner["batch"] <= result.batch
-        and result.tuner["batch"] <= result.tuner["safety"] <= result.safety
+        1 <= final["batch"] <= config.batch
+        and final["batch"] <= final["safety"] <= config.safety
     )
-    _check(result, "loss_bound_preserved", bound_ok,
-           f"transitions: {result.transitions}")
+    result.check("loss_bound_preserved", bound_ok,
+                 f"transitions: {transitions}")
 
     # -- phase 4: standby recovery at RPO 0 -------------------------------
-    rpo_ok, detail = False, ""
-    try:
-        standby_fs = MemoryFileSystem()
-        standby, _report = Ginja.recover(
-            cloud, standby_fs, profile, config, clock=clock,
-        )
-        try:
-            sdb = MiniDB.open(standby.fs, profile, engine)
-            missing = [
-                key for key, value in acked.items()
-                if sdb.get("t", key) != value
-            ]
-            rpo_ok = not missing
-            if missing:
-                detail = f"{len(missing)} acked rows lost: {missing[:5]}"
-            sdb.close()
-            standby.stop(drain_timeout=120.0)
-        except BaseException:
-            standby.crash()
-            raise
-    except ReproError as exc:
-        detail = f"{type(exc).__name__}: {exc}"
-    _check(result, "rpo_zero", rpo_ok, detail)
+    result.check_standby(
+        "rpo_zero",
+        lambda fs: Ginja.recover(cloud, fs, profile, config, clock=clock),
+        acked, profile, engine,
+    )

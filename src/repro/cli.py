@@ -10,14 +10,16 @@ Subcommands:
 * ``fsck``    — audit a bucket against the recoverability invariant
   catalog (:mod:`repro.fsck`) and optionally repair it; the exit code
   is the (remaining) violation count;
-* ``fleet``   — multi-tenant fleet drill: N simulated tenants share one
-  bucket and one encode/transport pool set
-  (:mod:`repro.fleet`), with a mid-run tenant disaster, per-tenant
-  fsck, and exact per-tenant billing attribution;
+* ``fleet``   — multi-tenant fleet drill (:mod:`repro.chaos.fleet_drill`):
+  N simulated tenants share one bucket and one encode/transport pool
+  set, with a mid-run tenant disaster, per-tenant fsck, and exact
+  per-tenant billing attribution;
 * ``chaos``   — run a deterministic disaster-drill campaign
   (scenario × crash point × seed) and judge it with the RPO /
   recovery / GC / billing oracles; ``--dump-buckets`` persists each
-  crash-point disaster image as a directory bucket for offline fsck.
+  crash-point disaster image as a directory bucket for offline fsck;
+* ``placement`` / ``tuner`` — the provider-outage and latency-shift
+  drills, reported by the same printer as ``fleet``.
 
 The ``recover``/``verify``/``fsck`` commands operate on
 :class:`~repro.cloud.DirectoryObjectStore` buckets (one file per
@@ -40,6 +42,7 @@ from repro.cloud.pricing import (
     PriceBook,
     S3_STANDARD_2017,
 )
+from repro.common.errors import ConfigError
 from repro.common.units import parse_bytes
 from repro.core.config import GinjaConfig
 from repro.core.events import (
@@ -336,17 +339,39 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_placement(args: argparse.Namespace) -> int:
-    """Multi-provider placement: outage drill and cost comparison.
+def _report_drills(results: list, *, as_json: bool = False,
+                   out: str = "") -> int:
+    """The one printer of the phased drills (placement, tuner, fleet).
 
-    The default mode runs the §6 provider-outage drill once per seed:
-    kill a whole provider mid-commit-stream, recover at RPO 0 from the
-    survivors, gate failover on the read quorum, then repair a
-    replacement provider and attribute the repair egress.  Exit 0 only
-    if every check of every drill passes.  ``--out`` writes the
-    canonical JSON report, byte-identical across reruns of the same
-    seeds (the CI determinism check relies on this).
+    One summary line per drill on stdout, each failed check's detail on
+    stderr; ``--json`` / ``--out`` print / write the canonical report
+    (config and booleans only, byte-identical across reruns of the same
+    seeds — the CI determinism check relies on this).  Exit 0 only if
+    every check of every drill passed.
     """
+    for result in results:
+        print(result.summary())
+        for check in result.failures:
+            print(f"    {check.name}: {check.detail}", file=sys.stderr)
+    report = json.dumps(
+        [result.canonical() for result in results],
+        indent=2, sort_keys=True,
+    )
+    if as_json:
+        print(report)
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(report + "\n")
+        print(f"report written to {out}")
+    failed = sum(1 for result in results if not result.ok)
+    if failed:
+        print(f"{failed}/{len(results)} drill(s) FAILED", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def cmd_placement(args: argparse.Namespace) -> int:
+    """The §6 provider-outage drill (:mod:`repro.chaos.placement_drill`)
+    once per seed, or with ``--costs`` the $/month policy comparison."""
     from repro.chaos.placement_drill import run_placement_drill
     from repro.costmodel import placement_comparison, render_comparison
 
@@ -358,293 +383,54 @@ def cmd_placement(args: argparse.Namespace) -> int:
               f"{args.puts_per_month} synchronizations/month:")
         print(render_comparison(rows))
         return 0
-
-    results = []
-    for seed in (args.seed or [0]):
-        result = run_placement_drill(
-            providers=args.providers,
-            placement=args.placement,
-            seed=seed,
-            rows=args.rows,
-            kill_row=args.kill_row,
+    results = [
+        run_placement_drill(
+            providers=args.providers, placement=args.placement, seed=seed,
+            rows=args.rows, kill_row=args.kill_row,
         )
-        print(result.summary())
-        for name, detail in sorted(result.details.items()):
-            print(f"    {name}: {detail}", file=sys.stderr)
-        results.append(result)
-
-    report = json.dumps(
-        [result.canonical() for result in results],
-        indent=2, sort_keys=True,
-    )
-    if args.json:
-        print(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-        print(f"report written to {args.out}")
-    failed = sum(1 for result in results if not result.ok)
-    if failed:
-        print(f"{failed}/{len(results)} drill(s) FAILED", file=sys.stderr)
-    return 1 if failed else 0
+        for seed in (args.seed or [0])
+    ]
+    return _report_drills(results, as_json=args.json, out=args.out)
 
 
 def cmd_tuner(args: argparse.Namespace) -> int:
-    """Adaptive batch tuner: latency-shift re-convergence drill.
-
-    Runs the :mod:`repro.chaos.tuner_drill` once per seed: converge at
-    the nominal batch size, slow the simulated provider mid-run, and
-    verify the controller shrinks B/S until commit latency re-enters the
-    hysteresis band — with projected spend inside the monthly budget and
-    the recovered database byte-identical (RPO 0).  Exit 0 only if every
-    check of every drill passes.  ``--out`` writes the canonical JSON
-    report, byte-identical across reruns of the same seeds (the CI
-    determinism check relies on this).
-    """
+    """The latency-shift drill (:mod:`repro.chaos.tuner_drill`) once per
+    seed: the batch tuner must re-converge inside budget at RPO 0."""
     from repro.chaos.tuner_drill import run_tuner_drill
 
-    results = []
-    for seed in (args.seed or [0]):
-        result = run_tuner_drill(
-            seed=seed,
-            rows_before=args.rows_before,
-            rows_after=args.rows_after,
-            shift_factor=args.shift_factor,
+    results = [
+        run_tuner_drill(
+            seed=seed, rows_before=args.rows_before,
+            rows_after=args.rows_after, shift_factor=args.shift_factor,
         )
-        print(result.summary())
-        for name, detail in sorted(result.details.items()):
-            print(f"    {name}: {detail}", file=sys.stderr)
-        results.append(result)
-
-    report = json.dumps(
-        [result.canonical() for result in results],
-        indent=2, sort_keys=True,
-    )
-    if args.json:
-        print(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-        print(f"report written to {args.out}")
-    failed = sum(1 for result in results if not result.ok)
-    if failed:
-        print(f"{failed}/{len(results)} drill(s) FAILED", file=sys.stderr)
-    return 1 if failed else 0
+        for seed in (args.seed or [0])
+    ]
+    return _report_drills(results, as_json=args.json, out=args.out)
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """Drive a simulated multi-tenant fleet over one shared bucket.
+    """The multi-tenant fleet drill (:mod:`repro.chaos.fleet_drill`);
+    ``--census-out`` writes its thread census (peak, name-prefix
+    breakdown, samples, tenants, budget) as JSON for CI."""
+    from repro.chaos.fleet_drill import run_fleet_drill
 
-    The acceptance drill for :mod:`repro.fleet`: N tenants commit
-    concurrently through shared encode/transport pools, one tenant
-    suffers a mid-run disaster and is recovered (RPO-0 for its drained
-    commits), and the run ends with a fleet-wide fsck sweep plus an
-    exact per-tenant meter/billing reconciliation.  Exit code 0 only if
-    every check passes.
-
-    With ``--thread-budget`` the drill also runs a thread census: a
-    sampler polls the live thread set through the whole run and the
-    drill fails if the peak ever exceeds the budget.  This is the CI
-    guard for the claim that a tenant costs no thread — all PUT and GC
-    DELETE traffic and every T_B timer multiplex onto one event loop
-    plus a small executor, every claim and encode job onto the shared
-    encoder pool, and downloaders exist only while the victim is being
-    recovered — so the peak is the same at 5 tenants as at 50.
-    ``--census-out`` writes the peak and a name-prefix breakdown as
-    JSON for the CI artifact.
-    """
-    import json
-    import threading
-
-    from repro.core.config import SharedPoolConfig, TenantPolicy
-    from repro.fleet import FleetManager
-
-    profile = _profile(args.profile)
-    engine_config = EngineConfig(wal_segment_size=parse_bytes(args.segment_size))
-    backend = InMemoryObjectStore()
-    fleet = FleetManager(
-        backend,
-        SharedPoolConfig(encoders=args.encoders, downloaders=args.downloaders),
+    result = run_fleet_drill(
+        tenants=args.tenants, rows=args.rows, batch=args.batch,
+        safety=args.safety, encoders=args.encoders,
+        downloaders=args.downloaders, jobs=args.jobs, seed=args.seed,
+        profile=_profile(args.profile),
+        segment_size=parse_bytes(args.segment_size),
+        thread_budget=args.thread_budget,
     )
-    fleet.start()
-    policy = TenantPolicy(
-        batch=args.batch, safety=args.safety,
-        batch_timeout=0.2, safety_timeout=10.0,
-        # In-flight window per tenant lane, not threads: the shared
-        # reactor multiplexes every tenant's PUTs onto one event loop,
-        # so a wider window costs nothing at the thread census.
-        uploaders=4,
-    )
-
-    # -- thread census: sample the live thread set through the drill ------
-    census = {"peak": 0, "peak_by_prefix": {}, "samples": 0}
-    census_stop = threading.Event()
-
-    def _prefix(name: str) -> str:
-        # "ginja-reactor-io-3" -> "ginja-reactor-io"; "Thread-7" -> "Thread"
-        return name.rstrip("0123456789").rstrip("-_")
-
-    def census_sample() -> None:
-        threads = threading.enumerate()
-        census["samples"] += 1
-        if len(threads) > census["peak"]:
-            census["peak"] = len(threads)
-            breakdown: dict[str, int] = {}
-            for thread in threads:
-                key = _prefix(thread.name)
-                breakdown[key] = breakdown.get(key, 0) + 1
-            census["peak_by_prefix"] = dict(sorted(breakdown.items()))
-
-    def census_loop() -> None:
-        while not census_stop.wait(0.01):
-            census_sample()
-
-    sampler = threading.Thread(
-        target=census_loop, name="fleet-census", daemon=True
-    )
-    sampler.start()
-
-    print(f"admitting {args.tenants} tenants "
-          f"(B={args.batch}, S={args.safety}, shared encoders="
-          f"{args.encoders}, downloaders={args.downloaders})...")
-    tenant_ids = [f"tenant-{i:03d}" for i in range(args.tenants)]
-    databases: dict[str, MiniDB] = {}
-    for tenant_id in tenant_ids:
-        disk = MemoryFileSystem()
-        MiniDB.create(disk, profile, engine_config).close()
-        ginja = fleet.add_tenant(tenant_id, disk, profile, policy)
-        databases[tenant_id] = MiniDB.open(ginja.fs, profile, engine_config)
-
-    failures: list[str] = []
-
-    def check(ok: bool, what: str) -> None:
-        status = "ok" if ok else "FAIL"
-        print(f"  [{status}] {what}")
-        if not ok:
-            failures.append(what)
-
-    # Concurrent commit phase: a few driver threads sweep tenant slices
-    # so commits from different tenants genuinely interleave in the
-    # shared pools.  The victim tenant is driven separately below.
-    victim = tenant_ids[args.seed % len(tenant_ids)]
-    drivers = []
-
-    def drive(slice_ids: list[str]) -> None:
-        for row in range(args.rows):
-            for tenant_id in slice_ids:
-                databases[tenant_id].put(
-                    "fleet", f"row-{row}", f"{tenant_id}-value-{row}".encode()
-                )
-
-    workers = max(1, min(args.jobs, len(tenant_ids) - 1))
-    others = [tid for tid in tenant_ids if tid != victim]
-    for index in range(workers):
-        slice_ids = others[index::workers]
-        if not slice_ids:
-            continue
-        thread = threading.Thread(target=drive, args=(slice_ids,),
-                                  name=f"fleet-driver-{index}", daemon=True)
-        drivers.append(thread)
-        thread.start()
-
-    # The victim commits its rows, drains (so RPO-0 is well-defined),
-    # then suffers a disaster while its co-tenants are still committing.
-    print(f"crashing and recovering {victim} mid-run...")
-    drive([victim])
-    victim_ginja = fleet.tenant(victim)
-    check(victim_ginja.drain(timeout=60.0), f"{victim}: drained before crash")
-    fleet.crash_tenant(victim)
-    databases[victim].close()
-    recovered_fs = MemoryFileSystem()
-    ginja, report = fleet.recover_tenant(victim, recovered_fs, profile, policy)
-    databases[victim] = MiniDB.open(ginja.fs, profile, engine_config)
-    ok_rows = sum(
-        1 for row in range(args.rows)
-        if databases[victim].get("fleet", f"row-{row}")
-        == f"{victim}-value-{row}".encode()
-    )
-    check(ok_rows == args.rows,
-          f"{victim}: RPO-0 recovery ({ok_rows}/{args.rows} rows, "
-          f"{report.files_restored} files restored)")
-
-    for thread in drivers:
-        thread.join()
-    drained = all(
-        fleet.tenant(tenant_id).drain(timeout=60.0)
-        for tenant_id in tenant_ids
-    )
-    check(drained, "fleet drained after concurrent commits")
-
-    # Spot-check co-tenant integrity through the shared pools.
-    sample = others[:: max(1, len(others) // 8)]
-    intact = all(
-        databases[tenant_id].get("fleet", f"row-{args.rows - 1}")
-        == f"{tenant_id}-value-{args.rows - 1}".encode()
-        for tenant_id in sample
-    )
-    check(intact, f"co-tenant row integrity ({len(sample)} sampled)")
-
-    sweep = fleet.fsck_sweep()
-    check(sweep.ok and len(sweep.tenants) == len(tenant_ids),
-          f"fleet fsck sweep ({len(sweep.tenants)} tenants, "
-          f"{len(sweep.stray_keys)} stray keys)")
-
-    # Meter reconciliation: per-tenant counts must sum *exactly* to the
-    # shared-store totals, for every verb and byte counter.
-    bank = fleet.meters
-    tenant_meters = bank.tenants().values()
-    exact = True
-    for verb in ("puts", "gets", "lists", "deletes"):
-        for field in ("count", "bytes"):
-            total = getattr(getattr(bank.total, verb), field)
-            split = (
-                sum(getattr(getattr(m, verb), field) for m in tenant_meters)
-                + getattr(getattr(bank.unattributed, verb), field)
-            )
-            if split != total:
-                exact = False
-    check(exact, "per-tenant meters sum to shared-store totals")
-    check(bank.unattributed.puts.count == 0, "no unattributed PUTs")
-
-    bill = fleet.bill()
-    print(f"  upload overlap: {fleet.uploads.snapshot()}")
-    print(f"  window: ${bill.total_dollars:.6f} total = "
-          f"${bill.attributed_dollars:.6f} attributed to "
-          f"{len(bill.tenants)} tenants + "
-          f"${bill.unattributed_dollars:.6f} unattributed")
-    top = sorted(bill.tenants, key=lambda b: -b.dollars)[:3]
-    for entry in top:
-        print(f"    {entry.tenant}: ${entry.dollars:.6f} "
-              f"(puts={entry.puts} gets={entry.gets})")
-
-    census_sample()  # one steady-state sample before teardown
-    census_stop.set()
-    sampler.join(timeout=5.0)
-    print(f"  thread census: peak {census['peak']} threads over "
-          f"{census['samples']} samples")
-    for prefix_name, count in census["peak_by_prefix"].items():
-        print(f"    {prefix_name}: {count}")
-    if args.thread_budget:
-        check(census["peak"] <= args.thread_budget,
-              f"thread census within budget ({census['peak']} <= "
-              f"{args.thread_budget})")
+    census = result.extras["census"]
+    print(f"thread census: peak {census['peak']} threads over "
+          f"{census['samples']} samples {census['peak_by_prefix']}")
     if args.census_out:
-        census["tenants"] = args.tenants
-        census["thread_budget"] = args.thread_budget
         with open(args.census_out, "w", encoding="utf-8") as handle:
             json.dump(census, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"  census written to {args.census_out}")
-
-    for db in databases.values():
-        db.close()
-    fleet.stop_all()
-    if failures:
-        print(f"fleet drill FAILED: {failures}", file=sys.stderr)
-        return 1
-    print(f"fleet drill passed: {len(tenant_ids)} tenants, one recovered "
-          f"disaster, clean sweep, exact attribution")
-    return 0
+        print(f"census written to {args.census_out}")
+    return _report_drills([result])
 
 
 # ---------------------------------------------------------------------------
@@ -864,9 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2 on bad input)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -184,7 +184,8 @@ class TenantMeterBank:
 
         sum(per-tenant meters) + unattributed == total
 
-    holds for every counter — per-tenant dollar attribution
+    holds for every counter (:meth:`unreconciled` checks it) —
+    per-tenant dollar attribution
     (:func:`repro.costmodel.attribute_fleet_costs`) reconciles exactly
     against the shared bill.
     """
@@ -211,6 +212,18 @@ class TenantMeterBank:
         """Snapshot of the per-tenant meters."""
         with self._lock:
             return dict(self._tenants)
+
+    def unreconciled(self) -> list[tuple[str, str]]:
+        """The ``(verb, field)`` counters whose per-tenant meters plus
+        ``unattributed`` do not sum to ``total``; empty when exact."""
+        meters = [*self.tenants().values(), self.unattributed]
+        return [
+            (verb, name)
+            for verb in ("puts", "gets", "lists", "deletes")
+            for name in ("count", "bytes")
+            if sum(getattr(getattr(m, verb), name) for m in meters)
+            != getattr(getattr(self.total, verb), name)
+        ]
 
     def handle_event(self, event: Event) -> None:
         if event.kind != events.METER:

@@ -8,20 +8,19 @@ downloading anything — purely from a LIST:
 * are the WAL timestamps after the newest checkpoint gap-free (i.e.
   will recovery replay all of them)?
 * what recovery would restore, and what is stale garbage.
+
+Complete groups and the replayable WAL run are the fsck invariant
+catalog's (:class:`~repro.fsck.invariants.BucketIndex`): ``ls``, fsck
+and the chaos oracles share one definition of both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.data_model import (
-    CHECKPOINT,
-    DBObjectMeta,
-    DUMP,
-    WALObjectMeta,
-    parse_any,
-)
+from repro.core.data_model import DUMP
 from repro.cloud.interface import ObjectStore
+from repro.fsck.invariants import BucketIndex
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,8 @@ class GenerationInfo:
     parts_present: int
     parts_expected: int
     bytes: int
-
-    @property
-    def complete(self) -> bool:
-        return self.parts_present == self.parts_expected
+    #: Every part present (the fsck catalog's rule, which recovery uses).
+    complete: bool
 
     @property
     def is_dump(self) -> bool:
@@ -56,6 +53,9 @@ class Inventory:
     wal_gaps: list[int] = field(default_factory=list)
     generations: list[GenerationInfo] = field(default_factory=list)
     foreign_objects: int = 0
+    #: WAL objects recovery will actually apply: the gap-free run just
+    #: above the newest complete DB group (0 without a complete dump).
+    replayable_wal: int = 0
 
     # -- derived ---------------------------------------------------------------
 
@@ -67,36 +67,6 @@ class Inventory:
     def latest_complete_dump(self) -> GenerationInfo | None:
         dumps = [g for g in self.generations if g.is_dump and g.complete]
         return dumps[-1] if dumps else None
-
-    @property
-    def replayable_wal(self) -> int:
-        """WAL objects recovery will actually apply: the gap-free run
-        starting right after the newest applicable checkpoint."""
-        anchor = self._recovery_anchor_ts()
-        if anchor is None:
-            return 0
-        count = 0
-        ts = anchor + 1
-        present = set(range(self.wal_ts_min, self.wal_ts_max + 1)) - set(
-            self.wal_gaps
-        ) if self.wal_objects else set()
-        while ts in present:
-            count += 1
-            ts += 1
-        return count
-
-    def _recovery_anchor_ts(self) -> int | None:
-        dump = self.latest_complete_dump
-        if dump is None:
-            return None
-        anchor = dump.ts
-        order = (dump.ts, dump.seq)
-        for gen in self.generations:
-            if gen.type == CHECKPOINT and gen.complete and (
-                (gen.ts, gen.seq) > order
-            ):
-                anchor = max(anchor, gen.ts)
-        return anchor
 
     @property
     def recoverable(self) -> bool:
@@ -129,39 +99,31 @@ class Inventory:
 
 
 def bucket_inventory(cloud: ObjectStore) -> Inventory:
-    """Build an :class:`Inventory` from one LIST of the bucket."""
-    inventory = Inventory()
-    wal_ts: list[int] = []
-    groups: dict[tuple[int, int, str], list[tuple[DBObjectMeta, int]]] = {}
-    for info in cloud.list():
-        meta = parse_any(info.key)
-        if meta is None:
-            inventory.foreign_objects += 1
-            continue
-        if isinstance(meta, WALObjectMeta):
-            inventory.wal_objects += 1
-            inventory.wal_bytes += info.size
-            wal_ts.append(meta.ts)
-        else:
-            groups.setdefault(meta.group, []).append((meta, info.size))
+    """Build an :class:`Inventory` from one LIST of the bucket, read
+    through the fsck catalog's :class:`BucketIndex`."""
+    sizes = {info.key: info.size for info in cloud.list()}
+    index = BucketIndex.from_keys(sizes)
+    wal_ts = sorted(index.wal)
+    inventory = Inventory(
+        wal_objects=len(wal_ts),
+        wal_bytes=sum(sizes[meta.key] for meta in index.wal.values()),
+        foreign_objects=len(index.foreign),
+    )
     if wal_ts:
-        wal_ts.sort()
-        inventory.wal_ts_min = wal_ts[0]
-        inventory.wal_ts_max = wal_ts[-1]
-        present = set(wal_ts)
+        inventory.wal_ts_min, inventory.wal_ts_max = wal_ts[0], wal_ts[-1]
         inventory.wal_gaps = [
-            ts for ts in range(wal_ts[0], wal_ts[-1] + 1) if ts not in present
+            ts for ts in range(wal_ts[0], wal_ts[-1] + 1)
+            if ts not in index.wal
         ]
-    for (ts, seq, type_), members in sorted(groups.items()):
-        expected = members[0][0].nparts
-        inventory.generations.append(
-            GenerationInfo(
-                ts=ts,
-                seq=seq,
-                type=type_,
-                parts_present=len({m.part for m, _size in members}),
-                parts_expected=expected,
-                bytes=sum(size for _m, size in members),
-            )
-        )
+    for group, metas in sorted(index.groups.items()):
+        ts, seq, type_ = group
+        inventory.generations.append(GenerationInfo(
+            ts=ts, seq=seq, type=type_,
+            parts_present=len(metas), parts_expected=metas[0].nparts,
+            bytes=sum(sizes[meta.key] for meta in metas),
+            complete=index.is_complete(group),
+        ))
+    if inventory.recoverable:
+        frontier, _gaps, _orphans = index.wal_frontier()
+        inventory.replayable_wal = frontier - index.db_frontier_ts()
     return inventory

@@ -1,4 +1,4 @@
-"""The provider-outage chaos drill (CI's placement-smoke contract)."""
+"""The provider-outage chaos drill (CI drill-smoke, placement entry)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.chaos.placement_drill import run_placement_drill
+from repro.common.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -18,9 +19,9 @@ def drill_result():
 class TestDrill:
     def test_every_check_passes(self, drill_result):
         assert drill_result.ok, (
-            drill_result.summary(), drill_result.details,
+            drill_result.summary(), drill_result.failures,
         )
-        assert drill_result.checks == {
+        assert drill_result.canonical()["checks"] == {
             "survived_kill": True,
             "rpo_zero": True,
             "fsck_survivors_clean": True,
@@ -31,18 +32,19 @@ class TestDrill:
         }
 
     def test_commits_span_the_kill(self, drill_result):
+        config = drill_result.config
         assert drill_result.committed == 20
-        assert 0 < drill_result.kill_row < drill_result.rows
+        assert 0 < config["kill_row"] < config["rows"]
 
     def test_bill_attributes_repair_egress(self, drill_result):
-        bill = drill_result.bill
+        bill = drill_result.extras["bill"]
         assert bill is not None
         assert bill.repair_egress_dollars > 0
         sources = [
             b.provider for b in bill.providers if b.repair_egress_bytes
         ]
         # The wiped provider is the sink, never a source of repair reads.
-        assert sources and drill_result.killed not in sources
+        assert sources and drill_result.config["killed"] not in sources
 
     def test_canonical_is_json_stable_and_boolean_only(self, drill_result):
         canonical = drill_result.canonical()
@@ -56,3 +58,11 @@ class TestDrill:
             assert not thread.name.startswith(
                 ("placement", "ginja", "drill")
             ), thread.name
+
+
+@pytest.mark.parametrize("kill_row", [-1, 4, 9])
+def test_kill_row_outside_the_stream_is_rejected(kill_row):
+    # A kill at or past the last row never happens: the drill used to
+    # report "killed s3 @ row 9" and then fail an unrelated check.
+    with pytest.raises(ConfigError, match="kill row"):
+        run_placement_drill(rows=4, kill_row=kill_row)

@@ -1,4 +1,4 @@
-"""The latency-shift tuner chaos drill (CI's tuner-smoke contract)."""
+"""The latency-shift tuner chaos drill (CI drill-smoke, tuner entry)."""
 
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ def drill_result():
 class TestDrill:
     def test_every_check_passes(self, drill_result):
         assert drill_result.ok, (
-            drill_result.summary(), drill_result.details,
+            drill_result.summary(), drill_result.failures,
         )
-        assert drill_result.checks == {
+        assert drill_result.canonical()["checks"] == {
             "converged": True,
             "batch_shrank": True,
             "reconverged": True,
@@ -30,27 +30,29 @@ class TestDrill:
         }
 
     def test_controller_actually_moved(self, drill_result):
-        snap = drill_result.tuner
+        snap = drill_result.extras["tuner"]
         assert snap["retunes"] >= 1
         assert snap["batch"] < snap["nominal_batch"]
         assert snap["batch"] <= snap["safety"] <= snap["nominal_safety"]
 
     def test_latency_settles_inside_the_band(self, drill_result):
-        snap = drill_result.tuner
-        band_top = drill_result.target * drill_result.hysteresis
+        snap = drill_result.extras["tuner"]
+        config = drill_result.config
+        band_top = config["target"] * config["hysteresis"]
         assert snap["latency_ewma"] is not None
         assert snap["latency_ewma"] <= band_top
 
     def test_projected_spend_under_budget(self, drill_result):
-        projected = drill_result.tuner["projected_monthly_dollars"]
+        projected = drill_result.extras["tuner"]["projected_monthly_dollars"]
         assert projected is not None
-        assert projected <= drill_result.budget
+        assert projected <= drill_result.config["budget"]
 
     def test_transitions_stay_inside_the_loss_bound(self, drill_result):
-        nominal_b = drill_result.batch
-        nominal_s = drill_result.safety
-        assert drill_result.transitions
-        for t in drill_result.transitions:
+        nominal_b = drill_result.config["batch"]
+        nominal_s = drill_result.config["safety"]
+        transitions = drill_result.extras["transitions"]
+        assert transitions
+        for t in transitions:
             assert 1 <= t["to_batch"] <= nominal_b
             assert t["to_batch"] <= t["to_safety"] <= nominal_s
             assert t["reason"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -212,3 +214,29 @@ class TestChaos:
             assert main(["fsck", str(image), "--repair"]) == 0
             assert main(["fsck", str(image)]) == 0
             capsys.readouterr()
+
+
+class TestPlacement:
+    """The CI drill-smoke contract for ``placement`` (``tuner`` shares
+    the printer and the report; its ~20 s drill runs in
+    ``tests/chaos/test_tuner_drill.py``)."""
+
+    def test_report_artifact_is_deterministic(self, tmp_path, capsys):
+        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["placement", "--rows", "20", "--out", str(out_a)]) == 0
+        assert main(["placement", "--rows", "20", "--out", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+        (report,) = json.loads(out_a.read_text())
+        assert report["status"] == "pass"
+        assert report["kill_row"] == 10 and report["committed"] == 20
+        assert "rpo_zero=ok" in capsys.readouterr().out
+
+    def test_costs_table_renders(self, capsys):
+        assert main(["placement", "--costs"]) == 0
+        out = capsys.readouterr().out
+        assert "monthly placement costs" in out and "stripe" in out
+
+    def test_kill_row_outside_the_stream_exits_2(self, capsys):
+        assert main(["placement", "--rows", "4", "--kill-row", "9"]) == 2
+        captured = capsys.readouterr()
+        assert "kill row 9" in captured.err and "killed" not in captured.out

@@ -24,14 +24,13 @@ all of them with **one** asyncio event-loop thread:
   reactor-owned executor pool (``io_threads``), keeping the thread
   count O(1) in the number of tenants either way.
 
-Poison discipline matches the encode stage's: a fatal PUT resolves its
-handle with the error (the owning pipeline poisons *itself* from its
-completion callback — only that tenant dies); :meth:`cancel` drops one
-tenant's queued submissions and interrupts its in-flight backoffs
-without touching any other tenant's retry budgets; and death of the
-reactor thread itself (:meth:`crash`, or an escaped internal error)
-resolves every pending handle and fires every lane's ``on_fatal``
-callback, so attached pipelines poison rather than hang.
+Every request leaves through one settle step — resolve the handle,
+then run its ``on_done`` — whether it finished, was cancelled or was
+orphaned by :meth:`stop` or the loop's death; an ``on_done`` that
+raises fires its lane's ``on_fatal`` hooks.  :meth:`stop` and the
+loop's death fire the attached lanes' ``on_fatal`` hooks before they
+settle what is left, so attached pipelines fail rather than hang
+(DESIGN.md, "Failure discipline").
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class UploadHandle:
     """The future of one submitted request (a PUT, or a batch DELETE
     under its first key with ``nbytes`` 0).
 
-    Resolved exactly once, from the reactor's loop thread; waiters on
+    Resolved exactly once, by :meth:`UploadReactor._settle`; waiters on
     any other thread use :meth:`wait`.  Never call :meth:`wait` *from*
     a reactor callback (``on_done`` / ``on_fatal``) — that would block
     the loop that has to resolve it.
@@ -271,16 +270,10 @@ class UploadReactor:
         if threading.current_thread() is self._thread:
             # A reactor callback must never join the loop it runs on.
             raise GinjaError("reactor cannot stop itself from its loop thread")
-        with self._lock:
-            self._stopping = True
-            orphans = []
-            for lane in self._lanes.values():
-                orphans.extend(lane.queue)
-                lane.queue.clear()
-            self._queued = 0
-        err = GinjaError("upload reactor stopped")
-        for sub in orphans:
-            sub.handle._resolve(err)
+        # Lanes still attached learn first: their clients fail rather
+        # than wait on work that will never run.
+        self._abandon(GinjaError("upload reactor is not running"),
+                      running=False)
         self._signal_stop()
         self._thread.join(timeout)
         if self._thread.is_alive():  # pragma: no cover - wedged loop
@@ -318,29 +311,33 @@ class UploadReactor:
             pass
 
     def _die(self, exc: BaseException) -> None:
-        """The loop thread is gone: fail everything, poison everyone."""
+        """The loop thread is gone: fail everyone, settle everything."""
         with self._lock:
             self._fatal = exc
+        self._abandon(exc, running=True)
+
+    def _abandon(self, exc: BaseException, *, running: bool) -> None:
+        """Take every queued — and, with ``running``, every admitted —
+        request off its lane, fire every lane's ``on_fatal`` hooks,
+        then settle what was taken with ``exc``."""
+        with self._lock:
             self._stopping = True
-            pending: list[_Submission] = []
-            for lane in self._lanes.values():
-                pending.extend(lane.queue)
+            lanes = list(self._lanes.values())
+            orphans = []
+            for lane in lanes:
+                orphans += [(lane, sub) for sub in lane.queue]
                 lane.queue.clear()
-                pending.extend(lane.active)
-                lane.active.clear()
-                lane.inflight = 0
+                if running:
+                    orphans += [(lane, sub) for sub in lane.active]
+                    lane.active.clear()
+                    lane.inflight = 0
             self._queued = 0
-            self._inflight = 0
-            callbacks = [
-                cb for lane in self._lanes.values() for cb in lane.on_fatals
-            ]
-        for sub in pending:
-            sub.handle._resolve(exc)
-        for cb in callbacks:
-            try:
-                cb(exc)
-            except Exception:  # a poison hook must not mask the fatal
-                pass
+            if running:
+                self._inflight = 0
+        for lane in lanes:
+            self._fire_fatals(lane, exc)
+        for lane, sub in orphans:
+            self._settle(lane, sub, exc)
 
     # -- tenant lanes --------------------------------------------------------
 
@@ -457,7 +454,7 @@ class UploadReactor:
         <repro.common.clock.Clock.wait_until_async>` — the caller's
         clock, so virtual time fires it exactly when it is advanced
         past the deadline).  ``fn`` must be fast and must not block,
-        like ``on_done``; an exception escaping it (or the clock)
+        like ``on_done``; an ``Exception`` escaping it (or the clock)
         fires ``tenant``'s ``on_fatal`` hooks and nobody else's.
         """
         with self._lock:
@@ -483,13 +480,11 @@ class UploadReactor:
         try:
             await clock.wait_until_async(deadline)
             fn()
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
+        except Exception as exc:
             self._fire_fatals(lane, exc)
 
     def _fire_fatals(self, lane: _Lane, exc: BaseException) -> None:
-        """A broken hook poisons its own lane, never the loop."""
+        """A broken hook fails its own lane, never the loop."""
         with self._lock:
             callbacks = list(lane.on_fatals)
         for cb in callbacks:
@@ -502,11 +497,11 @@ class UploadReactor:
         """Drop ``tenant``'s queued submissions and (unless
         ``queued_only``) interrupt its in-flight requests — cancelling
         a backoff await mid-timer — without touching any other tenant's
-        work or retry budgets.  Dropped handles resolve ``cancelled``
-        and still see their ``on_done``, so drop accounting
-        (``upload_dropped``) fires.  ``queued_only=True`` is the poison
-        path: a poisoned pipeline abandons work it has not started but
-        lets PUTs already on the wire run to their own verdict."""
+        work or retry budgets.  Dropped requests settle ``cancelled``,
+        so drop accounting (``upload_dropped``) fires.
+        ``queued_only=True`` is a blown fuse's path: a failed pipeline
+        abandons work it has not started but lets PUTs already on the
+        wire run to their own verdict."""
         def _do() -> None:
             with self._lock:
                 lane = self._lanes.get(tenant)
@@ -518,12 +513,7 @@ class UploadReactor:
                 active = [] if queued_only else list(lane.active)
                 self._reap_locked(tenant, lane)
             for sub in dropped:
-                sub.handle._resolve(None, cancelled=True)
-                if sub.on_done is not None:
-                    try:
-                        sub.on_done(sub.handle)
-                    except BaseException:
-                        pass
+                self._settle(lane, sub, None, cancelled=True)
             for sub in active:
                 if sub.task is not None:
                     sub.task.cancel()
@@ -623,13 +613,21 @@ class UploadReactor:
                 # the handle carries the crash, so waiters see *why*.
                 error, cancelled = self._crash_exc, False
             self._reap_locked(sub.tenant, lane)
+        self._settle(lane, sub, error, cancelled)
+        self._pump()
+
+    def _settle(self, lane: _Lane, sub: _Submission,
+                error: BaseException | None, cancelled: bool = False) -> None:
+        """The one way a request leaves: resolve its handle, then run
+        its ``on_done`` — on the loop thread, or on the thread of a
+        :meth:`stop` that orphaned it.  An ``on_done`` that raises
+        fails its lane, never the loop."""
         sub.handle._resolve(error, cancelled)
         if sub.on_done is not None:
             try:
                 sub.on_done(sub.handle)
-            except BaseException as exc:
+            except Exception as exc:
                 self._fire_fatals(lane, exc)
-        self._pump()
 
     # -- observability -------------------------------------------------------
 

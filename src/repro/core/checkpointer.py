@@ -24,8 +24,8 @@ checkpoints to the cloud"):
 
 All cloud I/O goes through the transport stack, whose RetryLayer
 implements the fatal-vs-skippable policy this module used to hand-roll:
-a PUT that exhausts its budget fails its handle (and poisons the
-uploader — a missing DB object would corrupt recovery), while a GC
+a PUT that exhausts its budget fails its handle (and blows the
+uploader's fuse — a missing DB object would corrupt recovery), while a GC
 DELETE request that exhausts its budget is silently skipped (an
 orphaned object wastes a few bytes and is ignored by recovery).
 Progress is narrated on the event bus (``checkpoint_begin``/
@@ -38,13 +38,14 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
 from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
+from repro.common.fuse import Fuse
 from repro.common.units import MiB
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
@@ -359,14 +360,16 @@ class CheckpointUploader:
         self._reactor = reactor
         self._lane = lane
         # Guards the fields below; notified on every change drain()
-        # waits for (object finished, poisoned, aborted).
+        # waits for (object finished, fuse blown).
         self._idle = threading.Condition()
         self._queued: deque[_PendingObject] = deque()
         #: True from the moment an object's parts are submitted until
         #: its last GC request resolved.
         self._busy = False
         self._attached = False
-        self._fatal: Exception | None = None
+        #: Every transition runs under it; the first failure drops the
+        #: queue, and the object in flight stops at its next step.
+        self._fuse = Fuse(self._idle, self._drop_queued)
         self._aborting = False
         #: Monotonic checkpoint sequence; disambiguates DB objects whose
         #: WAL frontier ts coincides.  Continue from the cloud's max after
@@ -386,7 +389,7 @@ class CheckpointUploader:
         # the lane attachment is refcounted with the commit pipeline's
         # (same tenant).
         self._reactor.attach(
-            self._lane, window=self._config.uploaders, on_fatal=self._poison,
+            self._lane, window=self._config.uploaders, on_fatal=self._fuse.blow,
         )
         self._attached = True
 
@@ -394,7 +397,7 @@ class CheckpointUploader:
         if not self.drain(timeout=drain_timeout):
             # Whatever is still in flight runs to its own verdict, but
             # nothing queued behind it starts after a stop.
-            self._poison(GinjaError("checkpoint uploader stopped undrained"))
+            self._fuse.blow(GinjaError("checkpoint uploader stopped undrained"))
         self._detach()
 
     def abort(self) -> None:
@@ -408,26 +411,18 @@ class CheckpointUploader:
         unusable afterwards (see :meth:`CommitPipeline.abort`).
         """
         self._aborting = True
-        self._poison(GinjaError("primary crashed"))
+        self._fuse.blow(GinjaError("primary crashed"))
         self._reactor.cancel(self._lane)
         self._detach()
 
     def _detach(self) -> None:
         if self._attached:
             self._attached = False
-            self._reactor.detach(self._lane, self._poison)
+            self._reactor.detach(self._lane, self._fuse.blow)
 
-    def _poison(self, exc: BaseException) -> None:
-        """Record the first fatal error, drop what is queued and wake
-        anything blocked in :meth:`drain`.  The object in flight is
-        abandoned: its remaining callbacks see ``_fatal`` and stop."""
+    def _drop_queued(self) -> None:
         with self._idle:
-            if self._fatal is None:
-                self._fatal = (
-                    exc if isinstance(exc, Exception) else GinjaError(repr(exc))
-                )
             self._queued.clear()
-            self._idle.notify_all()
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Wait until nothing is queued AND nothing is in flight — the
@@ -440,16 +435,16 @@ class CheckpointUploader:
             # Woken by the state machine; no poll loop (which would
             # *advance* a ManualClock, silently shrinking virtual-time
             # deadlines in drills).
-            while (self._busy or self._queued) and self._fatal is None:
+            while (self._busy or self._queued) and self._fuse.error is None:
                 remaining = deadline - self._clock.now()
                 if remaining <= 0:
                     return False
                 self._idle.wait(timeout=remaining)
-            return self._fatal is None
+            return self._fuse.error is None
 
     @property
     def failed(self) -> Exception | None:
-        return self._fatal
+        return self._fuse.error
 
     def seed_sequence(self, next_seq: int) -> None:
         self._next_seq = next_seq
@@ -457,30 +452,20 @@ class CheckpointUploader:
     # -- the state machine ------------------------------------------------------------------
     #
     # Every step below runs with no lock held across a reactor call,
-    # and is wrapped like CommitPipeline._upload_done: an exception
-    # poisons *this* uploader, never the loop or the lane's pipeline.
+    # under this uploader's fuse: an exception blows *it*, never the
+    # loop or the lane's pipeline.
 
     def enqueue(self, pending: _PendingObject) -> None:
         """Accept one finished checkpoint (Alg. 3 line 16): start it now
         if the machine is idle, else queue it behind the one in flight."""
         with self._idle:
-            if self._fatal is not None:
+            if self._fuse.error is not None:
                 return  # a dead uploader drops it, as a dead thread did
             if self._busy:
                 self._queued.append(pending)
                 return
             self._busy = True
-        self._step(self._submit_parts, pending)
-
-    def _step(self, body, *args) -> None:
-        """Run one transition unless the machine is dead; whatever it
-        raises kills the machine, and only the machine."""
-        if self._fatal is not None:
-            return
-        try:
-            body(*args)
-        except BaseException as exc:  # noqa: BLE001 - callback boundary
-            self._poison(exc)
+        self._fuse.guard(self._submit_parts, pending)
 
     def _submit_parts(self, pending: _PendingObject) -> None:
         nparts = len(pending.payloads)
@@ -503,9 +488,7 @@ class CheckpointUploader:
         for meta, blob in zip(metas, pending.payloads):
             self._reactor.submit(
                 self._cloud, meta.key, blob, tenant=self._lane,
-                on_done=lambda handle: self._step(
-                    self._part_done, upload, handle
-                ),
+                on_done=partial(self._fuse.guard, self._part_done, upload),
             )
         if self._aborting:
             # abort() raised the flag while the parts were going in:
@@ -571,9 +554,7 @@ class CheckpointUploader:
             raise GinjaError("checkpoint abandoned: primary crashed")
         self._reactor.submit_delete(
             self._cloud, requests[0], tenant=self._lane,
-            on_done=lambda handle: self._step(
-                self._gc_done, requests[1:], handle
-            ),
+            on_done=partial(self._fuse.guard, self._gc_done, requests[1:]),
         )
 
     def _gc_done(self, rest: list[list[str]], handle: UploadHandle) -> None:
@@ -593,5 +574,5 @@ class CheckpointUploader:
                 self._idle.notify_all()
                 return
             pending = self._queued.popleft()
-        self._step(self._submit_parts, pending)
+        self._fuse.guard(self._submit_parts, pending)
 

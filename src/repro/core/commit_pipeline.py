@@ -49,16 +49,12 @@ Figure 3 draws Aggregator, Uploader and Unlocker threads per database;
 each only ever serialised work that a queue already orders, so each
 kept its code and lost its thread.
 
-A PUT that exhausts its retries poisons the pipeline: subsequent
-submits raise, because silently dropping a WAL object would leave a
-permanent timestamp gap that recovery stops at.  The same discipline
-applies to *any* exception escaping a claim job, an encode job, the
-timer callback or a completion callback (codec faults, view
-bookkeeping errors): it is recorded in ``_fatal`` and the condition
-notified, so Safety-blocked submitters fail fast instead of waiting on
-work that silently died — and it poisons this pipeline only, whoever's
-worker it ran on; :meth:`stop` re-raises the recorded failure, so a
-poisoned pipeline can never report a clean shutdown.
+Every failure — a PUT that exhausts its retries or is cancelled, and
+anything escaping a claim job, an encode job or an ack — blows the
+pipeline's :class:`~repro.common.fuse.Fuse` (DESIGN.md, "Failure
+discipline"): submitters fail fast instead of waiting on work that
+died, because a dropped WAL object leaves a timestamp gap recovery
+stops at, and :meth:`stop` re-raises it.
 
 The wire path is copy-free: planned runs stay views over the
 submitted pages (the cut and the splitter slice ``memoryview``s), the WAL
@@ -91,6 +87,7 @@ from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
 from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
+from repro.common.fuse import Fuse
 from repro.common.units import KiB
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
@@ -186,10 +183,18 @@ class CommitPipeline:
             self.tuner = BatchTuner(config, clock=clock, bus=self._bus,
                                     lane=lane)
 
-        # One condition, and it means *space*: the unlock rule (and a
-        # poisoning) notifies it; S-blocked submitters, drain() and a
-        # stop waiting out a running claim wait on it.
+        # One condition, and it means *space*: the unlock rule (and the
+        # fuse) notifies it; S-blocked submitters, drain() and a stop
+        # waiting out a running claim wait on it.
         self._cond = threading.Condition(threading.RLock())
+        #: Blown by the first failure.  Queued uploads can then never
+        #: ack, so they are dropped (their on_done emits
+        #: ``upload_dropped``) instead of burning full retry budgets
+        #: against a cloud that may be gone; PUTs already on the wire
+        #: run to their own verdict.
+        self._fuse = Fuse(
+            self._cond, partial(reactor.cancel, lane, queued_only=True),
+        )
         self._entries: deque[_Entry] = deque()
         self._claimed = 0                      # head entries inside claimed batches
         self._batch_sizes: dict[int, int] = {}
@@ -207,7 +212,6 @@ class CommitPipeline:
         # would spin out partial batches continuously while the first
         # upload is still in flight.
         self._tb_anchor = self._last_sync_end
-        self._fatal: Exception | None = None
         self._started = False
         self._stop = False
         #: The one claim job: ``_IDLE``, ``_QUEUED`` or ``_RUNNING``.
@@ -237,10 +241,10 @@ class CommitPipeline:
     def start(self) -> None:
         if self._started:
             raise GinjaError("pipeline already started")
-        # Reactor death must poison this pipeline, not hang it: the
-        # lane's on_fatal is our own poison hook.
+        # A reactor that dies or stops under us must fail this
+        # pipeline, not hang it.
         self._reactor.attach(
-            self._lane, window=self._config.uploaders, on_fatal=self._poison,
+            self._lane, window=self._config.uploaders, on_fatal=self._fuse.blow,
         )
         with self._cond:
             self._started = True
@@ -249,14 +253,13 @@ class CommitPipeline:
     def stop(self, drain_timeout: float = 30.0) -> None:
         """Flush pending updates (best effort), then stop claiming.
 
-        Raises the recorded fatal error if the pipeline was poisoned —
-        a pipeline that dropped WAL objects must not report a clean
+        Raises the recorded fatal error if the fuse is blown — a
+        pipeline that dropped WAL objects must not report a clean
         shutdown (callers that expect the failure catch ``GinjaError``).
         """
         self.drain(timeout=drain_timeout)
         self._halt(join_timeout=10.0)
-        if self._fatal is not None:
-            raise GinjaError("commit pipeline failed during shutdown") from self._fatal
+        self._fuse.check("commit pipeline failed during shutdown")
 
     def abort(self, reason: Exception | None = None) -> None:
         """Abrupt primary loss: stop *without* draining.
@@ -267,9 +270,7 @@ class CommitPipeline:
         unusable afterwards; chaos drills and failover tests recover
         from the cloud instead.
         """
-        with self._cond:
-            if self._fatal is None:
-                self._fatal = reason or GinjaError("primary crashed")
+        self._fuse.blow(reason or GinjaError("primary crashed"))
         # Queued submissions are dropped and in-flight PUTs interrupted
         # mid-backoff — without draining their retry budgets — exactly
         # as a power failure would abandon them.  Only this lane.
@@ -288,15 +289,17 @@ class CommitPipeline:
             left = self._cond.wait_for(
                 lambda: self._claim != _RUNNING, timeout=join_timeout
             )
+            if left:
+                self._claim = _IDLE  # one still queued runs as a no-op
         if timer is not None:
             timer.cancel()
         if not left:
             # Wedged (a codec call that never returns): the worker it
             # holds stays on the stage's roster, and we say so.
-            self._poison(GinjaError("claim job failed to stop"))
+            self._fuse.blow(GinjaError("claim job failed to stop"))
         # An upload resolving after this point still runs its unlock in
         # the reactor callback; there is no consumer thread to outlive.
-        self._reactor.detach(self._lane, self._poison)
+        self._reactor.detach(self._lane, self._fuse.blow)
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Block until every queued update is confirmed (or timeout).
@@ -306,7 +309,7 @@ class CommitPipeline:
         deadline = self._clock.now() + timeout
         with self._cond:
             # Woken by the unlock rule each time a batch completes; no poll.
-            while self._entries and self._fatal is None:
+            while self._entries and self._fuse.error is None:
                 remaining = deadline - self._clock.now()
                 if remaining <= 0:
                     return False
@@ -315,7 +318,7 @@ class CommitPipeline:
 
     @property
     def failed(self) -> Exception | None:
-        return self._fatal
+        return self._fuse.error
 
     def pending_updates(self) -> int:
         with self._cond:
@@ -356,10 +359,10 @@ class CommitPipeline:
         # wants() checks hoisted out of the lock: this runs once per
         # DBMS write, and with only counter subscribers attached the
         # per-write events have no audience — skip building them.
-        bus = self._bus
+        bus, fuse = self._bus, self._fuse
         with self._cond:
-            if self._fatal is not None:
-                raise GinjaError("commit pipeline failed") from self._fatal
+            if fuse.error is not None:
+                raise GinjaError("commit pipeline failed") from fuse.error
             entry.epoch = self._view.epoch()
             self._entries.append(entry)
             if self.tuner is not None:
@@ -378,8 +381,8 @@ class CommitPipeline:
                 if available == 1 or available >= self._batch_limit():
                     self._schedule_locked()
             while True:
-                if self._fatal is not None:
-                    raise GinjaError("commit pipeline failed") from self._fatal
+                if fuse.error is not None:
+                    raise GinjaError("commit pipeline failed") from fuse.error
                 over_safety = len(self._entries) > self._safety_limit()
                 ts_expired = bool(self._entries) and (
                     self._clock.now()
@@ -405,27 +408,6 @@ class CommitPipeline:
                 at=self._clock.now(),
             )
 
-    def _poison(self, exc: BaseException) -> None:
-        """Record the first fatal error and release every blocked waiter.
-
-        Called from every job and callback boundary: work that dies
-        without setting ``_fatal`` leaves Safety-blocked submitters
-        waiting on a condition nobody will ever notify again.
-        """
-        with self._cond:
-            first = self._fatal is None
-            if first:
-                self._fatal = (
-                    exc if isinstance(exc, Exception) else GinjaError(repr(exc))
-                )
-            self._cond.notify_all()
-        if first:
-            # Poisoned: queued uploads can never ack, so drop them
-            # (their on_done emits ``upload_dropped``) instead of
-            # burning full retry budgets against a cloud that may be
-            # gone.  PUTs already on the wire run to their own verdict.
-            self._reactor.cancel(self._lane, queued_only=True)
-
     # -- Scheduling: the T_B timer and the claim job -------------------------------------
 
     def _schedule_locked(self) -> None:
@@ -435,7 +417,7 @@ class CommitPipeline:
         answer — a submit that starts or fills a batch, the timer
         firing, a claim job finishing, start."""
         if (self._claim != _IDLE or self._stop or not self._started
-                or self._fatal is not None):
+                or self._fuse.error is not None):
             return
         available = len(self._entries) - self._claimed
         if available == 0:
@@ -454,13 +436,13 @@ class CommitPipeline:
                         )
                         self._timer_deadline = deadline
                     return
-            self._claim = _QUEUED
-            self._stage.submit(self._claim_job, lane=self._lane)
+            self._stage.submit(self._claim_job, self._fuse, lane=self._lane)
         except GinjaError as exc:
             # The borrowed pool stopped or died under us.
-            self._claim = _IDLE
-            self._poison(exc)
+            self._fuse.blow(exc)
             return
+        # The claim job takes this lock first: it cannot run before this.
+        self._claim = _QUEUED
         if self._bus.wants(events.CLAIM_QUEUED):
             self._bus.emit(
                 events.CLAIM_QUEUED, key=self._lane,
@@ -479,30 +461,28 @@ class CommitPipeline:
 
     def _claim_job(self) -> None:
         """One scheduled claim, on an encoder worker: claim → plan →
-        timestamp → encode → upload, then decide what comes next."""
-        try:
-            with self._cond:
-                claimed = self._claim_locked()
-            if claimed is not None:
-                self._ship(*claimed)
-        except BaseException as exc:  # noqa: BLE001 - worker job boundary
-            # Everything the job touches outside the lock — codec
-            # encode, timestamp assignment, payload framing — must
-            # poison on failure, not just the CloudError path.
-            self._poison(exc)
-        finally:
-            with self._cond:
-                self._claim = _IDLE
-                if self._stop:
-                    self._cond.notify_all()  # _halt may be waiting us out
-                else:
-                    self._schedule_locked()
+        timestamp → encode → upload, then decide what comes next.  A
+        failure blows the fuse *before* the claim is released, so no
+        second claim can plan a batch behind it."""
+        self._fuse.guard(self._claim_and_ship)
+        with self._cond:
+            self._claim = _IDLE
+            if self._stop:
+                self._cond.notify_all()  # _halt may be waiting us out
+            else:
+                self._schedule_locked()
+
+    def _claim_and_ship(self) -> None:
+        with self._cond:
+            claimed = self._claim_locked()
+        if claimed is not None:
+            self._ship(*claimed)
 
     def _claim_locked(self) -> tuple[int, list[_Entry]] | None:
-        """Claim the next batch — or nothing: a stopped or poisoned
+        """Claim the next batch — or nothing: a stopped or failed
         pipeline's queued claim is a no-op (its co-tenants on a shared
         stage never notice)."""
-        if self._stop or self._fatal is not None:
+        if self._stop or self._fuse.error is not None:
             return None
         self._claim = _RUNNING
         count = min(self._batch_limit(), len(self._entries) - self._claimed)
@@ -547,7 +527,10 @@ class CommitPipeline:
         # lane first, so an idle worker encodes them meanwhile.
         emit_queued = self._bus.wants(events.ENCODE_QUEUED)
         for task in tasks[1:]:
-            self._stage.submit(partial(self._encode_job, task), lane=self._lane)
+            self._stage.submit(
+                partial(self._encode_and_enqueue, task), self._fuse,
+                lane=self._lane,
+            )
             if emit_queued:
                 # The submitting lane's own depth is the one a
                 # per-tenant dashboard charts; the stage-wide depth
@@ -589,15 +572,6 @@ class CommitPipeline:
 
     # -- Encode ---------------------------------------------------------------------------
 
-    def _encode_job(self, task: _EncodeTask) -> None:
-        """One object handed to another worker.  Any failure — codec
-        fault, payload framing — poisons the pipeline exactly like a
-        failed PUT would, because the batch could otherwise never ack."""
-        try:
-            self._encode_and_enqueue(task)
-        except BaseException as exc:  # noqa: BLE001 - worker job boundary
-            self._poison(exc)
-
     def _encode_and_enqueue(self, task: _EncodeTask) -> None:
         payload = encode_wal_payload(task.chunks)
         blob = self._codec.encode(payload)
@@ -622,9 +596,9 @@ class CommitPipeline:
         concurrency is the reactor lane's in-flight window, not a
         thread count.
         """
-        if self._fatal is not None:
-            # Poisoned (or aborted): the batch can never ack, so drop
-            # the blob instead of burning a full retry budget against a
+        if self._fuse.error is not None:
+            # Failed (or aborted): the batch can never ack, so drop the
+            # blob instead of burning a full retry budget against a
             # cloud that may be gone — every claimed batch is already
             # encoded at crash time, and abort() must not wait out the
             # retry storms.
@@ -638,40 +612,31 @@ class CommitPipeline:
             )
         except GinjaError as exc:
             # Reactor dead or stopped under us: the lane's on_fatal has
-            # poisoned (or will poison) this pipeline; account the drop.
-            self._poison(exc)
+            # blown (or will blow) the fuse; account the drop.
+            self._fuse.blow(exc)
             self._drop_upload(batch_id, meta, len(blob), "reactor unavailable")
 
     def _upload_done(self, batch_id: int, meta: WALObjectMeta,
                      handle: UploadHandle) -> None:
         """Completion callback, on the reactor's loop thread.
 
-        The success path is view bookkeeping, the ``wal_object`` event,
-        then the ack — which unlocks right here: the loop runs one
-        callback at a time, so acks are already serialised, and the
-        only lock taken is the pipeline condition, which a DBMS thread
-        parked on S has released by waiting on it.  A PUT whose retries
-        are exhausted poisons the pipeline (the batch can never ack); a
-        cancelled submission is accounted as dropped.
+        An acked object is recorded and acks its batch under the fuse
+        (:meth:`_object_acked`).  Any other verdict — retries exhausted, or
+        cancelled by an abort, a blown fuse or a stopping reactor —
+        blows the fuse, since the batch can never ack, and is accounted
+        as dropped.  First error wins, so an abort's ``primary
+        crashed`` stays the recorded cause.
         """
         if handle.ok:
-            try:
-                self._view.add_wal(meta)
-                self._bus.emit(
-                    events.WAL_OBJECT, key=meta.key, nbytes=handle.nbytes,
-                    at=self._clock.now(),
-                )
-                if self.tuner is not None:
-                    self.tuner.observe_put()
-                self._ack(batch_id)
-            except BaseException as exc:  # noqa: BLE001 - callback boundary
-                self._poison(exc)
+            self._fuse.guard(self._object_acked, batch_id, meta, handle.nbytes)
             return
-        if handle.cancelled:
-            self._drop_upload(batch_id, meta, handle.nbytes, "cancelled")
-            return
-        self._poison(handle.error)
-        self._drop_upload(batch_id, meta, handle.nbytes, repr(handle.error))
+        self._fuse.blow(
+            handle.error or GinjaError(f"upload cancelled: {meta.key}")
+        )
+        self._drop_upload(
+            batch_id, meta, handle.nbytes,
+            "cancelled" if handle.cancelled else repr(handle.error),
+        )
 
     def _drop_upload(self, batch_id: int, meta: WALObjectMeta, nbytes: int,
                      why: str) -> None:
@@ -684,9 +649,21 @@ class CommitPipeline:
 
     # -- Unlock rule ----------------------------------------------------------------------
 
-    def _ack(self, batch_id: int) -> None:
-        """One object of ``batch_id`` is durable; its last one acks the
-        batch and releases whatever prefix that completes."""
+    def _object_acked(self, batch_id: int, meta: WALObjectMeta,
+                      nbytes: int) -> None:
+        """One object of ``batch_id`` is durable: view bookkeeping, the
+        ``wal_object`` event, then the ack — which unlocks right here:
+        the loop runs one callback at a time, so acks are already
+        serialised, and the only lock taken is the pipeline condition,
+        which a DBMS thread parked on S has released by waiting on it.
+        The batch's last object releases whatever prefix it completes."""
+        self._view.add_wal(meta)
+        self._bus.emit(
+            events.WAL_OBJECT, key=meta.key, nbytes=nbytes,
+            at=self._clock.now(),
+        )
+        if self.tuner is not None:
+            self.tuner.observe_put()
         with self._cond:
             remaining = self._inflight_objects.get(batch_id)
             if remaining is None:

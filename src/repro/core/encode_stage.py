@@ -30,43 +30,25 @@ per scheduling turn — a cold tenant's T_B flush waits for at most one
 job per busy lane, never for a burst.  With a single lane this
 degenerates to the FIFO queue the stage always had.
 
-Failure discipline matches the other worker loops: a job that lets a
-``BaseException`` escape is reported to the stage's ``on_error`` hook,
-never swallowed (a commit pipeline's jobs catch their own failures and
-poison only their own pipeline); :meth:`map` re-raises the first
-failure in the caller.
-:meth:`submit` on a stage that is not running raises
-:class:`~repro.common.errors.GinjaError` — a silently parked job would
-otherwise sit in the queue forever, and the batch it belongs to would
-never ack.  :meth:`stop` verifies every worker actually joined: a
-wedged worker (a job blocked forever) poisons the owner and raises
-instead of being silently leaked with ``running`` reporting False.
+Every job is submitted with the :class:`~repro.common.fuse.Fuse` its
+failure goes to — the submitting pipeline's, a restore's, a
+:meth:`map` call's — and runs under that fuse's ``guard``; a job the
+crash path discards blows its fuse instead of running (DESIGN.md,
+"Failure discipline").  :meth:`submit` on a stage that is not running
+raises :class:`~repro.common.errors.GinjaError`, and :meth:`stop`
+raises when a worker fails to join (a job blocked forever) instead of
+leaking it with ``running`` reporting False.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from repro.common.errors import GinjaError
-
-
-class _MapJob:
-    """One :meth:`EncodeStage.map` unit: runs on a worker, and — unlike a
-    fire-and-forget job — must resolve even on the discard path, or the
-    mapper would wait forever on a job nobody will run."""
-
-    __slots__ = ("_run",)
-
-    def __init__(self, run: Callable[[bool], None]):
-        self._run = run
-
-    def __call__(self) -> None:
-        self._run(False)
-
-    def cancel(self) -> None:
-        self._run(True)
+from repro.common.fuse import Fuse
 
 
 class EncodeStage:
@@ -74,27 +56,17 @@ class EncodeStage:
 
     Args:
         workers: pool size (``GinjaConfig.encoders``).
-        on_error: called with the escaping ``BaseException`` when an
-            async job dies; installed by the pipeline to poison itself.
-            A *shared* stage leaves this ``None`` — each tenant's encode
-            jobs catch their own failures and poison only their own
-            pipeline.  ``map`` jobs report to their caller instead.
+        name: thread-name prefix (the thread census groups by it).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        on_error: Callable[[BaseException], None] | None = None,
-        name: str = "ginja-encoder",
-    ):
+    def __init__(self, workers: int, *, name: str = "ginja-encoder"):
         if workers < 1:
             raise GinjaError("encode stage needs at least one worker")
         self._workers = workers
         self._name = name
-        self._on_error = on_error
         self._cond = threading.Condition()
-        #: lane -> queued jobs; a lane exists only while it has jobs.
+        #: lane -> queued ``(job, fuse)`` pairs; a lane exists only
+        #: while it has jobs.
         self._lanes: dict[str, deque] = {}
         #: Round-robin order over the non-empty lanes.
         self._rr: deque[str] = deque()
@@ -134,15 +106,15 @@ class EncodeStage:
 
         ``discard=False`` (the drain path) lets queued jobs finish first;
         ``discard=True`` (the crash path) drops them — workers skip every
-        remaining job, exactly as a power failure would.
+        remaining job, exactly as a power failure would, and blow each
+        one's fuse so nobody waits on it.
 
         Raises:
             GinjaError: when a worker fails to join within
                 ``join_timeout`` (a job blocked forever).  The wedged
                 threads stay on the roster so ``running`` keeps
                 reporting True and a later :meth:`start` cannot double
-                the pool; the error is also reported to ``on_error``,
-                poisoning the owning pipeline.
+                the pool.
         """
         if not self._threads:
             return
@@ -161,16 +133,10 @@ class EncodeStage:
             # refuses to stack a second pool on the leak) and _stopping
             # stays set so a worker that ever unwedges exits at once.
             self._threads = wedged
-            exc = GinjaError(
+            raise GinjaError(
                 "encode stage stop timed out; wedged workers: "
                 + ", ".join(thread.name for thread in wedged)
             )
-            if self._on_error is not None:
-                try:
-                    self._on_error(exc)
-                except Exception:
-                    pass
-            raise exc
         self._threads.clear()
         with self._cond:
             self._stopping = False
@@ -178,7 +144,21 @@ class EncodeStage:
 
     # -- job submission ----------------------------------------------------------
 
-    def _enqueue(self, job, lane: str) -> None:
+    def submit(self, job: Callable[[], None], fuse: Fuse, lane: str = "") -> None:
+        """Queue one fire-and-forget job, run as ``fuse.guard(job)``.
+
+        The job owns its own result delivery (e.g. handing an encoded
+        blob to the upload reactor); whatever escapes it blows ``fuse``
+        — its owner's, never the stage's.  ``lane`` names the fair-share
+        queue — a fleet passes the tenant id so one tenant's burst
+        cannot starve the others.
+
+        Raises:
+            GinjaError: when the stage is not running.  With no worker
+                threads the job would sit in the queue forever; callers
+                either hold the stage running for the submission's
+                lifetime (the pipeline does) or must handle the error.
+        """
         with self._cond:
             if not self._threads:
                 raise GinjaError("encode stage is not running")
@@ -192,26 +172,9 @@ class EncodeStage:
                 self._lanes[lane] = queue
             if not queue:
                 self._rr.append(lane)
-            queue.append(job)
+            queue.append((job, fuse))
             self._pending += 1
             self._cond.notify()
-
-    def submit(self, job: Callable[[], None], lane: str = "") -> None:
-        """Queue one fire-and-forget job (the pipeline's per-object path).
-
-        The job owns its own result delivery (e.g. putting an encoded
-        blob on the upload queue); an escaping exception goes to
-        ``on_error``.  ``lane`` names the fair-share queue — a fleet
-        passes the tenant id so one tenant's burst cannot starve the
-        others.
-
-        Raises:
-            GinjaError: when the stage is not running.  With no worker
-                threads the job would sit in the queue forever; callers
-                either hold the stage running for the submission's
-                lifetime (the pipeline does) or must handle the error.
-        """
-        self._enqueue(job, lane)
 
     def queue_depth(self) -> int:
         """Jobs waiting in the stage (approximate, for events)."""
@@ -230,66 +193,56 @@ class EncodeStage:
         """Run ``jobs`` on the pool, block for all, return results in order.
 
         Used by the checkpoint collector to encode a checkpoint's parts
-        in parallel.  The first exception any job raised is re-raised
-        here, in the calling thread — the collector's caller (the DBMS's
-        checkpointing thread) keeps the kill-the-checkpointer discipline
-        it had when encoding inline.  When the stage is not running the
-        jobs execute inline, so callers never need a fallback path.
+        in parallel.  The call's own fuse carries the first exception
+        any job raised (or the discard of one), which is re-raised here,
+        in the calling thread, without waiting for the rest — the
+        collector's caller (the DBMS's checkpointing thread) keeps the
+        kill-the-checkpointer discipline it had when encoding inline.
+        When the stage is not running the jobs execute inline, so
+        callers never need a fallback path.
         """
         if not jobs:
             return []
         if not self._threads:
             return [job() for job in jobs]
         results: list[object] = [None] * len(jobs)
-        errors: list[BaseException] = []
-        done = threading.Event()
-        remaining = len(jobs)
-        lock = threading.Lock()
+        cond = threading.Condition()
+        fuse = Fuse(cond)
+        left = len(jobs)
 
-        def run(index: int, job: Callable[[], object], cancelled: bool) -> None:
-            nonlocal remaining
-            try:
-                if cancelled:
-                    raise GinjaError("encode stage stopped before the job ran")
-                results[index] = job()
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                with lock:
-                    errors.append(exc)
-            finally:
-                with lock:
-                    remaining -= 1
-                    if remaining == 0:
-                        done.set()
+        def run(index: int, job: Callable[[], object]) -> None:
+            nonlocal left
+            results[index] = job()
+            with cond:
+                left -= 1
+                if not left:
+                    cond.notify_all()
 
         for index, job in enumerate(jobs):
-            map_job = _MapJob(
-                lambda cancelled, i=index, j=job: run(i, j, cancelled)
-            )
             try:
-                self._enqueue(map_job, lane)
+                self.submit(partial(run, index, job), fuse, lane)
             except GinjaError:
-                # The stage stopped under us: already-enqueued jobs were
-                # drained (or cancelled) by the exiting workers; run the
-                # rest inline so the latch always resolves.
-                map_job()
-        done.wait()
-        if errors:
-            raise errors[0]
+                # The stage stopped under us: run the rest inline.
+                fuse.guard(run, index, job)
+        with cond:
+            cond.wait_for(lambda: not left or fuse.error is not None)
+        if fuse.error is not None:
+            raise fuse.error
         return results
 
     # -- worker ------------------------------------------------------------------
 
-    def _claim_locked(self):
+    def _claim_locked(self) -> tuple[Callable[[], None], Fuse]:
         """Pop the next job, rotating the round-robin lane ring."""
         lane = self._rr.popleft()
         queue = self._lanes[lane]
-        job = queue.popleft()
+        entry = queue.popleft()
         if queue:
             self._rr.append(lane)
         else:
             del self._lanes[lane]
         self._pending -= 1
-        return job
+        return entry
 
     def _worker_loop(self) -> None:
         while True:
@@ -298,23 +251,9 @@ class EncodeStage:
                     self._cond.wait()
                 if self._pending == 0:
                     return  # stopping, and the queues are drained
-                job = self._claim_locked()
+                job, fuse = self._claim_locked()
                 discard = self._discard
             if discard:
-                # Fire-and-forget jobs are simply dropped (the crash
-                # semantics), but map jobs must still resolve their
-                # latch.
-                if isinstance(job, _MapJob):
-                    job.cancel()
-                continue
-            try:
-                job()
-            except BaseException as exc:  # noqa: BLE001 - worker loop boundary
-                # A dead encoder is as fatal as a dead uploader:
-                # without this hook the pipeline would wait forever
-                # on a blob that will never be enqueued.
-                if self._on_error is not None:
-                    try:
-                        self._on_error(exc)
-                    except Exception:
-                        pass
+                fuse.blow(GinjaError("encode stage stopped before the job ran"))
+            else:
+                fuse.guard(job)

@@ -21,10 +21,9 @@ concurrent reads.  This module splits recovery into three stages:
   file system *strictly in plan order*, so the restored image is
   byte-identical to a sequential replay no matter how downloads race.
 
-Failure discipline mirrors the :class:`~repro.core.encode_stage
-.EncodeStage` poison rule: a fetch job that lets a ``BaseException``
-escape records it as the run's fatal error and wakes the apply thread,
-which re-raises it (and stops a private pool), so a dead downloader
+A fetch job runs under the run's :class:`~repro.common.fuse.Fuse`: its
+failure — or a pool that discards it — wakes the apply thread, which
+re-raises it (DESIGN.md, "Failure discipline"), so a dead downloader
 fails :func:`~repro.core.bootstrap.recover_files` instead of hanging
 it.  Progress is narrated as ``recovery_planned`` /
 ``object_restored`` / ``recovery_done`` events on the bus.
@@ -43,11 +42,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import RecoveryError
 from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
+from repro.common.fuse import Fuse
 from repro.core.codec import ObjectCodec
 from repro.core.encode_stage import EncodeStage
 from repro.core.data_model import (
@@ -319,8 +320,8 @@ class RecoveryEngine:
             try:
                 self._run_pooled(pool, plan, report)
             finally:
-                # Queued fetch jobs are already no-ops (shut_down); a
-                # recovery never leaks its downloader threads.
+                # Queued fetch jobs are already no-ops (the run's fuse
+                # is blown); a recovery never leaks its downloaders.
                 pool.stop(discard=True)
         self._bus.emit(
             events.RECOVERY_DONE,
@@ -389,10 +390,9 @@ class RecoveryEngine:
     ) -> None:
         """Prefetch through ``pool``: at most ``window`` plan positions
         are in it at once — the next one is submitted only after a
-        position is applied.  On failure the already-submitted jobs
-        drain harmlessly into the state dict (a shared pool is
-        persistent, nothing to join here).
-        """
+        position is applied.  However the run ends, its fuse is blown
+        last, so fetch jobs still queued (a shared pool is persistent,
+        nothing to join here) run as no-ops."""
         state = _PooledFetchState(self, plan.steps)
         window = min(self._window, len(plan.steps))
         try:
@@ -405,52 +405,36 @@ class RecoveryEngine:
                 if follow < len(plan.steps):
                     state.submit(pool, self._lane, follow)
         finally:
-            # Turn any still-queued fetch jobs into no-ops.
-            state.shut_down()
+            state.fuse.blow(RecoveryError("restore is over"))
 
 
 class _PooledFetchState:
-    """Prefetch bookkeeping between the apply thread and the pool."""
+    """Decoded objects handed from the pool to the apply thread."""
 
     def __init__(self, engine: RecoveryEngine, steps: tuple[RecoveryStep, ...]):
         self._engine = engine
         self._steps = steps
         self._cond = threading.Condition()
         self._results: dict[int, tuple[int, object]] = {}
-        self._fatal: BaseException | None = None
-        self._stopping = False
+        self.fuse = Fuse(self._cond)
 
-    def submit(self, pool, lane: str, index: int) -> None:
+    def submit(self, pool: EncodeStage, lane: str, index: int) -> None:
         # Raises GinjaError if the pool was stopped (fleet shutdown mid
         # restore); the caller's finally turns the rest into no-ops.
-        pool.submit(lambda: self._fetch_job(index), lane=lane)
+        pool.submit(partial(self._fetch_job, index), self.fuse, lane=lane)
 
     def _fetch_job(self, index: int) -> None:
-        with self._cond:
-            if self._stopping or self._fatal is not None:
-                return
-        try:
-            result = self._engine._fetch(self._steps[index])
-        except BaseException as exc:  # noqa: BLE001 - poison discipline
-            with self._cond:
-                if self._fatal is None:
-                    self._fatal = exc
-                self._cond.notify_all()
-            return
+        result = self._engine._fetch(self._steps[index])
         with self._cond:
             self._results[index] = result
             self._cond.notify_all()
 
     def take(self, index: int) -> tuple[int, object]:
-        """Block until plan position ``index`` is decoded (or poisoned)."""
+        """Block until plan position ``index`` is decoded; raise the
+        run's first failure as it is, like the sequential path."""
         with self._cond:
-            while index not in self._results and self._fatal is None:
+            while index not in self._results and self.fuse.error is None:
                 self._cond.wait()
-            if self._fatal is not None:
-                raise self._fatal
+            if self.fuse.error is not None:
+                raise self.fuse.error
             return self._results.pop(index)
-
-    def shut_down(self) -> None:
-        with self._cond:
-            self._stopping = True
-            self._cond.notify_all()

@@ -431,6 +431,30 @@ class TestStop:
         with pytest.raises(GinjaError, match="not running"):
             reactor.submit(store, "k2", b"x", tenant="t")
 
+    @pytest.mark.parametrize("end", ["stop", "crash"])
+    def test_orphaned_requests_settle_through_on_done(self, end):
+        """Every request leaves through the one settle step: a request
+        still queued when the loop stops or dies sees its ``on_done``
+        (drop accounting depends on it), after the attached lane's
+        ``on_fatal`` has fired."""
+        reactor = UploadReactor(inflight_window=1, io_threads=1)
+        reactor.start()
+        store = GatedStore()
+        order = []
+        reactor.attach("t", window=1,
+                       on_fatal=lambda exc: order.append("fatal"))
+        handles = [
+            reactor.submit(store, f"k{i}", b"x", tenant="t",
+                           on_done=lambda handle: order.append(handle.key))
+            for i in range(2)
+        ]
+        assert wait_for(lambda: store.concurrent == 1)
+        getattr(reactor, end)()
+        assert all(handle.wait(5.0) and not handle.ok for handle in handles)
+        assert wait_for(lambda: len(order) == 3)
+        assert order.index("fatal") < order.index("k1")
+        assert isinstance(handles[1].error, GinjaError)
+
     def test_blocking_put_override_does_not_wedge_the_loop(self):
         # InMemoryObjectStore.aput inlines the dict insert on the loop
         # thread — but only for the pristine put.  A subclass whose put

@@ -23,6 +23,7 @@ from repro.common import events
 from repro.common.clock import ManualClock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
 from repro.common.events import EventBus
+from repro.common.fuse import Fuse
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import CommitPipeline
@@ -30,7 +31,7 @@ from repro.core.config import GinjaConfig
 from repro.core.encode_stage import EncodeStage
 from repro.core.stats import GinjaStats
 
-from tests.cloud.test_reactor import wait_for
+from tests.cloud.test_reactor import GatedStore, wait_for
 
 
 class GateCodec(ObjectCodec):
@@ -54,8 +55,8 @@ class Lane:
     counters and the ``wal_batch`` emitters' thread idents."""
 
     def __init__(self, stage, reactor, name, config, *, codec=None,
-                 clock=SYSTEM_CLOCK):
-        self.backend = InMemoryObjectStore()
+                 clock=SYSTEM_CLOCK, backend=None):
+        self.backend = backend if backend is not None else InMemoryObjectStore()
         self.view = CloudView()
         self.bus = EventBus()
         self.stats = GinjaStats().attach(self.bus)
@@ -190,9 +191,10 @@ class TestReactorDeath:
         assert lane.stats.wal_batches == 0
 
     def test_a_borrowed_pool_stopped_under_the_pipeline_poisons_it(self, pools):
-        """A stop fires no ``on_fatal``: the first submit that has a
-        timer to arm (or a claim to schedule) finds out, and what it
-        raises into the DBMS thread is the pipeline's own failure."""
+        """A stopped reactor fires the attached lane's ``on_fatal`` and a
+        stopped stage the first submit that has a claim to schedule:
+        either way, what the DBMS thread gets is the pipeline's own
+        failure."""
         reactor = UploadReactor(inflight_window=4).start()
         armer = Lane(pools[0], reactor, "armer", config(batch=100))
         armer.pipe.start()
@@ -210,6 +212,80 @@ class TestReactorDeath:
         assert "not running" in str(claimer.pipe.failed)
         assert claimer.pipe._claim == 0
         claimer.pipe.abort()
+
+    def test_a_reactor_stopped_under_a_writer_blocked_on_s_fails_it(
+            self, pools):
+        """The stop cancels the PUT in flight and leaves the rest
+        unsent: the writer parked on S behind them must get the
+        failure, not wait for an ack that can never come."""
+
+        class SlowStore(InMemoryObjectStore):
+            def put(self, key, data):
+                time.sleep(0.3)
+                super().put(key, data)
+
+        reactor = UploadReactor(inflight_window=4).start()
+        lane = Lane(pools[0], reactor, "t", GinjaConfig(
+            batch=1, safety=1, batch_timeout=30.0, safety_timeout=600.0,
+            uploaders=1,
+        ), backend=SlowStore())
+        failed_at = []
+
+        def writer():
+            try:
+                for i in range(3):
+                    lane.pipe.submit("seg", i * 512, b"u")
+            except GinjaError:
+                failed_at.append(time.monotonic())
+
+        lane.pipe.start()
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            # Two unconfirmed > S = 1: the writer is parked, one PUT on
+            # the wire and one queued behind it.
+            assert wait_for(lambda: lane.pipe.pending_updates() == 2)
+            def wire_and_queue():
+                health = reactor.health()["tenants"]["t"]
+                return health["inflight"], health["queued"]
+
+            assert wait_for(lambda: wire_and_queue() == (1, 1))
+            stopped_at = time.monotonic()
+            reactor.stop()
+            thread.join(timeout=1.0)
+            assert failed_at and failed_at[0] - stopped_at < 1.0
+            assert "not running" in str(lane.pipe.failed)
+        finally:
+            lane.pipe.abort()
+            reactor.stop()
+
+    def test_a_crash_accounts_every_object_queued_behind_a_gated_put(
+            self, pools):
+        """Requests the loop's death orphans still settle through their
+        ``on_done``: every encoded WAL object that never acked is an
+        ``upload_dropped``."""
+        reactor = UploadReactor(inflight_window=4).start()
+        store = GatedStore()
+        lane = Lane(pools[0], reactor, "t", GinjaConfig(
+            batch=1, safety=200, batch_timeout=30.0, safety_timeout=600.0,
+            uploaders=1,
+        ), backend=store)
+        lane.pipe.start()
+        try:
+            reactor.submit(store, "gate", b"x", tenant="t")   # the window
+            assert wait_for(lambda: store.concurrent == 1)
+            for i in range(4):
+                lane.pipe.submit("seg", i * 512, b"u")
+            assert wait_for(
+                lambda: reactor.health()["tenants"]["t"]["queued"] == 4
+            )
+            reactor.crash()
+            assert wait_for(lambda: lane.stats.uploads_dropped == 4)
+            assert lane.pipe.failed is not None
+            assert lane.backend.list("WAL/") == []
+        finally:
+            store.release.set()
+            lane.pipe.abort()
 
 
 class TestNeverOnTheSubmittingThread:
@@ -229,7 +305,7 @@ class TestNeverOnTheSubmittingThread:
             self, one_worker):
         stage, _reactor = one_worker
         gate = threading.Event()
-        stage.submit(gate.wait, lane="other")
+        stage.submit(gate.wait, Fuse(), lane="other")
         assert wait_for(lambda: stage.queue_depth() == 0)   # worker is held
         lane = Lane(*one_worker, "t", config())
         lane.pipe.start()
@@ -260,10 +336,10 @@ class TestFairness:
         cold.bus.subscribe(lambda event: ran.append("cold-claim"),
                            kinds={events.WAL_BATCH})
         gate = threading.Event()
-        stage.submit(gate.wait, lane="hot")
+        stage.submit(gate.wait, Fuse(), lane="hot")
         assert wait_for(lambda: stage.queue_depth() == 0)   # worker is held
         for i in range(200):
-            stage.submit(lambda i=i: ran.append(i), lane="hot")
+            stage.submit(lambda i=i: ran.append(i), Fuse(), lane="hot")
         cold.pipe.start()
         try:
             cold.pipe.submit("seg", 0, b"u")

@@ -511,9 +511,9 @@ class CountingStage:
         self._stage = stage
         self.jobs = 0
 
-    def submit(self, job, lane=""):
+    def submit(self, job, fuse, lane=""):
         self.jobs += 1
-        self._stage.submit(job, lane=lane)
+        self._stage.submit(job, fuse, lane=lane)
 
     def __getattr__(self, name):
         return getattr(self._stage, name)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.common.errors import GinjaError
 from repro.common.events import EventBus
+from repro.common.fuse import Fuse
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.simulated import SimulatedCloud
 from repro.cloud.transport import build_transport
@@ -89,15 +90,21 @@ class TestEncodeStageUnit:
             stage.stop()
 
     def test_submit_error_reaches_on_error_hook(self):
-        errors = []
-        stage = EncodeStage(workers=1, on_error=errors.append)
+        """The hook an escaping error reaches is the job's own fuse;
+        the worker survives it."""
+        fuse = Fuse()
+        stage = EncodeStage(workers=1)
         stage.start()
         try:
-            stage.submit(lambda: (_ for _ in ()).throw(RuntimeError("dead")))
+            stage.submit(lambda: (_ for _ in ()).throw(RuntimeError("dead")),
+                         fuse)
             deadline = time.monotonic() + 5
-            while not errors and time.monotonic() < deadline:
+            while fuse.error is None and time.monotonic() < deadline:
                 time.sleep(0.005)
-            assert errors and isinstance(errors[0], RuntimeError)
+            assert isinstance(fuse.error, RuntimeError)
+            done = threading.Event()
+            stage.submit(done.set, Fuse())
+            assert done.wait(timeout=5)
         finally:
             stage.stop()
 
@@ -107,7 +114,7 @@ class TestEncodeStageUnit:
         stage = EncodeStage(workers=1)
         stage.start()
         release = threading.Event()
-        stage.submit(release.wait)  # occupy the only worker
+        stage.submit(release.wait, Fuse())  # occupy the only worker
         failures = []
 
         def mapper():
@@ -141,16 +148,16 @@ class TestEncodeStageUnit:
         threads used to park the job in the queue forever."""
         stage = EncodeStage(workers=1)
         with pytest.raises(GinjaError, match="not running"):
-            stage.submit(lambda: None)
+            stage.submit(lambda: None, Fuse())
 
     def test_submit_raises_after_stop(self):
         stage = EncodeStage(workers=1)
         stage.start()
         ran = []
-        stage.submit(lambda: ran.append(True))
+        stage.submit(lambda: ran.append(True), Fuse())
         stage.stop()
         with pytest.raises(GinjaError, match="not running"):
-            stage.submit(lambda: ran.append(False))
+            stage.submit(lambda: ran.append(False), Fuse())
         assert ran == [True]  # drain-stop ran the pre-stop job
         assert stage.queue_depth() == 0
 
@@ -158,10 +165,10 @@ class TestEncodeStageUnit:
         stage = EncodeStage(workers=1)
         stage.start()
         release = threading.Event()
-        stage.submit(release.wait)  # occupy the only worker
+        stage.submit(release.wait, Fuse())  # occupy the only worker
         ran = []
         for i in range(5):
-            stage.submit(lambda i=i: ran.append(i))
+            stage.submit(lambda i=i: ran.append(i), Fuse())
         release.set()
         stage.stop()  # drain semantics: everything queued must run
         assert ran == [0, 1, 2, 3, 4]
@@ -175,10 +182,10 @@ class TestEncodeStageUnit:
         try:
             release = threading.Event()
             order = []
-            stage.submit(release.wait)  # hold the worker while we queue
+            stage.submit(release.wait, Fuse())  # hold the worker while we queue
             for i in range(10):
-                stage.submit(lambda i=i: order.append(("a", i)), lane="a")
-            stage.submit(lambda: order.append(("b", 0)), lane="b")
+                stage.submit(lambda i=i: order.append(("a", i)), Fuse(), lane="a")
+            stage.submit(lambda: order.append(("b", 0)), Fuse(), lane="b")
             release.set()
             deadline = time.monotonic() + 5
             while len(order) < 11 and time.monotonic() < deadline:
@@ -197,13 +204,13 @@ class TestEncodeStageUnit:
         stage.start()
         try:
             release = threading.Event()
-            stage.submit(release.wait)
+            stage.submit(release.wait, Fuse())
             deadline = time.monotonic() + 5
             while stage.queue_depth() > 0 and time.monotonic() < deadline:
                 time.sleep(0.005)  # wait for the worker to claim the blocker
-            stage.submit(lambda: None, lane="x")
-            stage.submit(lambda: None, lane="x")
-            stage.submit(lambda: None, lane="y")
+            stage.submit(lambda: None, Fuse(), lane="x")
+            stage.submit(lambda: None, Fuse(), lane="x")
+            stage.submit(lambda: None, Fuse(), lane="y")
             assert stage.lane_depth("x") == 2
             assert stage.lane_depth("y") == 1
             assert stage.queue_depth() == 3
@@ -282,18 +289,46 @@ class TestUnlockOrderUnderParallelEncode:
             pipe.stop(drain_timeout=5.0)
 
 
+class FaultyCodec(ObjectCodec):
+    def encode(self, payload):
+        if b"poison" in bytes(payload):
+            raise RuntimeError("injected codec fault")
+        return super().encode(payload)
+
+
+POISON_CONFIG = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
+                            safety_timeout=5.0, uploaders=2, encoders=3)
+
+
 class TestEncodePoisonDiscipline:
     @staticmethod
     def _poisoned_pipeline(pools):
-        class FaultyCodec(ObjectCodec):
-            def encode(self, payload):
-                if b"poison" in bytes(payload):
-                    raise RuntimeError("injected codec fault")
-                return super().encode(payload)
+        return make_pipeline(pools, POISON_CONFIG, codec=FaultyCodec())
 
-        config = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
-                             safety_timeout=5.0, uploaders=2, encoders=3)
-        return make_pipeline(pools, config, codec=FaultyCodec())
+    def test_a_faulty_lane_fails_only_its_own_pipeline(self, pools):
+        """Two tenants' jobs on one shared stage: the fault blows the
+        fuse of the pipeline that submitted the job, nobody else's."""
+        bad, good = (
+            CommitPipeline(POISON_CONFIG, InMemoryObjectStore(),
+                           FaultyCodec(), CloudView(), *pools, lane=lane)
+            for lane in ("bad", "good")
+        )
+        bad.start()
+        good.start()
+        try:
+            bad.submit("seg", 0, b"poison")
+            good.submit("seg", 0, b"fine")
+            deadline = time.monotonic() + 5
+            while bad.failed is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert isinstance(bad.failed, RuntimeError)
+            good.submit("seg", 512, b"still fine")
+            assert good.drain(timeout=5.0)
+            assert good.failed is None
+        finally:
+            with pytest.raises(GinjaError):
+                bad.stop(drain_timeout=0.1)
+            good.stop(drain_timeout=5.0)
 
     def test_encode_worker_fault_fails_submitters(self, pools):
         pipe, _backend, _view = self._poisoned_pipeline(pools)
@@ -383,11 +418,10 @@ class TestWedgedStop:
         """The regression this PR fixes: stop() used to clear _threads
         after a timed-out join, silently leaking the wedged worker while
         running reported False (and a later start() doubled the pool)."""
-        errors = []
-        stage = EncodeStage(workers=1, on_error=errors.append)
+        stage = EncodeStage(workers=1)
         stage.start()
         release = threading.Event()
-        stage.submit(release.wait)  # blocks the only worker indefinitely
+        stage.submit(release.wait, Fuse())  # blocks the only worker
         deadline = time.monotonic() + 5
         while stage.queue_depth() > 0 and time.monotonic() < deadline:
             time.sleep(0.005)  # wait until the worker claims the blocker
@@ -398,11 +432,10 @@ class TestWedgedStop:
             # The leak stays visible: the stage still reports running,
             # refuses to stack a second pool, and refuses new work.
             assert stage.running
-            assert errors and isinstance(errors[0], GinjaError)
             with pytest.raises(GinjaError):
                 stage.start()
             with pytest.raises(GinjaError):
-                stage.submit(lambda: None)
+                stage.submit(lambda: None, Fuse())
         finally:
             release.set()
         stage.stop()  # the unwedged worker exits; clean shutdown now
@@ -410,7 +443,7 @@ class TestWedgedStop:
         stage.start()  # and the stage is reusable afterwards
         try:
             done = threading.Event()
-            stage.submit(done.set)
+            stage.submit(done.set, Fuse())
             assert done.wait(timeout=5)
         finally:
             stage.stop()
@@ -418,7 +451,7 @@ class TestWedgedStop:
     def test_clean_stop_still_resets_state(self):
         stage = EncodeStage(workers=2)
         stage.start()
-        stage.submit(lambda: None)
+        stage.submit(lambda: None, Fuse())
         stage.stop()
         assert not stage.running
         stage.start()

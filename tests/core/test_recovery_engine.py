@@ -14,12 +14,13 @@ import time
 import pytest
 
 from repro.common import events
-from repro.common.errors import RecoveryError
+from repro.common.errors import GinjaError, RecoveryError
 from repro.common.events import EventBus
 from repro.cloud.memory import InMemoryObjectStore
 from repro.core.bootstrap import recover_files
 from repro.core.codec import ObjectCodec
 from repro.core.config import GinjaConfig
+from repro.core.encode_stage import EncodeStage
 from repro.core.data_model import (
     CHECKPOINT,
     DBObjectMeta,
@@ -38,6 +39,8 @@ from repro.core.recovery import (
 )
 from repro.core.stats import GinjaStats
 from repro.storage.memory import MemoryFileSystem
+
+from tests.cloud.test_reactor import wait_for
 
 
 @pytest.fixture
@@ -222,6 +225,47 @@ class TestEngineParallelism:
                           config=GinjaConfig(downloaders=3))
         for thread in threading.enumerate():
             assert not thread.name.startswith("ginja-downloader")
+
+    def test_a_borrowed_pool_discarded_mid_restore_fails_the_run(self, codec):
+        """A shared pool stopped with ``discard=True`` drops the fetches
+        it had queued: each blows the run's fuse, so the apply thread
+        raises instead of waiting on a position nobody will fetch."""
+        store = _seed_bucket(codec, wal_objects=3)          # 7 steps
+        plan = plan_recovery(store.list())
+        gate = threading.Event()
+        first_key = plan.steps[0].meta.key
+
+        class GatedStore:
+            def get(self, key):
+                if key == first_key:
+                    gate.wait(timeout=10)
+                return store.get(key)
+
+        pool = EncodeStage(1, name="ginja-downloader-borrowed")
+        pool.start()
+        engine = RecoveryEngine(GatedStore(), codec, MemoryFileSystem(),
+                                prefetch_window=16, pool=pool)
+        failures = []
+
+        def restore():
+            try:
+                engine.run(plan)
+            except GinjaError as exc:
+                failures.append(exc)
+
+        runner = threading.Thread(target=restore, daemon=True)
+        runner.start()
+        stopper = threading.Thread(target=pool.stop, kwargs={"discard": True})
+        try:
+            assert wait_for(lambda: pool.queue_depth() == 6)  # 1 on the worker
+            stopper.start()
+            assert wait_for(lambda: pool._discard)
+        finally:
+            gate.set()
+        runner.join(timeout=5)
+        stopper.join(timeout=5)
+        assert not runner.is_alive(), "restore hangs on a discarded fetch"
+        assert failures and "stopped before the job ran" in str(failures[0])
 
     def test_engine_validates_arguments(self, codec):
         store = InMemoryObjectStore()

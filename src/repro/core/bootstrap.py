@@ -16,7 +16,7 @@ from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
 from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
-from repro.core.commit_pipeline import UNBOUNDED, elide_known_zeros
+from repro.core.commit_pipeline import UNBOUNDED, _CHUNK_FRAMING
 from repro.core.config import GinjaConfig
 from repro.core.data_model import (
     DBObjectMeta,
@@ -32,7 +32,7 @@ from repro.core.recovery import (  # noqa: F401  (RecoveryReport re-exported)
     RecoveryReport,
     plan_recovery,
 )
-from repro.core.shadow import split_runs
+from repro.core.shadow import elide_known_zeros, split_runs
 from repro.cloud.interface import ObjectStore
 from repro.db.profiles import DBMSProfile
 from repro.storage.interface import FileSystem
@@ -46,7 +46,7 @@ def boot(
     profile: DBMSProfile,
     config: GinjaConfig,
     bus: EventBus | None = None,
-) -> dict[str, int]:
+) -> tuple[dict[str, int], list[tuple[str, bytes]]]:
     """Upload an existing local database to an empty bucket (Alg. 1, Boot).
 
     One WAL object per local segment (split at the object cap), then a
@@ -57,7 +57,9 @@ def boot(
     Into an empty bucket every zero tail is known-zero, so a segment
     ships as its content up to the last non-zero byte plus a length pin
     — not as 16 MiB of preallocation.  Returns where that byte ends in
-    each segment: the marks the commit pipeline starts from.
+    each segment — the marks the commit pipeline starts from — and the
+    dump's ``(path, content)`` files, which the checkpoint collector
+    starts from.
     """
     bus = bus or NULL_BUS
     existing = cloud.list()
@@ -74,7 +76,7 @@ def boot(
     for path in wal_paths:
         content = fs.read_all(path)
         marks[path] = len(content.rstrip(b"\0"))
-        chunks = elide_known_zeros(0, content, marks[path])
+        chunks = elide_known_zeros(0, content, marks[path], _CHUNK_FRAMING)
         # An empty segment still ships one (empty) object: recovery
         # creates the file.
         for group in split_runs(chunks, config.max_object_bytes):
@@ -98,7 +100,7 @@ def boot(
         view.add_db(meta)
         bus.emit(events.DB_OBJECT, key=meta.key, nbytes=len(blob))
     bus.emit(events.DUMP_COMPLETE, count=len(blobs))
-    return marks
+    return marks, db_files
 
 
 def unbounded_marks(

@@ -12,8 +12,10 @@ checkpoints to the cloud"):
   (150%) of the local database size — then hands the finished object
   to the uploader.  An incremental object carries, for a page
   rewritten in place, only the byte runs by which it differs from the
-  image last handed to the uploader there (the shared
-  :class:`~repro.core.shadow.Shadow`, its epoch the dump generation).
+  bytes the bucket's replay holds there: the shared
+  :class:`~repro.core.shadow.Shadow`, whose per-file images start from
+  the dump this process last handed over and take in every run handed
+  over since.
 * :class:`CheckpointUploader` is the paper's Checkpointer without its
   thread — a state machine stepped by the upload reactor's completion
   callbacks: it uploads DB objects (split at 20 MB), registers them in
@@ -86,7 +88,7 @@ class _Upload:
     parts_left: int
 
 
-#: Most bytes of page images the collector's shadow keeps.
+#: Most bytes of page and file images the collector's shadow keeps.
 _SHADOW_BYTES = 16 * MiB
 
 
@@ -137,16 +139,19 @@ class CheckpointCollector:
         #: The checkpoint's writes in write order — which is the order
         #: recovery replays them in.
         self._writes: list[tuple[str, int, bytes]] = []
-        #: The page image last handed to the uploader at each place.
-        #: Its epoch is the dump generation, which :meth:`_build_dump`
-        #: bumps: DB objects are deleted only when a dump supersedes a
-        #: whole generation, and the uploader puts one object at a time
-        #: in hand-off order and dies on the first failure, so every
-        #: object in the bucket has all its predecessors of this
-        #: process and generation beside it — a run lands on the bytes
-        #: it was cut against.  A new process starts with none.
-        self._shadow = Shadow(_SHADOW_BYTES, _run_framing)
-        self._generation = 0
+        #: What the bucket's replay holds: an image of each DB file,
+        #: seeded from the dump this process last handed over (the boot
+        #: dump, via :meth:`seed`) and fed every run handed over since,
+        #: and the last entry handed over at each other place (the ring
+        #: profile's log-header slots, or every place while no image
+        #: exists).  DB objects are deleted only when a dump supersedes
+        #: everything before it, and the uploader puts one object at a
+        #: time in hand-off order and dies on the first failure, so
+        #: every object in the bucket has all its predecessors since
+        #: that dump beside it — a run lands on the bytes it was cut
+        #: against.  A dump's hand-off starts the shadow over; a
+        #: process that did not boot the bucket starts with none.
+        self._shadow = Shadow(_SHADOW_BYTES, _run_framing, profile.is_db_file)
         # Dump freeze: while a dump is being assembled, concurrent DB-file
         # writes must block so the dump is internally consistent (§5.3).
         self._freeze = threading.Condition()
@@ -188,24 +193,32 @@ class CheckpointCollector:
         threshold = self._config.dump_threshold
         if self._tuner is not None:
             threshold = self._tuner.dump_threshold(threshold)
-        learned: dict = {}
         if cloud_db_size >= threshold * local_db_size:
-            pending = self._build_dump()
+            pending, files = self._build_dump()
+            hand_off = partial(self.seed, files)
         else:
             pending, learned = self._build_incremental(writes)
+            hand_off = partial(self._shadow.learn, learned)
         self._bus.emit(
             events.CHECKPOINT_END, count=self._ts, detail=pending.type,
             nbytes=pending.planned,
             total=sum(len(data) for _path, _offset, data in writes),
         )
-        # The hand-off: the shadow learns a page only once the object
-        # carrying it is built and on its way to the uploader.
-        self._shadow.learn(learned)
+        # The hand-off: the shadow takes in what an object carries only
+        # once it is built and on its way to the uploader.
+        hand_off()
         self._enqueue(pending)
+
+    def seed(self, files: list[tuple[str, bytes]]) -> None:
+        """Start the shadow over from a dump's ``(path, content)``
+        files, on their way to the bucket: from :meth:`end`, or from
+        ``boot()``.  The whole-write ablation keeps no shadow."""
+        if self._config.coalesce_writes:
+            self._shadow.seed(files)
 
     @property
     def shadow_bytes(self) -> int:
-        """Bytes of page images the shadow holds."""
+        """Bytes of page and file images the shadow holds."""
         return self._shadow.nbytes
 
     # -- freeze protocol ---------------------------------------------------------------
@@ -257,14 +270,16 @@ class CheckpointCollector:
             return self._stage.map(jobs, lane=self._lane)
         return [job() for job in jobs]
 
-    def _build_incremental(self, writes) -> tuple[_PendingObject, dict]:
+    def _build_incremental(self, writes) -> tuple[_PendingObject, tuple]:
         """The checkpoint object, and what the shadow learns from it
         once it is handed to the uploader.  ``coalesce_writes=False``
         ships every write verbatim, in write order."""
-        runs, learned = writes, {}
+        runs, learned = writes, ({}, ())
         if self._config.coalesce_writes:
+            # Every base lives until the next dump's hand-off, which
+            # starts the shadow over: one epoch serves.
             runs, learned = self._shadow.plan(
-                [(*write, self._generation) for write in writes]
+                [(*write, 0) for write in writes]
             )
         parts = self._encode_groups(
             split_runs(runs, self._config.max_object_bytes),
@@ -278,15 +293,16 @@ class CheckpointCollector:
         )
         return pending, learned
 
-    def _build_dump(self) -> _PendingObject:
+    def _build_dump(self) -> tuple[_PendingObject, list[tuple[str, bytes]]]:
         """Alg. 3 lines 9-11: full dump from the local files, with DB-file
-        writes frozen for consistency.
+        writes frozen for consistency; the object, and the files it
+        holds.
 
         A dump opens a new generation: every DB object before it is
         deleted (or retained as a PITR generation of its own) once it
-        is durable, so nothing after it may be cut against them.
+        is durable, so nothing after it may be cut against them — only
+        against the files it holds.
         """
-        self._generation += 1
         self._set_frozen(True)
         try:
             files: list[tuple[str, bytes]] = []
@@ -309,7 +325,7 @@ class CheckpointCollector:
         return _PendingObject(
             ts=self._ts, type=DUMP, payloads=parts,
             planned=sum(len(content) for _path, content in files),
-        )
+        ), files
 
 
 class CheckpointUploader:

@@ -94,7 +94,7 @@ from repro.core.codec import ObjectCodec
 from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta, encode_wal_payload
 from repro.core.encode_stage import EncodeStage
-from repro.core.shadow import Shadow, split_runs
+from repro.core.shadow import Shadow, elide_known_zeros, split_runs
 from repro.core.tuner import BatchTuner
 from repro.cloud.interface import ObjectStore
 from repro.cloud.reactor import Timer, UploadHandle, UploadReactor
@@ -751,29 +751,6 @@ _SHADOW_BYTES = 64 * KiB
 #: What one more chunk adds to a WAL payload: its offset and length.
 _CHUNK_FRAMING = len(encode_wal_payload([(0, b"")])) - len(encode_wal_payload([]))
 
-#: What a length pin adds to a WAL payload: a chunk header and a byte.
-_PIN_BYTES = _CHUNK_FRAMING + 1
-
-
-def elide_known_zeros(
-    offset: int, data: bytes, mark: int,
-) -> list[tuple[int, bytes]]:
-    """The chunks that rebuild ``data`` at ``offset`` over an image in
-    which everything from ``mark`` on is zero — as it is in ``data``.
-
-    The known-zero tail is replaced by a one-byte **length pin** at the
-    run's last byte: applying it zero-fills the hole, so recovery
-    rebuilds the same bytes and the same file length.  A tail no longer
-    than the pin's own framing ships as it is.
-    """
-    end = offset + len(data)
-    if end - max(mark, offset) <= _PIN_BYTES:
-        return [(offset, data)]
-    pin = (end - 1, b"\0")
-    if mark <= offset:
-        return [pin]
-    return [(offset, memoryview(data)[:mark - offset]), pin]
-
 
 def plan_writes(
     writes, shadow: Shadow, marks: Marks, *, coalesce: bool,
@@ -802,7 +779,7 @@ def plan_writes(
         shadow.learn(learned)
         for path, offset, data in runs:
             by_file.setdefault(path, []).extend(elide_known_zeros(
-                offset, data, marks.cover(path, offset, data),
+                offset, data, marks.cover(path, offset, data), _CHUNK_FRAMING,
             ))
     else:
         for path, offset, data, _epoch in writes:

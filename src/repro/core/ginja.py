@@ -170,7 +170,7 @@ class Ginja:
         if self._running:
             raise GinjaError("Ginja already started")
         if mode == "boot":
-            marks = boot(
+            marks, files = boot(
                 self.fs.inner,
                 self.transport,
                 self.codec,
@@ -179,6 +179,10 @@ class Ginja:
                 self.config,
                 self.bus,
             )
+            # Only the dump this process shipped is a base it knows
+            # byte for byte; after reboot or recover, the bucket's
+            # newest dump may not be the generation the files restore.
+            self.collector.seed(files)
         elif mode == "reboot":
             if reboot(self.transport, self.view, self.config.retention) == 0:
                 raise GinjaError("reboot mode found no Ginja objects in the bucket")

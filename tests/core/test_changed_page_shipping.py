@@ -1,11 +1,14 @@
 """Changed-run checkpoint objects: the contract, through real GC and recovery.
 
-A checkpoint object carries, for a page rewritten in place, only the
-byte runs by which it differs from the image last *handed to the
-uploader* at that ``(path, offset)`` within the current dump generation
-(the shared ``Shadow``, its epoch the collector's dump generation).  The contract: **recovery from the bucket as any
-crash leaves it rebuilds every DB file, byte for byte and length for
-length, exactly as whole-write shipping rebuilds it.**
+A checkpoint object carries, for each page it writes, only the byte
+runs by which it differs from what the bucket's replay holds there: the
+*dump image* — the dump this process last handed to the uploader (the
+boot dump, at first) plus every run handed over since — or, where a
+process has no image (rebooted or recovered, until its first dump), the
+page last handed over at that ``(path, offset)`` since the last dump.
+The contract: **recovery from the bucket as any crash leaves it
+rebuilds every DB file, byte for byte and length for length, exactly as
+whole-write shipping rebuilds it.**
 
 On ``test_changed_range_shipping``'s harness: a real :class:`Ginja`
 (its uploader's GC and the 150 % rule included) is fed arbitrary bytes
@@ -13,7 +16,8 @@ On ``test_changed_range_shipping``'s harness: a real :class:`Ginja`
 the bucket is snapshotted after every checkpoint, each snapshot is
 recovered with :meth:`Ginja.recover`, and every file compared with the
 same script run under ``coalesce_writes=False``, which ships every
-write whole and in write order.  Four mutants must fail.
+write whole and in write order.  Four mutants of the per-place entries
+and six of the image, on both profiles, must fail.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ from repro.core import checkpointer, shadow
 from repro.core.checkpointer import CheckpointCollector, _run_framing
 from repro.core.codec import ObjectCodec
 from repro.core.config import GinjaConfig
-from repro.core.data_model import DBObjectMeta, decode_checkpoint_payload
+from repro.core.data_model import (
+    DBObjectMeta, decode_checkpoint_payload, encode_dump_payload,
+)
 from repro.core.ginja import Ginja
 from repro.core.pitr import RetentionPolicy
+from repro.core.shadow import Shadow
 from repro.db.profiles import MYSQL_PROFILE, POSTGRES_PROFILE
 from repro.storage.memory import MemoryFileSystem
 
@@ -172,14 +179,25 @@ def backend_of(ginja) -> InMemoryObjectStore:
     return ginja.cloud.backend
 
 
+def local(path: str, offset: int, data: bytes) -> tuple:
+    """A DB-file write no checkpoint carries: made beside the mount,
+    it reaches the bucket only when a dump reads the local files."""
+    return ("local", path, offset, data)
+
+
 def play(steps, ginja) -> list[dict]:
     """Run the script; at every cut both pipelines are drained and the
-    bucket is copied as a crash right there would leave it."""
+    bucket is copied as a crash right there would leave it.  A callable
+    step is handed the instance."""
     snapshots = []
     for step in steps:
         if step == CUT:
             assert ginja.drain(timeout=10.0)
             snapshots.append(backend_of(ginja).snapshot())
+        elif callable(step):
+            step(ginja)
+        elif step[0] == "local":
+            ginja.fs.inner.write(*step[1:])
         else:
             ginja.fs.write(*step)
     return snapshots
@@ -204,10 +222,27 @@ def db_image(files: dict[str, bytes], profile) -> dict[str, bytes]:
     return image
 
 
-def run(profile, steps, coalesce: bool, **config):
+def start(profile, coalesce: bool, mode: str, local_writes=(), **config):
+    """A protected instance that booted the bucket, or — ``mode=
+    "reboot"`` — one rebooted over the directory and bucket a first
+    instance booted and stopped, ``local_writes`` landing on the
+    directory in between (the first process's last writes, which no
+    object carried)."""
+    ginja = protect(profile, coalesce, **config)
+    if mode == "boot":
+        return ginja
+    ginja.stop()
+    for write in local_writes:
+        ginja.fs.inner.write(*write)
+    return protect(profile, coalesce, mode=mode, disk=ginja.fs.inner,
+                   backend=backend_of(ginja), **config)
+
+
+def run(profile, steps, coalesce: bool, mode: str = "boot", local_writes=(),
+        **config):
     """The script's crash snapshots, the local files it ends with and
     the instance's counters (``dumps`` counts the boot dump too)."""
-    ginja = protect(profile, coalesce, **config)
+    ginja = start(profile, coalesce, mode, local_writes, **config)
     try:
         snapshots = play(steps, ginja)
         disk = ginja.fs.inner
@@ -219,7 +254,8 @@ def run(profile, steps, coalesce: bool, **config):
 
 def assert_contract(profile, steps, **config):
     """Every crash point of the script recovers the files whole-write
-    shipping recovers; returns both runs."""
+    shipping recovers; returns both runs.  ``mode`` and
+    ``local_writes`` go to :func:`start`."""
     ours = run(profile, steps, True, **config)
     reference = run(profile, steps, False, **config)
     assert len(ours[0]) == len(reference[0]) == steps.count(CUT)
@@ -357,19 +393,33 @@ class TestDumpsAndGenerations:
 T = PG.table_path("t")
 
 
+def flush(profile, number: int, *writes) -> list[tuple]:
+    """One checkpoint of exactly these page writes, bracketed the way
+    the profile's engine brackets one, then a cut."""
+    if profile.ring_wal:
+        slot = profile.checkpoint_slot_offsets[number % 2]
+        return [("ibdata1", 0, b"IBD1"), *writes,
+                (profile.wal_path(0), slot, bytes([number]) * 32), CUT]
+    return [(profile.clog_path, 0, b"\x01"), *writes,
+            (profile.control_path, 0, bytes([number]) * 8), CUT]
+
+
 def ckpt(number: int, *writes) -> list[tuple]:
     """One PostgreSQL checkpoint of exactly these page writes."""
-    return [(PG.clog_path, 0, b"\x01"), *writes,
-            (PG.control_path, 0, bytes([number]) * 8), CUT]
+    return flush(PG, number, *writes)
+
+
+def newest_writes(snapshot, path: str = T) -> list[tuple]:
+    """What the bucket's newest checkpoint object carries of ``path``."""
+    _meta, writes = checkpoint_objects(snapshot)[-1]
+    return [write for write in writes if write[0] == path]
 
 
 class TestWhatShipsWhole:
     """Deterministic shapes, each through the contract and each checked
-    at the object level too."""
-
-    def newest_table_writes(self, snapshot) -> list[tuple]:
-        _meta, writes = checkpoint_objects(snapshot)[-1]
-        return [write for write in writes if write[0] == T]
+    at the object level too.  What ships whole does so where no image
+    exists — in a rebooted process, before its first dump; after boot,
+    the same shapes are cut against the dump image."""
 
     def test_a_write_outside_any_checkpoint_is_not_learned(self):
         """PostgreSQL's collector drops it at the next begin event; the
@@ -384,12 +434,12 @@ class TestWhatShipsWhole:
             *ckpt(2, (T, PAGE, later)),
         ]
         ours, _reference = assert_contract(PG, steps)
-        assert self.newest_table_writes(ours[0][-1]) == [
+        assert newest_writes(ours[0][-1]) == [
             (T, PAGE + 100, later[100:120]),
             (T, PAGE + 200, later[200:208]),
         ]
 
-    def test_a_write_of_another_length_ships_whole(self):
+    def another_length(self) -> tuple[list[tuple], bytes]:
         rng = random.Random(6)
         half = noise(rng, PAGE // 2)
         grown = half + bytes(PAGE // 2)      # zeros over the dump's bytes
@@ -398,13 +448,29 @@ class TestWhatShipsWhole:
             *ckpt(2, (T, 0, grown)),
             *ckpt(3, (T, 0, grown[:PAGE - 4] + b"tail")),
         ]
-        ours, _reference = assert_contract(PG, steps)
-        assert self.newest_table_writes(ours[0][1]) == [(T, 0, grown)]
-        assert self.newest_table_writes(ours[0][2]) == [
+        return steps, grown
+
+    def test_a_write_of_another_length_ships_whole(self):
+        steps, grown = self.another_length()
+        ours, _reference = assert_contract(PG, steps, mode="reboot")
+        assert newest_writes(ours[0][1]) == [(T, 0, grown)]
+        assert newest_writes(ours[0][2]) == [
             (T, PAGE - 4, b"tail"),
         ]
 
-    def test_overlapping_writes_ship_whole_and_are_forgotten(self):
+    def test_a_write_of_another_length_is_cut_against_the_image(self):
+        """The image holds every byte of the file, whatever the length
+        of the write that last landed at a place."""
+        steps, _grown = self.another_length()
+        ours, _reference = assert_contract(PG, steps)
+        assert newest_writes(ours[0][1]) == [
+            (T, PAGE // 2, bytes(PAGE // 2)),
+        ]
+        assert newest_writes(ours[0][2]) == [
+            (T, PAGE - 4, b"tail"),
+        ]
+
+    def overlapping(self) -> tuple[list[tuple], bytes, bytes]:
         rng = random.Random(7)
         left, right = noise(rng, PAGE // 2), noise(rng, PAGE // 2)
         wide = noise(rng, PAGE)
@@ -415,14 +481,26 @@ class TestWhatShipsWhole:
             *ckpt(2, (T, 0, wide), (T, PAGE // 2, right)),
             *ckpt(3, (T, PAGE // 2, right)),
         ]
-        ours, _reference = assert_contract(PG, steps)
+        return steps, wide, right
+
+    def test_overlapping_writes_ship_whole_and_are_forgotten(self):
+        steps, wide, right = self.overlapping()
+        ours, _reference = assert_contract(PG, steps, mode="reboot")
         # Whole, in write order — joined, the later bytes winning.
-        assert self.newest_table_writes(ours[0][1]) == [
+        assert newest_writes(ours[0][1]) == [
             (T, 0, wide[:PAGE // 2] + right),
         ]
-        assert self.newest_table_writes(ours[0][2]) == [
+        assert newest_writes(ours[0][2]) == [
             (T, PAGE // 2, right),
         ]
+
+    def test_overlapping_writes_ship_whole_and_the_image_takes_them_in(self):
+        steps, wide, right = self.overlapping()
+        ours, _reference = assert_contract(PG, steps)
+        assert newest_writes(ours[0][1]) == [
+            (T, 0, wide[:PAGE // 2] + right),
+        ]
+        assert newest_writes(ours[0][2]) == []
 
     def test_an_evicted_place_ships_whole(self, monkeypatch):
         monkeypatch.setattr(checkpointer, "_SHADOW_BYTES", 3 * PAGE)
@@ -432,10 +510,10 @@ class TestWhatShipsWhole:
         again = [(T, n * PAGE, page[:-2] + b"zz")
                  for n, page in enumerate(pages)]
         steps = [*ckpt(1, *first), *ckpt(2, *again)]
-        ours, _reference = assert_contract(PG, steps)
+        ours, _reference = assert_contract(PG, steps, mode="reboot")
         # Control and clog included, the bound held the last pages only:
         # the first four ship whole (one run: they touch), the rest cut.
-        shipped = self.newest_table_writes(ours[0][-1])
+        shipped = newest_writes(ours[0][-1])
         assert shipped == [
             (T, 0, b"".join(data for _path, _offset, data in again[:4])),
             (T, 5 * PAGE - 2, b"zz"), (T, 6 * PAGE - 2, b"zz"),
@@ -549,12 +627,61 @@ class TestANewProcessKnowsNothing:
                    for path, _offset, data in writes)
 
 
+class TestTheDumpImage:
+    """After boot, every DB file has an image: the boot dump, and every
+    run handed over since.  A page this process never handed over is
+    cut against it like any rewrite."""
+
+    def first_sight(self, profile) -> tuple[str, bytes, list[tuple]]:
+        table = tables(profile)[0]
+        page = seeded_disk(profile).read_all(table)[PAGE:2 * PAGE]
+        fresh = page[:40] + b"row!" + page[44:]
+        return table, fresh, flush(profile, 1, (table, PAGE, fresh))
+
+    @pytest.mark.parametrize("profile", [PG, MY], ids=["postgres", "mysql"])
+    def test_first_sight_is_cut_against_the_boot_dump(self, profile):
+        table, _fresh, steps = self.first_sight(profile)
+        ours, _reference = assert_contract(profile, steps)
+        assert newest_writes(ours[0][-1], table) == [(table, PAGE + 40, b"row!")]
+
+    def test_the_image_counts_as_shadow_bytes(self):
+        """``db_shadow_bytes`` is the dump's DB files from boot on, and
+        grows with every byte a run appends — the fleet reports the
+        same figure per tenant."""
+        disk = seeded_disk(PG)
+        dumped = sum(len(disk.read_all(path)) for path in disk.files()
+                     if PG.is_db_file(path))
+        ginja = protect(PG, True, disk=disk)
+        try:
+            assert ginja.health()["db_shadow_bytes"] == dumped
+            play(ckpt(1, (T, PAGES * PAGE, noise(random.Random(3), PAGE))),
+                 ginja)
+            assert ginja.health()["db_shadow_bytes"] == dumped + PAGE
+        finally:
+            ginja.stop()
+
+    def test_a_dump_larger_than_the_bound_keeps_no_image(self, monkeypatch):
+        """Images count against the collector's bound: below the dump's
+        size none is kept, and a page's first sight ships whole."""
+        monkeypatch.setattr(checkpointer, "_SHADOW_BYTES", 4 * PAGE)
+        table, fresh, steps = self.first_sight(PG)
+        ginja = protect(PG, True)
+        try:
+            assert ginja.health()["db_shadow_bytes"] == 0
+        finally:
+            ginja.stop()
+        ours, _reference = assert_contract(PG, steps)
+        assert newest_writes(ours[0][-1], table) == [(table, PAGE, fresh)]
+
+
 # -- the mutants -------------------------------------------------------------------
 
 
 class TestMutants:
     """Each breaks one clause of the invariant and must fail the
-    contract on a script that the real thing passes."""
+    contract on a script that the real thing passes.  The first three
+    break the per-place entries, which only a process without an image
+    plans against — a rebooted one, before its first dump."""
 
     def assert_fails(self, profile, steps, **config):
         with pytest.raises(AssertionError, match=r"cut \d+"):
@@ -562,7 +689,7 @@ class TestMutants:
 
     def test_the_shadow_kept_across_a_dump(self, monkeypatch):
         """The dump reads the *local* files, which hold a write no
-        checkpoint carried; a shadow that outlives it cuts the next
+        checkpoint carried; entries that outlive it cut the next
         rewrite against bytes the new generation does not hold."""
         rng = random.Random(11)
         page = noise(rng, PAGE)
@@ -575,45 +702,37 @@ class TestMutants:
             *ckpt(3, *filler[:1]),                 # ... and this one dumps
             *ckpt(4, (T, 0, page[:-4] + b"last")),
         ]
-        config = dict(dump_threshold=1.04)
+        config = dict(dump_threshold=1.04, mode="reboot")
         ours, _reference = assert_contract(PG, steps, **config)
-        assert ours[2].dumps == 2
+        assert ours[2].dumps == 1        # the reboot's stats miss the boot dump
         assert sum("_dump_" in key for key in ours[0][2]) == 1 == len(ours[0][2])
-        honest = CheckpointCollector._build_dump
-
-        def same_generation(self):
-            generation = self._generation
-            pending = honest(self)
-            self._generation = generation
-            return pending
-
-        monkeypatch.setattr(CheckpointCollector, "_build_dump", same_generation)
+        monkeypatch.setattr(CheckpointCollector, "seed", lambda self, files: None)
         self.assert_fails(PG, steps, **config)
 
     def test_the_shadow_updated_at_add_write(self, monkeypatch):
         steps = page_script(PG, 0)
-        assert_contract(PG, steps)
+        assert_contract(PG, steps, mode="reboot")
         honest = CheckpointCollector.add_write
 
         def eager(self, path, offset, data):
             honest(self, path, offset, data)
-            self._shadow.learn({(path, offset): (self._generation, bytes(data))})
+            self._shadow.learn(({(path, offset): (0, bytes(data))}, ()))
 
         monkeypatch.setattr(CheckpointCollector, "add_write", eager)
-        self.assert_fails(PG, steps)
+        self.assert_fails(PG, steps, mode="reboot")
 
     def test_lengths_ignored(self, monkeypatch):
         steps = self.another_length_script()
-        assert_contract(PG, steps)
+        assert_contract(PG, steps, mode="reboot")
         honest = shadow._cut
 
-        def any_length(base, epoch, offset, data, gap):
-            if base is not None:
-                base = (base[0], base[1][:len(data)].ljust(len(data), b"\0"))
-            return honest(base, epoch, offset, data, gap)
+        def any_length(old, offset, data, gap):
+            if old is not None:
+                old = old[:len(data)].ljust(len(data), b"\0")
+            return honest(old, offset, data, gap)
 
         monkeypatch.setattr(shadow, "_cut", any_length)
-        self.assert_fails(PG, steps)
+        self.assert_fails(PG, steps, mode="reboot")
 
     def another_length_script(self) -> list[tuple]:
         rng = random.Random(6)
@@ -636,3 +755,187 @@ class TestMutants:
             lambda writes, pages: (set(range(len(writes))), []),
         )
         self.assert_fails(PG, steps)
+
+
+class EncodeFailed(Exception):
+    pass
+
+
+def dump_encode_fails(profile, number: int, *writes):
+    """A script step: the checkpoint of ``writes``, which must dump, has
+    its parts encoded and then fails — the hand-off never happens, and
+    the instance carries on."""
+
+    def step(ginja):
+        collector = ginja.collector
+
+        def fail(groups, encode_payload):
+            type(collector)._encode_groups(collector, groups, encode_payload)
+            raise EncodeFailed(encode_payload.__name__)
+
+        collector._encode_groups = fail
+        try:
+            with pytest.raises(EncodeFailed, match="encode_dump_payload"):
+                for write in flush(profile, number, *writes)[:-1]:
+                    ginja.fs.write(*write)
+        finally:
+            del collector._encode_groups
+    return step
+
+
+@pytest.mark.parametrize("profile", [PG, MY], ids=["postgres", "mysql"])
+class TestImageMutants:
+    """Each breaks one clause of the dump image's invariant — that it
+    equals, byte for byte and length for length, what replaying the
+    bucket's newest dump and every run since rebuilds — and must fail
+    the contract on both profiles, on a script the real thing passes."""
+
+    CONFIG = dict(dump_threshold=1.04)
+
+    def assert_fails(self, profile, steps, **config):
+        with pytest.raises(AssertionError, match=r"cut \d+"):
+            assert_contract(profile, steps, **config)
+
+    def dump_script(self, profile, seed: int, *, fails: bool = False):
+        """A page checkpointed, then overwritten beside the mount; a
+        checkpoint that dumps the directory (or fails to); the page
+        rewritten so that only the bytes the bucket does *not* hold
+        there agree with it."""
+        rng = random.Random(seed)
+        table, other = tables(profile)
+        page, stray = noise(rng, PAGE), noise(rng, PAGE)
+        filler = [(other, n * PAGE, noise(rng, PAGE)) for n in range(12)]
+        dump = (dump_encode_fails(profile, 3, *filler[:1]) if fails
+                else flush(profile, 3, *filler[:1]))
+        return [
+            *flush(profile, 1, (table, 0, page)),
+            local(table, 0, stray),
+            *flush(profile, 2, *filler),              # object bytes pile up ...
+            *([dump] if fails else dump),             # ... and this one dumps
+            # A failed dump leaves the bucket's generation as it was;
+            # a larger directory keeps the 150 % rule quiet after it.
+            *([local(profile.table_path("more"), 0, bytes(BALLAST))] if fails
+              else []),
+            *flush(profile, 4, (table, 0, (stray if fails else page)[:-4] + b"last")),
+        ]
+
+    def test_the_image_kept_across_a_dump(self, monkeypatch, profile):
+        steps = self.dump_script(profile, 11)
+        ours, _reference = assert_contract(profile, steps, **self.CONFIG)
+        assert ours[2].dumps == 2
+        honest = CheckpointCollector.seed
+
+        def boot_only(self, files):
+            if not getattr(self, "booted", False):
+                self.booted = True
+                honest(self, files)
+
+        monkeypatch.setattr(CheckpointCollector, "seed", boot_only)
+        self.assert_fails(profile, steps, **self.CONFIG)
+
+    def test_the_image_seeded_before_the_dump_hand_off(self, monkeypatch,
+                                                       profile):
+        """Seeded while the parts are encoded, the image outlives a dump
+        whose encode then fails — the bucket's newest dump is still the
+        one before it."""
+        steps = self.dump_script(profile, 12, fails=True)
+        ours, _reference = assert_contract(profile, steps, **self.CONFIG)
+        assert ours[2].dumps == 1
+        table = tables(profile)[0]
+        assert newest_writes(ours[0][-1], table) != [
+            (table, PAGE - 4, b"last"),
+        ]
+        honest = CheckpointCollector._encode_groups
+
+        def seeds_early(self, groups, encode_payload):
+            if encode_payload is encode_dump_payload:
+                self.seed([file for group in groups for file in group])
+            return honest(self, groups, encode_payload)
+
+        monkeypatch.setattr(CheckpointCollector, "_encode_groups", seeds_early)
+        self.assert_fails(profile, steps, **self.CONFIG)
+
+    def test_the_image_updated_at_add_write(self, monkeypatch, profile):
+        steps = page_script(profile, 0)
+        assert_contract(profile, steps)
+        honest = CheckpointCollector.add_write
+
+        def eager(self, path, offset, data):
+            honest(self, path, offset, data)
+            self._shadow.learn(({}, [(path, offset, bytes(data))]))
+
+        monkeypatch.setattr(CheckpointCollector, "add_write", eager)
+        self.assert_fails(profile, steps)
+
+    def test_the_image_seeded_from_the_local_files_at_reboot(
+            self, monkeypatch, profile):
+        """The first process stopped with a page written that no object
+        carried; its successor's local file is not the bucket's."""
+        rng = random.Random(13)
+        table = tables(profile)[0]
+        page = noise(rng, PAGE)
+        steps = flush(profile, 1, (table, 0, page[:-4] + b"last"))
+        config = dict(mode="reboot", local_writes=[(table, 0, page)])
+        ours, _reference = assert_contract(profile, steps, **config)
+        assert newest_writes(ours[0][-1], table) == [
+            (table, 0, page[:-4] + b"last"),
+        ]
+        honest = Ginja.start
+
+        def from_local(self, mode="boot"):
+            honest(self, mode)
+            if mode == "reboot":
+                disk = self.fs.inner
+                self.collector.seed([(path, disk.read_all(path))
+                                     for path in disk.files()])
+
+        monkeypatch.setattr(Ginja, "start", from_local)
+        self.assert_fails(profile, steps, **config)
+
+    def test_the_image_not_told_of_an_overlapped_write(self, monkeypatch,
+                                                       profile):
+        """Whole writes that overlap land on the image too: else a page
+        put back as it was before them looks unchanged."""
+        rng = random.Random(14)
+        table = tables(profile)[0]
+        before, wide, right = (noise(rng, PAGE), noise(rng, PAGE),
+                               noise(rng, PAGE // 2))
+        steps = [
+            *flush(profile, 1, (table, 0, before)),
+            *flush(profile, 2, (table, 0, wide), (table, PAGE // 2, right)),
+            *flush(profile, 3, (table, 0, before)),
+        ]
+        assert_contract(profile, steps)
+        honest = Shadow.plan
+
+        def untold(self, writes):
+            runs, (places, _runs) = honest(self, writes)
+            survivors = shadow._coalesce(writes)
+            alone, _overlapped = shadow._overlaps(survivors, {})
+            _alone, (_places, told) = honest(
+                self, [write for index, write in enumerate(survivors)
+                       if index in alone])
+            return runs, (places, told)
+
+        monkeypatch.setattr(Shadow, "plan", untold)
+        self.assert_fails(profile, steps)
+
+    def test_no_pin_past_the_image_end(self, monkeypatch, profile):
+        """A page appended past the file's end, its records then zeros:
+        without the pin, the recovered file comes back short."""
+        table = tables(profile)[0]
+        offset = (PAGES + 1) * PAGE
+        steps = flush(profile, 1, (table, offset, b"rec" + bytes(PAGE - 3)))
+        ours, _reference = assert_contract(profile, steps)
+        assert newest_writes(ours[0][-1], table) == [
+            (table, offset, b"rec"), (table, offset + PAGE - 1, b"\0"),
+        ]
+        honest = shadow.elide_known_zeros
+
+        def no_pin(offset, data, mark, framing):
+            return [chunk for chunk in honest(offset, data, mark, framing)
+                    if chunk[0] == offset]
+
+        monkeypatch.setattr(shadow, "elide_known_zeros", no_pin)
+        with pytest.raises(AssertionError, match=r"cut 0: " + table):
+            assert_contract(profile, steps)

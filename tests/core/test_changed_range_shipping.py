@@ -511,7 +511,7 @@ class TestTheShadow:
     @pytest.mark.parametrize("seed", range(5))
     def test_changed_range_agrees_with_a_byte_loop(self, seed):
         """The runs that differ, joined across at most ``gap`` equal
-        bytes — and all of it against another epoch or length."""
+        bytes — and all of it against no base or another length."""
         rng = random.Random(seed)
         for _ in range(200):
             size, gap = rng.randint(0, 70), rng.randint(0, 6)
@@ -523,11 +523,11 @@ class TestTheShadow:
                     want[-1][1] = i + 1
                 else:
                     want.append([i, i + 1])
-            got = _cut((7, old), 7, 100, new, gap)
+            got = _cut(old, 100, new, gap)
             assert [[o - 100, o - 100 + len(d)] for o, d in got] == want
             assert all(new[o - 100:o - 100 + len(d)] == d for o, d in got)
-            assert _cut((6, old), 7, 100, new, gap) == [(100, new)]
-            assert _cut((7, old + b"x"), 7, 100, new, gap) == [(100, new)]
+            assert _cut(None, 100, new, gap) == [(100, new)]
+            assert _cut(old + b"x", 100, new, gap) == [(100, new)]
 
 
 class TestANewPipelineKnowsNothing:
@@ -583,7 +583,9 @@ class TestHealth:
             health = ginja.health()
             assert health["wal_shipped_ratio"] is None
             assert health["db_shipped_ratio"] is None
-            assert health["wal_shadow_bytes"] == health["db_shadow_bytes"] == 0
+            assert health["wal_shadow_bytes"] == 0
+            # The boot dump's image: the table file's four pages.
+            assert health["db_shadow_bytes"] == 4 * PAGE
             ginja.fs.write(SEG, 0, b"ab" + bytes(PAGE - 2))
             assert ginja.drain(timeout=10.0)
             ginja.fs.write(SEG, 0, b"abcd" + bytes(PAGE - 4))
@@ -599,8 +601,9 @@ class TestHealth:
             assert ginja.health()["wal_shadow_bytes"] == bound
             # Two checkpoints of a clog byte, a page and a control
             # record (over a directory large enough that the 150 % rule
-            # stays quiet): all of it, then the four bytes by which the
-            # page and the four by which the record differ.
+            # stays quiet), cut against the image: all of it — the files
+            # are new, the page was zeros — then the four bytes by which
+            # the page and the four by which the record differ.
             ginja.fs.inner.write(PROFILE.table_path("ballast"), 0, bytes(8192))
             for page in (b"\x07" * PAGE, b"\x07" * (PAGE - 4) + b"rows"):
                 ginja.fs.write(PROFILE.clog_path, 0, b"\x01")
@@ -610,7 +613,8 @@ class TestHealth:
             health = ginja.health()
             assert health["db_shipped_ratio"] == (
                 (1 + PAGE + 8) + (0 + 4 + 4)) / (2 * (1 + PAGE + 8))
-            assert health["db_shadow_bytes"] == 1 + PAGE + 8
+            # The two new files joined the image; the page was in it.
+            assert health["db_shadow_bytes"] == 4 * PAGE + 1 + 8
             assert ginja.stats.dumps == 1    # the boot dump
         finally:
             ginja.stop()

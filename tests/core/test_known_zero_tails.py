@@ -18,7 +18,7 @@ import pytest
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.simulated import SimulatedCloud
 from repro.core import commit_pipeline
-from repro.core.commit_pipeline import Marks, _PIN_BYTES
+from repro.core.commit_pipeline import Marks, _CHUNK_FRAMING
 from repro.core.config import GinjaConfig
 from repro.core.ginja import Ginja
 from repro.db.engine import EngineConfig, MiniDB
@@ -32,6 +32,8 @@ from tests.core.test_changed_range_shipping import (
 
 NEXT_SEG = PROFILE.wal_path(1)
 PIN = b"\0"
+#: What a length pin costs a WAL payload: a chunk header and its byte.
+PIN_BYTES = _CHUNK_FRAMING + 1
 
 
 def padded(record: bytes, size: int = PAGE) -> bytes:
@@ -107,7 +109,7 @@ def only_cut_runs_count(self, path, offset, data):
     """Mutant: a run that ships whole leaves the mark where it was."""
     before = self.get(path)
     mark = REAL_COVER(self, path, offset, data)
-    if offset + len(data) - mark <= _PIN_BYTES:
+    if offset + len(data) - mark <= PIN_BYTES:
         if before is None:
             self.pop(path, None)
         else:
@@ -115,9 +117,9 @@ def only_cut_runs_count(self, path, offset, data):
     return mark
 
 
-def no_pin(offset, data, mark):
+def no_pin(offset, data, mark, framing):
     """Mutant: the tail is left out and nothing says how long it was."""
-    return [chunk for chunk in REAL_ELIDE(offset, data, mark)
+    return [chunk for chunk in REAL_ELIDE(offset, data, mark, framing)
             if chunk[0] == offset]
 
 
@@ -337,7 +339,7 @@ class TestTheObjectLevelBound:
                 ever_put.put(key, blob)
         pins = sum(len(chunks) > 1 and chunks[-1][1] == PIN
                    for _meta, chunks in wal_objects(ever_put))
-        assert planned <= bound + _PIN_BYTES * pins
+        assert planned <= bound + PIN_BYTES * pins
         assert planned >= 0.5 * bound     # ... and the bound is not slack
         assert pins >= 4
 

@@ -498,17 +498,21 @@ def test_any_zero_heavy_stream_replays_to_the_same_bytes_and_length(
 HALF = PAGE // 2
 
 
-def replay_as_collector(stream, cuts, dumps, seeded, bound) -> None:
+def replay_as_collector(stream, cuts, dumps, seeded, bound, *,
+                        booted: bool = False) -> None:
     """``stream`` is ``(path, offset, data, stray)`` writes over the
     ``seeded`` files (a boot dump's); a checkpoint ends after each index
     in ``cuts`` (and at the end), as a dump where the index is in
     ``dumps``.  A stray write lands outside any checkpoint: local only,
-    until a dump reads the local files.  After every checkpoint the
-    collector's run objects, replayed in order, must have rebuilt the
-    files its whole writes rebuild."""
+    until a dump reads the local files.  The collector of a ``booted``
+    process has the boot dump's image from the start, any other one
+    from its first dump on.  After every checkpoint the collector's run
+    objects, replayed in order, must have rebuilt the files its whole
+    writes rebuild."""
     cuts = sorted({cut for cut in cuts if cut < len(stream)} | {len(stream)})
-    shadow = Shadow(bound, _run_framing)
-    generation = 0
+    shadow = Shadow(bound, _run_framing, lambda _path: True)
+    if booted:
+        shadow.seed(seeded.items())
     local = files_by_whole_writes([], seeded)
     ours, whole = files_by_whole_writes([], seeded), files_by_whole_writes([], seeded)
     planned = written = 0
@@ -519,11 +523,11 @@ def replay_as_collector(stream, cuts, dumps, seeded, bound) -> None:
             if not stray:
                 writes.append((path, offset, data))
         if stop in dumps:
-            generation += 1
+            shadow.seed(local.items())
             ours = {path: bytearray(held) for path, held in local.items()}
             whole = {path: bytearray(held) for path, held in local.items()}
             continue
-        runs, learned = shadow.plan([(*write, generation) for write in writes])
+        runs, learned = shadow.plan([(*write, 0) for write in writes])
         shadow.learn(learned)
         assert shadow.nbytes <= bound
         for group in split_runs(runs, SPLIT_CAP):
@@ -607,3 +611,42 @@ def test_any_page_stream_replays_to_the_same_files_across_cuts_and_dumps(
              for path, (held, slack) in seeded.items()}
     replay_as_wal(stream, cuts, dumps, images, marks, bound)
     replay_as_collector(stream, cuts, dumps, images, bound)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    stream=st.lists(
+        st.tuples(st.sampled_from(("a", "b")),
+                  st.sampled_from((0, 3, HALF, HALF + 5, PAGE, 2 * PAGE, 5 * PAGE)),
+                  changing_page,
+                  st.sampled_from((False, False, False, True))),
+        min_size=1, max_size=30,
+    ),
+    cuts=st.sets(st.integers(1, 29)),
+    dumps=st.sets(st.integers(1, 30)),
+    seeded=st.dictionaries(st.sampled_from(("a", "b")),
+                           st.lists(changing_page, max_size=4).map(b"".join)),
+    bound=st.sampled_from((3 * PAGE, 1 << 20)),
+)
+# Appended past the image's end: records, then a pinned zero tail.
+@example(stream=[("a", 5 * PAGE, b"h" + bytes(PAGE - 1), False)],
+         cuts=set(), dumps=set(), seeded={"a": X}, bound=1 << 20)
+# An empty write past the end still gives the file its length.
+@example(stream=[("a", 5 * PAGE, b"", False)],
+         cuts=set(), dumps=set(), seeded={"a": X}, bound=1 << 20)
+# A stray write, a dump that reads it, then the page as the image knew it.
+@example(stream=[("a", 0, X, False), ("a", 0, Y, True), ("a", 0, X, False)],
+         cuts={1, 2}, dumps={2}, seeded={}, bound=1 << 20)
+# Overlapping writes land on the image whole, in write order.
+@example(stream=[("a", 0, Y, False), ("a", HALF, X[:HALF], False),
+                 ("a", 0, X, False)],
+         cuts={2}, dumps=set(), seeded={"a": X}, bound=1 << 20)
+def test_any_page_stream_replays_to_the_same_files_through_the_dump_image(
+        stream, cuts, dumps, seeded, bound):
+    """The collector of a process that booted the bucket: every write
+    that overlaps no other is cut against its file's image — the boot
+    dump, or the last dump, plus every run since — zeros past its end,
+    a pin for the length.  Any stream, cut, dump points and bound (a
+    dump larger than it keeps no image), and replay rebuilds the files
+    whole writes rebuild, bytes and length."""
+    replay_as_collector(stream, cuts, dumps, seeded, bound, booted=True)

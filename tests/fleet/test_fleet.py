@@ -338,8 +338,15 @@ class TestFleetMetering:
         assert fleet.stats.wal_batches >= rollup.wal_batches
 
     def test_health_reports_tenants_and_pools(self, fleet):
-        _, db = admit(fleet, "h1")
+        ginja, db = admit(fleet, "h1")
         health = fleet.health()
+        # From boot on, a tenant's checkpoint shadow holds the image of
+        # the dump it shipped: its DB files, byte for byte.
+        disk = ginja.fs.inner
+        assert health["tenants"]["h1"]["db_shadow_bytes"] == sum(
+            len(disk.read_all(path)) for path in disk.files()
+            if POSTGRES_PROFILE.is_db_file(path)
+        ) > 0
         assert health["started"]
         assert "h1" in health["tenants"]
         assert health["tenants"]["h1"]["running"]

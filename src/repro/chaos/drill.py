@@ -5,7 +5,7 @@ scenario × crash point × seed, judged by the four oracles.  A **phased
 drill** (placement, tuner, fleet) runs ordered, dependent phases and
 judges each with a named check; all three report through
 :class:`PhasedDrillResult`, read their standby through
-:func:`~repro.chaos.oracles.standby_rows` and pace a
+:func:`~repro.chaos.oracles.standby_rows`; the tuner drill paces its
 :class:`ManualClock` with :class:`ClockPump`.
 
 A grid drill boots a full Ginja stack on a :class:`ManualClock`, runs a
@@ -169,13 +169,13 @@ class ClockPump:
 
     On a manual clock the only things that advance virtual time are the
     workload's explicit ``advance()`` calls and the latency layer's
-    sleeps.  Once the workload stops, a partially-filled batch waiting
-    for T_B would wait on a frozen clock forever (T_B is a timer on this
-    clock, and ``drain`` waits for it rather than forcing a flush) —
-    drains and shutdown deadlines need time to keep flowing.  The pump
-    adds ``step`` virtual seconds every 2 ms of real time, which makes
-    virtual timestamps real-time dependent: that is why a phased
-    drill's canonical report holds only configuration and booleans.
+    sleeps.  A drill that measures *elapsed virtual time* — the tuner
+    drill's controller steers on it — needs time to keep flowing
+    between those; draining does not (``drain`` claims a partial batch
+    at once instead of waiting out T_B).  The pump adds ``step``
+    virtual seconds every 2 ms of real time, which makes virtual
+    timestamps real-time dependent: that is why a phased drill's
+    canonical report holds only configuration and booleans.
     """
 
     def __init__(self, clock: ManualClock, step: float):

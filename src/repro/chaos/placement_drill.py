@@ -29,7 +29,7 @@ from repro.common.errors import ConfigError, ReproError
 from repro.cloud.latency import LatencyModel
 from repro.core.config import GinjaConfig
 from repro.core.ginja import Ginja
-from repro.chaos.drill import ClockPump, PhasedDrillResult
+from repro.chaos.drill import PhasedDrillResult
 from repro.chaos.oracles import row_value
 from repro.costmodel.attribution import attribute_placement_costs
 from repro.db.engine import EngineConfig, MiniDB
@@ -84,12 +84,8 @@ def run_placement_drill(
     store = build_placement(
         providers, placement, clock=clock, specs=specs,
     )
-    # T_B must stay below the per-PUT latency: on a ManualClock only the
-    # latency-layer sleeps advance time once the workload stops, so a
-    # partial batch's timeout has to expire within one upload's advance
-    # or drain would wait on a frozen clock.
     config = GinjaConfig(
-        batch=batch, safety=safety, seed=seed, batch_timeout=0.02,
+        batch=batch, safety=safety, seed=seed,
         providers=providers, placement=placement,
     )
     victim = store.providers[0]
@@ -97,9 +93,8 @@ def run_placement_drill(
         "providers": providers, "placement": placement, "seed": seed,
         "rows": rows, "kill_row": kill_row, "killed": victim.name,
     })
-    with ClockPump(clock, step=0.05):
-        _run_phases(result, store, config, EngineConfig(), POSTGRES_PROFILE,
-                    victim, clock, seed, rows, kill_row)
+    _run_phases(result, store, config, EngineConfig(), POSTGRES_PROFILE,
+                victim, clock, seed, rows, kill_row)
     return result
 
 

@@ -145,8 +145,8 @@ def run_tuner_drill(
     # batch (measured: ~13 virtual seconds for 16 page writes, the
     # tuner's ``interval_ewma``), or every claim is a T_B-expiry
     # partial of one or two rows and B stops being the knob that sets
-    # commit latency (the reactor queue does instead).  The tail partial
-    # batch at drain time is flushed by advancing the clock past T_B.
+    # commit latency (the reactor queue does instead).  The final
+    # drain flushes the tail partial batch.
     config = GinjaConfig(
         batch=batch, safety=safety, seed=seed,
         batch_timeout=20.0, safety_timeout=60.0,
@@ -158,8 +158,8 @@ def run_tuner_drill(
     # stream the drill is measuring.
     engine = EngineConfig(auto_checkpoint=False)
     profile = POSTGRES_PROFILE
-    # A slower pump than the placement drill's: here virtual *latencies*
-    # are the measured control signal, and every pump tick that lands
+    # A slow pump: here virtual *latencies* are the measured control
+    # signal, and every pump tick that lands
     # between a claim and its unlock inflates it.  0.02 per 2 ms keeps
     # the noise floor well under the smallest per-batch PUT latency.
     with ClockPump(clock, step=0.02):

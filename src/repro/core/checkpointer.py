@@ -257,10 +257,11 @@ class CheckpointCollector:
     def _encode_groups(self, groups: list, encode_payload) -> list[bytes]:
         """Encode every part, on the shared stage when one is attached.
 
-        :meth:`EncodeStage.map` preserves order, re-raises the first
-        failure in this (the DBMS checkpoint) thread, and degrades to
-        inline execution when the stage is not running — the exact
-        semantics the old serial loop had.
+        :meth:`EncodeStage.map` preserves order, encodes the first part
+        on this (the DBMS checkpoint) thread — so a one-part object
+        takes no worker — re-raises the first failure here, and
+        degrades to inline execution when the stage is not running —
+        the exact semantics the old serial loop had.
         """
         jobs = [
             (lambda group=group: self._encode_part(encode_payload(group)))

@@ -17,7 +17,9 @@ pools it borrows):
   unlock, and a schedule or a retune may have changed T_B — and either
   re-arms or schedules a claim; it never plans or encodes on the loop.
   On a :class:`~repro.common.clock.ManualClock`, advancing the clock
-  past the deadline *is* what fires it.
+  past the deadline *is* what fires it.  A waiting
+  :meth:`~CommitPipeline.drain` does not wait for it: while one waits,
+  a partial batch is claimed at once.
 * The **claim job** runs on an encoder worker
   (:class:`~repro.core.encode_stage.EncodeStage`), on the pipeline's
   fair-share lane, at most one at a time per pipeline: it claims up to
@@ -216,6 +218,9 @@ class CommitPipeline:
         self._stop = False
         #: The one claim job: ``_IDLE``, ``_QUEUED`` or ``_RUNNING``.
         self._claim = _IDLE
+        #: Drains waiting right now; while any is, a partial batch is
+        #: claimed at once instead of waiting out T_B.
+        self._draining = 0
         #: The armed T_B timer and its deadline.  One that has become
         #: too early (the anchor moved on) is left to fire and re-read
         #: the deadline; only one that is too *late* (T_B shrank) is
@@ -304,17 +309,27 @@ class CommitPipeline:
     def drain(self, timeout: float = 30.0) -> bool:
         """Block until every queued update is confirmed (or timeout).
 
-        Returns True when the queue fully drained.
+        A drain flushes instead of waiting out T_B: while it waits, a
+        partial batch is claimed at once — still at most B updates, in
+        queue order, one claim at a time — so timestamps and the unlock
+        rule are what they always were.  Returns True when the queue
+        fully drained.
         """
         deadline = self._clock.now() + timeout
         with self._cond:
-            # Woken by the unlock rule each time a batch completes; no poll.
-            while self._entries and self._fuse.error is None:
-                remaining = deadline - self._clock.now()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(timeout=remaining)
-            return not self._entries
+            self._draining += 1
+            try:
+                self._schedule_locked()
+                # Woken by the unlock rule each time a batch completes;
+                # no poll.
+                while self._entries and self._fuse.error is None:
+                    remaining = deadline - self._clock.now()
+                    if remaining <= 0:
+                        return False
+                    self._cond.wait(timeout=remaining)
+                return not self._entries
+            finally:
+                self._draining -= 1
 
     @property
     def failed(self) -> Exception | None:
@@ -410,12 +425,14 @@ class CommitPipeline:
 
     # -- Scheduling: the T_B timer and the claim job -------------------------------------
 
-    def _schedule_locked(self) -> None:
+    def _schedule_locked(self, tail: bool = False) -> None:
         """Give the unclaimed updates what they are waiting for: a claim
-        job if a batch is full or T_B has run out, else the T_B timer.
-        Called (lock held) at the only moments that can change the
-        answer — a submit that starts or fills a batch, the timer
-        firing, a claim job finishing, start."""
+        job if a batch is full, T_B has run out or a drain is waiting,
+        else the T_B timer.  Called (lock held) at the only moments that
+        can change the answer — a submit that starts or fills a batch,
+        the timer firing, a claim job finishing (``tail``: its worker
+        takes the successor, see :meth:`EncodeStage.submit`), a drain
+        beginning, start."""
         if (self._claim != _IDLE or self._stop or not self._started
                 or self._fuse.error is not None):
             return
@@ -423,7 +440,7 @@ class CommitPipeline:
         if available == 0:
             return
         try:
-            if available < self._batch_limit():
+            if available < self._batch_limit() and not self._draining:
                 now = self._clock.now()
                 deadline = self._batch_deadline(now)
                 if now < deadline:
@@ -436,7 +453,9 @@ class CommitPipeline:
                         )
                         self._timer_deadline = deadline
                     return
-            self._stage.submit(self._claim_job, self._fuse, lane=self._lane)
+            self._stage.submit(
+                self._claim_job, self._fuse, lane=self._lane, tail=tail,
+            )
         except GinjaError as exc:
             # The borrowed pool stopped or died under us.
             self._fuse.blow(exc)
@@ -470,7 +489,7 @@ class CommitPipeline:
             if self._stop:
                 self._cond.notify_all()  # _halt may be waiting us out
             else:
-                self._schedule_locked()
+                self._schedule_locked(tail=True)
 
     def _claim_and_ship(self) -> None:
         with self._cond:

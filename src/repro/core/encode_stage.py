@@ -22,6 +22,17 @@ pool via :meth:`EncodeStage.map`, the recovery engine borrows one as a
 download pool, and a :class:`~repro.fleet.manager.FleetManager` shares
 one stage across every tenant's pipeline.
 
+**Workers start on demand.**  :meth:`EncodeStage.start` opens the stage
+and starts no thread; :meth:`EncodeStage.submit` starts one, under the
+lock, only when the queued jobs outnumber the idle workers and fewer
+than ``workers`` exist.  No worker retires before
+:meth:`EncodeStage.stop`, so the pool only grows, to the largest
+concurrent demand of the run — a stage whose jobs never overlap holds
+one thread, whatever ``workers`` says.  A job that ends by submitting
+its successor says so (``tail=True``), so a chain holds one worker
+however the threads interleave.  :meth:`EncodeStage.map` runs one of
+its jobs on the calling thread, which blocks there anyway.
+
 **Fair-share lanes.**  Jobs are queued per *lane* (a fleet passes the
 tenant id; single-tenant callers use the default lane) and workers pick
 lanes round-robin, so a tenant that floods the stage with a burst of
@@ -52,10 +63,11 @@ from repro.common.fuse import Fuse
 
 
 class EncodeStage:
-    """A fixed pool of encoder threads fed from per-lane FIFO queues.
+    """At most ``workers`` encoder threads, started on demand and fed
+    from per-lane FIFO queues.
 
     Args:
-        workers: pool size (``GinjaConfig.encoders``).
+        workers: most threads the pool starts (``GinjaConfig.encoders``).
         name: thread-name prefix (the thread census groups by it).
     """
 
@@ -71,43 +83,38 @@ class EncodeStage:
         #: Round-robin order over the non-empty lanes.
         self._rr: deque[str] = deque()
         self._pending = 0
+        self._running = False
         self._stopping = False
         self._threads: list[threading.Thread] = []
-        #: Drop queued jobs instead of running them (the crash path).
-        #: Written and read only under ``_cond``: a crash racing a drain
-        #: must never let one worker run a job another is discarding.
-        self._discard = False
+        #: Started workers not running a job.
+        self._idle = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
     @property
     def running(self) -> bool:
-        return bool(self._threads)
+        return self._running
 
     @property
     def workers(self) -> int:
         return self._workers
 
     def start(self) -> None:
-        if self._threads:
-            raise GinjaError("encode stage already started")
+        """Open the stage to :meth:`submit`; no thread starts here."""
         with self._cond:
-            self._discard = False
+            if self._running:
+                raise GinjaError("encode stage already started")
+            self._running = True
             self._stopping = False
-        for index in range(self._workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"{self._name}-{index}", daemon=True
-            )
-            self._threads.append(thread)
-            thread.start()
 
     def stop(self, *, discard: bool = False, join_timeout: float = 10.0) -> None:
         """Stop all workers.
 
         ``discard=False`` (the drain path) lets queued jobs finish first;
-        ``discard=True`` (the crash path) drops them — workers skip every
-        remaining job, exactly as a power failure would, and blow each
-        one's fuse so nobody waits on it.
+        ``discard=True`` (the crash path) drops them, exactly as a power
+        failure would: they leave the queue here, under the lock, so no
+        worker runs one, and each one's fuse is blown so nobody waits on
+        it — even when every worker is wedged in a job.
 
         Raises:
             GinjaError: when a worker fails to join within
@@ -116,13 +123,18 @@ class EncodeStage:
                 reporting True and a later :meth:`start` cannot double
                 the pool.
         """
-        if not self._threads:
-            return
+        dropped = []
         with self._cond:
-            if discard:
-                self._discard = True
+            if not self._running:
+                return
             self._stopping = True
+            while discard and self._pending:
+                dropped.append(self._claim_locked()[1])
             self._cond.notify_all()
+        # Blown outside the lock: a fuse's hook may take its owner's
+        # lock, which owners hold while they submit here.
+        for fuse in dropped:
+            fuse.blow(GinjaError("encode stage stopped before the job ran"))
         wedged = []
         for thread in self._threads:
             thread.join(timeout=join_timeout)
@@ -137,14 +149,17 @@ class EncodeStage:
                 "encode stage stop timed out; wedged workers: "
                 + ", ".join(thread.name for thread in wedged)
             )
-        self._threads.clear()
         with self._cond:
+            self._threads.clear()
+            self._running = False
             self._stopping = False
-            self._discard = False
 
     # -- job submission ----------------------------------------------------------
 
-    def submit(self, job: Callable[[], None], fuse: Fuse, lane: str = "") -> None:
+    def submit(
+        self, job: Callable[[], None], fuse: Fuse, lane: str = "", *,
+        tail: bool = False,
+    ) -> None:
         """Queue one fire-and-forget job, run as ``fuse.guard(job)``.
 
         The job owns its own result delivery (e.g. handing an encoded
@@ -153,14 +168,20 @@ class EncodeStage:
         queue — a fleet passes the tenant id so one tenant's burst
         cannot starve the others.
 
+        ``tail=True`` says the caller is a job of this stage that ends
+        with this submit (a claim job scheduling its successor): its
+        worker is about to look for work, so it counts as idle and no
+        thread starts for the job.  A chain of jobs that each submit the
+        next then holds one worker however the threads interleave.
+
         Raises:
-            GinjaError: when the stage is not running.  With no worker
-                threads the job would sit in the queue forever; callers
-                either hold the stage running for the submission's
-                lifetime (the pipeline does) or must handle the error.
+            GinjaError: when the stage is not running.  No worker would
+                ever start for the job; callers either hold the stage
+                running for the submission's lifetime (the pipeline
+                does) or must handle the error.
         """
         with self._cond:
-            if not self._threads:
+            if not self._running:
                 raise GinjaError("encode stage is not running")
             if self._stopping:
                 # Covers both an in-progress drain and a wedged stop()
@@ -174,6 +195,22 @@ class EncodeStage:
                 self._rr.append(lane)
             queue.append((job, fuse))
             self._pending += 1
+            # Only one of our own workers may vouch for itself: a tail
+            # submit from any other thread would strand its job.
+            idle = self._idle + (
+                tail and threading.current_thread() in self._threads
+            )
+            if self._pending > idle and len(self._threads) < self._workers:
+                # Every started worker is busy or spoken for.  The new
+                # one counts as idle from here, so the next submit of a
+                # burst does not start a second one for the same job.
+                thread = threading.Thread(
+                    target=self._worker_loop,
+                    name=f"{self._name}-{len(self._threads)}", daemon=True,
+                )
+                self._threads.append(thread)
+                self._idle += 1
+                thread.start()
             self._cond.notify()
 
     def queue_depth(self) -> int:
@@ -190,20 +227,20 @@ class EncodeStage:
     def map(
         self, jobs: list[Callable[[], object]], lane: str = ""
     ) -> list[object]:
-        """Run ``jobs`` on the pool, block for all, return results in order.
+        """Run ``jobs``, block for all, return results in order.
 
         Used by the checkpoint collector to encode a checkpoint's parts
-        in parallel.  The call's own fuse carries the first exception
+        in parallel.  The first job runs on the calling thread, which
+        would only wait here otherwise, and the rest on the pool — so a
+        one-part checkpoint object takes no worker; when the stage is
+        not running every job runs here, so callers never need a
+        fallback path.  The call's own fuse carries the first exception
         any job raised (or the discard of one), which is re-raised here,
         in the calling thread, without waiting for the rest — the
         collector's caller (the DBMS's checkpointing thread) keeps the
         kill-the-checkpointer discipline it had when encoding inline.
-        When the stage is not running the jobs execute inline, so
-        callers never need a fallback path.
         """
-        if not jobs:
-            return []
-        if not self._threads:
+        if len(jobs) <= 1 or not self._running:
             return [job() for job in jobs]
         results: list[object] = [None] * len(jobs)
         cond = threading.Condition()
@@ -218,12 +255,13 @@ class EncodeStage:
                 if not left:
                     cond.notify_all()
 
-        for index, job in enumerate(jobs):
+        for index in range(1, len(jobs)):
             try:
-                self.submit(partial(run, index, job), fuse, lane)
+                self.submit(partial(run, index, jobs[index]), fuse, lane)
             except GinjaError:
                 # The stage stopped under us: run the rest inline.
-                fuse.guard(run, index, job)
+                fuse.guard(run, index, jobs[index])
+        fuse.guard(run, 0, jobs[0])
         with cond:
             cond.wait_for(lambda: not left or fuse.error is not None)
         if fuse.error is not None:
@@ -249,11 +287,10 @@ class EncodeStage:
             with self._cond:
                 while self._pending == 0 and not self._stopping:
                     self._cond.wait()
+                self._idle -= 1
                 if self._pending == 0:
                     return  # stopping, and the queues are drained
                 job, fuse = self._claim_locked()
-                discard = self._discard
-            if discard:
-                fuse.blow(GinjaError("encode stage stopped before the job ran"))
-            else:
-                fuse.guard(job)
+            fuse.guard(job)
+            with self._cond:
+                self._idle += 1

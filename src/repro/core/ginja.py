@@ -249,9 +249,15 @@ class Ginja:
                 self._running = False
 
     def drain(self, timeout: float = 30.0) -> bool:
-        """Wait until every pending update and checkpoint is in the cloud."""
+        """Wait until every pending update and checkpoint is in the cloud.
+
+        ``timeout`` bounds the whole wait, as in :meth:`stop`: the
+        checkpointer gets what the pipeline's drain left of it.
+        """
+        deadline = self.clock.now() + timeout
         ok = self.pipeline.drain(timeout=timeout)
-        return self.checkpointer.drain(timeout=timeout) and ok
+        remaining = max(0.0, deadline - self.clock.now())
+        return self.checkpointer.drain(timeout=remaining) and ok
 
     def crash(self) -> None:
         """Simulate abrupt primary loss (the disaster of §5.3).

@@ -511,9 +511,9 @@ class CountingStage:
         self._stage = stage
         self.jobs = 0
 
-    def submit(self, job, fuse, lane=""):
+    def submit(self, job, fuse, lane="", **kw):
         self.jobs += 1
-        self._stage.submit(job, fuse, lane=lane)
+        self._stage.submit(job, fuse, lane=lane, **kw)
 
     def __getattr__(self, name):
         return getattr(self._stage, name)
@@ -605,6 +605,35 @@ class TestAggregatorWakeUps:
             assert stats.wal_batches == 1
         finally:
             pipe.abort()
+
+    def test_drain_flushes_a_partial_batch_on_a_frozen_clock(self, pools):
+        """drain() claims a partial batch at once instead of waiting out
+        T_B: at B = 10, three updates drain with the clock never moved
+        (a drain that waits for the timer waits here forever)."""
+        clock = ManualClock()
+        config = GinjaConfig(batch=10, safety=100, batch_timeout=30.0,
+                             safety_timeout=600.0, uploaders=1)
+        pipe, backend, _view, stats = make_pipeline(pools, config, clock=clock)
+        pipe.start()
+        drained = []
+        drainer = threading.Thread(
+            target=lambda: drained.append(pipe.drain(timeout=60.0)),
+        )
+        try:
+            for i in range(3):
+                pipe.submit("seg", i * 512, b"u")
+            drainer.start()
+            drainer.join(timeout=5.0)
+            assert drained == [True]
+            assert clock.now() == 0.0
+            assert stats.wal_batches == 1       # one batch of three
+            assert len(backend.list("WAL/")) == 1
+        finally:
+            clock.advance(31.0)     # releases a drain still waiting on T_B
+            if drainer.ident is not None:
+                drainer.join(timeout=5.0)
+            pipe.abort()
+        assert not drainer.is_alive()
 
     def test_an_unlock_moves_the_deadline_the_timer_re_reads(self, pools):
         """The anchor resets at each unlock: a partial batch whose timer

@@ -4,14 +4,17 @@ Covers the ordering contract the stage must not weaken (timestamps are
 assigned by the Aggregator; out-of-order encode completion never
 unlocks batches out of order), the poison discipline (a codec fault on
 an encoder worker fails submitters and shutdown), and byte-level replay
-equivalence between parallel and inline encoding.
+equivalence between parallel and inline encoding, and the on-demand
+worker start (a worker only for a job no started worker is free for).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -27,6 +30,8 @@ from repro.core.commit_pipeline import CommitPipeline
 from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta, decode_wal_payload
 from repro.core.encode_stage import EncodeStage
+
+from tests.cloud.test_reactor import wait_for
 
 
 def make_pipeline(pools, config, codec=None, backend=None, bus=None):
@@ -115,6 +120,7 @@ class TestEncodeStageUnit:
         stage.start()
         release = threading.Event()
         stage.submit(release.wait, Fuse())  # occupy the only worker
+        assert wait_for(lambda: stage.queue_depth() == 0)
         failures = []
 
         def mapper():
@@ -125,13 +131,15 @@ class TestEncodeStageUnit:
 
         thread = threading.Thread(target=mapper)
         thread.start()
-        time.sleep(0.05)  # let the map jobs reach the queue
-        stage._discard = True  # the crash path, without joining first
-        release.set()
+        # The first job runs on the mapper's thread, the second queues.
+        assert wait_for(lambda: stage.queue_depth() == 1)
+        stopper = threading.Thread(target=stage.stop, kwargs={"discard": True})
+        stopper.start()
         thread.join(timeout=5)
-        assert not thread.is_alive()
+        release.set()
+        stopper.join(timeout=5)
+        assert not thread.is_alive() and not stopper.is_alive()
         assert failures, "cancelled map did not raise"
-        stage.stop(discard=True)
 
     def test_restartable_after_stop(self):
         stage = EncodeStage(workers=1)
@@ -218,6 +226,149 @@ class TestEncodeStageUnit:
         finally:
             stage.stop()
         assert stage.lane_depth("x") == 0
+
+
+def started(name):
+    """The live worker threads of the stage named ``name``."""
+    return sorted(
+        t.name for t in threading.enumerate() if t.name.startswith(f"{name}-")
+    )
+
+
+class TestOnDemandWorkers:
+    """A worker starts only when queued jobs outnumber idle workers, up
+    to ``workers``, and stays until stop(): the pool's size is the
+    largest concurrent demand it has seen."""
+
+    NAME = "ginja-ondemand"
+
+    def test_no_thread_before_the_first_job(self):
+        stage = EncodeStage(workers=4, name=self.NAME)
+        stage.start()
+        try:
+            assert stage.running and started(self.NAME) == []
+            done = threading.Event()
+            stage.submit(done.set, Fuse())
+            assert done.wait(timeout=5)
+            assert started(self.NAME) == [f"{self.NAME}-0"]
+        finally:
+            stage.stop()
+        assert started(self.NAME) == []
+
+    def test_workers_follow_concurrent_demand_up_to_the_cap(self):
+        stage = EncodeStage(workers=3, name=self.NAME)
+        stage.start()
+        release = threading.Event()
+        try:
+            for held in range(1, 6):
+                stage.submit(release.wait, Fuse())
+                assert len(started(self.NAME)) == min(held, 3)
+            release.set()
+            assert wait_for(lambda: stage.queue_depth() == 0)
+            assert len(started(self.NAME)) == 3     # kept, not retired
+        finally:
+            release.set()
+            stage.stop()
+        assert started(self.NAME) == []
+
+    def test_jobs_that_never_overlap_hold_one_thread(self):
+        stage = EncodeStage(workers=4, name=self.NAME)
+        stage.start()
+        try:
+            for _ in range(20):
+                done = threading.Event()
+                stage.submit(done.set, Fuse())
+                assert done.wait(timeout=5)
+                assert wait_for(lambda: stage._idle == 1)   # back for more
+            assert started(self.NAME) == [f"{self.NAME}-0"]
+        finally:
+            stage.stop()
+
+    def test_a_one_job_map_starts_no_thread(self):
+        stage = EncodeStage(workers=4, name=self.NAME)
+        stage.start()
+        try:
+            here = threading.current_thread()
+            assert stage.map([threading.current_thread]) == [here]
+            assert started(self.NAME) == []
+            # Two jobs: the first here, the second on the one worker it
+            # starts.
+            first, second = stage.map([threading.current_thread] * 2)
+            assert first is here and second.name == f"{self.NAME}-0"
+        finally:
+            stage.stop()
+
+    def test_racing_submitters_respect_the_cap_and_lose_no_job(self):
+        """Eight submitters on three lanes of a three-worker stage under
+        a 1 µs switch interval: every job runs once, at most three
+        workers start, and at rest every started worker counts as idle
+        again — a lost update of the idle count breaks the last."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        stage = EncodeStage(workers=3, name=self.NAME)
+        stage.start()
+        ran = []
+        try:
+            def submitter(k):
+                for i in range(200):
+                    stage.submit(partial(ran.append, (k, i)), Fuse(),
+                                 lane=str(k % 3))
+
+            submitters = [
+                threading.Thread(target=submitter, args=(k,)) for k in range(8)
+            ]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in submitters)
+            assert wait_for(lambda: len(ran) == 1600, timeout=30)
+            workers = len(started(self.NAME))
+            assert 1 <= workers <= 3
+            assert wait_for(lambda: stage._idle == workers)
+        finally:
+            sys.setswitchinterval(previous)
+            stage.stop()
+        assert sorted(ran) == [(k, i) for k in range(8) for i in range(200)]
+
+    def test_a_chain_of_tail_submits_holds_one_worker(self):
+        """Each job submits the next as its last act, as a claim job
+        schedules its successor: under a 1 µs switch interval the chain
+        still runs on one worker.  Counted as busy, the submitting
+        worker would start a second on the first link."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        stage = EncodeStage(workers=4, name=self.NAME)
+        stage.start()
+        done = threading.Event()
+        left = [300]
+
+        def link():
+            left[0] -= 1
+            if left[0]:
+                stage.submit(link, Fuse(), tail=True)
+            else:
+                done.set()
+
+        try:
+            stage.submit(link, Fuse())
+            assert done.wait(timeout=30)
+            assert started(self.NAME) == [f"{self.NAME}-0"]
+        finally:
+            sys.setswitchinterval(previous)
+            stage.stop()
+
+    def test_a_tail_submit_from_outside_the_pool_still_starts_a_worker(self):
+        """Only a worker of the stage can vouch for itself: ``tail``
+        from any other thread must not strand the job."""
+        stage = EncodeStage(workers=2, name=self.NAME)
+        stage.start()
+        try:
+            done = threading.Event()
+            stage.submit(done.set, Fuse(), tail=True)
+            assert done.wait(timeout=5)
+        finally:
+            stage.stop()
 
 
 class TestUnlockOrderUnderParallelEncode:
@@ -455,6 +606,26 @@ class TestWedgedStop:
         stage.stop()
         assert not stage.running
         stage.start()
+        stage.stop()
+
+    def test_a_discard_behind_wedged_workers_blows_the_queued_fuses(self):
+        """With every worker wedged in a job no worker will ever skip
+        the queued one, so stop(discard=True) must blow its fuse itself
+        — or its map caller or restore waits forever."""
+        stage = EncodeStage(workers=2)
+        stage.start()
+        release = threading.Event()
+        stage.submit(release.wait, Fuse())
+        stage.submit(release.wait, Fuse())
+        assert wait_for(lambda: stage.queue_depth() == 0)   # both held
+        fuse = Fuse()
+        stage.submit(lambda: None, fuse)
+        try:
+            with pytest.raises(GinjaError, match="wedged"):
+                stage.stop(discard=True, join_timeout=0.1)
+            assert isinstance(fuse.error, GinjaError)
+        finally:
+            release.set()
         stage.stop()
 
 

@@ -259,7 +259,7 @@ class TestEngineParallelism:
         try:
             assert wait_for(lambda: pool.queue_depth() == 6)  # 1 on the worker
             stopper.start()
-            assert wait_for(lambda: pool._discard)
+            assert wait_for(lambda: pool.queue_depth() == 0)   # dropped
         finally:
             gate.set()
         runner.join(timeout=5)

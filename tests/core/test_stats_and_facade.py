@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,9 @@ from repro.core.stats import GinjaStats
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import POSTGRES_PROFILE
 from repro.storage.memory import MemoryFileSystem
+
+from tests.cloud.test_reactor import wait_for
+from tests.core.test_checkpointer import GateStore
 
 
 class TestGinjaStats:
@@ -57,6 +61,68 @@ def make_ginja():
     config = GinjaConfig(batch=5, safety=50, batch_timeout=0.05,
                          safety_timeout=5.0)
     return Ginja(fs, cloud, POSTGRES_PROFILE, config), cloud
+
+
+class TestDrainAndThreads:
+    def test_drain_shares_one_deadline_between_both_pipelines(self):
+        """``drain(timeout)`` bounds the whole wait, as ``stop()`` does:
+        with a WAL object and a checkpoint object both parked on a store
+        that never acks, ``drain(0.5)`` gives up after 0.5 s, not after
+        0.5 s for each pipeline."""
+        store = GateStore(hold=lambda op, key: op == "put")
+        fs = MemoryFileSystem()
+        engine = EngineConfig(wal_segment_size=64 * KiB, auto_checkpoint=False)
+        MiniDB.create(fs, POSTGRES_PROFILE, engine).close()
+        ginja = Ginja(fs, store, POSTGRES_PROFILE, GinjaConfig(
+            batch=1, safety=50, batch_timeout=0.05, safety_timeout=30.0,
+        ))
+        ginja.start(mode="boot")
+        db = MiniDB.open(ginja.fs, POSTGRES_PROFILE, engine)
+        try:
+            db.put("t", "k", b"v")
+            assert db.checkpoint()
+            assert wait_for(lambda: any(
+                key.startswith("DB/") for key in store.started("put")
+            ))
+            started = time.monotonic()
+            assert ginja.drain(timeout=0.5) is False
+            assert time.monotonic() - started < 0.75
+        finally:
+            store.release.set()
+            db.close()
+            ginja.stop()
+
+    def test_a_lone_stack_at_b1_holds_one_reactor_and_two_encoders_at_most(
+            self):
+        """Encoders start on demand: none before the first commit.  A
+        claim job's worker takes its successor itself, so at B = 1 a
+        second encoder starts only for a commit that lands while that
+        worker is still leaving a claim, and this small database's
+        checkpoints are one part each — never a third."""
+        def named(prefix):
+            return [t.name for t in threading.enumerate()
+                    if t.name.startswith(prefix)]
+
+        fs = MemoryFileSystem()
+        engine = EngineConfig(wal_segment_size=64 * KiB)
+        MiniDB.create(fs, POSTGRES_PROFILE, engine).close()
+        ginja = Ginja(fs, SimulatedCloud(time_scale=0.0), POSTGRES_PROFILE,
+                      GinjaConfig(batch=1, safety=10, batch_timeout=0.05,
+                                  safety_timeout=5.0, encoders=4))
+        ginja.start(mode="boot")
+        try:
+            assert named("ginja-encoder-") == []
+            db = MiniDB.open(ginja.fs, POSTGRES_PROFILE, engine)
+            for i in range(100):
+                db.put("t", f"k{i}", b"v")
+                if i % 25 == 24:
+                    assert db.checkpoint()
+            db.close()
+            assert ginja.drain(timeout=10.0)
+            assert named("ginja-reactor").count("ginja-reactor") == 1
+            assert 1 <= len(named("ginja-encoder-")) <= 2
+        finally:
+            ginja.stop()
 
 
 class TestFacadeLifecycle:

@@ -158,7 +158,7 @@ def bench_pipeline(*, optimized: bool, updates: int, page_size: int,
     """
     config = GinjaConfig(
         batch=batch, safety=updates + batch, batch_timeout=0.005,
-        safety_timeout=120.0, uploaders=uploaders, encoders=encoders,
+        safety_timeout=120.0, uploaders=uploaders,
         compress=True, encrypt=True, password=PASSWORD,
     )
     codec_cls = ObjectCodec if optimized else LegacyCodec
@@ -477,7 +477,7 @@ def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
                     config = GinjaConfig(
                         batch=batch, safety=len(streams[i]) + batch,
                         batch_timeout=0.005, safety_timeout=120.0,
-                        uploaders=2, encoders=1, compress=True, encrypt=True, password=PASSWORD,
+                        uploaders=2, compress=True, encrypt=True, password=PASSWORD,
                     )
                     cloud = SimulatedCloud(
                         backend=InMemoryObjectStore(), time_scale=0.0

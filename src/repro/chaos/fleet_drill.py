@@ -19,8 +19,8 @@ set, and the drill proves, in order:
 6. **thread_budget** (with ``thread_budget``) — a census sampling the
    live thread set through the whole run never exceeds the budget.
    All PUT and GC DELETE traffic and every T_B timer multiplex onto the
-   shared reactor, every claim and encode job onto the shared encoder
-   pool, and downloaders exist only while the victim is recovered — so
+   shared reactor, every claim job onto the fleet's one encoder, and
+   downloaders exist only while the victim is recovered — so
    the peak is the same at 5 tenants as at 50.
 
 The census, the bill and the upload-overlap snapshot are diagnostics in
@@ -84,8 +84,7 @@ def run_fleet_drill(
     rows: int = 30,
     batch: int = 5,
     safety: int = 50,
-    encoders: int = 4,
-    downloaders: int = 4,
+    downloaders: int = SharedPoolConfig.downloaders,
     jobs: int = 8,
     seed: int = 0,
     profile: DBMSProfile = POSTGRES_PROFILE,
@@ -109,7 +108,7 @@ def run_fleet_drill(
     victim = tenant_ids[seed % tenants]
     result = PhasedDrillResult("fleet", {
         "tenants": tenants, "rows": rows, "batch": batch, "safety": safety,
-        "encoders": encoders, "downloaders": downloaders, "jobs": jobs,
+        "downloaders": downloaders, "jobs": jobs,
         "seed": seed, "victim": victim,
     })
     census = _ThreadCensus()
@@ -117,7 +116,7 @@ def run_fleet_drill(
     census.data.update(tenants=tenants, thread_budget=thread_budget)
     fleet = FleetManager(
         InMemoryObjectStore(),
-        SharedPoolConfig(encoders=encoders, downloaders=downloaders),
+        SharedPoolConfig(downloaders=downloaders),
     )
     policy = TenantPolicy(
         batch=batch, safety=safety, batch_timeout=0.2, safety_timeout=10.0,

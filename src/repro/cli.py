@@ -44,7 +44,7 @@ from repro.cloud.pricing import (
 )
 from repro.common.errors import ConfigError
 from repro.common.units import parse_bytes
-from repro.core.config import GinjaConfig
+from repro.core.config import GinjaConfig, SharedPoolConfig
 from repro.core.events import (
     Event,
     OBJECT_RESTORED,
@@ -416,8 +416,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     result = run_fleet_drill(
         tenants=args.tenants, rows=args.rows, batch=args.batch,
-        safety=args.safety, encoders=args.encoders,
-        downloaders=args.downloaders, jobs=args.jobs, seed=args.seed,
+        safety=args.safety, downloaders=args.downloaders, jobs=args.jobs,
+        seed=args.seed,
         profile=_profile(args.profile),
         segment_size=parse_bytes(args.segment_size),
         thread_budget=args.thread_budget,
@@ -533,9 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rows each tenant commits")
     fleet.add_argument("--batch", type=int, default=5)
     fleet.add_argument("--safety", type=int, default=50)
-    fleet.add_argument("--encoders", type=int, default=4,
-                       help="shared encoder pool size")
-    fleet.add_argument("--downloaders", type=int, default=4,
+    fleet.add_argument("--downloaders", type=int,
+                       default=SharedPoolConfig.downloaders,
                        help="shared recovery download pool size")
     fleet.add_argument("--jobs", type=int, default=8,
                        help="concurrent commit driver threads")

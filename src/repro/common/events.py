@@ -68,11 +68,10 @@ QUEUE_DEPTH = "queue_depth"
 WAITER_UNLOCK = "waiter_unlock"
 #: Bytes fed through the codec (compress/encrypt/MAC input).
 CODEC = "codec"
-#: One WAL object handed to *another* encode worker (objects 2…n of a
-#: batch; the worker that planned encodes the first itself); ``count``
-#: is the submitting lane's queue depth after the handoff (what a per-tenant
-#: dashboard should chart) and ``total`` the stage-wide depth across
-#: every lane.
+#: Retired with the hand-off of a batch's objects 2…n to another encode
+#: worker (the worker that plans a batch encodes all of it) — nothing
+#: emits it; the constant stays because the frozen benchmark counts the
+#: kind.
 ENCODE_QUEUED = "encode_queued"
 #: One WAL object finished encoding; ``nbytes`` is the encoded size,
 #: ``count`` the lane's queue depth left, ``total`` the stage-wide one.

@@ -129,10 +129,11 @@ class CheckpointCollector:
         #: Where a finished object goes: :meth:`CheckpointUploader.enqueue`.
         self._enqueue = enqueue
         self._bus = bus or NULL_BUS
-        #: Shared encoder pool (the Ginja facade passes the same stage the
-        #: commit pipeline uses, so DB-object codec work overlaps WAL
-        #: traffic instead of serializing on the DBMS's checkpoint
-        #: thread).  ``None`` — or a stopped stage — encodes inline.
+        #: Shared encode stage (the Ginja facade passes the same stage
+        #: the commit pipeline uses): parts 2…n of a checkpoint object
+        #: encode on its worker beside the DBMS's checkpoint thread,
+        #: which encodes the first.  ``None`` — or a stopped stage —
+        #: encodes inline.
         self._stage = encode_stage
         self._active = False
         self._ts = -1

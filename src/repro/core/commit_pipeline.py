@@ -31,10 +31,11 @@ pools it borrows):
   ``max_object_bytes`` and assigns timestamps — everything
   ordering-sensitive, on one thread at a time, so the
   consecutive-timestamps unlock rule is untouched.  The worker that
-  planned keeps going: it encodes the batch's first object itself and
-  hands objects 2…n (rare) back to its lane for any idle worker.  When
-  it finishes it re-checks under the lock and reschedules itself,
-  re-arms the timer for a leftover partial batch, or goes idle.
+  planned keeps going: it encodes each object and hands it to the
+  reactor in ts order, so object 1 uploads while object 2 (rare — a
+  batch that spans files or exceeds the object cap) encodes.  When it
+  finishes it re-checks under the lock and reschedules itself, re-arms
+  the timer for a leftover partial batch, or goes idle.
 * Encoded objects are submitted to the shared **upload reactor**
   (:class:`~repro.cloud.reactor.UploadReactor`): one event-loop thread
   drives every PUT through the cloud transport's async path, with the
@@ -45,7 +46,7 @@ pools it borrows):
   the loop already serialises: the last object of a batch acks it, and
   acked batches leave the queue head strictly in batch order — the
   "consecutive timestamps" rule that makes S a true bound on loss even
-  when parallel uploads (or encodes) complete out of order (§5.3).
+  when parallel uploads complete out of order (§5.3).
 
 Figure 3 draws Aggregator, Uploader and Unlocker threads per database;
 each only ever serialised work that a queue already orders, so each
@@ -65,7 +66,7 @@ writes ``flags|iv|body|mac`` into one preallocated ``bytearray`` with a
 streaming MAC.
 
 The pipeline narrates itself on the event bus (``commit_blocked``,
-``claim_queued``, ``wal_batch``, ``encode_queued``/``encode_done``,
+``claim_queued``, ``wal_batch``, ``encode_done``,
 ``wal_object``, ``batch_unlocked``, ``codec``); :class:`~repro.core.stats.GinjaStats`
 and the trace recorder subscribe there instead of being threaded
 through the constructor.  Per-write emits are guarded with
@@ -115,19 +116,6 @@ class _Entry:
     #: The view's shipping epoch when the entry joined the queue (set
     #: under the pipeline lock, so stamps never decrease along it).
     epoch: int = 0
-
-
-@dataclass(slots=True)
-class _EncodeTask:
-    """One WAL object planned by a claim job, not yet encoded.
-
-    ``chunks`` holds bytes-like runs (often ``memoryview`` slices over
-    the submitted pages — safe because queue entries outlive their
-    batch: the unlock rule pops them only after the batch is acked)."""
-
-    batch_id: int
-    meta: WALObjectMeta
-    chunks: list
 
 
 class CommitPipeline:
@@ -425,14 +413,13 @@ class CommitPipeline:
 
     # -- Scheduling: the T_B timer and the claim job -------------------------------------
 
-    def _schedule_locked(self, tail: bool = False) -> None:
+    def _schedule_locked(self) -> None:
         """Give the unclaimed updates what they are waiting for: a claim
         job if a batch is full, T_B has run out or a drain is waiting,
         else the T_B timer.  Called (lock held) at the only moments that
         can change the answer — a submit that starts or fills a batch,
-        the timer firing, a claim job finishing (``tail``: its worker
-        takes the successor, see :meth:`EncodeStage.submit`), a drain
-        beginning, start."""
+        the timer firing, a claim job finishing, a drain beginning,
+        start."""
         if (self._claim != _IDLE or self._stop or not self._started
                 or self._fuse.error is not None):
             return
@@ -453,9 +440,7 @@ class CommitPipeline:
                         )
                         self._timer_deadline = deadline
                     return
-            self._stage.submit(
-                self._claim_job, self._fuse, lane=self._lane, tail=tail,
-            )
+            self._stage.submit(self._claim_job, self._fuse, lane=self._lane)
         except GinjaError as exc:
             # The borrowed pool stopped or died under us.
             self._fuse.blow(exc)
@@ -489,7 +474,7 @@ class CommitPipeline:
             if self._stop:
                 self._cond.notify_all()  # _halt may be waiting us out
             else:
-                self._schedule_locked(tail=True)
+                self._schedule_locked()
 
     def _claim_and_ship(self) -> None:
         with self._cond:
@@ -520,16 +505,16 @@ class CommitPipeline:
     def _ship(self, batch_id: int, batch: list[_Entry]) -> None:
         if self.tuner is not None:
             self.tuner.on_claim()
-        tasks = self._plan(batch_id, batch)
+        objects = self._plan(batch)
         self._bus.emit(
             events.WAL_BATCH, count=len(batch),
             nbytes=sum(
-                len(data) for task in tasks for _offset, data in task.chunks
+                len(data) for _meta, chunks in objects for _offset, data in chunks
             ),
             total=sum(len(entry.data) for entry in batch),
             at=self._clock.now(),
         )
-        if not tasks:
+        if not objects:
             # Every write repeated what was last shipped in its place:
             # there is nothing to upload, and the unlock rule would
             # wait forever on a batch with no object.  It still leaves
@@ -540,36 +525,24 @@ class CommitPipeline:
                 self._remove_completed_prefix_locked()
             return
         with self._cond:
-            self._inflight_objects[batch_id] = len(tasks)
-        # The worker that planned keeps going with the first object;
-        # the others (a batch over ``max_object_bytes``) go back to the
-        # lane first, so an idle worker encodes them meanwhile.
-        emit_queued = self._bus.wants(events.ENCODE_QUEUED)
-        for task in tasks[1:]:
-            self._stage.submit(
-                partial(self._encode_and_enqueue, task), self._fuse,
-                lane=self._lane,
-            )
-            if emit_queued:
-                # The submitting lane's own depth is the one a
-                # per-tenant dashboard charts; the stage-wide depth
-                # rides along as ``total``.
-                self._bus.emit(
-                    events.ENCODE_QUEUED, key=task.meta.key,
-                    count=self._stage.lane_depth(self._lane),
-                    total=self._stage.queue_depth(),
-                    at=self._clock.now(),
-                )
-        self._encode_and_enqueue(tasks[0])
+            self._inflight_objects[batch_id] = len(objects)
+        # In ts order, on this worker: each object uploads while the
+        # next one encodes.
+        for meta, chunks in objects:
+            self._encode_and_enqueue(batch_id, meta, chunks)
 
-    def _plan(self, batch_id: int, batch: list[_Entry]) -> list[_EncodeTask]:
-        """Plan the batch's WAL objects (Alg. 2 line 12).
+    def _plan(self, batch: list[_Entry]) -> list[tuple[WALObjectMeta, list]]:
+        """Plan the batch's WAL objects (Alg. 2 line 12), as ``(meta,
+        chunks)`` in ts order.
 
         The transform itself is :func:`plan_writes`; this is the
         ordering-sensitive rest of the aggregate step: timestamps are
         assigned here, by the pipeline's one claim job, in batch order
-        — the encode jobs behind it may finish objects in any order
-        without weakening the S bound.
+        — the uploads behind it may finish objects in any order without
+        weakening the S bound.  ``chunks`` are bytes-like runs, often
+        ``memoryview`` slices over the submitted pages — safe because
+        queue entries outlive their batch: the unlock rule pops them
+        only after the batch is acked.
         """
         groups = plan_writes(
             ((e.path, e.offset, e.data, e.epoch) for e in batch),
@@ -578,29 +551,24 @@ class CommitPipeline:
             max_object_bytes=self._config.max_object_bytes,
         )
         return [
-            _EncodeTask(
-                batch_id=batch_id,
-                meta=WALObjectMeta(
-                    ts=self._view.next_wal_ts(), filename=path,
-                    offset=group[0][0],
-                ),
-                chunks=group,
-            )
+            (WALObjectMeta(ts=self._view.next_wal_ts(), filename=path,
+                           offset=group[0][0]), group)
             for path, group in groups
         ]
 
     # -- Encode ---------------------------------------------------------------------------
 
-    def _encode_and_enqueue(self, task: _EncodeTask) -> None:
-        payload = encode_wal_payload(task.chunks)
+    def _encode_and_enqueue(self, batch_id: int, meta: WALObjectMeta,
+                            chunks: list) -> None:
+        payload = encode_wal_payload(chunks)
         blob = self._codec.encode(payload)
         bus = self._bus
         if bus.wants(events.CODEC):
-            bus.emit(events.CODEC, nbytes=len(payload), key=task.meta.filename)
-        self._submit_upload(task.batch_id, task.meta, blob)
+            bus.emit(events.CODEC, nbytes=len(payload), key=meta.filename)
+        self._submit_upload(batch_id, meta, blob)
         if bus.wants(events.ENCODE_DONE):
             bus.emit(
-                events.ENCODE_DONE, key=task.meta.key, nbytes=len(blob),
+                events.ENCODE_DONE, key=meta.key, nbytes=len(blob),
                 count=self._stage.lane_depth(self._lane),
                 total=self._stage.queue_depth(),
                 at=self._clock.now(),

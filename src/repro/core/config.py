@@ -17,8 +17,9 @@ class SharedPoolConfig:
 
     Everything here describes infrastructure that exists once per
     protection process, no matter how many tenant databases it serves:
-    the encoder pool, the recovery download pool, the upload reactor
-    and the transport stack's retry layers.  A
+    the recovery download pool, the upload reactor and the transport
+    stack's retry layers.  (The encode stage has no knob: one worker
+    per process, see :mod:`repro.core.encode_stage`.)  A
     :class:`~repro.fleet.manager.FleetManager` builds those from one
     ``SharedPoolConfig`` and injects them into every tenant's
     :class:`~repro.core.ginja.Ginja`; a single-tenant ``Ginja`` reads
@@ -31,15 +32,11 @@ class SharedPoolConfig:
     :func:`~repro.cloud.transport.build_transport`) accepts either.
     """
 
-    #: Parallel encoder threads (the middle stage of the three-stage
-    #: pipeline), shared by every tenant's commit pipeline and
-    #: checkpoint collector.  zlib/AES/HMAC release the GIL, so with
-    #: compression or encryption on this is real CPU parallelism.
-    encoders: int = 4
-    #: Parallel Downloader threads for disaster recovery, shared by
-    #: every tenant restore: GETs and decodes are prefetched while
-    #: payloads are applied strictly in plan order.  ``1`` restores
-    #: sequentially on the calling thread.
+    #: Concurrent GETs of one disaster recovery: the restoring thread
+    #: plus ``downloaders − 1`` helpers fetch and decode while payloads
+    #: are applied strictly in plan order; a fleet's shared download
+    #: pool has this many workers.  ``1`` restores sequentially on the
+    #: calling thread.
     downloaders: int = 4
     #: Plan positions recovery may prefetch ahead of the apply cursor —
     #: bounds decoded-but-unapplied memory.
@@ -76,8 +73,6 @@ class SharedPoolConfig:
     reactor_inflight: int = 64
 
     def __post_init__(self) -> None:
-        if self.encoders < 1:
-            raise ConfigError("need at least one encoder thread")
         if self.downloaders < 1:
             raise ConfigError("need at least one downloader thread")
         if self.prefetch_window < 1:

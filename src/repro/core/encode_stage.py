@@ -1,4 +1,4 @@
-"""The encode stage: a sized worker pool for a tenant's off-DBMS-thread work.
+"""The encode stage: a sized worker pool for off-DBMS-thread work.
 
 The paper's Figure 3 gives every database an Aggregator thread that
 claims, coalesces, compresses and encrypts serially.  Here that work is
@@ -8,35 +8,35 @@ a *job* on this pool::
 
 A commit pipeline schedules at most one **claim job** at a time on its
 lane: claim a batch, plan its WAL objects, assign their timestamps,
-encode the first object on the spot and hand objects 2…n (rare — the
-object cap is 20 MB) back to the same lane for any idle worker.  So
-everything ordering-sensitive still runs on one thread at a time per
-pipeline, and the codec work behind it is ordered downstream by the
-consecutive-timestamp unlock rule.  zlib, ``cryptography``'s AES and
-``hmac`` all release the GIL, so the workers achieve real parallelism
-in CPython.
+then encode and hand each object to the reactor in ts order.  So
+everything ordering-sensitive runs on one thread at a time per
+pipeline, and the uploads behind it are ordered downstream by the
+consecutive-timestamp unlock rule.
 
-The stage is deliberately generic — jobs are plain callables — so the
-:class:`~repro.core.checkpointer.CheckpointCollector` reuses the same
-pool via :meth:`EncodeStage.map`, the recovery engine borrows one as a
-download pool, and a :class:`~repro.fleet.manager.FleetManager` shares
-one stage across every tenant's pipeline.
+**One encoder per process.**  ``Ginja`` and ``FleetManager`` build their
+stage with one worker.  A lone pipeline never has two claim jobs in
+flight, and a fleet's claim jobs (≈ 0.3 ms each) are GIL-bound: with
+six compress+encrypt tenants on a zero-latency cloud (the perf
+harness's ``fleet_submit_unlock`` series, 2-core box), shared pools of
+6, 2 and 1 workers read 23.2k / 23.4k / 22.7k and 21.1k / 22.7k /
+21.5k updates/s over two rounds — one worker is within 3 % of six even
+where encoding is the bottleneck.  :meth:`EncodeStage.map` runs one of its
+jobs on the calling thread, which blocks there anyway, so a
+multi-part checkpoint still encodes two parts at once.  Other pools
+are sized by their owners: the recovery engine's download helpers and
+a fleet's shared download pool are stages too.
 
 **Workers start on demand.**  :meth:`EncodeStage.start` opens the stage
 and starts no thread; :meth:`EncodeStage.submit` starts one, under the
 lock, only when the queued jobs outnumber the idle workers and fewer
 than ``workers`` exist.  No worker retires before
 :meth:`EncodeStage.stop`, so the pool only grows, to the largest
-concurrent demand of the run — a stage whose jobs never overlap holds
-one thread, whatever ``workers`` says.  A job that ends by submitting
-its successor says so (``tail=True``), so a chain holds one worker
-however the threads interleave.  :meth:`EncodeStage.map` runs one of
-its jobs on the calling thread, which blocks there anyway.
+concurrent demand of the run.
 
 **Fair-share lanes.**  Jobs are queued per *lane* (a fleet passes the
 tenant id; single-tenant callers use the default lane) and workers pick
 lanes round-robin, so a tenant that floods the stage with a burst of
-objects cannot starve its co-tenants: each non-empty lane gets one job
+jobs cannot starve its co-tenants: each non-empty lane gets one job
 per scheduling turn — a cold tenant's T_B flush waits for at most one
 job per busy lane, never for a burst.  With a single lane this
 degenerates to the FIFO queue the stage always had.
@@ -67,7 +67,7 @@ class EncodeStage:
     from per-lane FIFO queues.
 
     Args:
-        workers: most threads the pool starts (``GinjaConfig.encoders``).
+        workers: most threads the pool starts.
         name: thread-name prefix (the thread census groups by it).
     """
 
@@ -94,10 +94,6 @@ class EncodeStage:
     @property
     def running(self) -> bool:
         return self._running
-
-    @property
-    def workers(self) -> int:
-        return self._workers
 
     def start(self) -> None:
         """Open the stage to :meth:`submit`; no thread starts here."""
@@ -157,8 +153,7 @@ class EncodeStage:
     # -- job submission ----------------------------------------------------------
 
     def submit(
-        self, job: Callable[[], None], fuse: Fuse, lane: str = "", *,
-        tail: bool = False,
+        self, job: Callable[[], None], fuse: Fuse, lane: str = ""
     ) -> None:
         """Queue one fire-and-forget job, run as ``fuse.guard(job)``.
 
@@ -167,12 +162,6 @@ class EncodeStage:
         — its owner's, never the stage's.  ``lane`` names the fair-share
         queue — a fleet passes the tenant id so one tenant's burst
         cannot starve the others.
-
-        ``tail=True`` says the caller is a job of this stage that ends
-        with this submit (a claim job scheduling its successor): its
-        worker is about to look for work, so it counts as idle and no
-        thread starts for the job.  A chain of jobs that each submit the
-        next then holds one worker however the threads interleave.
 
         Raises:
             GinjaError: when the stage is not running.  No worker would
@@ -195,12 +184,8 @@ class EncodeStage:
                 self._rr.append(lane)
             queue.append((job, fuse))
             self._pending += 1
-            # Only one of our own workers may vouch for itself: a tail
-            # submit from any other thread would strand its job.
-            idle = self._idle + (
-                tail and threading.current_thread() in self._threads
-            )
-            if self._pending > idle and len(self._threads) < self._workers:
+            if (self._pending > self._idle
+                    and len(self._threads) < self._workers):
                 # Every started worker is busy or spoken for.  The new
                 # one counts as idle from here, so the next submit of a
                 # burst does not start a second one for the same job.

@@ -119,10 +119,10 @@ class Ginja:
             time_scale=time_scale,
             clock=clock,
         )
-        #: One encoder pool shared by the commit pipeline and the
-        #: checkpoint collector, so DB-object codec work overlaps WAL
-        #: traffic on the same ``config.encoders`` threads.
-        self.encode_stage = encode_stage or EncodeStage(self.config.encoders)
+        #: One encoder shared by the commit pipeline and the checkpoint
+        #: collector: the pipeline never has two claim jobs in flight,
+        #: and a checkpoint encodes its first part on its caller.
+        self.encode_stage = encode_stage or EncodeStage(1)
         #: One upload reactor drives WAL PUTs, checkpoint PUTs and GC
         #: DELETEs (the tenant's lane on a fleet-shared loop, or a
         #: private loop for a stand-alone instance) — O(1) upload

@@ -11,22 +11,25 @@ concurrent reads.  This module splits recovery into three stages:
   in ``(ts, seq)`` order → the consecutive WAL chain) plus the set of
   provably stale keys.  Planning is pure: no I/O beyond the LIST the
   caller already did.
-* **prefetch** — :class:`RecoveryEngine` keeps a sliding
-  ``prefetch_window`` of plan positions submitted to a worker pool (a
-  fleet's shared downloader stage, or ``downloaders`` threads private
-  to the run); each job GETs one object and runs ``ObjectCodec.decode``
-  on the same worker, off the apply thread (zlib/AES/HMAC release the
-  GIL, and on a latency-modeled or real store the GETs overlap).
-* **apply** — the calling thread writes decoded payloads to the target
-  file system *strictly in plan order*, so the restored image is
-  byte-identical to a sequential replay no matter how downloads race.
+* **fetch** — :class:`RecoveryEngine` keeps at most ``prefetch_window``
+  plan positions ahead of the apply cursor.  The fetchers are the
+  restoring thread itself plus ``downloaders − 1`` helpers (private
+  ``ginja-downloader`` threads, or jobs in the tenant's lane on a
+  fleet's shared download pool): each takes the next position inside
+  the window, GETs it and runs ``ObjectCodec.decode`` on the same
+  thread — on a latency-modeled or real store the GETs overlap.
+* **apply** — whichever fetcher completes the in-order prefix writes it
+  to the target file system, one applier at a time and *strictly in
+  plan order*, so the restored image is byte-identical to a sequential
+  replay no matter how downloads race.
 
-A fetch job runs under the run's :class:`~repro.common.fuse.Fuse`: its
-failure — or a pool that discards it — wakes the apply thread, which
-re-raises it (DESIGN.md, "Failure discipline"), so a dead downloader
-fails :func:`~repro.core.bootstrap.recover_files` instead of hanging
-it.  Progress is narrated as ``recovery_planned`` /
-``object_restored`` / ``recovery_done`` events on the bus.
+Every fetch runs under the run's :class:`~repro.common.fuse.Fuse`: a
+helper's failure — or a pool that discards its job — wakes the
+restoring thread, which re-raises it (DESIGN.md, "Failure
+discipline"), so a dead downloader fails
+:func:`~repro.core.bootstrap.recover_files` instead of hanging it.
+Progress is narrated as ``recovery_planned`` / ``object_restored`` /
+``recovery_done`` events on the bus.
 
 The WAL stale-marking here also fixes a PITR data-loss bug: the old
 ``recover_files(upto_ts=...)`` marked *every* WAL object stale, so
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import RecoveryError
@@ -249,18 +251,19 @@ def plan_recovery(
 class RecoveryEngine:
     """Bounded-concurrency download→decode→apply executor for one plan.
 
-    Fetch jobs (GET + decode of one object) run on a worker pool, at
-    most ``prefetch_window`` plan positions ahead of the apply cursor;
-    the calling thread applies results strictly in plan order.  A fleet
-    passes ``pool`` — its running shared downloader
-    :class:`~repro.core.encode_stage.EncodeStage` — and jobs go into
-    the pool's ``lane`` (the tenant id), so concurrent tenant restores
-    share one set of threads with fair-share scheduling between them.
-    Without one the run starts ``downloaders`` private
-    ``ginja-downloader`` threads and stops them before returning.
-    ``downloaders=1`` (and a one-object plan) restores sequentially on
-    the calling thread — the reference the parallel path is tested
-    byte-for-byte against.
+    The calling thread fetches too: with ``downloaders=1`` (or a
+    one-object plan) it restores alone, sequentially — the reference
+    the parallel path is tested byte-for-byte against.  Otherwise
+    ``downloaders − 1`` helpers fetch beside it, at most
+    ``prefetch_window`` plan positions ahead of the apply cursor, so
+    GET concurrency is ``downloaders``.  A fleet passes ``pool`` — its
+    running shared downloader
+    :class:`~repro.core.encode_stage.EncodeStage` — and the helpers are
+    per-position jobs in the pool's ``lane`` (the tenant id), so
+    concurrent tenant restores share one set of threads with fair-share
+    scheduling between them.  Without one the run starts its helpers
+    as private ``ginja-downloader`` threads and stops them before
+    returning.
     """
 
     def __init__(
@@ -295,7 +298,7 @@ class RecoveryEngine:
 
     def run(self, plan: RecoveryPlan) -> RecoveryReport:
         """Execute ``plan``; returns the same report shape recover_files
-        always produced.  Raises the first worker failure, if any."""
+        always produced.  Raises the run's first fetch or apply failure."""
         report = RecoveryReport(dump_ts=plan.dump_ts)
         report.stale_keys.extend(plan.stale_keys)
         report.last_applied_wal_ts = plan.frontier_ts
@@ -305,24 +308,18 @@ class RecoveryEngine:
             count=plan.object_count,
             detail=plan.describe(),
         )
-        pool = self._pool
-        if pool is not None and not pool.running:
-            pool = None
-        if len(plan.steps) <= 1 or (pool is None and self._downloaders == 1):
-            self._run_sequential(plan, report)
-        elif pool is not None:
-            self._run_pooled(pool, plan, report)
-        else:
-            pool = EncodeStage(
-                min(self._downloaders, len(plan.steps)), name="ginja-downloader"
-            )
-            pool.start()
-            try:
-                self._run_pooled(pool, plan, report)
-            finally:
-                # Queued fetch jobs are already no-ops (the run's fuse
+        helpers = min(self._downloaders, len(plan.steps)) - 1
+        pool, own = self._pool, None
+        if helpers > 0 and (pool is None or not pool.running):
+            pool = own = EncodeStage(helpers, name="ginja-downloader")
+            own.start()
+        try:
+            _Restore(self, plan, report, pool, helpers).run()
+        finally:
+            if own is not None:
+                # Queued helper jobs are already no-ops (the run's fuse
                 # is blown); a recovery never leaks its downloaders.
-                pool.stop(discard=True)
+                own.stop(discard=True)
         self._bus.emit(
             events.RECOVERY_DONE,
             count=plan.object_count,
@@ -376,65 +373,110 @@ class RecoveryEngine:
             + report.checkpoints_applied,
         )
 
-    # -- sequential path ------------------------------------------------------
 
-    def _run_sequential(self, plan: RecoveryPlan, report: RecoveryReport) -> None:
-        for step in plan.steps:
-            nbytes, decoded = self._fetch(step)
-            self._apply(step, nbytes, decoded, report)
+class _Restore:
+    """One run's fetchers and its apply cursor.
 
-    # -- pooled path ----------------------------------------------------------
+    The caller fetches in :meth:`run`; ``helpers`` more fetch as jobs
+    on ``pool``, each taking one plan position when it starts (a job
+    that finds none ends).  Jobs are topped up whenever the window
+    opens or a job ends, so at most ``helpers`` exist and no more are
+    queued than there are positions to take.  A helper's failure — or
+    a stopped pool's refusal — escapes to the pool's guard or to
+    :meth:`run`, and either blows the run's fuse.
+    """
 
-    def _run_pooled(
-        self, pool: EncodeStage, plan: RecoveryPlan, report: RecoveryReport
-    ) -> None:
-        """Prefetch through ``pool``: at most ``window`` plan positions
-        are in it at once — the next one is submitted only after a
-        position is applied.  However the run ends, its fuse is blown
-        last, so fetch jobs still queued (a shared pool is persistent,
-        nothing to join here) run as no-ops."""
-        state = _PooledFetchState(self, plan.steps)
-        window = min(self._window, len(plan.steps))
-        try:
-            for index in range(window):
-                state.submit(pool, self._lane, index)
-            for index, step in enumerate(plan.steps):
-                nbytes, decoded = state.take(index)
-                self._apply(step, nbytes, decoded, report)
-                follow = index + window
-                if follow < len(plan.steps):
-                    state.submit(pool, self._lane, follow)
-        finally:
-            state.fuse.blow(RecoveryError("restore is over"))
-
-
-class _PooledFetchState:
-    """Decoded objects handed from the pool to the apply thread."""
-
-    def __init__(self, engine: RecoveryEngine, steps: tuple[RecoveryStep, ...]):
+    def __init__(self, engine: RecoveryEngine, plan: RecoveryPlan,
+                 report: RecoveryReport, pool: EncodeStage | None,
+                 helpers: int):
         self._engine = engine
-        self._steps = steps
+        self._steps = plan.steps
+        self._report = report
+        self._pool = pool
+        self._helpers = helpers
         self._cond = threading.Condition()
+        self._fuse = Fuse(self._cond)
+        #: Fetched positions waiting for the apply cursor.
         self._results: dict[int, tuple[int, object]] = {}
-        self.fuse = Fuse(self._cond)
+        self._next = 0          # the next position no fetcher has taken
+        self._applied = 0       # the apply cursor
+        self._applying = False  # a fetcher is applying the prefix
+        self._jobs = 0          # helper jobs submitted, not yet ended
+        self._queued = 0        # ... of which not started (no position)
 
-    def submit(self, pool: EncodeStage, lane: str, index: int) -> None:
-        # Raises GinjaError if the pool was stopped (fleet shutdown mid
-        # restore); the caller's finally turns the rest into no-ops.
-        pool.submit(partial(self._fetch_job, index), self.fuse, lane=lane)
+    def run(self) -> None:
+        """Fetch on the calling thread until every position is applied,
+        topping the helpers up after each take (so the caller always
+        fetches the first position); raise the run's first failure.
+        However the run ends, its fuse is blown last, so helper jobs
+        still queued (a shared pool is persistent, nothing to join
+        here) run as no-ops."""
+        try:
+            while True:
+                with self._cond:
+                    while (index := self._take_locked()) is None:
+                        if self._fuse.error is not None:
+                            raise self._fuse.error
+                        if self._applied == len(self._steps):
+                            return
+                        self._cond.wait()
+                    self._top_up_locked()
+                self._fetch(index)
+        except BaseException as exc:
+            self._fuse.blow(exc)
+            raise
+        finally:
+            self._fuse.blow(RecoveryError("restore is over"))
 
-    def _fetch_job(self, index: int) -> None:
+    def _open_locked(self) -> int:
+        """Positions inside the window that no fetcher has taken."""
+        end = min(len(self._steps), self._applied + self._engine._window)
+        return end - self._next
+
+    def _take_locked(self) -> int | None:
+        if self._fuse.error is not None or self._open_locked() <= 0:
+            return None
+        self._next += 1
+        return self._next - 1
+
+    def _top_up_locked(self) -> None:
+        while (self._jobs < self._helpers
+               and self._queued < self._open_locked()
+               and self._fuse.error is None):
+            self._pool.submit(self._helper_job, self._fuse,
+                              lane=self._engine._lane)
+            self._jobs += 1
+            self._queued += 1
+
+    def _helper_job(self) -> None:
+        with self._cond:
+            self._queued -= 1
+            index = self._take_locked()
+        if index is not None:
+            self._fetch(index)
+        with self._cond:
+            self._jobs -= 1
+            self._top_up_locked()
+
+    def _fetch(self, index: int) -> None:
+        """GET and decode ``index``; if that completes the in-order
+        prefix and nobody is applying it, apply it — and whatever lands
+        behind it meanwhile — strictly in plan order."""
         result = self._engine._fetch(self._steps[index])
         with self._cond:
             self._results[index] = result
-            self._cond.notify_all()
-
-    def take(self, index: int) -> tuple[int, object]:
-        """Block until plan position ``index`` is decoded; raise the
-        run's first failure as it is, like the sequential path."""
-        with self._cond:
-            while index not in self._results and self.fuse.error is None:
-                self._cond.wait()
-            if self.fuse.error is not None:
-                raise self.fuse.error
-            return self._results.pop(index)
+            if self._applying or index != self._applied:
+                return
+            self._applying = True
+        while True:
+            with self._cond:
+                result = self._results.pop(self._applied, None)
+                if result is None or self._fuse.error is not None:
+                    self._applying = False
+                    return
+                index = self._applied
+            self._engine._apply(self._steps[index], *result, self._report)
+            with self._cond:
+                self._applied += 1
+                self._cond.notify_all()
+                self._top_up_locked()

@@ -83,7 +83,7 @@ class GinjaStats:
 
     #: The only kinds :meth:`handle_event` reacts to.  Declared at
     #: subscription time so the bus's ``wants()`` fast path stays False
-    #: for per-write events (``queue_depth``, ``encode_queued``…) when a
+    #: for per-write events (``queue_depth``, ``encode_done``…) when a
     #: stats counter is the sole subscriber.
     HANDLED_KINDS = frozenset({
         events.RETRY, events.GC_DELETE, events.WAL_OBJECT, events.WAL_BATCH,

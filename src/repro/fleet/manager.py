@@ -3,8 +3,8 @@
 Ownership is split exactly along :class:`~repro.core.config
 .SharedPoolConfig` / :class:`~repro.core.config.TenantPolicy` lines:
 
-* **Fleet-owned (one per process):** the encoder pool (every tenant's
-  claim and encode jobs, one fair-share lane each), the recovery
+* **Fleet-owned (one per process):** the encoder (one worker running
+  every tenant's claim jobs, one fair-share lane each), the recovery
   download pool (its threads exist only while a restore runs), the
   upload reactor (one event-loop thread driving every tenant's WAL and
   checkpoint PUTs, GC DELETEs and T_B timers), the transport stack
@@ -121,7 +121,7 @@ class FleetManager:
 
     Lifecycle::
 
-        fleet = FleetManager(backend, SharedPoolConfig(encoders=8))
+        fleet = FleetManager(backend, SharedPoolConfig(downloaders=8))
         fleet.start()
         ginja = fleet.add_tenant("acme", fs, POSTGRES_PROFILE,
                                  TenantPolicy(batch=50, safety=500))
@@ -151,8 +151,10 @@ class FleetManager:
         #: Per-tenant request metering with exact reconciliation.
         self.meters = TenantMeterBank().attach(self.bus) if metered else None
         self.uploads = UploadOverlapTracker().attach(self.bus)
-        #: Shared worker pools (the whole point of co-hosting).
-        self.encode_pool = EncodeStage(self.shared.encoders, name="fleet-encoder")
+        #: Shared worker pools (the whole point of co-hosting).  One
+        #: encoder: claim jobs are GIL-bound, so a second worker only
+        #: time-slices the first.
+        self.encode_pool = EncodeStage(1, name="fleet-encoder")
         #: Started by the first concurrent :meth:`recover_tenant` and
         #: stopped with the last: restores share one lane-fair pool,
         #: and a fleet that is not restoring pays no thread for it.

@@ -135,8 +135,11 @@ class Stack:
 
 
 @contextmanager
-def running_pools(encoders: int = 4, inflight: int = 64):
+def running_pools(encoders: int = 1, inflight: int = 64):
     """A started ``(EncodeStage, UploadReactor)`` pair, stopped on exit.
+
+    ``encoders`` defaults to the one worker ``Ginja`` and
+    ``FleetManager`` build; a test of the stage itself may ask for more.
 
     For driving a bare :class:`~repro.core.commit_pipeline
     .CommitPipeline` or :class:`~repro.core.checkpointer

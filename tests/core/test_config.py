@@ -91,7 +91,7 @@ class TestSharedPolicySplit:
         shared = {f.name for f in fields(SharedPoolConfig)}
         policy = {f.name for f in fields(TenantPolicy)}
         assert shared.isdisjoint(policy)
-        assert len(shared | policy) == 29
+        assert len(shared | policy) == 28
         config = GinjaConfig()
         exposed = {name for name in vars(config) if not name.startswith("_")}
         assert exposed == shared | policy
@@ -102,7 +102,8 @@ class TestSharedPolicySplit:
         with pytest.raises(TypeError, match="bogus"):
             GinjaConfig(bogus=1)
         for gone in ("encode_inline", "dispatch_window", "dispatch_hysteresis",
-                     "trace_capacity", "reactor_io_threads", "mac_default_key"):
+                     "trace_capacity", "reactor_io_threads", "mac_default_key",
+                     "encoders"):
             with pytest.raises(TypeError, match=gone):
                 GinjaConfig(**{gone: 1})
 
@@ -116,7 +117,7 @@ class TestSharedPolicySplit:
 
     def test_compose_round_trips(self):
         config = GinjaConfig(
-            batch=7, safety=70, uploaders=2, encoders=6, downloaders=3,
+            batch=7, safety=70, uploaders=2, downloaders=3,
             compress=True, max_retries=9, seed=42,
             retention=RetentionPolicy.keep(3),
         )
@@ -132,8 +133,8 @@ class TestSharedPolicySplit:
             GinjaConfig.compose(SharedPoolConfig(), TenantPolicy(encrypt=True))
 
     def test_compose_default_policy(self):
-        config = GinjaConfig.compose(SharedPoolConfig(encoders=8))
-        assert config.encoders == 8
+        config = GinjaConfig.compose(SharedPoolConfig(downloaders=8))
+        assert config.downloaders == 8
         assert config.batch == TenantPolicy().batch
 
     def test_compose_copies_retry_budgets(self):
@@ -148,7 +149,7 @@ class TestSharedPolicySplit:
 
     def test_shared_pool_config_validation(self):
         with pytest.raises(ConfigError):
-            SharedPoolConfig(encoders=0)
+            SharedPoolConfig(prefetch_window=0)
         with pytest.raises(ConfigError):
             SharedPoolConfig(downloaders=0)
         with pytest.raises(ConfigError):
@@ -211,7 +212,6 @@ class TestWindowValidationSymmetry:
 
 #: One row per validation rule: (owning half, bad kwargs, message).
 RULES = [
-    (SharedPoolConfig, dict(encoders=0), "need at least one encoder thread"),
     (SharedPoolConfig, dict(downloaders=0),
      "need at least one downloader thread"),
     (SharedPoolConfig, dict(prefetch_window=0), "prefetch_window must be >= 1"),

@@ -1,10 +1,10 @@
 """The parallel encode stage and the three-stage pipeline around it.
 
 Covers the ordering contract the stage must not weaken (timestamps are
-assigned by the Aggregator; out-of-order encode completion never
+assigned by the Aggregator; out-of-order upload completion never
 unlocks batches out of order), the poison discipline (a codec fault on
 an encoder worker fails submitters and shutdown), and byte-level replay
-equivalence between parallel and inline encoding, and the on-demand
+equivalence between one-object and split batches, and the on-demand
 worker start (a worker only for a job no started worker is free for).
 """
 
@@ -331,64 +331,25 @@ class TestOnDemandWorkers:
             stage.stop()
         assert sorted(ran) == [(k, i) for k in range(8) for i in range(200)]
 
-    def test_a_chain_of_tail_submits_holds_one_worker(self):
-        """Each job submits the next as its last act, as a claim job
-        schedules its successor: under a 1 µs switch interval the chain
-        still runs on one worker.  Counted as busy, the submitting
-        worker would start a second on the first link."""
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        stage = EncodeStage(workers=4, name=self.NAME)
-        stage.start()
-        done = threading.Event()
-        left = [300]
-
-        def link():
-            left[0] -= 1
-            if left[0]:
-                stage.submit(link, Fuse(), tail=True)
-            else:
-                done.set()
-
-        try:
-            stage.submit(link, Fuse())
-            assert done.wait(timeout=30)
-            assert started(self.NAME) == [f"{self.NAME}-0"]
-        finally:
-            sys.setswitchinterval(previous)
-            stage.stop()
-
-    def test_a_tail_submit_from_outside_the_pool_still_starts_a_worker(self):
-        """Only a worker of the stage can vouch for itself: ``tail``
-        from any other thread must not strand the job."""
-        stage = EncodeStage(workers=2, name=self.NAME)
-        stage.start()
-        try:
-            done = threading.Event()
-            stage.submit(done.set, Fuse(), tail=True)
-            assert done.wait(timeout=5)
-        finally:
-            stage.stop()
-
 
 class TestUnlockOrderUnderParallelEncode:
     def test_stalled_first_encode_holds_the_unlock_frontier(self, pools):
-        """Objects ts=1 and ts=2 finish encoding and uploading while
-        ts=0 is stuck in the encode stage: no batch may unlock and no
-        queue slot may free until ts=0 lands (Alg. 2 lines 20-22).
-        One batch over three files is three objects: the worker that
-        planned them keeps the first, two idle workers take the rest."""
+        """Objects ts=1 and ts=2 upload while the PUT of ts=0 is stuck:
+        no batch may unlock and no queue slot may free until ts=0 lands
+        (Alg. 2 lines 20-22).  One batch over three files is three
+        objects, encoded in ts order by the worker that planned them."""
         gate = threading.Event()
 
-        class GateCodec(ObjectCodec):
-            def encode(self, payload):
-                if b"first" in bytes(payload):
+        class GatedBackend(InMemoryObjectStore):
+            def put(self, key, data):
+                if WALObjectMeta.parse(key).ts == 0:
                     assert gate.wait(timeout=60)
-                return super().encode(payload)
+                super().put(key, data)
 
         config = GinjaConfig(batch=3, safety=10, batch_timeout=0.01,
-                             safety_timeout=30.0, uploaders=2, encoders=3)
-        pipe, backend, view = make_pipeline(pools, config, codec=GateCodec())
+                             safety_timeout=30.0, uploaders=2)
+        pipe, backend, view = make_pipeline(pools, config,
+                                            backend=GatedBackend())
         pipe.start()
         try:
             pipe.submit("seg-a", 0, b"first-" + b"a" * 64)
@@ -406,11 +367,12 @@ class TestUnlockOrderUnderParallelEncode:
             assert view.confirmed_ts() == 2
             assert pipe.pending_updates() == 0
         finally:
+            gate.set()
             pipe.stop(drain_timeout=5.0)
 
     def test_scrambled_encode_latency_drains_completely(self, pools):
-        """Randomized per-object encode delays (seeded) across several
-        workers: every write still lands and the frontier closes."""
+        """Randomized per-object encode delays (seeded): every write
+        still lands and the frontier closes."""
         rng = random.Random(7)
         delays = {}
 
@@ -421,7 +383,7 @@ class TestUnlockOrderUnderParallelEncode:
                 return super().encode(payload)
 
         config = GinjaConfig(batch=4, safety=100, batch_timeout=0.01,
-                             safety_timeout=30.0, uploaders=3, encoders=4)
+                             safety_timeout=30.0, uploaders=3)
         pipe, backend, view = make_pipeline(pools, config, codec=JitterCodec())
         pipe.start()
         try:
@@ -448,7 +410,7 @@ class FaultyCodec(ObjectCodec):
 
 
 POISON_CONFIG = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
-                            safety_timeout=5.0, uploaders=2, encoders=3)
+                            safety_timeout=5.0, uploaders=2)
 
 
 class TestEncodePoisonDiscipline:
@@ -521,8 +483,7 @@ class TestParallelInlineEquivalence:
         """Push one seeded page-write stream through a pipeline and
         return the replayed per-file images."""
         config = GinjaConfig(batch=5, safety=200, batch_timeout=0.005,
-                             safety_timeout=30.0, uploaders=3,
-                             encoders=4, compress=True)
+                             safety_timeout=30.0, uploaders=3, compress=True)
         codec = ObjectCodec(compress=True)
         pipe, backend, view = make_pipeline(pools, config, codec=codec)
         rng = random.Random(seed)
@@ -557,9 +518,9 @@ class TestParallelInlineEquivalence:
         """Batch boundaries are timing-dependent, so bucket *objects*
         may differ between runs — but the replayed file images must
         equal naively applying the stream in commit order both when
-        every batch is one object (one file: the planning worker
-        encodes everything) and when batches split into objects that
-        other workers encode beside it (four files)."""
+        every batch is one object (one file) and when batches split
+        into several objects that upload while the next encodes (four
+        files)."""
         assert self._run(pools, seed, files=1) == self._naive(seed, files=1)
         assert self._run(pools, seed, files=4) == self._naive(seed, files=4)
 
@@ -638,26 +599,26 @@ class TestEncodeEvents:
         bus.subscribe(seen.append,
                       kinds={core_events.ENCODE_QUEUED, core_events.ENCODE_DONE})
         config = GinjaConfig(batch=2, safety=10, batch_timeout=0.01,
-                             safety_timeout=5.0, uploaders=1, encoders=2)
+                             safety_timeout=5.0, uploaders=1)
         pipe, _backend, _view = make_pipeline(pools, config, bus=bus)
         pipe.start()
         try:
             pipe.submit("seg-a", 0, b"x" * 64)   # two files: two objects,
-            pipe.submit("seg-b", 0, b"y" * 64)   # the second one handed off
+            pipe.submit("seg-b", 0, b"y" * 64)   # both encoded by the claim
             assert pipe.drain(timeout=5.0)
             # The encoder worker emits encode_done *after* handing the
             # blob to the reactor, so the upload can ack — and drain()
             # return — a beat before the event is out.
             deadline = time.monotonic() + 5.0
-            while len(seen) < 3 and time.monotonic() < deadline:
+            while len(seen) < 2 and time.monotonic() < deadline:
                 time.sleep(0.002)
+            time.sleep(0.05)  # room for a stray encode_queued to show
         finally:
             pipe.stop(drain_timeout=5.0)
-        # encode_queued means "handed to another worker": only the
-        # batch's second object was; both report encode_done.
-        kinds = sorted(e.kind for e in seen)
-        assert kinds == [core_events.ENCODE_DONE, core_events.ENCODE_DONE,
-                         core_events.ENCODE_QUEUED]
+        # No object is handed to another worker: one encode_done per
+        # object, and no encode_queued.
+        assert [e.kind for e in seen] == [core_events.ENCODE_DONE] * 2
+        assert [e.key for e in seen] == sorted(e.key for e in seen)
 
     def test_no_encode_events_without_audience(self):
         """Counter-style subscribers declare their kinds, so the bus

@@ -8,6 +8,8 @@ prefetch window, the poison discipline, and the event narration.
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 import time
 
@@ -227,24 +229,30 @@ class TestEngineParallelism:
             assert not thread.name.startswith("ginja-downloader")
 
     def test_a_borrowed_pool_discarded_mid_restore_fails_the_run(self, codec):
-        """A shared pool stopped with ``discard=True`` drops the fetches
-        it had queued: each blows the run's fuse, so the apply thread
-        raises instead of waiting on a position nobody will fetch."""
+        """A shared pool stopped with ``discard=True`` drops the helper
+        jobs it had queued: each blows the run's fuse, so the restoring
+        thread raises instead of waiting on the position the pool's one
+        wedged worker holds."""
         store = _seed_bucket(codec, wal_objects=3)          # 7 steps
         plan = plan_recovery(store.list())
-        gate = threading.Event()
-        first_key = plan.steps[0].meta.key
+        gate, worker_in = threading.Event(), threading.Event()
 
         class GatedStore:
+            """The pool's worker wedges in its first GET; the restoring
+            thread fetches only once the worker holds a position."""
+
             def get(self, key):
-                if key == first_key:
+                if threading.current_thread().name.startswith("ginja-dl"):
+                    worker_in.set()
                     gate.wait(timeout=10)
+                else:
+                    worker_in.wait(timeout=10)
                 return store.get(key)
 
-        pool = EncodeStage(1, name="ginja-downloader-borrowed")
+        pool = EncodeStage(1, name="ginja-dl")
         pool.start()
         engine = RecoveryEngine(GatedStore(), codec, MemoryFileSystem(),
-                                prefetch_window=16, pool=pool)
+                                downloaders=8, prefetch_window=16, pool=pool)
         failures = []
 
         def restore():
@@ -257,14 +265,17 @@ class TestEngineParallelism:
         runner.start()
         stopper = threading.Thread(target=pool.stop, kwargs={"discard": True})
         try:
-            assert wait_for(lambda: pool.queue_depth() == 6)  # 1 on the worker
+            # Six helper jobs for positions 1..6: one on the worker, and
+            # the caller fetches the other five positions itself.
+            assert wait_for(lambda: worker_in.is_set()
+                            and pool.queue_depth() == 5)
             stopper.start()
             assert wait_for(lambda: pool.queue_depth() == 0)   # dropped
+            runner.join(timeout=5)
+            assert not runner.is_alive(), "restore hangs on a discarded job"
         finally:
             gate.set()
-        runner.join(timeout=5)
         stopper.join(timeout=5)
-        assert not runner.is_alive(), "restore hangs on a discarded fetch"
         assert failures and "stopped before the job ran" in str(failures[0])
 
     def test_engine_validates_arguments(self, codec):
@@ -273,6 +284,154 @@ class TestEngineParallelism:
             RecoveryEngine(store, codec, MemoryFileSystem(), downloaders=0)
         with pytest.raises(RecoveryError):
             RecoveryEngine(store, codec, MemoryFileSystem(), prefetch_window=0)
+
+
+class TestTheRestoringThreadFetches:
+    def test_downloaders_gets_in_flight_on_one_thread_fewer(self, codec):
+        """At ``downloaders=4`` a private restore reaches 4 concurrent
+        GETs (the first four wait for each other at a barrier) with at
+        most 3 ``ginja-downloader`` threads: the fourth fetcher is the
+        restoring thread."""
+        store = _seed_bucket(codec, wal_objects=12)
+        barrier = threading.Barrier(4, timeout=10)
+        lock = threading.Lock()
+        calls, inflight, peak, helpers = [0], [0], [0], []
+
+        class CountingStore:
+            def get(self, key):
+                with lock:
+                    calls[0] += 1
+                    first_four = calls[0] <= 4
+                    inflight[0] += 1
+                    peak[0] = max(peak[0], inflight[0])
+                    helpers.append(len([
+                        t for t in threading.enumerate()
+                        if t.name.startswith("ginja-downloader")
+                    ]))
+                try:
+                    if first_four:
+                        barrier.wait()
+                    return store.get(key)
+                finally:
+                    with lock:
+                        inflight[0] -= 1
+
+            def list(self, prefix=""):
+                return store.list(prefix)
+
+        fs = MemoryFileSystem()
+        recover_files(CountingStore(), codec, fs,
+                      config=GinjaConfig(downloaders=4))
+        assert peak[0] == 4
+        assert max(helpers) <= 3
+        reference = MemoryFileSystem()
+        recover_files(store, codec, reference)
+        assert _image(fs) == _image(reference)
+
+    def test_scrambled_get_latency_restores_the_sequential_image(self, codec):
+        store = _seed_bucket(codec, wal_objects=30)
+        rng = random.Random(11)
+        delays = {info.key: rng.random() * 0.004 for info in store.list()}
+
+        class JitterStore:
+            def get(self, key):
+                time.sleep(delays[key])
+                return store.get(key)
+
+            def list(self, prefix=""):
+                return store.list(prefix)
+
+        images, reports = [], []
+        for downloaders in (1, 4):
+            fs = MemoryFileSystem()
+            reports.append(recover_files(
+                JitterStore(), codec, fs,
+                config=GinjaConfig(downloaders=downloaders, prefetch_window=6),
+            ))
+            images.append(_image(fs))
+        assert images[0] == images[1]
+        assert reports[0] == reports[1]
+
+    def test_racing_fetchers_apply_every_position_once_in_plan_order(
+            self, codec):
+        """Eight fetchers over a window of eight under a 1 µs switch
+        interval: every position is applied exactly once, in plan
+        order, and the run ends — a lost hand-off of the apply role or
+        of a helper top-up would skip, repeat or stall a position."""
+        store = _seed_bucket(codec, wal_objects=120)
+        plan = plan_recovery(store.list())
+        reference = MemoryFileSystem()
+        recover_files(store, codec, reference)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                bus, restored = EventBus(), []
+                bus.subscribe(lambda e: restored.append(e.key),
+                              kinds={events.OBJECT_RESTORED})
+                fs = MemoryFileSystem()
+                engine = RecoveryEngine(store, codec, fs, downloaders=8,
+                                        prefetch_window=8, bus=bus)
+                runner = threading.Thread(target=engine.run, args=(plan,))
+                runner.start()
+                runner.join(timeout=30)
+                assert not runner.is_alive(), "restore stalled"
+                assert restored == [step.meta.key for step in plan.steps]
+                assert _image(fs) == _image(reference)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_a_failing_get_on_the_callers_own_fetch_raises(self, codec):
+        """The restoring thread's own GET (its first — it always fetches
+        plan position 0) fails once a helper is fetching beside it:
+        recover_files raises that error and no downloader outlives it."""
+        store = _seed_bucket(codec, wal_objects=10)
+        caller = threading.current_thread()
+        helper_in = threading.Event()
+
+        class FailingStore:
+            def get(self, key):
+                if threading.current_thread() is not caller:
+                    helper_in.set()
+                    return store.get(key)
+                assert helper_in.wait(timeout=10)
+                raise RuntimeError("the caller's GET fell over")
+
+            def list(self, prefix=""):
+                return store.list(prefix)
+
+        with pytest.raises(RuntimeError, match="caller's GET"):
+            recover_files(FailingStore(), codec, MemoryFileSystem(),
+                          config=GinjaConfig(downloaders=4))
+        for thread in threading.enumerate():
+            assert not thread.name.startswith("ginja-downloader")
+
+    def test_a_fleet_restore_on_a_one_worker_shared_pool(self, codec):
+        """Three helper jobs share the tenant's lane of a one-worker
+        pool: the restore completes, byte-identical, and the restoring
+        thread fetched objects itself."""
+        store = _seed_bucket(codec, wal_objects=12)
+        fetchers = []
+
+        class RecordingStore:
+            def get(self, key):
+                fetchers.append(threading.current_thread())
+                return store.get(key)
+
+        pool = EncodeStage(1, name="fleet-downloader")
+        pool.start()
+        try:
+            fs = MemoryFileSystem()
+            engine = RecoveryEngine(RecordingStore(), codec, fs,
+                                    downloaders=4, pool=pool, lane="tenant-a")
+            report = engine.run(plan_recovery(store.list()))
+        finally:
+            pool.stop()
+        reference = MemoryFileSystem()
+        assert report == recover_files(store, codec, reference)
+        assert _image(fs) == _image(reference)
+        assert fetchers.count(threading.current_thread()) >= 1
+        assert len(fetchers) == len(plan_recovery(store.list()).steps)
 
 
 class TestEngineEvents:

@@ -33,9 +33,7 @@ POLICY = TenantPolicy(
 @pytest.fixture
 def fleet():
     backend = InMemoryObjectStore()
-    manager = FleetManager(
-        backend, SharedPoolConfig(encoders=3, downloaders=2)
-    )
+    manager = FleetManager(backend, SharedPoolConfig(downloaders=2))
     manager.start()
     yield manager
     # Tests that poison a tenant clean it off the roster themselves;
@@ -181,7 +179,7 @@ class TestSharedPoolIsolation:
             )
 
         def tenant_side():
-            # Everything but the shared encoders, which start on demand:
+            # Everything but the shared encoder, which starts on demand:
             # a leaked downloader or any other fleet thread still shows.
             return [
                 n for n in alive_names() if not n.startswith("fleet-encoder")
@@ -194,11 +192,11 @@ class TestSharedPoolIsolation:
         db.close()
         fleet.crash_tenant("victim")
 
-        # Shared pools survive the crash: the encoders the tenant's jobs
-        # started (on demand, never more than the pool's size) stay...
+        # Shared pools survive the crash: the one encoder the tenant's
+        # jobs started stays...
         assert fleet.encode_pool.running
         encoders = [n for n in alive_names() if n.startswith("fleet-encoder")]
-        assert 1 <= len(encoders) <= fleet.encode_pool.workers
+        assert encoders == ["fleet-encoder-0"]
 
         # ...and every tenant-owned thread dies: the roster entry is the
         # only trace left.  Poll — uploader threads exit asynchronously.
@@ -251,12 +249,21 @@ class TestFleetRecovery:
         fleet.crash_tenant("phoenix")
 
         # The restore must run through the shared download pool — whose
-        # threads exist only while it does.
+        # threads exist only while it does.  The restoring thread
+        # fetches too, and on an in-memory bucket it could outrun the
+        # pool's thread start: its first GET waits for a helper's.
         fetched_on = set()
-        fleet.bus.subscribe(
-            lambda event: fetched_on.add(threading.current_thread().name),
-            kinds={"get_end"},
-        )
+        helper_fetched = threading.Event()
+
+        def on_get(event):
+            name = threading.current_thread().name
+            fetched_on.add(name)
+            if name.startswith("fleet-downloader-"):
+                helper_fetched.set()
+            else:
+                helper_fetched.wait(timeout=5)
+
+        fleet.bus.subscribe(on_get, kinds={"get_end"})
         assert not fleet.download_pool.running
         ginja2, report = fleet.recover_tenant(
             "phoenix", MemoryFileSystem(), POSTGRES_PROFILE, POLICY
@@ -393,9 +400,9 @@ class TestReactorOwnership:
             ]
 
         def census():
-            # Executor-bridge workers spawn lazily and encoders start on
-            # demand; both are bounded below, not part of what must stay
-            # identical.
+            # Executor-bridge workers spawn lazily and the encoder starts
+            # on demand; both are checked below, not part of what must
+            # stay identical.
             return sorted(
                 n for n in named("ginja-") + named("fleet-")
                 if not n.startswith(("ginja-reactor-io", "fleet-encoder"))
@@ -404,19 +411,15 @@ class TestReactorOwnership:
         tenants = [admit(fleet, f"s{i}") for i in range(2)]
         for i, (_, db) in enumerate(tenants):
             commit_rows(db, f"s{i}", 8)
-        at_two, encoders_at_two = census(), len(named("fleet-encoder"))
+        at_two, encoders_at_two = census(), named("fleet-encoder")
         tenants += [admit(fleet, f"s{i}") for i in range(2, 6)]
         for i, (_, db) in enumerate(tenants):
             commit_rows(db, f"s{i}", 8)
-        # A tenant costs no thread: its claim jobs ride the shared
-        # encoders, its T_B timer, its PUTs, its unlock rule and its
+        # A tenant costs no thread: its claim jobs ride the one shared
+        # encoder, its T_B timer, its PUTs, its unlock rule and its
         # checkpoint state machine the one reactor loop.
         assert census() == at_two
-        # The encoders are bounded by the pool, not the tenant count:
-        # the pool only grows, so six tenants hold at least the two's,
-        # and never more than ``encoders``.
-        assert 1 <= encoders_at_two <= len(named("fleet-encoder"))
-        assert len(named("fleet-encoder")) <= fleet.encode_pool.workers
+        assert encoders_at_two == named("fleet-encoder") == ["fleet-encoder-0"]
         for ginja, _ in tenants:
             assert ginja.drain(timeout=30.0)
 
@@ -474,7 +477,7 @@ class TestReactorOwnership:
                 self.put(key, data)
 
         backend = SlowToUnwind()
-        manager = FleetManager(backend, SharedPoolConfig(encoders=2))
+        manager = FleetManager(backend, SharedPoolConfig())
         manager.start()
         try:
             _ginja, db = admit(manager, "victim")

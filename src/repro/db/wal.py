@@ -63,6 +63,9 @@ class WALWriter:
         if len(self._tail) != start_lsn - self._tail_lsn:
             raise DatabaseError("tail bytes do not match start position")
         self._flushed_lsn = start_lsn
+        # The segment the last flush wrote to, known to exist: like
+        # PostgreSQL's ``openLogFile``, only a switch to another file probes.
+        self._open_segment: str | None = None
         #: Pages written to the file system (for metrics).
         self.pages_written = 0
 
@@ -105,7 +108,9 @@ class WALWriter:
             if len(chunk) < page:
                 chunk += b"\x00" * (page - len(chunk))
             path, offset = layout.locate(position)
-            self._ensure_segment(path)
+            if path != self._open_segment:
+                self._ensure_segment(path)
+                self._open_segment = path
             self._fs.write(path, offset, chunk)
             self.pages_written += 1
             if path not in files_touched:
@@ -161,6 +166,8 @@ class WALWriter:
                 next_future += 1
             else:
                 self._fs.unlink(path)
+            if path == self._open_segment:
+                self._open_segment = None
             removed.append(path)
         return removed
 

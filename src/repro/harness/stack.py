@@ -38,9 +38,10 @@ from repro.storage.memory import MemoryFileSystem
 #: Per-FS-call overhead of a FUSE mount.  Paced, not slept (see
 #: ``Clock.pace``), so it costs what it says; the benchmark's FUSE-only
 #: series (``storage.interposer.fuse_vs_native`` on ``tpcc_relaxed``)
-#: measures Figure 5's FUSE bar 11% below native with it — the paper's
-#: 7-12% — about twice 3.6 calls x 100 us per transaction, because the
-#: crossings sit inside the commit lock the second terminal queues on.
+#: measures Figure 5's FUSE bar 9% below native with it — the paper's
+#: 7-12% — on 2.3 calls per transaction, each costing more than its
+#: 100 us because the crossings sit inside the commit lock the second
+#: terminal queues on.
 DEFAULT_FUSE_OVERHEAD = 100e-6
 
 

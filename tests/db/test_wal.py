@@ -15,6 +15,44 @@ SEG = 64 * KiB  # small segments so tests cross boundaries cheaply
 MYSQL_SEG = 16 * KiB
 
 
+class CountingFS(MemoryFileSystem):
+    """A memory file system that logs every call as ``(verb, path, …)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[tuple] = []
+
+    def count(self, verb: str) -> int:
+        return len(self.paths(verb))
+
+    def paths(self, verb: str) -> list[str]:
+        return [call[1] for call in self.calls if call[0] == verb]
+
+    def write(self, path, offset, data):
+        self.calls.append(("write", path, offset, len(data)))
+        super().write(path, offset, data)
+
+    def fsync(self, path):
+        self.calls.append(("fsync", path))
+        super().fsync(path)
+
+    def truncate(self, path, size):
+        self.calls.append(("truncate", path, size))
+        super().truncate(path, size)
+
+    def rename(self, src, dst):
+        self.calls.append(("rename", src, dst))
+        super().rename(src, dst)
+
+    def unlink(self, path):
+        self.calls.append(("unlink", path))
+        super().unlink(path)
+
+    def exists(self, path):
+        self.calls.append(("exists", path))
+        return super().exists(path)
+
+
 class TestLayoutPostgres:
     def test_lsn_maps_into_segments(self):
         layout = WALLayout(POSTGRES_PROFILE, SEG)
@@ -146,6 +184,89 @@ class TestWALWriter:
                 start_lsn=10,
                 tail=b"short",
             )
+
+
+class TestSegmentProbeCensus:
+    """The writer keeps its segment open: it probes a WAL file only when
+    a flush enters a different one, never once per page written."""
+
+    @staticmethod
+    def _commit_pages(writer, profile, commits):
+        """``commits`` commits of one whole page each."""
+        for _ in range(commits):
+            writer.append(b"p" * profile.wal_page_size)
+            writer.flush()
+
+    def test_commits_inside_one_segment_probe_once(self):
+        fs = CountingFS()
+        writer = WALWriter(fs, POSTGRES_PROFILE, segment_size=SEG)
+        pages = SEG // POSTGRES_PROFILE.wal_page_size
+        self._commit_pages(writer, POSTGRES_PROFILE, pages)
+        assert fs.count("write") == writer.pages_written == pages
+        assert fs.count("exists") == 1
+        assert fs.count("truncate") == 1  # the one preallocation
+
+    def test_crossing_a_segment_boundary_probes_the_new_segment(self):
+        fs = CountingFS()
+        writer = WALWriter(fs, POSTGRES_PROFILE, segment_size=SEG)
+        pages = SEG // POSTGRES_PROFILE.wal_page_size
+        self._commit_pages(writer, POSTGRES_PROFILE, 2 * pages + 1)
+        assert fs.count("write") == 2 * pages + 1
+        assert fs.paths("exists") == [
+            POSTGRES_PROFILE.wal_path(index) for index in range(3)
+        ]
+
+    def test_sub_page_commits_rewrite_one_page_probing_once(self):
+        fs = CountingFS()
+        writer = WALWriter(fs, POSTGRES_PROFILE, segment_size=SEG)
+        for _ in range(20):
+            writer.append(b"c" * 100)
+            writer.flush()
+        assert fs.count("write") == writer.pages_written == 20
+        assert fs.count("fsync") == 20
+        assert fs.count("exists") == 1
+
+    def test_ring_wrap_probes_once_per_ring_file_entered(self):
+        fs = CountingFS()
+        writer = WALWriter(fs, MYSQL_PROFILE, segment_size=MYSQL_SEG)
+        writer.preallocate_initial()
+        assert fs.count("exists") == MYSQL_PROFILE.ring_files
+        fs.calls.clear()
+        per_file = ((MYSQL_SEG - MYSQL_PROFILE.wal_header_size)
+                    // MYSQL_PROFILE.wal_page_size)
+        # ib_logfile0, ib_logfile1, then ib_logfile0 again after the wrap.
+        self._commit_pages(writer, MYSQL_PROFILE, 2 * per_file + 3)
+        assert fs.count("write") == 2 * per_file + 3
+        assert fs.paths("exists") == [
+            "ib_logfile0", "ib_logfile1", "ib_logfile0",
+        ]
+        assert fs.count("truncate") == 0
+
+    def test_resumed_writer_probes_its_first_segment(self):
+        fs = CountingFS()
+        writer = WALWriter(fs, POSTGRES_PROFILE, segment_size=SEG)
+        self._commit_pages(writer, POSTGRES_PROFILE, 2)
+        fs.calls.clear()
+        resumed = WALWriter(fs, POSTGRES_PROFILE, segment_size=SEG,
+                            start_lsn=writer.lsn)
+        self._commit_pages(resumed, POSTGRES_PROFILE, 3)
+        assert fs.count("exists") == 1
+        assert fs.count("write") == 3
+
+    @pytest.mark.parametrize("recycle", [False, True])
+    def test_retiring_the_open_segment_forgets_it(self, recycle):
+        fs = CountingFS()
+        writer = WALWriter(fs, POSTGRES_PROFILE, segment_size=SEG)
+        writer.append(b"x" * 100)
+        writer.flush()
+        # A caller dropping ahead of the writer retires its open segment;
+        # the next flush must recreate it, not write into a missing file.
+        writer.drop_segments_before(SEG, recycle=recycle)
+        assert not fs.exists(POSTGRES_PROFILE.wal_path(0))
+        writer.append(b"y")
+        writer.flush()
+        assert fs.size(POSTGRES_PROFILE.wal_path(0)) == SEG
+        assert fs.read(POSTGRES_PROFILE.wal_path(0), 100, 1) == b"y"
 
 
 class TestStreamReader:

@@ -2,17 +2,19 @@
 
 The single-bucket catalog (:mod:`repro.fsck.invariants`) answers "is
 this bucket recoverable?".  With placement in front, recoverability has
-a second axis: *where* the bytes live.  This module audits that axis —
+a second axis: *where* the bytes live.  This module reports that axis
+by naming the findings of one :func:`~repro.placement.survey
+.survey_layout` pass —
 
-* **fragment-set-incomplete** — a striped object's best generation has
-  fewer than K fragments reachable: the object is unrecoverable until a
-  provider returns (data loss if none does).
-* **replica-disagreement** — two providers hold different bytes for the
-  same mirrored key (sizes compared from LISTs; bodies on demand).
-* **fragment-orphan** — a fragment nothing can use: malformed key, a
-  generation newer than the best complete one (a failed PUT's
-  leftovers), a fragment whose logical key is mirror-placed, or a
-  fragment sitting on the wrong provider.
+* **fragment-set-incomplete** — no generation of a striped object has K
+  fragments reachable: the object is unrecoverable until a provider
+  returns (data loss if none does).
+* **replica-disagreement** — full copies of one mirrored key differ in
+  size across providers, or a stripe-placed key has full copies.
+* **fragment-orphan** — a fragment nothing can use: a malformed key, a
+  fragment whose logical key is mirror-placed, a generation newer than
+  the best complete one that never completed (a failed PUT's
+  leftovers), or a fragment sitting on the wrong provider.
 * **replica-stale** — fragments of generations older than the best
   complete one (an overwrite's un-GC'd leftovers).
 * **replica-underreplicated** — a *reachable* provider in the policy
@@ -24,9 +26,10 @@ On top of the placement axis, the merged *logical* view (what recovery
 LISTs) is run through the existing invariant catalog, so one report
 answers both questions.
 
-:func:`repair_placement` delegates the byte movement to
-:meth:`~repro.placement.store.PlacementStore.repair` and re-audits, so
-"repair converges" is checkable as ``repair_placement(...)[1].ok``.
+:func:`repair_placement` runs
+:meth:`~repro.placement.store.PlacementStore.repair` — which acts on the
+same findings — and re-audits, so "repair converges" is checkable as
+``repair_placement(...)[1].ok``.
 """
 
 from __future__ import annotations
@@ -37,11 +40,7 @@ from repro.common.errors import CloudError
 from repro.core.pitr import RetentionPolicy
 from repro.fsck.audit import AuditReport, audit_index
 from repro.fsck.invariants import BucketIndex, Violation
-from repro.placement.fragments import (
-    FragmentId,
-    is_fragment_key,
-    parse_fragment_key,
-)
+from repro.placement import survey
 from repro.placement.store import PlacementStore, RepairReport
 
 # -- the placement rule catalog ----------------------------------------------
@@ -97,192 +96,41 @@ class PlacementAuditReport:
         }
 
 
-def _collect(store: PlacementStore):
-    """LIST every provider once: reachability, raw holdings, fragments."""
-    reachable: dict[str, bool] = {}
-    holdings: dict[str, dict[str, int]] = {}
-    fragments: dict[str, list[tuple[str, FragmentId | None]]] = {}
-    for provider in store.providers:
-        try:
-            infos = provider.store.list("")
-        except CloudError:
-            reachable[provider.name] = False
-            continue
-        reachable[provider.name] = True
-        raw: dict[str, int] = {}
-        frags: list[tuple[str, FragmentId | None]] = []
-        for info in infos:
-            if is_fragment_key(info.key):
-                frags.append((info.key, parse_fragment_key(info.key)))
-            else:
-                raw[info.key] = info.size
-        holdings[provider.name] = raw
-        fragments[provider.name] = frags
-    return reachable, holdings, fragments
+#: The rule each survey finding is reported under.
+_RULES = {
+    survey.INCOMPLETE: FRAGMENT_SET_INCOMPLETE,
+    survey.DISAGREEING: REPLICA_DISAGREEMENT,
+    survey.ORPHAN: FRAGMENT_ORPHAN,
+    survey.UNFINISHED: FRAGMENT_ORPHAN,
+    survey.MISPLACED: FRAGMENT_ORPHAN,
+    survey.STALE: REPLICA_STALE,
+    survey.MISSING: REPLICA_UNDERREPLICATED,
+}
 
 
 def audit_placement(
     store: PlacementStore,
     *,
     retention: RetentionPolicy | None = None,
-    compare_bytes: bool = False,
 ) -> PlacementAuditReport:
-    """Audit placement invariants across the reachable providers.
-
-    ``compare_bytes=True`` additionally GETs every mirrored copy to
-    compare bodies, not just listed sizes (slow; drills keep it off and
-    rely on the size check plus each fragment's CRC-carrying header).
-    """
-    report = PlacementAuditReport()
-    reachable, holdings, fragments = _collect(store)
-    report.providers = reachable
-    violations = report.violations
-
-    provider_order = [p.name for p in store.providers]
-
-    # -- mirrored keys --------------------------------------------------------
-    logical_keys = sorted(
-        {key for raw in holdings.values() for key in raw}
-    )
-    for key in logical_keys:
-        policy = store.policy_of(key)
-        if policy.striped:
-            # A raw copy of a stripe-placed key: some earlier policy (or
-            # a bug) mirrored it.  Harmless for reads, but flag it so
-            # operators know physical layout and policy disagree.
-            holders = [n for n in provider_order if key in holdings.get(n, {})]
-            violations.append(Violation(
-                REPLICA_DISAGREEMENT, key,
-                f"policy is {policy.spec} but full copies exist on "
-                f"{', '.join(holders)}",
-            ))
-            continue
-        expected = provider_order[:policy.replicas]
-        sizes = {
-            name: holdings[name][key]
-            for name in provider_order
-            if name in holdings and key in holdings[name]
-        }
-        if len(set(sizes.values())) > 1:
-            detail = ", ".join(f"{n}={s}" for n, s in sorted(sizes.items()))
-            violations.append(Violation(
-                REPLICA_DISAGREEMENT, key, f"replica sizes differ: {detail}"
-            ))
-        elif compare_bytes and len(sizes) > 1:
-            bodies = set()
-            for provider in store.providers:
-                if provider.name not in sizes:
-                    continue
-                try:
-                    bodies.add(provider.store.get(key))
-                except CloudError:
-                    continue
-            if len(bodies) > 1:
-                violations.append(Violation(
-                    REPLICA_DISAGREEMENT, key,
-                    f"replica bodies differ across {len(bodies)} versions",
-                ))
-        missing = [
-            name for name in expected
-            if reachable.get(name) and key not in holdings.get(name, {})
-        ]
-        for name in missing:
-            if sizes:  # at least one survivor can re-seed it
-                violations.append(Violation(
-                    REPLICA_UNDERREPLICATED, key,
-                    f"missing on reachable provider {name} "
-                    f"(held by {', '.join(sorted(sizes))})",
-                ))
-
-    # -- striped keys ---------------------------------------------------------
-    located: dict[str, dict[int, dict[int, list[str]]]] = {}
-    for name, frags in fragments.items():
-        for raw_key, frag in frags:
-            if frag is None:
-                violations.append(Violation(
-                    FRAGMENT_ORPHAN, raw_key,
-                    f"malformed fragment key on {name}",
-                ))
-                continue
-            located.setdefault(frag.logical, {}).setdefault(
-                frag.generation, {}
-            ).setdefault(frag.index, []).append(name)
-    frag_meta: dict[tuple[str, int, int], FragmentId] = {}
-    for name, frags in fragments.items():
-        for _, frag in frags:
-            if frag is not None:
-                frag_meta[(frag.logical, frag.generation, frag.index)] = frag
-
-    for logical in sorted(located):
-        policy = store.policy_of(logical)
-        gens = located[logical]
-        if not policy.striped:
-            for gen in sorted(gens):
-                for index, names in sorted(gens[gen].items()):
-                    frag = frag_meta[(logical, gen, index)]
-                    violations.append(Violation(
-                        FRAGMENT_ORPHAN, frag.key,
-                        f"policy for {logical!r} is {policy.spec}, "
-                        f"fragment on {', '.join(sorted(names))}",
-                    ))
-            continue
-        complete = [g for g, idxs in gens.items() if len(idxs) >= policy.k]
-        if not complete:
-            have = {g: len(idxs) for g, idxs in sorted(gens.items())}
-            violations.append(Violation(
-                FRAGMENT_SET_INCOMPLETE, logical,
-                f"no generation has {policy.k} reachable fragments "
-                f"(found {have})",
-            ))
-            continue
-        best = max(complete)
-        for gen in sorted(gens):
-            if gen == best:
-                continue
-            rule = REPLICA_STALE if gen < best else FRAGMENT_ORPHAN
-            for index, names in sorted(gens[gen].items()):
-                frag = frag_meta[(logical, gen, index)]
-                violations.append(Violation(
-                    rule, frag.key,
-                    f"generation {gen} superseded by {best}"
-                    if gen < best else
-                    f"generation {gen} never completed (best is {best})",
-                ))
-        idxs = gens[best]
-        for index, names in sorted(idxs.items()):
-            expected_name = (
-                provider_order[index] if index < len(provider_order) else None
-            )
-            for name in names:
-                if name != expected_name:
-                    frag = frag_meta[(logical, best, index)]
-                    violations.append(Violation(
-                        FRAGMENT_ORPHAN, frag.key,
-                        f"fragment {index} on {name}, belongs on "
-                        f"{expected_name}",
-                    ))
-        for index in range(policy.n):
-            expected_name = provider_order[index]
-            if not reachable.get(expected_name):
-                continue
-            if index not in idxs or expected_name not in idxs[index]:
-                violations.append(Violation(
-                    REPLICA_UNDERREPLICATED, logical,
-                    f"fragment {index} of generation {best} missing on "
-                    f"reachable provider {expected_name}",
-                ))
-
-    violations.sort(key=lambda v: (v.rule, v.key, v.detail))
-
-    # -- the logical view through the classic catalog -------------------------
+    """Audit placement invariants across the reachable providers."""
+    found = survey.survey_layout(store)
+    # One violation per fragment key: a fragment several providers hold
+    # is one finding per holder with the same detail.
+    violations = {
+        Violation(_RULES[f.kind], f.key, f.detail) for f in found.findings
+    }
     try:
         logical_keys = [info.key for info in store.list("")]
     except CloudError:
         logical_keys = []
-    report.logical = audit_index(
-        BucketIndex.from_keys(logical_keys), retention=retention
+    return PlacementAuditReport(
+        providers=found.reachable,
+        violations=sorted(violations, key=lambda v: (v.rule, v.key, v.detail)),
+        logical=audit_index(
+            BucketIndex.from_keys(logical_keys), retention=retention
+        ),
     )
-    return report
 
 
 def repair_placement(

@@ -10,6 +10,8 @@ Import surface:
 * :mod:`repro.placement.providers` — per-provider transport stacks.
 * :mod:`repro.placement.store` — the ``ObjectStore``-compatible
   :class:`PlacementStore`.
+* :mod:`repro.placement.survey` — one LIST of every provider, classified:
+  the findings the cross-provider audit reports and repair acts on.
 * :mod:`repro.placement.factory` — :func:`build_placement` from config
   knobs.
 """

@@ -99,11 +99,6 @@ class PlacementPolicy:
     def storage_overhead(self) -> float:
         return float(self.replicas) if not self.striped else self.n / self.k
 
-    #: Requests issued per logical PUT.
-    @property
-    def puts_per_object(self) -> int:
-        return self.providers_used
-
 
 #: The trivial single-provider policy (zero-overhead fast path).
 SINGLE = PlacementPolicy(mode="mirror", replicas=1)

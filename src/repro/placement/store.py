@@ -42,20 +42,38 @@ from repro.common.errors import (
 from repro.cloud.interface import ObjectInfo, ObjectStore
 from repro.placement.fragments import (
     FRAGMENT_ROOT,
-    FragmentId,
     decode_fragment,
     encode_fragments,
     fragment_prefix,
     is_fragment_key,
     parse_fragment_key,
+    reassemble,
 )
 from repro.placement.policy import PlacementPolicy, policy_for
 from repro.placement.providers import Provider
+from repro.placement.survey import (
+    DISAGREEING,
+    MISPLACED,
+    MISSING,
+    ORPHAN,
+    STALE,
+    Finding,
+    authoritative,
+    group_fragments,
+    survey_layout,
+)
 
 
 @dataclass
 class RepairReport:
-    """What one :meth:`PlacementStore.repair` pass did."""
+    """What one :meth:`PlacementStore.repair` pass did.
+
+    Deletions are counted under the audit's names: ``stale_deleted``
+    are generations older than the authoritative one, and
+    ``orphans_deleted`` everything the audit calls an orphan —
+    malformed keys, fragments of mirror-placed keys, newer generations
+    that never completed, and misplaced fragments.
+    """
 
     copies_restored: int = 0
     fragments_rebuilt: int = 0
@@ -293,36 +311,19 @@ class PlacementStore(ObjectStore):
         assert last_error is not None
         raise last_error
 
-    def _fragment_sets(
-        self, key: str
-    ) -> dict[int, dict[int, tuple[Provider, FragmentId]]]:
-        """LIST the fragment namespace of ``key`` on every reachable
-        provider: ``{generation: {index: (provider, fragment)}}``."""
+    def _get_striped(self, key: str, policy: PlacementPolicy) -> bytes:
         prefix = fragment_prefix(key)
         listings = self._fanout(
             [lambda p=p: p.store.list(prefix) for p in self.providers]
         )
-        sets: dict[int, dict[int, tuple[Provider, FragmentId]]] = {}
-        unreachable = 0
-        for provider, (infos, error) in zip(self.providers, listings):
-            if error is not None:
-                unreachable += 1
-                continue
-            for info in infos:
-                frag = parse_fragment_key(info.key)
-                if frag is None or frag.logical != key:
-                    continue
-                sets.setdefault(frag.generation, {}).setdefault(
-                    frag.index, (provider, frag)
-                )
-        return sets, unreachable
-
-    def _get_striped(self, key: str, policy: PlacementPolicy) -> bytes:
-        sets, unreachable = self._fragment_sets(key)
-        complete = [
-            gen for gen, frags in sets.items() if len(frags) >= policy.k
-        ]
-        if not complete:
+        gens = group_fragments(
+            (provider, [info.key for info in infos])
+            for provider, (infos, error) in zip(self.providers, listings)
+            if error is None
+        ).get(key, {})
+        generation = authoritative(gens, policy)
+        if generation is None:
+            unreachable = sum(1 for _, error in listings if error is not None)
             if unreachable:
                 # Fragments may exist on the providers we couldn't LIST:
                 # an outage, not corruption.
@@ -330,14 +331,15 @@ class PlacementStore(ObjectStore):
                     f"{key!r}: no generation has {policy.k} reachable "
                     f"fragments with {unreachable} provider(s) unreachable"
                 )
-            if sets:
+            if gens:
                 raise IntegrityError(
                     f"{key!r}: no generation has {policy.k} reachable "
-                    f"fragments (have {sorted(sets)})"
+                    f"fragments (have {sorted(gens)})"
                 )
             raise CloudObjectNotFound(key)
-        generation = max(complete)
-        available = sets[generation]
+        available = {
+            index: holders[0] for index, holders in gens[generation].items()
+        }
         size = next(iter(available.values()))[1].size
         # Cheapest-first fragment candidates; fetch the first k in
         # parallel, promote the next candidate when a fetch fails.
@@ -373,13 +375,6 @@ class PlacementStore(ObjectStore):
                     f"{failed} mid-read with no spares left"
                 )
             chosen, backups = backups[:len(failed)], backups[len(failed):]
-        return self._reassemble(key, bodies, policy, size)
-
-    @staticmethod
-    def _reassemble(
-        key: str, bodies: dict[int, bytes], policy: PlacementPolicy, size: int
-    ) -> bytes:
-        from repro.placement.fragments import reassemble
         return reassemble(bodies, k=policy.k, n=policy.n, size=size)
 
     # -- LIST ------------------------------------------------------------------
@@ -404,10 +399,9 @@ class PlacementStore(ObjectStore):
             )
         results = self._fanout(calls)
         merged: dict[str, int] = {}
-        groups: dict[tuple[str, int], set[int]] = {}
-        group_info: dict[tuple[str, int], FragmentId] = {}
+        listings = []
         responses, last_error = 0, None
-        for i in range(0, len(results), 2):
+        for provider, i in zip(self.providers, range(0, len(results), 2)):
             raw, raw_err = results[i]
             frag_list, frag_err = results[i + 1]
             if raw_err is not None or frag_err is not None:
@@ -418,22 +412,14 @@ class PlacementStore(ObjectStore):
                 if is_fragment_key(info.key):
                     continue
                 merged.setdefault(info.key, info.size)
-            for info in frag_list:
-                frag = parse_fragment_key(info.key)
-                if frag is None or not frag.logical.startswith(prefix):
-                    continue
-                group = (frag.logical, frag.generation)
-                groups.setdefault(group, set()).add(frag.index)
-                group_info.setdefault(group, frag)
+            listings.append((provider, [info.key for info in frag_list]))
         if responses == 0 and last_error is not None:
             raise last_error
-        best: dict[str, tuple[int, int]] = {}  # logical -> (gen, size)
-        for (logical, gen), indices in groups.items():
-            frag = group_info[(logical, gen)]
-            if len(indices) >= frag.k and gen > best.get(logical, (0, 0))[0]:
-                best[logical] = (gen, frag.size)
-        for logical, (_, size) in best.items():
-            merged.setdefault(logical, size)
+        for logical, gens in group_fragments(listings).items():
+            gen = authoritative(gens, self.policy_of(logical))
+            if gen is not None and logical.startswith(prefix):
+                holders = next(iter(gens[gen].values()))
+                merged.setdefault(logical, holders[0][1].size)
         return [
             ObjectInfo(key=key, size=size)
             for key, size in sorted(merged.items())
@@ -510,9 +496,6 @@ class PlacementStore(ObjectStore):
 
     # -- health / quorum -------------------------------------------------------
 
-    def alive_providers(self) -> list[Provider]:
-        return [p for p in self.providers if p.alive]
-
     def read_quorum_ok(self) -> bool:
         """True when every configured policy can still serve reads from
         the currently-alive providers — the gate failover promotion
@@ -525,50 +508,68 @@ class PlacementStore(ObjectStore):
                 return False
         return True
 
-    def read_health(self) -> dict[str, bool]:
-        return {p.name: p.alive for p in self.providers}
-
     # -- repair ----------------------------------------------------------------
 
     def repair(self) -> RepairReport:
-        """Re-replicate from survivors until placement invariants hold
-        on every *reachable* provider: missing mirror copies restored,
-        missing fragments rebuilt (XOR from any k), stale generations
-        and orphan fragments deleted.  Unreachable providers are left
-        for the next pass."""
+        """Act on one :func:`~repro.placement.survey.survey_layout` of the
+        providers, restoring before deleting:
+
+        1. missing mirror copies are restored from the cheapest holder and
+           missing fragments rebuilt from any k of the authoritative
+           generation, misplaced fragments included;
+        2. then stale and orphan fragments are deleted, and a misplaced
+           one once its own provider holds it.
+
+        A key with no complete reachable generation, a mirrored key whose
+        copies disagree and a newer generation an unreachable provider
+        may still complete are left as the audit reports them, and
+        unreachable providers for the next pass."""
+        survey = survey_layout(self)
         report = RepairReport()
-        alive = [p for p in self.providers if p.alive]
-        inventory: dict[str, dict[str, int]] = {}
-        fragments: dict[str, list[FragmentId]] = {}
-        for provider in alive:
-            try:
-                infos = provider.store.list("")
-            except CloudError:
-                continue
-            holdings: dict[str, int] = {}
-            frags: list[FragmentId] = []
-            malformed: list[str] = []
-            for info in infos:
-                if is_fragment_key(info.key):
-                    frag = parse_fragment_key(info.key)
-                    if frag is None:
-                        # Malformed key under frag/: an orphan by
-                        # definition, nothing can reassemble it.
-                        malformed.append(info.key)
-                        continue
-                    frags.append(frag)
-                else:
-                    holdings[info.key] = info.size
-            try:
-                provider.store.delete_many(malformed)
-                report.orphans_deleted += len(malformed)
-            except CloudError:
-                pass
-            inventory[provider.name] = holdings
-            fragments[provider.name] = frags
         by_name = {p.name: p for p in self.providers}
-        self._repair_mirrors(report, alive, inventory, by_name)
-        self._repair_stripes(report, alive, fragments, by_name)
+        disputed = {f.key for f in survey.of_kind(DISAGREEING)}
+        targets: dict[str, list[Provider]] = {}
+        for finding in survey.of_kind(MISSING):
+            targets.setdefault(finding.key, []).append(
+                by_name[finding.provider]
+            )
+        for key, missing in targets.items():
+            if key in survey.best:
+                puts = self._rebuilt_fragments(key, survey, missing, report)
+            elif key not in disputed:
+                puts = self._copies(key, survey.copies[key], missing, report)
+            else:
+                continue
+            for target, physical, payload in puts:
+                try:
+                    target.store.put(physical, payload)
+                except CloudError:
+                    self._count_error(target)
+                    continue
+                survey.held.add((target.name, physical))
+                if physical == key:
+                    report.copies_restored += 1
+                else:
+                    report.fragments_rebuilt += 1
+
+        doomed: dict[str, list[Finding]] = {}
+        for finding in survey.of_kind(STALE, ORPHAN, MISPLACED):
+            if finding.kind == MISPLACED:
+                index = parse_fragment_key(finding.key).index
+                if index >= len(self.providers) or (
+                    self.providers[index].name, finding.key
+                ) not in survey.held:
+                    continue
+            doomed.setdefault(finding.provider, []).append(finding)
+        for name, findings in doomed.items():
+            try:
+                by_name[name].store.delete_many([f.key for f in findings])
+            except CloudError:
+                self._count_error(by_name[name])
+                continue
+            stale = sum(1 for f in findings if f.kind == STALE)
+            report.stale_deleted += stale
+            report.orphans_deleted += len(findings) - stale
         with self._lock:
             for name, nbytes in report.egress_bytes.items():
                 self.repair_egress_bytes[name] = (
@@ -576,136 +577,68 @@ class PlacementStore(ObjectStore):
                 )
         return report
 
-    def _repair_mirrors(self, report, alive, inventory, by_name) -> None:
-        logical_keys = sorted(
-            {key for holdings in inventory.values() for key in holdings}
+    def _fetch(
+        self, provider: Provider, key: str, report: RepairReport
+    ) -> bytes | None:
+        """GET one repair source, billing its egress to ``provider``."""
+        try:
+            blob = provider.store.get(key)
+        except CloudError:
+            return None
+        report.egress_bytes[provider.name] = (
+            report.egress_bytes.get(provider.name, 0) + len(blob)
         )
-        alive_names = {p.name for p in alive}
-        for key in logical_keys:
-            policy = self.policy_of(key)
-            if policy.striped:
-                continue
-            expected = self.providers[:policy.replicas]
-            holders = [
-                p for p in expected
-                if p.name in alive_names and key in inventory.get(p.name, {})
-            ]
-            missing = [
-                p for p in expected
-                if p.name in alive_names and key not in inventory.get(p.name, {})
-            ]
-            if not holders or not missing:
-                continue
-            size = inventory[holders[0].name][key]
-            data = None
-            for source in self._ranked(holders, size):
-                try:
-                    data = source.store.get(key)
-                except CloudError:
-                    continue
-                report.egress_bytes[source.name] = (
-                    report.egress_bytes.get(source.name, 0) + len(data)
-                )
-                break
-            if data is None:
-                continue
-            for target in missing:
-                try:
-                    target.store.put(key, data)
-                    report.copies_restored += 1
-                except CloudError:
-                    self._count_error(target)
+        return blob
 
-    def _repair_stripes(self, report, alive, fragments, by_name) -> None:
-        alive_names = {p.name for p in alive}
-        # Group every reachable fragment by logical key.
-        located: dict[str, dict[int, dict[int, tuple[str, FragmentId]]]] = {}
-        for name, frags in fragments.items():
-            for frag in frags:
-                located.setdefault(frag.logical, {}).setdefault(
-                    frag.generation, {}
-                ).setdefault(frag.index, (name, frag))
-        for logical in sorted(located):
-            policy = self.policy_of(logical)
-            gens = located[logical]
-            complete = [
-                g for g, idxs in gens.items()
-                if not policy.striped or len(idxs) >= policy.k
-            ]
-            best = max(complete) if complete else max(gens)
-            # Delete every fragment outside the best generation, and —
-            # for keys whose policy is not striped at all — every
-            # fragment (the policy changed under the data; the mirrored
-            # object is authoritative).  One request per provider;
-            # ``doomed`` maps provider -> [(fragment key, is stale)].
-            doomed: dict[str, list[tuple[str, bool]]] = {}
-            for gen, idxs in sorted(gens.items()):
-                outdated = not policy.striped or gen != best
-                for index, (name, frag) in sorted(idxs.items()):
-                    misplaced = (
-                        policy.striped and not outdated
-                        and index < len(self.providers)
-                        and self.providers[index].name != name
-                    )
-                    if outdated or misplaced:
-                        doomed.setdefault(name, []).append(
-                            (frag.key, gen != best and policy.striped)
-                        )
-            for name, frags in doomed.items():
-                try:
-                    by_name[name].store.delete_many([key for key, _ in frags])
-                except CloudError:
-                    continue
-                stale = sum(1 for _, is_stale in frags if is_stale)
-                report.stale_deleted += stale
-                report.orphans_deleted += len(frags) - stale
-            if not policy.striped:
+    def _copies(self, key, sizes, missing, report) -> list:
+        """``(target, key, body)`` for each missing mirror copy, read from
+        the cheapest holder that answers."""
+        holders = [p for p in self.providers if p.name in sizes]
+        for source in self._ranked(holders, sizes[holders[0].name]):
+            data = self._fetch(source, key, report)
+            if data is not None:
+                return [(target, key, data) for target in missing]
+        return []
+
+    def _rebuilt_fragments(self, logical, survey, missing, report) -> list:
+        """``(target, fragment key, payload)`` for each missing fragment of
+        the authoritative generation, re-encoded from any k it has."""
+        policy = self.policy_of(logical)
+        generation = survey.best[logical]
+        candidates = [
+            (index, provider, frag)
+            for index, holders in sorted(
+                survey.stripes[logical][generation].items()
+            )
+            for provider, frag in holders
+        ]
+        bodies: dict[int, bytes] = {}
+        for index, provider, frag in candidates:
+            if len(bodies) == policy.k:
+                break
+            if index in bodies:
                 continue
-            idxs = gens[best]
-            present = {i for i, (name, frag) in idxs.items()
-                       if not (i < len(self.providers)
-                               and self.providers[i].name != name)}
-            expected = {
-                i for i in range(policy.n)
-                if self.providers[i].name in alive_names
-            }
-            missing = expected - present
-            if not missing or len(idxs) < policy.k:
+            blob = self._fetch(provider, frag.key, report)
+            if blob is None:
                 continue
-            bodies: dict[int, bytes] = {}
-            for index, (name, frag) in sorted(idxs.items()):
-                if len(bodies) >= policy.k:
-                    break
-                try:
-                    blob = by_name[name].store.get(frag.key)
-                    bodies[index] = decode_fragment(frag, blob)
-                except (CloudError, IntegrityError):
-                    continue
-                report.egress_bytes[name] = (
-                    report.egress_bytes.get(name, 0) + len(blob)
-                )
-            if len(bodies) < policy.k:
-                continue
-            sample = next(iter(idxs.values()))[1]
             try:
-                from repro.placement.fragments import reassemble
-                data = reassemble(
-                    bodies, k=policy.k, n=policy.n, size=sample.size
-                )
+                bodies[index] = decode_fragment(frag, blob)
             except IntegrityError:
                 continue
-            rebuilt = encode_fragments(
-                logical, data, generation=best, k=policy.k, n=policy.n
+        try:
+            data = reassemble(
+                bodies, k=policy.k, n=policy.n, size=candidates[0][2].size
             )
-            for frag, payload in rebuilt:
-                if frag.index not in missing:
-                    continue
-                target = self.providers[frag.index]
-                try:
-                    target.store.put(frag.key, payload)
-                    report.fragments_rebuilt += 1
-                except CloudError:
-                    self._count_error(target)
+        except IntegrityError:
+            return []
+        homes = {self.providers.index(target): target for target in missing}
+        return [
+            (homes[frag.index], frag.key, payload)
+            for frag, payload in encode_fragments(
+                logical, data, generation=generation, k=policy.k, n=policy.n
+            )
+            if frag.index in homes
+        ]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -723,10 +656,3 @@ class PlacementStore(ObjectStore):
         standby side of a disaster: the primary's store died with its
         process (``close()``), the provider buckets did not."""
         return PlacementStore(self.providers, self.policies)
-
-    def describe(self) -> dict[str, str]:
-        """Human-readable placement summary (CLI / docs)."""
-        out = {"providers": ",".join(p.name for p in self.providers)}
-        for prefix, policy in sorted(self.policies.items()):
-            out[prefix or "<default>"] = policy.spec
-        return out

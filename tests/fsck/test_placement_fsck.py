@@ -3,6 +3,9 @@ orphan detection, and repair convergence."""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.common.errors import CloudUnavailable
 from repro.fsck.placement import (
     FRAGMENT_ORPHAN,
     FRAGMENT_SET_INCOMPLETE,
@@ -13,7 +16,7 @@ from repro.fsck.placement import (
     repair_placement,
 )
 from repro.placement import build_placement
-from repro.placement.fragments import FRAGMENT_ROOT
+from repro.placement.fragments import FRAGMENT_ROOT, parse_fragment_key
 
 WAL_KEY = "WAL/000000000002_seg_0"
 DUMP_KEY = "DB/000000000001_dump_40.0.1.0"
@@ -138,4 +141,74 @@ class TestRepairConvergence:
         # Idempotent: a second pass finds nothing to do.
         second, still_ok = repair_placement(store)
         assert still_ok.ok and second.actions == 0
+        store.close()
+
+
+class TestRepairSafety:
+    """Repair acts on the audit's findings only, and restores before it
+    deletes: neither an outage nor a misplacement can make it destroy
+    the data an object is read from."""
+
+    def test_repair_mid_outage_keeps_the_last_complete_generation(self):
+        """Two of four providers down, a failed overwrite's generation 2
+        on both survivors: the audit sees no complete set, so repair
+        must not pick generation 2 as best and delete generation 1."""
+        store = build_placement(
+            4, "wal=mirror-2/q1,db=stripe-3-4,default=mirror-2/q1",
+        )
+        store.put(DUMP_KEY, b"D" * 40)
+        store.providers[2].kill()
+        store.providers[3].kill()
+        with pytest.raises(CloudUnavailable):
+            store.put(DUMP_KEY, b"E" * 40)  # lands on 2 of 4: below quorum
+        audit = audit_placement(store)
+        assert {v.rule for v in audit.violations} == {FRAGMENT_SET_INCOMPLETE}
+        first_gen = [
+            (provider, info.key)
+            for provider in store.providers[:2]
+            for info in provider.backend.list(FRAGMENT_ROOT)
+            if parse_fragment_key(info.key).generation == 1
+        ]
+        assert len(first_gen) == 2
+        assert store.repair().actions == 0
+        assert all(p.backend.exists(key) for p, key in first_gen)
+        store.providers[2].revive()
+        store.providers[3].revive()
+        assert store.get(DUMP_KEY) == b"D" * 40
+        store.close()
+
+    def test_swapped_fragments_are_rebuilt_before_they_are_deleted(self):
+        """Fragments 0 and 1 on each other's providers: the object reads
+        fine, so repair must use both as sources, rebuild them in place,
+        and only then delete the misplaced copies."""
+        store = protected_store()
+        first, second = store.providers[0].backend, store.providers[1].backend
+        [key0] = [i.key for i in first.list(FRAGMENT_ROOT)]
+        [key1] = [i.key for i in second.list(FRAGMENT_ROOT)]
+        blob0, blob1 = first.get(key0), second.get(key1)
+        first.delete(key0)
+        second.delete(key1)
+        first.put(key1, blob1)
+        second.put(key0, blob0)
+        assert store.get(DUMP_KEY) == b"D" * 40
+        report, post = repair_placement(store)
+        assert report.fragments_rebuilt == 2
+        assert report.orphans_deleted == 2
+        assert post.ok, post.summary()
+        assert [i.key for i in first.list(FRAGMENT_ROOT)] == [key0]
+        assert [i.key for i in second.list(FRAGMENT_ROOT)] == [key1]
+        assert store.get(DUMP_KEY) == b"D" * 40
+        store.close()
+
+    def test_disagreeing_replicas_are_reported_not_repaired(self):
+        """Copies of one mirrored key differ in size: repair cannot tell
+        which is right, so it restores neither onto the empty replica."""
+        store = protected_store()
+        store.providers[1].backend.delete(WAL_KEY)
+        store.providers[2].backend.put(WAL_KEY, b"short")
+        audit = audit_placement(store)
+        assert audit.by_rule(REPLICA_DISAGREEMENT)
+        assert audit.by_rule(REPLICA_UNDERREPLICATED)
+        assert store.repair().actions == 0
+        assert not store.providers[1].backend.exists(WAL_KEY)
         store.close()

@@ -219,10 +219,14 @@ class TestRepair:
         store.put("DB/1", b"second" * 20)
         stale_key = f"{FRAGMENT_ROOT}DB/1#1.0.2.3.5"
         store.providers[0].backend.put(stale_key, b"junk")
-        orphan_key = f"{FRAGMENT_ROOT}DB/ghost#1.0.2.3.5"
+        # A true orphan: a generation newer than the complete best one
+        # that never completed (a failed overwrite's leftover).  A lone
+        # fragment of a key with no complete generation is no orphan —
+        # it may be the only copy left, and repair must keep it.
+        orphan_key = f"{FRAGMENT_ROOT}DB/1#3.1.2.3.5"
         store.providers[1].backend.put(orphan_key, b"junk")
         report = store.repair()
-        assert report.stale_deleted + report.orphans_deleted >= 2
+        assert report.stale_deleted == 1 and report.orphans_deleted == 1
         assert not store.providers[0].backend.exists(stale_key)
         assert not store.providers[1].backend.exists(orphan_key)
         assert store.get("DB/1") == b"second" * 20

@@ -31,9 +31,10 @@ from repro.common.events import Event
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.metering import RequestMeter
 from repro.cloud.pricing import PriceBook, S3_STANDARD_2017
-from repro.core.data_model import DBObjectMeta, WALObjectMeta, parse_any
+from repro.core.data_model import (
+    BucketIndex, DBObjectMeta, WALObjectMeta, parse_any,
+)
 from repro.core.ginja import Ginja
-from repro.fsck.invariants import BucketIndex
 from repro.core.verification import verify_backup
 from repro.chaos.scenarios import Scenario
 from repro.db.engine import EngineConfig, MiniDB

@@ -19,18 +19,18 @@ from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import UNBOUNDED, _CHUNK_FRAMING
 from repro.core.config import GinjaConfig
 from repro.core.data_model import (
+    BucketIndex,
     DBObjectMeta,
     DUMP,
     WALObjectMeta,
     encode_dump_payload,
     encode_wal_payload,
-    parse_any,
     split_dump_files,
 )
 from repro.core.recovery import (  # noqa: F401  (RecoveryReport re-exported)
     RecoveryEngine,
     RecoveryReport,
-    plan_recovery,
+    plan_from_index,
 )
 from repro.core.shadow import elide_known_zeros, split_runs
 from repro.cloud.interface import ObjectStore
@@ -62,8 +62,7 @@ def boot(
     starts from.
     """
     bus = bus or NULL_BUS
-    existing = cloud.list()
-    if any(parse_any(info.key) is not None for info in existing):
+    if BucketIndex.from_store(cloud).object_count:
         raise RecoveryError(
             "bucket already contains Ginja objects; use reboot or recovery"
         )
@@ -120,10 +119,10 @@ def unbounded_marks(
 def reboot(cloud: ObjectStore, view: CloudView, retention=None) -> int:
     """Rebuild the cloudView from an audited LIST (Alg. 1, Reboot).
 
-    The naive version of this function ingested the LIST via
-    ``add_listed`` and assumed the remaining WAL timestamps form one
-    contiguous run — but ``add_listed`` advances ``_next_wal_ts`` past
-    any crash-induced gap, stranding the confirmed frontier forever
+    The naive version of this function ingested the LIST key by key
+    and assumed the remaining WAL timestamps form one contiguous run —
+    but that ingest advanced ``_next_wal_ts`` past any crash-induced
+    gap, stranding the confirmed frontier forever
     (every future WAL object lands beyond the gap, where recovery never
     reaches).  It now runs the :mod:`repro.fsck` audit-and-resync
     repair instead: provably-stale objects (orphans beyond the first
@@ -154,6 +153,7 @@ def recover_files(
     clock: Clock = SYSTEM_CLOCK,
     pool=None,
     lane: str = "",
+    index: BucketIndex | None = None,
 ) -> RecoveryReport:
     """Rebuild the database files from the cloud (Alg. 1, Recovery).
 
@@ -164,7 +164,8 @@ def recover_files(
     no WAL is replayed beyond them.
 
     The plan comes from one LIST (:func:`~repro.core.recovery
-    .plan_recovery`) and is executed by a
+    .plan_from_index`) — ``index``, when the caller LISTed already (and
+    cleans the bucket from it afterwards) — and is executed by a
     :class:`~repro.core.recovery.RecoveryEngine`: with
     ``config.downloaders > 1`` the GET+decode work is prefetched on a
     worker pool while payloads are applied strictly in plan order, so
@@ -175,9 +176,11 @@ def recover_files(
     instead of spawning private threads.
 
     The target file system should be empty; restored files are written
-    from scratch.
+    from scratch.  Nothing in the bucket is changed.
     """
-    plan = plan_recovery(cloud.list(), upto_ts=upto_ts)
+    if index is None:
+        index = BucketIndex.from_store(cloud)
+    plan = plan_from_index(index, upto_ts=upto_ts)
     engine = RecoveryEngine(
         cloud,
         codec,

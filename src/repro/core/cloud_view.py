@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.data_model import DBObjectMeta, WALObjectMeta, parse_any
+from repro.core.data_model import DBObjectMeta, WALObjectMeta
 
 
 class CloudView:
@@ -99,8 +99,8 @@ class CloudView:
         the verified gap-free WAL frontier and ``next_wal_ts`` the first
         unused timestamp (the first gap).  Unlike :meth:`force_frontier`
         this may *lower* ``_next_wal_ts`` — the whole point of the repair
-        is to clamp a counter that :meth:`add_listed` advanced past a
-        crash-induced gap, which would strand the frontier forever.
+        is to clamp a counter that was advanced past a crash-induced
+        gap, which would strand the frontier forever.
         """
         with self._lock:
             self._wal = {meta.ts: meta for meta in wal}
@@ -123,18 +123,6 @@ class CloudView:
     def add_db(self, meta: DBObjectMeta) -> None:
         with self._lock:
             self._db.setdefault(meta.ts, []).append(meta)
-
-    def add_listed(self, key: str) -> None:
-        """Ingest one key from a LIST (Reboot/Recovery modes)."""
-        meta = parse_any(key)
-        if meta is None:
-            return
-        if isinstance(meta, WALObjectMeta):
-            self.add_wal(meta)
-            with self._lock:
-                self._next_wal_ts = max(self._next_wal_ts, meta.ts + 1)
-        else:
-            self.add_db(meta)
 
     def pop_wal_upto(self, ts: int) -> list[WALObjectMeta]:
         """Forget, and return in timestamp order, the WAL objects GC

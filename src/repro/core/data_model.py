@@ -21,12 +21,16 @@ Payload formats (before the codec is applied):
   non-adjacent page runs; the name's offset is the first run's).
 * checkpoint DB object — a framed list of ``(path, offset, bytes)``.
 * dump DB object — a framed list of ``(path, full_content)``.
+
+:class:`BucketIndex` is the one reading of a LIST: recovery plans from
+it, and the fsck catalog judges it.
 """
 
 from __future__ import annotations
 
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable, TYPE_CHECKING
 
 from repro.common.errors import GinjaError
 from repro.common.serialize import (
@@ -41,6 +45,10 @@ from repro.common.serialize import (
     take_u32,
     take_u64,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.cloud.interface import ObjectStore
+    from repro.core.pitr import RetentionPolicy
 
 _TS_DIGITS = 12
 
@@ -269,3 +277,130 @@ def parse_any(key: str) -> WALObjectMeta | DBObjectMeta | None:
     if key.startswith("DB/"):
         return DBObjectMeta.parse(key)
     return None
+
+
+@dataclass
+class BucketIndex:
+    """The parsed picture of one bucket's Ginja objects.
+
+    Built once from a LIST and read by everything that must know what
+    the bucket holds: :func:`~repro.core.recovery.plan_from_index` picks
+    the restore from it and the fsck catalog
+    (:mod:`repro.fsck.invariants`) judges it, so recovery and its
+    cleanup read one LIST through one set of rules.
+
+    WAL staleness is judged against the **latest** complete generation
+    only — its DB frontier and the consecutive WAL run above it — never
+    against a generation being restored: the WAL at or below that
+    frontier (:meth:`redundant_wal`) or beyond the first gap (the
+    orphans of :meth:`wal_frontier`) is unreachable from every retained
+    generation.  This fixed a PITR data-loss bug: an ``upto_ts`` restore
+    used to mark *every* WAL object stale, and the cleanup after it
+    deleted the WAL tail the latest state still needed (DESIGN.md lists
+    it under deviations).
+    """
+
+    wal: dict[int, WALObjectMeta] = field(default_factory=dict)
+    groups: dict[tuple[int, int, str], list[DBObjectMeta]] = field(
+        default_factory=dict
+    )
+    foreign: list[str] = field(default_factory=list)
+
+    @classmethod
+    def from_keys(cls, keys: Iterable[str]) -> "BucketIndex":
+        index = cls()
+        for key in keys:
+            meta = parse_any(key)
+            if meta is None:
+                index.foreign.append(key)
+            elif isinstance(meta, WALObjectMeta):
+                index.wal[meta.ts] = meta
+            else:
+                index.groups.setdefault(meta.group, []).append(meta)
+        for metas in index.groups.values():
+            metas.sort(key=lambda m: m.part)
+        return index
+
+    @classmethod
+    def from_store(cls, store: "ObjectStore") -> "BucketIndex":
+        return cls.from_keys(info.key for info in store.list())
+
+    @property
+    def object_count(self) -> int:
+        """Ginja objects indexed (foreign keys excluded)."""
+        return len(self.wal) + sum(len(m) for m in self.groups.values())
+
+    # -- DB-group structure ------------------------------------------------
+
+    def is_complete(self, group: tuple[int, int, str]) -> bool:
+        metas = self.groups[group]
+        return [m.part for m in metas] == list(range(metas[0].nparts))
+
+    def complete_groups(self) -> dict[tuple[int, int, str], list[DBObjectMeta]]:
+        return {g: m for g, m in self.groups.items() if self.is_complete(g)}
+
+    def incomplete_groups(self) -> dict[tuple[int, int, str], list[DBObjectMeta]]:
+        return {g: m for g, m in self.groups.items() if not self.is_complete(g)}
+
+    def db_frontier_ts(self) -> int:
+        """Newest complete DB group's WAL-frontier ts (-1 if none).
+
+        Everything a checkpoint at this ts reflects is durable in DB
+        objects, so the usable WAL run starts just above it.
+        """
+        complete = self.complete_groups()
+        return max((ts for ts, _seq, _type in complete), default=-1)
+
+    def complete_dump_orders(self) -> list[tuple[int, int]]:
+        """(ts, seq) of every complete dump, oldest first."""
+        return sorted(
+            (ts, seq)
+            for (ts, seq, type_) in self.complete_groups()
+            if type_ == DUMP
+        )
+
+    def retention_floor(
+        self, retention: "RetentionPolicy | None"
+    ) -> tuple[int, int] | None:
+        """Oldest (ts, seq) a complete DB group may legitimately carry.
+
+        ``None`` when the policy is unknown (``retention is None``) or no
+        complete dump exists — in both cases nothing can be declared
+        stale.  With a known policy the floor is the (generations+1)-th
+        newest complete dump: the current generation plus ``generations``
+        retained PITR snapshots.
+        """
+        if retention is None:
+            return None
+        dumps = self.complete_dump_orders()
+        if not dumps:
+            return None
+        keep = 1 + retention.generations
+        return dumps[-min(keep, len(dumps))]
+
+    # -- WAL structure -----------------------------------------------------
+
+    def wal_frontier(self) -> tuple[int, list[int], list[WALObjectMeta]]:
+        """``(frontier_ts, gap_timestamps, orphans_beyond_first_gap)``.
+
+        ``frontier_ts`` ends the contiguous run starting just above
+        :meth:`db_frontier_ts` (and equals it when the run is empty).
+        ``gap_timestamps`` are the missing timestamps between the
+        frontier and the newest WAL object; ``orphans`` are the WAL
+        objects past the first gap, which recovery can never reach.
+        """
+        frontier = self.db_frontier_ts()
+        while frontier + 1 in self.wal:
+            frontier += 1
+        beyond = sorted(ts for ts in self.wal if ts > frontier)
+        gaps = (
+            [ts for ts in range(frontier + 1, beyond[-1]) if ts not in self.wal]
+            if beyond
+            else []
+        )
+        return frontier, gaps, [self.wal[ts] for ts in beyond]
+
+    def redundant_wal(self) -> list[WALObjectMeta]:
+        """WAL objects at or below the DB frontier (skipped GC deletes)."""
+        base = self.db_frontier_ts()
+        return [self.wal[ts] for ts in sorted(self.wal) if ts <= base]

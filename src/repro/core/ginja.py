@@ -33,6 +33,7 @@ from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import CommitPipeline
 from repro.core.config import GinjaConfig
+from repro.core.data_model import BucketIndex
 from repro.core.encode_stage import EncodeStage
 from repro.core.processors import DatabaseProcessor
 from repro.core.stats import GinjaStats
@@ -371,12 +372,21 @@ class Ginja:
         before the first GET — the CLI's progress narration hangs off
         this.
 
-        Stale objects (timestamp gaps from in-flight uploads at disaster
-        time, superseded WAL below the newest checkpoint frontier,
-        incomplete multi-part groups) are deleted so the new instance's
-        timestamp sequence is contiguous; the deletes ride the
-        transport's skippable-DELETE retry semantics.
+        The bucket is LISTed once.  The restore plans from that index,
+        and after it the fsck repair cleans the bucket from the same
+        index: what the audit calls stale (orphans past a timestamp gap
+        left by in-flight uploads at disaster time, superseded WAL below
+        the newest checkpoint frontier, incomplete multi-part groups,
+        groups below the config's retention floor) goes in one batch
+        DELETE, riding the transport's skippable-DELETE retry semantics,
+        and the view is resynced to the repaired index, so the new
+        instance's timestamp sequence is contiguous.  The audit and the
+        deletes are ``report.cleanup``.
         """
+        # Imported lazily, as in reboot(): repro.fsck imports repro.core.
+        from repro.fsck.audit import audit_index
+        from repro.fsck.repair import repair_index
+
         ginja = cls(
             fresh_fs,
             cloud,
@@ -393,6 +403,7 @@ class Ginja:
         )
         if on_event is not None:
             ginja.bus.subscribe(on_event, kinds=RECOVERY_EVENT_KINDS)
+        index = BucketIndex.from_store(ginja.transport)
         report = recover_files(
             ginja.transport,
             ginja.codec,
@@ -403,10 +414,14 @@ class Ginja:
             clock=clock,
             pool=download_pool,
             lane=tenant,
+            index=index,
         )
-        ginja.transport.delete_many(report.stale_keys)
-        reboot(ginja.transport, ginja.view, ginja.config.retention)
-        ginja.view.force_frontier(report.last_applied_wal_ts)
+        # Audit the bucket alone: the fresh view would be all missing.
+        report.cleanup = repair_index(
+            ginja.transport, index,
+            audit_index(index, retention=ginja.config.retention),
+            view=ginja.view,
+        )
         ginja.checkpointer.seed_sequence(ginja.view.max_db_seq() + 1)
         ginja.start(mode="attached")
         return ginja, report

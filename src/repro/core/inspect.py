@@ -9,8 +9,8 @@ downloading anything — purely from a LIST:
   will recovery replay all of them)?
 * what recovery would restore, and what is stale garbage.
 
-Complete groups and the replayable WAL run are the fsck invariant
-catalog's (:class:`~repro.fsck.invariants.BucketIndex`): ``ls``, fsck
+Complete groups and the replayable WAL run are the bucket index's
+(:class:`~repro.core.data_model.BucketIndex`): ``ls``, recovery, fsck
 and the chaos oracles share one definition of both.
 """
 
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.data_model import DUMP
+from repro.core.data_model import DUMP, BucketIndex
 from repro.cloud.interface import ObjectStore
-from repro.fsck.invariants import BucketIndex
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class Inventory:
 
 def bucket_inventory(cloud: ObjectStore) -> Inventory:
     """Build an :class:`Inventory` from one LIST of the bucket, read
-    through the fsck catalog's :class:`BucketIndex`."""
+    through :class:`BucketIndex`."""
     sizes = {info.key: info.size for info in cloud.list()}
     index = BucketIndex.from_keys(sizes)
     wal_ts = sorted(index.wal)

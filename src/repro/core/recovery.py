@@ -6,11 +6,13 @@ naive implementation issued one blocking GET at a time, so restore time
 was ``sum(latency_i)`` even though object storage happily serves
 concurrent reads.  This module splits recovery into three stages:
 
-* **plan** — :func:`plan_recovery` turns one LIST into an ordered
-  sequence of :class:`RecoveryStep`\\ s (dump parts → checkpoint groups
-  in ``(ts, seq)`` order → the consecutive WAL chain) plus the set of
-  provably stale keys.  Planning is pure: no I/O beyond the LIST the
-  caller already did.
+* **plan** — :func:`plan_from_index` turns the
+  :class:`~repro.core.data_model.BucketIndex` of one LIST into an
+  ordered sequence of :class:`RecoveryStep`\\ s (dump parts → checkpoint
+  groups in ``(ts, seq)`` order → the consecutive WAL chain).  Planning
+  is pure: no I/O beyond the LIST the caller already did.  What is
+  stale is not the plan's business — the index's fsck audit judges
+  that, and ``Ginja.recover`` cleans the bucket from the same index.
 * **fetch** — :class:`RecoveryEngine` keeps at most ``prefetch_window``
   plan positions ahead of the apply cursor.  The fetchers are the
   restoring thread itself plus ``downloaders − 1`` helpers (private
@@ -30,21 +32,13 @@ discipline"), so a dead downloader fails
 :func:`~repro.core.bootstrap.recover_files` instead of hanging it.
 Progress is narrated as ``recovery_planned`` / ``object_restored`` /
 ``recovery_done`` events on the bus.
-
-The WAL stale-marking here also fixes a PITR data-loss bug: the old
-``recover_files(upto_ts=...)`` marked *every* WAL object stale, so
-restoring a retained snapshot deleted the WAL tail the latest state
-still needed.  Staleness is now always computed against the *latest*
-complete generation's chain — only WAL unreachable from every retained
-generation (below the newest checkpoint frontier, or beyond the first
-timestamp gap) is ever marked stale (DESIGN.md lists this under
-deviations).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import RecoveryError
@@ -55,16 +49,19 @@ from repro.core.codec import ObjectCodec
 from repro.core.encode_stage import EncodeStage
 from repro.core.data_model import (
     CHECKPOINT,
+    BucketIndex,
     DBObjectMeta,
     DUMP,
     WALObjectMeta,
     decode_checkpoint_payload,
     decode_dump_payload,
     decode_wal_payload,
-    parse_any,
 )
 from repro.cloud.interface import ObjectInfo, ObjectStore
 from repro.storage.interface import FileSystem
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.fsck.repair import RepairReport
 
 #: Step kinds, also the ``verb`` field of ``object_restored`` events.
 STEP_DUMP = "dump"
@@ -83,10 +80,10 @@ class RecoveryReport:
     last_applied_wal_ts: int = -1
     files_restored: int = 0
     bytes_downloaded: int = 0
-    #: Object keys present in the bucket but unreachable from every
-    #: retained generation (timestamp gaps, superseded WAL, incomplete
-    #: multi-part groups) — candidates for cleanup.
-    stale_keys: list[str] = field(default_factory=list)
+    #: The fsck repair ``Ginja.recover`` ran on the plan's index after
+    #: the restore (its audit, and what it deleted); ``None`` from a
+    #: bare, read-only :func:`~repro.core.bootstrap.recover_files`.
+    cleanup: "RepairReport | None" = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +106,6 @@ class RecoveryPlan:
 
     dump_ts: int
     steps: tuple[RecoveryStep, ...]
-    stale_keys: tuple[str, ...]
     #: The newest checkpoint frontier of the *restored* generation —
     #: ``last_applied_wal_ts`` when no WAL is replayed.
     frontier_ts: int
@@ -124,25 +120,8 @@ class RecoveryPlan:
         wal = sum(1 for s in self.steps if s.kind == STEP_WAL)
         return (
             f"dump_ts={self.dump_ts} dump_parts={dump} "
-            f"checkpoint_parts={ckpt} wal_objects={wal} "
-            f"stale={len(self.stale_keys)}"
+            f"checkpoint_parts={ckpt} wal_objects={wal}"
         )
-
-
-def _complete_groups(
-    db_groups: dict[tuple[int, int, str], list[DBObjectMeta]],
-    stale: list[str],
-) -> dict[tuple[int, int, str], list[DBObjectMeta]]:
-    complete: dict[tuple[int, int, str], list[DBObjectMeta]] = {}
-    for group_key, metas in db_groups.items():
-        metas.sort(key=lambda m: m.part)
-        if len(metas) == metas[0].nparts and [m.part for m in metas] == list(
-            range(metas[0].nparts)
-        ):
-            complete[group_key] = metas
-        else:
-            stale.extend(m.key for m in metas)
-    return complete
 
 
 def plan_recovery(
@@ -150,82 +129,44 @@ def plan_recovery(
     *,
     upto_ts: int | None = None,
 ) -> RecoveryPlan:
-    """Compile one LIST into the ordered restore plan (Alg. 1, Recovery).
+    """Compile one LIST into the ordered restore plan (Alg. 1, Recovery)."""
+    return plan_from_index(
+        BucketIndex.from_keys(info.key for info in infos), upto_ts=upto_ts
+    )
+
+
+def plan_from_index(
+    index: BucketIndex,
+    *,
+    upto_ts: int | None = None,
+) -> RecoveryPlan:
+    """The restore plan the bucket ``index`` describes.
 
     The newest *complete* dump (with ``ts <= upto_ts`` when restoring a
-    retained PITR snapshot), then complete checkpoint groups in
-    ``(ts, seq)`` order, then — only for a latest-state restore — WAL
-    objects with consecutive timestamps.
-
-    WAL staleness is judged against the **latest** generation regardless
-    of ``upto_ts``: a snapshot restore must never mark the live WAL
-    tail stale, or the cleanup pass after it would destroy the data the
-    latest state still needs (the PITR data-loss bug this fixed).
+    retained PITR snapshot), then complete checkpoint groups after it
+    in ``(ts, seq)`` order, then — only for a latest-state restore —
+    the index's consecutive WAL run above that frontier.
     """
-    wal_metas: dict[int, WALObjectMeta] = {}
-    db_groups: dict[tuple[int, int, str], list[DBObjectMeta]] = {}
-    for info in infos:
-        meta = parse_any(info.key)
-        if meta is None:
-            continue
-        if isinstance(meta, WALObjectMeta):
-            wal_metas[meta.ts] = meta
-        else:
-            db_groups.setdefault(meta.group, []).append(meta)
-
-    stale: list[str] = []
-    complete = _complete_groups(db_groups, stale)
-
-    dumps = sorted(
-        ((ts, seq) for (ts, seq, type_) in complete if type_ == DUMP),
-        reverse=True,
-    )
+    dumps = index.complete_dump_orders()
     if not dumps:
         raise RecoveryError("no complete dump found in the cloud")
-
-    # The latest generation's frontier and live WAL chain, used for
-    # staleness no matter which generation is being restored.
-    latest_dump = dumps[0]
-    latest_frontier = max(
-        (ts for (ts, seq, type_) in complete
-         if type_ == CHECKPOINT and (ts, seq) > latest_dump),
-        default=latest_dump[0],
-    )
-    live_end = latest_frontier + 1
-    while live_end in wal_metas:
-        live_end += 1
-    stale.extend(
-        wal_metas[ts].key
-        for ts in sorted(wal_metas)
-        if ts >= live_end or ts <= latest_frontier
-    )
-
-    # The generation to restore (possibly an older retained snapshot).
-    target_dumps = dumps
     if upto_ts is not None:
-        target_dumps = [(ts, seq) for ts, seq in dumps if ts <= upto_ts]
-        if not target_dumps:
+        dumps = [(ts, seq) for ts, seq in dumps if ts <= upto_ts]
+        if not dumps:
             raise RecoveryError(
                 f"no complete dump at or before ts={upto_ts} in the cloud"
             )
-    dump_order = target_dumps[0]
-    dump_ts = dump_order[0]
-
+    dump_order = dumps[-1]
+    complete = index.complete_groups()
     steps: list[RecoveryStep] = [
-        RecoveryStep(STEP_DUMP, meta)
-        for meta in complete[(dump_order[0], dump_order[1], DUMP)]
+        RecoveryStep(STEP_DUMP, meta) for meta in complete[(*dump_order, DUMP)]
     ]
-
-    ckpt_orders = sorted(
-        (ts, seq)
-        for (ts, seq, type_) in complete
-        if type_ == CHECKPOINT and (ts, seq) > dump_order
-    )
-    if upto_ts is not None:
-        ckpt_orders = [(ts, seq) for ts, seq in ckpt_orders if ts <= upto_ts]
-    frontier = dump_ts
-    for ts, seq in ckpt_orders:
-        metas = complete[(ts, seq, CHECKPOINT)]
+    frontier = dump_order[0]
+    for ts, seq, type_ in sorted(complete):
+        if (type_ != CHECKPOINT or (ts, seq) <= dump_order
+                or (upto_ts is not None and ts > upto_ts)):
+            continue
+        metas = complete[(ts, seq, type_)]
         steps.extend(
             RecoveryStep(STEP_CHECKPOINT, meta, group_end=(i == len(metas) - 1))
             for i, meta in enumerate(metas)
@@ -235,16 +176,14 @@ def plan_recovery(
     # WAL replay happens only for a latest-state restore: a retained
     # snapshot ends at its newest checkpoint by definition (§5.4).
     if upto_ts is None:
+        wal_end, _gaps, _orphans = index.wal_frontier()
         steps.extend(
-            RecoveryStep(STEP_WAL, wal_metas[ts])
-            for ts in range(frontier + 1, live_end)
+            RecoveryStep(STEP_WAL, index.wal[ts])
+            for ts in range(frontier + 1, wal_end + 1)
         )
 
     return RecoveryPlan(
-        dump_ts=dump_ts,
-        steps=tuple(steps),
-        stale_keys=tuple(stale),
-        frontier_ts=frontier,
+        dump_ts=dump_order[0], steps=tuple(steps), frontier_ts=frontier
     )
 
 
@@ -300,7 +239,6 @@ class RecoveryEngine:
         """Execute ``plan``; returns the same report shape recover_files
         always produced.  Raises the run's first fetch or apply failure."""
         report = RecoveryReport(dump_ts=plan.dump_ts)
-        report.stale_keys.extend(plan.stale_keys)
         report.last_applied_wal_ts = plan.frontier_ts
         started = self._clock.now()
         self._bus.emit(

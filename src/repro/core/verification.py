@@ -20,6 +20,7 @@ from repro.common.errors import ReproError
 from repro.core.bootstrap import recover_files
 from repro.core.codec import ObjectCodec
 from repro.core.config import GinjaConfig
+from repro.core.data_model import BucketIndex
 from repro.cloud.interface import ObjectStore
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import DBMSProfile
@@ -112,17 +113,14 @@ def verify_all_snapshots(
 ) -> dict[int, VerificationReport]:
     """Verify every restorable point in the bucket.
 
-    Each distinct DB-object timestamp anchors a restore point (the
-    latest dump at or below it plus its checkpoints); PITR retention
-    keeps several.  Returns ``{anchor_ts: report}``, newest last.
+    The timestamp of each complete DB group anchors a restore point
+    (the latest dump at or below it plus its checkpoints); PITR
+    retention keeps several.  A part of a crashed upload anchors
+    nothing: it restores no point of its own.  Returns
+    ``{anchor_ts: report}``, newest last.
     """
-    from repro.core.data_model import DBObjectMeta, parse_any
-
-    anchors: set[int] = set()
-    for info in cloud.list("DB/"):
-        meta = parse_any(info.key)
-        if isinstance(meta, DBObjectMeta):
-            anchors.add(meta.ts)
+    index = BucketIndex.from_keys(info.key for info in cloud.list("DB/"))
+    anchors = {ts for ts, _seq, _type in index.complete_groups()}
     reports: dict[int, VerificationReport] = {}
     for ts in sorted(anchors):
         reports[ts] = verify_backup(

@@ -18,12 +18,9 @@ from repro.common.errors import ReproError
 from repro.core.config import GinjaConfig
 from repro.core.ginja import Ginja
 from repro.cloud.interface import ObjectStore
-from repro.cloud.retry import RetryPolicy
-from repro.cloud.transport import build_transport
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import DBMSProfile
 from repro.failover.heartbeat import FailureDetector
-from repro.fsck.repair import repair as fsck_repair
 from repro.storage.memory import MemoryFileSystem
 
 #: Called with the recovered database once failover completes.
@@ -41,7 +38,7 @@ class FailoverResult:
     #: False when a multi-provider cloud reported that no read quorum
     #: was reachable, which aborts promotion before any recovery I/O.
     quorum_ok: bool = True
-    #: Pre-promotion bucket audit: violations found and keys repaired.
+    #: The recovery's bucket audit: violations found and keys repaired.
     audit_violations: int = 0
     repaired_keys: list[str] = field(default_factory=list)
     error: str | None = None
@@ -118,33 +115,6 @@ class FailoverCoordinator:
             )
             return result
         try:
-            # Audit the bucket before promoting: the primary died mid-flight,
-            # so the bucket may hold orphans beyond a WAL gap or half-uploaded
-            # DB groups.  A conservative repair removes what recovery would
-            # have to skip anyway, and the audit counts go in the result so
-            # the operator sees what the disaster left behind.  The repair's
-            # LIST/GET/DELETE traffic runs over a retry transport: a standby
-            # promoting *during* the incident that killed the primary must
-            # ride through transient cloud errors, not abort on the first.
-            retention = (
-                self._ginja_config.retention if self._ginja_config else None
-            )
-            if self._transport is not None:
-                repair_store = self._transport
-            else:
-                repair_store = build_transport(
-                    self._cloud,
-                    self._ginja_config,
-                    policy=(
-                        None if self._ginja_config is not None else RetryPolicy()
-                    ),
-                    clock=self._clock,
-                )
-            repaired = fsck_repair(
-                repair_store, mode="conservative", retention=retention
-            )
-            result.audit_violations = repaired.audit.violation_count
-            result.repaired_keys = list(repaired.deleted)
             standby_fs = MemoryFileSystem()
             ginja, report = Ginja.recover(
                 self._cloud,
@@ -169,6 +139,12 @@ class FailoverCoordinator:
         except ReproError as exc:
             result.error = f"{type(exc).__name__}: {exc}"
             return result
+        # The primary died mid-flight, so the bucket may hold orphans
+        # beyond a WAL gap or half-uploaded DB groups: the recovery's
+        # own cleanup audited and removed them, and the operator sees
+        # what the disaster left behind.
+        result.audit_violations = report.cleanup.audit.violation_count
+        result.repaired_keys = list(report.cleanup.deleted)
         result.failed_over = True
         result.files_restored = report.files_restored
         result.recovered_rows = sum(db.row_count(t) for t in db.tables())

@@ -16,8 +16,11 @@ from repro.fsck.audit import (
     audit_fleet,
     audit_index,
 )
-from repro.fsck.invariants import BucketIndex, INVARIANTS, Violation
-from repro.fsck.repair import MODES, RepairReport, repair, resync_view
+from repro.core.data_model import BucketIndex
+from repro.fsck.invariants import INVARIANTS, Violation
+from repro.fsck.repair import (
+    MODES, RepairReport, repair, repair_index, resync_view,
+)
 
 __all__ = [
     "AuditReport",
@@ -31,5 +34,6 @@ __all__ = [
     "audit_fleet",
     "audit_index",
     "repair",
+    "repair_index",
     "resync_view",
 ]

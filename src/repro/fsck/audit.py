@@ -1,7 +1,7 @@
 """The audit pass: run the invariant catalog over one bucket.
 
 ``audit()`` LISTs the store once, builds a
-:class:`~repro.fsck.invariants.BucketIndex`, evaluates every predicate
+:class:`~repro.core.data_model.BucketIndex`, evaluates every predicate
 in :data:`~repro.fsck.invariants.INVARIANTS` and folds the result into a
 typed :class:`AuditReport`.  The report is pure data — deciding what to
 do about it belongs to :mod:`repro.fsck.repair`.
@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.data_model import BucketIndex
 from repro.core.pitr import RetentionPolicy
 from repro.cloud.interface import ObjectStore
 from repro.cloud.prefix import tenant_of_key, tenant_prefix
 from repro.fsck.invariants import (
-    BucketIndex,
     DB_BELOW_RETENTION_FLOOR,
     DB_GROUP_INCOMPLETE,
     INVARIANTS,
@@ -70,6 +70,12 @@ class AuditReport:
     @property
     def violation_count(self) -> int:
         return len(self.violations)
+
+    @property
+    def doomed(self) -> list[str]:
+        """Provably-stale keys — what a repair deletes, in its order."""
+        return [*self.orphans, *self.redundant_wal, *self.incomplete_groups,
+                *self.stale_db]
 
     def summary(self) -> str:
         if self.ok:

@@ -1,12 +1,14 @@
 """The recoverability invariant catalog.
 
 Every rule :func:`repro.fsck.audit.audit` checks is stated here as a
-checkable predicate over a :class:`BucketIndex` (the parsed picture of
-one bucket's LIST) plus an optional :class:`~repro.core.cloud_view.CloudView`
-and :class:`~repro.core.pitr.RetentionPolicy`.  The catalog is the single
+checkable predicate over a :class:`~repro.core.data_model.BucketIndex`
+(the parsed picture of one bucket's LIST, which recovery plans from)
+plus an optional :class:`~repro.core.cloud_view.CloudView` and
+:class:`~repro.core.pitr.RetentionPolicy`.  The catalog is the single
 source of truth for "what a healthy bucket looks like": the audit pass,
-the repair pass, the chaos oracles and the reboot path all consume it
-instead of hand-rolling their own variant of the rules.
+the repair pass, the chaos oracles, reboot and the cleanup after every
+recovery all consume it instead of hand-rolling their own variant of
+the rules.
 
 The four invariants (§5.2 / Algorithm 1 of the paper, restated as
 predicates):
@@ -35,12 +37,11 @@ predicates):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, TYPE_CHECKING
 
-from repro.core.data_model import DBObjectMeta, DUMP, WALObjectMeta, parse_any
+from repro.core.data_model import BucketIndex
 from repro.core.pitr import RetentionPolicy
-from repro.cloud.interface import ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.cloud_view import CloudView
@@ -67,120 +68,6 @@ class Violation:
 
     def as_dict(self) -> dict:
         return {"rule": self.rule, "key": self.key, "detail": self.detail}
-
-
-@dataclass
-class BucketIndex:
-    """The parsed picture of one bucket's Ginja objects.
-
-    Built once per audit from a LIST; every invariant predicate reads
-    from it so the bucket is scanned exactly once.
-    """
-
-    wal: dict[int, WALObjectMeta] = field(default_factory=dict)
-    groups: dict[tuple[int, int, str], list[DBObjectMeta]] = field(
-        default_factory=dict
-    )
-    foreign: list[str] = field(default_factory=list)
-
-    @classmethod
-    def from_keys(cls, keys: Iterable[str]) -> "BucketIndex":
-        index = cls()
-        for key in keys:
-            meta = parse_any(key)
-            if meta is None:
-                index.foreign.append(key)
-            elif isinstance(meta, WALObjectMeta):
-                index.wal[meta.ts] = meta
-            else:
-                index.groups.setdefault(meta.group, []).append(meta)
-        for metas in index.groups.values():
-            metas.sort(key=lambda m: m.part)
-        return index
-
-    @classmethod
-    def from_store(cls, store: ObjectStore) -> "BucketIndex":
-        return cls.from_keys(info.key for info in store.list())
-
-    @property
-    def object_count(self) -> int:
-        """Ginja objects indexed (foreign keys excluded)."""
-        return len(self.wal) + sum(len(m) for m in self.groups.values())
-
-    # -- DB-group structure ------------------------------------------------
-
-    def is_complete(self, group: tuple[int, int, str]) -> bool:
-        metas = self.groups[group]
-        return [m.part for m in metas] == list(range(metas[0].nparts))
-
-    def complete_groups(self) -> dict[tuple[int, int, str], list[DBObjectMeta]]:
-        return {g: m for g, m in self.groups.items() if self.is_complete(g)}
-
-    def incomplete_groups(self) -> dict[tuple[int, int, str], list[DBObjectMeta]]:
-        return {g: m for g, m in self.groups.items() if not self.is_complete(g)}
-
-    def db_frontier_ts(self) -> int:
-        """Newest complete DB group's WAL-frontier ts (-1 if none).
-
-        Everything a checkpoint at this ts reflects is durable in DB
-        objects, so the usable WAL run starts just above it.
-        """
-        complete = self.complete_groups()
-        return max((ts for ts, _seq, _type in complete), default=-1)
-
-    def complete_dump_orders(self) -> list[tuple[int, int]]:
-        """(ts, seq) of every complete dump, oldest first."""
-        return sorted(
-            (ts, seq)
-            for (ts, seq, type_) in self.complete_groups()
-            if type_ == DUMP
-        )
-
-    def retention_floor(
-        self, retention: RetentionPolicy | None
-    ) -> tuple[int, int] | None:
-        """Oldest (ts, seq) a complete DB group may legitimately carry.
-
-        ``None`` when the policy is unknown (``retention is None``) or no
-        complete dump exists — in both cases nothing can be declared
-        stale.  With a known policy the floor is the (generations+1)-th
-        newest complete dump: the current generation plus ``generations``
-        retained PITR snapshots.
-        """
-        if retention is None:
-            return None
-        dumps = self.complete_dump_orders()
-        if not dumps:
-            return None
-        keep = 1 + retention.generations
-        return dumps[-min(keep, len(dumps))]
-
-    # -- WAL structure -----------------------------------------------------
-
-    def wal_frontier(self) -> tuple[int, list[int], list[WALObjectMeta]]:
-        """``(frontier_ts, gap_timestamps, orphans_beyond_first_gap)``.
-
-        ``frontier_ts`` ends the contiguous run starting just above
-        :meth:`db_frontier_ts` (and equals it when the run is empty).
-        ``gap_timestamps`` are the missing timestamps between the
-        frontier and the newest WAL object; ``orphans`` are the WAL
-        objects past the first gap, which recovery can never reach.
-        """
-        frontier = self.db_frontier_ts()
-        while frontier + 1 in self.wal:
-            frontier += 1
-        beyond = sorted(ts for ts in self.wal if ts > frontier)
-        gaps = (
-            [ts for ts in range(frontier + 1, beyond[-1]) if ts not in self.wal]
-            if beyond
-            else []
-        )
-        return frontier, gaps, [self.wal[ts] for ts in beyond]
-
-    def redundant_wal(self) -> list[WALObjectMeta]:
-        """WAL objects at or below the DB frontier (skipped GC deletes)."""
-        base = self.db_frontier_ts()
-        return [self.wal[ts] for ts in sorted(self.wal) if ts <= base]
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import CloudError
+from repro.core.data_model import BucketIndex
 from repro.core.pitr import RetentionPolicy
 from repro.fsck.audit import AuditReport, audit_index
-from repro.fsck.invariants import BucketIndex, Violation
+from repro.fsck.invariants import Violation
 from repro.placement import survey
 from repro.placement.store import PlacementStore, RepairReport
 

@@ -16,10 +16,15 @@ Two modes, both driven by a fresh audit:
 * ``resync`` — everything ``conservative`` does, plus rebuild the given
   :class:`~repro.core.cloud_view.CloudView` from the repaired LIST and
   clamp ``_next_wal_ts`` to the first gap.  This closes the reboot bug
-  where ``add_listed`` advanced the counter past a crash-induced gap,
-  stranding the confirmed frontier forever.  The deletions are not
-  optional here: a rebuilt view must not reuse a timestamp an orphan
-  still holds (two WAL objects at one ts makes recovery ambiguous).
+  where ingesting the LIST key by key advanced the counter past a
+  crash-induced gap, stranding the confirmed frontier forever.  The
+  deletions are not optional here: a rebuilt view must not reuse a
+  timestamp an orphan still holds (two WAL objects at one ts makes
+  recovery ambiguous).
+
+:func:`repair_index` acts on an index and audit already in hand:
+``Ginja.recover`` LISTs once, plans its restore from that index, and
+cleans the bucket and resyncs its view from the same one.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import CloudError, GinjaError
 from repro.core.cloud_view import CloudView
+from repro.core.data_model import BucketIndex
 from repro.core.pitr import RetentionPolicy
 from repro.cloud.interface import ObjectStore
 from repro.fsck.audit import AuditReport, audit_index
-from repro.fsck.invariants import BucketIndex
 
 MODES = ("conservative", "resync")
 
@@ -67,16 +72,6 @@ class RepairReport:
         }
 
 
-def _stale_keys(report: AuditReport) -> list[str]:
-    """Provably-stale keys, in a stable delete order."""
-    doomed: list[str] = []
-    doomed.extend(report.orphans)
-    doomed.extend(report.redundant_wal)
-    doomed.extend(report.incomplete_groups)
-    doomed.extend(report.stale_db)
-    return doomed
-
-
 def repair(
     store: ObjectStore,
     *,
@@ -93,12 +88,29 @@ def repair(
         raise GinjaError(f"unknown repair mode: {mode!r}")
     if mode == "resync" and view is None:
         raise GinjaError("resync repair needs a CloudView to rebuild")
-
     index = BucketIndex.from_store(store)
-    report = RepairReport(mode=mode)
-    report.audit = audit_index(index, view, retention=retention)
+    return repair_index(
+        store, index, audit_index(index, view, retention=retention),
+        view=view if mode == "resync" else None,
+    )
 
-    doomed = _stale_keys(report.audit)
+
+def repair_index(
+    store: ObjectStore,
+    index: BucketIndex,
+    audit: AuditReport,
+    *,
+    view: CloudView | None = None,
+) -> RepairReport:
+    """Delete what ``audit`` found stale in ``index`` — a LIST of
+    ``store`` already read — and, given a ``view``, resync it (the
+    ``resync`` mode).  The bucket is LISTed again only to read back a
+    DELETE; ``index`` is trimmed to the repaired bucket in place.
+    """
+    report = RepairReport(
+        mode="conservative" if view is None else "resync", audit=audit
+    )
+    doomed = audit.doomed
     if doomed:
         try:
             store.delete_many(doomed)
@@ -107,8 +119,6 @@ def repair(
             # skipped, never fatal — the orphan wastes bytes but a later
             # fsck run will retry it.
             pass
-        # Only a clean audit spares the second LIST (a restore with no
-        # stale keys pays for one LIST, as before).
         left = {info.key for info in store.list()}
         report.skipped = [key for key in doomed if key in left]
         report.deleted = [key for key in doomed if key not in left]
@@ -118,7 +128,7 @@ def repair(
     # deletes are dropped too, matching the checkpointer's GC: the
     # orphan is invisible to recovery either way, and a view that kept
     # it would advance the frontier across a ts the run never reused.
-    removed = set(report.deleted) | set(report.skipped)
+    removed = set(doomed)
     for ts in [ts for ts, meta in index.wal.items() if meta.key in removed]:
         del index.wal[ts]
     for group in [
@@ -133,7 +143,7 @@ def repair(
             del index.groups[group]
     report.objects = index.object_count
 
-    if mode == "resync":
+    if view is not None:
         frontier, _gaps, _orphans = index.wal_frontier()
         wal = [index.wal[ts] for ts in sorted(index.wal)]
         db = [

@@ -19,7 +19,9 @@ from repro.core.data_model import (
     encode_dump_payload,
     encode_wal_payload,
 )
+from repro.core.ginja import Ginja
 from repro.db.profiles import POSTGRES_PROFILE
+from repro.fsck import audit
 from repro.storage.memory import MemoryFileSystem
 
 
@@ -139,7 +141,8 @@ class TestRecoverFiles:
         assert report.wal_objects_applied == 1
         assert report.last_applied_wal_ts == 1
         assert fs.read_all("seg") == b"first"
-        assert WALObjectMeta(ts=3, filename="seg", offset=512).key in report.stale_keys
+        orphan = WALObjectMeta(ts=3, filename="seg", offset=512).key
+        assert orphan in audit(store).doomed
 
     def test_incomplete_dump_falls_back_to_previous(self, codec):
         store = InMemoryObjectStore()
@@ -153,7 +156,7 @@ class TestRecoverFiles:
         report = recover_files(store, codec, fs)
         assert report.dump_ts == 0
         assert fs.read_all("base/t") == b"old"
-        assert any("000000000009" in k for k in report.stale_keys)
+        assert any("000000000009" in k for k in audit(store).doomed)
 
     def test_multipart_dump_applied_in_order(self, codec):
         store = InMemoryObjectStore()
@@ -194,7 +197,8 @@ class TestRecoverFiles:
         stale, so the cleanup pass after a snapshot restore deleted the
         WAL tail the latest state still needed — silent data loss on the
         next latest-state recovery.  Only WAL unreachable from every
-        retained generation may be reported stale."""
+        retained generation may be reported stale, and a snapshot
+        restore's cleanup leaves the tail in the bucket."""
         store = InMemoryObjectStore()
         self._put(store, codec, DBObjectMeta(ts=0, type=DUMP, size=1),
                   encode_dump_payload([("base/t", b"gen0")]))
@@ -208,9 +212,14 @@ class TestRecoverFiles:
             tail_keys.append(meta.key)
             self._put(store, codec, meta,
                       encode_wal_payload([((ts - 10) * 4, b"tail")]))
-        report = recover_files(store, codec, MemoryFileSystem(), upto_ts=5)
+        ginja, report = Ginja.recover(
+            store, MemoryFileSystem(), POSTGRES_PROFILE, upto_ts=5
+        )
+        ginja.stop()
+        assert report.dump_ts == 0
         for key in tail_keys:
-            assert key not in report.stale_keys
+            assert key not in report.cleanup.audit.doomed
+            assert store.exists(key)
         # The tail must still replay on a subsequent latest-state restore.
         fs = MemoryFileSystem()
         latest = recover_files(store, codec, fs)
@@ -229,4 +238,6 @@ class TestRecoverFiles:
         report = recover_files(store, codec, fs)
         assert not fs.exists("seg")
         assert report.wal_objects_applied == 0
-        assert len(report.stale_keys) == 1
+        assert audit(store).redundant_wal == [
+            WALObjectMeta(ts=2, filename="seg", offset=0).key
+        ]

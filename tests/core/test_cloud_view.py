@@ -98,13 +98,3 @@ class TestGCQueries:
         assert view.pop_wal_upto(0) == []
         assert view.confirmed_ts() == 0  # the frontier does not move back
 
-
-class TestListIngestion:
-    def test_add_listed_parses_and_tracks(self):
-        view = CloudView()
-        view.add_listed(WALObjectMeta(ts=4, filename="f", offset=0).key)
-        view.add_listed(DBObjectMeta(ts=0, type=DUMP, size=11).key)
-        view.add_listed("unrelated/key")
-        assert view.wal_object_count() == 1
-        assert view.total_db_bytes() == 11
-        assert view.next_wal_ts() == 5  # continues after the listed max

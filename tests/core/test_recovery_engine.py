@@ -40,6 +40,7 @@ from repro.core.recovery import (
     plan_recovery,
 )
 from repro.core.stats import GinjaStats
+from repro.fsck import audit
 from repro.storage.memory import MemoryFileSystem
 
 from tests.cloud.test_reactor import wait_for
@@ -89,11 +90,12 @@ class TestPlanRecovery:
         assert [s.meta.ts for s in plan.steps if s.kind == STEP_WAL] == [3, 4, 5]
         assert plan.dump_ts == 0
         assert plan.object_count == 7
-        assert plan.stale_keys == ()
+        assert audit(store).doomed == []
 
     def test_snapshot_restore_never_stales_the_live_wal_tail(self, codec):
         # The PITR data-loss regression: two generations, restore the
         # old one — the latest generation's WAL tail must NOT be stale.
+        # Staleness is the index's audit, which no upto_ts reaches.
         store = InMemoryObjectStore()
         _put(store, codec, DBObjectMeta(ts=0, type=DUMP, size=1),
              encode_dump_payload([("base/data", b"old")]))
@@ -111,7 +113,7 @@ class TestPlanRecovery:
         # Snapshot restores end at their newest checkpoint: no WAL steps.
         assert [s.kind for s in plan.steps] == [STEP_DUMP, STEP_CHECKPOINT]
         for key in live_tail:
-            assert key not in plan.stale_keys
+            assert key not in audit(store).doomed
 
     def test_unreachable_wal_is_still_stale_under_upto_ts(self, codec):
         # WAL below the latest frontier or beyond the first gap is
@@ -127,9 +129,9 @@ class TestPlanRecovery:
         for meta in (superseded, live, orphan):
             _put(store, codec, meta, encode_wal_payload([(0, b"w")]))
         plan = plan_recovery(store.list(), upto_ts=0)
-        assert set(plan.stale_keys) == {superseded.key, orphan.key}
+        assert [s.kind for s in plan.steps] == [STEP_DUMP]
+        assert set(audit(store).doomed) == {superseded.key, orphan.key}
         latest = plan_recovery(store.list())
-        assert set(latest.stale_keys) == {superseded.key, orphan.key}
         assert [s.meta.ts for s in latest.steps if s.kind == STEP_WAL] == [6]
 
     def test_no_dump_raises(self, codec):

@@ -7,6 +7,7 @@ import pytest
 from repro.common.units import KiB
 from repro.cloud.memory import InMemoryObjectStore
 from repro.core.config import GinjaConfig
+from repro.core.data_model import CHECKPOINT, DBObjectMeta
 from repro.core.ginja import Ginja
 from repro.core.pitr import RetentionPolicy
 from repro.core.verification import verify_all_snapshots, verify_backup
@@ -83,3 +84,21 @@ class TestVerifyAllSnapshots:
         reports = verify_all_snapshots(bucket, POSTGRES_PROFILE, config,
                                        engine_config=ENGINE)
         assert any(not r.ok for r in reports.values())
+
+    def test_crashed_upload_anchors_no_snapshot(self, retained_bucket):
+        """Regression: any DB key's ts used to anchor a snapshot, so a
+        part of a checkpoint that crashed mid-upload at ts 99 added a
+        third "verified" point that repeated ts 6's full restore.  Only
+        complete groups anchor restore points."""
+        bucket, config = retained_bucket
+        anchors = sorted(
+            {DBObjectMeta.parse(info.key).ts for info in bucket.list("DB/")}
+        )
+        assert len(anchors) >= 2
+        partial = DBObjectMeta(ts=99, type=CHECKPOINT, size=1, part=0,
+                               nparts=2)
+        bucket.put(partial.key, b"crashed mid-upload")
+        reports = verify_all_snapshots(bucket, POSTGRES_PROFILE, config,
+                                       engine_config=ENGINE)
+        assert sorted(reports) == anchors
+        assert all(report.ok for report in reports.values())

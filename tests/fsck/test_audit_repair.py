@@ -147,8 +147,12 @@ class TestRepair:
         store = healthy_bucket()
         store.delete(wal_key(3))
         view = CloudView()
-        for info in store.list():
-            view.add_listed(info.key)  # the buggy ingest: counter -> 7
+        # The buggy ingest: every listed WAL object recorded, and the
+        # counter advanced past the gap to 7.
+        for info in store.list("WAL/"):
+            view.add_wal(WALObjectMeta.parse(info.key))
+        while view.last_assigned_ts() < 6:
+            view.next_wal_ts()
         assert view.last_assigned_ts() == 6
         report = repair(store, view=view, mode="resync")
         assert report.frontier_ts == 2

@@ -197,14 +197,16 @@ class TestViewAgreement:
         assert VIEW_FRONTIER_DRIFT in rules(violations)
 
     def test_counter_drift_past_a_gap_flagged(self):
-        """The reboot bug: ``add_listed`` pushes ``_next_wal_ts`` past a
-        crash-induced gap, which the audit must call out."""
+        """The reboot bug: ingesting the LIST key by key pushed
+        ``_next_wal_ts`` past a crash-induced gap, which the audit must
+        call out."""
         index = index_of(db(0), wal(1), wal(2), wal(5))
         view = CloudView()
         for ts in (1, 2, 5):
-            view.add_listed(wal(ts).key)
-        for meta in (db(0),):
-            view.add_listed(meta.key)
+            view.add_wal(wal(ts))
+        view.add_db(db(0))
+        while view.last_assigned_ts() < 5:
+            view.next_wal_ts()
         view.force_frontier(0)
         violations = check_view_agreement(index, view=view)
         assert VIEW_TS_DRIFT in rules(violations)

@@ -14,9 +14,10 @@ repo into a self-verifying test bench for exactly that claim:
 * :mod:`~repro.chaos.oracles` — post-drill invariant checkers (RPO,
   recovery, GC, billing);
 * :mod:`~repro.chaos.drill` — one scenario × crash point × seed drill,
-  and the result type, standby check and clock pump the phased drills
+  and the result type and standby check the phased drills
   (:mod:`~repro.chaos.placement_drill`, :mod:`~repro.chaos.tuner_drill`,
-  :mod:`~repro.chaos.fleet_drill`) share;
+  :mod:`~repro.chaos.fleet_drill`) share — each advances its manual
+  clock from its own thread, none in real time;
 * :mod:`~repro.chaos.campaign` — the seed-sweep grid runner with
   failure shrinking and a deterministic :class:`CampaignReport`.
 

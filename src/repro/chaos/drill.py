@@ -4,9 +4,10 @@ A **grid drill** (:func:`run_drill`) is one independent campaign cell,
 scenario × crash point × seed, judged by the four oracles.  A **phased
 drill** (placement, tuner, fleet) runs ordered, dependent phases and
 judges each with a named check; all three report through
-:class:`PhasedDrillResult`, read their standby through
-:func:`~repro.chaos.oracles.standby_rows`; the tuner drill paces its
-:class:`ManualClock` with :class:`ClockPump`.
+:class:`PhasedDrillResult` and read their standby through
+:func:`~repro.chaos.oracles.standby_rows`.  Every drill advances its
+:class:`ManualClock` from its own thread: nothing moves virtual time
+in real time, so a fixed seed replays the same virtual history.
 
 A grid drill boots a full Ginja stack on a :class:`ManualClock`, runs a
 deterministic row workload against it while the scenario's fault
@@ -107,10 +108,11 @@ class PhasedDrillResult:
     """Outcome of one phased drill: one :class:`OracleVerdict` per check.
 
     ``canonical()`` is ``config`` (the run-stable echo of the drill's
-    inputs), ``committed`` and each check's boolean — what the CI jobs
-    byte-compare.  ``extras`` holds diagnostics that shift with thread
-    interleaving (bills, controller snapshots, the thread census) and is
-    never canonical.
+    inputs), ``committed``, each check's boolean and — for a drill that
+    records one — the ``trajectory`` it read at a settled point: what
+    the CI jobs byte-compare.  ``extras`` holds diagnostics that shift
+    with thread interleaving (bills, controller snapshots after the
+    close, the thread census) and is never canonical.
     """
 
     kind: str
@@ -118,6 +120,7 @@ class PhasedDrillResult:
     committed: int = 0
     checks: list[OracleVerdict] = field(default_factory=list)
     extras: dict = field(default_factory=dict, repr=False)
+    trajectory: dict | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -148,12 +151,15 @@ class PhasedDrillResult:
         )
 
     def canonical(self) -> dict:
-        return {
+        report = {
             **self.config,
             "committed": self.committed,
             "status": "pass" if self.ok else "fail",
             "checks": {check.name: check.ok for check in self.checks},
         }
+        if self.trajectory is not None:
+            report["trajectory"] = self.trajectory
+        return report
 
     def summary(self) -> str:
         knobs = " ".join(f"{k}={v}" for k, v in self.config.items())
@@ -162,41 +168,6 @@ class PhasedDrillResult:
             for check in self.checks
         )
         return f"{self.kind} {knobs} [{self.committed} committed] {marks}"
-
-
-class ClockPump:
-    """Keeps a :class:`ManualClock` creeping forward in real time.
-
-    On a manual clock the only things that advance virtual time are the
-    workload's explicit ``advance()`` calls and the latency layer's
-    sleeps.  A drill that measures *elapsed virtual time* — the tuner
-    drill's controller steers on it — needs time to keep flowing
-    between those; draining does not (``drain`` claims a partial batch
-    at once instead of waiting out T_B).  The pump adds ``step``
-    virtual seconds every 2 ms of real time, which makes virtual
-    timestamps real-time dependent: that is why a phased drill's
-    canonical report holds only configuration and booleans.
-    """
-
-    def __init__(self, clock: ManualClock, step: float):
-        self._clock = clock
-        self._step = step
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="drill-clock-pump", daemon=True,
-        )
-
-    def _run(self) -> None:
-        while not self._stop.wait(0.002):
-            self._clock.advance(self._step)
-
-    def __enter__(self) -> "ClockPump":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
 
 
 def resolve_crash_point(point: str | CrashPoint) -> CrashPoint:

@@ -22,14 +22,17 @@ magnitude.  The drill proves, in order:
    retuning never compromised durability.
 
 Everything runs on a :class:`~repro.common.clock.ManualClock` with
-jitter-free latency models, so a fixed seed reproduces the run
-byte-identically — ``canonical()`` exposes only run-stable fields
-(configuration and booleans) and is what the CI job byte-compares.
+jitter-free latency models, stepped by the drill's one thread only
+where the pipeline has settled, so a fixed seed replays byte for byte:
+``canonical()`` carries the controller's ``trajectory`` (virtual time,
+transition records and tuner snapshot at the settled end of phase 2)
+beside the configuration and the booleans.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro.common.clock import ManualClock
 from repro.common.errors import ReproError
@@ -37,7 +40,7 @@ from repro.cloud.latency import LatencyModel
 from repro.cloud.simulated import SimulatedCloud
 from repro.core.config import GinjaConfig
 from repro.core.ginja import Ginja
-from repro.chaos.drill import ClockPump, PhasedDrillResult
+from repro.chaos.drill import PhasedDrillResult
 from repro.chaos.oracles import row_value
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import POSTGRES_PROFILE
@@ -50,54 +53,45 @@ class ShiftableLatency:
     :class:`~repro.cloud.latency.LatencyModel` is frozen (a drill must
     not mutate shared calibration constants), so the mid-run shift is a
     delegating wrapper: the latency layer holds *this* object and every
-    request reads whichever inner model is current.
+    request reads whichever inner ``model`` is current.
     """
 
     def __init__(self, model: LatencyModel):
         self.model = model
 
-    def shift(self, model: LatencyModel) -> None:
-        self.model = model
+    def __getattr__(self, name: str):
+        return getattr(self.model, name)
 
-    def put_latency(self, nbytes: int, rng: random.Random | None = None) -> float:
-        return self.model.put_latency(nbytes, rng)
 
-    def get_latency(self, nbytes: int, rng: random.Random | None = None) -> float:
-        return self.model.get_latency(nbytes, rng)
+class SettledWrites:
+    """The drill's view of ``ginja.fs``: a write returns once the
+    pipeline has settled, so a put's second page never races the ack of
+    the batch its first page filled."""
 
-    def list_latency(self, rng: random.Random | None = None) -> float:
-        return self.model.list_latency(rng)
+    def __init__(self, fs, pipeline):
+        self._fs = fs
+        self._pipeline = pipeline
 
-    def delete_latency(self, rng: random.Random | None = None) -> float:
-        return self.model.delete_latency(rng)
+    def __getattr__(self, name: str):
+        return getattr(self._fs, name)
+
+    def write(self, path: str, offset: int, data: bytes) -> None:
+        self._fs.write(path, offset, data)
+        self._pipeline.settle()
 
 
 #: Healthy cloud: transfer-dominated PUTs (the regime where batch size
 #: actually moves commit latency), no jitter for byte-identical replays.
-#: The absolute numbers are large on purpose — virtual latencies cost no
-#: real time (ManualClock sleeps advance instantly), and the measured
-#: claim→unlock signal must dwarf the clock pump's noise floor (the
-#: pump ticks on during the few real milliseconds each batch spends in
-#: encode/dispatch/unlock).
+#: Virtual latencies cost no real time (ManualClock sleeps advance
+#: instantly), and the claim→unlock signal the tuner steers on is the
+#: PUT's modelled latency and nothing else: no clock moves while a
+#: batch encodes, dispatches or unlocks.
 PRE_SHIFT_LATENCY = LatencyModel(
     put_base=0.5, put_bytes_per_sec=100e3,
     get_base=0.01, get_bytes_per_sec=8e6,
     list_base=0.01, delete_base=0.005,
     jitter_sigma=0.0,
 )
-
-
-def shifted(model: LatencyModel, factor: float) -> LatencyModel:
-    """The same cloud with its upload throughput divided by ``factor``."""
-    return LatencyModel(
-        put_base=model.put_base,
-        put_bytes_per_sec=model.put_bytes_per_sec / factor,
-        get_base=model.get_base,
-        get_bytes_per_sec=model.get_bytes_per_sec,
-        list_base=model.list_base,
-        delete_base=model.delete_base,
-        jitter_sigma=model.jitter_sigma,
-    )
 
 
 def run_tuner_drill(
@@ -124,11 +118,12 @@ def run_tuner_drill(
     throughput 100 kB/s / 14) at ~8.3s for B=16 and ~4.4s for B=8
     against a hysteresis band of 2.5s .. 6.4s: the nominal B sits 30%
     above the band, B=8 31% under its top and 76% over its bottom, so
-    neither a few percent of shipped bytes nor the pump's noise decides
-    whether the tuner moves.  The workload's row rate (one per 0.8
-    virtual seconds) stays below the *post-shift* drain capacity at
-    every B the controller can visit — an oversubscribed pipeline
-    measures its own backlog, not the knob the tuner controls.
+    a few percent of shipped bytes never decides whether the tuner
+    moves.  Each row is followed by 0.8 virtual seconds, stepped only
+    once the pipeline has settled — every batch a row fills or a T_B
+    expiry flushes is acked before the next row — so the pipeline is
+    never oversubscribed: it measures the knob the tuner controls, not
+    its own backlog.
     """
     result = PhasedDrillResult("tuner", {
         "seed": seed, "rows_before": rows_before, "rows_after": rows_after,
@@ -142,11 +137,10 @@ def run_tuner_drill(
         latency=latency, time_scale=1.0, clock=clock, seed=seed,
     )
     # T_B must exceed the time the workload takes to produce a full
-    # batch (measured: ~13 virtual seconds for 16 page writes, the
-    # tuner's ``interval_ewma``), or every claim is a T_B-expiry
-    # partial of one or two rows and B stops being the knob that sets
-    # commit latency (the reactor queue does instead).  The final
-    # drain flushes the tail partial batch.
+    # batch (~13 virtual seconds for 16 page writes, the tuner's
+    # ``interval_ewma``), or every claim is a T_B-expiry partial of one
+    # or two rows and B stops being the knob that sets commit latency.
+    # The final drain flushes the tail partial batch.
     config = GinjaConfig(
         batch=batch, safety=safety, seed=seed,
         batch_timeout=20.0, safety_timeout=60.0,
@@ -158,28 +152,13 @@ def run_tuner_drill(
     # stream the drill is measuring.
     engine = EngineConfig(auto_checkpoint=False)
     profile = POSTGRES_PROFILE
-    # A slow pump: here virtual *latencies* are the measured control
-    # signal, and every pump tick that lands
-    # between a claim and its unlock inflates it.  0.02 per 2 ms keeps
-    # the noise floor well under the smallest per-batch PUT latency.
-    with ClockPump(clock, step=0.02):
-        _run_phases(result, cloud, latency, config, engine, profile, clock,
-                    row_pad)
-    return result
-
-
-def _run_phases(result, cloud, latency, config, engine, profile, clock,
-                row_pad) -> None:
-    knobs = result.config
-    seed, rows_before, rows_after = (
-        knobs["seed"], knobs["rows_before"], knobs["rows_after"]
-    )
     disk = MemoryFileSystem()
     MiniDB.create(disk, profile, engine).close()
     ginja = Ginja(disk, cloud, profile, config, clock=clock)
     ginja.start(mode="boot")
-    tuner = ginja.pipeline.tuner
-    db = MiniDB.open(ginja.fs, profile, engine)
+    pipeline = ginja.pipeline
+    tuner = pipeline.tuner
+    db = MiniDB.open(SettledWrites(ginja.fs, pipeline), profile, engine)
     acked: dict[str, bytes] = {}
     band_top = config.target_commit_latency * config.tuner_hysteresis
     # Incompressible padding (seeded, so recovery can be compared):
@@ -188,18 +167,18 @@ def _run_phases(result, cloud, latency, config, engine, profile, clock,
     rng = random.Random(seed)
 
     def put_rows(start: int, count: int) -> None:
-        # The workload *waits for* virtual time instead of advancing it:
-        # pushing the clock from this thread while an upload is in
-        # flight lands the pushes inside that batch's claim→unlock
-        # window, and the tuner would be steering against the workload's
-        # own clock advances rather than the cloud's latency.  Time is
-        # driven by the pump and the latency-layer sleeps only.
+        # This thread moves virtual time only where the pipeline has
+        # settled (every write settles it): a step never lands inside a
+        # batch's claim→unlock window, so the tuner steers on the
+        # cloud's latency alone (the latency layer's sleeps), and a T_B
+        # the step expires is flushed and acked before the next row.
         for index in range(start, start + count):
             key = f"k{index}"
             value = row_value(index, seed) + rng.randbytes(row_pad)
             db.put("t", key, value)
             acked[key] = value
-            clock.wait_until(clock.now() + 0.8, timeout=30.0)
+            clock.advance(0.8)
+            pipeline.settle()
 
     error = ""
     try:
@@ -215,9 +194,19 @@ def _run_phases(result, cloud, latency, config, engine, profile, clock,
         )
 
         # -- phase 2: throughput collapse, keep committing ----------------
-        latency.shift(shifted(PRE_SHIFT_LATENCY, knobs["shift_factor"]))
+        # The same cloud with its upload throughput divided.
+        healthy = PRE_SHIFT_LATENCY.put_bytes_per_sec
+        latency.model = replace(
+            PRE_SHIFT_LATENCY, put_bytes_per_sec=healthy / shift_factor,
+        )
         put_rows(rows_before, rows_after)
         after = tuner.snapshot()
+        # Read where phase 2 has settled, before the final drain.
+        result.trajectory = {
+            "at": clock.now(),
+            "transitions": tuner.transition_log(),
+            "tuner": after,
+        }
         result.check(
             "batch_shrank",
             after["batch"] < config.batch and after["retunes"] > 0,
@@ -237,17 +226,11 @@ def _run_phases(result, cloud, latency, config, engine, profile, clock,
             f"projected ${projected}/month over ${config.budget_dollars}",
         )
 
-        # Flush the tail: advancing the clock past T_B fires the timer,
-        # which claims the partial batch.  The sentinel row dates from
-        # when only a submit could report that virtual time had passed;
-        # it stays because the canonical report counts it in
-        # ``committed``.
-        clock.advance(config.batch_timeout + 1.0)
-        sentinel = row_value(rows_before + rows_after, seed)
-        db.put("t", "sentinel", sentinel)
-        acked["sentinel"] = sentinel
-        db.close()
-        ginja.stop(drain_timeout=600.0)  # drain: RPO 0 is now well-defined
+        # No db.close(): its checkpoint's PUTs would advance the clock
+        # inside the final drain's claim→unlock window, and the tuner
+        # would fold them into its latency.  The WAL holds every acked
+        # row, so the drain alone makes RPO 0 well-defined.
+        ginja.stop(drain_timeout=600.0)
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
         ginja.crash()
@@ -274,3 +257,4 @@ def _run_phases(result, cloud, latency, config, engine, profile, clock,
         lambda fs: Ginja.recover(cloud, fs, profile, config, clock=clock),
         acked, profile, engine,
     )
+    return result

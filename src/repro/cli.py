@@ -345,9 +345,10 @@ def _report_drills(results: list, *, as_json: bool = False,
 
     One summary line per drill on stdout, each failed check's detail on
     stderr; ``--json`` / ``--out`` print / write the canonical report
-    (config and booleans only, byte-identical across reruns of the same
-    seeds — the CI determinism check relies on this).  Exit 0 only if
-    every check of every drill passed.
+    (config, booleans and — for the tuner — the trajectory read at a
+    settled point; byte-identical across reruns of the same seeds, the
+    CI determinism check relies on this).  Exit 0 only if every check
+    of every drill passed.
     """
     for result in results:
         print(result.summary())

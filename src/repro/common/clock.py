@@ -5,11 +5,12 @@ Two implementations are provided:
 * :class:`MonotonicClock` — wall time, used when running the real threaded
   pipeline (the default everywhere).
 * :class:`ManualClock` — a hand-advanced clock for deterministic unit
-  tests of timeout logic, and for the analytic parts of the benchmark
-  harness where *modeled* time (unscaled cloud latencies) is accounted
-  without sleeping through it.  Nothing in the pipeline waits for a
+  tests of timeout logic, the chaos drills, and the analytic parts of
+  the benchmark harness where *modeled* time (unscaled cloud latencies)
+  is accounted without sleeping through it.  Nothing waits for a
   modelled deadline in real seconds (:meth:`Clock.wait_until_async`),
-  so advancing this clock is what schedules.
+  so advancing this clock is what schedules — from a drill's own
+  thread, never from a real-time pump.
 
 The Ginja pipeline itself runs on real threads; simulated components
 (FUSE crossing, disk latency, cloud latency) *pace* the calling thread
@@ -65,12 +66,8 @@ class Clock:
 
     async def sleep_async(self, seconds: float) -> None:
         """Pause the calling *task* for ``seconds`` without holding a
-        thread.  The default bridges :meth:`sleep` through the loop's
-        executor so exotic clock subclasses keep working; the stock
-        clocks override it with a zero-thread implementation.
-        """
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.sleep, seconds)
+        thread."""
+        raise NotImplementedError
 
     async def wait_until_async(self, deadline: float) -> None:
         """Pause the calling *task* until :meth:`now` reaches ``deadline``
@@ -78,8 +75,7 @@ class Clock:
         it).  Unlike the sleeps it must never *move* the clock: on a
         virtual clock it waits for whoever advances it.
         """
-        while (remaining := deadline - self.now()) > 0:
-            await self.sleep_async(remaining)
+        raise NotImplementedError
 
 
 class MonotonicClock(Clock):
@@ -144,28 +140,28 @@ class ManualClock(Clock):
 
     ``sleep`` advances the clock instead of blocking, which makes it safe
     to use from a single-threaded test.  ``advance`` may be called from
-    another thread; waiters blocked in :meth:`wait_until` are woken.
+    any thread; it releases every :meth:`wait_until_async` deadline it
+    passes.
     """
 
     def __init__(self, start: float = 0.0):
         self._now = start
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         #: Tasks parked in :meth:`wait_until_async`, soonest first:
         #: ``(deadline, tie-break, loop, future)``.
         self._deadlines: list[tuple] = []
         self._tie = count()
 
     def now(self) -> float:
-        with self._cond:
+        with self._lock:
             return self._now
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("cannot sleep a negative duration")
         due = []
-        with self._cond:
+        with self._lock:
             self._now += seconds
-            self._cond.notify_all()
             while self._deadlines and self._deadlines[0][0] <= self._now:
                 due.append(heapq.heappop(self._deadlines))
         # Released outside the lock: waking a loop is a self-pipe write,
@@ -186,7 +182,7 @@ class ManualClock(Clock):
         # deadline heap until a sleep/advance from any thread passes it.
         loop = asyncio.get_running_loop()
         entry = None
-        with self._cond:
+        with self._lock:
             if self._now < deadline:
                 entry = (deadline, next(self._tie), loop, loop.create_future())
                 heapq.heappush(self._deadlines, entry)
@@ -195,30 +191,15 @@ class ManualClock(Clock):
         try:
             await entry[3]
         finally:
-            with self._cond:
+            with self._lock:
                 if entry in self._deadlines:  # cancelled before its time
                     self._deadlines.remove(entry)
                     heapq.heapify(self._deadlines)
 
     def advance(self, seconds: float) -> None:
-        """Move time forward, waking any :meth:`wait_until` callers and
-        releasing every :meth:`wait_until_async` deadline now passed."""
+        """Move time forward, releasing every :meth:`wait_until_async`
+        deadline now passed."""
         self.sleep(seconds)
-
-    def wait_until(self, deadline: float, timeout: float = 5.0) -> bool:
-        """Block (in real time) until the manual clock reaches ``deadline``.
-
-        Returns ``False`` if ``timeout`` real seconds elapse first.  Used
-        by tests coordinating with pipeline threads.
-        """
-        end = time.monotonic() + timeout
-        with self._cond:
-            while self._now < deadline:
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True
 
 
 def _release(future: asyncio.Future) -> None:

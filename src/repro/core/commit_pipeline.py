@@ -72,10 +72,11 @@ and the trace recorder subscribe there instead of being threaded
 through the constructor.  Per-write emits are guarded with
 :meth:`EventBus.wants` so an audience of zero costs nothing.  The one
 condition is *space*: the unlock rule (and a poisoning) notifies it,
-S-blocked submitters and ``drain`` wait on it.  Nothing waits for
-*work* — a write into a batch that is 1/B-th fuller schedules nothing
-and touches no other thread, so at B = 100 the other 98 writes of a
-batch cost an append.
+S-blocked submitters, ``drain`` and ``settle`` wait on it (the timer and
+a claim job notify it only when they leave the pipeline settled).
+Nothing waits for *work* — a write into a batch that is 1/B-th fuller
+schedules nothing and touches no other thread, so at B = 100 the other
+98 writes of a batch cost an append.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ class CommitPipeline:
                                     lane=lane)
 
         # One condition, and it means *space*: the unlock rule (and the
-        # fuse) notifies it; S-blocked submitters, drain() and a stop
-        # waiting out a running claim wait on it.
+        # fuse) notifies it; S-blocked submitters, drain(), settle() and
+        # a stop waiting out a running claim wait on it.
         self._cond = threading.Condition(threading.RLock())
         #: Blown by the first failure.  Queued uploads can then never
         #: ack, so they are dropped (their on_done emits
@@ -318,6 +319,25 @@ class CommitPipeline:
                 return not self._entries
             finally:
                 self._draining -= 1
+
+    def settle(self) -> None:
+        """Block until no work of this pipeline is under way: no claim
+        job queued or running, no claimed batch awaiting its ack, no
+        armed T_B deadline passed without its timer running.  A thread
+        stepping a ManualClock calls it between steps.  Raises
+        ``GinjaError`` if the fuse blows; never polls — whatever can
+        make this true notifies."""
+        with self._cond:
+            while True:
+                self._fuse.check("commit pipeline failed")
+                if self._settled_locked():
+                    return
+                self._cond.wait()
+
+    def _settled_locked(self) -> bool:
+        return self._claim == _IDLE and not self._claimed and (
+            self._timer is None or self._clock.now() < self._timer_deadline
+        )
 
     @property
     def failed(self) -> Exception | None:
@@ -462,6 +482,8 @@ class CommitPipeline:
         with self._cond:
             self._timer = None
             self._schedule_locked()
+            if self._settled_locked():
+                self._cond.notify_all()  # settle() may be waiting on it
 
     def _claim_job(self) -> None:
         """One scheduled claim, on an encoder worker: claim → plan →
@@ -471,10 +493,12 @@ class CommitPipeline:
         self._fuse.guard(self._claim_and_ship)
         with self._cond:
             self._claim = _IDLE
-            if self._stop:
-                self._cond.notify_all()  # _halt may be waiting us out
-            else:
+            if not self._stop:
                 self._schedule_locked()
+            # _halt may be waiting us out, or settle() for the last ack
+            # that came back before this claim left.
+            if self._stop or self._settled_locked():
+                self._cond.notify_all()
 
     def _claim_and_ship(self) -> None:
         with self._cond:

@@ -159,6 +159,9 @@ class Ginja:
         )
         self.processor = DatabaseProcessor(profile, self.pipeline, self.collector)
         self._running = False
+        #: The ``upto_ts`` of the point-in-time restore that built this
+        #: instance, if one did: it never protects (:meth:`start`).
+        self._restored_upto: int | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -170,6 +173,13 @@ class Ginja:
         """
         if self._running:
             raise GinjaError("Ginja already started")
+        if self._restored_upto is not None:
+            # The bucket's chain runs past the restored point: shipping
+            # from here would write over the latest generation's WAL.
+            raise GinjaError(
+                f"restored to ts {self._restored_upto}, not the latest "
+                "state: protect the restored database in a fresh bucket"
+            )
         if mode == "boot":
             marks, files = boot(
                 self.fs.inner,
@@ -359,7 +369,11 @@ class Ginja:
         reactor: UploadReactor | None = None,
     ) -> tuple["Ginja", RecoveryReport]:
         """Rebuild the database files from the cloud and return a mounted
-        Ginja ready to protect the recovered database.
+        Ginja ready to protect the recovered database — or, after a
+        point-in-time restore (``upto_ts``), one that does not protect:
+        interception stays off and :meth:`start` refuses, because the
+        bucket's chain goes on past the restored point.  Protect such a
+        database in a fresh bucket.
 
         All restore I/O runs through the instance's transport stack, so
         recovery GETs get the same retry policy, metering and tracing as
@@ -423,5 +437,8 @@ class Ginja:
             view=ginja.view,
         )
         ginja.checkpointer.seed_sequence(ginja.view.max_db_seq() + 1)
-        ginja.start(mode="attached")
+        if upto_ts is None:
+            ginja.start(mode="attached")
+        else:
+            ginja._restored_upto = upto_ts
         return ginja, report

@@ -322,7 +322,9 @@ class FleetManager:
         restores (or commits) of worker threads; the pool's threads
         live from the first concurrent restore to the last.  Returns
         the new ``(ginja, report)`` pair and installs the instance on
-        the roster, replacing any crashed predecessor.
+        the roster, replacing any crashed predecessor.  After a
+        point-in-time restore (``upto_ts``) the instance does not
+        protect (:meth:`Ginja.recover`).
         """
         self._check_id(tenant_id)
         if not self._started:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -57,18 +58,38 @@ class TestDrill:
             assert t["to_batch"] <= t["to_safety"] <= nominal_s
             assert t["reason"]
 
-    def test_canonical_report_is_config_and_booleans_only(self, drill_result):
-        """The CI determinism gate ``cmp``s two canonical reports, so
-        nothing pump-timing-dependent (EWMAs, dollars, timestamps) may
-        leak into them — only config echoes and pass/fail booleans."""
-        canonical = drill_result.canonical()
-        json.dumps(canonical)  # must be serializable as-is
-        assert canonical["status"] == "pass"
-        assert canonical["seed"] == 0
-        for value in canonical.values():
-            assert isinstance(value, (bool, int, float, str, dict))
-        for value in canonical["checks"].values():
-            assert isinstance(value, bool)
+    def test_canonical_report_replays_byte_for_byte(self, drill_result):
+        """Virtual time moves only at settled points, so the canonical
+        report — the controller's trajectory included — is the same
+        bytes run after run, even with the interpreter switching
+        threads every microsecond."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = [
+                json.dumps(run_tuner_drill(seed=0).canonical(), sort_keys=True)
+                for _ in range(2)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[0] == reports[1]
+        assert reports[0] == json.dumps(drill_result.canonical(),
+                                        sort_keys=True)
+        assert json.loads(reports[0])["trajectory"]["transitions"]
+
+    def test_trajectory_shows_how_the_controller_converged(self, drill_result):
+        """Read at the settled end of phase 2: B only ever shrank, and
+        the snapshot there is where the last transition left it."""
+        trajectory = drill_result.trajectory
+        transitions = trajectory["transitions"]
+        assert [t["direction"] for t in transitions] == ["shrink"] * len(
+            transitions)
+        stamps = [t["at"] for t in transitions]
+        assert stamps == sorted(stamps) and stamps[-1] <= trajectory["at"]
+        for before, after in zip(transitions, transitions[1:]):
+            assert after["from_batch"] == before["to_batch"]
+        assert trajectory["tuner"]["batch"] == transitions[-1]["to_batch"]
+        assert trajectory["tuner"]["retunes"] == len(transitions)
 
     def test_summary_is_one_line(self, drill_result):
         summary = drill_result.summary()

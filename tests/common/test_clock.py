@@ -42,23 +42,6 @@ class TestManualClock:
         with pytest.raises(ValueError):
             ManualClock().sleep(-1)
 
-    def test_wait_until_wakes_on_advance(self):
-        clock = ManualClock()
-        reached = []
-
-        def waiter():
-            reached.append(clock.wait_until(5.0, timeout=5.0))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        clock.advance(5.0)
-        thread.join(timeout=5.0)
-        assert reached == [True]
-
-    def test_wait_until_times_out(self):
-        clock = ManualClock()
-        assert clock.wait_until(1.0, timeout=0.05) is False
-
 
 class SwitchedOffSleeps(MonotonicClock):
     """What the fleet benchmark hands its latency layer while booting."""

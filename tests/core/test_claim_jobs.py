@@ -288,6 +288,38 @@ class TestReactorDeath:
             lane.pipe.abort()
 
 
+class TestSettle:
+    def test_settle_waits_for_a_due_timer_the_loop_has_not_run(self, pools):
+        """T_B's deadline has passed, but the reactor loop is held and
+        has not run its timer: nothing is claimed or in flight, and
+        ``settle`` must still wait until that partial batch is acked."""
+        clock = ManualClock()
+        lane = Lane(*pools, "t", config(batch=100), clock=clock)
+        lane.pipe.start()
+        hold = threading.Event()
+        try:
+            lane.pipe.submit("seg", 0, b"u")
+            assert wait_for(lambda: clock._deadlines)       # T_B is armed
+            pools[1]._loop.call_soon_threadsafe(hold.wait, 5.0)
+            clock.advance(31.0)             # due; its release queues behind
+            threading.Timer(0.1, hold.set).start()
+            lane.pipe.settle()
+            assert lane.pipe.pending_updates() == 0
+            assert lane.stats.wal_batches == 1
+            lane.pipe.settle()              # settled stays settled: no wait
+        finally:
+            hold.set()
+            lane.pipe.stop(drain_timeout=5.0)
+
+    def test_settle_raises_once_the_fuse_blows(self, pools):
+        lane = Lane(*pools, "t", config(batch=100), clock=ManualClock())
+        lane.pipe.start()
+        lane.pipe.submit("seg", 0, b"u")
+        lane.pipe.abort()
+        with pytest.raises(GinjaError, match="commit pipeline failed"):
+            lane.pipe.settle()
+
+
 class TestNeverOnTheSubmittingThread:
     def test_a_claim_runs_on_a_worker_at_b_1(self, one_worker):
         lane = Lane(*one_worker, "t", config())

@@ -361,13 +361,10 @@ class TestPITR:
         finally:
             g_old.stop()
 
-    def test_snapshot_restore_does_not_destroy_the_latest_state(self, cloud):
-        """Regression for the PITR data-loss bug: a snapshot restore's
-        stale-key cleanup must leave the latest generation's WAL tail in
-        the bucket, so recovering the *latest* state afterwards still
-        sees commits that only exist as WAL."""
-        config = ginja_config(retention=RetentionPolicy.keep(2),
-                              dump_threshold=1.0)
+    @staticmethod
+    def two_generations_and_a_wal_tail(cloud, config) -> int:
+        """Protect a database through two dumps, then commit one row
+        that only the WAL tail holds; return generation 1's anchor."""
         ginja, db = fresh_protected_db(POSTGRES_PROFILE, cloud, config)
         try:
             db.put("t", "k", b"generation-1")
@@ -383,6 +380,16 @@ class TestPITR:
             assert ginja.drain(timeout=10.0)
         finally:
             ginja.stop()
+        return gen1_ts
+
+    def test_snapshot_restore_does_not_destroy_the_latest_state(self, cloud):
+        """Regression for the PITR data-loss bug: a snapshot restore's
+        stale-key cleanup must leave the latest generation's WAL tail in
+        the bucket, so recovering the *latest* state afterwards still
+        sees commits that only exist as WAL."""
+        config = ginja_config(retention=RetentionPolicy.keep(2),
+                              dump_threshold=1.0)
+        gen1_ts = self.two_generations_and_a_wal_tail(cloud, config)
         # Restore the retained snapshot first; its cleanup pass deletes
         # whatever recovery reported stale (this destroyed the tail
         # before the fix)...
@@ -398,6 +405,34 @@ class TestPITR:
         try:
             assert db_new.get("t", "tail") == b"wal-only"
             assert report.wal_objects_applied > 0
+        finally:
+            g_new.stop()
+
+    def test_a_snapshot_restore_does_not_resume_protection(self, cloud):
+        """Regression: the instance a snapshot restore returned used to
+        protect on the *latest* generation's WAL chain, so its first
+        object wrote over segment 0 and the next latest-state recovery
+        lost the WAL-only tail.  It now ships nothing, and refuses to
+        start."""
+        config = ginja_config(retention=RetentionPolicy.keep(2),
+                              dump_threshold=1.0)
+        gen1_ts = self.two_generations_and_a_wal_tail(cloud, config)
+        g_old, db_old, _ = recover_db(
+            cloud, POSTGRES_PROFILE, config, upto_ts=gen1_ts
+        )
+        try:
+            for i in range(12):
+                db_old.put("t", f"restored-{i}", b"written after the restore")
+            db_old.close()
+            assert not g_old.running
+            with pytest.raises(GinjaError, match="fresh bucket"):
+                g_old.start(mode="attached")
+        finally:
+            g_old.stop()
+        g_new, db_new, _ = recover_db(cloud, POSTGRES_PROFILE, config)
+        try:
+            assert db_new.get("t", "tail") == b"wal-only"
+            assert db_new.get("t", "restored-0") is None
         finally:
             g_new.stop()
 

@@ -285,6 +285,21 @@ class TestFleetRecovery:
         db2.close()
         db_co.close()
 
+    def test_a_point_in_time_restore_does_not_protect(self, fleet):
+        ginja, db = admit(fleet, "rewind")
+        commit_rows(db, "rewind", 5)
+        assert ginja.drain(timeout=30.0)
+        anchor = max(meta.ts for meta in ginja.view.db_objects())
+        db.close()
+        fleet.crash_tenant("rewind")
+        ginja2, _ = fleet.recover_tenant(
+            "rewind", MemoryFileSystem(), POSTGRES_PROFILE, POLICY,
+            upto_ts=anchor,
+        )
+        assert fleet.tenant("rewind") is ginja2 and not ginja2.running
+        with pytest.raises(GinjaError, match="fresh bucket"):
+            ginja2.start(mode="attached")
+
     def test_fsck_sweep_clean_and_detects_strays(self, fleet):
         _, db_a = admit(fleet, "a")
         _, db_b = admit(fleet, "b")

@@ -218,8 +218,7 @@ class TestChaos:
 
 class TestPlacement:
     """The CI drill-smoke contract for ``placement`` (``tuner`` shares
-    the printer and the report; its ~20 s drill runs in
-    ``tests/chaos/test_tuner_drill.py``)."""
+    the printer and the report; :class:`TestTuner` holds its own)."""
 
     def test_report_artifact_is_deterministic(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
@@ -240,3 +239,17 @@ class TestPlacement:
         assert main(["placement", "--rows", "4", "--kill-row", "9"]) == 2
         captured = capsys.readouterr()
         assert "kill row 9" in captured.err and "killed" not in captured.out
+
+
+class TestTuner:
+    """The CI drill-smoke contract for ``tuner``; the drill's checks
+    run in ``tests/chaos/test_tuner_drill.py``."""
+
+    def test_report_artifact_is_deterministic(self, tmp_path, capsys):
+        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["tuner", "--seed", "0", "--out", str(out_a)]) == 0
+        assert main(["tuner", "--seed", "0", "--out", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+        (report,) = json.loads(out_a.read_text())
+        assert report["status"] == "pass" and report["trajectory"]["transitions"]
+        assert "reconverged=ok" in capsys.readouterr().out

@@ -71,27 +71,11 @@ class DirectoryObjectStore(ObjectStore):
         infos.sort(key=lambda info: info.key)
         return infos
 
-    def delete(self, key: str) -> None:
-        with self._lock:
-            try:
-                self._path(key).unlink()
-            except FileNotFoundError:
-                pass
-
     def _delete_request(self, keys: list[str]) -> None:
-        # One lock hold for the whole request; an overridden ``delete``
-        # is honoured by the per-key loop (see InMemoryObjectStore).
-        if type(self).delete is not DirectoryObjectStore.delete:
-            super()._delete_request(keys)
-            return
+        # One lock hold for the whole request.
         with self._lock:
             for key in keys:
                 self._path(key).unlink(missing_ok=True)
-
-    def exists(self, key: str) -> bool:
-        # One stat instead of the base class's full directory listing.
-        with self._lock:
-            return self._path(key).exists()
 
     def stat(self, key: str) -> ObjectInfo | None:
         # One stat instead of the base class's full directory listing.

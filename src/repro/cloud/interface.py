@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -32,21 +33,43 @@ class ObjectInfo:
 
 
 class ObjectStore:
-    """A cloud storage bucket: PUT / GET / LIST / DELETE / batch DELETE.
+    """A cloud storage bucket: PUT / GET / LIST / STAT / batch DELETE.
 
     The interface is intentionally the lowest common denominator of
     Amazon S3, Azure Blob Storage and Google Storage, which is all Ginja
     assumes of its secondary site (§5).  Implementations must be
-    thread-safe: Ginja uploads from several Uploader threads in parallel.
+    thread-safe: boot, fsck and the heartbeat call the synchronous
+    verbs from their own threads while the upload reactor drives the
+    async ones from its loop.
+
+    A store or transport layer implements five primitive requests,
+    each once per colour: :meth:`put` / :meth:`aput`, :meth:`get`,
+    :meth:`list`, :meth:`stat` and one batch DELETE
+    (:meth:`_delete_request` / :meth:`_adelete_request`).  Everything
+    else — :meth:`delete`, :meth:`delete_many`, :meth:`adelete_many`,
+    :meth:`exists` — is derived here, once.  The async defaults run the
+    synchronous request on the loop's executor, so a store that knows
+    only one colour still works.
 
     Keys are opaque UTF-8 strings; Ginja's namespace convention
     (``WAL/...`` and ``DB/...``) lives in :mod:`repro.core.data_model`,
     not here.
     """
 
+    # -- the primitive requests ----------------------------------------------
+
     def put(self, key: str, data: bytes) -> None:
         """Store ``data`` under ``key``, replacing any previous object."""
         raise NotImplementedError
+
+    async def aput(self, key: str, data: bytes) -> None:
+        """Async :meth:`put`.  This default runs the whole synchronous
+        request inside one executor thread, so layers below keep their
+        per-thread semantics; a layer that overrides it runs on the
+        loop with context-variable semantics."""
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.put, key, data
+        )
 
     def get(self, key: str) -> bytes:
         """Return the object body.
@@ -61,10 +84,46 @@ class ObjectStore:
         sorted by key (the lexicographic order S3 guarantees)."""
         raise NotImplementedError
 
+    def stat(self, key: str) -> ObjectInfo | None:
+        """Metadata for one object, or ``None`` if ``key`` is absent.
+
+        The transport's latency layer probes this on every PUT and
+        DELETE (overwrite/removal accounting), so backends should
+        override this LIST-narrowed fallback with a native O(1) lookup.
+        The exact key must match: a prefix hit alone is not existence.
+        """
+        for info in self.list(prefix=key):
+            if info.key == key:
+                return info
+        return None
+
+    def _delete_request(self, keys: list[str]) -> None:
+        """One batch-DELETE request (``1..MAX_DELETE_KEYS`` keys) — the
+        method a backend or layer overrides.  This fallback loops a
+        single-key :meth:`delete` the subclass provides, which keeps a
+        store that knows only the four single-object verbs correct."""
+        if not _overrides(self, "delete"):
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither delete nor "
+                f"_delete_request"
+            )
+        for key in keys:
+            self.delete(key)
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        """Async :meth:`_delete_request`, bridged like :meth:`aput`."""
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._delete_request, keys
+        )
+
+    # -- derived verbs: defined here only ------------------------------------
+
     def delete(self, key: str) -> None:
         """Remove an object.  Deleting a missing key is a no-op, matching
-        S3's idempotent DELETE semantics."""
-        raise NotImplementedError
+        S3's idempotent DELETE semantics.  Only a third-party store that
+        knows the four single-object verbs and no batch DELETE overrides
+        this; nothing in this package does."""
+        self.delete_many([key])
 
     def delete_many(self, keys: Iterable[str]) -> None:
         """Remove every key in ``keys`` — S3 Multi-Object Delete.
@@ -78,37 +137,17 @@ class ObjectStore:
         for request in delete_slices(keys):
             self._delete_request(request)
 
-    def _delete_request(self, keys: list[str]) -> None:
-        """One batch-DELETE request (``1..MAX_DELETE_KEYS`` keys) — the
-        method a backend or layer overrides to go native.  This
-        fallback loops :meth:`delete`, which keeps any store that knows
-        only the four single-object verbs correct."""
-        for key in keys:
-            self.delete(key)
-
-    # Convenience helpers shared by all backends ---------------------------
+    async def adelete_many(self, keys: Iterable[str]) -> None:
+        """Async :meth:`delete_many`: the same slices, one awaited
+        :meth:`_adelete_request` each."""
+        for request in delete_slices(keys):
+            await self._adelete_request(request)
 
     def exists(self, key: str) -> bool:
-        """True if ``key`` currently names an object (exact match).
-
-        Backends should override this with a native O(1)/stat check;
-        this fallback issues a LIST narrowed to ``key`` and matches the
-        exact key (a prefix hit alone is not existence).
-        """
+        """True if ``key`` currently names an object (exact match)."""
         return self.stat(key) is not None
 
-    def stat(self, key: str) -> ObjectInfo | None:
-        """Metadata for one object, or ``None`` if ``key`` is absent.
 
-        The transport's latency layer probes this on every PUT and
-        DELETE (overwrite/removal accounting), so backends should
-        override the LIST-narrowed fallback with a native O(1) lookup.
-        """
-        for info in self.list(prefix=key):
-            if info.key == key:
-                return info
-        return None
-
-    def total_bytes(self, prefix: str = "") -> int:
-        """Sum of object sizes under ``prefix`` (used by the 150% rule)."""
-        return sum(info.size for info in self.list(prefix=prefix))
+def _overrides(store: ObjectStore, verb: str) -> bool:
+    """True if ``store``'s class replaces :class:`ObjectStore`'s ``verb``."""
+    return getattr(type(store), verb) is not getattr(ObjectStore, verb)

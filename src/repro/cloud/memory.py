@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import threading
 
 from repro.common.errors import CloudObjectNotFound
@@ -34,9 +33,7 @@ class InMemoryObjectStore(ObjectStore):
         # one stalled PUT wedge the reactor loop, so only the pristine
         # ``put`` qualifies — anything else bridges off the loop.
         if type(self).put is not InMemoryObjectStore.put:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.put, key, data
-            )
+            await super().aput(key, data)
             return
         self.put(key, data)
 
@@ -55,36 +52,21 @@ class InMemoryObjectStore(ObjectStore):
                 if key.startswith(prefix)
             ]
 
-    def delete(self, key: str) -> None:
-        with self._lock:
-            self._objects.pop(key, None)
-
     def _delete_request(self, keys: list[str]) -> None:
-        # Atomic under the one lock — unless a subclass overrode
-        # ``delete`` (test doubles inject DELETE faults there): then
-        # the per-key loop honours it, the rule ``aput`` applies to
-        # ``put``.
-        if type(self).delete is not InMemoryObjectStore.delete:
-            super()._delete_request(keys)
-            return
+        # Atomic under the one lock.
         with self._lock:
             for key in keys:
                 self._objects.pop(key, None)
 
     async def _adelete_request(self, keys: list[str]) -> None:
         # Inline on the loop only for the pristine dict pops; an
-        # overridden (possibly blocking) ``delete`` bridges off it.
-        if type(self).delete is not InMemoryObjectStore.delete:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._delete_request, keys
-            )
+        # overridden (possibly blocking) request bridges off it, the
+        # rule ``aput`` applies to ``put``.
+        native = InMemoryObjectStore._delete_request
+        if type(self)._delete_request is not native:
+            await super()._adelete_request(keys)
             return
         self._delete_request(keys)
-
-    def exists(self, key: str) -> bool:
-        # O(1) dict lookup instead of the base class's prefix listing.
-        with self._lock:
-            return key in self._objects
 
     def stat(self, key: str) -> ObjectInfo | None:
         # O(1) dict lookup instead of the base class's prefix listing.

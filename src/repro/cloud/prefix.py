@@ -17,7 +17,6 @@ meter bank attribute each request back to a tenant by prefix.
 
 from __future__ import annotations
 
-from repro.cloud import aio
 from repro.cloud.interface import ObjectInfo, ObjectStore
 
 #: Root of every tenant keyspace in a shared fleet bucket.
@@ -81,7 +80,7 @@ class PrefixedObjectStore(ObjectStore):
         self._inner.put(self._qualify(key), data)
 
     async def aput(self, key: str, data: bytes) -> None:
-        await aio.aput(self._inner, self._qualify(key), data)
+        await self._inner.aput(self._qualify(key), data)
 
     def get(self, key: str) -> bytes:
         return self._inner.get(self._qualify(key))
@@ -94,25 +93,14 @@ class PrefixedObjectStore(ObjectStore):
             if info.key.startswith(self._prefix)
         ]
 
-    def delete(self, key: str) -> None:
-        self._inner.delete(self._qualify(key))
-
     def _delete_request(self, keys: list[str]) -> None:
         self._inner.delete_many([self._qualify(key) for key in keys])
 
     async def _adelete_request(self, keys: list[str]) -> None:
-        await aio.adelete_many(
-            self._inner, [self._qualify(key) for key in keys]
-        )
-
-    def exists(self, key: str) -> bool:
-        return self._inner.exists(self._qualify(key))
+        await self._inner.adelete_many([self._qualify(key) for key in keys])
 
     def stat(self, key: str) -> ObjectInfo | None:
         info = self._inner.stat(self._qualify(key))
         if info is None:
             return None
         return ObjectInfo(key=key, size=info.size)
-
-    def total_bytes(self, prefix: str = "") -> int:
-        return self._inner.total_bytes(prefix=self._prefix + prefix)

@@ -20,9 +20,11 @@ all of them with **one** asyncio event-loop thread:
 * retry backoff happens inside :meth:`RetryLayer.aput
   <repro.cloud.retry.RetryLayer.aput>` as an ``await`` on a loop
   timer, so a backing-off PUT holds zero threads;
-* stores without native async twins are bridged through a small
-  reactor-owned executor pool (``io_threads``), keeping the thread
-  count O(1) in the number of tenants either way.
+* a request is the store's own ``aput`` / ``adelete_many``
+  (:class:`~repro.cloud.interface.ObjectStore`); a store that speaks
+  only the synchronous colour runs it through the interface's default,
+  on a small reactor-owned executor pool (``io_threads``), keeping the
+  thread count O(1) in the number of tenants either way.
 
 Every request leaves through one settle step — resolve the handle,
 then run its ``on_done`` — whether it finished, was cancelled or was
@@ -173,8 +175,8 @@ class UploadReactor:
 
     Args:
         inflight_window: global cap on concurrently running requests.
-        io_threads: size of the executor pool bridging stores that
-            have no native async twins (and exotic
+        io_threads: size of the executor pool that runs the requests
+            of stores speaking only the synchronous colour (and exotic
             ``Clock.sleep_async`` fallbacks).  This bounds the *total*
             thread cost of the upload path regardless of tenant count.
         name: thread-name prefix (``<name>`` for the loop thread,
@@ -404,18 +406,18 @@ class UploadReactor:
         (the commit pipeline's consecutive-timestamp unlock runs here).
         """
         return self._enqueue(_Submission(
-            lambda: aio.aput(store, key, data), key, len(data), tenant,
+            lambda: store.aput(key, data), key, len(data), tenant,
             on_done,
         ))
 
     def submit_delete(self, store, keys, *, tenant: str,
                       on_done=None) -> UploadHandle:
-        """Queue one batch DELETE of ``keys`` (``store.delete_many``,
-        async where the store can); same lane, window, handle and
-        ``on_done`` contract as :meth:`submit`."""
+        """Queue one batch DELETE of ``keys`` (``store.adelete_many``);
+        same lane, window, handle and ``on_done`` contract as
+        :meth:`submit`."""
         keys = list(keys)
         return self._enqueue(_Submission(
-            lambda: aio.adelete_many(store, keys), keys[0] if keys else "",
+            lambda: store.adelete_many(keys), keys[0] if keys else "",
             0, tenant, on_done,
         ))
 

@@ -25,7 +25,7 @@ from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import CloudError
 from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
-from repro.cloud import aio
+from repro.cloud.aio import current_upload
 from repro.cloud.interface import ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -149,16 +149,13 @@ class RetryLayer(ObjectStore):
         self._run("PUT", key, lambda: self._inner.put(key, data))
 
     async def aput(self, key: str, data: bytes) -> None:
-        await self._arun("PUT", key, lambda: aio.aput(self._inner, key, data))
+        await self._arun("PUT", key, lambda: self._inner.aput(key, data))
 
     def get(self, key: str) -> bytes:
         return self._run("GET", key, lambda: self._inner.get(key))
 
     def list(self, prefix: str = ""):
         return self._run("LIST", prefix, lambda: self._inner.list(prefix))
-
-    def delete(self, key: str) -> None:
-        self._run("DELETE", key, lambda: self._inner.delete(key), gc_keys=[key])
 
     def _delete_request(self, keys: list[str]) -> None:
         self._run(
@@ -168,21 +165,13 @@ class RetryLayer(ObjectStore):
 
     async def _adelete_request(self, keys: list[str]) -> None:
         await self._arun(
-            "DELETE", keys[0], lambda: aio.adelete_many(self._inner, keys),
+            "DELETE", keys[0], lambda: self._inner.adelete_many(keys),
             gc_keys=keys,
         )
 
-    # The interface helpers are listing-class reads, and they used to
-    # bypass _run entirely — one transient fault in an exists() probe
-    # would surface as a hard error while the verbs around it retried.
-    # They now share the LIST budget (and its non-skippable exhaustion
-    # semantics); the fault layer classifies them the same way.
-    def exists(self, key: str) -> bool:
-        return self._run("LIST", key, lambda: self._inner.exists(key))
-
-    def total_bytes(self, prefix: str = "") -> int:
-        return self._run("LIST", prefix, lambda: self._inner.total_bytes(prefix))
-
+    # STAT (and ``exists`` through it) is a listing-class read: it
+    # shares the LIST budget and its non-skippable exhaustion
+    # semantics, and the fault layer classifies it the same way.
     def stat(self, key: str):
         return self._run("LIST", key, lambda: self._inner.stat(key))
 
@@ -220,7 +209,7 @@ class RetryLayer(ObjectStore):
                 delay = self._failed(verb, key, attempts, exc, gc_keys)
                 if delay is None:
                     return None
-                note = aio.current_upload()
+                note = current_upload()
                 note.backoff_started(delay)
                 try:
                     await self._clock.sleep_async(delay)

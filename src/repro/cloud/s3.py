@@ -22,9 +22,8 @@ class BotoS3Store(ObjectStore):
     Args:
         bucket: bucket name.
         client: a ``boto3`` S3 client, or any object with the same
-            ``put_object`` / ``get_object`` / ``delete_object`` /
-            ``delete_objects`` / ``get_paginator`` surface (tests pass
-            a stub).
+            ``put_object`` / ``get_object`` / ``delete_objects`` /
+            ``get_paginator`` surface (tests pass a stub).
         prefix: key prefix inside the bucket, e.g. ``"ginja/mydb/"``.
     """
 
@@ -72,18 +71,8 @@ class BotoS3Store(ObjectStore):
         infos.sort(key=lambda info: info.key)
         return infos
 
-    def delete(self, key: str) -> None:
-        try:
-            self._client.delete_object(Bucket=self._bucket, Key=self._full(key))
-        except Exception as exc:
-            raise CloudError(f"DELETE {key!r}: {exc}") from exc
-
     def _delete_request(self, keys: list[str]) -> None:
-        # Multi-Object Delete; an overridden ``delete`` is honoured by
-        # the per-key loop (see InMemoryObjectStore).
-        if type(self).delete is not BotoS3Store.delete:
-            super()._delete_request(keys)
-            return
+        # Multi-Object Delete, also for a single key.
         objects = [{"Key": self._full(key)} for key in keys]
         try:
             response = self._client.delete_objects(

@@ -1,10 +1,10 @@
 """Simulated cloud: backend + latency + faults + metering.
 
-This is the store Ginja talks to in every offline experiment.  It is a
-facade over the lower half of the composable transport stack
+This is the store Ginja talks to in every offline experiment.  It is
+the MeterLayer of its own slice of the composable transport stack
 (:mod:`repro.cloud.transport`)::
 
-    MeterLayer -> FaultLayer -> LatencyLayer -> backend
+    SimulatedCloud (MeterLayer) -> FaultLayer -> LatencyLayer -> backend
 
 It separates *modeled* time from *real* time:
 
@@ -22,17 +22,16 @@ store's event bus (it is no longer called directly); pass your own
 
 from __future__ import annotations
 
-from repro.cloud import aio
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.events import EventBus
 from repro.cloud.faults import FaultPolicy, NO_FAULTS
-from repro.cloud.interface import ObjectInfo, ObjectStore
+from repro.cloud.interface import ObjectStore
 from repro.cloud.latency import LatencyModel, LOCAL_LATENCY
 from repro.cloud.metering import RequestMeter
-from repro.cloud.transport import build_transport
+from repro.cloud.transport import MeterLayer, build_transport
 
 
-class SimulatedCloud(ObjectStore):
+class SimulatedCloud(MeterLayer):
     """Wraps any backend with the behaviours of a real storage cloud.
 
     Args:
@@ -63,31 +62,30 @@ class SimulatedCloud(ObjectStore):
         from repro.cloud.memory import InMemoryObjectStore
 
         self._backend = backend if backend is not None else InMemoryObjectStore()
-        self._clock = clock
-        self._t0 = clock.now()
-        self.bus = bus if bus is not None else EventBus()
-        self.meter = RequestMeter().attach(self.bus)
-        self._stack = build_transport(
-            self._backend,
-            bus=self.bus,
+        epoch = clock.now()
+        bus = bus if bus is not None else EventBus()
+        super().__init__(
+            build_transport(
+                self._backend,
+                bus=bus,
+                clock=clock,
+                tracing=False,
+                latency=latency,
+                faults=faults,
+                time_scale=time_scale,
+                seed=seed,
+                epoch=epoch,
+            ),
             clock=clock,
-            tracing=False,
-            latency=latency,
-            faults=faults,
-            metered=True,
-            time_scale=time_scale,
-            seed=seed,
-            epoch=self._t0,
+            epoch=epoch,
+            bus=bus,
         )
+        self.bus = bus
+        self.meter = RequestMeter().attach(bus)
 
     @property
     def backend(self) -> ObjectStore:
         return self._backend
-
-    @property
-    def inner(self) -> ObjectStore:
-        """The outermost internal layer (for ``describe_transport``)."""
-        return self._stack
 
     @property
     def clock(self) -> Clock:
@@ -95,27 +93,4 @@ class SimulatedCloud(ObjectStore):
 
     def elapsed(self) -> float:
         """Store-clock seconds since this store was created."""
-        return self._clock.now() - self._t0
-
-    # -- verbs --------------------------------------------------------------
-
-    def put(self, key: str, data: bytes) -> None:
-        self._stack.put(key, data)
-
-    async def aput(self, key: str, data: bytes) -> None:
-        await aio.aput(self._stack, key, data)
-
-    def get(self, key: str) -> bytes:
-        return self._stack.get(key)
-
-    def list(self, prefix: str = "") -> list[ObjectInfo]:
-        return self._stack.list(prefix)
-
-    def delete(self, key: str) -> None:
-        self._stack.delete(key)
-
-    def _delete_request(self, keys: list[str]) -> None:
-        self._stack.delete_many(keys)
-
-    async def _adelete_request(self, keys: list[str]) -> None:
-        await aio.adelete_many(self._stack, keys)
+        return self._now()

@@ -14,14 +14,20 @@ concern and delegating the verb to the layer beneath it::
 :func:`build_transport` assembles the chain declaratively — from a
 :class:`~repro.core.config.GinjaConfig` for the retry policy, and from
 the simulation knobs (latency model, fault policy) for the lower
-layers.  :class:`~repro.cloud.simulated.SimulatedCloud` is now a thin
-facade over the Meter/Fault/Latency portion of this stack, and
+layers.  :class:`~repro.cloud.simulated.SimulatedCloud` *is* the
+MeterLayer of its own Fault/Latency stack, and
 :class:`~repro.core.ginja.Ginja` wraps whatever store it is given with
 the Tracing/Retry portion.
 
+Each layer implements the primitive requests of
+:class:`~repro.cloud.interface.ObjectStore` it adds behaviour to —
+``put`` / ``aput``, ``get``, ``list``, ``stat`` and the batch DELETE
+``_delete_request`` / ``_adelete_request`` — and inherits every derived
+verb (``delete``, ``delete_many``, ``adelete_many``, ``exists``).
+
 Layers communicate *sideways* only through the event bus
-(:mod:`repro.common.events`) and through a small thread-local record the
-LatencyLayer leaves for the MeterLayer (the modeled latency of the
+(:mod:`repro.common.events`) and through a small context-variable record
+the LatencyLayer leaves for the MeterLayer (the modeled latency of the
 request that just completed, which billing must use instead of wall
 time so ``time_scale`` does not distort the cost model).
 """
@@ -32,7 +38,6 @@ import contextvars
 import random
 from typing import TYPE_CHECKING
 
-from repro.cloud import aio
 from repro.common import events
 from repro.common.clock import Clock, SYSTEM_CLOCK, SleepAccount
 from repro.common.errors import CloudUnavailable
@@ -47,14 +52,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 
 class TransportLayer(ObjectStore):
-    """Base class for layers: delegates every verb to the inner store.
+    """Base class for layers: delegates the synchronous primitive
+    requests to the inner store.  The async colour is the interface's
+    executor default, so a subclass that overrides only ``put`` is
+    still honoured on the reactor's path.
 
-    Subclasses override only the verbs they add behaviour to.  The
-    ``exists``/``total_bytes`` helpers are treated as *listing-class*
-    reads: the RetryLayer retries them under the LIST budget and the
-    FaultLayer subjects them to LIST faults, but they are neither
-    metered nor latency-modeled (real providers answer both from the
-    same index a LIST reads, and billing counts only the four verbs).
+    Subclasses override only the requests they add behaviour to.
+    ``stat`` (and ``exists`` through it) is a *listing-class* read:
+    the RetryLayer retries it under the LIST budget and the FaultLayer
+    subjects it to LIST faults, but it is neither metered nor
+    latency-modeled (real providers answer it from the same index a
+    LIST reads, and billing counts only the four verbs).
     """
 
     def __init__(self, inner: ObjectStore):
@@ -73,20 +81,11 @@ class TransportLayer(ObjectStore):
     def list(self, prefix: str = "") -> list[ObjectInfo]:
         return self._inner.list(prefix)
 
-    def delete(self, key: str) -> None:
-        self._inner.delete(key)
-
-    def _delete_request(self, keys: list[str]) -> None:
-        self._inner.delete_many(keys)
-
-    def exists(self, key: str) -> bool:
-        return self._inner.exists(key)
-
     def stat(self, key: str) -> ObjectInfo | None:
         return self._inner.stat(key)
 
-    def total_bytes(self, prefix: str = "") -> int:
-        return self._inner.total_bytes(prefix)
+    def _delete_request(self, keys: list[str]) -> None:
+        self._inner.delete_many(keys)
 
 
 # -- LatencyLayer → MeterLayer context handoff -------------------------------
@@ -129,8 +128,8 @@ class LatencyLayer(TransportLayer):
 
     Also measures the bytes a PUT replaces / a DELETE removes (it is the
     layer closest to the backend, so its listing reflects the state the
-    verb actually acts on) and publishes both through the thread-local
-    handoff for the MeterLayer above.
+    verb actually acts on) and publishes both through the
+    context-variable handoff for the MeterLayer above.
     """
 
     def __init__(
@@ -162,17 +161,8 @@ class LatencyLayer(TransportLayer):
         return modeled_latency
 
     def _existing_size(self, key: str) -> int:
-        stat = getattr(self._inner, "stat", None)
-        if stat is not None:
-            # Backends override stat() with an O(1) lookup; probing it
-            # on every PUT beats the LIST scan by orders of magnitude
-            # on large buckets.
-            info = stat(key)
-            return 0 if info is None else info.size
-        for info in self._inner.list(prefix=key):
-            if info.key == key:
-                return info.size
-        return 0
+        info = self._inner.stat(key)
+        return 0 if info is None else info.size
 
     def put(self, key: str, data: bytes) -> None:
         latency = self._pay(self._model.put_latency(len(data), self._rng))
@@ -188,7 +178,7 @@ class LatencyLayer(TransportLayer):
         if modeled > 0 and self._time_scale > 0:
             await self._clock.sleep_async(modeled * self._time_scale)
         replaced = self._existing_size(key)
-        await aio.aput(self._inner, key, data)
+        await self._inner.aput(key, data)
         _set_modeled(modeled, replaced)
 
     def get(self, key: str) -> bytes:
@@ -202,12 +192,6 @@ class LatencyLayer(TransportLayer):
         infos = self._inner.list(prefix)
         _set_modeled(latency)
         return infos
-
-    def delete(self, key: str) -> None:
-        removed = self._existing_size(key)
-        latency = self._pay(self._model.delete_latency(self._rng))
-        self._inner.delete(key)
-        _set_modeled(latency, removed)
 
     # A batch DELETE is one request: one latency draw however many keys
     # it carries, and the exact bytes it removes for the meter above.
@@ -223,7 +207,7 @@ class LatencyLayer(TransportLayer):
         modeled = self._model.delete_latency(self._rng)
         if modeled > 0 and self._time_scale > 0:
             await self._clock.sleep_async(modeled * self._time_scale)
-        await aio.adelete_many(self._inner, keys)
+        await self._inner.adelete_many(keys)
         _set_modeled(modeled, removed)
 
 
@@ -277,7 +261,7 @@ class FaultLayer(TransportLayer):
 
     async def aput(self, key: str, data: bytes) -> None:
         self._check("PUT", key)
-        await aio.aput(self._inner, key, data)
+        await self._inner.aput(key, data)
 
     def get(self, key: str) -> bytes:
         self._check("GET", key)
@@ -287,29 +271,17 @@ class FaultLayer(TransportLayer):
         self._check("LIST", prefix)
         return self._inner.list(prefix)
 
-    def delete(self, key: str) -> None:
-        self._check("DELETE", key)
-        self._inner.delete(key)
-
     def _delete_request(self, keys: list[str]) -> None:
         self._check("DELETE", keys[0])
         self._inner.delete_many(keys)
 
     async def _adelete_request(self, keys: list[str]) -> None:
         self._check("DELETE", keys[0])
-        await aio.adelete_many(self._inner, keys)
+        await self._inner.adelete_many(keys)
 
-    # Listing-class helpers fail under the same conditions a LIST would
-    # (they read the same index), so the RetryLayer's LIST budget above
-    # has something real to retry.
-    def exists(self, key: str) -> bool:
-        self._check("LIST", key)
-        return self._inner.exists(key)
-
-    def total_bytes(self, prefix: str = "") -> int:
-        self._check("LIST", prefix)
-        return self._inner.total_bytes(prefix)
-
+    # STAT fails under the same conditions a LIST would (it reads the
+    # same index), so the RetryLayer's LIST budget above has something
+    # real to retry.
     def stat(self, key: str) -> ObjectInfo | None:
         self._check("LIST", key)
         return self._inner.stat(key)
@@ -319,9 +291,10 @@ class MeterLayer(TransportLayer):
     """Publishes one ``meter`` event per *successful* request.
 
     Sits above the FaultLayer so failed requests are never billed, and
-    reads the modeled latency the LatencyLayer left in the thread-local
-    handoff.  A :class:`~repro.cloud.metering.RequestMeter` subscribed
-    to the bus reproduces the exact pre-refactor accounting.
+    reads the modeled latency the LatencyLayer left in the
+    context-variable handoff.  A
+    :class:`~repro.cloud.metering.RequestMeter` subscribed to the bus
+    turns these events into the bill.
 
     Event vocabulary: ``nbytes`` is the payload size (bytes removed, for
     DELETE — all of them, for a batch DELETE, whose ``key`` is its
@@ -359,7 +332,7 @@ class MeterLayer(TransportLayer):
         # The handoff is a ContextVar, so the set→await→take window is
         # safe even with many PUTs interleaved on one loop thread.
         _set_modeled(0.0)
-        await aio.aput(self._inner, key, data)
+        await self._inner.aput(key, data)
         latency, replaced = _take_modeled()
         self._bus.emit(
             events.METER, verb="PUT", key=key, nbytes=len(data),
@@ -386,11 +359,6 @@ class MeterLayer(TransportLayer):
         )
         return infos
 
-    def delete(self, key: str) -> None:
-        _set_modeled(0.0)
-        self._inner.delete(key)
-        self._deleted(key)
-
     def _delete_request(self, keys: list[str]) -> None:
         _set_modeled(0.0)
         self._inner.delete_many(keys)
@@ -398,12 +366,12 @@ class MeterLayer(TransportLayer):
 
     async def _adelete_request(self, keys: list[str]) -> None:
         _set_modeled(0.0)
-        await aio.adelete_many(self._inner, keys)
+        await self._inner.adelete_many(keys)
         self._deleted(keys[0])
 
     def _deleted(self, key: str) -> None:
-        """One DELETE-class request completed — single or batch, it is
-        metered as one: ``key`` (a batch's first key) attributes it to
+        """One DELETE request completed — however many keys it carried,
+        it is metered as one: ``key`` (its first key) attributes it to
         its tenant, ``nbytes`` is every byte it removed."""
         latency, removed = _take_modeled()
         self._bus.emit(
@@ -483,7 +451,7 @@ class TracingLayer(TransportLayer):
 
     async def aput(self, key: str, data: bytes) -> None:
         await self._atraced(
-            "PUT", key, len(data), lambda: aio.aput(self._inner, key, data)
+            "PUT", key, len(data), lambda: self._inner.aput(key, data)
         )
 
     def get(self, key: str) -> bytes:
@@ -492,9 +460,6 @@ class TracingLayer(TransportLayer):
     def list(self, prefix: str = "") -> list[ObjectInfo]:
         return self._traced("LIST", prefix, 0, lambda: self._inner.list(prefix))
 
-    def delete(self, key: str) -> None:
-        self._traced("DELETE", key, 0, lambda: self._inner.delete(key))
-
     def _delete_request(self, keys: list[str]) -> None:
         self._traced(
             "DELETE", keys[0], 0, lambda: self._inner.delete_many(keys)
@@ -502,7 +467,7 @@ class TracingLayer(TransportLayer):
 
     async def _adelete_request(self, keys: list[str]) -> None:
         await self._atraced(
-            "DELETE", keys[0], 0, lambda: aio.adelete_many(self._inner, keys)
+            "DELETE", keys[0], 0, lambda: self._inner.adelete_many(keys)
         )
 
 

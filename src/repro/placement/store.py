@@ -427,9 +427,6 @@ class PlacementStore(ObjectStore):
 
     # -- DELETE ----------------------------------------------------------------
 
-    def delete(self, key: str) -> None:
-        self._delete_request([key])
-
     def _delete_request(self, keys: list[str]) -> None:
         """One logical batch DELETE is one provider request per replica
         for the mirrored keys and one per fragment provider for the

@@ -114,13 +114,13 @@ class TestGCOracleOnBatchedGC:
 
         class GreedyGC(TransportLayer):
             """Sits where the uploader's requests enter the transport:
-            no async twin, so the reactor bridges to this method."""
+            no async twin, so the reactor runs this method on its
+            executor."""
 
-            def delete_many(self, keys):
-                keys = list(keys)
+            def _delete_request(self, keys):
                 if mutate:
-                    keys.append(wals[-1].key)  # one past the frontier
-                super().delete_many(keys)
+                    keys = keys + [wals[-1].key]  # one past the frontier
+                super()._delete_request(keys)
 
         transport = GreedyGC(build_transport(backend, config, bus=bus))
         uploader = CheckpointUploader(config, transport, view, pools[1], bus)

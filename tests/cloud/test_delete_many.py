@@ -12,11 +12,11 @@ exact bytes removed — while ``gc_delete`` stays one event per key.
 from __future__ import annotations
 
 import asyncio
+import threading
 from dataclasses import dataclass
 
 import pytest
 
-from repro.cloud import aio
 from repro.cloud.directory import DirectoryObjectStore
 from repro.cloud.faults import FaultPolicy
 from repro.cloud.interface import MAX_DELETE_KEYS, ObjectStore
@@ -206,8 +206,8 @@ class TestContract:
     def test_async_twin_or_bridge_does_the_same(self, store):
         for i in range(4):
             store.put(f"WAL/{i}", b"x")
-        asyncio.run(aio.adelete_many(store, ["WAL/0", "WAL/2", "WAL/7"]))
-        asyncio.run(aio.adelete_many(store, []))
+        asyncio.run(store.adelete_many(["WAL/0", "WAL/2", "WAL/7"]))
+        asyncio.run(store.adelete_many([]))
         assert keys_of(store) == ["WAL/1", "WAL/3"]
 
 
@@ -258,7 +258,7 @@ class TestOneRequestIsOneOfEverything:
     def test_no_keys_issue_no_request_and_no_event(self):
         stack, _bus, seen, faults, meter = self._stack()
         stack.delete_many([])
-        asyncio.run(aio.adelete_many(stack, []))
+        asyncio.run(stack.adelete_many([]))
         assert seen == [] and faults.checks == [] and DRAWS == []
         assert meter.deletes.count == 0
 
@@ -307,7 +307,7 @@ class TestOneRequestIsOneOfEverything:
             stack.put(key, b"ab")
         seen.clear()
         faults.checks.clear()
-        asyncio.run(aio.adelete_many(stack, keys))
+        asyncio.run(stack.adelete_many(keys))
         assert meter.deletes.count == 2 and meter.stored_bytes == 0
         assert DRAWS == ["DELETE"] * 2 and faults.checks == ["DELETE"] * 2
         assert len(self._kinds(seen, events.GC_DELETE)) == len(keys)
@@ -360,53 +360,43 @@ class TestTenantAttribution:
                 + bank.unattributed.stored_bytes) == bank.total.stored_bytes
 
 
-class TestOverriddenDeleteIsHonoured:
-    """Test doubles all over the suite inject DELETE faults by
-    overriding ``delete``; the native stores must route a batch through
-    it — the rule ``InMemoryObjectStore.aput`` applies to ``put``."""
+class TestOverriddenDeleteRequest:
+    """Test doubles inject DELETE faults by overriding
+    ``_delete_request``; the in-memory store's async colour must run
+    such an override off the loop — the rule its ``aput`` applies to
+    ``put``."""
 
-    def _recording(self, base, *args):
-        class Recording(base):
-            def __init__(self, *a):
-                super().__init__(*a)
-                self.seen: list[str] = []
+    def test_memory_runs_an_override_off_the_loop(self):
+        caller = threading.current_thread()  # asyncio.run's loop too
 
-            def delete(self, key):
-                self.seen.append(key)
-                super().delete(key)
+        class Recording(InMemoryObjectStore):
+            def __init__(self):
+                super().__init__()
+                self.seen: list[tuple[list[str], bool]] = []
 
-        return Recording(*args)
+            def _delete_request(self, keys):
+                on_caller = threading.current_thread() is caller
+                self.seen.append((keys, on_caller))
+                super()._delete_request(keys)
 
-    def test_memory(self):
-        store = self._recording(InMemoryObjectStore)
+        store = Recording()
         store.put("a", b"x")
         store.delete_many(["a", "b"])
-        asyncio.run(aio.adelete_many(store, ["c"]))
-        assert store.seen == ["a", "b", "c"] and len(store) == 0
+        asyncio.run(store.adelete_many(["c"]))
+        assert store.seen == [(["a", "b"], True), (["c"], False)]
+        assert len(store) == 0
 
-    def test_directory(self, tmp_path):
-        store = self._recording(DirectoryObjectStore, tmp_path)
-        store.put("a", b"x")
-        store.delete_many(["a", "b"])
-        assert store.seen == ["a", "b"] and store.list() == []
-
-    def test_s3(self):
-        client = _StubClient()
-        store = self._recording(BotoS3Store, "bucket", client)
-        store.put("a", b"x")
-        store.delete_many(["a", "b"])
-        assert store.seen == ["a", "b"]
-        assert client.batches == [] and client.objects == {}
-
-    def test_memory_failing_delete_fails_the_request(self):
+    def test_memory_failing_request_fails(self):
         class Refuses(InMemoryObjectStore):
-            def delete(self, key):
+            def _delete_request(self, keys):
                 raise CloudError("refused")
 
         store = Refuses()
         store.put("a", b"x")
         with pytest.raises(CloudError):
-            store.delete_many(["a"])
+            store.delete("a")
+        with pytest.raises(CloudError):
+            asyncio.run(store.adelete_many(["a"]))
         assert store.exists("a")
 
 

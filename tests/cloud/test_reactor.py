@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.cloud.interface import ObjectStore
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.reactor import UploadReactor
 from repro.cloud.retry import RetryLayer, RetryPolicy
@@ -243,12 +244,12 @@ class TestSubmitDelete:
         assert store.exists("old")
 
     def test_sync_only_store_is_bridged(self):
-        class SyncOnly:
+        class SyncOnly(ObjectStore):
             def __init__(self):
                 self.inner = InMemoryObjectStore()
                 self.threads = []
 
-            def delete_many(self, keys):
+            def _delete_request(self, keys):
                 self.threads.append(threading.current_thread().name)
                 self.inner.delete_many(keys)
 
@@ -290,11 +291,11 @@ class TestSubmitDelete:
         class Flaky(InMemoryObjectStore):
             failures = 2
 
-            def delete(self, key):
+            def _delete_request(self, keys):
                 if self.failures:
                     self.failures -= 1
                     raise CloudUnavailable("injected")
-                super().delete(key)
+                super()._delete_request(keys)
 
         store = Flaky()
         store.put("a", b"x")
@@ -497,7 +498,7 @@ class TestStop:
     def test_executor_bridges_sync_only_stores(self):
         # A store with no native aput still uploads — through the
         # reactor's bounded executor, not a per-upload thread.
-        class SyncOnly:
+        class SyncOnly(ObjectStore):
             def __init__(self):
                 self.inner = InMemoryObjectStore()
 

@@ -7,7 +7,7 @@ import pytest
 from repro.common.clock import ManualClock
 from repro.common.errors import CloudUnavailable
 from repro.cloud.faults import FaultPolicy, Outage
-from repro.cloud.latency import LatencyModel, WAN_LATENCY
+from repro.cloud.latency import LatencyModel, SAME_REGION_LATENCY, WAN_LATENCY
 from repro.cloud.simulated import SimulatedCloud
 
 
@@ -51,6 +51,37 @@ class TestLatency:
         cloud_a.put("k", b"x" * 100)
         cloud_b.put("k", b"x" * 100)
         assert cloud_a.meter.puts.latency_total == cloud_b.meter.puts.latency_total
+
+
+class TestStatIsNotAList:
+    """``stat`` / ``exists`` are listing-class reads: fault-checked as
+    LIST, but neither billed nor latency-paced — a provider answers
+    them from the index a LIST reads, and the bill counts four verbs."""
+
+    def test_no_list_is_billed_and_no_latency_is_paid(self):
+        clock = ManualClock()
+        cloud = SimulatedCloud(
+            latency=SAME_REGION_LATENCY, time_scale=1.0, clock=clock
+        )
+        cloud.put("k", b"abc")
+        paced = clock.now()
+        assert cloud.exists("k") and not cloud.exists("k/")
+        assert cloud.stat("k").size == 3 and cloud.stat("nope") is None
+        assert cloud.meter.lists.count == 0
+        assert clock.now() == paced
+
+    def test_an_outage_still_fails_them(self):
+        clock = ManualClock()
+        faults = FaultPolicy(outages=[Outage(start=5.0, end=10.0)])
+        cloud = SimulatedCloud(time_scale=0.0, faults=faults, clock=clock)
+        cloud.put("k", b"x")
+        clock.advance(6)
+        with pytest.raises(CloudUnavailable):
+            cloud.exists("k")
+        with pytest.raises(CloudUnavailable):
+            cloud.stat("k")
+        clock.advance(6)
+        assert cloud.exists("k")
 
 
 class TestMetering:

@@ -82,7 +82,7 @@ class TestAssembly:
         assert stack.get("a/k") == b"data"
         assert [i.key for i in stack.list("a/")] == ["a/k"]
         assert stack.exists("a/k") and not stack.exists("a")
-        assert stack.total_bytes() == 4
+        assert sum(info.size for info in stack.list()) == 4
         stack.delete("a/k")
         assert backend.list() == []
 
@@ -154,9 +154,9 @@ class FailingStore(InMemoryObjectStore):
         self._maybe_fail()
         super().put(key, data)
 
-    def delete(self, key):
+    def _delete_request(self, keys):
         self._maybe_fail()
-        super().delete(key)
+        super()._delete_request(keys)
 
 
 class TestRetryLayer:
@@ -220,18 +220,15 @@ class TestRetryLayer:
         assert store.calls == 1
 
     def test_exists_and_total_bytes_ride_the_list_budget(self):
-        """Regression: these two verbs used to bypass the retry loop, so
-        a single transient error failed recovery-side callers (fsck, the
-        failure detector) that every other verb would have survived."""
+        """Regression: the listing-class reads used to bypass the retry
+        loop, so a single transient error failed recovery-side callers
+        (fsck, the failure detector) that every other verb would have
+        survived.  ``exists`` is ``stat`` now, and both retry."""
 
         class FlakyReads(FailingStore):
-            def exists(self, key):
+            def stat(self, key):
                 self._maybe_fail()
-                return super().exists(key)
-
-            def total_bytes(self, prefix=""):
-                self._maybe_fail()
-                return super().total_bytes(prefix)
+                return super().stat(key)
 
         bus = EventBus()
         rec = Recorder(bus)
@@ -243,7 +240,7 @@ class TestRetryLayer:
         )
         assert layer.exists("k") is True
         store.failures = store.calls + 2
-        assert layer.total_bytes() == 7
+        assert layer.stat("k").size == 7
         retries = rec.of(events.RETRY)
         assert len(retries) == 4
         assert {e.verb for e in retries} == {"LIST"}
@@ -252,9 +249,9 @@ class TestRetryLayer:
         # Unlike DELETE, a listing-class read that exhausts its budget
         # must surface the error — callers branch on the answer.
         class FlakyReads(FailingStore):
-            def exists(self, key):
+            def stat(self, key):
                 self._maybe_fail()
-                return super().exists(key)
+                return super().stat(key)
 
         layer = RetryLayer(
             FlakyReads(100), RetryPolicy(max_retries=1, base_backoff=0.0),
@@ -332,7 +329,7 @@ class TestFaultAndTracing:
         assert outage.detail == "5s-50s"
 
     def test_fault_layer_covers_listing_class_reads(self):
-        # exists/total_bytes are fault-injected like every other verb,
+        # exists/stat are fault-injected like every other verb,
         # and the retry layer above them absorbs the injected errors.
         clock = ManualClock()
         faults = FaultPolicy()
@@ -344,7 +341,7 @@ class TestFaultAndTracing:
             bare.exists("k")
         faults.fail_next(1)
         with pytest.raises(CloudUnavailable):
-            bare.total_bytes()
+            bare.stat("k")
         retried = build_transport(
             InMemoryObjectStore(),
             GinjaConfig(max_retries=3, retry_backoff=0.0),
@@ -353,7 +350,7 @@ class TestFaultAndTracing:
         faults.fail_next(2)
         assert retried.exists("k") is False
         faults.fail_next(2)
-        assert retried.total_bytes() == 0
+        assert retried.stat("k") is None
 
     def test_tracing_start_end_pairs(self):
         bus = EventBus()

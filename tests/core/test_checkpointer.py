@@ -700,16 +700,17 @@ class TestAbortStopsTheWork:
 
 
 class PerKeyStore(InMemoryObjectStore):
-    """Overrides ``delete``, so every batch falls back to the per-key
-    loop — Alg. 3's one-by-one GC, kept as the reference."""
+    """Takes every batch apart into one request per key — Alg. 3's
+    one-by-one GC, kept as the reference."""
 
     def __init__(self):
         super().__init__()
         self.singles = 0
 
-    def delete(self, key):
-        self.singles += 1
-        super().delete(key)
+    def _delete_request(self, keys):
+        for key in keys:
+            self.singles += 1
+            super()._delete_request([key])
 
 
 class TestBatchedGCEquivalence:

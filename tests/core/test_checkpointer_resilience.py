@@ -26,7 +26,7 @@ from repro.storage.memory import MemoryFileSystem
 
 
 class DeleteAlwaysFails(InMemoryObjectStore):
-    def delete(self, key):
+    def _delete_request(self, keys):
         raise CloudError("delete endpoint is broken")
 
 
@@ -35,11 +35,11 @@ class DeleteFailsOnce(InMemoryObjectStore):
         super().__init__()
         self.failures_left = 1
 
-    def delete(self, key):
+    def _delete_request(self, keys):
         if self.failures_left > 0:
             self.failures_left -= 1
             raise CloudError("transient delete error")
-        super().delete(key)
+        super()._delete_request(keys)
 
 
 def run_checkpoint(pools, store, config=None, wal_objects=1):

@@ -162,7 +162,7 @@ class TestRepair:
 
     def test_skipped_delete_is_not_fatal(self):
         class NoDeleteStore(InMemoryObjectStore):
-            def delete(self, key: str) -> None:
+            def _delete_request(self, keys: list[str]) -> None:
                 raise CloudError("delete refused")
 
         store = NoDeleteStore()

@@ -1,7 +1,7 @@
 """Listing-class verbs under partial provider outage.
 
-Satellite contract: with one provider down, ``exists()``,
-``total_bytes()`` and ``list()`` on a multi-provider store must answer
+Contract: with one provider down, ``exists()`` and ``list()`` (and the
+logical total summed over it) on a multi-provider store must answer
 from the survivors — LIST-derived recovery plans and fsck verdicts may
 not change just because a provider died.  Fragment keys must never leak
 into the logical view, even for adversarially-chosen logical keys and
@@ -49,12 +49,12 @@ class TestListingUnderOutage:
     @pytest.mark.parametrize("dead", [0, 2])
     def test_exists_and_total_bytes_from_survivors(self, dead):
         store = protected_bucket()
-        total = store.total_bytes()
+        total = sum(info.size for info in store.list())
         store.providers[dead].kill()
         assert store.exists(DUMP_KEY)
         assert all(store.exists(key) for key in WAL_KEYS)
         assert not store.exists("WAL/999")
-        assert store.total_bytes() == total == 700
+        assert sum(info.size for info in store.list()) == total == 700
         store.close()
 
     def test_all_providers_down_is_an_error_not_empty(self):

@@ -153,7 +153,7 @@ class TestLogicalView:
         assert store.exists("DB/1")
         assert not store.exists("WAL/2")
         # Logical bytes, not physical: fragments don't double-count.
-        assert store.total_bytes() == 107
+        assert sum(info.size for info in store.list()) == 107
         store.close()
 
 

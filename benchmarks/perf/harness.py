@@ -560,12 +560,13 @@ def bench_reactor(*, optimized: bool, tenants: int, puts_per_tenant: int,
                 remaining[i] -= 1
     rates = []
     for _ in range(repeats):
-        # The lean lower half of the transport stack (latency over the
-        # backend): both series pay identical per-PUT work, so the
-        # ratio isolates threads-vs-loop-timers, not metering overhead.
+        # The lean lower half of the transport stack (a meter with the
+        # latency model over the backend, billing to no bus): both
+        # series pay identical per-PUT work, so the ratio isolates
+        # threads-vs-loop-timers, not metering overhead.
         cloud = build_transport(
-            InMemoryObjectStore(), latency=latency,
-            metered=False, tracing=False, time_scale=1.0,
+            InMemoryObjectStore(), latency=latency, tracing=False,
+            time_scale=1.0,
         )
         if optimized:
             reactor = UploadReactor(inflight_window=window, io_threads=4)

@@ -14,8 +14,8 @@ set, and the drill proves, in order:
 4. **fsck_sweep_clean** — the per-tenant fsck sweep is clean and finds
    no stray keys;
 5. **meters_reconcile** / **no_unattributed_puts** — per-tenant request
-   meters sum exactly to the shared-store totals, and every PUT has an
-   owner;
+   meters sum exactly to the shared-store totals, the metered storage
+   equals the bytes the bucket holds, and every PUT has an owner;
 6. **thread_budget** (with ``thread_budget``) — a census sampling the
    live thread set through the whole run never exceeds the budget.
    All PUT and GC DELETE traffic and every T_B timer multiplex onto the
@@ -114,10 +114,8 @@ def run_fleet_drill(
     census = _ThreadCensus()
     result.extras["census"] = census.data
     census.data.update(tenants=tenants, thread_budget=thread_budget)
-    fleet = FleetManager(
-        InMemoryObjectStore(),
-        SharedPoolConfig(downloaders=downloaders),
-    )
+    bucket = InMemoryObjectStore()
+    fleet = FleetManager(bucket, SharedPoolConfig(downloaders=downloaders))
     policy = TenantPolicy(
         batch=batch, safety=safety, batch_timeout=0.2, safety_timeout=10.0,
         # In-flight window per tenant lane, not threads: the shared
@@ -179,15 +177,20 @@ def run_fleet_drill(
         for thread in drivers:
             thread.join()
         result.committed = len(acked)
-        result.check("fleet_drained", all(
-            fleet.tenant(tenant_id).drain(timeout=60.0) for tenant_id in others
-        ))
         sample = others[:: max(1, len(others) // 8)]
-        result.check("co_tenant_integrity", all(
+        intact = all(
             databases[tenant_id].get("t", f"k{rows - 1}")
             == value(tenant_id, rows - 1)
             for tenant_id in sample
-        ), f"{len(sample)} sampled")
+        )
+        # A clean close checkpoints: every co-tenant overwrites and
+        # collects objects before the bucket is swept and reconciled.
+        for tenant_id in others:
+            databases.pop(tenant_id).close()
+        result.check("fleet_drained", all(
+            fleet.tenant(tenant_id).drain(timeout=60.0) for tenant_id in others
+        ))
+        result.check("co_tenant_integrity", intact, f"{len(sample)} sampled")
 
         sweep = fleet.fsck_sweep()
         result.check(
@@ -197,8 +200,14 @@ def run_fleet_drill(
         )
         bank = fleet.meters
         unreconciled = bank.unreconciled()
-        result.check("meters_reconcile", not unreconciled,
-                     f"unreconciled (verb, field): {unreconciled}")
+        held = sum(info.size for info in bucket.list())
+        stored = bank.total.stored_bytes
+        result.check(
+            "meters_reconcile", not unreconciled and stored == held,
+            f"unreconciled (verb, field): {unreconciled}"
+            + ("" if stored == held
+               else f"; metered {stored} B, bucket holds {held} B"),
+        )
         result.check("no_unattributed_puts", bank.unattributed.puts.count == 0,
                      f"{bank.unattributed.puts.count} unattributed PUTs")
         result.extras["bill"] = fleet.bill()

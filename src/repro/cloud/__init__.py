@@ -21,7 +21,12 @@ store of its own: see :mod:`repro.placement` (``mirror-N/qM``).
 
 from repro.cloud.directory import DirectoryObjectStore
 from repro.cloud.faults import FaultPolicy, Outage
-from repro.cloud.interface import MAX_DELETE_KEYS, ObjectInfo, ObjectStore
+from repro.cloud.interface import (
+    MAX_DELETE_KEYS,
+    ObjectInfo,
+    ObjectStore,
+    TransportLayer,
+)
 from repro.cloud.latency import (
     LatencyModel,
     LOCAL_LATENCY,
@@ -34,10 +39,8 @@ from repro.cloud.prefix import PrefixedObjectStore, tenant_of_key, tenant_prefix
 from repro.cloud.retry import RetryLayer, RetryPolicy
 from repro.cloud.transport import (
     FaultLayer,
-    LatencyLayer,
     MeterLayer,
     TracingLayer,
-    TransportLayer,
     build_transport,
     describe_transport,
 )
@@ -73,7 +76,6 @@ __all__ = [
     "TracingLayer",
     "MeterLayer",
     "FaultLayer",
-    "LatencyLayer",
     "build_transport",
     "describe_transport",
     "PriceBook",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: Keys one Multi-Object Delete request may carry (the S3 limit).
 MAX_DELETE_KEYS = 1000
@@ -42,10 +42,11 @@ class ObjectStore:
     verbs from their own threads while the upload reactor drives the
     async ones from its loop.
 
-    A store or transport layer implements five primitive requests,
-    each once per colour: :meth:`put` / :meth:`aput`, :meth:`get`,
-    :meth:`list`, :meth:`stat` and one batch DELETE
-    (:meth:`_delete_request` / :meth:`_adelete_request`).  Everything
+    A store implements five primitive requests, each once per colour:
+    :meth:`put` / :meth:`aput`, :meth:`get`, :meth:`list`, :meth:`stat`
+    and one batch DELETE (:meth:`_delete_request` /
+    :meth:`_adelete_request`); a transport layer inherits them from
+    :class:`TransportLayer` and writes only its hooks.  Everything
     else — :meth:`delete`, :meth:`delete_many`, :meth:`adelete_many`,
     :meth:`exists` — is derived here, once.  The async defaults run the
     synchronous request on the loop's executor, so a store that knows
@@ -64,9 +65,8 @@ class ObjectStore:
 
     async def aput(self, key: str, data: bytes) -> None:
         """Async :meth:`put`.  This default runs the whole synchronous
-        request inside one executor thread, so layers below keep their
-        per-thread semantics; a layer that overrides it runs on the
-        loop with context-variable semantics."""
+        request inside one executor thread, so a store that speaks only
+        the synchronous colour works on the reactor's path too."""
         await asyncio.get_running_loop().run_in_executor(
             None, self.put, key, data
         )
@@ -87,8 +87,8 @@ class ObjectStore:
     def stat(self, key: str) -> ObjectInfo | None:
         """Metadata for one object, or ``None`` if ``key`` is absent.
 
-        The transport's latency layer probes this on every PUT and
-        DELETE (overwrite/removal accounting), so backends should
+        The transport's meter layer probes this on every PUT and DELETE
+        (overwrite/removal accounting), so backends should
         override this LIST-narrowed fallback with a native O(1) lookup.
         The exact key must match: a prefix hit alone is not existence.
         """
@@ -146,6 +146,70 @@ class ObjectStore:
     def exists(self, key: str) -> bool:
         """True if ``key`` currently names an object (exact match)."""
         return self.stat(key) is not None
+
+
+#: The class a request is faulted and budgeted as, where that is not
+#: its own verb: STAT reads the index a LIST reads, so it fails and
+#: retries as one.
+REQUEST_CLASS = {"STAT": "LIST"}
+
+
+class TransportLayer(ObjectStore):
+    """A layer of the transport stack (:mod:`repro.cloud.transport`).
+
+    The primitive requests are written here, once: each hands the
+    layer's one hook per colour — :meth:`_call` / :meth:`_acall` — its
+    verb (``PUT``, ``GET``, ``LIST``, ``STAT`` or ``DELETE``), the key
+    it is narrated under (a LIST's prefix, a batch DELETE's first key),
+    the payload size it carries, the request to the layer beneath as a
+    no-argument callable, and a batch DELETE's keys.  A layer overrides
+    only the hooks; this base passes every request straight through.
+    Only PUT and DELETE have an async colour.
+    """
+
+    def __init__(self, inner: ObjectStore):
+        self._inner = inner
+
+    @property
+    def inner(self) -> ObjectStore:
+        return self._inner
+
+    def put(self, key: str, data: bytes) -> None:
+        self._call("PUT", key, len(data), lambda: self._inner.put(key, data))
+
+    async def aput(self, key: str, data: bytes) -> None:
+        await self._acall(
+            "PUT", key, len(data), lambda: self._inner.aput(key, data)
+        )
+
+    def get(self, key: str) -> bytes:
+        return self._call("GET", key, 0, lambda: self._inner.get(key))
+
+    def list(self, prefix: str = "") -> list[ObjectInfo]:
+        return self._call("LIST", prefix, 0, lambda: self._inner.list(prefix))
+
+    def stat(self, key: str) -> ObjectInfo | None:
+        return self._call("STAT", key, 0, lambda: self._inner.stat(key))
+
+    def _delete_request(self, keys: list[str]) -> None:
+        self._call(
+            "DELETE", keys[0], 0, lambda: self._inner.delete_many(keys), keys
+        )
+
+    async def _adelete_request(self, keys: list[str]) -> None:
+        await self._acall(
+            "DELETE", keys[0], 0, lambda: self._inner.adelete_many(keys), keys
+        )
+
+    def _call(self, verb: str, key: str, nbytes: int, request,
+              keys: Sequence[str] = ()):
+        """Run one synchronous request; returns what ``request`` does."""
+        return request()
+
+    async def _acall(self, verb: str, key: str, nbytes: int, request,
+                     keys: Sequence[str] = ()):
+        """Run one async request (``request()`` returns an awaitable)."""
+        return await request()
 
 
 def _overrides(store: ObjectStore, verb: str) -> bool:

@@ -7,8 +7,9 @@ billing).
 
 The meter is fed by ``meter`` events from the transport stack's
 :class:`~repro.cloud.transport.MeterLayer` (subscribe with
-:meth:`RequestMeter.attach`); the explicit ``record_*`` methods remain
-for callers that account by hand.
+:meth:`RequestMeter.attach`), the layer that models each request's
+latency and reads the bytes it replaces or removes from the store
+beneath it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.common import events
 from repro.common.events import Event, EventBus
-from repro.cloud.prefix import tenant_of_key
+from repro.cloud.prefix import tenant_of_event
 
 
 @dataclass
@@ -94,7 +95,7 @@ class RequestMeter:
         return self
 
     def handle_event(self, event: Event) -> None:
-        """Translate one ``meter`` event into the matching record call.
+        """Account one ``meter`` event.
 
         The MeterLayer's vocabulary: ``nbytes`` is the payload size
         (bytes removed, for DELETE), ``latency`` the modeled latency,
@@ -103,38 +104,19 @@ class RequestMeter:
         """
         if event.kind != events.METER:
             return
-        if event.verb == "PUT":
-            self.record_put(event.nbytes, event.latency, event.at,
-                            replaced_bytes=event.count)
-        elif event.verb == "GET":
-            self.record_get(event.nbytes, event.latency, event.at)
-        elif event.verb == "LIST":
-            self.record_list(event.latency, event.at)
-        elif event.verb == "DELETE":
-            self.record_delete(event.nbytes, event.latency, event.at)
-
-    # -- recording ----------------------------------------------------------
-
-    def record_put(self, nbytes: int, latency: float, now: float,
-                   replaced_bytes: int = 0) -> None:
         with self._lock:
-            self.puts.record(nbytes, latency)
-            self._adjust_storage(nbytes - replaced_bytes, now)
-
-    def record_get(self, nbytes: int, latency: float, now: float) -> None:
-        with self._lock:
-            self.gets.record(nbytes, latency)
-            self._accrue(now)
-
-    def record_list(self, latency: float, now: float) -> None:
-        with self._lock:
-            self.lists.record(0, latency)
-            self._accrue(now)
-
-    def record_delete(self, removed_bytes: int, latency: float, now: float) -> None:
-        with self._lock:
-            self.deletes.record(removed_bytes, latency)
-            self._adjust_storage(-removed_bytes, now)
+            if event.verb == "PUT":
+                self.puts.record(event.nbytes, event.latency)
+                self._adjust_storage(event.nbytes - event.count, event.at)
+            elif event.verb == "GET":
+                self.gets.record(event.nbytes, event.latency)
+                self._accrue(event.at)
+            elif event.verb == "LIST":
+                self.lists.record(0, event.latency)
+                self._accrue(event.at)
+            elif event.verb == "DELETE":
+                self.deletes.record(event.nbytes, event.latency)
+                self._adjust_storage(-event.nbytes, event.at)
 
     # -- reading ------------------------------------------------------------
 
@@ -178,8 +160,7 @@ class TenantMeterBank:
     carry fully-qualified keys (``tenants/<id>/WAL/...``).  The bank
     routes each event twice: into ``total`` (exactly what a single
     shared :class:`RequestMeter` would have seen) and into the owning
-    tenant's meter, resolved from the event's ``tenant`` stamp or the
-    key's prefix.  Events belonging to no tenant (fleet-level LISTs,
+    tenant's meter (:func:`~repro.cloud.prefix.tenant_of_event`).  Events belonging to no tenant (fleet-level LISTs,
     stray keys) land in ``unattributed``, so the invariant
 
         sum(per-tenant meters) + unattributed == total
@@ -229,10 +210,6 @@ class TenantMeterBank:
         if event.kind != events.METER:
             return
         self.total.handle_event(event)
-        tenant_id = event.tenant
-        if not tenant_id:
-            # Shared-layer events are not tenant-stamped; derive the
-            # owner from the fully-qualified key.
-            tenant_id = tenant_of_key(event.key) or ""
+        tenant_id = tenant_of_event(event)
         meter = self.tenant(tenant_id) if tenant_id else self.unattributed
         meter.handle_event(event)

@@ -17,7 +17,12 @@ meter bank attribute each request back to a tenant by prefix.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.cloud.interface import ObjectInfo, ObjectStore
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.common.events import Event
 
 #: Root of every tenant keyspace in a shared fleet bucket.
 TENANT_ROOT = "tenants/"
@@ -31,8 +36,7 @@ def tenant_prefix(tenant_id: str) -> str:
 def tenant_of_key(key: str) -> str | None:
     """The tenant id a fully-qualified fleet key belongs to, or None.
 
-    Used by the fleet's meter bank to attribute shared-transport events
-    (which carry full keys) back to tenants.
+    The key half of :func:`tenant_of_event`.
     """
     if not key.startswith(TENANT_ROOT):
         return None
@@ -41,6 +45,15 @@ def tenant_of_key(key: str) -> str | None:
     if not sep or not tenant_id:
         return None
     return tenant_id
+
+
+def tenant_of_event(event: "Event") -> str | None:
+    """The tenant ``event`` belongs to, or None: its tenant stamp, else
+    the owner of its key.  A fleet's tenant buses stamp what they
+    forward; the shared transport stack emits unstamped, under full
+    keys.  Every per-tenant rollup — stats, meters, upload overlap —
+    attributes by this one rule."""
+    return event.tenant or tenant_of_key(event.key)
 
 
 class PrefixedObjectStore(ObjectStore):

@@ -149,9 +149,9 @@ class _Lane:
 
 
 class _LaneBackoffNote(aio.BackoffNote):
-    """Feeds a lane's backoff gauge from the retry layer, via the
-    :data:`~repro.cloud.aio.CURRENT_UPLOAD` context variable — the
-    retry layer never learns the reactor exists."""
+    """Feeds a lane's backoff gauge from the retry layer, via
+    :func:`~repro.cloud.aio.install` — the retry layer never learns the
+    reactor exists."""
 
     __slots__ = ("_reactor", "_lane")
 
@@ -590,10 +590,10 @@ class UploadReactor:
         self, lane: _Lane, sub: _Submission
     ) -> BaseException | None:
         """One request; returns the error it ultimately failed with."""
-        # Each task runs in its own copied context, so this set is
-        # private to this request — the retry layer finds the note via
-        # CURRENT_UPLOAD without ever importing the reactor.
-        aio.CURRENT_UPLOAD.set(_LaneBackoffNote(self, lane))
+        # The note belongs to this request's task — the retry layer
+        # finds it via current_upload() without ever importing the
+        # reactor.
+        aio.install(_LaneBackoffNote(self, lane))
         try:
             await sub.request()
         except asyncio.CancelledError:

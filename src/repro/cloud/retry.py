@@ -4,7 +4,7 @@ Before the transport refactor this logic was copy-pasted three times
 (commit-pipeline PUT, checkpointer PUT, checkpointer DELETE) with the
 backoff cap hardcoded at two seconds.  It now lives in exactly one
 place: :class:`RetryPolicy` describes the schedule, :class:`RetryLayer`
-applies it to every verb of an :class:`~repro.cloud.interface.ObjectStore`.
+applies it to every request of a transport stack.
 
 The policy distinguishes *fatal* and *skippable* verbs, exactly as the
 checkpointer comments prescribe: a PUT that exhausts its budget must
@@ -26,7 +26,7 @@ from repro.common.errors import CloudError
 from repro.common import events
 from repro.common.events import EventBus, NULL_BUS
 from repro.cloud.aio import current_upload
-from repro.cloud.interface import ObjectStore
+from repro.cloud.interface import REQUEST_CLASS, ObjectStore, TransportLayer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.config import GinjaConfig
@@ -108,16 +108,19 @@ class RetryPolicy:
         return delay
 
 
-class RetryLayer(ObjectStore):
+class RetryLayer(TransportLayer):
     """Transport layer applying one :class:`RetryPolicy` to every verb.
 
-    This is the only retry loop in the codebase.  DELETE is mostly the
-    GC verb — checkpoint GC, plus the stale-key, purge and fsck deletes
-    that share its skippable semantics — so the layer also emits the
-    ``gc_delete`` success/failure events the stats counters are built
-    from: **one per key**, also for a batch DELETE, which is retried,
-    exhausted and skipped as the single request it is (every key of the
-    slice reports the request's verdict).
+    This is the only retry loop in the codebase.  STAT (and ``exists``
+    through it) is a listing-class read: it shares the LIST budget and
+    its non-skippable exhaustion, and the fault layer classifies it the
+    same way.  DELETE is mostly the GC verb — checkpoint GC, plus the
+    stale-key, purge and fsck deletes that share its skippable
+    semantics — so the layer also emits the ``gc_delete``
+    success/failure events the stats counters are built from: **one
+    per key**, also for a batch DELETE, which is retried, exhausted and
+    skipped as the single request it is (every key of the slice reports
+    the request's verdict).
     """
 
     def __init__(
@@ -129,84 +132,50 @@ class RetryLayer(ObjectStore):
         bus: EventBus | None = None,
         rng: random.Random | None = None,
     ):
-        self._inner = inner
+        super().__init__(inner)
         self._policy = policy or RetryPolicy()
         self._clock = clock
         self._bus = bus or NULL_BUS
         self._rng = rng or random.Random(0)
 
     @property
-    def inner(self):
-        return self._inner
-
-    @property
     def policy(self) -> RetryPolicy:
         return self._policy
 
-    # -- verbs ---------------------------------------------------------------
-
-    def put(self, key: str, data: bytes) -> None:
-        self._run("PUT", key, lambda: self._inner.put(key, data))
-
-    async def aput(self, key: str, data: bytes) -> None:
-        await self._arun("PUT", key, lambda: self._inner.aput(key, data))
-
-    def get(self, key: str) -> bytes:
-        return self._run("GET", key, lambda: self._inner.get(key))
-
-    def list(self, prefix: str = ""):
-        return self._run("LIST", prefix, lambda: self._inner.list(prefix))
-
-    def _delete_request(self, keys: list[str]) -> None:
-        self._run(
-            "DELETE", keys[0], lambda: self._inner.delete_many(keys),
-            gc_keys=keys,
-        )
-
-    async def _adelete_request(self, keys: list[str]) -> None:
-        await self._arun(
-            "DELETE", keys[0], lambda: self._inner.adelete_many(keys),
-            gc_keys=keys,
-        )
-
-    # STAT (and ``exists`` through it) is a listing-class read: it
-    # shares the LIST budget and its non-skippable exhaustion
-    # semantics, and the fault layer classifies it the same way.
-    def stat(self, key: str):
-        return self._run("LIST", key, lambda: self._inner.stat(key))
-
     # -- the one retry loop --------------------------------------------------
     #
-    # Written twice only because Python colours functions: ``_run``
-    # sleeps its backoff on the calling thread, ``_arun`` awaits it as
+    # Written twice only because Python colours functions: ``_call``
+    # sleeps its backoff on the calling thread, ``_acall`` awaits it as
     # a loop timer (a backing-off request holds zero threads, and a
     # tenant abort cancels it mid-timer without draining any other
     # request's budget).  Schedule, budget, exhaustion verdict and
     # events live once, in ``_failed`` and ``_emit_gc``.
 
-    def _run(self, verb: str, key: str, request, gc_keys=()):
+    def _call(self, verb, key, nbytes, request, keys=()):
+        verb = REQUEST_CLASS.get(verb, verb)
         attempts = 0
         while True:
             try:
                 result = request()
             except CloudError as exc:
                 attempts += 1
-                delay = self._failed(verb, key, attempts, exc, gc_keys)
+                delay = self._failed(verb, key, attempts, exc, keys)
                 if delay is None:
                     return None
                 self._clock.sleep(delay)
                 continue
-            self._emit_gc(gc_keys, ok=True, attempt=attempts + 1)
+            self._emit_gc(keys, ok=True, attempt=attempts + 1)
             return result
 
-    async def _arun(self, verb: str, key: str, request, gc_keys=()):
+    async def _acall(self, verb, key, nbytes, request, keys=()):
+        verb = REQUEST_CLASS.get(verb, verb)
         attempts = 0
         while True:
             try:
                 result = await request()
             except CloudError as exc:
                 attempts += 1
-                delay = self._failed(verb, key, attempts, exc, gc_keys)
+                delay = self._failed(verb, key, attempts, exc, keys)
                 if delay is None:
                     return None
                 note = current_upload()
@@ -216,11 +185,11 @@ class RetryLayer(ObjectStore):
                 finally:
                     note.backoff_ended()
                 continue
-            self._emit_gc(gc_keys, ok=True, attempt=attempts + 1)
+            self._emit_gc(keys, ok=True, attempt=attempts + 1)
             return result
 
     def _failed(self, verb: str, key: str, attempts: int, exc: CloudError,
-                gc_keys) -> float | None:
+                keys) -> float | None:
         """Attempt number ``attempts`` failed: the backoff to take
         before the next one, or ``None`` when a skippable verb has
         spent its budget and the request is absorbed.  A fatal verb's
@@ -228,7 +197,7 @@ class RetryLayer(ObjectStore):
         if attempts > self._policy.budget(verb):
             if not self._policy.is_skippable(verb):
                 raise exc
-            self._emit_gc(gc_keys, ok=False, attempt=attempts, detail=repr(exc))
+            self._emit_gc(keys, ok=False, attempt=attempts, detail=repr(exc))
             return None
         self._bus.emit(
             events.RETRY, verb=verb, key=key, attempt=attempts,

@@ -1,10 +1,10 @@
-"""Simulated cloud: backend + latency + faults + metering.
+"""Simulated cloud: backend + faults + latency and metering.
 
 This is the store Ginja talks to in every offline experiment.  It is
-the MeterLayer of its own slice of the composable transport stack
+the FaultLayer of its own slice of the composable transport stack
 (:mod:`repro.cloud.transport`)::
 
-    SimulatedCloud (MeterLayer) -> FaultLayer -> LatencyLayer -> backend
+    SimulatedCloud (FaultLayer) -> MeterLayer -> backend
 
 It separates *modeled* time from *real* time:
 
@@ -22,16 +22,19 @@ store's event bus (it is no longer called directly); pass your own
 
 from __future__ import annotations
 
+import random
+
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.events import EventBus
 from repro.cloud.faults import FaultPolicy, NO_FAULTS
 from repro.cloud.interface import ObjectStore
 from repro.cloud.latency import LatencyModel, LOCAL_LATENCY
+from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.metering import RequestMeter
-from repro.cloud.transport import MeterLayer, build_transport
+from repro.cloud.transport import FaultLayer, MeterLayer
 
 
-class SimulatedCloud(MeterLayer):
+class SimulatedCloud(FaultLayer):
     """Wraps any backend with the behaviours of a real storage cloud.
 
     Args:
@@ -57,31 +60,18 @@ class SimulatedCloud(MeterLayer):
         seed: int = 0,
         bus: EventBus | None = None,
     ):
-        if time_scale < 0:
-            raise ValueError("time_scale must be >= 0")
-        from repro.cloud.memory import InMemoryObjectStore
-
         self._backend = backend if backend is not None else InMemoryObjectStore()
+        self.bus = bus if bus is not None else EventBus()
+        self.meter = RequestMeter().attach(self.bus)
+        rng = random.Random(seed)
         epoch = clock.now()
-        bus = bus if bus is not None else EventBus()
         super().__init__(
-            build_transport(
-                self._backend,
-                bus=bus,
-                clock=clock,
-                tracing=False,
-                latency=latency,
-                faults=faults,
-                time_scale=time_scale,
-                seed=seed,
-                epoch=epoch,
+            MeterLayer(
+                self._backend, latency, clock=clock, time_scale=time_scale,
+                rng=rng, epoch=epoch, bus=self.bus,
             ),
-            clock=clock,
-            epoch=epoch,
-            bus=bus,
+            faults, clock=clock, rng=rng, epoch=epoch, bus=self.bus,
         )
-        self.bus = bus
-        self.meter = RequestMeter().attach(bus)
 
     @property
     def backend(self) -> ObjectStore:
@@ -93,4 +83,4 @@ class SimulatedCloud(MeterLayer):
 
     def elapsed(self) -> float:
         """Store-clock seconds since this store was created."""
-        return self._now()
+        return self._clock.now() - self._epoch

@@ -1,40 +1,33 @@
 """The composable cloud-transport stack.
 
 Every byte Ginja moves to or from the cloud goes through a chain of
-:class:`~repro.cloud.interface.ObjectStore` *layers*, each adding one
-concern and delegating the verb to the layer beneath it::
+transport layers (:class:`~repro.cloud.interface.TransportLayer`), each
+adding one concern and delegating the request to the layer beneath it::
 
     TracingLayer        start/end events per verb (observability)
       RetryLayer        the one retry/backoff loop (repro.cloud.retry)
-        MeterLayer      billing-grade request/storage accounting
-          FaultLayer    injected outages, throttling, transient errors
-            LatencyLayer  calibrated WAN latency model (+ time_scale)
-              backend   InMemoryObjectStore / DirectoryObjectStore / S3
+        FaultLayer      injected outages, throttling, transient errors
+          MeterLayer    modeled latency + billing-grade accounting
+            backend     InMemoryObjectStore / DirectoryObjectStore / S3
 
 :func:`build_transport` assembles the chain declaratively — from a
 :class:`~repro.core.config.GinjaConfig` for the retry policy, and from
 the simulation knobs (latency model, fault policy) for the lower
 layers.  :class:`~repro.cloud.simulated.SimulatedCloud` *is* the
-MeterLayer of its own Fault/Latency stack, and
+FaultLayer of its own Fault/Meter stack, and
 :class:`~repro.core.ginja.Ginja` wraps whatever store it is given with
 the Tracing/Retry portion.
 
-Each layer implements the primitive requests of
-:class:`~repro.cloud.interface.ObjectStore` it adds behaviour to —
-``put`` / ``aput``, ``get``, ``list``, ``stat`` and the batch DELETE
-``_delete_request`` / ``_adelete_request`` — and inherits every derived
-verb (``delete``, ``delete_many``, ``adelete_many``, ``exists``).
-
-Layers communicate *sideways* only through the event bus
-(:mod:`repro.common.events`) and through a small context-variable record
-the LatencyLayer leaves for the MeterLayer (the modeled latency of the
-request that just completed, which billing must use instead of wall
-time so ``time_scale`` does not distort the cost model).
+A layer writes no verb: the primitive requests live once, on
+:class:`~repro.cloud.interface.TransportLayer`, and each passes through
+a layer's one hook per colour, ``_call`` / ``_acall``.  The layer that
+models a request's latency is the one that bills it, so layers
+communicate *sideways* only through the event bus
+(:mod:`repro.common.events`).
 """
 
 from __future__ import annotations
 
-import contextvars
 import random
 from typing import TYPE_CHECKING
 
@@ -43,172 +36,12 @@ from repro.common.clock import Clock, SYSTEM_CLOCK, SleepAccount
 from repro.common.errors import CloudUnavailable
 from repro.common.events import EventBus, NULL_BUS
 from repro.cloud.faults import FaultPolicy
-from repro.cloud.interface import ObjectInfo, ObjectStore
-from repro.cloud.latency import LatencyModel
+from repro.cloud.interface import REQUEST_CLASS, ObjectStore, TransportLayer
+from repro.cloud.latency import LOCAL_LATENCY, LatencyModel
 from repro.cloud.retry import RetryLayer, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.config import GinjaConfig
-
-
-class TransportLayer(ObjectStore):
-    """Base class for layers: delegates the synchronous primitive
-    requests to the inner store.  The async colour is the interface's
-    executor default, so a subclass that overrides only ``put`` is
-    still honoured on the reactor's path.
-
-    Subclasses override only the requests they add behaviour to.
-    ``stat`` (and ``exists`` through it) is a *listing-class* read:
-    the RetryLayer retries it under the LIST budget and the FaultLayer
-    subjects it to LIST faults, but it is neither metered nor
-    latency-modeled (real providers answer it from the same index a
-    LIST reads, and billing counts only the four verbs).
-    """
-
-    def __init__(self, inner: ObjectStore):
-        self._inner = inner
-
-    @property
-    def inner(self) -> ObjectStore:
-        return self._inner
-
-    def put(self, key: str, data: bytes) -> None:
-        self._inner.put(key, data)
-
-    def get(self, key: str) -> bytes:
-        return self._inner.get(key)
-
-    def list(self, prefix: str = "") -> list[ObjectInfo]:
-        return self._inner.list(prefix)
-
-    def stat(self, key: str) -> ObjectInfo | None:
-        return self._inner.stat(key)
-
-    def _delete_request(self, keys: list[str]) -> None:
-        self._inner.delete_many(keys)
-
-
-# -- LatencyLayer → MeterLayer context handoff -------------------------------
-#
-# The meter must record the *modeled* latency (what the request would
-# have cost against the real provider), not the scaled wall time the
-# LatencyLayer actually slept.  The layers may be separated by a
-# FaultLayer, so the value travels in a context variable the
-# LatencyLayer writes and the MeterLayer consumes.  ``adjusted``
-# carries the bytes a PUT replaced / a DELETE removed, for the storage
-# integral.
-#
-# A ContextVar, not a thread-local: the upload reactor multiplexes many
-# concurrent PUTs on one event-loop thread, and each asyncio task runs
-# in its own copied context, so interleaved requests cannot corrupt
-# each other's billing.  Plain threads keep per-thread semantics (each
-# thread has an independent context), so the synchronous path is
-# unchanged.
-
-_modeled: contextvars.ContextVar[tuple[float, int]] = contextvars.ContextVar(
-    "repro_modeled_latency", default=(0.0, 0)
-)
-
-
-def _set_modeled(latency: float, adjusted: int = 0) -> None:
-    _modeled.set((latency, adjusted))
-
-
-def _take_modeled() -> tuple[float, int]:
-    latency, adjusted = _modeled.get()
-    _modeled.set((0.0, 0))
-    return latency, adjusted
-
-
-class LatencyLayer(TransportLayer):
-    """Models request latency: a synchronous verb paces its thread by
-    ``modeled * time_scale`` seconds (:meth:`Clock.pace`, so the mean
-    cost is the model's, not the host's sleep granularity); the async
-    twins are loop timers.
-
-    Also measures the bytes a PUT replaces / a DELETE removes (it is the
-    layer closest to the backend, so its listing reflects the state the
-    verb actually acts on) and publishes both through the
-    context-variable handoff for the MeterLayer above.
-    """
-
-    def __init__(
-        self,
-        inner: ObjectStore,
-        model: LatencyModel,
-        *,
-        clock: Clock = SYSTEM_CLOCK,
-        time_scale: float = 1.0,
-        rng: random.Random | None = None,
-        epoch: float | None = None,
-    ):
-        if time_scale < 0:
-            raise ValueError("time_scale must be >= 0")
-        super().__init__(inner)
-        self._model = model
-        self._clock = clock
-        self._time_scale = time_scale
-        self._account = SleepAccount()
-        self._rng = rng or random.Random(0)
-        self._epoch = clock.now() if epoch is None else epoch
-
-    @property
-    def model(self) -> LatencyModel:
-        return self._model
-
-    def _pay(self, modeled_latency: float) -> float:
-        self._clock.pace(self._account, modeled_latency * self._time_scale)
-        return modeled_latency
-
-    def _existing_size(self, key: str) -> int:
-        info = self._inner.stat(key)
-        return 0 if info is None else info.size
-
-    def put(self, key: str, data: bytes) -> None:
-        latency = self._pay(self._model.put_latency(len(data), self._rng))
-        replaced = self._existing_size(key)
-        self._inner.put(key, data)
-        _set_modeled(latency, replaced)
-
-    async def aput(self, key: str, data: bytes) -> None:
-        # Async twin of :meth:`put`: the latency sleep is a loop timer
-        # (``sleep_async``), so a thousand in-flight PUTs park zero
-        # threads while paying their modeled WAN latency.
-        modeled = self._model.put_latency(len(data), self._rng)
-        if modeled > 0 and self._time_scale > 0:
-            await self._clock.sleep_async(modeled * self._time_scale)
-        replaced = self._existing_size(key)
-        await self._inner.aput(key, data)
-        _set_modeled(modeled, replaced)
-
-    def get(self, key: str) -> bytes:
-        data = self._inner.get(key)
-        latency = self._pay(self._model.get_latency(len(data), self._rng))
-        _set_modeled(latency)
-        return data
-
-    def list(self, prefix: str = "") -> list[ObjectInfo]:
-        latency = self._pay(self._model.list_latency(self._rng))
-        infos = self._inner.list(prefix)
-        _set_modeled(latency)
-        return infos
-
-    # A batch DELETE is one request: one latency draw however many keys
-    # it carries, and the exact bytes it removes for the meter above.
-
-    def _delete_request(self, keys: list[str]) -> None:
-        removed = sum(self._existing_size(key) for key in keys)
-        latency = self._pay(self._model.delete_latency(self._rng))
-        self._inner.delete_many(keys)
-        _set_modeled(latency, removed)
-
-    async def _adelete_request(self, keys: list[str]) -> None:
-        removed = sum(self._existing_size(key) for key in keys)
-        modeled = self._model.delete_latency(self._rng)
-        if modeled > 0 and self._time_scale > 0:
-            await self._clock.sleep_async(modeled * self._time_scale)
-        await self._inner.adelete_many(keys)
-        _set_modeled(modeled, removed)
 
 
 class FaultLayer(TransportLayer):
@@ -218,7 +51,9 @@ class FaultLayer(TransportLayer):
     neither latency nor billing — matching a connection that is refused
     outright.  Requests failing inside a scheduled outage window emit an
     ``outage`` event so traces can distinguish provider downtime from
-    transient errors.
+    transient errors.  STAT fails under the same conditions a LIST
+    would (it reads the same index), so the RetryLayer's LIST budget
+    above has something real to retry.
     """
 
     def __init__(
@@ -242,7 +77,16 @@ class FaultLayer(TransportLayer):
     def faults(self) -> FaultPolicy:
         return self._faults
 
+    def _call(self, verb, key, nbytes, request, keys=()):
+        self._check(verb, key)
+        return request()
+
+    async def _acall(self, verb, key, nbytes, request, keys=()):
+        self._check(verb, key)
+        return await request()
+
     def _check(self, verb: str, key: str) -> None:
+        verb = REQUEST_CLASS.get(verb, verb)
         now = self._clock.now() - self._epoch
         try:
             self._faults.check(verb, now, self._rng)
@@ -255,46 +99,25 @@ class FaultLayer(TransportLayer):
                 )
             raise exc
 
-    def put(self, key: str, data: bytes) -> None:
-        self._check("PUT", key)
-        self._inner.put(key, data)
-
-    async def aput(self, key: str, data: bytes) -> None:
-        self._check("PUT", key)
-        await self._inner.aput(key, data)
-
-    def get(self, key: str) -> bytes:
-        self._check("GET", key)
-        return self._inner.get(key)
-
-    def list(self, prefix: str = "") -> list[ObjectInfo]:
-        self._check("LIST", prefix)
-        return self._inner.list(prefix)
-
-    def _delete_request(self, keys: list[str]) -> None:
-        self._check("DELETE", keys[0])
-        self._inner.delete_many(keys)
-
-    async def _adelete_request(self, keys: list[str]) -> None:
-        self._check("DELETE", keys[0])
-        await self._inner.adelete_many(keys)
-
-    # STAT fails under the same conditions a LIST would (it reads the
-    # same index), so the RetryLayer's LIST budget above has something
-    # real to retry.
-    def stat(self, key: str) -> ObjectInfo | None:
-        self._check("LIST", key)
-        return self._inner.stat(key)
-
 
 class MeterLayer(TransportLayer):
-    """Publishes one ``meter`` event per *successful* request.
+    """Models every request that reaches the backend, and bills it.
 
-    Sits above the FaultLayer so failed requests are never billed, and
-    reads the modeled latency the LatencyLayer left in the
-    context-variable handoff.  A
+    The layer nearest the backend.  It draws each request's modeled
+    latency from ``model`` (calibrated to the paper's Table 3; the
+    default :data:`~repro.cloud.latency.LOCAL_LATENCY` is zero and
+    draws nothing), paces the calling thread by ``modeled *
+    time_scale`` (:meth:`Clock.pace`, so the mean cost is the model's,
+    not the host's sleep granularity; the async colour is a loop
+    timer), and publishes one ``meter`` event carrying the *unscaled*
+    latency, so ``time_scale`` never distorts the cost model.  It reads
+    the bytes a PUT replaces / a DELETE removes with ``stat`` on the
+    store beneath it, the state the request acts on.  A FaultLayer
+    above refuses a request before it gets here, so a failed attempt is
+    neither paced nor billed; every attempt that reaches the backend
+    is.  STAT passes untouched.  A
     :class:`~repro.cloud.metering.RequestMeter` subscribed to the bus
-    turns these events into the bill.
+    turns the events into the bill.
 
     Event vocabulary: ``nbytes`` is the payload size (bytes removed, for
     DELETE — all of them, for a batch DELETE, whose ``key`` is its
@@ -306,77 +129,89 @@ class MeterLayer(TransportLayer):
     def __init__(
         self,
         inner: ObjectStore,
+        model: LatencyModel = LOCAL_LATENCY,
         *,
         clock: Clock = SYSTEM_CLOCK,
+        time_scale: float = 1.0,
+        rng: random.Random | None = None,
         epoch: float | None = None,
         bus: EventBus | None = None,
     ):
+        if time_scale < 0:
+            raise ValueError("time_scale must be >= 0")
         super().__init__(inner)
+        self._model = model
         self._clock = clock
+        self._time_scale = time_scale
+        self._account = SleepAccount()
+        self._rng = rng or random.Random(0)
         self._epoch = clock.now() if epoch is None else epoch
         self._bus = bus or NULL_BUS
+
+    @property
+    def model(self) -> LatencyModel:
+        return self._model
 
     def _now(self) -> float:
         return self._clock.now() - self._epoch
 
-    def put(self, key: str, data: bytes) -> None:
-        _set_modeled(0.0)
-        self._inner.put(key, data)
-        latency, replaced = _take_modeled()
+    # The order inside a request is the model's: a GET pays once its
+    # size is known; a PUT pays, then reads what it replaces just
+    # before it lands; a DELETE reads what it removes, then pays.  A
+    # batch DELETE is one request: one draw however many keys it
+    # carries, and every byte they held.
+
+    def _call(self, verb, key, nbytes, request, keys=()):
+        if verb == "STAT":
+            return request()
+        if verb == "GET":
+            data = request()
+            self._bill(verb, key, len(data), self._pay(verb, len(data)))
+            return data
+        removed = self._stored(keys)
+        latency = self._pay(verb, nbytes)
+        replaced = self._stored([key]) if verb == "PUT" else 0
+        result = request()
+        self._bill(verb, key, nbytes + removed, latency, replaced)
+        return result
+
+    async def _acall(self, verb, key, nbytes, request, keys=()):
+        # A thousand in-flight PUTs park zero threads while paying
+        # their modeled WAN latency.
+        removed = self._stored(keys)
+        latency = self._draw(verb, nbytes)
+        if latency > 0 and self._time_scale > 0:
+            await self._clock.sleep_async(latency * self._time_scale)
+        replaced = self._stored([key]) if verb == "PUT" else 0
+        result = await request()
+        self._bill(verb, key, nbytes + removed, latency, replaced)
+        return result
+
+    def _draw(self, verb: str, nbytes: int) -> float:
+        model, rng = self._model, self._rng
+        if verb == "PUT":
+            return model.put_latency(nbytes, rng)
+        if verb == "GET":
+            return model.get_latency(nbytes, rng)
+        if verb == "LIST":
+            return model.list_latency(rng)
+        return model.delete_latency(rng)
+
+    def _pay(self, verb: str, nbytes: int) -> float:
+        latency = self._draw(verb, nbytes)
+        self._clock.pace(self._account, latency * self._time_scale)
+        return latency
+
+    def _stored(self, keys) -> int:
+        """Bytes ``keys`` hold in the store beneath."""
+        infos = [self._inner.stat(key) for key in keys]
+        return sum(info.size for info in infos if info is not None)
+
+    def _bill(self, verb: str, key: str, nbytes: int, latency: float,
+              replaced: int = 0) -> None:
         self._bus.emit(
-            events.METER, verb="PUT", key=key, nbytes=len(data),
+            events.METER, verb=verb, key=key, nbytes=nbytes,
             latency=latency, at=self._now(), count=replaced,
-        )
-
-    async def aput(self, key: str, data: bytes) -> None:
-        # The handoff is a ContextVar, so the set→await→take window is
-        # safe even with many PUTs interleaved on one loop thread.
-        _set_modeled(0.0)
-        await self._inner.aput(key, data)
-        latency, replaced = _take_modeled()
-        self._bus.emit(
-            events.METER, verb="PUT", key=key, nbytes=len(data),
-            latency=latency, at=self._now(), count=replaced,
-        )
-
-    def get(self, key: str) -> bytes:
-        _set_modeled(0.0)
-        data = self._inner.get(key)
-        latency, _ = _take_modeled()
-        self._bus.emit(
-            events.METER, verb="GET", key=key, nbytes=len(data),
-            latency=latency, at=self._now(),
-        )
-        return data
-
-    def list(self, prefix: str = "") -> list[ObjectInfo]:
-        _set_modeled(0.0)
-        infos = self._inner.list(prefix)
-        latency, _ = _take_modeled()
-        self._bus.emit(
-            events.METER, verb="LIST", key=prefix,
-            latency=latency, at=self._now(),
-        )
-        return infos
-
-    def _delete_request(self, keys: list[str]) -> None:
-        _set_modeled(0.0)
-        self._inner.delete_many(keys)
-        self._deleted(keys[0])
-
-    async def _adelete_request(self, keys: list[str]) -> None:
-        _set_modeled(0.0)
-        await self._inner.adelete_many(keys)
-        self._deleted(keys[0])
-
-    def _deleted(self, key: str) -> None:
-        """One DELETE request completed — however many keys it carried,
-        it is metered as one: ``key`` (its first key) attributes it to
-        its tenant, ``nbytes`` is every byte it removed."""
-        latency, removed = _take_modeled()
-        self._bus.emit(
-            events.METER, verb="DELETE", key=key, nbytes=removed,
-            latency=latency, at=self._now(),
         )
 
 
@@ -398,7 +233,7 @@ class TracingLayer(TransportLayer):
     the RetryLayer gave up, a striped read failed its integrity check,
     a tenant abort cancelled the task mid-await — produces an end event
     with ``ok=False`` before the exception propagates.  A batch DELETE
-    is one start/end pair under its first key.
+    is one start/end pair under its first key; STAT is not traced.
     """
 
     def __init__(
@@ -427,7 +262,9 @@ class TracingLayer(TransportLayer):
             ok=ok, latency=now - t0, at=now,
         )
 
-    def _traced(self, verb: str, key: str, nbytes: int, request):
+    def _call(self, verb, key, nbytes, request, keys=()):
+        if verb == "STAT":
+            return request()
         t0 = self._start(verb, key, nbytes)
         try:
             result = request()
@@ -437,38 +274,15 @@ class TracingLayer(TransportLayer):
         self._end(verb, key, len(result) if verb == "GET" else nbytes, t0)
         return result
 
-    async def _atraced(self, verb: str, key: str, nbytes: int, request):
+    async def _acall(self, verb, key, nbytes, request, keys=()):
         t0 = self._start(verb, key, nbytes)
         try:
-            await request()
+            result = await request()
         except BaseException:
             self._end(verb, key, nbytes, t0, ok=False)
             raise
         self._end(verb, key, nbytes, t0)
-
-    def put(self, key: str, data: bytes) -> None:
-        self._traced("PUT", key, len(data), lambda: self._inner.put(key, data))
-
-    async def aput(self, key: str, data: bytes) -> None:
-        await self._atraced(
-            "PUT", key, len(data), lambda: self._inner.aput(key, data)
-        )
-
-    def get(self, key: str) -> bytes:
-        return self._traced("GET", key, 0, lambda: self._inner.get(key))
-
-    def list(self, prefix: str = "") -> list[ObjectInfo]:
-        return self._traced("LIST", prefix, 0, lambda: self._inner.list(prefix))
-
-    def _delete_request(self, keys: list[str]) -> None:
-        self._traced(
-            "DELETE", keys[0], 0, lambda: self._inner.delete_many(keys)
-        )
-
-    async def _adelete_request(self, keys: list[str]) -> None:
-        await self._atraced(
-            "DELETE", keys[0], 0, lambda: self._inner.adelete_many(keys)
-        )
+        return result
 
 
 # -- assembly ----------------------------------------------------------------
@@ -494,7 +308,7 @@ def build_transport(
     Only the layers whose knobs are provided are included, always in the
     canonical order (outermost first)::
 
-        Tracing -> Retry -> Meter -> Fault -> Latency -> backend
+        Tracing -> Retry -> Fault -> Meter -> backend
 
     Args:
         backend: the store at the bottom of the stack.
@@ -506,10 +320,11 @@ def build_transport(
         clock: time source for sleeps, tracing and store-time epochs.
         policy: explicit retry policy; overrides ``config``.
         tracing: include the TracingLayer (outermost).
-        latency: include a LatencyLayer with this model.
+        latency: the MeterLayer's latency model; implies ``metered``.
         faults: include a FaultLayer with this policy.
-        metered: include the MeterLayer (billing events).
-        time_scale: LatencyLayer sleep scaling.
+        metered: include the MeterLayer (billing events); with no
+            ``latency`` it models every request as free.
+        time_scale: MeterLayer sleep scaling.
         seed: RNG seed when ``rng`` is not shared in by the caller;
             defaults to ``config.seed`` so every layer of a
             config-assembled stack draws from one deterministic stream.
@@ -526,17 +341,15 @@ def build_transport(
     if epoch is None:
         epoch = clock.now()
     store = backend
-    if latency is not None:
-        store = LatencyLayer(
-            store, latency, clock=clock, time_scale=time_scale,
-            rng=rng, epoch=epoch,
+    if metered or latency is not None:
+        store = MeterLayer(
+            store, latency or LOCAL_LATENCY, clock=clock,
+            time_scale=time_scale, rng=rng, epoch=epoch, bus=bus,
         )
     if faults is not None:
         store = FaultLayer(
             store, faults, clock=clock, rng=rng, epoch=epoch, bus=bus,
         )
-    if metered:
-        store = MeterLayer(store, clock=clock, epoch=epoch, bus=bus)
     if policy is None and config is not None:
         policy = RetryPolicy.from_config(config)
     if policy is not None:

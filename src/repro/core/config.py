@@ -53,7 +53,7 @@ class SharedPoolConfig:
     retry_jitter: float = 0.0
     #: Per-verb overrides of ``max_retries`` (keys: PUT/GET/LIST/DELETE).
     retry_budgets: Mapping[str, int] = field(default_factory=dict)
-    #: Seed of the single RNG shared by the Fault/Latency/Retry transport
+    #: Seed of the single RNG shared by the Fault/Meter/Retry transport
     #: layers (jitter, fault sampling).  One stream, one knob: a drill
     #: that sets ``seed`` replays the same failure schedule every run.
     seed: int = 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 from repro.common import events
 from repro.common.events import Event, EventBus
+from repro.cloud.prefix import tenant_of_event
 
 
 @dataclass
@@ -145,16 +146,19 @@ class GinjaStats:
     def handle_event(self, event: Event) -> None:
         """Translate one observability event into counter deltas.
 
-        A tenant-stamped event (fleet bus) additionally rolls into that
-        tenant's own :class:`GinjaStats`, so a fleet reads both the
-        process-wide totals and each tenant's share off one subscriber.
+        An event that belongs to a tenant (:func:`~repro.cloud.prefix
+        .tenant_of_event`: stamped, or under a tenant's key) additionally
+        rolls into that tenant's own :class:`GinjaStats`, so a fleet
+        reads both the process-wide totals and each tenant's share off
+        one subscriber.
         """
         deltas = self._deltas(event)
         if deltas is None:
             return
         self.add(**deltas)
-        if event.tenant:
-            self.tenant(event.tenant).add(**deltas)
+        tenant_id = tenant_of_event(event)
+        if tenant_id:
+            self.tenant(tenant_id).add(**deltas)
 
     # -- per-tenant rollups ---------------------------------------------------
 

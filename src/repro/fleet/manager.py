@@ -44,7 +44,11 @@ from repro.core.ginja import Ginja
 from repro.core.stats import GinjaStats
 from repro.cloud.interface import ObjectStore
 from repro.cloud.metering import TenantMeterBank
-from repro.cloud.prefix import PrefixedObjectStore, tenant_of_key, tenant_prefix
+from repro.cloud.prefix import (
+    PrefixedObjectStore,
+    tenant_of_event,
+    tenant_prefix,
+)
 from repro.cloud.pricing import PriceBook, S3_STANDARD_2017
 from repro.cloud.reactor import UploadReactor
 from repro.cloud.transport import build_transport
@@ -87,7 +91,7 @@ class UploadOverlapTracker:
         return self
 
     def handle_event(self, event: Event) -> None:
-        tenant = event.tenant or tenant_of_key(event.key) or ""
+        tenant = tenant_of_event(event) or ""
         with self._lock:
             if event.kind == events.PUT_START:
                 self.puts_observed += 1
@@ -139,7 +143,6 @@ class FleetManager:
         shared: SharedPoolConfig | None = None,
         *,
         clock: Clock = SYSTEM_CLOCK,
-        metered: bool = True,
     ):
         self.shared = shared or SharedPoolConfig()
         self.clock = clock
@@ -149,7 +152,7 @@ class FleetManager:
         #: Fleet totals with per-tenant rollups (``stats.tenant(id)``).
         self.stats = GinjaStats().attach(self.bus)
         #: Per-tenant request metering with exact reconciliation.
-        self.meters = TenantMeterBank().attach(self.bus) if metered else None
+        self.meters = TenantMeterBank().attach(self.bus)
         self.uploads = UploadOverlapTracker().attach(self.bus)
         #: Shared worker pools (the whole point of co-hosting).  One
         #: encoder: claim jobs are GIL-bound, so a second worker only
@@ -173,7 +176,7 @@ class FleetManager:
         self.epoch = clock.now()
         #: One transport stack for every tenant's I/O.
         self.transport = build_transport(
-            backend, self.shared, bus=self.bus, clock=clock, metered=metered,
+            backend, self.shared, bus=self.bus, clock=clock, metered=True,
             epoch=self.epoch,
         )
         self._tenants: dict[str, Ginja] = {}
@@ -442,8 +445,6 @@ class FleetManager:
         prices: PriceBook = S3_STANDARD_2017,
     ) -> FleetBill:
         """Price the metered window per tenant (§7 economics, fleet form)."""
-        if self.meters is None:
-            raise GinjaError("fleet was built with metered=False")
         if elapsed is None:
             elapsed = self.elapsed()
         return attribute_fleet_costs(self.meters, prices, elapsed)

@@ -186,7 +186,7 @@ def build_stack(config: StackConfig | None = None, **overrides) -> Stack:
         ginja_config = config.ginja
         if ginja_config.providers > 1 or ginja_config.placement != "mirror-1":
             # Multi-provider placement: each provider carries its own
-            # Meter/Fault/Latency stack, so the single SimulatedCloud is
+            # Fault/Meter stack, so the single SimulatedCloud is
             # replaced wholesale (Ginja still wraps the placement store
             # with the Tracing/Retry portion, as with any cloud).
             cloud = build_placement(

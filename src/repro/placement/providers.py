@@ -1,7 +1,7 @@
 """Simulated cloud providers for the placement subsystem.
 
 Each :class:`Provider` is one independent cloud: its own backend bucket
-under its own Meter→Fault→Latency transport stack (the same portion of
+under its own Fault→Meter transport stack (the same portion of
 the chain :class:`~repro.cloud.simulated.SimulatedCloud` assembles),
 with an independent :class:`~repro.cloud.faults.FaultPolicy`,
 :class:`~repro.cloud.latency.LatencyModel`, RNG seed and
@@ -98,7 +98,7 @@ def default_provider_specs(
 class Provider:
     """One live simulated provider: backend + transport + meter.
 
-    The transport is the Meter→Fault→Latency stack over the backend;
+    The transport is the Fault→Meter stack over the backend;
     ``store`` is what the placement layer issues verbs against.
     """
 

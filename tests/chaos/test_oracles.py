@@ -114,13 +114,12 @@ class TestGCOracleOnBatchedGC:
 
         class GreedyGC(TransportLayer):
             """Sits where the uploader's requests enter the transport:
-            no async twin, so the reactor runs this method on its
-            executor."""
+            the reactor awaits the async batch DELETE."""
 
-            def _delete_request(self, keys):
+            async def _adelete_request(self, keys):
                 if mutate:
                     keys = keys + [wals[-1].key]  # one past the frontier
-                super()._delete_request(keys)
+                await super()._adelete_request(keys)
 
         transport = GreedyGC(build_transport(backend, config, bus=bus))
         uploader = CheckpointUploader(config, transport, view, pools[1], bus)

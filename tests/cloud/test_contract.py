@@ -1,11 +1,13 @@
 """The object-store contract: five primitive requests per store, every
 other verb derived once, in :class:`ObjectStore`.
 
-A store or transport layer implements ``put`` / ``aput``, ``get``,
-``list``, ``stat`` and the batch DELETE ``_delete_request`` /
-``_adelete_request``.  ``delete``, ``delete_many``, ``adelete_many`` and
-``exists`` are the interface's alone, so a layer cannot give one of
-them a behaviour its primitive request lacks.
+A store implements ``put`` / ``aput``, ``get``, ``list``, ``stat`` and
+the batch DELETE ``_delete_request`` / ``_adelete_request``.
+``delete``, ``delete_many``, ``adelete_many`` and ``exists`` are the
+interface's alone, so a layer cannot give one of them a behaviour its
+primitive request lacks.  A transport layer writes not even the
+primitives: :class:`TransportLayer` does, once, and a layer overrides
+only its two hooks, ``_call`` / ``_acall``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ import pkgutil
 import pytest
 
 import repro
-from repro.cloud.interface import ObjectStore
+from repro.cloud.interface import ObjectStore, TransportLayer
 from repro.cloud.memory import InMemoryObjectStore
 
 DERIVED = ("delete", "delete_many", "adelete_many", "exists")
+PRIMITIVE = (
+    "put", "aput", "get", "list", "stat",
+    "_delete_request", "_adelete_request",
+)
 
 
 def _subclasses(cls):
@@ -63,7 +69,7 @@ class TestDerivedVerbsLiveInTheInterface:
         assert {
             "InMemoryObjectStore", "DirectoryObjectStore", "BotoS3Store",
             "SimulatedCloud", "PrefixedObjectStore", "RetryLayer",
-            "TransportLayer", "LatencyLayer", "FaultLayer", "MeterLayer",
+            "TransportLayer", "FaultLayer", "MeterLayer",
             "TracingLayer", "PlacementStore",
         } <= names
 
@@ -72,6 +78,19 @@ class TestDerivedVerbsLiveInTheInterface:
             f"{cls.__module__}.{cls.__qualname__}.{verb}"
             for cls in _source_stores()
             for verb in DERIVED
+            if verb in vars(cls)
+        ]
+        assert offenders == []
+
+    def test_a_transport_layer_writes_hooks_not_verbs(self):
+        layers = [cls for cls in _source_stores()
+                  if issubclass(cls, TransportLayer) and cls is not TransportLayer]
+        assert {"RetryLayer", "FaultLayer", "MeterLayer", "TracingLayer",
+                "SimulatedCloud"} <= {cls.__name__ for cls in layers}
+        offenders = [
+            f"{cls.__module__}.{cls.__qualname__}.{verb}"
+            for cls in layers
+            for verb in PRIMITIVE
             if verb in vars(cls)
         ]
         assert offenders == []

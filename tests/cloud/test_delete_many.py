@@ -29,7 +29,6 @@ from repro.cloud.s3 import BotoS3Store
 from repro.cloud.simulated import SimulatedCloud
 from repro.cloud.transport import (
     FaultLayer,
-    LatencyLayer,
     MeterLayer,
     TracingLayer,
     build_transport,
@@ -114,8 +113,9 @@ def _simulated(tmp_path):
 
 
 def _latency(tmp_path):
-    return LatencyLayer(InMemoryObjectStore(), LatencyModel(delete_base=0.008),
-                        clock=ManualClock())
+    """The latency-modeling layer: a meter with a non-zero model."""
+    return MeterLayer(InMemoryObjectStore(), LatencyModel(delete_base=0.008),
+                      clock=ManualClock(), bus=EventBus())
 
 
 def _fault(tmp_path):

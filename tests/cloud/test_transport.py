@@ -49,8 +49,8 @@ class TestAssembly:
             faults=FaultPolicy(), metered=True, time_scale=0.0,
         )
         assert describe_transport(stack) == [
-            "TracingLayer", "RetryLayer", "MeterLayer", "FaultLayer",
-            "LatencyLayer", "InMemoryObjectStore",
+            "TracingLayer", "RetryLayer", "FaultLayer", "MeterLayer",
+            "InMemoryObjectStore",
         ]
 
     def test_layers_included_only_when_asked(self):

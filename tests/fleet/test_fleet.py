@@ -322,7 +322,40 @@ class TestFleetRecovery:
         db_b.close()
 
 
+def bucket_bytes(store):
+    """Bytes held by the backend at the bottom of a transport stack."""
+    while getattr(store, "inner", None) is not None:
+        store = store.inner
+    return sum(info.size for info in store.list())
+
+
 class TestFleetMetering:
+    def test_storage_integral_sees_overwrites_and_deletes(self):
+        # The shared stack has no latency model beneath its meter; the
+        # meter still reads what each request replaces or removes.
+        fleet = FleetManager(InMemoryObjectStore())
+        key = "tenants/acme/WAL/1"
+        fleet.transport.put(key, b"x" * 1000)
+        fleet.transport.put(key, b"y" * 1000)
+        fleet.transport.delete_many([key])
+        assert bucket_bytes(fleet.transport) == 0
+        assert fleet.meters.total.stored_bytes == 0
+        assert fleet.meters.tenant("acme").stored_bytes == 0
+
+    def test_checkpointing_tenant_is_billed_for_what_the_bucket_holds(
+        self, fleet
+    ):
+        _, db = admit(fleet, "ck")
+        for round_ in range(3):
+            commit_rows(db, "ck", 10, start=10 * round_)
+            db.checkpoint()
+            assert fleet.tenant("ck").drain(timeout=30.0)
+        db.close()
+        assert fleet.stats.gc_deletes > 0
+        held = bucket_bytes(fleet.transport)
+        assert fleet.meters.tenant("ck").stored_bytes == held > 0
+        assert fleet.meters.total.stored_bytes == held
+
     def test_meters_reconcile_exactly(self, fleet):
         dbs = {}
         for tenant_id in ("m1", "m2", "m3"):
@@ -360,12 +393,17 @@ class TestFleetMetering:
         _, db = admit(fleet, "statty")
         commit_rows(db, "statty", 10)
         assert fleet.tenant("statty").drain(timeout=30.0)
+        db.checkpoint()
+        assert fleet.tenant("statty").drain(timeout=30.0)
         db.close()
         rollup = fleet.stats.tenant("statty")
         assert rollup.wal_batches > 0
         assert rollup.wal_objects > 0
         # The fleet totals include everything the tenants did.
         assert fleet.stats.wal_batches >= rollup.wal_batches
+        # GC narration comes from the shared stack, unstamped, under
+        # full keys: it is the one tenant's all the same.
+        assert rollup.gc_deletes == fleet.stats.gc_deletes > 0
 
     def test_health_reports_tenants_and_pools(self, fleet):
         ginja, db = admit(fleet, "h1")

@@ -144,11 +144,10 @@ def _best(passes) -> float:
 
 
 def bench_pipeline(*, optimized: bool, updates: int, page_size: int,
-                   uploaders: int = 5, encoders: int = 4,
-                   batch: int = 50, seed: int = 1234,
+                   uploaders: int = 5, batch: int = 50, seed: int = 1234,
                    repeats: int = 3, cloud_factory=None) -> float:
     """Submit→unlock throughput with compress+encrypt on a zero-latency
-    cloud — the CPU-bound shape where the encode stage matters.
+    cloud — the CPU-bound shape where the claim job's encode matters.
 
     ``optimized=False`` runs the same pipeline with the legacy
     copy-chain codec.  ``cloud_factory`` swaps the store the
@@ -173,10 +172,10 @@ def bench_pipeline(*, optimized: bool, updates: int, page_size: int,
                 backend=InMemoryObjectStore(), time_scale=0.0
             )
         # The stand-alone shape: what a Ginja builds for itself.
-        with running_pools(encoders, inflight=uploaders) as pools:
+        with running_pools(inflight=uploaders) as reactor:
             pipe = CommitPipeline(
                 config, build_transport(cloud, config), codec, CloudView(),
-                *pools,
+                reactor,
             )
             pipe.start()
             try:
@@ -438,23 +437,16 @@ def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
                 page_size: int = 4096, hot_factor: int = 4,
                 batch: int = 20, seed: int = 31, repeats: int = 3) -> float:
     """Fleet submit→unlock throughput: N tenant pipelines under a skewed
-    load, shared encode pool vs N private pools.
+    load, one shared reactor vs N private ones.
 
-    Both series run the *same total encoder thread count* (``tenants``
-    workers), so the ratio isolates the pooling structure rather than
-    raw parallelism: ``optimized=True`` is one shared ``tenants``-wide
-    EncodeStage with per-tenant fair-share lanes, ``optimized=False``
-    gives each tenant a private single-worker stage.  The load is
-    deliberately skewed (a hot third of the fleet submits
-    ``hot_factor``x the updates) — private pools strand the cold
-    tenants' workers while the hot tenants' single worker becomes the
-    makespan, which is exactly the idle capacity a shared pool
-    reclaims.
-
-    The upload reactor follows the same split as the encode pool: the
-    shared series runs one fleet-wide reactor (one loop thread, exactly
-    what ``FleetManager`` deploys), the private series gives every
-    pipeline its own — ``tenants`` loop threads, the stand-alone shape.
+    ``optimized=True`` runs every tenant's claim jobs, PUTs and unlocks
+    on one fleet-wide reactor with per-tenant fair-share lanes (one
+    loop thread, exactly what ``FleetManager`` deploys);
+    ``optimized=False`` gives each pipeline its own — ``tenants`` loop
+    threads, the stand-alone shape.  The load is deliberately skewed (a
+    hot third of the fleet submits ``hot_factor``x the updates).  Under
+    the GIL the claim jobs never encode side by side, so one loop must
+    keep up with ``tenants`` of them.
     """
     weights = [
         hot_factor if i < max(1, tenants // 3) else 1 for i in range(tenants)
@@ -470,7 +462,7 @@ def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
         with contextlib.ExitStack() as owned:
             if optimized:
                 shared = owned.enter_context(
-                    running_pools(tenants, inflight=2 * tenants)
+                    running_pools(inflight=2 * tenants)
                 )
             try:
                 for i in range(tenants):
@@ -486,13 +478,13 @@ def bench_fleet(*, optimized: bool, tenants: int, updates_per_tenant: int,
                         compress=True, encrypt=True, password=PASSWORD
                     )
                     # Private series: the pre-fleet layout, every tenant
-                    # with a one-worker stage and a reactor of its own.
-                    pools = shared if optimized else owned.enter_context(
-                        running_pools(1, inflight=2)
+                    # with a reactor of its own.
+                    reactor = shared if optimized else owned.enter_context(
+                        running_pools(inflight=2)
                     )
                     pipe = CommitPipeline(
                         config, build_transport(cloud, config), codec,
-                        CloudView(), *pools, lane=f"tenant-{i}",
+                        CloudView(), reactor, lane=f"tenant-{i}",
                     )
                     pipe.start()
                     pipes.append(pipe)
@@ -640,7 +632,7 @@ def run_suite(scale: float = 1.0) -> dict:
     }
     results["pipeline_submit_unlock"] = {
         "unit": "updates/s",
-        "config": "compress+encrypt, uploaders=5, encoders=4, B=50, "
+        "config": "compress+encrypt, uploaders=5, B=50, "
                   "8 KiB pages, zero-copy codec vs legacy copy-chain codec",
         # The band check only compares the ratio against a report from
         # a machine with the same CPU count.  On one CPU the shipped
@@ -688,13 +680,12 @@ def run_suite(scale: float = 1.0) -> dict:
     }
     results["fleet_submit_unlock"] = {
         "unit": "updates/s",
-        "config": "6 tenants (hot third at 4x), shared pool vs 6 private "
-                  "1-worker pools, compress+encrypt, 4 KiB pages",
-        # Equal thread counts in both series, but the work-stealing win
-        # depends on genuinely overlapping encoder work — floor-only
-        # across machines with different core counts.  On one CPU the
-        # shared pool must not lose to the private ones: a hard floor,
-        # no parallel exemption.
+        "config": "6 tenants (hot third at 4x), one shared reactor vs 6 "
+                  "private reactors, compress+encrypt, 4 KiB pages",
+        # Six loop threads against one: floor-only across machines
+        # with different core counts.  On one CPU the shared reactor
+        # must not lose to the private ones: a hard floor, no parallel
+        # exemption.
         "parallel": True,
         "floor_1cpu": 1.0,
         **fleet,

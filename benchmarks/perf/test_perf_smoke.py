@@ -46,7 +46,7 @@ class TestBenchmarksRun:
     @pytest.mark.parametrize("optimized", [False, True])
     def test_pipeline_bench_completes(self, optimized):
         rate = bench_pipeline(optimized=optimized, updates=30, page_size=1024,
-                              uploaders=2, encoders=2, batch=5)
+                              uploaders=2, batch=5)
         assert rate > 0
 
     @pytest.mark.parametrize("decode", [False, True])
@@ -94,7 +94,7 @@ class TestBenchmarksRun:
         from benchmarks.perf.harness import _mirror1_store
 
         rate = bench_pipeline(optimized=True, updates=20, page_size=1024,
-                              uploaders=2, encoders=2, batch=5,
+                              uploaders=2, batch=5,
                               cloud_factory=_mirror1_store)
         assert rate > 0
 

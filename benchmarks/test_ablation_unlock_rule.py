@@ -74,9 +74,9 @@ def run_variant(pipeline_cls) -> dict:
     view = CloudView()
     bus = EventBus()
     transport = build_transport(cloud, config, bus=bus)
-    with running_pools() as pools:
+    with running_pools() as reactor:
         pipeline = pipeline_cls(
-            config, transport, ObjectCodec(), view, *pools, bus
+            config, transport, ObjectCodec(), view, reactor, bus
         )
         pipeline.start()
         submitted = 0

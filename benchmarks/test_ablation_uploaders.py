@@ -38,9 +38,9 @@ def run_pool(uploaders: int) -> dict:
     view = CloudView()
     bus = EventBus()
     transport = build_transport(cloud, config, bus=bus)
-    with running_pools() as pools:
+    with running_pools() as reactor:
         pipeline = CommitPipeline(
-            config, transport, ObjectCodec(), view, *pools, bus
+            config, transport, ObjectCodec(), view, reactor, bus
         )
         pipeline.start()
         started = time.monotonic()

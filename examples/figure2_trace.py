@@ -47,20 +47,20 @@ class HeldCloud(InMemoryObjectStore):
 
 
 def main() -> None:
-    # A bare pipeline borrows its encoder pool and upload reactor (a
-    # Ginja instance or a fleet owns them in production).
-    with running_pools() as pools:
-        trace(pools)
+    # A bare pipeline borrows its upload reactor (a Ginja instance or a
+    # fleet owns it in production).
+    with running_pools() as reactor:
+        trace(reactor)
 
 
-def trace(pools) -> None:
+def trace(reactor) -> None:
     cloud = HeldCloud()
     config = GinjaConfig(batch=B, safety=S, batch_timeout=0.05,
                          safety_timeout=60.0, uploaders=5)
     view = CloudView()
     bus = EventBus()
     transport = build_transport(cloud, config, bus=bus)
-    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, *pools, bus)
+    pipeline = CommitPipeline(config, transport, ObjectCodec(), view, reactor, bus)
     pipeline.start()
     print(f"Figure 2 trace: B={B}, S={S}\n")
 

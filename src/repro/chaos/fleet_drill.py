@@ -1,8 +1,8 @@
 """Multi-tenant fleet drill: one tenant's disaster inside a busy fleet.
 
 The acceptance drill for :mod:`repro.fleet`: N tenants commit
-concurrently through one shared bucket and one encode/transport pool
-set, and the drill proves, in order:
+concurrently through one shared bucket, one upload reactor and one
+transport stack, and the drill proves, in order:
 
 1. **victim_drained** / **victim_rpo_zero** — one tenant drains, suffers
    a disaster while its co-tenants keep committing, and a standby
@@ -18,10 +18,10 @@ set, and the drill proves, in order:
    equals the bytes the bucket holds, and every PUT has an owner;
 6. **thread_budget** (with ``thread_budget``) — a census sampling the
    live thread set through the whole run never exceeds the budget.
-   All PUT and GC DELETE traffic and every T_B timer multiplex onto the
-   shared reactor, every claim job onto the fleet's one encoder, and
-   downloaders exist only while the victim is recovered — so
-   the peak is the same at 5 tenants as at 50.
+   Every claim job, all PUT and GC DELETE traffic and every T_B timer
+   multiplex onto the shared reactor's one loop thread, and
+   downloaders exist only while the victim is recovered — so the peak
+   is the same at 5 tenants as at 50.
 
 The census, the bill and the upload-overlap snapshot are diagnostics in
 ``extras``; the fleet runs on the system clock, so they vary run to run.

@@ -13,10 +13,13 @@ all of them with **one** asyncio event-loop thread:
 * deadline timers (:meth:`UploadReactor.call_at`) wait on the *caller's*
   clock as loop tasks — a commit pipeline's T_B is one of these, so an
   idle tenant costs a parked task, not a parked thread;
+* a commit pipeline's claim job (claim, plan, encode, hand to
+  :meth:`UploadReactor.submit`) runs on the loop too
+  (:meth:`UploadReactor.call_soon`), so a protected process holds this
+  one thread;
 * a bounded global in-flight window caps concurrency fleet-wide, and
   per-tenant *lanes* with round-robin admission keep one hot tenant
-  from starving the rest (mirroring the encode stage's lane
-  discipline);
+  from starving the rest;
 * retry backoff happens inside :meth:`RetryLayer.aput
   <repro.cloud.retry.RetryLayer.aput>` as an ``await`` on a loop
   timer, so a backing-off PUT holds zero threads;
@@ -278,8 +281,12 @@ class UploadReactor:
                       running=False)
         self._signal_stop()
         self._thread.join(timeout)
-        if self._thread.is_alive():  # pragma: no cover - wedged loop
-            raise GinjaError("upload reactor thread failed to stop")
+        if self._thread.is_alive():
+            # Wedged in a callback that never returns (a claim job's
+            # codec call): the thread stays on the census, and we name it.
+            raise GinjaError(
+                f"upload reactor thread failed to stop: {self._thread.name}"
+            )
         self._thread = None
         if self._executor is not None:
             # wait=True: the io threads must be gone when stop()
@@ -459,24 +466,47 @@ class UploadReactor:
         like ``on_done``; an ``Exception`` escaping it (or the clock)
         fires ``tenant``'s ``on_fatal`` hooks and nobody else's.
         """
-        with self._lock:
-            lane = self._live_lane_locked(tenant)
-            loop = self._loop
-        timer = Timer(loop)
+        timer = Timer(self._loop)
 
-        def arm() -> None:
+        def arm(lane: _Lane) -> None:
             if timer._cancelled or self._stopping:
                 return
-            task = loop.create_task(self._run_timer(clock, deadline, fn, lane))
+            task = timer._loop.create_task(
+                self._run_timer(clock, deadline, fn, lane)
+            )
             timer._task = task
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
+        self._post(tenant, arm)
+        return timer
+
+    def call_soon(self, fn, *, tenant: str) -> None:
+        """Run ``fn()`` on the loop thread, behind the callbacks already
+        queued there — a commit pipeline's claim job rides here.  Unlike
+        ``on_done``, ``fn`` may take a while (it encodes a batch): the
+        loop runs nothing else meanwhile.  It must not block on the
+        loop's own work.  An ``Exception`` escaping it fires
+        ``tenant``'s ``on_fatal`` hooks and nobody else's.
+        """
+        def run(lane: _Lane) -> None:
+            try:
+                fn()
+            except Exception as exc:
+                self._fire_fatals(lane, exc)
+
+        self._post(tenant, run)
+
+    def _post(self, tenant: str, callback) -> None:
+        """Queue ``callback(lane)`` on the loop, if ``tenant``'s lane can
+        still take work."""
+        with self._lock:
+            lane = self._live_lane_locked(tenant)
+            loop = self._loop
         try:
-            loop.call_soon_threadsafe(arm)
+            loop.call_soon_threadsafe(callback, lane)
         except RuntimeError as exc:  # loop closed between check and call
             raise GinjaError("upload reactor is not running") from exc
-        return timer
 
     async def _run_timer(self, clock, deadline: float, fn, lane: _Lane) -> None:
         try:
@@ -551,8 +581,7 @@ class UploadReactor:
         """Admit queued submissions up to the global and lane windows.
 
         Round-robin over lanes, one claim per visit, so a tenant with a
-        thousand queued PUTs cannot starve one with a single PUT —
-        the same fair-share discipline as the encode stage's lanes.
+        thousand queued PUTs cannot starve one with a single PUT.
         """
         while True:
             with self._lock:

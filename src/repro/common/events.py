@@ -41,10 +41,9 @@ GC_DELETE = "gc_delete"
 # Pipeline events (emitted by repro.core.commit_pipeline):
 COMMIT_BLOCKED = "commit_blocked"
 COMMIT_UNBLOCKED = "commit_unblocked"
-#: A claim job was scheduled on the pipeline's encode lane (a full batch
-#: or an expired T_B); ``count`` is the lane's queue depth with the job
-#: on it, ``total`` the stage-wide depth.  With ``wal_batch``'s ``at``
-#: it makes scheduled→claimed wait observable.
+#: A claim job was queued on the upload reactor's loop (a full batch, an
+#: expired T_B or a waiting drain); ``key`` is the pipeline's lane.  With
+#: ``wal_batch``'s ``at`` it makes scheduled→claimed wait observable.
 CLAIM_QUEUED = "claim_queued"
 #: A claim job claimed a batch and planned its WAL objects; ``count``
 #: is the updates claimed, ``total`` the bytes those writes submitted
@@ -73,8 +72,7 @@ CODEC = "codec"
 #: emits it; the constant stays because the frozen benchmark counts the
 #: kind.
 ENCODE_QUEUED = "encode_queued"
-#: One WAL object finished encoding; ``nbytes`` is the encoded size,
-#: ``count`` the lane's queue depth left, ``total`` the stage-wide one.
+#: One WAL object finished encoding; ``nbytes`` is the encoded size.
 ENCODE_DONE = "encode_done"
 #: Retired with the dispatch controller — nothing emits it; the
 #: constant stays because the frozen benchmark counts the kind.

@@ -1,8 +1,8 @@
 """One failure discipline: the first fatal error wins, and it is never silent.
 
-A component whose work runs on threads it does not own — jobs on a
-shared encode stage, completion callbacks on the upload reactor's loop,
-fetches on a download pool — has to turn a failure escaping that work
+A component whose work runs on threads it does not own — claim jobs
+and completion callbacks on the upload reactor's loop, fetches on a
+download pool — has to turn a failure escaping that work
 into its own state, or whoever waits on the work (a DBMS writer parked
 on S, a ``drain()``, a restore's apply cursor) waits forever on work
 that died.  :class:`Fuse` is that state, with four rules:

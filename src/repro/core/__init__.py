@@ -9,8 +9,7 @@ it to a cloud object store under a tunable Batch/Safety model:
 * :class:`~repro.core.cloud_view.CloudView` — the client-side picture of
   what is in the cloud;
 * :mod:`~repro.core.commit_pipeline` — Algorithm 2 (CommitQueue, claim
-  jobs on the encode stage, T_B timer and reactor lane, the unlock
-  rule);
+  jobs, T_B timer and lane on the upload reactor, the unlock rule);
 * :mod:`~repro.core.checkpointer` — Algorithm 3 (checkpoint capture,
   dump-vs-incremental decision, garbage collection, point-in-time
   retention);

@@ -60,7 +60,6 @@ from repro.core.data_model import (
     encode_dump_payload,
     split_dump_files,
 )
-from repro.core.encode_stage import EncodeStage
 from repro.core.shadow import Shadow, split_runs
 from repro.core.tuner import BatchTuner
 from repro.cloud.interface import ObjectStore, delete_slices
@@ -111,8 +110,6 @@ class CheckpointCollector:
         profile: DBMSProfile,
         enqueue: Callable[[_PendingObject], None],
         bus: EventBus | None = None,
-        encode_stage: EncodeStage | None = None,
-        lane: str = "",
         tuner: BatchTuner | None = None,
     ):
         self._config = config
@@ -120,8 +117,6 @@ class CheckpointCollector:
         #: threshold consults it, so a budget-limited tenant defers the
         #: most PUT-expensive object class (full dumps).
         self._tuner = tuner
-        #: Fair-share lane in the (shared) encode stage.
-        self._lane = lane
         self._codec = codec
         self._view = view
         self._fs = fs
@@ -129,12 +124,6 @@ class CheckpointCollector:
         #: Where a finished object goes: :meth:`CheckpointUploader.enqueue`.
         self._enqueue = enqueue
         self._bus = bus or NULL_BUS
-        #: Shared encode stage (the Ginja facade passes the same stage
-        #: the commit pipeline uses): parts 2…n of a checkpoint object
-        #: encode on its worker beside the DBMS's checkpoint thread,
-        #: which encodes the first.  ``None`` — or a stopped stage —
-        #: encodes inline.
-        self._stage = encode_stage
         self._active = False
         self._ts = -1
         #: The checkpoint's writes in write order — which is the order
@@ -249,28 +238,17 @@ class CheckpointCollector:
     def _db_files(self) -> list[str]:
         return [p for p in self._fs.files() if self._profile.is_db_file(p)]
 
-    def _encode_part(self, payload: bytes) -> bytes:
-        """Frame→codec one part; runs on an encoder worker (or inline)."""
-        if self._bus.wants(events.CODEC):
-            self._bus.emit(events.CODEC, nbytes=len(payload))
-        return self._codec.encode(payload)
-
     def _encode_groups(self, groups: list, encode_payload) -> list[bytes]:
-        """Encode every part, on the shared stage when one is attached.
-
-        :meth:`EncodeStage.map` preserves order, encodes the first part
-        on this (the DBMS checkpoint) thread — so a one-part object
-        takes no worker — re-raises the first failure here, and
-        degrades to inline execution when the stage is not running —
-        the exact semantics the old serial loop had.
-        """
-        jobs = [
-            (lambda group=group: self._encode_part(encode_payload(group)))
-            for group in groups
-        ]
-        if self._stage is not None:
-            return self._stage.map(jobs, lane=self._lane)
-        return [job() for job in jobs]
+        """Frame→codec every part, in order, on this (the DBMS
+        checkpoint) thread, which would only wait for them otherwise; a
+        failure raises here and kills the checkpoint."""
+        parts = []
+        for group in groups:
+            payload = encode_payload(group)
+            if self._bus.wants(events.CODEC):
+                self._bus.emit(events.CODEC, nbytes=len(payload))
+            parts.append(self._codec.encode(payload))
+        return parts
 
     def _build_incremental(self, writes) -> tuple[_PendingObject, tuple]:
         """The checkpoint object, and what the shadow learns from it

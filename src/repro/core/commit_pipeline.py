@@ -2,7 +2,7 @@
 
 Anatomy (the paper's Figure 3 with its per-database threads taken out:
 the pipeline owns **no thread** — it is a queue, a timer and jobs on
-pools it borrows):
+the upload reactor it borrows):
 
 * DBMS threads call :meth:`CommitPipeline.submit` from the interposer's
   ``after_write`` hook.  The write is already durable locally; submit
@@ -15,27 +15,30 @@ pools it borrows):
   <repro.cloud.reactor.UploadReactor.call_at>`).  When it fires it
   re-reads the deadline — the anchor moves at every claim and every
   unlock, and a schedule or a retune may have changed T_B — and either
-  re-arms or schedules a claim; it never plans or encodes on the loop.
+  re-arms or schedules a claim job.
   On a :class:`~repro.common.clock.ManualClock`, advancing the clock
   past the deadline *is* what fires it.  A waiting
   :meth:`~CommitPipeline.drain` does not wait for it: while one waits,
   a partial batch is claimed at once.
-* The **claim job** runs on an encoder worker
-  (:class:`~repro.core.encode_stage.EncodeStage`), on the pipeline's
-  fair-share lane, at most one at a time per pipeline: it claims up to
-  B queued updates (without removing them), coalesces overwritten
+* The **claim job** runs on the same loop (:meth:`UploadReactor.call_soon
+  <repro.cloud.reactor.UploadReactor.call_soon>`), at most one queued or
+  running per pipeline — so the loop's FIFO serves each pipeline one
+  claim per turn, and a co-tenant's burst cannot starve a cold tenant's
+  flush.  It claims up to B queued updates (without removing them),
+  coalesces overwritten
   pages, cuts each rewritten page down to the bytes that changed since
   it last shipped (the shared :class:`~repro.core.shadow.Shadow`) and
   leaves out the zero padding the bucket already holds
   (:func:`plan_writes`), splits the result into WAL objects of at most
   ``max_object_bytes`` and assigns timestamps — everything
-  ordering-sensitive, on one thread at a time, so the
-  consecutive-timestamps unlock rule is untouched.  The worker that
-  planned keeps going: it encodes each object and hands it to the
-  reactor in ts order, so object 1 uploads while object 2 (rare — a
-  batch that spans files or exceeds the object cap) encodes.  When it
-  finishes it re-checks under the lock and reschedules itself, re-arms
-  the timer for a leftover partial batch, or goes idle.
+  ordering-sensitive, on one thread, so the consecutive-timestamps
+  unlock rule is untouched.  The job that planned keeps going: it
+  encodes each object (more than one only for a batch that spans files
+  or exceeds the object cap) and hands it to the reactor in ts order.
+  When it finishes it re-checks under the lock and reschedules itself,
+  re-arms the timer for a leftover partial batch, or goes idle.  The
+  loop runs nothing else while a claim encodes (DESIGN.md, "Thread
+  anatomy and ownership", weighs that).
 * Encoded objects are submitted to the shared **upload reactor**
   (:class:`~repro.cloud.reactor.UploadReactor`): one event-loop thread
   drives every PUT through the cloud transport's async path, with the
@@ -53,7 +56,7 @@ each only ever serialised work that a queue already orders, so each
 kept its code and lost its thread.
 
 Every failure — a PUT that exhausts its retries or is cancelled, and
-anything escaping a claim job, an encode job or an ack — blows the
+anything escaping a claim job or an ack — blows the
 pipeline's :class:`~repro.common.fuse.Fuse` (DESIGN.md, "Failure
 discipline"): submitters fail fast instead of waiting on work that
 died, because a dropped WAL object leaves a timestamp gap recovery
@@ -97,14 +100,13 @@ from repro.core.cloud_view import CloudView
 from repro.core.codec import ObjectCodec
 from repro.core.config import GinjaConfig
 from repro.core.data_model import WALObjectMeta, encode_wal_payload
-from repro.core.encode_stage import EncodeStage
 from repro.core.shadow import Shadow, elide_known_zeros, split_runs
 from repro.core.tuner import BatchTuner
 from repro.cloud.interface import ObjectStore
 from repro.cloud.reactor import Timer, UploadHandle, UploadReactor
 
-#: Where the pipeline's one claim job is: not scheduled, waiting on the
-#: encode lane, or on a worker.
+#: Where the pipeline's one claim job is: not scheduled, queued on the
+#: reactor loop, or running there.
 _IDLE, _QUEUED, _RUNNING = range(3)
 
 
@@ -130,17 +132,14 @@ class CommitPipeline:
             store works too; it just fails on the first error.
         codec: compress/encrypt/MAC encoder.
         view: the shared picture of what the cloud contains.
-        encode_stage: the running :class:`EncodeStage` the claim jobs
-            run on — the Ginja facade's (shared with its checkpoint
-            collector) or a fleet's.  Borrowed: the pipeline never
-            starts or stops it.
-        reactor: the running :class:`UploadReactor` every PUT rides and
-            the T_B timer waits on — the Ginja facade's (shared with
-            its checkpointer) or a fleet's.  Borrowed likewise; the
-            pipeline only attaches and detaches its ``lane``.
+        reactor: the running :class:`UploadReactor` every PUT rides,
+            the T_B timer waits on and the claim jobs run on — the Ginja
+            facade's (shared with its checkpointer) or a fleet's.
+            Borrowed: the pipeline never starts or stops it, and only
+            attaches and detaches its ``lane``.
         bus: event bus for observability (default: events are dropped).
         clock: time source for T_B/T_S accounting.
-        lane: fair-share lane in both pools; a fleet passes the tenant id.
+        lane: fair-share lane on the reactor; a fleet passes the tenant id.
     """
 
     def __init__(
@@ -149,7 +148,6 @@ class CommitPipeline:
         cloud: ObjectStore,
         codec: ObjectCodec,
         view: CloudView,
-        encode_stage: EncodeStage,
         reactor: UploadReactor,
         bus: EventBus | None = None,
         clock: Clock = SYSTEM_CLOCK,
@@ -162,7 +160,6 @@ class CommitPipeline:
         self._bus = bus or NULL_BUS
         self._clock = clock
         self._lane = lane
-        self._stage = encode_stage
         self._reactor = reactor
         #: Adaptive B/S/T_B controller; ``None`` unless the config sets
         #: a commit-latency target, in which case the wait/claim limits
@@ -274,8 +271,9 @@ class CommitPipeline:
     def _halt(self, join_timeout: float) -> None:
         """No claim of this pipeline runs once this returns: the timer
         is cancelled, a claim still *queued* on the (possibly shared)
-        stage will read ``_stop`` and do nothing, and one on a worker
-        right now is waited out — for ``join_timeout`` real seconds."""
+        reactor loop will read ``_stop`` and do nothing, and one running
+        there right now is waited out — for ``join_timeout`` real
+        seconds."""
         with self._cond:
             self._stop = True
             timer, self._timer = self._timer, None
@@ -288,8 +286,8 @@ class CommitPipeline:
         if timer is not None:
             timer.cancel()
         if not left:
-            # Wedged (a codec call that never returns): the worker it
-            # holds stays on the stage's roster, and we say so.
+            # Wedged (a codec call that never returns): the loop it
+            # holds cannot stop either, and the reactor's stop says so.
             self._fuse.blow(GinjaError("claim job failed to stop"))
         # An upload resolving after this point still runs its unlock in
         # the reactor callback; there is no consumer thread to outlive.
@@ -342,6 +340,11 @@ class CommitPipeline:
     @property
     def failed(self) -> Exception | None:
         return self._fuse.error
+
+    @property
+    def claim_queued(self) -> bool:
+        """True while this pipeline's claim job waits on the loop."""
+        return self._claim == _QUEUED
 
     def pending_updates(self) -> int:
         with self._cond:
@@ -460,18 +463,16 @@ class CommitPipeline:
                         )
                         self._timer_deadline = deadline
                     return
-            self._stage.submit(self._claim_job, self._fuse, lane=self._lane)
+            self._reactor.call_soon(self._claim_job, tenant=self._lane)
         except GinjaError as exc:
-            # The borrowed pool stopped or died under us.
+            # The borrowed reactor stopped or died under us.
             self._fuse.blow(exc)
             return
         # The claim job takes this lock first: it cannot run before this.
         self._claim = _QUEUED
         if self._bus.wants(events.CLAIM_QUEUED):
             self._bus.emit(
-                events.CLAIM_QUEUED, key=self._lane,
-                count=self._stage.lane_depth(self._lane),
-                total=self._stage.queue_depth(), at=self._clock.now(),
+                events.CLAIM_QUEUED, key=self._lane, at=self._clock.now(),
             )
 
     def _timer_fired(self) -> None:
@@ -486,7 +487,7 @@ class CommitPipeline:
                 self._cond.notify_all()  # settle() may be waiting on it
 
     def _claim_job(self) -> None:
-        """One scheduled claim, on an encoder worker: claim → plan →
+        """One scheduled claim, on the reactor loop: claim → plan →
         timestamp → encode → upload, then decide what comes next.  A
         failure blows the fuse *before* the claim is released, so no
         second claim can plan a batch behind it."""
@@ -509,7 +510,7 @@ class CommitPipeline:
     def _claim_locked(self) -> tuple[int, list[_Entry]] | None:
         """Claim the next batch — or nothing: a stopped or failed
         pipeline's queued claim is a no-op (its co-tenants on a shared
-        stage never notice)."""
+        reactor never notice)."""
         if self._stop or self._fuse.error is not None:
             return None
         self._claim = _RUNNING
@@ -550,8 +551,7 @@ class CommitPipeline:
             return
         with self._cond:
             self._inflight_objects[batch_id] = len(objects)
-        # In ts order, on this worker: each object uploads while the
-        # next one encodes.
+        # In ts order; the loop admits their PUTs once this job returns.
         for meta, chunks in objects:
             self._encode_and_enqueue(batch_id, meta, chunks)
 
@@ -593,8 +593,6 @@ class CommitPipeline:
         if bus.wants(events.ENCODE_DONE):
             bus.emit(
                 events.ENCODE_DONE, key=meta.key, nbytes=len(blob),
-                count=self._stage.lane_depth(self._lane),
-                total=self._stage.queue_depth(),
                 at=self._clock.now(),
             )
 
@@ -603,9 +601,8 @@ class CommitPipeline:
     def _submit_upload(self, batch_id: int, meta: WALObjectMeta, blob: bytes) -> None:
         """Hand one encoded WAL object to the upload reactor.
 
-        Runs on an encoder worker and returns immediately — PUT
-        concurrency is the reactor lane's in-flight window, not a
-        thread count.
+        Runs in the claim job and returns at once — PUT concurrency is
+        the reactor lane's in-flight window, not a thread count.
         """
         if self._fuse.error is not None:
             # Failed (or aborted): the batch can never ack, so drop the

@@ -17,9 +17,9 @@ class SharedPoolConfig:
 
     Everything here describes infrastructure that exists once per
     protection process, no matter how many tenant databases it serves:
-    the recovery download pool, the upload reactor and the transport
-    stack's retry layers.  (The encode stage has no knob: one worker
-    per process, see :mod:`repro.core.encode_stage`.)  A
+    the recovery download pool, the upload reactor (whose loop also
+    runs every claim job — there is no encoder to size) and the
+    transport stack's retry layers.  A
     :class:`~repro.fleet.manager.FleetManager` builds those from one
     ``SharedPoolConfig`` and injects them into every tenant's
     :class:`~repro.core.ginja.Ginja`; a single-tenant ``Ginja`` reads

@@ -1,30 +1,15 @@
-"""The encode stage: a sized worker pool for off-DBMS-thread work.
+"""The restore helper pool: a sized worker pool for blocking jobs.
 
-The paper's Figure 3 gives every database an Aggregator thread that
-claims, coalesces, compresses and encrypts serially.  Here that work is
-a *job* on this pool::
-
-    submit (DBMS thread)  →  claim job on the EncodeStage  →  upload reactor
-
-A commit pipeline schedules at most one **claim job** at a time on its
-lane: claim a batch, plan its WAL objects, assign their timestamps,
-then encode and hand each object to the reactor in ts order.  So
-everything ordering-sensitive runs on one thread at a time per
-pipeline, and the uploads behind it are ordered downstream by the
-consecutive-timestamp unlock rule.
-
-**One encoder per process.**  ``Ginja`` and ``FleetManager`` build their
-stage with one worker.  A lone pipeline never has two claim jobs in
-flight, and a fleet's claim jobs (≈ 0.3 ms each) are GIL-bound: with
-six compress+encrypt tenants on a zero-latency cloud (the perf
-harness's ``fleet_submit_unlock`` series, 2-core box), shared pools of
-6, 2 and 1 workers read 23.2k / 23.4k / 22.7k and 21.1k / 22.7k /
-21.5k updates/s over two rounds — one worker is within 3 % of six even
-where encoding is the bottleneck.  :meth:`EncodeStage.map` runs one of its
-jobs on the calling thread, which blocks there anyway, so a
-multi-part checkpoint still encodes two parts at once.  Other pools
-are sized by their owners: the recovery engine's download helpers and
-a fleet's shared download pool are stages too.
+A disaster recovery fetches and decodes its plan positions on helper
+threads beside the restoring one (:mod:`repro.core.recovery`): each
+helper blocks in a synchronous GET, so it needs a thread of its own.
+A stand-alone restore builds a private pool (``ginja-downloader-*``)
+and stops it when the restore ends; a fleet shares one
+(``fleet-downloader-*``) across concurrent restores, one fair-share
+lane per tenant.  Nothing on the write path runs here: a commit
+pipeline's claim jobs run on the upload reactor's loop, and a
+checkpoint encodes on the DBMS's checkpointing thread (DESIGN.md,
+"Thread anatomy and ownership", says why there is no encoder).
 
 **Workers start on demand.**  :meth:`EncodeStage.start` opens the stage
 and starts no thread; :meth:`EncodeStage.submit` starts one, under the
@@ -35,17 +20,15 @@ concurrent demand of the run.
 
 **Fair-share lanes.**  Jobs are queued per *lane* (a fleet passes the
 tenant id; single-tenant callers use the default lane) and workers pick
-lanes round-robin, so a tenant that floods the stage with a burst of
+lanes round-robin, so a tenant that floods the pool with a burst of
 jobs cannot starve its co-tenants: each non-empty lane gets one job
-per scheduling turn — a cold tenant's T_B flush waits for at most one
-job per busy lane, never for a burst.  With a single lane this
-degenerates to the FIFO queue the stage always had.
+per scheduling turn.  With a single lane this degenerates to a FIFO
+queue.
 
 Every job is submitted with the :class:`~repro.common.fuse.Fuse` its
-failure goes to — the submitting pipeline's, a restore's, a
-:meth:`map` call's — and runs under that fuse's ``guard``; a job the
-crash path discards blows its fuse instead of running (DESIGN.md,
-"Failure discipline").  :meth:`submit` on a stage that is not running
+failure goes to — a restore's, a :meth:`map` call's — and runs under
+that fuse's ``guard``; a job the crash path discards blows its fuse
+instead of running (DESIGN.md, "Failure discipline").  :meth:`submit` on a stage that is not running
 raises :class:`~repro.common.errors.GinjaError`, and :meth:`stop`
 raises when a worker fails to join (a job blocked forever) instead of
 leaking it with ``running`` reporting False.
@@ -63,15 +46,15 @@ from repro.common.fuse import Fuse
 
 
 class EncodeStage:
-    """At most ``workers`` encoder threads, started on demand and fed
-    from per-lane FIFO queues.
+    """At most ``workers`` threads, started on demand and fed from
+    per-lane FIFO queues.
 
     Args:
         workers: most threads the pool starts.
         name: thread-name prefix (the thread census groups by it).
     """
 
-    def __init__(self, workers: int, *, name: str = "ginja-encoder"):
+    def __init__(self, workers: int, *, name: str = "ginja-downloader"):
         if workers < 1:
             raise GinjaError("encode stage needs at least one worker")
         self._workers = workers
@@ -157,17 +140,17 @@ class EncodeStage:
     ) -> None:
         """Queue one fire-and-forget job, run as ``fuse.guard(job)``.
 
-        The job owns its own result delivery (e.g. handing an encoded
-        blob to the upload reactor); whatever escapes it blows ``fuse``
-        — its owner's, never the stage's.  ``lane`` names the fair-share
-        queue — a fleet passes the tenant id so one tenant's burst
-        cannot starve the others.
+        The job owns its own result delivery (e.g. a restore helper
+        parks its decoded payload for the applying thread); whatever
+        escapes it blows ``fuse`` — its owner's, never the stage's.
+        ``lane`` names the fair-share queue — a fleet passes the tenant
+        id so one tenant's burst cannot starve the others.
 
         Raises:
             GinjaError: when the stage is not running.  No worker would
                 ever start for the job; callers either hold the stage
-                running for the submission's lifetime (the pipeline
-                does) or must handle the error.
+                running for the submission's lifetime or must handle
+                the error.
         """
         with self._cond:
             if not self._running:
@@ -214,16 +197,13 @@ class EncodeStage:
     ) -> list[object]:
         """Run ``jobs``, block for all, return results in order.
 
-        Used by the checkpoint collector to encode a checkpoint's parts
-        in parallel.  The first job runs on the calling thread, which
-        would only wait here otherwise, and the rest on the pool — so a
-        one-part checkpoint object takes no worker; when the stage is
-        not running every job runs here, so callers never need a
-        fallback path.  The call's own fuse carries the first exception
-        any job raised (or the discard of one), which is re-raised here,
-        in the calling thread, without waiting for the rest — the
-        collector's caller (the DBMS's checkpointing thread) keeps the
-        kill-the-checkpointer discipline it had when encoding inline.
+        The first job runs on the calling thread, which would only wait
+        here otherwise, and the rest on the pool — so one job takes no
+        worker; when the stage is not running every job runs here, so
+        callers never need a fallback path.  The call's own fuse
+        carries the first exception any job raised (or the discard of
+        one), which is re-raised here, in the calling thread, without
+        waiting for the rest.
         """
         if len(jobs) <= 1 or not self._running:
             return [job() for job in jobs]

@@ -66,7 +66,6 @@ class Ginja:
         tenant: str = "",
         bus: EventBus | None = None,
         transport: ObjectStore | None = None,
-        encode_stage: EncodeStage | None = None,
         reactor: UploadReactor | None = None,
     ):
         """Stand-alone construction builds (and owns) everything
@@ -78,8 +77,6 @@ class Ginja:
           fleet's shared transport stack).  When given, no private
           transport stack is built and ``cloud`` is treated as raw-store
           access *through the same namespace* (fsck, stale-key deletes).
-        * ``encode_stage`` — the shared worker pool; this instance
-          submits into its ``tenant`` lane.
         * ``reactor`` — the shared upload reactor; this instance
           attaches its ``tenant`` lane.
         * ``bus`` — a tenant-scoped :class:`EventBus` so every event this
@@ -89,8 +86,8 @@ class Ginja:
         self.profile = profile
         self.cloud = cloud
         self.clock = clock
-        #: Fleet tenant id; doubles as the fair-share lane name in the
-        #: shared pools.  Empty for a stand-alone instance.
+        #: Fleet tenant id; doubles as the fair-share lane name on the
+        #: shared reactor.  Empty for a stand-alone instance.
         self.tenant = tenant
         #: Every component narrates itself here; subscribe a
         #: TraceRecorder (or anything callable) to watch a run live.
@@ -120,26 +117,21 @@ class Ginja:
             time_scale=time_scale,
             clock=clock,
         )
-        #: One encoder shared by the commit pipeline and the checkpoint
-        #: collector: the pipeline never has two claim jobs in flight,
-        #: and a checkpoint encodes its first part on its caller.
-        self.encode_stage = encode_stage or EncodeStage(1)
-        #: One upload reactor drives WAL PUTs, checkpoint PUTs and GC
-        #: DELETEs (the tenant's lane on a fleet-shared loop, or a
-        #: private loop for a stand-alone instance) — O(1) upload
-        #: threads either way, and none of them the tenant's.
+        #: One upload reactor runs the claim jobs and drives WAL PUTs,
+        #: checkpoint PUTs and GC DELETEs (the tenant's lane on a
+        #: fleet-shared loop, or a private loop for a stand-alone
+        #: instance) — the process's one thread either way, and never
+        #: the tenant's.  A checkpoint encodes on the DBMS's thread.
         self.reactor = reactor or UploadReactor(
             inflight_window=self.config.uploaders
         )
         #: What this instance built it also starts and stops; an
-        #: injected pool belongs to the fleet.  The pipelines below
+        #: injected reactor belongs to the fleet.  The pipelines below
         #: only ever borrow.
-        self._own_stage = encode_stage is None
         self._own_reactor = reactor is None
         self.pipeline = CommitPipeline(
             self.config, self.transport, self.codec, self.view,
-            self.encode_stage, self.reactor, self.bus, clock=clock,
-            lane=tenant,
+            self.reactor, self.bus, clock=clock, lane=tenant,
         )
         self.checkpointer = CheckpointUploader(
             self.config, self.transport, self.view, self.reactor, self.bus,
@@ -153,8 +145,6 @@ class Ginja:
             profile,
             self.checkpointer.enqueue,
             self.bus,
-            encode_stage=self.encode_stage,
-            lane=tenant,
             tuner=self.pipeline.tuner,
         )
         self.processor = DatabaseProcessor(profile, self.pipeline, self.collector)
@@ -206,13 +196,6 @@ class Ginja:
             # An earlier pipeline shipped into this bucket.
             marks = unbounded_marks(self.fs.inner, self.view, self.profile)
         self.pipeline.seed_marks(marks)
-        if not self.encode_stage.running:
-            if not self._own_stage:
-                raise GinjaError(
-                    "shared encode stage is not running; start the fleet's "
-                    "pools before starting tenants"
-                )
-            self.encode_stage.start()
         if not self.reactor.alive:
             if not self._own_reactor:
                 raise GinjaError(
@@ -234,9 +217,9 @@ class Ginja:
         stop could block ~2x what the caller asked for).
 
         A poisoned commit pipeline re-raises its recorded failure from
-        :meth:`CommitPipeline.stop`; the checkpointer and the shared
-        encode stage are still torn down first, so a failed shutdown
-        never leaks threads.
+        :meth:`CommitPipeline.stop`; the checkpointer and a private
+        reactor are still torn down first, so a failed shutdown never
+        leaks threads.
         """
         if not self._running:
             return
@@ -248,13 +231,11 @@ class Ginja:
             remaining = max(0.0, deadline - self.clock.now())
             try:
                 self.checkpointer.stop(drain_timeout=remaining)
-                if self._own_stage:
-                    # May raise on a wedged worker; the instance is
-                    # still marked stopped either way.
-                    self.encode_stage.stop()
             finally:
                 # Last, after both clients detached: a shared reactor
-                # belongs to the fleet and is left untouched.
+                # belongs to the fleet and is left untouched.  A private
+                # one may raise on a wedged loop; the instance is still
+                # marked stopped either way.
                 if self._own_reactor:
                     self.reactor.stop()
                 self._running = False
@@ -286,16 +267,13 @@ class Ginja:
             self.pipeline.abort()
             self.checkpointer.abort()
         try:
-            if self._own_stage:
-                # A shared stage belongs to the fleet: one tenant's
-                # disaster must not tear down its co-tenants' pool.
-                self.encode_stage.stop(discard=True)
-        finally:
-            # Same fleet discipline for the reactor: abort() already
-            # cancelled this tenant's lane; only a private loop dies
-            # with its instance.
+            # A shared reactor belongs to the fleet: abort() already
+            # cancelled this tenant's lane, and one tenant's disaster
+            # must not tear down its co-tenants' loop.  Only a private
+            # loop dies with its instance.
             if self._own_reactor:
                 self.reactor.stop()
+        finally:
             self._running = False
 
     # -- observability ----------------------------------------------------------------
@@ -364,7 +342,6 @@ class Ginja:
         tenant: str = "",
         bus: EventBus | None = None,
         transport: ObjectStore | None = None,
-        encode_stage: EncodeStage | None = None,
         download_pool: EncodeStage | None = None,
         reactor: UploadReactor | None = None,
     ) -> tuple["Ginja", RecoveryReport]:
@@ -412,7 +389,6 @@ class Ginja:
             tenant=tenant,
             bus=bus,
             transport=transport,
-            encode_stage=encode_stage,
             reactor=reactor,
         )
         if on_event is not None:

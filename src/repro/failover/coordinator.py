@@ -63,14 +63,13 @@ class FailoverCoordinator:
         clock: Clock = SYSTEM_CLOCK,
         transport: ObjectStore | None = None,
         tenant: str = "",
-        encode_stage=None,
         download_pool=None,
     ):
         """``transport`` injects an already retry-wrapped store (a fleet's
         prefixed view over its shared stack); the coordinator then never
         builds a private transport — double-wrapping a retrying store
-        would square the retry budget.  ``tenant`` / ``encode_stage`` /
-        ``download_pool`` pass straight through to
+        would square the retry budget.  ``tenant`` / ``download_pool``
+        pass straight through to
         :meth:`~repro.core.ginja.Ginja.recover` for fleet failovers.
         """
         self._cloud = cloud
@@ -83,7 +82,6 @@ class FailoverCoordinator:
         self._clock = clock
         self._transport = transport
         self._tenant = tenant
-        self._encode_stage = encode_stage
         self._download_pool = download_pool
 
     def run(self, max_polls: int = 0) -> FailoverResult:
@@ -123,7 +121,6 @@ class FailoverCoordinator:
                 self._ginja_config,
                 transport=self._transport,
                 tenant=self._tenant,
-                encode_stage=self._encode_stage,
                 download_pool=self._download_pool,
             )
             try:
@@ -133,7 +130,7 @@ class FailoverCoordinator:
             except BaseException:
                 # recover() started the pipelines; if the DBMS's own crash
                 # recovery then fails, tear the instance down or its
-                # pipeline/checkpointer/encode threads leak on the standby.
+                # reactor thread leaks on the standby.
                 ginja.crash()
                 raise
         except ReproError as exc:

@@ -3,11 +3,11 @@
 Ownership is split exactly along :class:`~repro.core.config
 .SharedPoolConfig` / :class:`~repro.core.config.TenantPolicy` lines:
 
-* **Fleet-owned (one per process):** the encoder (one worker running
-  every tenant's claim jobs, one fair-share lane each), the recovery
-  download pool (its threads exist only while a restore runs), the
-  upload reactor (one event-loop thread driving every tenant's WAL and
-  checkpoint PUTs, GC DELETEs and T_B timers), the transport stack
+* **Fleet-owned (one per process):** the upload reactor (one
+  event-loop thread running every tenant's claim jobs and driving its
+  WAL and checkpoint PUTs, GC DELETEs and T_B timers, one fair-share
+  lane each), the recovery download pool (its threads exist only while
+  a restore runs), the transport stack
   (tracing → retry → meter over the shared backend), the fleet event
   bus, the per-tenant meter bank and stats rollup.
 * **Tenant-owned (one per database):** the commit pipeline, the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common import events
@@ -154,10 +155,10 @@ class FleetManager:
         #: Per-tenant request metering with exact reconciliation.
         self.meters = TenantMeterBank().attach(self.bus)
         self.uploads = UploadOverlapTracker().attach(self.bus)
-        #: Shared worker pools (the whole point of co-hosting).  One
-        #: encoder: claim jobs are GIL-bound, so a second worker only
-        #: time-slices the first.
-        self.encode_pool = EncodeStage(1, name="fleet-encoder")
+        #: A shim for the frozen benchmark's fleet sampler, which reads
+        #: ``encode_pool.lane_depth(tid)``: 1 while that tenant's claim
+        #: job waits on the reactor loop.  Goes with Benchmark v2.
+        self.encode_pool = SimpleNamespace(lane_depth=self._claim_depth)
         #: Started by the first concurrent :meth:`recover_tenant` and
         #: stopped with the last: restores share one lane-fair pool,
         #: and a fleet that is not restoring pays no thread for it.
@@ -165,9 +166,9 @@ class FleetManager:
             self.shared.downloaders, name="fleet-downloader"
         )
         self._restores = 0
-        #: One upload reactor for every tenant's WAL and checkpoint PUTs
-        #: (fleet-owned exactly like the encode pool: tenants attach
-        #: fair-share lanes, the event loop owns the in-flight window).
+        #: One upload reactor for every tenant's claim jobs, WAL and
+        #: checkpoint PUTs (tenants attach fair-share lanes, the event
+        #: loop owns the in-flight window).
         self.reactor = UploadReactor(
             inflight_window=self.shared.reactor_inflight
         )
@@ -188,7 +189,6 @@ class FleetManager:
     def start(self) -> None:
         if self._started:
             raise GinjaError("fleet already started")
-        self.encode_pool.start()
         self.reactor.start()
         self._started = True
 
@@ -206,7 +206,6 @@ class FleetManager:
             except BaseException as exc:  # noqa: BLE001 - keep sweeping
                 if first_failure is None:
                     first_failure = exc
-        self.encode_pool.stop()
         if self.reactor.alive:
             self.reactor.stop()
         self._started = False
@@ -264,7 +263,6 @@ class FleetManager:
                 tenant=tenant_id,
                 bus=self._tenant_bus(tenant_id),
                 transport=store,
-                encode_stage=self.encode_pool,
                 reactor=self.reactor,
             )
             self._tenants[tenant_id] = ginja
@@ -352,7 +350,6 @@ class FleetManager:
                 tenant=tenant_id,
                 bus=self._tenant_bus(tenant_id),
                 transport=store,
-                encode_stage=self.encode_pool,
                 download_pool=self.download_pool,
                 reactor=self.reactor,
             )
@@ -388,6 +385,12 @@ class FleetManager:
         with self._lock:
             return tuple(self._tenants)
 
+    def _claim_depth(self, tenant_id: str) -> int:
+        """Claim jobs of ``tenant_id`` queued on the reactor: 0 or 1."""
+        with self._lock:
+            ginja = self._tenants.get(tenant_id)
+        return int(ginja is not None and ginja.pipeline.claim_queued)
+
     def health(self) -> dict:
         """Fleet-wide one-glance status: shared pools plus every tenant."""
         with self._lock:
@@ -395,12 +398,11 @@ class FleetManager:
         return {
             "started": self._started,
             "tenants": {tid: g.health() for tid, g in sorted(tenants.items())},
-            "encode_queue_depth": self.encode_pool.queue_depth(),
+            "encode_queue_depth": sum(map(self._claim_depth, tenants)),
             #: Each tenant's own share of that depth: its queued claim
-            #: job and any encode jobs behind it.
+            #: job.
             "encode_lanes": {
-                tid: self.encode_pool.lane_depth(tid)
-                for tid in sorted(tenants)
+                tid: self._claim_depth(tid) for tid in sorted(tenants)
             },
             "download_queue_depth": self.download_pool.queue_depth(),
             #: Each tenant's adaptive B/S controller, where one runs

@@ -26,7 +26,6 @@ from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.reactor import UploadReactor
 from repro.cloud.simulated import SimulatedCloud
 from repro.core.config import GinjaConfig
-from repro.core.encode_stage import EncodeStage
 from repro.core.ginja import Ginja
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import DBMSProfile, MYSQL_PROFILE, POSTGRES_PROFILE
@@ -136,29 +135,20 @@ class Stack:
 
 
 @contextmanager
-def running_pools(encoders: int = 1, inflight: int = 64):
-    """A started ``(EncodeStage, UploadReactor)`` pair, stopped on exit.
-
-    ``encoders`` defaults to the one worker ``Ginja`` and
-    ``FleetManager`` build; a test of the stage itself may ask for more.
+def running_pools(inflight: int = 64):
+    """A started :class:`UploadReactor`, stopped on exit.
 
     For driving a bare :class:`~repro.core.commit_pipeline
     .CommitPipeline` or :class:`~repro.core.checkpointer
-    .CheckpointUploader` — which only ever borrow their pools — from a
-    test, microbenchmark or example, where no :class:`Ginja` or fleet
-    exists to own them.
+    .CheckpointUploader` — which only ever borrow their reactor — from
+    a test, microbenchmark or example, where no :class:`Ginja` or fleet
+    exists to own it.
     """
-    stage = EncodeStage(encoders)
-    reactor = UploadReactor(inflight_window=inflight)
-    stage.start()
-    reactor.start()
+    reactor = UploadReactor(inflight_window=inflight).start()
     try:
-        yield stage, reactor
+        yield reactor
     finally:
-        try:
-            stage.stop()
-        finally:
-            reactor.stop()
+        reactor.stop()
 
 
 def build_stack(config: StackConfig | None = None, **overrides) -> Stack:

@@ -84,7 +84,7 @@ class TestGCOracleOnBatchedGC:
     above the DB frontier must be caught from those events; one event
     per *request* (under its first key) would wave it through."""
 
-    def _checkpoint(self, pools, mutate):
+    def _checkpoint(self, reactor, mutate):
         from repro.cloud.memory import InMemoryObjectStore
         from repro.cloud.transport import TransportLayer, build_transport
         from repro.chaos.crashpoints import EventLog
@@ -122,7 +122,7 @@ class TestGCOracleOnBatchedGC:
                 await super()._adelete_request(keys)
 
         transport = GreedyGC(build_transport(backend, config, bus=bus))
-        uploader = CheckpointUploader(config, transport, view, pools[1], bus)
+        uploader = CheckpointUploader(config, transport, view, reactor, bus)
         fs = MemoryFileSystem()
         fs.write("base/t", 0, b"\x00" * 64)
         collector = CheckpointCollector(
@@ -140,14 +140,14 @@ class TestGCOracleOnBatchedGC:
         uploader.stop()
         return _disaster(backend.snapshot(), log.upto()), wals
 
-    def test_honest_batch_passes(self, pools):
-        disaster, wals = self._checkpoint(pools, mutate=False)
+    def test_honest_batch_passes(self, reactor):
+        disaster, wals = self._checkpoint(reactor, mutate=False)
         assert wals[3].key in disaster.snapshot
         verdict = _gc_oracle(disaster)
         assert verdict.ok and "3 GC delete(s)" in verdict.detail
 
-    def test_mutant_batch_is_flagged_from_the_per_key_events(self, pools):
-        disaster, wals = self._checkpoint(pools, mutate=True)
+    def test_mutant_batch_is_flagged_from_the_per_key_events(self, reactor):
+        disaster, wals = self._checkpoint(reactor, mutate=True)
         assert wals[3].key not in disaster.snapshot  # the damage is real
         verdict = _gc_oracle(disaster)
         assert not verdict.ok

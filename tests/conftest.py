@@ -40,12 +40,12 @@ def thread_leak_census():
 
 
 @pytest.fixture
-def pools():
-    """A started ``(EncodeStage, UploadReactor)`` pair for tests that
-    drive a bare CommitPipeline or CheckpointUploader (both only borrow
-    their pools; a Ginja or a fleet owns them in production)."""
-    with running_pools() as pair:
-        yield pair
+def reactor():
+    """A started UploadReactor for tests that drive a bare
+    CommitPipeline or CheckpointUploader (both only borrow it; a Ginja
+    or a fleet owns it in production)."""
+    with running_pools() as started:
+        yield started
 
 
 @pytest.fixture

@@ -303,7 +303,7 @@ class TestTheContract:
 
 
 @pytest.fixture
-def pipe(pools):
+def pipe(reactor):
     """A started B = 1 pipeline, its backend, view, stats and bus."""
     backend = InMemoryObjectStore()
     config = GinjaConfig(batch=1, safety=20, batch_timeout=0.01,
@@ -311,7 +311,7 @@ def pipe(pools):
     bus = EventBus()
     stats = GinjaStats().attach(bus)
     view = CloudView()
-    pipeline = CommitPipeline(config, backend, ObjectCodec(), view, *pools, bus)
+    pipeline = CommitPipeline(config, backend, ObjectCodec(), view, reactor, bus)
     pipeline.start()
     yield pipeline, backend, view, stats, bus
     pipeline.stop(drain_timeout=5.0)
@@ -350,7 +350,7 @@ class TestPipeline:
         assert [(e.nbytes, e.total) for e in seen[::2]] == [(9, 9), (0, 9)]
         assert stats.wal_batches == 2
 
-    def test_an_empty_batch_unlocks_behind_the_batch_it_repeats(self, pools):
+    def test_an_empty_batch_unlocks_behind_the_batch_it_repeats(self, reactor):
         """The second write adds nothing to the first, whose PUT is
         still on the wire: acked at once, it must all the same stay in
         the queue until the object its bytes ride in is durable."""
@@ -367,7 +367,7 @@ class TestPipeline:
         bus = EventBus()
         stats = GinjaStats().attach(bus)
         pipeline = CommitPipeline(config, HeldStore(), ObjectCodec(),
-                                  CloudView(), *pools, bus)
+                                  CloudView(), reactor, bus)
         pipeline.start()
         try:
             pipeline.submit("seg", 0, b"page")
@@ -401,14 +401,14 @@ class TestPipeline:
         ]
 
     def test_a_shorter_rewrite_keeps_the_tail_of_the_write_it_replaces(
-            self, pools):
+            self, reactor):
         """The coalescing bug: B = 2 kept only the later, shorter write
         and recovery zero-filled the first one's tail."""
         backend = InMemoryObjectStore()
         config = GinjaConfig(batch=2, safety=20, batch_timeout=30.0,
                              safety_timeout=60.0)
         pipeline = CommitPipeline(config, backend, ObjectCodec(), CloudView(),
-                                  *pools)
+                                  reactor)
         pipeline.start()
         try:
             pipeline.submit("seg", 0, b"A" * 16)

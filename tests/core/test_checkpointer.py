@@ -34,7 +34,7 @@ from repro.storage.memory import MemoryFileSystem
 from tests.cloud.test_reactor import wait_for
 
 
-def make_stack(pools, config=None, fs=None):
+def make_stack(reactor, config=None, fs=None):
     config = config or GinjaConfig()
     fs = fs or MemoryFileSystem()
     backend = InMemoryObjectStore()
@@ -44,9 +44,8 @@ def make_stack(pools, config=None, fs=None):
     stats = GinjaStats().attach(bus)
     codec = ObjectCodec()
     transport = build_transport(cloud, config, bus=bus)
-    _stage, reactor = pools
     uploader = CheckpointUploader(config, transport, view, reactor, bus)
-    uploader.start()  # attaches the lane; the pools fixture stops the loop
+    uploader.start()  # attaches the lane; the reactor fixture stops the loop
     collector = CheckpointCollector(
         config, codec, view, fs, POSTGRES_PROFILE, uploader.enqueue, bus
     )
@@ -63,8 +62,8 @@ def run_uploader_once(uploader):
 
 
 class TestCollector:
-    def test_incremental_checkpoint_payload(self, pools):
-        _cfg, fs, backend, view, _stats, codec, uploader, collector = make_stack(pools)
+    def test_incremental_checkpoint_payload(self, reactor):
+        _cfg, fs, backend, view, _stats, codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"\x00" * 100)  # some local DB presence
         view.next_wal_ts()
         view.add_wal(WALObjectMeta(ts=0, filename="seg", offset=0))
@@ -83,8 +82,8 @@ class TestCollector:
         writes = decode_checkpoint_payload(codec.decode(backend.get(info.key)))
         assert writes == [("base/t", 0, b"page-v2"), ("base/t", 8192, b"page-b")]
 
-    def test_dump_triggered_by_150_percent_rule(self, pools):
-        _cfg, fs, backend, view, stats, codec, uploader, collector = make_stack(pools)
+    def test_dump_triggered_by_150_percent_rule(self, reactor):
+        _cfg, fs, backend, view, stats, codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"d" * 1000)  # local DB size = 1000
         # Pretend the cloud already holds 1500+ bytes of DB objects.
         view.add_db(DBObjectMeta(ts=0, type=DUMP, size=1600))
@@ -102,8 +101,8 @@ class TestCollector:
         assert ("base/t", b"d" * 1000) in content
         assert stats.dumps == 1
 
-    def test_below_threshold_stays_incremental(self, pools):
-        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(pools)
+    def test_below_threshold_stays_incremental(self, reactor):
+        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"d" * 1000)
         view.add_db(DBObjectMeta(ts=0, type=DUMP, size=1400))  # 140% < 150%
         collector.begin()
@@ -127,10 +126,10 @@ class TestCollector:
                 image[offset:offset + len(data)] = data
         return bytes(image)
 
-    def test_a_shorter_rewrite_keeps_the_tail_of_the_write_it_replaced(self, pools):
+    def test_a_shorter_rewrite_keeps_the_tail_of_the_write_it_replaced(self, reactor):
         """The coalescing bug: latest-per-(path, offset) shipped ``ZZ``
         alone, and recovery left the dump's bytes under the other 14."""
-        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(pools)
+        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"D" * 16)
         fs.write("base/big", 0, bytes(10_000))  # keeps the 150% rule quiet
         collector.begin()
@@ -149,10 +148,10 @@ class TestCollector:
             ("base/t", 0, b"ZZ"),
         ]
 
-    def test_overlapping_writes_replay_in_write_order(self, pools):
+    def test_overlapping_writes_replay_in_write_order(self, reactor):
         """The other half: first-seen order replayed the rewrite of an
         earlier place *before* the later write it had overwritten."""
-        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(pools)
+        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"D" * 16)
         fs.write("base/big", 0, bytes(10_000))  # keeps the 150% rule quiet
         collector.begin()
@@ -164,9 +163,9 @@ class TestCollector:
         assert self.replayed(backend, codec) == b"C" * 16
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_any_overlapping_script_replays_to_the_local_image(self, pools, seed):
+    def test_any_overlapping_script_replays_to_the_local_image(self, reactor, seed):
         rng = random.Random(seed)
-        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(pools)
+        _cfg, fs, backend, _view, _stats, codec, uploader, collector = make_stack(reactor)
         local = bytearray(b"D" * 48)
         fs.write("base/t", 0, bytes(local))
         fs.write("base/big", 0, bytes(10_000))
@@ -181,8 +180,8 @@ class TestCollector:
             run_uploader_once(uploader)
             assert self.replayed(backend, codec, 48) == bytes(local)
 
-    def test_a_page_rewritten_in_place_ships_the_runs_that_changed(self, pools):
-        _cfg, fs, backend, _view, stats, codec, uploader, collector = make_stack(pools)
+    def test_a_page_rewritten_in_place_ships_the_runs_that_changed(self, reactor):
+        _cfg, fs, backend, _view, stats, codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, bytes(4096))
         page = bytearray(b"\x07" * 1024)
         collector.begin()
@@ -201,10 +200,10 @@ class TestCollector:
         assert (stats.db_submitted_bytes, stats.db_planned_bytes) == (2048, 1036)
         assert collector.shadow_bytes == 1024
 
-    def test_large_checkpoint_splits_into_parts(self, pools):
+    def test_large_checkpoint_splits_into_parts(self, reactor):
         config = GinjaConfig(max_object_bytes=64 * 1024)
         _cfg, fs, backend, _view, _stats, _codec, uploader, collector = make_stack(
-            pools, config
+            reactor, config
         )
         fs.write("base/t", 0, b"\x00")
         collector.begin()
@@ -219,8 +218,8 @@ class TestCollector:
 
 
 class TestGarbageCollection:
-    def test_wal_objects_upto_ts_deleted(self, pools):
-        _cfg, fs, backend, view, stats, codec, uploader, collector = make_stack(pools)
+    def test_wal_objects_upto_ts_deleted(self, reactor):
+        _cfg, fs, backend, view, stats, codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"\x00" * 10)
         # Three confirmed WAL objects in the cloud.
         for ts in range(3):
@@ -236,8 +235,8 @@ class TestGarbageCollection:
         assert view.wal_object_count() == 0
         assert stats.gc_deletes == 3
 
-    def test_wal_beyond_checkpoint_ts_survives(self, pools):
-        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(pools)
+    def test_wal_beyond_checkpoint_ts_survives(self, reactor):
+        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"\x00" * 10)
         view.next_wal_ts()
         meta0 = WALObjectMeta(ts=0, filename="seg", offset=0)
@@ -255,8 +254,8 @@ class TestGarbageCollection:
         remaining = [i.key for i in backend.list("WAL/")]
         assert remaining == [meta1.key]
 
-    def test_dump_deletes_previous_db_objects(self, pools):
-        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(pools)
+    def test_dump_deletes_previous_db_objects(self, reactor):
+        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"d" * 100)
         old_dump = DBObjectMeta(ts=0, type=DUMP, size=120)
         old_ckpt = DBObjectMeta(ts=2, type=CHECKPOINT, size=60)
@@ -286,10 +285,10 @@ class TestRetention:
         collector.end()
         run_uploader_once(uploader)
 
-    def test_generations_kept_then_rotated(self, pools):
+    def test_generations_kept_then_rotated(self, reactor):
         config = GinjaConfig(retention=RetentionPolicy.keep(2))
         _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(
-            pools, config
+            reactor, config
         )
         fs.write("base/t", 0, b"d" * 10)  # tiny local DB: every ckpt dumps
         gen_keys = []
@@ -307,8 +306,8 @@ class TestRetention:
         assert gen_keys[2] in live
         assert gen_keys[3] in live
 
-    def test_no_retention_deletes_immediately(self, pools):
-        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(pools)
+    def test_no_retention_deletes_immediately(self, reactor):
+        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"d" * 10)
         old = DBObjectMeta(ts=0, type=DUMP, size=100)
         backend.put(old.key, b"old")
@@ -319,10 +318,10 @@ class TestRetention:
 
 
 class TestUploaderThread:
-    def test_threaded_upload_and_drain(self, pools):
+    def test_threaded_upload_and_drain(self, reactor):
         """The uploader has no thread of its own: the object uploads on
         the reactor's, and stop() is a drain plus a lane detach."""
-        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(pools)
+        _cfg, fs, backend, view, _stats, _codec, uploader, collector = make_stack(reactor)
         fs.write("base/t", 0, b"\x00" * 10)
         before = {t.name for t in threading.enumerate()}
         collector.begin()
@@ -335,14 +334,14 @@ class TestUploaderThread:
             uploader.start()
         uploader.stop(drain_timeout=5.0)
         assert uploader.failed is None
-        assert "" not in pools[1].health()["tenants"]
+        assert "" not in reactor.health()["tenants"]
 
 
 class TestFreeze:
-    def test_db_writes_blocked_during_dump(self, pools):
+    def test_db_writes_blocked_during_dump(self, reactor):
         import threading
 
-        _cfg, fs, _backend, view, _stats, _codec, _uploader, collector = make_stack(pools)
+        _cfg, fs, _backend, view, _stats, _codec, _uploader, collector = make_stack(reactor)
         # Large-ish file so the dump read loop has substance.
         fs.write("base/t", 0, b"d" * 10_000)
         view.add_db(DBObjectMeta(ts=0, type=DUMP, size=100_000))  # force dump
@@ -389,7 +388,7 @@ class TestWorkerFaults:
     before these guards a non-CloudError killed the worker silently and
     drain spun on ``clock.sleep(0.01)``, eating virtual-time deadlines."""
 
-    def _stack(self, pools, store, clock=None):
+    def _stack(self, reactor, store, clock=None):
         import threading  # noqa: F401 - used by callers via module scope
 
         config = GinjaConfig(max_retries=0, retry_backoff=0.001)
@@ -398,7 +397,7 @@ class TestWorkerFaults:
         view = CloudView()
         transport = build_transport(store, config)
         kwargs = {"clock": clock} if clock is not None else {}
-        uploader = CheckpointUploader(config, transport, view, pools[1], **kwargs)
+        uploader = CheckpointUploader(config, transport, view, reactor, **kwargs)
         collector = CheckpointCollector(
             config, ObjectCodec(), view, fs, POSTGRES_PROFILE, uploader.enqueue
         )
@@ -409,12 +408,12 @@ class TestWorkerFaults:
         collector.add_write("base/t", 0, b"x")
         collector.end()
 
-    def test_non_cloud_error_poisons_thread(self, pools):
+    def test_non_cloud_error_poisons_thread(self, reactor):
         class PutExplodes(InMemoryObjectStore):
             def put(self, key, data):
                 raise ValueError("not a CloudError")
 
-        uploader, collector = self._stack(pools, PutExplodes())
+        uploader, collector = self._stack(reactor, PutExplodes())
         uploader.start()
         try:
             self._enqueue_one(collector)
@@ -427,7 +426,7 @@ class TestWorkerFaults:
         finally:
             uploader.stop(drain_timeout=0.1)
 
-    def test_drain_honors_deadline_with_a_stuck_upload(self, pools):
+    def test_drain_honors_deadline_with_a_stuck_upload(self, reactor):
         import threading
 
         release = threading.Event()
@@ -437,7 +436,7 @@ class TestWorkerFaults:
                 release.wait(5.0)
                 super().put(key, data)
 
-        uploader, collector = self._stack(pools, SlowPut())
+        uploader, collector = self._stack(reactor, SlowPut())
         uploader.start()
         try:
             self._enqueue_one(collector)
@@ -450,7 +449,7 @@ class TestWorkerFaults:
             release.set()
             uploader.stop(drain_timeout=1.0)
 
-    def test_drain_deadline_is_virtual_time_not_self_advanced(self, pools):
+    def test_drain_deadline_is_virtual_time_not_self_advanced(self, reactor):
         """Under a ManualClock the old poll loop *advanced* the clock by
         10 ms per iteration, so a stuck upload consumed the virtual
         deadline instantly.  The condition-based drain only observes the
@@ -467,7 +466,7 @@ class TestWorkerFaults:
                 super().put(key, data)
 
         clock = ManualClock()
-        uploader, collector = self._stack(pools, SlowPut(), clock=clock)
+        uploader, collector = self._stack(reactor, SlowPut(), clock=clock)
         uploader.start()
         outcome = []
         try:
@@ -561,9 +560,9 @@ class TestOrdering:
     ``seq`` order and GC follows durability, with no thread to order
     them — only the completion callbacks."""
 
-    def test_second_object_waits_for_the_firsts_gc(self, pools):
+    def test_second_object_waits_for_the_firsts_gc(self, reactor):
         store = GateStore(hold=lambda op, key: op == "delete")
-        uploader, collector, view, wals = gated_stack(pools[1], store)
+        uploader, collector, view, wals = gated_stack(reactor, store)
         checkpoint(collector)
         # A WAL object confirmed after the first checkpoint began: the
         # second checkpoint's GC retires it.
@@ -589,12 +588,12 @@ class TestOrdering:
         assert store.list("WAL/") == []
         assert len(view.db_objects()) == 2
 
-    def test_group_registers_only_after_every_part(self, pools):
+    def test_group_registers_only_after_every_part(self, reactor):
         config = GinjaConfig(
             max_retries=0, retry_backoff=0.001, max_object_bytes=64 * 1024
         )
         store = GateStore(hold=holds_part(1))
-        uploader, collector, view, _wals = gated_stack(pools[1], store, config)
+        uploader, collector, view, _wals = gated_stack(reactor, store, config)
         checkpoint(collector, pages=24)  # 192 KiB -> 3 parts
         assert wait_for(lambda: len(store.started("put")) == 3)
         time.sleep(0.05)
@@ -616,17 +615,17 @@ class TestAbortStopsTheWork:
     cancel, a GC request issued after it) nor leave anything behind to
     join."""
 
-    def test_abort_between_parts_deletes_nothing(self, pools):
+    def test_abort_between_parts_deletes_nothing(self, reactor):
         config = GinjaConfig(
             max_retries=0, retry_backoff=0.001, max_object_bytes=64 * 1024
         )
         store = GateStore(hold=holds_part(1))
-        uploader, collector, view, wals = gated_stack(pools[1], store, config)
+        uploader, collector, view, wals = gated_stack(reactor, store, config)
         checkpoint(collector, pages=24)  # 3 parts; part 1 parks
         assert wait_for(lambda: len(store.list("DB/")) == 2)
         uploader.abort()
         store.release.set()
-        assert wait_for(lambda: "" not in pools[1].health()["tenants"])
+        assert wait_for(lambda: "" not in reactor.health()["tenants"])
         # Nothing was registered and — the point — nothing was deleted:
         # the WAL object a dead primary no longer owns is still there.
         assert view.total_db_bytes() == 0
@@ -637,31 +636,31 @@ class TestAbortStopsTheWork:
         assert isinstance(uploader.failed, GinjaError)
         assert uploader.drain(timeout=0.05) is False
 
-    def test_abort_mid_gc_stops_before_the_next_delete(self, pools, monkeypatch):
+    def test_abort_mid_gc_stops_before_the_next_delete(self, reactor, monkeypatch):
         # Two keys per request, so three retired WAL objects make two.
         monkeypatch.setattr("repro.cloud.interface.MAX_DELETE_KEYS", 2)
         store = GateStore(hold=lambda op, key: op == "delete")
         uploader, collector, view, wals = gated_stack(
-            pools[1], store, wal_objects=3
+            reactor, store, wal_objects=3
         )
         checkpoint(collector)
         assert wait_for(lambda: store.started("delete"))
         uploader.abort()
         store.release.set()
-        assert wait_for(lambda: "" not in pools[1].health()["tenants"])
+        assert wait_for(lambda: "" not in reactor.health()["tenants"])
         # The first request was cancelled on the wire, the second never
         # issued: all three objects are still in the bucket.
         assert store.started("delete") == [wals[0].key]
         assert [info.key for info in store.list("WAL/")] == [w.key for w in wals]
         assert isinstance(uploader.failed, GinjaError)
 
-    def test_second_gc_slice_is_not_issued_after_an_abort(self, pools, monkeypatch):
+    def test_second_gc_slice_is_not_issued_after_an_abort(self, reactor, monkeypatch):
         """The flag is re-read between slices even when the first one
         completed: abort lands while slice 1 is resolving."""
         monkeypatch.setattr("repro.cloud.interface.MAX_DELETE_KEYS", 2)
         store = GateStore()
         uploader, collector, view, wals = gated_stack(
-            pools[1], store, wal_objects=3
+            reactor, store, wal_objects=3
         )
         real = store._delete_request
 
@@ -680,7 +679,7 @@ class TestAbortStopsTheWork:
         from repro.harness import running_pools
 
         store = GateStore(hold=lambda op, key: op == "put")
-        with running_pools() as (_stage, reactor):
+        with running_pools() as reactor:
             uploader, collector, view, _wals = gated_stack(reactor, store)
             checkpoint(collector)
             assert wait_for(lambda: store.started("put"))
@@ -718,7 +717,7 @@ class TestBatchedGCEquivalence:
     per key; this is the proof that the same keys still leave the
     bucket."""
 
-    def _run_script(self, pools, store, seed):
+    def _run_script(self, reactor, store, seed):
         rng = random.Random(seed)
         config = GinjaConfig(
             max_retries=0, retry_backoff=0.001, dump_threshold=1.5,
@@ -728,7 +727,7 @@ class TestBatchedGCEquivalence:
         fs.write("base/t", 0, b"\x00" * (32 * 1024))
         view = CloudView()
         uploader = CheckpointUploader(
-            config, build_transport(store, config), view, pools[1]
+            config, build_transport(store, config), view, reactor
         )
         collector = CheckpointCollector(
             config, ObjectCodec(), view, fs, POSTGRES_PROFILE, uploader.enqueue
@@ -756,12 +755,12 @@ class TestBatchedGCEquivalence:
         return store.snapshot(), view
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_same_script_leaves_the_same_bucket(self, pools, monkeypatch, seed):
+    def test_same_script_leaves_the_same_bucket(self, reactor, monkeypatch, seed):
         # Small requests, so multi-slice GC is exercised too.
         monkeypatch.setattr("repro.cloud.interface.MAX_DELETE_KEYS", 4)
-        batched, view_a = self._run_script(pools, InMemoryObjectStore(), seed)
+        batched, view_a = self._run_script(reactor, InMemoryObjectStore(), seed)
         reference = PerKeyStore()
-        per_key, view_b = self._run_script(pools, reference, seed)
+        per_key, view_b = self._run_script(reactor, reference, seed)
         assert reference.singles > 0
         assert sorted(batched) == sorted(per_key)
         assert batched == per_key  # bodies too

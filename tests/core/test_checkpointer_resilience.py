@@ -42,7 +42,7 @@ class DeleteFailsOnce(InMemoryObjectStore):
         super()._delete_request(keys)
 
 
-def run_checkpoint(pools, store, config=None, wal_objects=1):
+def run_checkpoint(reactor, store, config=None, wal_objects=1):
     config = config or GinjaConfig(max_retries=2, retry_backoff=0.001)
     fs = MemoryFileSystem()
     fs.write("base/t", 0, b"\x00" * 100)
@@ -52,9 +52,8 @@ def run_checkpoint(pools, store, config=None, wal_objects=1):
     # The transport's RetryLayer owns the fatal-vs-skippable policy the
     # uploader used to hand-roll.
     transport = build_transport(store, config, bus=bus)
-    _stage, reactor = pools
     uploader = CheckpointUploader(config, transport, view, reactor, bus)
-    uploader.start()  # attaches the lane; the pools fixture stops the loop
+    uploader.start()  # attaches the lane; the reactor fixture stops the loop
     collector = CheckpointCollector(
         config, ObjectCodec(), view, fs, POSTGRES_PROFILE,
         uploader.enqueue, bus,
@@ -80,9 +79,9 @@ def checkpoint(collector):
 
 
 class TestDeleteResilience:
-    def test_permanent_delete_failure_is_skipped(self, pools):
+    def test_permanent_delete_failure_is_skipped(self, reactor):
         store, view, stats, uploader, collector = run_checkpoint(
-            pools, DeleteAlwaysFails(), wal_objects=3
+            reactor, DeleteAlwaysFails(), wal_objects=3
         )
         # The checkpoint itself was uploaded...
         assert len(store.list("DB/")) == 1
@@ -99,16 +98,16 @@ class TestDeleteResilience:
         assert uploader.drain(timeout=10.0)
         assert len(store.list("DB/")) == 2
 
-    def test_transient_delete_failure_retried_to_success(self, pools):
+    def test_transient_delete_failure_retried_to_success(self, reactor):
         store, _view, stats, uploader, _collector = run_checkpoint(
-            pools, DeleteFailsOnce(), wal_objects=3
+            reactor, DeleteFailsOnce(), wal_objects=3
         )
         assert stats.gc_delete_failures == 0
         assert stats.gc_deletes == 3
         assert store.list("WAL/") == []  # eventually deleted
         assert uploader.failed is None
 
-    def test_put_failure_remains_fatal(self, pools):
+    def test_put_failure_remains_fatal(self, reactor):
         class PutFails(InMemoryObjectStore):
             def put(self, key, data):
                 if key.startswith("DB/"):
@@ -116,4 +115,4 @@ class TestDeleteResilience:
                 super().put(key, data)
 
         with pytest.raises(CloudError):
-            run_checkpoint(pools, PutFails())
+            run_checkpoint(reactor, PutFails())

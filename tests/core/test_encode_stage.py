@@ -1,11 +1,12 @@
-"""The parallel encode stage and the three-stage pipeline around it.
+"""The worker pool (now the restore helper pool) and the encode step of
+the claim job.
 
-Covers the ordering contract the stage must not weaken (timestamps are
-assigned by the Aggregator; out-of-order upload completion never
-unlocks batches out of order), the poison discipline (a codec fault on
-an encoder worker fails submitters and shutdown), and byte-level replay
-equivalence between one-object and split batches, and the on-demand
-worker start (a worker only for a job no started worker is free for).
+Covers the pool itself (lanes, on-demand workers, wedged stops), the
+ordering contract encoding must not weaken (timestamps are assigned by
+the claim job; out-of-order upload completion never unlocks batches out
+of order), the poison discipline (a codec fault in a claim job fails
+submitters and shutdown), and byte-level replay equivalence between
+one-object and split batches.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from repro.core.encode_stage import EncodeStage
 from tests.cloud.test_reactor import wait_for
 
 
-def make_pipeline(pools, config, codec=None, backend=None, bus=None):
+def make_pipeline(reactor, config, codec=None, backend=None, bus=None):
     backend = backend if backend is not None else InMemoryObjectStore()
     cloud = SimulatedCloud(backend=backend, time_scale=0.0)
     view = CloudView()
     transport = build_transport(cloud, config, bus=bus)
     pipe = CommitPipeline(
-        config, transport, codec or ObjectCodec(), view, *pools, bus
+        config, transport, codec or ObjectCodec(), view, reactor, bus
     )
     return pipe, backend, view
 
@@ -333,11 +334,11 @@ class TestOnDemandWorkers:
 
 
 class TestUnlockOrderUnderParallelEncode:
-    def test_stalled_first_encode_holds_the_unlock_frontier(self, pools):
+    def test_stalled_first_encode_holds_the_unlock_frontier(self, reactor):
         """Objects ts=1 and ts=2 upload while the PUT of ts=0 is stuck:
         no batch may unlock and no queue slot may free until ts=0 lands
         (Alg. 2 lines 20-22).  One batch over three files is three
-        objects, encoded in ts order by the worker that planned them."""
+        objects, encoded in ts order by the claim job that planned them."""
         gate = threading.Event()
 
         class GatedBackend(InMemoryObjectStore):
@@ -348,7 +349,7 @@ class TestUnlockOrderUnderParallelEncode:
 
         config = GinjaConfig(batch=3, safety=10, batch_timeout=0.01,
                              safety_timeout=30.0, uploaders=2)
-        pipe, backend, view = make_pipeline(pools, config,
+        pipe, backend, view = make_pipeline(reactor, config,
                                             backend=GatedBackend())
         pipe.start()
         try:
@@ -370,7 +371,7 @@ class TestUnlockOrderUnderParallelEncode:
             gate.set()
             pipe.stop(drain_timeout=5.0)
 
-    def test_scrambled_encode_latency_drains_completely(self, pools):
+    def test_scrambled_encode_latency_drains_completely(self, reactor):
         """Randomized per-object encode delays (seeded): every write
         still lands and the frontier closes."""
         rng = random.Random(7)
@@ -384,7 +385,7 @@ class TestUnlockOrderUnderParallelEncode:
 
         config = GinjaConfig(batch=4, safety=100, batch_timeout=0.01,
                              safety_timeout=30.0, uploaders=3)
-        pipe, backend, view = make_pipeline(pools, config, codec=JitterCodec())
+        pipe, backend, view = make_pipeline(reactor, config, codec=JitterCodec())
         pipe.start()
         try:
             for i in range(60):
@@ -415,15 +416,15 @@ POISON_CONFIG = GinjaConfig(batch=1, safety=10, batch_timeout=0.01,
 
 class TestEncodePoisonDiscipline:
     @staticmethod
-    def _poisoned_pipeline(pools):
-        return make_pipeline(pools, POISON_CONFIG, codec=FaultyCodec())
+    def _poisoned_pipeline(reactor):
+        return make_pipeline(reactor, POISON_CONFIG, codec=FaultyCodec())
 
-    def test_a_faulty_lane_fails_only_its_own_pipeline(self, pools):
-        """Two tenants' jobs on one shared stage: the fault blows the
-        fuse of the pipeline that submitted the job, nobody else's."""
+    def test_a_faulty_lane_fails_only_its_own_pipeline(self, reactor):
+        """Two tenants' claim jobs on one shared reactor: the fault blows
+        the fuse of the pipeline whose job it was, nobody else's."""
         bad, good = (
             CommitPipeline(POISON_CONFIG, InMemoryObjectStore(),
-                           FaultyCodec(), CloudView(), *pools, lane=lane)
+                           FaultyCodec(), CloudView(), reactor, lane=lane)
             for lane in ("bad", "good")
         )
         bad.start()
@@ -443,8 +444,8 @@ class TestEncodePoisonDiscipline:
                 bad.stop(drain_timeout=0.1)
             good.stop(drain_timeout=5.0)
 
-    def test_encode_worker_fault_fails_submitters(self, pools):
-        pipe, _backend, _view = self._poisoned_pipeline(pools)
+    def test_encode_worker_fault_fails_submitters(self, reactor):
+        pipe, _backend, _view = self._poisoned_pipeline(reactor)
         pipe.start()
         try:
             pipe.submit("seg", 0, b"fine")
@@ -459,11 +460,11 @@ class TestEncodePoisonDiscipline:
             with pytest.raises(GinjaError):
                 pipe.stop(drain_timeout=0.1)
 
-    def test_stop_reraises_recorded_failure_and_stops_encoders(self, pools):
+    def test_stop_reraises_recorded_failure_and_stops_encoders(self, reactor):
         """stop() used to report a clean shutdown on a poisoned
         pipeline.  It must leave no claim behind AND re-raise; the
-        encoders it borrowed stay up for their owner to stop."""
-        pipe, _backend, _view = self._poisoned_pipeline(pools)
+        reactor it borrowed stays up for its owner to stop."""
+        pipe, _backend, _view = self._poisoned_pipeline(reactor)
         pipe.start()
         pipe.submit("seg", 0, b"poison")
         deadline = time.monotonic() + 5
@@ -474,18 +475,18 @@ class TestEncodePoisonDiscipline:
             pipe.stop(drain_timeout=0.1)
         assert excinfo.value.__cause__ is pipe.failed
         assert pipe._claim == 0  # no claim job scheduled or running
-        assert pools[0].running  # borrowed, not ours to stop
+        assert reactor.alive  # borrowed, not ours to stop
 
 
 class TestParallelInlineEquivalence:
     @staticmethod
-    def _run(pools, seed: int, files: int):
+    def _run(reactor, seed: int, files: int):
         """Push one seeded page-write stream through a pipeline and
         return the replayed per-file images."""
         config = GinjaConfig(batch=5, safety=200, batch_timeout=0.005,
                              safety_timeout=30.0, uploaders=3, compress=True)
         codec = ObjectCodec(compress=True)
-        pipe, backend, view = make_pipeline(pools, config, codec=codec)
+        pipe, backend, view = make_pipeline(reactor, config, codec=codec)
         rng = random.Random(seed)
         pipe.start()
         try:
@@ -514,15 +515,14 @@ class TestParallelInlineEquivalence:
         return {name: bytes(img) for name, img in images.items()}
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
-    def test_recovered_bytes_identical_across_dispatch_modes(self, seed, pools):
+    def test_recovered_bytes_identical_across_dispatch_modes(self, seed, reactor):
         """Batch boundaries are timing-dependent, so bucket *objects*
         may differ between runs — but the replayed file images must
         equal naively applying the stream in commit order both when
         every batch is one object (one file) and when batches split
-        into several objects that upload while the next encodes (four
-        files)."""
-        assert self._run(pools, seed, files=1) == self._naive(seed, files=1)
-        assert self._run(pools, seed, files=4) == self._naive(seed, files=4)
+        into several objects (four files)."""
+        assert self._run(reactor, seed, files=1) == self._naive(seed, files=1)
+        assert self._run(reactor, seed, files=4) == self._naive(seed, files=4)
 
 
 class TestWedgedStop:
@@ -591,7 +591,7 @@ class TestWedgedStop:
 
 
 class TestEncodeEvents:
-    def test_encode_events_emitted_when_subscribed(self, pools):
+    def test_encode_events_emitted_when_subscribed(self, reactor):
         from repro.core import events as core_events
 
         bus = EventBus()
@@ -600,14 +600,14 @@ class TestEncodeEvents:
                       kinds={core_events.ENCODE_QUEUED, core_events.ENCODE_DONE})
         config = GinjaConfig(batch=2, safety=10, batch_timeout=0.01,
                              safety_timeout=5.0, uploaders=1)
-        pipe, _backend, _view = make_pipeline(pools, config, bus=bus)
+        pipe, _backend, _view = make_pipeline(reactor, config, bus=bus)
         pipe.start()
         try:
             pipe.submit("seg-a", 0, b"x" * 64)   # two files: two objects,
             pipe.submit("seg-b", 0, b"y" * 64)   # both encoded by the claim
             assert pipe.drain(timeout=5.0)
-            # The encoder worker emits encode_done *after* handing the
-            # blob to the reactor, so the upload can ack — and drain()
+            # The claim job emits encode_done *after* handing the blob
+            # to the reactor, so the upload can ack — and drain()
             # return — a beat before the event is out.
             deadline = time.monotonic() + 5.0
             while len(seen) < 2 and time.monotonic() < deadline:
@@ -615,7 +615,7 @@ class TestEncodeEvents:
             time.sleep(0.05)  # room for a stray encode_queued to show
         finally:
             pipe.stop(drain_timeout=5.0)
-        # No object is handed to another worker: one encode_done per
+        # No object is handed to another thread: one encode_done per
         # object, and no encode_queued.
         assert [e.kind for e in seen] == [core_events.ENCODE_DONE] * 2
         assert [e.key for e in seen] == sorted(e.key for e in seen)

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.common import events
 from repro.common.clock import ManualClock
 from repro.common.errors import GinjaError
 from repro.common.units import KiB
@@ -92,10 +93,10 @@ class TestDrainAndThreads:
             db.close()
             ginja.stop()
 
-    def test_a_lone_stack_at_b1_holds_one_reactor_and_one_encoder(self):
-        """Encoders start on demand — none before the first commit — and
-        a stand-alone stack builds one: claims, checkpoint parts and
-        all run on ``ginja-encoder-0`` beside one ``ginja-reactor``."""
+    def test_a_lone_stack_at_b1_holds_one_reactor(self):
+        """A stand-alone stack is one thread: claims, PUTs, GC and the
+        checkpoint state machine all run on ``ginja-reactor``, and
+        checkpoint parts encode on the DBMS's own thread."""
         def named(prefix):
             return sorted(t.name for t in threading.enumerate()
                           if t.name.startswith(prefix))
@@ -108,7 +109,6 @@ class TestDrainAndThreads:
                                   safety_timeout=5.0))
         ginja.start(mode="boot")
         try:
-            assert named("ginja-encoder-") == []
             db = MiniDB.open(ginja.fs, POSTGRES_PROFILE, engine)
             for i in range(100):
                 db.put("t", f"k{i}", b"v")
@@ -116,8 +116,35 @@ class TestDrainAndThreads:
                     assert db.checkpoint()
             db.close()
             assert ginja.drain(timeout=10.0)
-            assert named("ginja-reactor") == ["ginja-reactor"]
-            assert named("ginja-encoder-") == ["ginja-encoder-0"]
+            assert named("ginja-") == ["ginja-reactor"]
+        finally:
+            ginja.stop()
+
+    def test_the_first_claim_runs_on_the_reactor_loop(self):
+        """At B=1 the first commit's claim job runs on the reactor's loop
+        thread, and after it the stack holds that one thread: there is
+        no encoder beside it."""
+        claimed_on = []
+        fs = MemoryFileSystem()
+        engine = EngineConfig(wal_segment_size=64 * KiB)
+        MiniDB.create(fs, POSTGRES_PROFILE, engine).close()
+        ginja = Ginja(fs, SimulatedCloud(time_scale=0.0), POSTGRES_PROFILE,
+                      GinjaConfig(batch=1, safety=10, batch_timeout=0.05,
+                                  safety_timeout=5.0))
+        ginja.bus.subscribe(
+            lambda event: claimed_on.append(threading.get_ident()),
+            kinds={events.WAL_BATCH},
+        )
+        ginja.start(mode="boot")
+        try:
+            db = MiniDB.open(ginja.fs, POSTGRES_PROFILE, engine)
+            db.put("t", "k", b"v")
+            assert ginja.drain(timeout=10.0)
+            assert claimed_on
+            assert set(claimed_on) == {ginja.reactor._thread.ident}
+            assert [t.name for t in threading.enumerate()
+                    if t.name.startswith("ginja-")] == ["ginja-reactor"]
+            db.close()
         finally:
             ginja.stop()
 

@@ -2,7 +2,7 @@
 
 The isolation suite (S3) is the heart of this file: one tenant's codec
 fault must poison only that tenant's pipeline — never the shared
-EncodeStage or its co-tenants — and one tenant's crash() must leak no
+reactor or its co-tenants — and one tenant's crash() must leak no
 shared-pool threads.
 """
 
@@ -23,6 +23,8 @@ from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import POSTGRES_PROFILE
 from repro.fleet import FleetManager
 from repro.storage.memory import MemoryFileSystem
+
+from tests.core.test_claim_jobs import hold_loop
 
 ENGINE = EngineConfig(wal_segment_size=64 * 1024)
 POLICY = TenantPolicy(
@@ -131,7 +133,7 @@ class TestFleetLifecycle:
         db.close()
         manager.stop_all()
         assert manager.tenants() == ()
-        assert not manager.encode_pool.running
+        assert not manager.reactor.alive
         assert not manager.download_pool.running
 
 
@@ -146,17 +148,20 @@ class TestSharedPoolIsolation:
             def encode(self, payload):
                 raise RuntimeError("injected codec fault")
 
-        # Swap the faulty tenant's codec under its pipeline: every encode
-        # job it submits into the *shared* stage now raises.
+        # Swap the faulty tenant's codec under its pipeline: every claim
+        # job it queues on the *shared* reactor now raises.
         ginja_bad.pipeline._codec = FaultyCodec()
-        commit_rows(db_bad, "faulty", 5)
+        try:
+            commit_rows(db_bad, "faulty", 5)
+        except GinjaError:
+            pass  # the loop ran the first claim before the last commit
         deadline = time.monotonic() + 5
         while ginja_bad.pipeline.failed is None and time.monotonic() < deadline:
             time.sleep(0.01)
         assert isinstance(ginja_bad.pipeline.failed, RuntimeError)
 
         # The shared pools are untouched and the co-tenant still commits.
-        assert fleet.encode_pool.running
+        assert fleet.reactor.alive
         commit_rows(db_ok, "healthy", 10)
         assert ginja_ok.drain(timeout=30.0)
         assert ginja_ok.pipeline.failed is None
@@ -179,11 +184,9 @@ class TestSharedPoolIsolation:
             )
 
         def tenant_side():
-            # Everything but the shared encoder, which starts on demand:
-            # a leaked downloader or any other fleet thread still shows.
-            return [
-                n for n in alive_names() if not n.startswith("fleet-encoder")
-            ]
+            # Everything but the shared reactor's loop: a leaked
+            # downloader or any other fleet thread still shows.
+            return [n for n in alive_names() if n != "ginja-reactor"]
 
         baseline = tenant_side()
         ginja, db = admit(fleet, "victim")
@@ -192,11 +195,10 @@ class TestSharedPoolIsolation:
         db.close()
         fleet.crash_tenant("victim")
 
-        # Shared pools survive the crash: the one encoder the tenant's
-        # jobs started stays...
-        assert fleet.encode_pool.running
-        encoders = [n for n in alive_names() if n.startswith("fleet-encoder")]
-        assert encoders == ["fleet-encoder-0"]
+        # Shared pools survive the crash: the one loop the tenant's
+        # claim jobs ran on stays...
+        assert fleet.reactor.alive
+        assert alive_names().count("ginja-reactor") == 1
 
         # ...and every tenant-owned thread dies: the roster entry is the
         # only trace left.  Poll — uploader threads exit asynchronously.
@@ -445,6 +447,23 @@ class TestFleetMetering:
 class TestReactorOwnership:
     """The fleet owns ONE upload reactor; tenants get lanes, not threads."""
 
+    def test_a_queued_claim_shows_in_its_lane_depth(self, fleet):
+        ginja, db = admit(fleet, "q")
+        gate = hold_loop(fleet.reactor)
+        try:
+            ginja.pipeline.submit("probe", 0, b"u")
+            assert ginja.pipeline.drain(timeout=0.05) is False
+            health = fleet.health()
+            assert fleet.encode_pool.lane_depth("q") == 1
+            assert health["encode_lanes"] == {"q": 1}
+            assert health["encode_queue_depth"] == 1
+        finally:
+            gate.set()
+        assert ginja.pipeline.drain(timeout=10.0)
+        assert fleet.encode_pool.lane_depth("q") == 0
+        assert fleet.encode_pool.lane_depth("gone") == 0
+        db.close()
+
     def test_upload_threads_stay_constant_as_tenants_scale(self, fleet):
         def named(prefix):
             return [
@@ -453,26 +472,24 @@ class TestReactorOwnership:
             ]
 
         def census():
-            # Executor-bridge workers spawn lazily and the encoder starts
-            # on demand; both are checked below, not part of what must
-            # stay identical.
+            # Executor-bridge workers spawn lazily; they are checked
+            # below, not part of what must stay identical.
             return sorted(
                 n for n in named("ginja-") + named("fleet-")
-                if not n.startswith(("ginja-reactor-io", "fleet-encoder"))
+                if not n.startswith("ginja-reactor-io")
             )
 
         tenants = [admit(fleet, f"s{i}") for i in range(2)]
         for i, (_, db) in enumerate(tenants):
             commit_rows(db, f"s{i}", 8)
-        at_two, encoders_at_two = census(), named("fleet-encoder")
+        at_two = census()
         tenants += [admit(fleet, f"s{i}") for i in range(2, 6)]
         for i, (_, db) in enumerate(tenants):
             commit_rows(db, f"s{i}", 8)
-        # A tenant costs no thread: its claim jobs ride the one shared
-        # encoder, its T_B timer, its PUTs, its unlock rule and its
-        # checkpoint state machine the one reactor loop.
-        assert census() == at_two
-        assert encoders_at_two == named("fleet-encoder") == ["fleet-encoder-0"]
+        # A tenant costs no thread: its claim jobs, its T_B timer, its
+        # PUTs, its unlock rule and its checkpoint state machine all
+        # ride the one reactor loop.
+        assert census() == at_two == ["ginja-reactor"]
         for ginja, _ in tenants:
             assert ginja.drain(timeout=30.0)
 

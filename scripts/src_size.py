@@ -73,13 +73,13 @@ def measure(src: Path) -> dict[str, int]:
 def measure_rev(rev: str, root: Path = ROOT) -> dict[str, int]:
     """:func:`measure` over ``src/`` as committed at ``rev``."""
     with tempfile.TemporaryDirectory(prefix="src-size-") as tmp:
-        archive = subprocess.Popen(
+        with subprocess.Popen(
             ["git", "-C", str(root), "archive", "--format=tar", rev, "src"],
             stdout=subprocess.PIPE,
-        )
-        subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout,
-                       check=True)
-        if archive.wait() != 0:
+        ) as archive:
+            subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout,
+                           check=True)
+        if archive.returncode != 0:
             raise SystemExit(f"git archive {rev} failed")
         return measure(Path(tmp) / "src")
 

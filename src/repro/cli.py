@@ -11,8 +11,8 @@ Subcommands:
   catalog (:mod:`repro.fsck`) and optionally repair it; the exit code
   is the (remaining) violation count;
 * ``fleet``   — multi-tenant fleet drill (:mod:`repro.chaos.fleet_drill`):
-  N simulated tenants share one bucket and one encode/transport pool
-  set, with a mid-run tenant disaster, per-tenant fsck, and exact
+  N simulated tenants share one bucket, one reactor and one transport
+  stack, with a mid-run tenant disaster, per-tenant fsck, and exact
   per-tenant billing attribution;
 * ``chaos``   — run a deterministic disaster-drill campaign
   (scenario × crash point × seed) and judge it with the RPO /
@@ -536,7 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--safety", type=int, default=50)
     fleet.add_argument("--downloaders", type=int,
                        default=SharedPoolConfig.downloaders,
-                       help="shared recovery download pool size")
+                       help="concurrent GETs per restore (the restoring "
+                            "thread plus helpers); the fleet's restores "
+                            "together hold at most this many helper "
+                            "threads")
     fleet.add_argument("--jobs", type=int, default=8,
                        help="concurrent commit driver threads")
     fleet.add_argument("--seed", type=int, default=0,

@@ -10,6 +10,8 @@ boot segment.  (DESIGN.md lists this under substitutions.)
 
 from __future__ import annotations
 
+import threading
+
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import RecoveryError
 from repro.common import events
@@ -151,8 +153,7 @@ def recover_files(
     config: GinjaConfig | None = None,
     bus: EventBus | None = None,
     clock: Clock = SYSTEM_CLOCK,
-    pool=None,
-    lane: str = "",
+    helper_slots: threading.BoundedSemaphore | None = None,
     index: BucketIndex | None = None,
 ) -> RecoveryReport:
     """Rebuild the database files from the cloud (Alg. 1, Recovery).
@@ -167,13 +168,13 @@ def recover_files(
     .plan_from_index`) — ``index``, when the caller LISTed already (and
     cleans the bucket from it afterwards) — and is executed by a
     :class:`~repro.core.recovery.RecoveryEngine`: with
-    ``config.downloaders > 1`` the GET+decode work is prefetched on a
-    worker pool while payloads are applied strictly in plan order, so
-    the restored image is byte-identical to a sequential replay.
-    Without a ``config`` the restore runs sequentially.  ``pool``
-    routes the GET+decode jobs through a running shared worker pool
-    (a fleet's downloader stage) under fair-share lane ``lane``
-    instead of spawning private threads.
+    ``config.downloaders > 1`` the GET+decode work is prefetched on
+    helper threads while payloads are applied strictly in plan order,
+    so the restored image is byte-identical to a sequential replay.
+    Without a ``config`` the restore runs sequentially.
+    ``helper_slots`` is a fleet's semaphore bounding the helpers of all
+    its restores together (:class:`~repro.core.recovery
+    .RecoveryEngine`).
 
     The target file system should be empty; restored files are written
     from scratch.  Nothing in the bucket is changed.
@@ -189,7 +190,6 @@ def recover_files(
         prefetch_window=config.prefetch_window if config is not None else 16,
         bus=bus,
         clock=clock,
-        pool=pool,
-        lane=lane,
+        helper_slots=helper_slots,
     )
     return engine.run(plan)

@@ -17,7 +17,7 @@ class SharedPoolConfig:
 
     Everything here describes infrastructure that exists once per
     protection process, no matter how many tenant databases it serves:
-    the recovery download pool, the upload reactor (whose loop also
+    the bound on restore helper threads, the upload reactor (whose loop also
     runs every claim job — there is no encoder to size) and the
     transport stack's retry layers.  A
     :class:`~repro.fleet.manager.FleetManager` builds those from one
@@ -34,9 +34,9 @@ class SharedPoolConfig:
 
     #: Concurrent GETs of one disaster recovery: the restoring thread
     #: plus ``downloaders − 1`` helpers fetch and decode while payloads
-    #: are applied strictly in plan order; a fleet's shared download
-    #: pool has this many workers.  ``1`` restores sequentially on the
-    #: calling thread.
+    #: are applied strictly in plan order; a fleet's concurrent restores
+    #: together hold at most this many helpers.  ``1`` restores
+    #: sequentially on the calling thread.
     downloaders: int = 4
     #: Plan positions recovery may prefetch ahead of the apply cursor —
     #: bounds decoded-but-unapplied memory.

@@ -21,6 +21,8 @@ After a disaster::
 
 from __future__ import annotations
 
+import threading
+
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import GinjaError
 from repro.common import events
@@ -34,7 +36,6 @@ from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import CommitPipeline
 from repro.core.config import GinjaConfig
 from repro.core.data_model import BucketIndex
-from repro.core.encode_stage import EncodeStage
 from repro.core.processors import DatabaseProcessor
 from repro.core.stats import GinjaStats
 from repro.cloud.interface import ObjectStore
@@ -342,7 +343,7 @@ class Ginja:
         tenant: str = "",
         bus: EventBus | None = None,
         transport: ObjectStore | None = None,
-        download_pool: EncodeStage | None = None,
+        helper_slots: threading.BoundedSemaphore | None = None,
         reactor: UploadReactor | None = None,
     ) -> tuple["Ginja", RecoveryReport]:
         """Rebuild the database files from the cloud and return a mounted
@@ -355,10 +356,10 @@ class Ginja:
         All restore I/O runs through the instance's transport stack, so
         recovery GETs get the same retry policy, metering and tracing as
         uploads, and the downloads run ``config.downloaders`` wide (the
-        recovery engine) — on ``download_pool`` under the ``tenant``
-        lane when a fleet lends its shared one for the restore, else
-        on threads the restore starts and stops itself.  ``on_event``
-        subscribes to the recovery progress events
+        recovery engine), on helper threads the restore starts and
+        joins itself; a fleet passes ``helper_slots``, its one bound on
+        the helpers of all its restores.  ``on_event`` subscribes to
+        the recovery progress events
         (``recovery_planned``/``object_restored``/``recovery_done``)
         before the first GET — the CLI's progress narration hangs off
         this.
@@ -402,8 +403,7 @@ class Ginja:
             config=ginja.config,
             bus=ginja.bus,
             clock=clock,
-            pool=download_pool,
-            lane=tenant,
+            helper_slots=helper_slots,
             index=index,
         )
         # Audit the bucket alone: the fresh view would be all missing.

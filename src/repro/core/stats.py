@@ -51,8 +51,9 @@ class GinjaStats:
     #: how long in total.
     blocks: int = 0
     blocked_seconds: float = 0.0
-    #: Modeled seconds spent inside codec work (compress/encrypt/MAC),
-    #: for the resource-usage experiment (Table 4).
+    #: Pre-codec bytes fed to codec work (compress/encrypt/MAC), the
+    #: sum of ``codec`` events' sizes, for the resource-usage
+    #: experiment (Table 4).
     codec_bytes_in: int = 0
     #: Disaster-recovery runs completed on this bus, and what they moved
     #: (fed by the recovery engine's events; Figure 7 territory).

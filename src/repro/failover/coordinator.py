@@ -63,14 +63,13 @@ class FailoverCoordinator:
         clock: Clock = SYSTEM_CLOCK,
         transport: ObjectStore | None = None,
         tenant: str = "",
-        download_pool=None,
     ):
         """``transport`` injects an already retry-wrapped store (a fleet's
         prefixed view over its shared stack); the coordinator then never
         builds a private transport — double-wrapping a retrying store
-        would square the retry budget.  ``tenant`` / ``download_pool``
-        pass straight through to
-        :meth:`~repro.core.ginja.Ginja.recover` for fleet failovers.
+        would square the retry budget.  ``tenant`` passes straight
+        through to :meth:`~repro.core.ginja.Ginja.recover` for fleet
+        failovers.
         """
         self._cloud = cloud
         self._profile = profile
@@ -82,7 +81,6 @@ class FailoverCoordinator:
         self._clock = clock
         self._transport = transport
         self._tenant = tenant
-        self._download_pool = download_pool
 
     def run(self, max_polls: int = 0) -> FailoverResult:
         """Poll until failure is declared (or ``max_polls`` exhausted),
@@ -121,7 +119,6 @@ class FailoverCoordinator:
                 self._ginja_config,
                 transport=self._transport,
                 tenant=self._tenant,
-                download_pool=self._download_pool,
             )
             try:
                 # Open through Ginja's mount: the promoted standby is itself

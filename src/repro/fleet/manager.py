@@ -6,8 +6,9 @@ Ownership is split exactly along :class:`~repro.core.config
 * **Fleet-owned (one per process):** the upload reactor (one
   event-loop thread running every tenant's claim jobs and driving its
   WAL and checkpoint PUTs, GC DELETEs and T_B timers, one fair-share
-  lane each), the recovery download pool (its threads exist only while
-  a restore runs), the transport stack
+  lane each), the bound on restore helper threads (one semaphore; the
+  threads are each restore's own and exist only while it runs), the
+  transport stack
   (tracing → retry → meter over the shared backend), the fleet event
   bus, the per-tenant meter bank and stats rollup.
 * **Tenant-owned (one per database):** the commit pipeline, the
@@ -32,7 +33,6 @@ hot path to build its per-write events even when nobody listens.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
@@ -40,7 +40,6 @@ from repro.common import events
 from repro.common.errors import GinjaError
 from repro.common.events import Event, EventBus
 from repro.core.config import GinjaConfig, SharedPoolConfig, TenantPolicy
-from repro.core.encode_stage import EncodeStage
 from repro.core.ginja import Ginja
 from repro.core.stats import GinjaStats
 from repro.cloud.interface import ObjectStore
@@ -122,7 +121,8 @@ class UploadOverlapTracker:
 
 
 class FleetManager:
-    """Run many tenant databases over one shared bucket and pool set.
+    """Run many tenant databases over one shared bucket, reactor and
+    transport.
 
     Lifecycle::
 
@@ -134,7 +134,7 @@ class FleetManager:
         fleet.stop_all()
 
     Tenant ids become key-prefix components (``tenants/<id>/``) and
-    fair-share lane names in the shared pools, so they must be
+    fair-share lane names on the shared reactor, so they must be
     non-empty and slash-free.
     """
 
@@ -159,13 +159,11 @@ class FleetManager:
         #: ``encode_pool.lane_depth(tid)``: 1 while that tenant's claim
         #: job waits on the reactor loop.  Goes with Benchmark v2.
         self.encode_pool = SimpleNamespace(lane_depth=self._claim_depth)
-        #: Started by the first concurrent :meth:`recover_tenant` and
-        #: stopped with the last: restores share one lane-fair pool,
-        #: and a fleet that is not restoring pays no thread for it.
-        self.download_pool = EncodeStage(
-            self.shared.downloaders, name="fleet-downloader"
+        #: The fleet-wide helper bound: its concurrent restores together
+        #: hold at most ``downloaders`` helper threads.
+        self._helper_slots = threading.BoundedSemaphore(
+            self.shared.downloaders
         )
-        self._restores = 0
         #: One upload reactor for every tenant's claim jobs, WAL and
         #: checkpoint PUTs (tenants attach fair-share lanes, the event
         #: loop owns the in-flight window).
@@ -318,14 +316,13 @@ class FleetManager:
     ):
         """Disaster-recover one tenant from its keyspace (Alg. 1).
 
-        Downloads run through the shared download pool under the
-        tenant's fair-share lane, so a restore never starves co-tenant
-        restores (or commits) of worker threads; the pool's threads
-        live from the first concurrent restore to the last.  Returns
-        the new ``(ginja, report)`` pair and installs the instance on
-        the roster, replacing any crashed predecessor.  After a
-        point-in-time restore (``upto_ts``) the instance does not
-        protect (:meth:`Ginja.recover`).
+        The restore's helper threads come out of the fleet-wide bound
+        (``SharedPoolConfig.downloaders``) shared by every concurrent
+        restore; one that finds no slot free fetches on its own
+        thread.  Returns the new ``(ginja, report)`` pair and installs
+        the instance on the roster, replacing any crashed predecessor.
+        After a point-in-time restore (``upto_ts``) the instance does
+        not protect (:meth:`Ginja.recover`).
         """
         self._check_id(tenant_id)
         if not self._started:
@@ -339,38 +336,22 @@ class FleetManager:
                 )
         config = GinjaConfig.compose(self.shared, policy)
         store = self._tenant_store(tenant_id)
-        with self._downloaders():
-            ginja, report = Ginja.recover(
-                store,
-                fresh_fs,
-                profile,
-                config,
-                upto_ts=upto_ts,
-                clock=self.clock,
-                tenant=tenant_id,
-                bus=self._tenant_bus(tenant_id),
-                transport=store,
-                download_pool=self.download_pool,
-                reactor=self.reactor,
-            )
+        ginja, report = Ginja.recover(
+            store,
+            fresh_fs,
+            profile,
+            config,
+            upto_ts=upto_ts,
+            clock=self.clock,
+            tenant=tenant_id,
+            bus=self._tenant_bus(tenant_id),
+            transport=store,
+            helper_slots=self._helper_slots,
+            reactor=self.reactor,
+        )
         with self._lock:
             self._tenants[tenant_id] = ginja
         return ginja, report
-
-    @contextmanager
-    def _downloaders(self):
-        """Hold the shared download pool running for one restore."""
-        with self._lock:
-            self._restores += 1
-            if self._restores == 1:
-                self.download_pool.start()
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._restores -= 1
-                if self._restores == 0:
-                    self.download_pool.stop()
 
     # -- introspection -----------------------------------------------------------
 
@@ -404,7 +385,6 @@ class FleetManager:
             "encode_lanes": {
                 tid: self._claim_depth(tid) for tid in sorted(tenants)
             },
-            "download_queue_depth": self.download_pool.queue_depth(),
             #: Each tenant's adaptive B/S controller, where one runs
             #: (``None`` for tenants without a latency target).  Each
             #: snapshot is taken under that tuner's lock, so concurrent

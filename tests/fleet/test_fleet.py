@@ -15,10 +15,12 @@ import time
 import pytest
 
 from repro.common.errors import ConfigError, GinjaError
+from repro.core.bootstrap import recover_files
 from repro.core.codec import ObjectCodec
 from repro.core.commit_pipeline import _SHADOW_BYTES
 from repro.core.config import SharedPoolConfig, TenantPolicy
 from repro.cloud.memory import InMemoryObjectStore
+from repro.cloud.prefix import PrefixedObjectStore, tenant_prefix
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import POSTGRES_PROFILE
 from repro.fleet import FleetManager
@@ -54,6 +56,18 @@ def admit(fleet, tenant_id, policy=POLICY):
 def commit_rows(db, tenant_id, n, start=0):
     for row in range(start, start + n):
         db.put("t", f"row-{row}", f"{tenant_id}-{row}".encode())
+
+
+def helpers():
+    """The live restore helper threads, by name."""
+    return [
+        t.name for t in threading.enumerate()
+        if t.is_alive() and t.name.startswith("ginja-downloader-")
+    ]
+
+
+def image(fs):
+    return {path: fs.read_all(path) for path in fs.files()}
 
 
 class TestFleetLifecycle:
@@ -131,10 +145,15 @@ class TestFleetLifecycle:
         _, db = admit(manager, "only")
         commit_rows(db, "only", 5)
         db.close()
+        manager.crash_tenant("only")
+        manager.recover_tenant(
+            "only", MemoryFileSystem(), POSTGRES_PROFILE, POLICY
+        )
+        assert helpers() == []      # the restore joined its own
         manager.stop_all()
         assert manager.tenants() == ()
         assert not manager.reactor.alive
-        assert not manager.download_pool.running
+        assert helpers() == []
 
 
 class TestSharedPoolIsolation:
@@ -241,7 +260,7 @@ class TestSharedPoolIsolation:
 
 
 class TestFleetRecovery:
-    def test_rpo_zero_recovery_through_shared_download_pool(self, fleet):
+    def test_rpo_zero_recovery_with_helper_threads(self, fleet):
         ginja, db = admit(fleet, "phoenix")
         _, db_co = admit(fleet, "bystander")
         commit_rows(db, "phoenix", 20)
@@ -250,28 +269,28 @@ class TestFleetRecovery:
         db.close()
         fleet.crash_tenant("phoenix")
 
-        # The restore must run through the shared download pool — whose
-        # threads exist only while it does.  The restoring thread
-        # fetches too, and on an in-memory bucket it could outrun the
-        # pool's thread start: its first GET waits for a helper's.
+        # The restore must fetch on a helper thread too — one that
+        # exists only while it runs.  The restoring thread fetches
+        # first, and on an in-memory bucket it could outrun the
+        # helper's first take: its first GET waits for a helper's.
         fetched_on = set()
         helper_fetched = threading.Event()
 
         def on_get(event):
             name = threading.current_thread().name
             fetched_on.add(name)
-            if name.startswith("fleet-downloader-"):
+            if name.startswith("ginja-downloader-"):
                 helper_fetched.set()
             else:
                 helper_fetched.wait(timeout=5)
 
         fleet.bus.subscribe(on_get, kinds={"get_end"})
-        assert not fleet.download_pool.running
+        assert helpers() == []
         ginja2, report = fleet.recover_tenant(
             "phoenix", MemoryFileSystem(), POSTGRES_PROFILE, POLICY
         )
-        assert any(n.startswith("fleet-downloader-") for n in fetched_on)
-        assert not fleet.download_pool.running
+        assert any(n.startswith("ginja-downloader-") for n in fetched_on)
+        assert helpers() == []
         assert ginja2.running
         assert report.files_restored > 0
         db2 = MiniDB.open(ginja2.fs, POSTGRES_PROFILE, ENGINE)
@@ -286,6 +305,77 @@ class TestFleetRecovery:
         assert db_co.get("t", "row-19") == b"bystander-19"
         db2.close()
         db_co.close()
+
+    def test_concurrent_restores_share_the_fleet_helper_bound(self):
+        """Two crashed tenants recovered from two threads at once, both
+        mid-restore together: each image equals a sequential restore of
+        its keyspace, and the helper threads alive at any GET never
+        outnumber ``downloaders`` — though each restore wants two, and
+        the two together hold three."""
+        fleet = FleetManager(
+            InMemoryObjectStore(),
+            SharedPoolConfig(downloaders=3, prefetch_window=4),
+        )
+        fleet.start()
+        try:
+            names = ("left", "right")
+            expected = {}
+            for tid in names:
+                ginja, db = admit(fleet, tid)
+                commit_rows(db, tid, 40)
+                assert ginja.drain(timeout=30.0)
+                db.close()
+                fleet.crash_tenant(tid)
+                reference = MemoryFileSystem()
+                recover_files(
+                    PrefixedObjectStore(fleet.transport, tenant_prefix(tid)),
+                    ginja.codec, reference,
+                )
+                expected[tid] = image(reference)
+
+            sampled = []
+            # Each restoring thread's first GET (plan position 0) waits
+            # for the other's, so neither apply cursor moves and both
+            # restores' helpers wait inside a full window together.
+            overlap = threading.Barrier(2, timeout=10)
+            first_get = threading.local()
+
+            def on_get(event):
+                sampled.append(len(helpers()))
+                if threading.current_thread().name.startswith("restore-"):
+                    if not getattr(first_get, "seen", False):
+                        first_get.seen = True
+                        overlap.wait()
+
+            fleet.bus.subscribe(on_get, kinds={"get_end"})
+            targets = {tid: MemoryFileSystem() for tid in names}
+            failures = []
+
+            def restore(tid):
+                try:
+                    fleet.recover_tenant(
+                        tid, targets[tid], POSTGRES_PROFILE, POLICY
+                    )
+                except BaseException as exc:  # noqa: BLE001 - reported
+                    failures.append(exc)
+
+            runners = [
+                threading.Thread(target=restore, args=(tid,),
+                                 name=f"restore-{tid}")
+                for tid in names
+            ]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=30)
+            assert not any(runner.is_alive() for runner in runners)
+            assert failures == []
+            assert max(sampled) == 3
+            assert helpers() == []
+            for tid in names:
+                assert image(targets[tid]) == expected[tid]
+        finally:
+            fleet.stop_all()
 
     def test_a_point_in_time_restore_does_not_protect(self, fleet):
         ginja, db = admit(fleet, "rewind")
@@ -475,7 +565,7 @@ class TestReactorOwnership:
             # Executor-bridge workers spawn lazily; they are checked
             # below, not part of what must stay identical.
             return sorted(
-                n for n in named("ginja-") + named("fleet-")
+                n for n in named("ginja-")
                 if not n.startswith("ginja-reactor-io")
             )
 
@@ -506,10 +596,10 @@ class TestReactorOwnership:
         assert len(io) <= fleet.reactor.health()["io_threads"]
 
         # Downloaders exist only inside a recover.
-        assert named("fleet-downloader") == []
+        assert helpers() == []
         during = []
         fleet.bus.subscribe(
-            lambda event: during.append(len(named("fleet-downloader"))),
+            lambda event: during.append(len(helpers())),
             kinds={"get_end"},
         )
         ginja, db = tenants[0]
@@ -518,10 +608,10 @@ class TestReactorOwnership:
         fleet.recover_tenant(
             "s0", MemoryFileSystem(), POSTGRES_PROFILE, POLICY
         )
-        # Started on demand, up to SharedPoolConfig.downloaders: the
-        # first GET may land before a second job was ever queued.
-        assert during and 1 <= min(during) and max(during) <= 2
-        assert named("fleet-downloader") == []
+        # downloaders − 1 = 1 helper fetches beside the restoring
+        # thread; it exits once no position is left to take.
+        assert during and max(during) == 1
+        assert helpers() == []
 
         for _, db in tenants[1:]:
             db.close()

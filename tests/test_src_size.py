@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import pytest
@@ -62,16 +64,18 @@ def test_measure_counts_python_files_under_src(src_size, tree):
     }
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_a_revision_against_the_work_tree(src_size, tree, capsys):
-    def git(*args):
+def commit(tree):
+    """Make ``tree`` a git repository with one commit of everything."""
+    for args in (("init", "-q"), ("add", "-A"),
+                 ("commit", "-q", "-m", "fixture")):
         subprocess.run(["git", "-C", str(tree), "-c", "user.name=t",
                         "-c", "user.email=t@t", *args],
                        check=True, capture_output=True)
 
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "fixture")
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_revision_against_the_work_tree(src_size, tree, capsys):
+    commit(tree)
     (tree / "src" / "classy.py").unlink()
     assert src_size.main(["HEAD"], root=tree) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -79,3 +83,13 @@ def test_a_revision_against_the_work_tree(src_size, tree, capsys):
     assert lines[1].split() == ["HEAD", "2", "15", "7"]
     assert lines[2].split() == ["work", "tree", "1", "8", "4"]
     assert lines[3].split() == ["delta", "-1", "-7", "-3"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_measuring_a_revision_closes_the_archive_pipe(src_size, tree):
+    commit(tree)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert src_size.measure_rev("HEAD", root=tree)["files"] == 2
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []

@@ -45,7 +45,7 @@ def main() -> None:
         time_scale=0, clock=clock, seed=11, bus=bus,
     )
     store = RetryLayer(cloud, RetryPolicy(max_retries=3), clock=clock,
-                       bus=bus, rng=random.Random(5))
+                       bus=bus)
     rng = random.Random(99)
     keys = [f"WAL/{i:04d}" for i in range(40)]
     for _ in range(300):

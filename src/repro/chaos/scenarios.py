@@ -152,9 +152,9 @@ class Scenario:
     def ginja_config(self, seed: int) -> GinjaConfig:
         """The middleware configuration this scenario runs with.
 
-        The drill seed becomes ``GinjaConfig.seed``, which
-        :func:`~repro.cloud.transport.build_transport` hands to the
-        retry layer — so backoff jitter replays per seed.
+        The drill seed becomes ``GinjaConfig.seed``, as it seeds the
+        simulated cloud's fault sampling and latency jitter
+        (:meth:`build_cloud`); the retry backoff draws nothing from it.
         """
         safety = _UNBOUNDED if self.unbounded_safety else self.safety
         timeout = _UNBOUNDED if self.unbounded_safety else self.safety_timeout

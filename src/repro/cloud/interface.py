@@ -148,7 +148,7 @@ class ObjectStore:
         return self.stat(key) is not None
 
 
-#: The class a request is faulted and budgeted as, where that is not
+#: The class a request is faulted and retried as, where that is not
 #: its own verb: STAT reads the index a LIST reads, so it fails and
 #: retries as one.
 REQUEST_CLASS = {"STAT": "LIST"}

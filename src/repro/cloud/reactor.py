@@ -221,7 +221,9 @@ class UploadReactor:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "UploadReactor":
-        if self._thread is not None:
+        if self._executor is not None:
+            # One run per reactor: a stopped or crashed one keeps
+            # ``_stopping`` set, so a second loop would refuse all work.
             raise GinjaError("upload reactor already started")
         self._executor = ThreadPoolExecutor(
             max_workers=self._io_threads, thread_name_prefix=f"{self._name}-io"

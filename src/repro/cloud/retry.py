@@ -1,25 +1,24 @@
 """The single retry/backoff implementation for all cloud I/O.
 
 Before the transport refactor this logic was copy-pasted three times
-(commit-pipeline PUT, checkpointer PUT, checkpointer DELETE) with the
-backoff cap hardcoded at two seconds.  It now lives in exactly one
-place: :class:`RetryPolicy` describes the schedule, :class:`RetryLayer`
-applies it to every request of a transport stack.
+(commit-pipeline PUT, checkpointer PUT, checkpointer DELETE).  It now
+lives in exactly one place: :class:`RetryPolicy` holds the two knobs a
+config sets, the constants below the rest of the schedule, and
+:class:`RetryLayer` applies it to every request of a transport stack.
 
-The policy distinguishes *fatal* and *skippable* verbs, exactly as the
-checkpointer comments prescribe: a PUT that exhausts its budget must
-raise (silently dropping a WAL object would leave a permanent timestamp
-gap that recovery stops at), while a GC DELETE that exhausts its budget
-is skipped (an orphaned object wastes a few bytes of storage and is
+DELETE is the one *skippable* verb, exactly as the checkpointer
+comments prescribe: a PUT that exhausts its budget must raise (silently
+dropping a WAL object would leave a permanent timestamp gap that
+recovery stops at), while a GC DELETE that exhausts its budget is
+skipped (an orphaned object wastes a few bytes of storage and is
 ignored by recovery, whereas killing the Checkpointer would stop all
 future checkpoint replication).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Mapping, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.clock import Clock, SYSTEM_CLOCK
 from repro.common.errors import CloudError
@@ -31,96 +30,65 @@ from repro.cloud.interface import REQUEST_CLASS, ObjectStore, TransportLayer
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.config import GinjaConfig
 
-#: The verbs a policy can budget individually.
-VERBS = ("PUT", "GET", "LIST", "DELETE")
+#: Backoff growth factor per attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: Upper bound on any single backoff sleep, in seconds.
+BACKOFF_CAP = 2.0
+#: The verb whose exhaustion is absorbed (the request is skipped)
+#: instead of raised.
+SKIPPABLE = "DELETE"
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Jittered exponential backoff with per-verb budgets.
+    """Capped exponential backoff with one retry budget for every verb.
 
     Attributes:
-        max_retries: default retry budget per request (attempts allowed
-            beyond the first = ``max_retries``).
-        base_backoff: seconds before the first retry.
-        multiplier: backoff growth factor per attempt.
-        backoff_cap: upper bound on any single backoff sleep — the
-            knob that used to be a hardcoded ``min(backoff, 2.0)``.
-        jitter: fraction of the backoff randomized symmetrically
-            (``0.25`` means +-25%); ``0`` keeps retries deterministic.
-        budgets: per-verb overrides of ``max_retries``.
-        skippable: verbs whose exhaustion is absorbed (the request is
-            skipped) instead of raised.  GC DELETE by default.
+        max_retries: retry budget per request (attempts allowed beyond
+            the first = ``max_retries``).
+        base_backoff: seconds before the first retry; each further
+            retry waits :data:`BACKOFF_MULTIPLIER` times longer, up to
+            :data:`BACKOFF_CAP`.
     """
 
     max_retries: int = 5
     base_backoff: float = 0.1
-    multiplier: float = 2.0
-    backoff_cap: float = 2.0
-    jitter: float = 0.0
-    budgets: Mapping[str, int] = field(default_factory=dict)
-    skippable: frozenset[str] = frozenset({"DELETE"})
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.base_backoff < 0 or self.backoff_cap <= 0:
-            raise ValueError("backoff values must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
-        for verb, budget in self.budgets.items():
-            if verb not in VERBS:
-                raise ValueError(f"unknown verb in retry budgets: {verb!r}")
-            if budget < 0:
-                raise ValueError(f"negative retry budget for {verb}")
+        if self.base_backoff < 0:
+            raise ValueError("base_backoff must be >= 0")
 
     @classmethod
     def from_config(cls, config: "GinjaConfig") -> "RetryPolicy":
         """The policy a :class:`~repro.core.config.GinjaConfig` declares."""
         return cls(
-            max_retries=config.max_retries,
-            base_backoff=config.retry_backoff,
-            backoff_cap=config.retry_backoff_cap,
-            jitter=config.retry_jitter,
-            budgets=dict(config.retry_budgets),
+            max_retries=config.max_retries, base_backoff=config.retry_backoff,
         )
 
-    def budget(self, verb: str) -> int:
-        """Retries allowed for ``verb`` (per-verb override wins)."""
-        return self.budgets.get(verb, self.max_retries)
-
-    def is_skippable(self, verb: str) -> bool:
-        return verb in self.skippable
-
-    def backoff(self, attempt: int, rng: random.Random | None = None) -> float:
+    def backoff(self, attempt: int) -> float:
         """Seconds to sleep before retry number ``attempt`` (1-based)."""
         # Clamp the exponent before the power: at large attempt counts
         # (long outage drills) float ** overflows well before min() runs.
         exponent = min(attempt - 1, 128)
-        delay = min(
-            self.base_backoff * self.multiplier ** exponent,
-            self.backoff_cap,
+        return min(
+            self.base_backoff * BACKOFF_MULTIPLIER ** exponent, BACKOFF_CAP
         )
-        if self.jitter > 0 and rng is not None:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
 
 
 class RetryLayer(TransportLayer):
     """Transport layer applying one :class:`RetryPolicy` to every verb.
 
     This is the only retry loop in the codebase.  STAT (and ``exists``
-    through it) is a listing-class read: it shares the LIST budget and
-    its non-skippable exhaustion, and the fault layer classifies it the
-    same way.  DELETE is mostly the GC verb — checkpoint GC, plus the
-    stale-key, purge and fsck deletes that share its skippable
-    semantics — so the layer also emits the ``gc_delete``
-    success/failure events the stats counters are built from: **one
-    per key**, also for a batch DELETE, which is retried, exhausted and
-    skipped as the single request it is (every key of the slice reports
-    the request's verdict).
+    through it) is a listing-class read: it retries and exhausts as a
+    LIST does, and the fault layer classifies it the same way.  DELETE
+    is mostly the GC verb — checkpoint GC, plus the stale-key, purge and
+    fsck deletes that share its skippable semantics — so the layer also
+    emits the ``gc_delete`` success/failure events the stats counters
+    are built from: **one per key**, also for a batch DELETE, which is
+    retried, exhausted and skipped as the single request it is (every
+    key of the slice reports the request's verdict).
     """
 
     def __init__(
@@ -130,13 +98,11 @@ class RetryLayer(TransportLayer):
         *,
         clock: Clock = SYSTEM_CLOCK,
         bus: EventBus | None = None,
-        rng: random.Random | None = None,
     ):
         super().__init__(inner)
         self._policy = policy or RetryPolicy()
         self._clock = clock
         self._bus = bus or NULL_BUS
-        self._rng = rng or random.Random(0)
 
     @property
     def policy(self) -> RetryPolicy:
@@ -194,8 +160,8 @@ class RetryLayer(TransportLayer):
         before the next one, or ``None`` when a skippable verb has
         spent its budget and the request is absorbed.  A fatal verb's
         exhaustion re-raises."""
-        if attempts > self._policy.budget(verb):
-            if not self._policy.is_skippable(verb):
+        if attempts > self._policy.max_retries:
+            if verb != SKIPPABLE:
                 raise exc
             self._emit_gc(keys, ok=False, attempt=attempts, detail=repr(exc))
             return None
@@ -203,7 +169,7 @@ class RetryLayer(TransportLayer):
             events.RETRY, verb=verb, key=key, attempt=attempts,
             detail=repr(exc),
         )
-        return self._policy.backoff(attempts, self._rng)
+        return self._policy.backoff(attempts)
 
     def _emit_gc(self, keys, **verdict) -> None:
         if not self._bus.wants(events.GC_DELETE):

@@ -52,8 +52,8 @@ class FaultLayer(TransportLayer):
     outright.  Requests failing inside a scheduled outage window emit an
     ``outage`` event so traces can distinguish provider downtime from
     transient errors.  STAT fails under the same conditions a LIST
-    would (it reads the same index), so the RetryLayer's LIST budget
-    above has something real to retry.
+    would (it reads the same index), so the RetryLayer above has
+    something real to retry.
     """
 
     def __init__(
@@ -330,8 +330,8 @@ def build_transport(
             config-assembled stack draws from one deterministic stream.
         epoch: store-time zero for fault windows and billing timestamps
             (default: ``clock.now()`` at build time).
-        rng: shared RNG for latency jitter, fault sampling and retry
-            jitter — one stream, so composed runs are reproducible.
+        rng: shared RNG for latency jitter and fault sampling — one
+            stream, so composed runs are reproducible.
     """
     bus = bus or NULL_BUS
     if rng is None:
@@ -353,7 +353,7 @@ def build_transport(
     if policy is None and config is not None:
         policy = RetryPolicy.from_config(config)
     if policy is not None:
-        store = RetryLayer(store, policy, clock=clock, bus=bus, rng=rng)
+        store = RetryLayer(store, policy, clock=clock, bus=bus)
     if tracing:
         store = TracingLayer(store, bus=bus, clock=clock)
     return store

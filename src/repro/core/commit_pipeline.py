@@ -367,10 +367,9 @@ class CommitPipeline:
             self._config.safety if self.tuner is None else self.tuner.safety()
         )
 
-    def _batch_deadline(self, now: float) -> float:
-        """When T_B expires for the unclaimed updates, read at ``now``
-        (a schedule resolves T_B from the hour of the session clock)."""
-        timeout = self._config.effective_batch_timeout(now)
+    def _batch_deadline(self) -> float:
+        """When T_B expires for the unclaimed updates."""
+        timeout = self._config.batch_timeout
         if self.tuner is not None:
             timeout *= self.tuner.timeout_scale()
         return self._tb_anchor + timeout
@@ -452,7 +451,7 @@ class CommitPipeline:
         try:
             if available < self._batch_limit() and not self._draining:
                 now = self._clock.now()
-                deadline = self._batch_deadline(now)
+                deadline = self._batch_deadline()
                 if now < deadline:
                     if self._timer is None or deadline < self._timer_deadline:
                         if self._timer is not None:

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
 
 from repro.common.errors import ConfigError
 from repro.core.pitr import RetentionPolicy
-from repro.core.schedule import SyncSchedule
 
 
 @dataclass(frozen=True)
@@ -17,9 +14,9 @@ class SharedPoolConfig:
 
     Everything here describes infrastructure that exists once per
     protection process, no matter how many tenant databases it serves:
-    the bound on restore helper threads, the upload reactor (whose loop also
-    runs every claim job — there is no encoder to size) and the
-    transport stack's retry layers.  A
+    the bound on restore helper threads, the transport stack's retry
+    layers and the provider placement.  (The upload reactor, whose loop
+    also runs every claim job, keeps its own default window.)  A
     :class:`~repro.fleet.manager.FleetManager` builds those from one
     ``SharedPoolConfig`` and injects them into every tenant's
     :class:`~repro.core.ginja.Ginja`; a single-tenant ``Ginja`` reads
@@ -44,18 +41,13 @@ class SharedPoolConfig:
     #: Retry budget per request before the caller sees the failure (a
     #: PUT that exhausts it poisons the pipeline).
     max_retries: int = 5
-    #: Base backoff between retries, in seconds (doubles per attempt).
+    #: Base backoff between retries, in seconds (doubles per attempt,
+    #: capped at :data:`~repro.cloud.retry.BACKOFF_CAP`).
     retry_backoff: float = 0.1
-    #: Upper bound on any single backoff sleep.
-    retry_backoff_cap: float = 2.0
-    #: Fraction of each backoff randomized symmetrically (0 = none),
-    #: to de-synchronize uploads retrying into an outage.
-    retry_jitter: float = 0.0
-    #: Per-verb overrides of ``max_retries`` (keys: PUT/GET/LIST/DELETE).
-    retry_budgets: Mapping[str, int] = field(default_factory=dict)
-    #: Seed of the single RNG shared by the Fault/Meter/Retry transport
-    #: layers (jitter, fault sampling).  One stream, one knob: a drill
-    #: that sets ``seed`` replays the same failure schedule every run.
+    #: Seed of the single RNG shared by the Fault and Meter transport
+    #: layers (latency jitter, fault sampling).  One stream, one knob: a
+    #: drill that sets ``seed`` replays the same failure schedule every
+    #: run.
     seed: int = 0
     #: Simulated cloud providers the placement layer spreads objects
     #: over.  ``1`` keeps the classic single-cloud layout (and the
@@ -66,23 +58,16 @@ class SharedPoolConfig:
     #: per-class map like ``wal=mirror-2,db=stripe-2-3``
     #: (:func:`repro.placement.policy.parse_placement`).
     placement: str = "mirror-1"
-    #: Global in-flight window of the upload reactor — the cap on
-    #: concurrently running PUTs process-wide (the reactor replaced
-    #: thread-per-upload, so this, not a thread count, bounds upload
-    #: concurrency).
-    reactor_inflight: int = 64
 
     def __post_init__(self) -> None:
         if self.downloaders < 1:
             raise ConfigError("need at least one downloader thread")
         if self.prefetch_window < 1:
             raise ConfigError("prefetch_window must be >= 1")
-        if self.retry_backoff < 0 or self.retry_backoff_cap <= 0:
-            raise ConfigError("retry backoff values must be positive")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ConfigError("retry_jitter must be within [0, 1]")
-        if self.reactor_inflight < 1:
-            raise ConfigError("reactor_inflight must be >= 1")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
+        if self.retry_backoff < 0:
+            raise ConfigError("retry_backoff must be >= 0")
         if self.providers < 1:
             raise ConfigError("need at least one provider")
         from repro.placement.policy import parse_placement
@@ -90,11 +75,6 @@ class SharedPoolConfig:
         # The spec must parse against the provider count (the parser
         # raises ConfigError with the offending token).
         parse_placement(self.placement, self.providers)
-        # One shared half backs every tenant's view: freeze the one
-        # mutable value so no view can edit its co-tenants' budgets.
-        object.__setattr__(
-            self, "retry_budgets", MappingProxyType(dict(self.retry_budgets))
-        )
 
 
 @dataclass(frozen=True)
@@ -149,11 +129,6 @@ class TenantPolicy:
 
     # -- §5.4: point-in-time recovery ------------------------------------------
     retention: RetentionPolicy = field(default_factory=RetentionPolicy.none)
-
-    # -- §3 extension: business-hours scheduling ---------------------------------
-    #: When set, overrides ``batch_timeout`` by hour of day so business
-    #: hours sync more often for the same monthly PUT budget.
-    sync_schedule: SyncSchedule | None = None
 
     # -- adaptive batch/safety tuner -------------------------------------------
     #: Commit-latency target (seconds) the adaptive
@@ -252,15 +227,6 @@ class GinjaConfig:
 
     def __repr__(self) -> str:
         return f"GinjaConfig({self._shared!r}, {self._policy!r})"
-
-    def effective_batch_timeout(self, now: float | None = None) -> float:
-        """T_B at session-clock time ``now`` (the schedule wins when
-        configured).  Callers with a clock pass their reading so the
-        hour of day derives from the session clock, not the host's —
-        omitting it falls back to the schedule's ``hour_fn``."""
-        if self.sync_schedule is not None:
-            return self.sync_schedule.current_timeout(now)
-        return self.batch_timeout
 
     @classmethod
     def no_loss(cls, **overrides) -> "GinjaConfig":

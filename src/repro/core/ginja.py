@@ -63,7 +63,6 @@ class Ginja:
         *,
         clock: Clock = SYSTEM_CLOCK,
         fuse_overhead: float = 0.0,
-        time_scale: float = 1.0,
         tenant: str = "",
         bus: EventBus | None = None,
         transport: ObjectStore | None = None,
@@ -112,11 +111,7 @@ class Ginja:
         #: The file system to hand the DBMS.  Interception activates at
         #: :meth:`start` — Algorithm 1 mounts only after initialization.
         self.fs = InterposedFS(
-            inner_fs,
-            None,
-            per_call_overhead=fuse_overhead,
-            time_scale=time_scale,
-            clock=clock,
+            inner_fs, None, per_call_overhead=fuse_overhead, clock=clock
         )
         #: One upload reactor runs the claim jobs and drives WAL PUTs,
         #: checkpoint PUTs and GC DELETEs (the tenant's lane on a
@@ -150,6 +145,9 @@ class Ginja:
         )
         self.processor = DatabaseProcessor(profile, self.pipeline, self.collector)
         self._running = False
+        #: Set once :meth:`start` gets past the bucket: an instance runs
+        #: once, and a stopped or crashed one is not restarted.
+        self._started = False
         #: The ``upto_ts`` of the point-in-time restore that built this
         #: instance, if one did: it never protects (:meth:`start`).
         self._restored_upto: int | None = None
@@ -160,9 +158,11 @@ class Ginja:
         """Initialize per Algorithm 1 and activate interception.
 
         ``mode`` is ``"boot"`` (fresh bucket: upload everything first) or
-        ``"reboot"`` (bucket already synchronized with local files).
+        ``"reboot"`` (bucket already synchronized with local files).  An
+        instance starts once: after :meth:`stop` or :meth:`crash`, build
+        a new one (its private reactor cannot run twice).
         """
-        if self._running:
+        if self._started:
             raise GinjaError("Ginja already started")
         if self._restored_upto is not None:
             # The bucket's chain runs past the restored point: shipping
@@ -197,6 +197,7 @@ class Ginja:
             # An earlier pipeline shipped into this bucket.
             marks = unbounded_marks(self.fs.inner, self.view, self.profile)
         self.pipeline.seed_marks(marks)
+        self._started = True
         if not self.reactor.alive:
             if not self._own_reactor:
                 raise GinjaError(
@@ -337,8 +338,6 @@ class Ginja:
         *,
         upto_ts: int | None = None,
         clock: Clock = SYSTEM_CLOCK,
-        fuse_overhead: float = 0.0,
-        time_scale: float = 1.0,
         on_event: Subscriber | None = None,
         tenant: str = "",
         bus: EventBus | None = None,
@@ -385,8 +384,6 @@ class Ginja:
             profile,
             config,
             clock=clock,
-            fuse_overhead=fuse_overhead,
-            time_scale=time_scale,
             tenant=tenant,
             bus=bus,
             transport=transport,

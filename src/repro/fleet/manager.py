@@ -166,10 +166,8 @@ class FleetManager:
         )
         #: One upload reactor for every tenant's claim jobs, WAL and
         #: checkpoint PUTs (tenants attach fair-share lanes, the event
-        #: loop owns the in-flight window).
-        self.reactor = UploadReactor(
-            inflight_window=self.shared.reactor_inflight
-        )
+        #: loop owns the reactor's default in-flight window).
+        self.reactor = UploadReactor()
         #: Store-time zero of the fleet's metering window (billing
         #: ``at`` stamps and :meth:`elapsed` are relative to this).
         self.epoch = clock.now()

@@ -9,9 +9,10 @@ Figure 5:
   the "FUSE" bar;
 * ``ginja`` — the full middleware.
 
-Latencies are modeled at full scale and slept at ``*_time_scale``, so a
-five-minute paper experiment runs in seconds while metering the paper's
-time units (see :mod:`repro.cloud.latency`).
+Cloud latencies are modeled at full scale and slept at
+``cloud_time_scale``, so a five-minute paper experiment runs in seconds
+while metering the paper's time units (see :mod:`repro.cloud.latency`);
+disk latency and the FUSE crossing are paid in full.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class StackConfig:
     auto_checkpoint_bytes: int = 8 * MiB
     auto_checkpoint: bool = True
     disk: DiskModel = HDD_15K
-    disk_time_scale: float = 1.0
     cloud_latency: LatencyModel = WAN_LATENCY
     cloud_time_scale: float = 0.1
     fuse_overhead: float = DEFAULT_FUSE_OVERHEAD
@@ -157,17 +157,13 @@ def build_stack(config: StackConfig | None = None, **overrides) -> Stack:
         config = StackConfig(**overrides)
     elif overrides:
         raise ConfigError("pass either a StackConfig or overrides, not both")
-    inner = MemoryFileSystem(
-        disk=config.disk, time_scale=config.disk_time_scale
-    )
+    inner = MemoryFileSystem(disk=config.disk)
     if config.fs_mode == "native":
         return Stack(config=config, inner_fs=inner, fs=inner, cloud=None,
                      ginja=None)
     if config.fs_mode == "fuse":
         fs = InterposedFS(
-            inner, None,
-            per_call_overhead=config.fuse_overhead,
-            time_scale=1.0,
+            inner, None, per_call_overhead=config.fuse_overhead
         )
         return Stack(config=config, inner_fs=inner, fs=fs, cloud=None,
                      ginja=None)
@@ -196,7 +192,6 @@ def build_stack(config: StackConfig | None = None, **overrides) -> Stack:
         ginja = Ginja(
             inner, cloud, config.profile, ginja_config,
             fuse_overhead=config.fuse_overhead,
-            time_scale=1.0,
         )
         return Stack(config=config, inner_fs=inner, fs=ginja.fs, cloud=cloud,
                      ginja=ginja, owned_stores=owned)

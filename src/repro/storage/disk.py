@@ -2,8 +2,8 @@
 
 Gives the RAM-backed file system the timing behaviour of the paper's
 test machines (15k-RPM HDD) so the ext4/FUSE/Ginja baselines relate the
-way Figure 5 shows.  Like the cloud latency model, the modeled latency
-is metered in full while only ``time_scale`` of it is slept.
+way Figure 5 shows.  The modeled latency is metered and paid in full
+(paced through :meth:`~repro.common.clock.Clock.pace`).
 """
 
 from __future__ import annotations

@@ -58,8 +58,7 @@ class InterposedFS(FileSystem):
             overhead baseline).
         per_call_overhead: modeled seconds added to every operation
             (FUSE context-switch cost; the paper measures the resulting
-            throughput dip at 7%/12% for PG/MySQL).
-        time_scale: fraction of the overhead actually paid in time.
+            throughput dip at 7%/12% for PG/MySQL), paid in full.
         clock: time source.
     """
 
@@ -69,12 +68,11 @@ class InterposedFS(FileSystem):
         interceptor: FSInterceptor | None = None,
         *,
         per_call_overhead: float = 0.0,
-        time_scale: float = 1.0,
         clock: Clock = SYSTEM_CLOCK,
     ):
         self._inner = inner
         self._interceptor = interceptor
-        self._crossing = per_call_overhead * time_scale
+        self._crossing = per_call_overhead
         self._clock = clock
         self._account = SleepAccount()
         self.calls = 0  # total intercepted operations, for diagnostics

@@ -14,8 +14,7 @@ class MemoryFileSystem(FileSystem):
     """Files as bytearrays, with sparse-write semantics.
 
     Args:
-        disk: latency model applied to every call.
-        time_scale: fraction of modeled latency actually paid in time.
+        disk: latency model applied to every call, paid in full.
         clock: time source for sleeping.
     """
 
@@ -23,13 +22,11 @@ class MemoryFileSystem(FileSystem):
         self,
         disk: DiskModel = NO_DISK_LATENCY,
         *,
-        time_scale: float = 1.0,
         clock: Clock = SYSTEM_CLOCK,
     ):
         self._files: dict[str, bytearray] = {}
         self._lock = threading.RLock()
         self._disk = disk
-        self._time_scale = time_scale
         self._clock = clock
         self._account = SleepAccount()
         #: Total modeled seconds spent in disk latency (for accounting).
@@ -41,7 +38,7 @@ class MemoryFileSystem(FileSystem):
             return
         with self._lock:
             self.modeled_io_seconds += latency
-        self._clock.pace(self._account, latency * self._time_scale)
+        self._clock.pace(self._account, latency)
 
     def _file(self, path: str) -> bytearray:
         try:

@@ -303,7 +303,7 @@ class TestSubmitDelete:
         gc = []
         bus.subscribe(gc.append, kinds={"gc_delete"})
         layer = RetryLayer(
-            store, RetryPolicy(max_retries=5, base_backoff=1.0, jitter=0.0),
+            store, RetryPolicy(max_retries=5, base_backoff=1.0),
             clock=ManualClock(), bus=bus,
         )
         reactor.attach("t", window=1)
@@ -456,6 +456,21 @@ class TestStop:
         assert order.index("fatal") < order.index("k1")
         assert isinstance(handles[1].error, GinjaError)
 
+    @pytest.mark.parametrize("end", ["stop", "crash"])
+    def test_a_reactor_runs_once(self, end):
+        """A stopped or crashed reactor refuses ``start``: its second
+        loop would read alive yet refuse every submit, and the next
+        ``stop`` would time out on it."""
+        reactor = UploadReactor(name="ginja-reactor-once")
+        reactor.start()
+        getattr(reactor, end)()
+        reactor.stop()
+        with pytest.raises(GinjaError, match="already started"):
+            reactor.start()
+        assert not reactor.alive
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith("ginja-reactor-once")] == []
+
     def test_blocking_put_override_does_not_wedge_the_loop(self):
         # InMemoryObjectStore.aput inlines the dict insert on the loop
         # thread — but only for the pristine put.  A subclass whose put
@@ -537,7 +552,7 @@ class TestBackoffBookkeeping:
 
         store = Flaky(2)
         layer = RetryLayer(
-            store, RetryPolicy(max_retries=5, base_backoff=1.0, jitter=0.0),
+            store, RetryPolicy(max_retries=5, base_backoff=1.0),
             clock=ManualClock(), bus=EventBus(),
         )
         reactor.attach("t", window=1)
@@ -572,7 +587,7 @@ class TestRetryBudgetsUnderConcurrency:
         retries = []
         bus.subscribe(retries.append, kinds={"retry"})
         layer = RetryLayer(
-            store, RetryPolicy(max_retries=2, base_backoff=1.0, jitter=0.0),
+            store, RetryPolicy(max_retries=2, base_backoff=1.0),
             clock=ManualClock(), bus=bus,
         )
         reactor.attach("t", window=2)

@@ -14,7 +14,7 @@ from repro.cloud.faults import FaultPolicy, Outage
 from repro.cloud.latency import LatencyModel
 from repro.cloud.memory import InMemoryObjectStore
 from repro.cloud.metering import RequestMeter
-from repro.cloud.retry import RetryLayer, RetryPolicy
+from repro.cloud.retry import BACKOFF_CAP, RetryLayer, RetryPolicy
 from repro.cloud.simulated import SimulatedCloud
 from repro.cloud.transport import build_transport, describe_transport
 from repro.core.config import GinjaConfig
@@ -89,52 +89,34 @@ class TestAssembly:
 
 class TestRetryPolicy:
     def test_backoff_grows_to_the_cap(self):
-        policy = RetryPolicy(base_backoff=0.1, multiplier=2.0, backoff_cap=0.5)
+        policy = RetryPolicy(base_backoff=0.25)
         assert [policy.backoff(n) for n in (1, 2, 3, 4, 5)] == \
-            [0.1, 0.2, 0.4, 0.5, 0.5]
+            [0.25, 0.5, 1.0, 2.0, 2.0]
 
     def test_configurable_cap_replaces_the_hardcoded_two_seconds(self):
-        policy = RetryPolicy.from_config(GinjaConfig(retry_backoff_cap=8.0))
-        assert policy.backoff(12) == 8.0
+        """The cap is the module's one constant, whatever the config's
+        base backoff."""
+        policy = RetryPolicy.from_config(GinjaConfig(retry_backoff=1.0))
+        assert policy.backoff(12) == BACKOFF_CAP == 2.0
 
     def test_huge_attempt_counts_do_not_overflow(self):
         """Long-outage drills retry tens of thousands of times; the cap
         must apply before the exponential blows past float range."""
-        policy = RetryPolicy(base_backoff=0.1, multiplier=2.0, backoff_cap=0.5)
-        assert policy.backoff(30_000) == 0.5
-
-    def test_jitter_stays_within_the_band(self):
-        policy = RetryPolicy(base_backoff=1.0, backoff_cap=1.0, jitter=0.25)
-        rng = random.Random(7)
-        delays = [policy.backoff(1, rng) for _ in range(200)]
-        assert all(0.75 <= d <= 1.25 for d in delays)
-        assert len(set(delays)) > 1  # actually randomized
-
-    def test_per_verb_budgets(self):
-        policy = RetryPolicy(max_retries=5, budgets={"GET": 0})
-        assert policy.budget("GET") == 0
-        assert policy.budget("PUT") == 5
+        policy = RetryPolicy(base_backoff=0.1)
+        assert policy.backoff(30_000) == BACKOFF_CAP
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(budgets={"POST": 1})
-        with pytest.raises(ValueError):
+            RetryPolicy(base_backoff=-0.5)
+        with pytest.raises(TypeError):  # the schedule's constants
             RetryPolicy(multiplier=0.5)
 
     def test_from_config_reads_every_knob(self):
-        config = GinjaConfig(max_retries=7, retry_backoff=0.3,
-                             retry_backoff_cap=4.0, retry_jitter=0.2,
-                             retry_budgets={"DELETE": 1})
+        config = GinjaConfig(max_retries=7, retry_backoff=0.3)
         policy = RetryPolicy.from_config(config)
-        assert policy.max_retries == 7
-        assert policy.base_backoff == 0.3
-        assert policy.backoff_cap == 4.0
-        assert policy.jitter == 0.2
-        assert policy.budget("DELETE") == 1
+        assert policy == RetryPolicy(max_retries=7, base_backoff=0.3)
 
 
 class FailingStore(InMemoryObjectStore):
@@ -167,8 +149,7 @@ class TestRetryLayer:
         store = FailingStore(3)
         layer = RetryLayer(
             store,
-            RetryPolicy(max_retries=5, base_backoff=1.0, multiplier=2.0,
-                        backoff_cap=2.0),
+            RetryPolicy(max_retries=5, base_backoff=1.0),
             clock=clock, bus=bus,
         )
         layer.put("k", b"v")
@@ -440,7 +421,7 @@ class TestSeedPlumbing:
             time_scale=0.0,
         )
         rngs = self._rngs(stack)
-        assert len(rngs) == 3  # retry, fault, latency
+        assert len(rngs) == 2  # fault, latency (retry draws nothing)
         assert all(r is rngs[0] for r in rngs)  # one stream, one knob
         assert rngs[0].random() == random.Random(1234).random()
 
@@ -448,6 +429,6 @@ class TestSeedPlumbing:
         rng = random.Random(7)
         stack = build_transport(
             InMemoryObjectStore(), GinjaConfig(seed=1), rng=rng,
-            tracing=False,
+            metered=True, tracing=False,
         )
-        assert stack._rng is rng
+        assert self._rngs(stack) == [rng]

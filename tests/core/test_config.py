@@ -91,7 +91,7 @@ class TestSharedPolicySplit:
         shared = {f.name for f in fields(SharedPoolConfig)}
         policy = {f.name for f in fields(TenantPolicy)}
         assert shared.isdisjoint(policy)
-        assert len(shared | policy) == 28
+        assert (len(shared), len(policy)) == (7, 16)
         config = GinjaConfig()
         exposed = {name for name in vars(config) if not name.startswith("_")}
         assert exposed == shared | policy
@@ -103,7 +103,8 @@ class TestSharedPolicySplit:
             GinjaConfig(bogus=1)
         for gone in ("encode_inline", "dispatch_window", "dispatch_hysteresis",
                      "trace_capacity", "reactor_io_threads", "mac_default_key",
-                     "encoders"):
+                     "encoders", "sync_schedule", "retry_backoff_cap",
+                     "retry_jitter", "retry_budgets", "reactor_inflight"):
             with pytest.raises(TypeError, match=gone):
                 GinjaConfig(**{gone: 1})
 
@@ -137,23 +138,13 @@ class TestSharedPolicySplit:
         assert config.downloaders == 8
         assert config.batch == TenantPolicy().batch
 
-    def test_compose_copies_retry_budgets(self):
-        shared = SharedPoolConfig(retry_budgets={"PUT": 2})
-        config = GinjaConfig.compose(shared)
-        assert config.retry_budgets == {"PUT": 2}
-        # One shared half backs every tenant's view, so the one
-        # mutable value in it is frozen at construction.
-        with pytest.raises(TypeError):
-            config.retry_budgets["PUT"] = 99
-        assert shared.retry_budgets == {"PUT": 2}
-
     def test_shared_pool_config_validation(self):
         with pytest.raises(ConfigError):
             SharedPoolConfig(prefetch_window=0)
         with pytest.raises(ConfigError):
             SharedPoolConfig(downloaders=0)
         with pytest.raises(ConfigError):
-            SharedPoolConfig(retry_jitter=2.0)
+            SharedPoolConfig(max_retries=-1)
 
 
 class TestWindowValidationSymmetry:
@@ -162,12 +153,22 @@ class TestWindowValidationSymmetry:
     bad policy only surfaced at compose time inside add_tenant)."""
 
     def test_shared_reactor_window_positive(self):
-        with pytest.raises(ConfigError, match="reactor_inflight"):
-            SharedPoolConfig(reactor_inflight=0)
+        """The fleet's reactor takes the reactor's own default window,
+        which the reactor validates; no config field sizes it."""
+        from repro.cloud.memory import InMemoryObjectStore
+        from repro.cloud.reactor import UploadReactor
+        from repro.fleet import FleetManager
+
+        with pytest.raises(ValueError, match="inflight_window"):
+            UploadReactor(inflight_window=0)
+        fleet = FleetManager(InMemoryObjectStore())
+        assert fleet.reactor.health()["window"] == 64
 
     def test_ginja_reactor_window_positive(self):
-        with pytest.raises(ConfigError, match="reactor_inflight"):
-            GinjaConfig(reactor_inflight=0)
+        """A stand-alone Ginja's private reactor is ``uploaders``
+        wide, so the tenant half's rule guards its window."""
+        with pytest.raises(ConfigError, match="upload slot"):
+            GinjaConfig(uploaders=0)
 
     def test_policy_uploaders_positive(self):
         with pytest.raises(ConfigError, match="uploaders"):
@@ -203,10 +204,10 @@ class TestWindowValidationSymmetry:
 
     def test_valid_policy_still_composes(self):
         config = GinjaConfig.compose(
-            SharedPoolConfig(reactor_inflight=16),
+            SharedPoolConfig(prefetch_window=8),
             TenantPolicy(batch=5, safety=50, uploaders=3),
         )
-        assert config.reactor_inflight == 16
+        assert config.prefetch_window == 8
         assert config.uploaders == 3
 
 
@@ -215,14 +216,8 @@ RULES = [
     (SharedPoolConfig, dict(downloaders=0),
      "need at least one downloader thread"),
     (SharedPoolConfig, dict(prefetch_window=0), "prefetch_window must be >= 1"),
-    (SharedPoolConfig, dict(retry_backoff=-1.0),
-     "retry backoff values must be positive"),
-    (SharedPoolConfig, dict(retry_backoff_cap=0.0),
-     "retry backoff values must be positive"),
-    (SharedPoolConfig, dict(retry_jitter=2.0),
-     "retry_jitter must be within [0, 1]"),
-    (SharedPoolConfig, dict(reactor_inflight=0),
-     "reactor_inflight must be >= 1"),
+    (SharedPoolConfig, dict(max_retries=-1), "max_retries must be >= 0"),
+    (SharedPoolConfig, dict(retry_backoff=-1.0), "retry_backoff must be >= 0"),
     (SharedPoolConfig, dict(providers=0), "need at least one provider"),
     (SharedPoolConfig, dict(providers=2, placement="mirror-3"), "mirror-3"),
     (TenantPolicy, dict(batch=0), "batch (B) must be >= 1"),

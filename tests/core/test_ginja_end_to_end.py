@@ -324,6 +324,24 @@ class TestRebootMode:
             ginja.start(mode="reboot")
 
 
+    @pytest.mark.parametrize("end", ["stop", "crash"])
+    def test_a_stopped_or_crashed_instance_is_not_restarted(self, cloud, end):
+        """``start`` refuses an instance that ran, before it LISTs the
+        bucket or starts the private reactor, so no ``ginja-`` thread
+        outlives it."""
+        ginja, db = fresh_protected_db(POSTGRES_PROFILE, cloud)
+        db.put("t", "k", b"v")
+        assert ginja.drain(timeout=10.0)
+        getattr(ginja, end)()
+        lists = cloud.meter.lists.count
+        with pytest.raises(GinjaError, match="already started"):
+            ginja.start(mode="reboot")
+        assert cloud.meter.lists.count == lists
+        assert not ginja.running and not ginja.reactor.alive
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith("ginja-")] == []
+
+
 class TestPITR:
     def test_restore_superseded_generation(self, cloud):
         """Keep snapshots across dumps, then restore the database to the

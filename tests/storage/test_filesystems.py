@@ -124,20 +124,23 @@ class TestLocalFSContainment:
 
 class TestDiskModel:
     def test_memory_fs_accounts_modeled_latency_without_sleeping(self):
+        """On a ManualClock the modeled latency is paid in virtual
+        time: metered and advanced in full, never slept."""
         clock = ManualClock()
-        fs = MemoryFileSystem(disk=HDD_15K, time_scale=0.0, clock=clock)
+        fs = MemoryFileSystem(disk=HDD_15K, clock=clock)
         fs.write("f", 0, b"x" * 8192)
         fs.fsync("f")
         assert fs.modeled_io_seconds > HDD_15K.fsync_latency * 0.99
-        assert clock.now() == 0.0
+        assert clock.now() == pytest.approx(fs.modeled_io_seconds)
 
     def test_scaled_sleep(self):
+        """Disk latency is paced at full scale."""
         clock = ManualClock()
         disk = DiskModel(fsync_latency=1.0)
-        fs = MemoryFileSystem(disk=disk, time_scale=0.25, clock=clock)
+        fs = MemoryFileSystem(disk=disk, clock=clock)
         fs.write("f", 0, b"x")
         fs.fsync("f")
-        assert clock.now() == pytest.approx(0.25)
+        assert clock.now() == pytest.approx(1.0)
 
     def test_latency_formula(self):
         disk = DiskModel(write_base=0.001, write_bytes_per_sec=1e6)

@@ -107,16 +107,14 @@ class TestInterception:
 
 class TestFuseOverhead:
     def test_per_call_overhead_slept_scaled(self):
+        """Each crossing pays the whole per-call overhead."""
         clock = ManualClock()
         fs = InterposedFS(
-            MemoryFileSystem(),
-            per_call_overhead=0.010,
-            time_scale=0.1,
-            clock=clock,
+            MemoryFileSystem(), per_call_overhead=0.010, clock=clock
         )
         fs.write("f", 0, b"x")
         fs.fsync("f")
-        assert clock.now() == pytest.approx(0.002)
+        assert clock.now() == pytest.approx(0.020)
         assert fs.calls == 2
 
     def test_blocking_interceptor_blocks_caller(self):

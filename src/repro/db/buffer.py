@@ -39,18 +39,14 @@ class BufferPool:
     def unbounded(self) -> bool:
         return self._capacity is None
 
-    @property
-    def resident_pages(self) -> int:
-        return len(self._lru)
-
     def touch(self, table: str, page: TablePage) -> None:
-        """Mark a page as just-used (and resident)."""
+        """Mark a page as just-used (and resident).  An unbounded pool
+        keeps every page and orders none: this is a no-op there."""
+        if self._capacity is None:
+            return
         key = (table, page.page_no)
         self._lru[key] = page
         self._lru.move_to_end(key)
-
-    def forget(self, table: str, page_no: int) -> None:
-        self._lru.pop((table, page_no), None)
 
     def evict_overflow(
         self, exclude: tuple[str, int] | None = None

@@ -197,19 +197,22 @@ class MiniDB:
         end_lsn = redo_lsn
         max_txid = next_txid - 1
         redone = 0
+        apply = db._apply_locked
         with db._store.lock:
-            for record, _start, end in reader.scan_from(redo_lsn):
-                end_lsn = end
-                if isinstance(record, OpRecord):
+            for record, _start, end_lsn in reader.scan_from(redo_lsn):
+                kind = type(record)
+                if kind is OpRecord:
                     pending.setdefault(record.txid, []).append(record)
-                    max_txid = max(max_txid, record.txid)
-                elif isinstance(record, CommitRecord):
-                    for op in pending.pop(record.txid, []):
-                        db._apply_locked(op)
-                        redone += 1
+                elif kind is CommitRecord:
+                    ops = pending.pop(record.txid, ())
+                    for op in ops:
+                        apply(op)
+                    redone += len(ops)
                     max_txid = max(max_txid, record.txid)
                 # CheckpointRecords need no redo action.
-        db._txid_counter = itertools.count(max_txid + 1)
+        # A committed txn's ops carry its commit's txid: the uncommitted
+        # ones left in ``pending`` are the only other txids seen.
+        db._txid_counter = itertools.count(max([max_txid, *pending]) + 1)
         tail = reader.read_tail(end_lsn)
         db._wal = WALWriter(
             fs,
@@ -272,7 +275,7 @@ class MiniDB:
         """Buffer-pool residency/eviction/reload counters."""
         pool = self._store.pool
         return {
-            "resident_pages": pool.resident_pages,
+            "resident_pages": self._store.resident_pages(),
             "evictions": pool.evictions,
             "reloads": pool.reloads,
         }

@@ -6,7 +6,10 @@ A table file is an array of fixed-size pages.  Each page stores a set of
     magic(2) | n_entries(2) | { keylen(2) key vallen(4) value }* | zero pad
 
 Pages track their serialized size incrementally so the engine can answer
-"does this row still fit?" in O(1) on the hot path.
+"does this row still fit?" without re-serializing: one dict lookup, plus
+one UTF-8 encode of the key unless the caller passes the row's
+:func:`entry_size` it already computed (a row that replaces one with the
+same key needs neither).
 """
 
 from __future__ import annotations
@@ -44,23 +47,26 @@ class TablePage:
     def free(self) -> int:
         return self.page_size - self.used
 
-    def fits(self, key: str, value: bytes) -> bool:
-        """Would inserting (or updating) this row still fit?"""
-        delta = entry_size(key, value)
-        if key in self.rows:
-            delta -= entry_size(key, self.rows[key])
-        return delta <= self.free
+    def fits(self, key: str, value: bytes, size: int | None = None) -> bool:
+        """Would inserting (or updating) this row still fit?  ``size`` is
+        the row's :func:`entry_size`, when the caller already has it."""
+        return self._growth(key, value, size) <= self.page_size - self.used
 
-    def put(self, key: str, value: bytes) -> None:
-        if not self.fits(key, value):
+    def put(self, key: str, value: bytes, size: int | None = None) -> None:
+        growth = self._growth(key, value, size)
+        if growth > self.page_size - self.used:
             raise DatabaseError(
                 f"row {key!r} ({len(value)}B) does not fit page {self.page_no}"
             )
-        if key in self.rows:
-            self.used -= entry_size(key, self.rows[key])
         self.rows[key] = value
-        self.used += entry_size(key, value)
+        self.used += growth
         self.dirty = True
+
+    def _growth(self, key: str, value: bytes, size: int | None) -> int:
+        old = self.rows.get(key)
+        if old is not None:  # same key, so only the value's length moves
+            return len(value) - len(old)
+        return entry_size(key, value) if size is None else size
 
     def remove(self, key: str) -> None:
         value = self.rows.pop(key)

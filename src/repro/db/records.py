@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
-from repro.common.errors import IntegrityError
-from repro.common.serialize import pack_bytes, pack_str, take_bytes, take_str
+from repro.common.serialize import pack_bytes, pack_str
 
 _HEADER = struct.Struct("<HBQQI")  # magic, type, txid, lsn, body_len
 _CRC = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 _MAGIC = 0xD81A  # arbitrary; cannot appear in zero-filled page padding
 
 TYPE_PUT = 1
@@ -36,8 +36,9 @@ TYPE_CHECKPOINT = 4
 FRAME_OVERHEAD = _HEADER.size + _CRC.size
 
 
-@dataclass(frozen=True, slots=True)
-class OpRecord:
+# Records are immutable named tuples: redo builds one per frame, and a
+# tuple costs a quarter of a frozen dataclass to construct.
+class OpRecord(NamedTuple):
     """A logical row operation inside a transaction."""
 
     txid: int
@@ -53,8 +54,7 @@ class OpRecord:
         return _frame(self.op, self.txid, lsn, body)
 
 
-@dataclass(frozen=True, slots=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """Marks ``txid`` as committed; redo applies a txn only past this."""
 
     txid: int
@@ -63,8 +63,7 @@ class CommitRecord:
         return _frame(TYPE_COMMIT, self.txid, lsn, b"")
 
 
-@dataclass(frozen=True, slots=True)
-class CheckpointRecord:
+class CheckpointRecord(NamedTuple):
     """The in-WAL checkpoint marker — the 'special record' of §4.
 
     ``seq`` is the checkpoint sequence number; ``redo_lsn`` is where redo
@@ -75,7 +74,7 @@ class CheckpointRecord:
     redo_lsn: int
 
     def encode(self, lsn: int) -> bytes:
-        return _frame(TYPE_CHECKPOINT, self.seq, lsn, struct.pack("<Q", self.redo_lsn))
+        return _frame(TYPE_CHECKPOINT, self.seq, lsn, _U64.pack(self.redo_lsn))
 
 
 WALRecord = OpRecord | CommitRecord | CheckpointRecord
@@ -96,44 +95,60 @@ def decode_record(
     a valid frame or (if ``expected_lsn`` is given) the frame's embedded
     LSN disagrees — i.e. it is stale data from a previous ring lap.
     """
-    end_header = offset + _HEADER.size
-    if end_header > len(buf):
-        return None
-    magic, rtype, txid, lsn, body_len = _HEADER.unpack_from(buf, offset)
-    if magic != _MAGIC:
-        return None
-    if expected_lsn is not None and lsn != expected_lsn:
-        return None
-    end_body = end_header + body_len
-    end_crc = end_body + _CRC.size
-    if end_crc > len(buf):
-        return None
-    (crc,) = _CRC.unpack_from(buf, end_body)
-    if crc != zlib.crc32(buf[offset:end_body]):
-        return None
-    body = buf[end_header:end_body]
-    try:
-        record = _decode_body(rtype, txid, body)
-    except IntegrityError:
-        return None
-    if record is None:
-        return None
-    return record, end_crc
-
-
-def _decode_body(rtype: int, txid: int, body: bytes) -> WALRecord | None:
-    if rtype == TYPE_PUT:
-        table, pos = take_str(body, 0)
-        key, pos = take_str(body, pos)
-        value, _pos = take_bytes(body, pos)
-        return OpRecord(txid=txid, op=TYPE_PUT, table=table, key=key, value=value)
-    if rtype == TYPE_DELETE:
-        table, pos = take_str(body, 0)
-        key, _pos = take_str(body, pos)
-        return OpRecord(txid=txid, op=TYPE_DELETE, table=table, key=key)
-    if rtype == TYPE_COMMIT:
-        return CommitRecord(txid=txid)
-    if rtype == TYPE_CHECKPOINT:
-        (redo_lsn,) = struct.unpack_from("<Q", body, 0)
-        return CheckpointRecord(seq=txid, redo_lsn=redo_lsn)
+    for record, start, end in iter_records(buf, offset, expected_lsn):
+        return record, offset + end - start
     return None
+
+
+def iter_records(
+    buf: bytes, offset: int = 0, lsn: int | None = None
+) -> Iterator[tuple[WALRecord, int, int]]:
+    """Yield ``(record, start_lsn, end_lsn)`` for each valid frame of
+    ``buf`` from ``offset``, the first one at stream position ``lsn``
+    (any, if ``None``) and each later one where its predecessor ends.
+
+    Stops at the first frame that is short, fails its magic, LSN or CRC
+    check, has a field running past its body (or non-UTF-8 names), or
+    has an unknown type: the end of the log.  Each frame is walked here
+    in one pass — redo's per-record cost is this loop.
+    """
+    buf = bytes(buf)
+    view = memoryview(buf)
+    size = len(buf)
+    header, u32, crc32 = _HEADER.unpack_from, _CRC.unpack_from, zlib.crc32
+    while True:
+        pos = offset + _HEADER.size
+        if pos > size:
+            return
+        magic, rtype, txid, frame_lsn, body_len = header(buf, offset)
+        if magic != _MAGIC or (lsn is not None and frame_lsn != lsn):
+            return
+        end_body = pos + body_len
+        end = end_body + _CRC.size
+        if end > size or u32(buf, end_body)[0] != crc32(view[offset:end_body]):
+            return
+        if rtype == TYPE_PUT or rtype == TYPE_DELETE:
+            # table, key[, value]: each a u32 length + payload.  Field ends
+            # only grow, so if the last lies inside the body, all do.
+            try:
+                key_at = pos + 4 + u32(buf, pos)[0]
+                value_at = key_at + 4 + u32(buf, key_at)[0]
+                stop = value_at
+                if rtype == TYPE_PUT:
+                    stop += 4 + u32(buf, value_at)[0]
+                if stop > end_body:
+                    return
+                table = buf[pos + 4:key_at].decode()
+                key = buf[key_at + 4:value_at].decode()
+            except (struct.error, UnicodeDecodeError):
+                return
+            record = OpRecord(txid, rtype, table, key, buf[value_at + 4:stop])
+        elif rtype == TYPE_COMMIT:
+            record = CommitRecord(txid)
+        elif rtype == TYPE_CHECKPOINT and body_len >= _U64.size:
+            record = CheckpointRecord(txid, _U64.unpack_from(buf, pos)[0])
+        else:
+            return
+        lsn = frame_lsn + end - offset
+        yield record, frame_lsn, lsn
+        offset = end

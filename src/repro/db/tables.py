@@ -67,7 +67,8 @@ class Table:
         return self.page(page_no).rows[key]
 
     def put(self, key: str, value: bytes) -> None:
-        if entry_size(key, value) > self.page_size - 4:
+        size = entry_size(key, value)
+        if size > self.page_size - 4:
             raise DatabaseError(
                 f"row {key!r} too large for {self.page_size}B pages of "
                 f"table {self.name!r}"
@@ -75,13 +76,13 @@ class Table:
         page_no = self.index.get(key)
         if page_no is not None:
             page = self.page(page_no)
-            if page.fits(key, value):
-                page.put(key, value)
+            if page.fits(key, value, size):
+                page.put(key, value, size)
                 return
             page.remove(key)
             del self.index[key]
-        target = self._page_with_room(key, value)
-        target.put(key, value)
+        target = self._page_with_room(key, value, size)
+        target.put(key, value, size)
         self.index[key] = target.page_no
 
     def delete(self, key: str) -> bool:
@@ -91,12 +92,12 @@ class Table:
         self.page(page_no).remove(key)
         return True
 
-    def _page_with_room(self, key: str, value: bytes) -> TablePage:
+    def _page_with_room(self, key: str, value: bytes, size: int) -> TablePage:
         # Check the tail pages first — the common append pattern — then
         # allocate a new page rather than scanning the whole table.
         for page_no in range(len(self.pages) - 1, max(-1, len(self.pages) - 5), -1):
             page = self.page(page_no)
-            if page.fits(key, value):
+            if page.fits(key, value, size):
                 return page
         page = TablePage(len(self.pages), self.page_size)
         self.pages.append(page)
@@ -152,7 +153,8 @@ class TableStore:
             name,
             self._profile.table_page_size,
             reload_page=self._reload_page,
-            touched=self._page_touched,
+            # An unbounded pool never evicts: page accesses go untracked.
+            touched=None if self.pool.unbounded else self._page_touched,
         )
 
     # -- buffer pool plumbing -------------------------------------------------------
@@ -199,6 +201,12 @@ class TableStore:
     def total_rows(self) -> int:
         with self._lock:
             return sum(t.row_count() for t in self._tables.values())
+
+    def resident_pages(self) -> int:
+        with self._lock:
+            return sum(
+                len(t.pages) - t.pages.count(None) for t in self._tables.values()
+            )
 
     # -- persistence ------------------------------------------------------------
 

@@ -23,7 +23,7 @@ import zlib
 
 from repro.common.errors import DatabaseError, RecoveryError
 from repro.db.profiles import DBMSProfile
-from repro.db.records import decode_record
+from repro.db.records import iter_records
 from repro.storage.interface import FileSystem
 
 
@@ -217,18 +217,23 @@ class WALStreamReader:
 
     def read_stream(self, from_lsn: int, max_bytes: int = 256 * 1024 * 1024) -> bytes:
         """Stream bytes starting at ``from_lsn``, page by page, stopping at
-        the first missing file (a GC'd segment) or ``max_bytes``."""
+        the first missing file (a GC'd segment) or ``max_bytes``.
+
+        Like the writer, it probes a file only on entering it."""
         chunks: list[bytes] = []
         position = self._layout.page_start(from_lsn)
         skip = from_lsn - position
         total = 0
+        entered = None
         # A ring physically holds at most one lap of the stream.
         if self._layout.ring_capacity:
             max_bytes = min(max_bytes, self._layout.ring_capacity)
         while total < max_bytes:
             path, offset = self._layout.locate(position)
-            if not self._fs.exists(path):
-                break
+            if path != entered:
+                if not self._fs.exists(path):
+                    break
+                entered = path
             chunk = self._fs.read(path, offset, self._page)
             if not chunk:
                 break
@@ -246,18 +251,7 @@ class WALStreamReader:
 
         Stops at the first invalid frame or LSN mismatch (end of log).
         """
-        stream = self.read_stream(from_lsn)
-        offset = 0
-        lsn = from_lsn
-        while True:
-            decoded = decode_record(stream, offset, expected_lsn=lsn)
-            if decoded is None:
-                return
-            record, next_offset = decoded
-            end_lsn = lsn + (next_offset - offset)
-            yield record, lsn, end_lsn
-            lsn = end_lsn
-            offset = next_offset
+        return iter_records(self.read_stream(from_lsn), 0, from_lsn)
 
     def read_tail(self, end_lsn: int) -> bytes:
         """Bytes from the page boundary below ``end_lsn`` up to it — the

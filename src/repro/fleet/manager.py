@@ -179,10 +179,15 @@ class FleetManager:
         self._tenants: dict[str, Ginja] = {}
         self._lock = threading.Lock()
         self._started = False
+        self._stopped = False
 
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
+        """Start the shared reactor.  A fleet runs once, like its
+        reactor: build a new one to start again after :meth:`stop_all`."""
+        if self._stopped:
+            raise GinjaError("fleet was stopped; a stopped fleet cannot restart")
         if self._started:
             raise GinjaError("fleet already started")
         self.reactor.start()
@@ -205,6 +210,7 @@ class FleetManager:
         if self.reactor.alive:
             self.reactor.stop()
         self._started = False
+        self._stopped = True
         if first_failure is not None:
             raise first_failure
 

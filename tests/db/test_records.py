@@ -4,14 +4,21 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
+from repro.common.serialize import pack_bytes, pack_u32
+from repro.common.units import KiB
+from repro.db.engine import EngineConfig, MiniDB
+from repro.db.profiles import POSTGRES_PROFILE
 from repro.db.records import (
     CheckpointRecord,
     CommitRecord,
     OpRecord,
+    TYPE_CHECKPOINT,
     TYPE_DELETE,
     TYPE_PUT,
+    _frame,
     decode_record,
 )
+from repro.storage.memory import MemoryFileSystem
 
 
 class TestRoundTrip:
@@ -86,3 +93,41 @@ def test_put_roundtrip_property(txid, table, key, value, lsn):
 @given(st.binary(max_size=200))
 def test_arbitrary_bytes_never_crash_decoder(garbage):
     decode_record(garbage, 0)  # must return None or a record, not raise
+
+
+class TestValidFrameWithBadBody:
+    """A frame whose CRC holds but whose body does not parse is the end of
+    the log too: redo must stop there, never raise."""
+
+    def test_non_utf8_key_is_not_a_record(self):
+        frame = _frame(TYPE_PUT, 7, 0,
+                       pack_bytes(b"stock") + pack_bytes(b"\xff\xfe") + pack_bytes(b"v"))
+        assert decode_record(frame, 0) is None
+
+    def test_non_utf8_table_is_not_a_record(self):
+        frame = _frame(TYPE_DELETE, 7, 0, pack_bytes(b"\xc3") + pack_bytes(b"k"))
+        assert decode_record(frame, 0) is None
+
+    def test_short_checkpoint_body_is_not_a_record(self):
+        assert decode_record(_frame(TYPE_CHECKPOINT, 1, 0, b"\x01\x02"), 0) is None
+
+    def test_field_past_the_body_is_not_a_record(self):
+        body = pack_bytes(b"t") + pack_bytes(b"k") + pack_u32(1000) + b"v"
+        assert decode_record(_frame(TYPE_PUT, 1, 0, body), 0) is None
+
+    def test_open_treats_a_non_utf8_frame_as_the_end_of_the_log(self):
+        fs = MemoryFileSystem()
+        config = EngineConfig(wal_segment_size=64 * KiB, auto_checkpoint=False)
+        db = MiniDB.create(fs, POSTGRES_PROFILE, config)
+        db.put("stock", "a", b"1")
+        db._wal.append(_frame(
+            TYPE_PUT, 7, db.lsn,
+            pack_bytes(b"stock") + pack_bytes(b"\xff\xfe") + pack_bytes(b"v"),
+        ))
+        db._wal.append(CommitRecord(txid=7).encode(db.lsn))
+        db._wal.flush()
+        db.crash()
+        recovered = MiniDB.open(fs, POSTGRES_PROFILE, config)
+        assert recovered.row_count("stock") == 1
+        assert recovered.get("stock", "a") == b"1"
+        assert recovered.recovered_ops == 1

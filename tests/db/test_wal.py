@@ -324,6 +324,45 @@ class TestStreamReader:
         lap2_start = writer.lsn + capacity  # a lap ahead: nothing written yet
         assert [r for r, _s, _e in reader.scan_from(lap2_start)] == []
 
+    def test_read_stream_probes_each_segment_on_entry(self):
+        fs = CountingFS()
+        records = [
+            OpRecord(txid=i, op=TYPE_PUT, table="t", key=f"k{i}", value=b"v" * 3000)
+            for i in range(50)  # ≈ 150 KiB: segments 0, 1 and 2
+        ]
+        self._write_records(fs, POSTGRES_PROFILE, SEG, records)
+        fs.calls.clear()
+        reader = WALStreamReader(fs, POSTGRES_PROFILE, SEG)
+        stream = reader.read_stream(0)
+        paths = [POSTGRES_PROFILE.wal_path(i) for i in range(4)]
+        # One probe per segment entered; the missing fourth ends the stream.
+        assert fs.paths("exists") == paths
+        assert stream == b"".join(fs.read_all(path) for path in paths[:3])
+        assert [r for r, _s, _e in reader.scan_from(0)] == records
+
+    def test_ring_read_stream_probes_each_file_on_entry(self):
+        fs = CountingFS()
+        writer = WALWriter(fs, MYSQL_PROFILE, segment_size=MYSQL_SEG)
+        writer.preallocate_initial()
+        records = [CommitRecord(txid=i) for i in range(800)]  # ≈ 1.3 files
+        for rec in records:
+            writer.append(rec.encode(writer.lsn))
+        writer.flush()
+        fs.calls.clear()
+        reader = WALStreamReader(fs, MYSQL_PROFILE, MYSQL_SEG)
+        header = MYSQL_PROFILE.wal_header_size
+        files = [fs.read_all(f"ib_logfile{i}")[header:] for i in range(2)]
+        assert reader.read_stream(0) == files[0] + files[1]
+        assert fs.paths("exists") == ["ib_logfile0", "ib_logfile1"]
+        # From inside the second file the stream wraps through the first
+        # and back to where it began: one lap, three files entered.
+        fs.calls.clear()
+        lsn = len(files[0]) + 512
+        lap = files[1][512:] + files[0] + files[1][:512]
+        assert reader.read_stream(lsn) == lap
+        assert fs.paths("exists") == ["ib_logfile1", "ib_logfile0", "ib_logfile1"]
+        assert [r for r, _s, _e in reader.scan_from(0)] == records
+
     def test_scan_stops_at_missing_segment(self):
         fs = MemoryFileSystem()
         records = [CommitRecord(txid=i) for i in range(3)]

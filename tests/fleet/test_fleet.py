@@ -155,6 +155,22 @@ class TestFleetLifecycle:
         assert not manager.reactor.alive
         assert helpers() == []
 
+    def test_a_stopped_fleet_refuses_to_restart(self):
+        manager = FleetManager(InMemoryObjectStore())
+        assert manager.health()["started"] is False
+        manager.start()
+        assert manager.health()["started"] is True
+        manager.stop_all()
+        assert manager.health()["started"] is False
+        with pytest.raises(GinjaError, match="stopped fleet cannot restart"):
+            manager.start()
+        assert manager.health()["started"] is False
+        assert not manager.reactor.alive
+        assert [
+            t.name for t in threading.enumerate()
+            if t.is_alive() and t.name.startswith("ginja-")
+        ] == []
+
 
 class TestSharedPoolIsolation:
     """S3: faults and crashes stay inside the tenant that caused them."""

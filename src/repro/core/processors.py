@@ -19,7 +19,7 @@ import threading
 
 from repro.core.checkpointer import CheckpointCollector
 from repro.core.commit_pipeline import CommitPipeline
-from repro.db.profiles import DBMSProfile, MYSQL_PROFILE, POSTGRES_PROFILE, WriteKind
+from repro.db.profiles import DBMSProfile, WriteKind
 from repro.storage.interposer import FSInterceptor
 
 
@@ -73,16 +73,3 @@ class DatabaseProcessor(FSInterceptor):
     # data plane already replicated the bytes, and object GC is timestamp
     # driven.  They are still interceptable for diagnostics.
 
-
-class PostgresProcessor(DatabaseProcessor):
-    """Processor bound to the PostgreSQL I/O profile."""
-
-    def __init__(self, pipeline: CommitPipeline, collector: CheckpointCollector):
-        super().__init__(POSTGRES_PROFILE, pipeline, collector)
-
-
-class MySQLProcessor(DatabaseProcessor):
-    """Processor bound to the MySQL/InnoDB I/O profile."""
-
-    def __init__(self, pipeline: CommitPipeline, collector: CheckpointCollector):
-        super().__init__(MYSQL_PROFILE, pipeline, collector)

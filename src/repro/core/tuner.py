@@ -351,7 +351,7 @@ class BatchTuner:
         self._emit(transition)
 
     def clear_override(self) -> None:
-        """Resume automatic retuning from the pinned values."""
+        """Resume automatic retuning from the overridden values."""
         with self._lock:
             self._override = False
             self._in_state = 0

@@ -19,10 +19,10 @@ checkpoint end         write to global/pg_control  ib_logfile0 @512/1536
 
 The engine provides real durability semantics: transactions buffer
 writes, commit by synchronously flushing WAL pages, table files are only
-updated at checkpoints, and :meth:`MiniDB.crash` +
-:func:`repro.db.recovery.recover_database` reproduce genuine
-crash-recovery (redo from the last checkpoint pointer).  That realism is
-what lets the test suite prove Ginja's end-to-end RPO guarantees.
+updated at checkpoints, and :meth:`MiniDB.crash` + :meth:`MiniDB.open`
+reproduce genuine crash-recovery (redo from the last checkpoint
+pointer).  That realism is what lets the test suite prove Ginja's
+end-to-end RPO guarantees.
 """
 
 from repro.db.engine import EngineConfig, MiniDB, Transaction

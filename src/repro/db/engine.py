@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import DatabaseError, TransactionAborted
 from repro.common.units import MiB
 from repro.db.profiles import CheckpointStyle, DBMSProfile
 from repro.db.records import (
+    FRAME_OVERHEAD,
     CheckpointRecord,
     CommitRecord,
     OpRecord,
@@ -35,6 +36,13 @@ from repro.db.records import (
 from repro.db.tables import TableStore
 from repro.db.wal import ControlState, WALStreamReader, WALWriter
 from repro.storage.interface import FileSystem
+
+
+#: Pages the fuzzy (MySQL) checkpointer flushes per batch.
+FUZZY_BATCH_PAGES = 16
+#: Byte offset of the doublewrite staging area within ibdata1 (the real
+#: engine reserves extents after the tablespace header).
+DOUBLEWRITE_BASE = 4096
 
 
 @dataclass
@@ -48,22 +56,6 @@ class EngineConfig:
     auto_checkpoint_bytes: int = 4 * MiB
     #: Disable to drive checkpoints manually (the harness does).
     auto_checkpoint: bool = True
-    #: Pages flushed per batch by the fuzzy (MySQL) checkpointer.
-    fuzzy_batch_pages: int = 16
-    #: Retire old PG segments by renaming them to future names (real
-    #: PostgreSQL behaviour) instead of unlinking.  Exercises the
-    #: stale-frame LSN guard; ignored for ring WALs.
-    recycle_wal_segments: bool = False
-    #: Buffer-pool capacity in pages (None = everything stays resident).
-    #: Clean pages evict LRU and reload from table files on access.
-    buffer_pool_pages: int | None = None
-    #: InnoDB's doublewrite buffer: each fuzzy-checkpoint batch is first
-    #: written to a staging area in ibdata1 and fsynced, then to the
-    #: table files — the torn-page defence real MySQL performs, and
-    #: extra write traffic a file-level DR observer genuinely sees.
-    #: Ignored by the sharp (PostgreSQL) checkpointer, which relies on
-    #: full-page WAL images instead.
-    doublewrite: bool = True
 
 
 @dataclass
@@ -138,9 +130,7 @@ class MiniDB:
         self._fs = fs
         self.profile = profile
         self.config = config
-        self._store = TableStore(
-            fs, profile, buffer_pool_pages=config.buffer_pool_pages
-        )
+        self._store = TableStore(fs, profile)
         self._control = ControlState(fs, profile)
         self._commit_lock = threading.Lock()
         self._ckpt_lock = threading.Lock()
@@ -271,15 +261,6 @@ class MiniDB:
         """Size of all non-WAL files (for the 150% dump rule and reports)."""
         return self._store.db_file_bytes()
 
-    def buffer_stats(self) -> dict[str, int]:
-        """Buffer-pool residency/eviction/reload counters."""
-        pool = self._store.pool
-        return {
-            "resident_pages": self._store.resident_pages(),
-            "evictions": pool.evictions,
-            "reloads": pool.reloads,
-        }
-
     # -- commit path ----------------------------------------------------------------
 
     def _commit(self, txn: Transaction) -> None:
@@ -287,15 +268,17 @@ class MiniDB:
         if not txn._ops:
             self.stats.commits += 1
             return
-        encoded_size = sum(len(op.encode(0)) for op in txn._ops) + len(
-            CommitRecord(txn.txid).encode(0)
-        )
+        # A frame's size does not depend on its LSN, so the ring guard is
+        # sized from the bodies; the frames are built after it, since a
+        # checkpoint it forces moves the LSN they carry.
+        bodies = [op.body() for op in txn._ops]
+        encoded_size = sum(map(len, bodies)) + FRAME_OVERHEAD * (len(bodies) + 1)
         self._guard_ring_capacity(encoded_size)
         wal = self._wal
         assert wal is not None
         with self._commit_lock:
-            for op in txn._ops:
-                wal.append(op.encode(wal.lsn))
+            for op, body in zip(txn._ops, bodies):
+                wal.append(op.encode(wal.lsn, body))
             wal.append(CommitRecord(txn.txid).encode(wal.lsn))
             wal.flush()
             with self._store.lock:
@@ -385,9 +368,7 @@ class MiniDB:
         self._ckpt_seq = seq
         self._last_redo_lsn = redo_lsn
         self.stats.checkpoints += 1
-        wal.drop_segments_before(
-            redo_lsn, recycle=self.config.recycle_wal_segments
-        )
+        wal.drop_segments_before(redo_lsn)
 
     def _sharp_flush(self, dirty: list) -> None:
         """PostgreSQL style: write every dirty page, then fsync."""
@@ -397,28 +378,22 @@ class MiniDB:
         for path in sorted(touched):
             self._fs.fsync(path)
 
-    #: Byte offset of the doublewrite staging area within ibdata1 (the
-    #: real engine reserves extents after the tablespace header).
-    _DOUBLEWRITE_BASE = 4096
-
     def _fuzzy_flush(self, dirty: list) -> None:
         """InnoDB style: small batches, begin event implicit in the first
-        data-file write; each batch staged through the doublewrite
-        buffer first when enabled."""
-        batch_size = max(1, self.config.fuzzy_batch_pages)
+        data-file write; each batch is staged through the doublewrite
+        area of ibdata1 and fsynced there first — the torn-page defence
+        real MySQL performs, and write traffic a file-level DR observer
+        genuinely sees."""
         page_size = self.profile.table_page_size
-        for start in range(0, len(dirty), batch_size):
-            batch = dirty[start:start + batch_size]
-            if self.config.doublewrite:
-                for slot, (_table_name, page) in enumerate(batch):
-                    with self._store.lock:
-                        image = page.encode()
-                    self._fs.write(
-                        "ibdata1",
-                        self._DOUBLEWRITE_BASE + slot * page_size,
-                        image,
-                    )
-                self._fs.fsync("ibdata1")
+        for start in range(0, len(dirty), FUZZY_BATCH_PAGES):
+            batch = dirty[start:start + FUZZY_BATCH_PAGES]
+            for slot, (_table_name, page) in enumerate(batch):
+                with self._store.lock:
+                    image = page.encode()
+                self._fs.write(
+                    "ibdata1", DOUBLEWRITE_BASE + slot * page_size, image
+                )
+            self._fs.fsync("ibdata1")
             touched: set[str] = set()
             for table_name, page in batch:
                 touched.add(self._store.flush_page(table_name, page))

@@ -5,11 +5,11 @@ A table file is an array of fixed-size pages.  Each page stores a set of
 
     magic(2) | n_entries(2) | { keylen(2) key vallen(4) value }* | zero pad
 
-Pages track their serialized size incrementally so the engine can answer
-"does this row still fit?" without re-serializing: one dict lookup, plus
-one UTF-8 encode of the key unless the caller passes the row's
-:func:`entry_size` it already computed (a row that replaces one with the
-same key needs neither).
+Pages track their serialized size incrementally, so :meth:`TablePage.put`
+stores a row only if it still fits, without re-serializing: one dict
+lookup, plus one UTF-8 encode of the key unless the caller passes the
+row's :func:`entry_size` it already computed (a row that replaces one
+with the same key needs neither).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def entry_size(key: str, value: bytes) -> int:
 class TablePage:
     """One in-memory page: a small dict plus size accounting."""
 
-    __slots__ = ("page_no", "page_size", "rows", "used", "dirty", "pinned")
+    __slots__ = ("page_no", "page_size", "rows", "used", "dirty")
 
     def __init__(self, page_no: int, page_size: int):
         self.page_no = page_no
@@ -39,28 +39,18 @@ class TablePage:
         self.rows: dict[str, bytes] = {}
         self.used = _HEADER.size
         self.dirty = False
-        #: Held by the checkpointer while the page's image is in flight
-        #: to the table file; a pinned page must not be evicted.
-        self.pinned = False
 
-    @property
-    def free(self) -> int:
-        return self.page_size - self.used
-
-    def fits(self, key: str, value: bytes, size: int | None = None) -> bool:
-        """Would inserting (or updating) this row still fit?  ``size`` is
-        the row's :func:`entry_size`, when the caller already has it."""
-        return self._growth(key, value, size) <= self.page_size - self.used
-
-    def put(self, key: str, value: bytes, size: int | None = None) -> None:
+    def put(self, key: str, value: bytes, size: int | None = None) -> bool:
+        """Insert (or update) the row if it still fits; returns whether it
+        did.  ``size`` is the row's :func:`entry_size`, when the caller
+        already has it."""
         growth = self._growth(key, value, size)
         if growth > self.page_size - self.used:
-            raise DatabaseError(
-                f"row {key!r} ({len(value)}B) does not fit page {self.page_no}"
-            )
+            return False
         self.rows[key] = value
         self.used += growth
         self.dirty = True
+        return True
 
     def _growth(self, key: str, value: bytes, size: int | None) -> int:
         old = self.rows.get(key)
@@ -117,8 +107,3 @@ class TablePage:
         except (struct.error, UnicodeDecodeError):
             return None
         return page
-
-    def max_row_payload(self) -> int:
-        """Largest value an empty page of this size could hold for a
-        one-character key (used for validation messages)."""
-        return self.page_size - _HEADER.size - _KEYLEN.size - 1 - _VALLEN.size

@@ -47,11 +47,17 @@ class OpRecord(NamedTuple):
     key: str
     value: bytes = b""
 
-    def encode(self, lsn: int) -> bytes:
+    def body(self) -> bytes:
+        """The frame body: table, key and, for a put, the value."""
         body = pack_str(self.table) + pack_str(self.key)
         if self.op == TYPE_PUT:
             body += pack_bytes(self.value)
-        return _frame(self.op, self.txid, lsn, body)
+        return body
+
+    def encode(self, lsn: int, body: bytes | None = None) -> bytes:
+        """The frame at stream position ``lsn``.  ``body`` is this
+        record's :meth:`body`, when the caller already has it."""
+        return _frame(self.op, self.txid, lsn, self.body() if body is None else body)
 
 
 class CommitRecord(NamedTuple):

@@ -137,35 +137,20 @@ class WALWriter:
         else:
             self._ensure_segment(self._profile.wal_path(0))
 
-    def drop_segments_before(self, lsn: int, *, recycle: bool = False
-                             ) -> list[str]:
-        """Retire append-mode segments wholly below ``lsn`` (PG cleanup).
+    def drop_segments_before(self, lsn: int) -> list[str]:
+        """Unlink append-mode segments wholly below ``lsn`` (PG cleanup).
 
-        ``recycle=False`` unlinks them; ``recycle=True`` renames each to
-        the next future segment name instead, the way PostgreSQL reuses
-        preallocated files.  A recycled file still holds *stale* frames
-        from its previous life — the per-record embedded LSN is what
-        keeps redo from ever believing them.  Ring files are never
-        dropped.  Returns the retired paths.
+        Ring files are never dropped.  Returns the unlinked paths.
         """
         if self._profile.ring_wal:
             return []
         removed = []
         first_live = lsn // self._segment_size
-        live = [
-            self._profile.wal_index(path)
-            for path in self._fs.files("pg_xlog/")
-        ]
-        next_future = max(live, default=0) + 1
-        for index in sorted(live):
+        for index in sorted(map(self._profile.wal_index, self._fs.files("pg_xlog/"))):
             if index >= first_live:
-                continue
+                break
             path = self._profile.wal_path(index)
-            if recycle:
-                self._fs.rename(path, self._profile.wal_path(next_future))
-                next_future += 1
-            else:
-                self._fs.unlink(path)
+            self._fs.unlink(path)
             if path == self._open_segment:
                 self._open_segment = None
             removed.append(path)

@@ -8,11 +8,14 @@ recovering committed state via WAL redo.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DatabaseError, TransactionAborted
 from repro.common.units import KiB
+from repro.db import records
 from repro.db.engine import EngineConfig, MiniDB
 from repro.db.profiles import MYSQL_PROFILE, POSTGRES_PROFILE
 from repro.storage.memory import MemoryFileSystem
@@ -300,3 +303,57 @@ def test_crash_recovery_equals_committed_state(ops, checkpoint_after, profile_na
     for key_id in range(16):
         key = f"k{key_id}"
         assert recovered.get("t", key) == expected.get(key)
+
+
+class TestCommitFrames:
+    """A commit builds each record's frame once, after the ring guard."""
+
+    @staticmethod
+    def run_history(profile, monkeypatch):
+        """Sixty three-op transactions (two puts and a delete) with the
+        guard's checkpoints in between; returns the engine, the WAL files'
+        bytes and the number of ``_frame`` calls."""
+        frames = []
+        real_frame = records._frame
+
+        def counting_frame(*args):
+            frames.append(args[0])
+            return real_frame(*args)
+
+        monkeypatch.setattr(records, "_frame", counting_frame)
+        fs = MemoryFileSystem()
+        engine = MiniDB.create(fs, profile, small_config(profile))
+        for n in range(60):
+            with engine.begin() as txn:
+                txn.put("stock", f"s{n % 17}", bytes([n % 251]) * (100 + n * 10))
+                txn.put("orders", f"o{n}", b"o" * 40)
+                txn.delete("orders", f"o{n - 3}")
+        prefix = "pg_xlog/" if not profile.ring_wal else "ib_logfile"
+        wal = {path: fs.read_all(path) for path in fs.files(prefix)}
+        return engine, wal, len(frames)
+
+    @pytest.mark.parametrize(
+        "profile_name, checkpoints, digest",
+        [
+            # sha256 of the WAL files, as the two-pass commit wrote them.
+            ("postgres", 0,
+             "5cd310d324327f92dd00efe4f1fa625cce3845acf412cb6c54372bf7c0e391fe"),
+            # The ring fills once: its guard checkpoints mid-history and
+            # moves the LSN the next frames carry.
+            ("mysql", 1,
+             "53d8df3b13ea4256d869da891c0ee6ee0a73b594a5456b606970dd99627e1a87"),
+        ],
+        ids=["postgres", "mysql"],
+    )
+    def test_one_frame_per_record_and_the_same_wal_bytes(
+        self, profile_name, checkpoints, digest, monkeypatch
+    ):
+        profile = POSTGRES_PROFILE if profile_name == "postgres" else MYSQL_PROFILE
+        engine, wal, frames = self.run_history(profile, monkeypatch)
+        assert engine.stats.checkpoints == checkpoints
+        # Per transaction: three ops and a commit; per checkpoint: its marker.
+        assert frames == 60 * 4 + checkpoints
+        image = hashlib.sha256(
+            b"".join(path.encode() + wal[path] for path in sorted(wal))
+        ).hexdigest()
+        assert image == digest

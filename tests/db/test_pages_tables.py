@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +19,7 @@ PAGE = 8192
 class TestTablePage:
     def test_put_get_roundtrip(self):
         page = TablePage(0, PAGE)
-        page.put("k", b"value")
+        assert page.put("k", b"value") is True
         assert page.rows["k"] == b"value"
         assert page.dirty
 
@@ -37,8 +39,9 @@ class TestTablePage:
 
     def test_overflow_rejected(self):
         page = TablePage(0, 64)
-        with pytest.raises(DatabaseError):
-            page.put("k", b"z" * 100)
+        used = page.used
+        assert page.put("k", b"z" * 100) is False
+        assert page.rows == {} and page.used == used and not page.dirty
 
     def test_encode_pads_to_page_size(self):
         page = TablePage(0, PAGE)
@@ -109,6 +112,44 @@ class TestTable:
             table.put(f"k{i}", b"v")
         table.delete("k0")
         assert table.row_count() == 6
+
+    def test_one_growth_per_put(self, monkeypatch):
+        """A put that lands on the first page it tries sizes its row once."""
+        calls = []
+        real_growth = TablePage._growth
+
+        def counting_growth(page, key, value, size):
+            calls.append(key)
+            return real_growth(page, key, value, size)
+
+        monkeypatch.setattr(TablePage, "_growth", counting_growth)
+        table = Table("t", PAGE)
+        for i in range(30):  # new rows, each on the tail page
+            table.put(f"k{i}", b"x" * 100)
+        for i in range(30):  # same-size rewrites, each in place
+            table.put(f"k{i}", b"y" * 100)
+        assert len(calls) == 60
+        assert len(table.pages) == 1
+
+    def test_rows_land_where_they_always_did(self):
+        """Growing rewrites, deletes and reuse of free room on a fixed
+        history: the index (in insertion order) is pinned."""
+        rng = random.Random(42)
+        table = Table("t", 1024)
+        for n in range(200):
+            key = f"k{rng.randrange(30)}"
+            if rng.random() < 0.2:
+                table.delete(key)
+            else:
+                table.put(key, bytes([n % 251]) * rng.choice((10, 60, 200, 450)))
+        placed = " ".join(f"{key}:{page}" for key, page in table.index.items())
+        assert placed == (
+            "k3:1 k29:1 k26:0 k12:0 k5:2 k11:3 k16:3 k9:4 k18:4 k10:5 k24:4 "
+            "k15:3 k23:4 k22:5 k6:6 k19:6 k17:5 k21:6 k7:6 k25:7 k1:7 k14:7 "
+            "k20:8 k8:8 k2:8 k28:8 k27:5"
+        )
+        for key, page_no in table.index.items():
+            assert key in table.pages[page_no].rows
 
 
 class TestTableStore:

@@ -5,14 +5,11 @@ aborted transactions, a checkpoint somewhere in it — runs on a live
 primary, and its last transaction's frames are torn.  After a crash,
 ``MiniDB.open`` must hold exactly the committed rows, and every table's
 index (row → page number) must equal the live primary's, on both
-profiles, with an unbounded and with a 2-page buffer pool.
+profiles.
 """
 
 from __future__ import annotations
 
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import KiB
@@ -37,14 +34,13 @@ txns = st.tuples(st.lists(ops, min_size=1, max_size=5),
                  st.sampled_from([False, False, False, True]))  # aborted?
 
 
-def run_history(profile_name, pool, history, checkpoint_at, tear):
+def run_history(profile_name, history, checkpoint_at, tear):
     """Run ``history`` on a live primary, tear its last transaction's
     frames and crash it; returns the reopened database, the committed
     rows and the live indexes as they were before the torn transaction."""
     profile = PROFILES[profile_name]
     fs = MemoryFileSystem()
-    config = EngineConfig(wal_segment_size=SEG, auto_checkpoint=False,
-                          buffer_pool_pages=pool)
+    config = EngineConfig(wal_segment_size=SEG, auto_checkpoint=False)
     db = MiniDB.create(fs, profile, config)
     reference: dict[tuple[str, str], bytes] = {}
     last_committed = 0
@@ -103,55 +99,16 @@ def rows_of(db) -> dict[tuple[str, str], bytes]:
 @settings(max_examples=60, deadline=None)
 @given(
     profile_name=st.sampled_from(sorted(PROFILES)),
-    pool=st.sampled_from([None, 2]),
     history=st.lists(txns, max_size=25),
     checkpoint_at=st.integers(0, 30),
     tear=st.integers(0, 2**16),
 )
 def test_redo_rebuilds_the_committed_rows_and_pages(
-    profile_name, pool, history, checkpoint_at, tear
+    profile_name, history, checkpoint_at, tear
 ):
     recovered, reference, live_index = run_history(
-        profile_name, pool, history, checkpoint_at, tear
+        profile_name, history, checkpoint_at, tear
     )
     assert rows_of(recovered) == reference
     assert indexes(recovered) == live_index
 
-
-def fixed_history(seed: int = 41) -> list:
-    """120 transactions over 40 keys a table: pages enough to evict."""
-    rng = random.Random(seed)
-    return [
-        (
-            [
-                (rng.choice(["put", "put", "delete"]), rng.choice(TABLES),
-                 rng.randrange(40), rng.choice(SIZES))
-                for _ in range(rng.randint(1, 5))
-            ],
-            rng.random() < 0.25,
-        )
-        for _ in range(120)
-    ]
-
-
-@pytest.mark.parametrize(
-    "profile_name, pool, expected",
-    [
-        # (evictions, reloads, resident pages) after the reopen, as the
-        # per-frame redo loop left them.  Dirty pages cannot be evicted,
-        # so a 2-page pool still holds every page redo wrote.
-        ("postgres", None, (0, 0, 18)),
-        ("postgres", 2, (17, 17, 18)),
-        ("mysql", None, (0, 0, 8)),
-        ("mysql", 2, (8, 8, 8)),
-    ],
-)
-def test_buffer_counters_of_a_fixed_history(profile_name, pool, expected):
-    """Redo takes the same buffer-pool path it always took: the counters
-    of one fixed history are pinned."""
-    recovered, reference, _index = run_history(
-        profile_name, pool, fixed_history(), checkpoint_at=60, tear=777
-    )
-    stats = recovered.buffer_stats()  # before reads reload anything
-    assert (stats["evictions"], stats["reloads"], stats["resident_pages"]) == expected
-    assert rows_of(recovered) == reference

@@ -253,15 +253,14 @@ class TestSegmentProbeCensus:
         assert fs.count("exists") == 1
         assert fs.count("write") == 3
 
-    @pytest.mark.parametrize("recycle", [False, True])
-    def test_retiring_the_open_segment_forgets_it(self, recycle):
+    def test_retiring_the_open_segment_forgets_it(self):
         fs = CountingFS()
         writer = WALWriter(fs, POSTGRES_PROFILE, segment_size=SEG)
         writer.append(b"x" * 100)
         writer.flush()
         # A caller dropping ahead of the writer retires its open segment;
         # the next flush must recreate it, not write into a missing file.
-        writer.drop_segments_before(SEG, recycle=recycle)
+        writer.drop_segments_before(SEG)
         assert not fs.exists(POSTGRES_PROFILE.wal_path(0))
         writer.append(b"y")
         writer.flush()

@@ -118,7 +118,7 @@ def _without_probes(fs):
             st.integers(1, 20000),                          # append n bytes
             st.just("flush"),
             st.just("reopen"),                              # flush, new writer
-            st.tuples(st.integers(0, 100), st.booleans()),  # drop at pct of lsn
+            st.tuples(st.integers(0, 100)),                 # drop at pct of lsn
         ),
         max_size=30,
     ),
@@ -126,7 +126,7 @@ def _without_probes(fs):
 )
 # A drop ahead of the flushed position retires the open segment, which
 # the next flush re-enters.
-@example(ops=[100, "flush", 20000, (100, False), "flush"],
+@example(ops=[100, "flush", 20000, (100,), "flush"],
          profile_name="postgres")
 def test_open_segment_memo_changes_nothing_but_probes(ops, profile_name):
     """Against the probe-every-page reference, the memo leaves the file
@@ -152,10 +152,9 @@ def test_open_segment_memo_changes_nothing_but_probes(ops, profile_name):
                 side[2] = cls(fs, profile, segment_size=seg, start_lsn=lsn,
                               tail=tail)
             elif isinstance(op, tuple):
-                pct, recycle = op
+                (pct,) = op
                 current = writer.layout.locate(writer.lsn)[0]
-                removed = writer.drop_segments_before(
-                    writer.lsn * pct // 100, recycle=recycle)
+                removed = writer.drop_segments_before(writer.lsn * pct // 100)
                 # Never the segment being appended to, which the memo
                 # may hold.
                 assert current not in removed

@@ -1,7 +1,7 @@
 """Capstone integration: everything at once.
 
 TPC-C terminals drive a MySQL-profile MiniDB through Ginja (compression
-and encryption on, bounded buffer pool) against a flaky cloud; a
+and encryption on) against a flaky cloud; a
 checkpoint runs mid-flight; the primary dies without draining; the
 standby verifies the backup, recovers, and continues the workload.
 """
@@ -23,12 +23,7 @@ from repro.db.profiles import MYSQL_PROFILE
 from repro.storage.memory import MemoryFileSystem
 from repro.workloads.tpcc import TPCCConfig, TPCCDatabase, TPCCDriver
 
-ENGINE = EngineConfig(
-    wal_segment_size=64 * KiB,
-    auto_checkpoint=False,
-    buffer_pool_pages=64,
-    doublewrite=True,
-)
+ENGINE = EngineConfig(wal_segment_size=64 * KiB, auto_checkpoint=False)
 GINJA = GinjaConfig(
     batch=20, safety=400, batch_timeout=0.05, safety_timeout=10.0,
     uploaders=3, compress=True, encrypt=True, password="capstone",
